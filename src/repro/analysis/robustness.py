@@ -31,7 +31,11 @@ from repro.faults import FaultInjector, FaultSpec, RetryPolicy, fault_seed_sweep
 from repro.graph import NNGraph
 from repro.hw import MachineSpec
 
-#: default sweep: profile+duration noise ladder up to the issue's 10% target
+#: default sweep ladder up to 10% noise.  Each level L becomes
+#: duration_noise=L, profile_noise=L *and* stall_prob=L/2 (see
+#: :func:`robustness_report`); stalls are not vectorizable, so every rung
+#: runs on the serial ``execute_resilient`` path.  A lockstep sweep needs
+#: an explicit spec such as ``--faults duration_noise=0.1``.
 DEFAULT_NOISE_LEVELS = (0.02, 0.05, 0.10)
 
 
@@ -167,8 +171,10 @@ def robustness_report(
 
     ``specs`` overrides the sweep entirely; otherwise each entry of
     ``noise_levels`` becomes a spec with that much duration *and* profile
-    noise plus a small stall probability — the "everything is a bit sick"
-    scenario the acceptance criteria target.  Each spec plans **once**
+    noise plus a stall probability of half the level — the "everything
+    is a bit sick" scenario.  The stalls keep every such rung off the
+    lockstep path; pass ``specs`` (CLI ``--faults``) for a vectorizable
+    sweep.  Each spec plans **once**
     (under fault seed ``seed``, exactly as a single-run report would) and
     then executes the chosen plan under seeds ``seed .. seed +
     fault_seeds - 1``; ``workers`` fans the serial-path seeds across a

@@ -585,7 +585,12 @@ def make_parser() -> argparse.ArgumentParser:
     _add_devices_arg(p)
     p.add_argument("--noise-levels", type=float, nargs="+",
                    default=[0.02, 0.05, 0.10], metavar="STDDEV",
-                   help="duration+profile noise ladder for the sweep")
+                   help="noise ladder for the sweep: each level L runs "
+                        "duration_noise=L, profile_noise=L and "
+                        "stall_prob=L/2, so every rung takes the serial "
+                        "path (stalls are not vectorizable); for a "
+                        "lockstep-batched sweep pass --faults "
+                        "duration_noise=... instead")
     p.add_argument("--fault-seeds", type=_positive_int, default=1,
                    help="number of fault seeds per scenario (seeds "
                         "fault-seed .. fault-seed+N-1); vectorizable specs "

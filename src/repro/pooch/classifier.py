@@ -102,10 +102,12 @@ class PoochConfig:
     #: rounds under conservative dirty-set invalidation (only maps whose
     #: perturbation windows overlap an accepted flip's are re-evaluated;
     #: acceptance itself always re-predicts, ``verify_flips`` semantics
-    #: unchanged).  Keep probes whose draft liveness floor already exceeds
-    #: capacity are answered "infeasible" without simulating (sound by
-    #: construction: the floor is an admissible peak bound, see
-    #: :func:`~repro.runtime.schedule.liveness_floor`).
+    #: unchanged).  Keep probes whose liveness floor already exceeds
+    #: capacity are answered "infeasible" without drafting or simulating
+    #: them: the floor is an admissible peak bound
+    #: (:func:`~repro.runtime.schedule.liveness_floor`), derived exactly
+    #: for every "X kept" probe from one liveness profile of the current
+    #: plan (:class:`~repro.runtime.schedule.LivenessProfile`).
     #: Plans are bit-identical on/off across the model zoo
     #: (tests enforce it), but unlike ``incremental`` the r-value reuse
     #: changes *which candidates are simulated*, so the knob is part of
@@ -169,9 +171,10 @@ class SearchStats:
     #: only, same ``workers>1`` caveat)
     sims_step2_full: int = 0
     sims_step2_resumed: int = 0
-    #: keep probes answered from the draft's liveness floor instead of a
-    #: simulation — the floor already exceeded capacity, so the simulation
-    #: could only have returned "infeasible" (incremental_step2 only)
+    #: keep probes answered from their liveness floor (derived from the
+    #: current plan's profile) instead of a simulation — the floor already
+    #: exceeded capacity, so the simulation could only have returned
+    #: "infeasible" (incremental_step2 only)
     keep_probes_elided: int = 0
     #: True when the plan came from a PlanCache (verified by simulation)
     #: instead of a fresh search — search fields above are then empty
@@ -1023,15 +1026,16 @@ class PoochClassifier:
         t_rec = self.predictor.predict(
             current.with_class(x, MapClass.RECOMPUTE)
         ).time
-        keep_candidate = current.with_class(x, MapClass.KEEP)
         if (self.config.incremental_step2
-                and self.predictor.provably_infeasible(keep_candidate)):
-            # probe elision: the keep draft's liveness floor already exceeds
-            # capacity, so the simulation could only confirm infeasibility
+                and self.predictor.provably_infeasible(current, x)):
+            # probe elision: the keep candidate's liveness floor (derived
+            # from current's profile) already exceeds capacity, so the
+            # simulation could only confirm infeasibility
             self.stats.keep_probes_elided += 1
             t0 = min(t_swap, t_rec)
         else:
-            keep_outcome = self.predictor.predict(keep_candidate)
+            keep_outcome = self.predictor.predict(
+                current.with_class(x, MapClass.KEEP))
             t0 = (keep_outcome.time if keep_outcome.feasible
                   else min(t_swap, t_rec))
         rec_overhead = max(0.0, t_rec - t0)
@@ -1067,9 +1071,9 @@ class PoochClassifier:
             return
         todo: list[tuple[Classification, int]] = []
         for x in fresh:
-            keep_c = current.with_class(x, MapClass.KEEP)
-            if memo and self.predictor.provably_infeasible(keep_c):
+            if memo and self.predictor.provably_infeasible(current, x):
                 continue  # _r_value elides this probe: don't sweep it
+            keep_c = current.with_class(x, MapClass.KEEP)
             if self.predictor.cached(keep_c) is None:
                 todo.append((keep_c, x))
         if not todo:
@@ -1107,9 +1111,9 @@ class PoochClassifier:
         # rejected flip leaves `current` untouched, so *no* value is stale
         # then (re-evaluating would hit the predictor's memo cache anyway).
         # Acceptance still always re-predicts the trial plan end to end.
-        # The same knob also elides keep probes whose infeasibility the
-        # draft's liveness floor already proves (see _r_value) — on
-        # memory-tight configurations that is half the step-2 simulations.
+        # The same knob also elides keep probes whose infeasibility their
+        # liveness floor already proves (see _r_value) — on memory-tight
+        # configurations that is half the step-2 simulations.
         memo = cfg.incremental_step2
         windows = self.predictor.step2_windows(pool) if memo and pool else {}
         r_cache: dict[int, float] = {}
@@ -1128,9 +1132,9 @@ class PoochClassifier:
                     rec_c = current.with_class(x, MapClass.RECOMPUTE)
                     if self.predictor.cached(rec_c) is None:
                         needed.append(rec_c)
-                    keep_c = current.with_class(x, MapClass.KEEP)
-                    if memo and self.predictor.provably_infeasible(keep_c):
+                    if memo and self.predictor.provably_infeasible(current, x):
                         continue  # _r_value elides this probe: don't fan out
+                    keep_c = current.with_class(x, MapClass.KEEP)
                     if self.predictor.cached(keep_c) is None:
                         needed.append(keep_c)
                 for c, outcome in zip(needed, executor.map(_predict_one, needed)):

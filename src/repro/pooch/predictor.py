@@ -34,13 +34,16 @@ from repro.hw import MachineSpec
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
 from repro.runtime.profiler import Profile
 from repro.runtime.schedule import (
+    LivenessProfile,
     ScheduleBuilder,
     ScheduleOptions,
     apply_keep_delta,
     apply_recompute_delta,
     build_schedule,
     keep_flip_specs,
-    liveness_floor,
+    # not called here (LivenessProfile derives keep-probe floors); the
+    # oracle stays bound in this namespace, where benchmarks/e2e traces it
+    liveness_floor,  # noqa: F401
 )
 
 
@@ -201,8 +204,13 @@ class TimelinePredictor:
         #: conservative [start, end] compute-position window a map's
         #: swap→recompute flip perturbs — the classifier's dirty-set test
         self._rwin: dict[int, tuple[int, int]] = {}
-        #: memoized liveness-floor verdicts (see :meth:`provably_infeasible`)
-        self._floor_verdicts: dict[tuple, bool] = {}
+        #: liveness profile of the last plan :meth:`provably_infeasible`
+        #: was asked about, keyed by that plan's classification key
+        self._profile: tuple[tuple, LivenessProfile] | None = None
+        #: the last :func:`apply_keep_delta` result, keyed by its keep set:
+        #: step 2's probes all share the step-1 keeps, so its recompute
+        #: drafts patch one memoized keep draft instead of rebuilding it
+        self._keep_draft: tuple[frozenset, tuple] | None = None
         #: evaluate pure keep/swap candidate *batches* on the lockstep
         #: vector engine (:meth:`predict_keep_batch`); outcomes are
         #: bit-identical to the event engines, so this only changes
@@ -236,23 +244,24 @@ class TimelinePredictor:
         """Cache lookup without simulating (and without counting a miss)."""
         return self._cache.get(classification.key())
 
-    def provably_infeasible(self, classification: Classification) -> bool:
-        """True when the candidate's draft alone proves the plan cannot run:
-        its compute-stream liveness floor (:func:`liveness_floor`) exceeds
-        device capacity, so every simulation of it ends in OOM and
-        :meth:`predict` could only return an infeasible outcome.  Building
-        the draft costs a delta-patch, not a replay — step 2 uses this to
-        skip keep probes whose only possible answer is "infeasible"."""
-        key = classification.key()
-        verdict = self._floor_verdicts.get(key)
-        if verdict is None:
-            tasks, queues, buffers, _keeps, _recs = (
-                self._sim_draft(classification))
-            floor = liveness_floor(tasks, queues, buffers)
-            capacity = self.machine.usable_gpu_memory - self.capacity_margin
-            verdict = floor > capacity
-            self._floor_verdicts[key] = verdict
-        return verdict
+    def provably_infeasible(self, current: Classification, x: int) -> bool:
+        """True when ``current`` with its swapped map ``x`` kept provably
+        cannot run: that candidate's compute-stream liveness floor
+        (:func:`~repro.runtime.schedule.liveness_floor`) exceeds device
+        capacity, so every simulation of it ends in OOM and :meth:`predict`
+        could only return an infeasible outcome.  Step 2 uses this to skip
+        keep probes whose only possible answer is "infeasible".
+
+        The floor is derived, not drafted: ``current``'s liveness profile
+        is built once (one draft per plan, cached on its key) and each
+        "x kept" floor follows from it exactly in O(x's backward interval)
+        — see :class:`~repro.runtime.schedule.LivenessProfile`."""
+        key = current.key()
+        if self._profile is None or self._profile[0] != key:
+            tasks, queues, buffers, _keeps, _recs = self._sim_draft(current)
+            self._profile = (key, LivenessProfile(tasks, queues, buffers))
+        capacity = self.machine.usable_gpu_memory - self.capacity_margin
+        return self._profile[1].keep_floor(x) > capacity
 
     def drift(self, classification: Classification, measured: float) -> float:
         """Relative deviation of a *measured* makespan from this predictor's
@@ -595,18 +604,23 @@ class TimelinePredictor:
             ):
                 pure = False
             if pure:
-                self._ensure_base()
-                tasks, queues, buffers = apply_keep_delta(
-                    self._base[0], self._base[1], self._base[2], keeps
-                )
+                kept = frozenset(keeps)
+                memo = self._keep_draft
+                if memo is not None and memo[0] == kept:
+                    tasks, queues, buffers = memo[1]
+                else:
+                    self._ensure_base()
+                    tasks, queues, buffers = apply_keep_delta(
+                        self._base[0], self._base[1], self._base[2], keeps
+                    )
+                    self._keep_draft = (kept, (tasks, queues, buffers))
                 if recs:
                     tasks, queues, buffers = apply_recompute_delta(
                         tasks, queues, buffers,
                         self.graph, self._durations, self.options,
                         keeps, recs,
                     )
-                return (tasks, queues, buffers,
-                        frozenset(keeps), frozenset(recs))
+                return tasks, queues, buffers, kept, frozenset(recs)
         tasks, queues, buffers = self.draft(classification)
         return tasks, queues, buffers, None, None
 

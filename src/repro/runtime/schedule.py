@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import ScheduleError
 from repro.graph import NNGraph
 from repro.graph.ops import OpKind
@@ -1029,38 +1031,97 @@ def liveness_floor(
     of that co-resident set (plus ``p``'s own scratch) therefore floors the
     peak of every execution: a draft whose floor exceeds device capacity
     cannot complete and every simulation of it ends in an
-    ``OutOfMemoryError``.  Step 2 uses this to elide keep probes whose only
-    possible outcome is "infeasible".
+    ``OutOfMemoryError``.  Step 2 reads the same bound for "X kept"
+    candidates through :class:`LivenessProfile` without drafting them; this
+    function is the reference it is tested against.
     """
-    compute = queues.get(StreamName.COMPUTE, [])
-    pos = {tid: i for i, tid in enumerate(compute)}
-    n = len(compute)
-    delta = [0] * (n + 1)
-    always_resident = 0
-    for b in buffers.values():
-        if b.host:
-            continue
-        size = round_size(b.nbytes)
-        if b.alloc_by is None:
-            always_resident += size  # preallocated: lives the whole run
-            continue
-        a = pos.get(b.alloc_by)
+    return LivenessProfile(tasks, queues, buffers).floor
+
+
+class LivenessProfile:
+    """The liveness sweep of one draft (see :func:`liveness_floor`), kept so
+    that the floor of every "same draft with one swapped map kept"
+    candidate follows from it in O(that map's backward interval) — step
+    2's keep-probe bound, priced once per plan instead of once per probe.
+
+    The derivation is exact, not a further bound, because a swap→keep flip
+    of map X (see :func:`apply_keep_delta`):
+
+    * leaves the compute queue, and therefore every position, unchanged;
+    * removes only transfer tasks (``SO``/``SI``, forward re-fetch swap-ins)
+      and transfer- or host-allocated buffers, which the sweep ignores;
+    * moves every compute reader of ``fm{X}@b`` (and of any forward re-fetch
+      instance — forward tasks, so never later than a backward reader) onto
+      ``fm{X}@f``.
+
+    So the kept draft's running sum equals this one's plus
+    ``round_size(fm{X}@f)`` on ``[lo, hi]``: ``lo`` is the first position
+    past ``fm{X}@f``'s current lifetime, ``hi`` the last compute reader of
+    ``fm{X}@b``.
+    """
+
+    def __init__(
+        self,
+        tasks: dict[str, _TaskDraft],
+        queues: dict[StreamName, list[str]],
+        buffers: dict[str, _BufferDraft],
+    ) -> None:
+        self._tasks = tasks
+        self._buffers = buffers
+        compute = queues.get(StreamName.COMPUTE, [])
+        self._pos = pos = {tid: i for i, tid in enumerate(compute)}
+        n = len(compute)
+        delta = [0] * (n + 1)
+        always_resident = 0
+        for b in buffers.values():
+            if b.host:
+                continue
+            size = round_size(b.nbytes)
+            if b.alloc_by is None:
+                always_resident += size  # preallocated: lives the whole run
+                continue
+            a = pos.get(b.alloc_by)
+            if a is None:
+                continue  # transfer-allocated (swap-in instance)
+            f = max((pos[t] for t in (b.writers | b.readers) if t in pos),
+                    default=-1)
+            if f >= a:
+                delta[a] += size
+                delta[f + 1] -= size
+        for i, tid in enumerate(compute):
+            scratch = tasks[tid].scratch_bytes
+            if scratch:
+                delta[i] += round_size(scratch)
+                delta[i + 1] -= round_size(scratch)
+        #: bytes necessarily device-resident when each compute position's
+        #: task issues
+        self.running = np.cumsum(np.array(delta[:n], dtype=np.int64))
+        self.running += always_resident
+        #: :func:`liveness_floor` of the profiled draft itself
+        self.floor = max(0, int(self.running.max())) if n else 0
+
+    def _last_pos(self, tids) -> int:
+        pos = self._pos
+        return max((pos[t] for t in tids if t in pos), default=-1)
+
+    def keep_floor(self, m: int) -> int:
+        """:func:`liveness_floor` of the profiled draft with swapped map
+        ``m`` flipped to KEEP."""
+        if f"SO{m}" not in self._tasks:
+            raise ScheduleError(
+                f"LivenessProfile: map {m} is not swapped in the profiled draft"
+            )
+        buffers = self._buffers
+        fb = buffers[f"fm{m}@f"]
+        a = self._pos.get(fb.alloc_by)
         if a is None:
-            continue  # transfer-allocated (swap-in instance)
-        f = max((pos[t] for t in (b.writers | b.readers) if t in pos),
-                default=-1)
-        if f >= a:
-            delta[a] += size
-            delta[f + 1] -= size
-    for i, tid in enumerate(compute):
-        scratch = tasks[tid].scratch_bytes
-        if scratch:
-            delta[i] += round_size(scratch)
-            delta[i + 1] -= round_size(scratch)
-    floor = 0
-    running = always_resident
-    for i in range(n):
-        running += delta[i]
-        if running > floor:
-            floor = running
-    return floor
+            return self.floor  # forward instance not compute-allocated
+        bb = buffers.get(f"fm{m}@b")
+        if bb is None:
+            return self.floor  # no backward reader: nothing extends
+        hi = self._last_pos(bb.readers)
+        lo = max(a, self._last_pos(fb.writers | fb.readers) + 1)
+        if hi < lo:
+            return self.floor
+        extended = int(self.running[lo:hi + 1].max()) + round_size(fb.nbytes)
+        return max(self.floor, extended)

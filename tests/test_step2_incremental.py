@@ -20,6 +20,12 @@ loop does, never what it returns.
   admissible bound (never above a feasible run's simulated peak), so a
   floor above capacity proves the simulation could only answer
   "infeasible" — elided probes change no r-value;
+* the keep-probe floor step 2 derives from the current plan's liveness
+  profile (``LivenessProfile.keep_floor``) equals ``liveness_floor`` of the
+  freshly built "X kept" draft exactly, across the zoo, both machines, all
+  swap-in policies, forward re-fetch on/off and perturbed profiles — and
+  answering probes that way drafts the step-1 keep set once per step 2,
+  not once per probe;
 * the ``incremental_step2`` knob IS part of the plan-cache signature (its
   exactness is empirical, not structural — unlike ``incremental``).
 """
@@ -32,6 +38,8 @@ import random
 import pytest
 
 from repro.common.errors import ScheduleError
+from repro.faults import FaultInjector, FaultSpec
+from repro.pooch import predictor as predictor_mod
 from repro.pooch.classifier import (
     PoochClassifier,
     PoochConfig,
@@ -40,6 +48,7 @@ from repro.pooch.classifier import (
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
 from repro.runtime.profiler import run_profiling
 from repro.runtime.schedule import (
+    LivenessProfile,
     ScheduleBuilder,
     ScheduleOptions,
     apply_keep_delta,
@@ -290,27 +299,145 @@ def test_step2_full_sims_cut_at_least_3x():
     )
 
 
+def _swapped_sample(cls, rng, k):
+    swapped = cls.maps_of(MapClass.SWAP)
+    return rng.sample(swapped, min(k, len(swapped)))
+
+
 @pytest.mark.parametrize("name,batch", _ZOO)
 def test_liveness_floor_is_admissible_and_sound(name, batch):
     """``liveness_floor`` must never exceed the simulated peak of a feasible
-    run (admissibility), and ``provably_infeasible`` must imply the
-    simulation agrees (soundness) — across random keep/recompute splits."""
+    run (admissibility), and ``provably_infeasible(current, x)`` must imply
+    the simulation of "current with x kept" agrees (soundness) — across
+    random keep/recompute splits."""
     g = _graph(name, batch)
     prof = run_profiling(g, _SLOW)
     pred = PoochClassifier(g, prof, _SLOW, config=PoochConfig()).predictor
     rng = random.Random(FAULT_SEED * 31 + batch)
+    probed = 0
     for keeps, recs in _partitions(g, rng, n=3):
-        cls = Classification.all_swap(g).with_classes(
+        current = Classification.all_swap(g).with_classes(
             {m: MapClass.KEEP for m in keeps}
             | {m: MapClass.RECOMPUTE for m in recs}
         )
-        proven = pred.provably_infeasible(cls)
-        out = pred.predict(cls)
-        if proven:
-            assert not out.feasible
-        if out.feasible:
-            tasks, queues, buffers, _k, _r = pred._sim_draft(cls)
-            assert liveness_floor(tasks, queues, buffers) <= out.peak_memory
+        for x in _swapped_sample(current, rng, 4):
+            probed += 1
+            kept = current.with_class(x, MapClass.KEEP)
+            proven = pred.provably_infeasible(current, x)
+            out = pred.predict(kept)
+            if proven:
+                assert not out.feasible
+            if out.feasible:
+                tasks, queues, buffers, _k, _r = pred._sim_draft(kept)
+                assert liveness_floor(tasks, queues, buffers) <= out.peak_memory
+    assert probed, "no partition left a swapped map to probe"
+
+
+@pytest.mark.parametrize("gap", [None, 2], ids=["no-refetch", "refetch2"])
+@pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.name.lower())
+@pytest.mark.parametrize("machine", [_MACHINE, _SLOW], ids=lambda m: m.name)
+@pytest.mark.parametrize("name,batch", _ZOO)
+def test_keep_floor_equals_fresh_draft_floor(name, batch, machine, policy,
+                                             gap):
+    """The floor step 2 derives for "current with swapped X kept" from
+    current's liveness profile must equal ``liveness_floor`` of that
+    candidate's freshly built draft — exactly, not as a bound — and the
+    predictor's elision verdict must be that floor against capacity."""
+    g = _graph(name, batch)
+    prof = FaultInjector(FaultSpec(profile_noise=0.05),
+                         seed=FAULT_SEED).perturb_profile(
+        run_profiling(g, machine))
+    durs = prof.durations()
+    opts = ScheduleOptions(policy=policy, forward_refetch_gap=gap)
+    pred = predictor_mod.TimelinePredictor(g, prof, machine, policy=policy,
+                                           forward_refetch_gap=gap)
+    capacity = machine.usable_gpu_memory
+
+    def fresh(cls):
+        return ScheduleBuilder(g, cls, durs, opts, validate=False).build_raw()
+
+    rng = random.Random(FAULT_SEED * 7919 + batch * 13
+                        + len(g.classifiable_maps()))
+    # step 2's first round probes every map of the step-1 plan, so the
+    # all-swap extreme is probed in full; random splits are sampled
+    currents = [(Classification.all_swap(g), len(g.classifiable_maps()))]
+    for keeps, recs in _partitions(g, rng, n=3):
+        currents.append((Classification.all_swap(g).with_classes(
+            {m: MapClass.KEEP for m in keeps}
+            | {m: MapClass.RECOMPUTE for m in recs}
+        ), 5))
+    probed = 0
+    for current, k in currents:
+        profile = LivenessProfile(*fresh(current))
+        assert profile.floor == liveness_floor(*fresh(current))
+        for x in _swapped_sample(current, rng, k):
+            probed += 1
+            want = liveness_floor(*fresh(current.with_class(x, MapClass.KEEP)))
+            assert profile.keep_floor(x) == want, (current.key(), x)
+            assert pred.provably_infeasible(current, x) == (want > capacity)
+    assert probed, "no partition left a swapped map to probe"
+
+
+def test_keep_floor_rejects_unswapped_maps():
+    g = _graph("small_cnn", 8)
+    prof = run_profiling(g, _MACHINE)
+    kept = Classification.all_keep(g)
+    profile = LivenessProfile(*ScheduleBuilder(
+        g, kept, prof.durations(), validate=False).build_raw())
+    with pytest.raises(ScheduleError, match="not swapped"):
+        profile.keep_floor(g.classifiable_maps()[0])
+
+
+def test_step2_drafts_the_keep_set_once(monkeypatch):
+    """Every step-2 probe shares the step-1 keep set, so answering keep
+    probes from current's liveness profile and patching recompute probes
+    onto the memoized keep draft must call ``apply_keep_delta`` a small
+    constant number of times per step 2 — not once per probe — while the
+    search itself stays exactly what per-probe fresh drafts produce."""
+    g = _graph("resnet18", 4)
+    prof = run_profiling(g, _SLOW)
+
+    def fresh_draft_verdict(self, current, x):
+        kept = current.with_class(x, MapClass.KEEP)
+        floor = liveness_floor(*ScheduleBuilder(
+            self.graph, kept, self._durations, self.options,
+            validate=False).build_raw())
+        return floor > self.machine.usable_gpu_memory - self.capacity_margin
+
+    def search(count_drafts: bool):
+        clf = PoochClassifier(g, prof, _SLOW, config=PoochConfig())
+        calls = [0]
+        if count_drafts:
+            real_delta = predictor_mod.apply_keep_delta
+            real_step2 = clf._step2_swap_vs_recompute
+
+            def counting_delta(*args, **kwargs):
+                calls[0] += 1
+                return real_delta(*args, **kwargs)
+
+            def step2(*args, **kwargs):
+                calls[0] = 0  # count step 2's drafts only
+                return real_step2(*args, **kwargs)
+
+            monkeypatch.setattr(predictor_mod, "apply_keep_delta",
+                                counting_delta)
+            monkeypatch.setattr(clf, "_step2_swap_vs_recompute", step2)
+        cls, stats = clf.classify()
+        monkeypatch.undo()
+        return calls[0], (cls.key(), stats.keep_probes_elided,
+                          stats.sims_step2, stats.r_rounds,
+                          stats.flips_to_recompute)
+
+    drafts, derived = search(count_drafts=True)
+    monkeypatch.setattr(predictor_mod.TimelinePredictor,
+                        "provably_infeasible", fresh_draft_verdict)
+    _, oracle = search(count_drafts=False)
+    assert derived == oracle
+    _key, elided, sims_step2, _rounds, flips = derived
+    # the memory-tight setup's search: every keep probe elided, six flips
+    assert (elided, sims_step2, flips) == (21, 21, [3, 4, 6, 9, 14, 15])
+    assert elided + sims_step2 >= 10 * max(drafts, 1)
+    assert drafts <= 2, f"{drafts} keep drafts for one step 2"
 
 
 def test_keep_probe_elision_cuts_sims():

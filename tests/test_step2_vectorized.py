@@ -112,8 +112,8 @@ class TestAbsorbedOutcomesExact:
                                                  incremental_step2=True))
         current = Classification.all_swap(g)
         pool = [m for m in current.classes if g[m].op.recomputable]
-        elided = [x for x in pool if clf.predictor.provably_infeasible(
-            current.with_class(x, MapClass.KEEP))]
+        elided = [x for x in pool
+                  if clf.predictor.provably_infeasible(current, x)]
         before = clf.predictor.simulations
         clf._vector_keep_probes(current, pool, memo=True)
         absorbed = clf.predictor.simulations - before
