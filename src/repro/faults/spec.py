@@ -13,6 +13,7 @@ Every knob defaults to "off", so an empty spec is the identity: a run under
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from repro.common.errors import FaultError
@@ -37,7 +38,7 @@ class FaultSpec:
             fails and must be retried (after wasting ``stall_time`` plus
             backoff).  0 disables.
         stall_time: seconds one failed transfer attempt wastes before the
-            failure is detected.
+            failure is detected; must be finite and >= 0.
         oom_prob: per-allocation probability that a *device* allocation
             spuriously fails even though memory is available.  0 disables.
         host_oom_prob: same for *host* (pinned-memory) allocations.
@@ -65,8 +66,10 @@ class FaultSpec:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise FaultError(f"{name} must be in (0, 1], got {v!r}")
-        if self.stall_time < 0:
-            raise FaultError(f"stall_time must be >= 0, got {self.stall_time!r}")
+        if not (math.isfinite(self.stall_time) and self.stall_time >= 0):
+            raise FaultError(
+                f"stall_time must be finite and >= 0, got {self.stall_time!r}"
+            )
 
     @property
     def active(self) -> bool:

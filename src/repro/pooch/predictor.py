@@ -190,10 +190,14 @@ class TimelinePredictor:
         #: from, and compute-front matching is O(flipped maps), so a deeper
         #: window costs almost nothing
         self._refs: deque[_Reference] = deque(maxlen=16)
-        #: all-swap base draft and per-map divergence positions, built
-        #: lazily on the first delta-eligible simulation
+        #: all-swap base draft, built lazily on the first delta-eligible
+        #: simulation
         self._base: tuple | None = None
-        self._div: dict[int, tuple[int, int, int]] = {}
+        #: per-map divergence positions and the recompute fronts below —
+        #: the resume index, built on first use by :meth:`_ensure_fronts`
+        #: (only a resumed replay or step 2's dirty-set test reads it, so a
+        #: lone verification :meth:`predict` never pays for it)
+        self._div: dict[int, tuple[int, int, int]] | None = None
         #: earliest compute position at which *recomputing* a map becomes
         #: engine-visible (its forward buffer now dies mid-forward, and its
         #: chain touches producer buffers), plus the reverse chain-closure
@@ -441,7 +445,7 @@ class TimelinePredictor:
         everything its recompute chain can touch, transitively).  The
         classifier's dirty-set invalidation treats two maps as interacting
         only when their windows overlap."""
-        self._ensure_base()
+        self._ensure_fronts()
         return {m: self._rwin[m] for m in maps}
 
     def draft(self, classification: Classification) -> tuple[dict, dict, dict]:
@@ -467,7 +471,7 @@ class TimelinePredictor:
     # * replays resume from a checkpoint of a recent reference run.  Where
     #   the two schedules first diverge on the compute stream is *derived*,
     #   not discovered: each map's flip perturbs the base queue at
-    #   precomputed positions (``_ensure_base``), so the front of any
+    #   precomputed positions (``_ensure_fronts``), so the front of any
     #   candidate/reference pair is the minimum of those positions over the
     #   flips distinguishing them — O(|difference|) per reference.  The
     #   transfer queues, which recompute chains reorder, are compared by
@@ -477,18 +481,28 @@ class TimelinePredictor:
     # simulation — so plans are bit-identical with incremental on or off.
 
     def _ensure_base(self) -> None:
-        """Build the all-swap base draft once, plus the per-map divergence
-        positions ``_div[m] = (compute, d2h, h2d)``: the earliest queue
-        position on each stream at which a schedule that keeps ``m``
-        becomes distinguishable from one that swaps it (task removed,
-        dependency rewired, or a buffer's free time moved)."""
+        """Build the all-swap base draft once — what every delta draft is
+        patched from and the vector engine compiles.  The resume index
+        derived from it is built separately (:meth:`_ensure_fronts`)."""
         if self._base is not None:
             return
-        base = ScheduleBuilder(
+        self._base = ScheduleBuilder(
             self.graph, Classification.all_swap(self.graph),
             self._durations, self.options, validate=False,
         ).build_raw()
-        tasks, queues, buffers = base
+
+    def _ensure_fronts(self) -> None:
+        """Build the resume index once, from the base draft: the per-map
+        divergence positions ``_div[m] = (compute, d2h, h2d)`` — the
+        earliest queue position on each stream at which a schedule that
+        keeps ``m`` becomes distinguishable from one that swaps it (task
+        removed, dependency rewired, or a buffer's free time moved) — plus
+        the recompute fronts ``_rdiv_c``, chain-closure index ``_rev`` and
+        step-2 windows ``_rwin``."""
+        if self._div is not None:
+            return
+        self._ensure_base()
+        tasks, queues, buffers = self._base
         pos_c, pos_d, pos_h = (
             {tid: i for i, tid in enumerate(queues.get(s, _EMPTY))}
             for s in _STREAM_ORDER
@@ -560,7 +574,6 @@ class TimelinePredictor:
                     front = min(front, self._max_fwd(pos_c, j))
             rdiv_c[m] = front
             rwin[m] = (front, end)
-        self._base = base
         self._div = div
         self._rdiv_c = rdiv_c
         self._rev = rev
@@ -652,6 +665,7 @@ class TimelinePredictor:
         The transfer-queue fronts are exact longest common prefixes —
         recompute chains reorder swap-ins, so positional translation no
         longer applies there."""
+        self._ensure_fronts()
         div = self._div
         rdiv = self._rdiv_c
         f = _NO_DIVERGENCE

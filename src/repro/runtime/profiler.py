@@ -37,9 +37,10 @@ class Profile:
         update_time: optimizer step duration.
         map_bytes: feature-map sizes (profiling also records sizes).
         iterations: how many iterations were averaged.
-        baseline: deterministic all-swap timeline replayed from the averaged
-            durations — the timeline the classifier's overlap analysis
-            (L_O / L_I) inspects.
+        baseline: deterministic all-swap timeline on the averaged durations
+            — the timeline the classifier's overlap analysis (L_O / L_I)
+            inspects.  Under deterministic timing it is the profiling
+            iteration's own run (see :func:`run_profiling`).
     """
 
     graph_name: str
@@ -111,9 +112,15 @@ def run_profiling(
     """Execute the profiling phase and return the averaged :class:`Profile`.
 
     Runs ``iterations`` ground-truth iterations under the all-swap
-    classification (the paper's default profiling plan), averages every
-    task's duration, and replays one deterministic baseline timeline from
-    the averages.
+    classification (the paper's default profiling plan) and averages every
+    task's duration.  The baseline timeline is the all-swap schedule run on
+    the averages.  When every averaged duration equals the last iteration's
+    own task duration bit for bit (deterministic timing, the default
+    ``iterations=1``), that iteration already *is* that run — the all-swap
+    structure does not depend on durations, and the engine is deterministic
+    — so its :class:`RunResult` becomes the baseline.  Otherwise (jittered
+    iterations, or an average of three or more equal values rounding off by
+    an ulp) the baseline is replayed from the averages.
 
     ``durations`` overrides the ground-truth duration source entirely (the
     fault layer profiles through it to model a machine that misbehaves while
@@ -171,16 +178,21 @@ def run_profiling(
         map_bytes={l.index: l.out_spec.nbytes for l in graph},
         iterations=iterations,
     )
-    # deterministic replay of the all-swap plan from the averaged profile —
-    # the canonical baseline timeline for the classifier's overlap analysis
+    # the all-swap plan run on the averaged profile — the canonical baseline
+    # timeline for the classifier's overlap analysis
     with metrics.span("profile.baseline", category="profile"):
-        baseline_schedule = build_schedule(graph, all_swap,
-                                           profile.durations(), options)
-        profile.baseline = Engine(
-            baseline_schedule,
-            device_capacity=machine.usable_gpu_memory,
-            host_capacity=machine.host_swap_capacity,
-        ).run()
+        if all(avg[(rec.kind, rec.layer)] == schedule.tasks[rec.tid].duration
+               for rec in result.records):
+            # the last iteration ran exactly the schedule a replay would build
+            profile.baseline = result
+        else:
+            baseline_schedule = build_schedule(graph, all_swap,
+                                               profile.durations(), options)
+            profile.baseline = Engine(
+                baseline_schedule,
+                device_capacity=machine.usable_gpu_memory,
+                host_capacity=machine.host_swap_capacity,
+            ).run()
     log.debug(
         "profiled %r on %s: %d iterations, %d layers, update %.3g s, "
         "baseline makespan %.6f s",

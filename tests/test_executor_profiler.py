@@ -3,9 +3,9 @@
 import pytest
 
 from repro.common.errors import OutOfMemoryError, ScheduleError
-from repro.gpusim import TaskKind
+from repro.gpusim import Engine, TaskKind
 from repro.hw import CostModel
-from repro.models import linear_chain, poster_example, small_cnn
+from repro.models import build_model, linear_chain, poster_example, small_cnn
 from repro.runtime import (
     Classification,
     SwapInPolicy,
@@ -14,7 +14,10 @@ from repro.runtime import (
     iteration_time,
     run_profiling,
 )
+from repro.runtime import profiler as profiler_mod
+from repro.runtime.schedule import ScheduleOptions, build_schedule
 from tests.conftest import tiny_machine
+from tests.test_search_pruning import _ZOO
 
 
 class TestExecute:
@@ -138,3 +141,84 @@ class TestProfiler:
     def test_update_time_profiled(self, poster, x86):
         prof = run_profiling(poster, x86)
         assert prof.update_time > 0
+
+
+_MACHINES = [tiny_machine(mem_mib=224, link_gbps=3.0),
+             tiny_machine(mem_mib=160, link_gbps=2.0, name="tiny-slow")]
+
+
+def _replayed_baseline(g, machine, prof, options):
+    """The all-swap schedule built from the averaged profile, run fresh."""
+    schedule = build_schedule(g, Classification.all_swap(g),
+                              prof.durations(), options)
+    return Engine(schedule, device_capacity=machine.usable_gpu_memory,
+                  host_capacity=machine.host_swap_capacity).run()
+
+
+def _assert_same_run(a, b):
+    assert ([(r.tid, r.start, r.end) for r in a.records]
+            == [(r.tid, r.start, r.end) for r in b.records])
+    assert a.makespan == b.makespan
+    assert (a.device_peak, a.host_peak) == (b.device_peak, b.host_peak)
+
+
+def _count_profiling_work(monkeypatch) -> dict[str, int]:
+    """Count the schedule builds and engine runs ``run_profiling`` makes."""
+    calls = {"build_schedule": 0, "Engine.run": 0}
+    real_build, real_run = profiler_mod.build_schedule, Engine.run
+
+    def build(*args, **kwargs):
+        calls["build_schedule"] += 1
+        return real_build(*args, **kwargs)
+
+    def run(self, *args, **kwargs):
+        calls["Engine.run"] += 1
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(profiler_mod, "build_schedule", build)
+    monkeypatch.setattr(Engine, "run", run)
+    return calls
+
+
+class TestBaselineIdentity:
+    """``profile.baseline`` is the all-swap plan run on the averaged
+    durations, whether ``run_profiling`` reuses its own iteration (every
+    average equals that iteration's duration) or replays the averages."""
+
+    @pytest.mark.parametrize("gap", [None, 2], ids=["no-refetch", "refetch2"])
+    @pytest.mark.parametrize("policy", list(SwapInPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("machine", _MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name,batch", _ZOO)
+    def test_baseline_equals_fresh_replay(self, name, batch, machine, policy,
+                                          gap):
+        g = build_model(name, batch=batch)
+        prof = run_profiling(g, machine, policy=policy,
+                             forward_refetch_gap=gap)
+        options = ScheduleOptions(policy=policy, forward_refetch_gap=gap)
+        _assert_same_run(prof.baseline,
+                         _replayed_baseline(g, machine, prof, options))
+
+    def test_jittered_iterations_replay_the_averages(self, monkeypatch):
+        machine = _MACHINES[0]
+        g = build_model("resnet18", batch=4)
+        calls = _count_profiling_work(monkeypatch)
+        prof = run_profiling(g, machine, iterations=3,
+                             cost_model=CostModel(machine, jitter=0.1, seed=5))
+        # three profiling iterations, then the replay from the averages
+        assert calls == {"build_schedule": 4, "Engine.run": 4}
+        monkeypatch.undo()
+        _assert_same_run(prof.baseline, _replayed_baseline(
+            g, machine, prof, ScheduleOptions()))
+
+    def test_deterministic_profiling_runs_the_schedule_once(
+        self, monkeypatch
+    ):
+        machine = _MACHINES[0]
+        g = build_model("resnet18", batch=4)
+        calls = _count_profiling_work(monkeypatch)
+        prof = run_profiling(g, machine)
+        assert calls == {"build_schedule": 1, "Engine.run": 1}
+        monkeypatch.undo()
+        _assert_same_run(prof.baseline, _replayed_baseline(
+            g, machine, prof, ScheduleOptions()))

@@ -66,6 +66,15 @@ class TestFaultSpec:
         with pytest.raises(FaultError):
             FaultSpec.parse(text)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_stall_time_rejected(self, value):
+        # a nan/inf stall time used to pass and turn every robustness
+        # percentile into nan
+        with pytest.raises(FaultError, match=f"stall_time.*got {value!r}"):
+            FaultSpec(stall_time=value)
+        with pytest.raises(FaultError, match=f"stall_time.*got {value!r}"):
+            FaultSpec.parse(f"stall_time={value!r},stall_prob=0.5")
+
     def test_duplicate_key_names_the_key(self):
         # a silent last-wins would make "duration_noise=0.1,duration_noise=0"
         # quietly disable the fault the user thought they enabled

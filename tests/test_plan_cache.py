@@ -147,6 +147,36 @@ class TestPoochWarmStart:
         assert warm.stats.sims_step1 == 0 and warm.stats.sims_step2 == 0
         assert "(from plan cache)" in warm.summary()
 
+    def test_cache_hit_leaves_the_resume_index_unbuilt(
+        self, tmp_path, machine, monkeypatch
+    ):
+        # a plan-only cache makes the hit re-verify by one simulation; that
+        # replay has nothing to resume from, so the predictor must build its
+        # base draft but not the divergence fronts only a resume reads
+        from repro.pooch.predictor import TimelinePredictor
+
+        g = poster_example()
+        cold = PoocH(machine, CFG).optimize(g)
+        PlanCache(tmp_path).store_plan(g, machine, CFG.signature(),
+                                       cold.classification,
+                                       predicted_time=cold.predicted.time)
+        seen = []
+        real_predict = TimelinePredictor.predict
+
+        def spy(self, classification):
+            seen.append(self)
+            return real_predict(self, classification)
+
+        monkeypatch.setattr(TimelinePredictor, "predict", spy)
+        warm = PoocH(machine, CFG, plan_cache=tmp_path).optimize(g)
+        assert warm.stats.plan_cache_hit
+        assert warm.predicted == cold.predicted
+        predictor = seen[0]
+        assert all(p is predictor for p in seen)
+        assert predictor.simulations == 1
+        assert predictor._base is not None
+        assert predictor._div is None
+
     def test_outcomes_warm_start_skips_all_simulations(self, tmp_path, machine):
         # drop the plan but keep the outcomes: the re-search replays
         # entirely from the cache and lands on the same plan for free

@@ -26,6 +26,8 @@ loop does, never what it returns.
   swap-in policies, forward re-fetch on/off and perturbed profiles — and
   answering probes that way drafts the step-1 keep set once per step 2,
   not once per probe;
+* the predictor's resume index is built on first use, and building it
+  eagerly instead changes neither the plan nor any step-2 counter;
 * the ``incremental_step2`` knob IS part of the plan-cache signature (its
   exactness is empirical, not structural — unlike ``incremental``).
 """
@@ -438,6 +440,36 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
     assert (elided, sims_step2, flips) == (21, 21, [3, 4, 6, 9, 14, 15])
     assert elided + sims_step2 >= 10 * max(drafts, 1)
     assert drafts <= 2, f"{drafts} keep drafts for one step 2"
+
+
+def test_lazy_resume_index_leaves_the_search_unchanged(monkeypatch):
+    """The predictor builds its resume index (divergence fronts, recompute
+    windows) on first use instead of with the base draft.  Building it
+    eagerly must give the same search on the memory-tight setup: plan,
+    step-2 simulations, how many of them resumed, and every r-round."""
+    g = _graph("resnet18", 4)
+    prof = run_profiling(g, _SLOW)
+
+    def search():
+        clf = PoochClassifier(g, prof, _SLOW, config=PoochConfig())
+        cls, stats = clf.classify()
+        return (cls.key(), stats.sims_step2, stats.sims_step2_resumed,
+                stats.r_rounds)
+
+    lazy = search()
+    real_base = predictor_mod.TimelinePredictor._ensure_base
+
+    def eager_base(self):
+        if self._base is None:
+            real_base(self)
+            self._ensure_fronts()
+
+    monkeypatch.setattr(predictor_mod.TimelinePredictor, "_ensure_base",
+                        eager_base)
+    assert search() == lazy
+    # as measured with the eager index
+    _key, sims_step2, resumed, rounds = lazy
+    assert (sims_step2, resumed, len(rounds)) == (21, 15, 6)
 
 
 def test_keep_probe_elision_cuts_sims():
