@@ -22,6 +22,21 @@ Per round, each candidate independently (at its own simulated clock)
    its dependencies have completed and its memory needs fit (with the same
    headroom waiver as :class:`~repro.gpusim.engine.Engine`).
 
+State layout.  Per-stream state (finish time, in-flight task, queue head)
+is stream-major, (3, K): lane ``s*K + k`` is row k's stream s, and one
+stream's lanes are contiguous, so the next event time is two
+``np.minimum`` calls and the scan screens all three streams' openness and
+readiness in one pass.  The per-row countdown tables are task-major
+(n + 1, K) in-degrees and buffer-major (nbuf + 1, K) free counts, int32:
+lockstep rows sit at similar tasks, so a round's gathers and scatters hit a
+few nearby table rows.  Pool counters are released with ``np.bincount``
+(byte sums stay below 2**53, so float64 weights are exact).  A stopped row
+carries NaN finish times, which no comparison selects.
+
+Cost model.  A sweep costs about rounds × (per-round call overhead + K ×
+per-row work), and rounds ≈ tasks (one per distinct event instant).  See
+``docs/architecture.md`` for measured figures.
+
 Because all engine arithmetic is the same left-fold of IEEE ``+``/``min``
 over the same operands, results are bit-identical to
 :class:`~repro.gpusim.fastengine.FastEngine` and
@@ -187,7 +202,7 @@ class VectorTables:
         # present: while swapped it is transitively implied by the swap-in
         # chain SI → SO → producer, so counting it never delays an issue).
         # The per-candidate part is therefore just the *initial in-degree*,
-        # which the batch derives from one matmul over the keep mask.
+        # which the batch derives from sparse per-flip updates.
         dep_slots: list[list[int]] = [
             [index[d] for d in tasks[tid].deps] for tid in tids
         ]
@@ -235,8 +250,8 @@ class VectorTables:
         self.n_flips = nf
 
         # in-degree seed: a dep slot contributes iff its *dep task* exists
-        # in the candidate (float32 so the batch matmul hits BLAS; counts
-        # stay far below 2**24, so the sums are exact)
+        # in the candidate (counts stay far below 2**24, so float32 holds
+        # them exactly)
         indeg_base = np.zeros(n + 1, np.float32)
         indeg_swap = np.zeros((nf, n + 1), np.float32)
         for i, slots in enumerate(dep_slots):
@@ -274,13 +289,13 @@ class VectorTables:
         self.frees_pad = frees_pad
         self.pair_alt = pair_alt
         self.pair_flip = pair_flip
-        #: which tasks carry any pair slot — the completion loop only runs
-        #: the pair fix-up over those rows
+        #: which tasks carry any pair slot (the completion loop skips the
+        #: pair fix-up when none does)
         self.pair_task = (pair_flip != 0).any(axis=1)
         self.has_pairs = bool(self.pair_task.any())
 
         # free-countdown initialisation: unconditional edge count per
-        # buffer, plus per-flip corrections applied via one matmul.  An
+        # buffer, plus sparse per-flip corrections.  An
         # edge counts iff it fires: task-conditioned edges follow the task,
         # a pair slot counts its swapped side or its kept side.
         free_base = np.zeros(nb + 1, np.float32)
@@ -375,35 +390,72 @@ class VectorTables:
         self.prealloc_dev = dev_use
         self.prealloc_host = host_use
 
-    # -- candidate-family helpers ----------------------------------------------
-
-    def active_tasks(self, keep: np.ndarray) -> np.ndarray:
-        """(K, n) bool: which tasks exist in each candidate."""
-        k = keep.shape[0]
-        active = np.ones((k, self.n), bool)
-        neg = self.task_cond < 0
-        if neg.any():
-            active[:, neg] = ~keep[:, -self.task_cond[neg] - 1]
-        return active
-
 
 class VectorEngine:
     """Run batches of candidates against one :class:`VectorTables`."""
 
     def __init__(self, tables: VectorTables) -> None:
-        self.tables = tables
+        self.tables = t = tables
+        n = t.n
+        cap = t.device_capacity
+        # gated need and headroom: ungated tasks allocate no device memory,
+        # so zeroing them leaves every need exact and lets the gate run as
+        # two table lookups instead of a mask expression
+        need = t.need_dev * t.check
+        reserve = np.maximum(need, need + t.headroom * t.check)
+        #: a head fits when ``dev_use <= _limit[h]``; with nothing in flight
+        #: the headroom is waived and ``dev_use <= _limit_bare[h]`` suffices
+        self._need = need
+        self._limit = cap - reserve
+        self._limit_bare = cap - need
+        self._scratch = t.scratch_r.astype(np.float64)
+        self._has_scratch = bool(t.scratch_r.any())
+        self._release_dev = np.where(t.buf_host, 0, t.buf_size).astype(
+            np.float64)
+        self._release_host = np.where(t.buf_host, t.buf_size, 0).astype(
+            np.float64)
+        self._has_host_bufs = bool(t.buf_host.any())
+        # per-stream work switches: which streams need the device gate, add
+        # device memory or allocate host memory at all
+        self._gated = [bool((self._limit[q] < cap).any()) for q in t.queues]
+        self._allocs = [bool((need[q] > 0).any()) for q in t.queues]
+        self._hosts = [bool((t.need_host[q] > 0).any()) for q in t.queues]
+        #: host allocations can only fail when they can outgrow the pool
+        self._host_check = (t.prealloc_host + int(t.need_host.sum())
+                            > t.host_capacity)
+        # pair slots: the keep-matrix column each slot reads and the buffer
+        # shift it applies when that map is kept (0 on plain slots)
+        on = t.pair_flip > 0
+        self._pair_col = np.maximum(t.pair_flip, 1) - 1
+        self._pair_shift = np.where(on, t.pair_alt - t.frees_pad, 0)
+        # per-row seeds: each flip touches a few in-degree and free-count
+        # entries, so the (K, maps) keep matrix expands through sparse
+        # layers rather than dense matmuls (see _seed)
+        nf = t.n_flips
+        self._indeg_layers = _sparse_layers(
+            np.zeros((nf, n + 1)), t.indeg_swap)
+        self._count_layers = _sparse_layers(t.count_keep, t.count_swap)
+        #: tasks a flip removes when its map is kept (the SO/SI pair)
+        cond = t.task_cond[t.task_cond < 0]
+        self._removed = np.bincount(-cond - 1, minlength=nf)
+        # conditioned queues hold per-row compacted copies; the keep-matrix
+        # column deciding each of their entries (-1 = unconditioned)
+        self._queue_flip = [
+            None if q.size == 0 or not (t.task_cond[q] != 0).any()
+            else -t.task_cond[q] - 1
+            for q in t.queues]
 
     # -- scalar fallbacks for the rare per-candidate exits ---------------------
 
-    def _diagnose_stall(self, k: int, now: float, qk, cur, indeg_k,
-                        dev_use: int, ninf: int) -> Exception:
-        """Mirror of the event engines' deadlock diagnosis for candidate k
-        (reached with nothing in flight, so the headroom waiver is moot)."""
+    def _diagnose_stall(self, now: float, heads, indeg_k,
+                        dev_use: int) -> Exception:
+        """Mirror of the event engines' deadlock diagnosis for one candidate
+        given its stream heads (reached with nothing in flight, so the
+        headroom waiver is moot)."""
         t = self.tables
         memory_blocked: list[int] = []
         dep_blocked: list[int] = []
-        for s in range(_N_STREAMS):
-            h = int(qk[s][k, cur[k, s]])
+        for h in heads:
             if h >= t.n:
                 continue
             if indeg_k[h] > 0:
@@ -424,10 +476,10 @@ class VectorEngine:
                 f"{format_bytes(t.device_capacity)}, nothing in flight",
                 requested=need, free=free, capacity=t.device_capacity,
                 context=t.tids[i])
-        heads = [t.tids[i] for i in dep_blocked]
+        names = [t.tids[i] for i in dep_blocked]
         metrics.count("engine.stalls_dependency")
         return ScheduleError(
-            f"dependency deadlock at t={now:.6f}: stream heads {heads} "
+            f"dependency deadlock at t={now:.6f}: stream heads {names} "
             "can never issue (cyclic or unsatisfiable deps)")
 
     def _host_oom(self, i: int, host_use: int) -> OutOfMemoryError:
@@ -473,7 +525,7 @@ class VectorEngine:
                     f"durations matrix must be (K, n) = ({K}, {t.n}), "
                     f"got {durations.shape}")
         n = t.n
-        nb1 = t.nbuf + 1
+        S = _N_STREAMS
         registry = metrics.active()
         if registry is not None:
             registry.count("engine.vector_runs")
@@ -483,52 +535,77 @@ class VectorEngine:
             return [VecOutcome(float("inf"), t.prealloc_dev, t.prealloc_host,
                                error=t.prealloc_error) for _ in range(K)]
 
-        ar = np.arange(K)
-        active_task = t.active_tasks(keep)
-        total = active_task.sum(1)
+        total = n - keep @ self._removed
 
-        # per-candidate compacted queues (sentinel-tailed).  A stable
-        # actives-first compaction is just a running count of actives: task
-        # q[j] lands at column (#actives before j) of its row.
-        qk: list[np.ndarray] = []
-        for q in t.queues:
-            if q.size == 0:
-                qk.append(np.full((K, 1), n, np.int32))
-                continue
-            if not (t.task_cond[q] != 0).any():
-                # unconditioned queue (e.g. compute): one shared row
-                row = np.concatenate([q, [n]]).astype(np.int32)
-                qk.append(np.broadcast_to(row, (K, q.size + 1)))
-                continue
-            qa = active_task[:, q]
-            pos = np.cumsum(qa, axis=1) - 1
-            out = np.full((K, q.size + 1), n, np.int32)
-            rows, cols = np.nonzero(qa)
-            out[rows, pos[rows, cols]] = q[cols]
-            qk.append(out)
+        # stream queues, concatenated into one flat table.  An
+        # unconditioned queue (e.g. compute) is one shared sentinel-tailed
+        # row; a conditioned one holds each row's active tasks, compacted
+        # in queue order by a stable sort, position-major (width, K) so the
+        # lockstep rows' heads sit side by side.  pos[s, k] is the flat
+        # index of row k's head on stream s and advances by step[s] per
+        # issue, so one take reads every lane's head.
+        pos = np.empty((S, K), np.intp)
+        step = np.ones(S, np.intp)
+        parts = []
+        base = 0
+        for s, (q, flip) in enumerate(zip(t.queues, self._queue_flip)):
+            if flip is None:
+                parts.append(np.append(q, n).astype(np.int32))
+                pos[s] = base
+            else:
+                active = np.ones((K, q.size), bool)
+                cond = flip >= 0
+                active[:, cond] = ~keep[:, flip[cond]]
+                order = np.argsort(~active, axis=1, kind="stable").T
+                rank = np.arange(q.size + 1)[:, None]
+                part = np.full((q.size + 1, K), n, np.int32)
+                part[:-1] = np.where(rank[:-1] < active.sum(1), q[order], n)
+                parts.append(part.reshape(-1))
+                pos[s] = base + np.arange(K)
+                step[s] = K
+            base += parts[-1].size
+        qcat = np.concatenate(parts)
+        del parts
+        pos0 = pos.copy()
 
-        # per-candidate countdown seeds via two BLAS matmuls; int64 keeps
-        # np.subtract.at on its fast (no-cast) path
-        kf = keep.astype(np.float32)
-        nkf = np.float32(1.0) - kf
-        free_count = (t.free_base[None, :]
-                      + kf @ t.count_keep + nkf @ t.count_swap)
-        fc_flat = np.ascontiguousarray(free_count, np.int64).reshape(-1)
-        indeg = t.indeg_base[None, :] + nkf @ t.indeg_swap
-        ind_flat = np.ascontiguousarray(indeg, np.int64).reshape(-1)
+        # per-row countdown seeds, laid out task-major (n + 1, K) and
+        # buffer-major (nbuf + 1, K): lockstep rows sit at similar tasks, so
+        # a round's gathers and scatters land on a few nearby rows of the
+        # table instead of K scattered ones.  Both sentinel rows hold
+        # _NEVER: the in-degree one blocks sentinel (exhausted) queue heads
+        # and absorbs padded consumer slots, the free-count one absorbs
+        # padded free slots.  Counts stay far below 2**31, so int32 is exact
+        # and halves the tables.
+        sel = np.concatenate((keep.T, ~keep.T))
+        fc = _seed(t.free_base, self._count_layers, sel)
+        fc_flat = fc.reshape(-1)
+        ind = _seed(t.indeg_base, self._indeg_layers, sel)
+        ind[n] = _NEVER
+        ind_flat = ind.reshape(-1)
+        del sel
 
-        # mutable lockstep state, one row per candidate
+        # mutable lockstep state.  Per-stream state is stream-major (S, K),
+        # so each stream's lane is contiguous; lane s*K + k is row k's
+        # stream s.  A row that has stopped (finished, stalled, host OOM)
+        # has NaN finish times on every lane: it never counts as open,
+        # never completes, and its next event time is NaN.
+        fin = np.full((S, K), np.inf)
+        fin_flat = fin.reshape(-1)
+        inflight = np.zeros(S * K, np.intp)
+        pos_flat = pos.reshape(-1)
+        lane_row = np.tile(np.arange(K), S)
+        lane_step = np.repeat(step, K)
+        lane_split = np.arange(1, S) * K
         now = np.zeros(K)
-        fin = np.full((K, _N_STREAMS), np.inf)
-        inflight = np.zeros((K, _N_STREAMS), np.int32)
-        cur = np.zeros((K, _N_STREAMS), np.int64)
-        ncomp = np.zeros(K, np.int64)
-        ninf = np.zeros(K, np.int64)
+        tnext = np.empty(K)
         dev_use = np.full(K, t.prealloc_dev, np.int64)
         host_use = np.full(K, t.prealloc_host, np.int64)
         dev_peak = dev_use.copy()
         host_peak = host_use.copy()
-        running = np.ones(K, bool)
+        stopped = 0
+        rounds = 0
+        busy = np.zeros(K, bool)    # rows issued earlier in this scan
+        halted = np.zeros(K, bool)  # rows stopped by a host OOM
         errors: dict[int, Exception] = {}
         makespan = np.zeros(K)
         starts = np.full((K, n), np.nan) if record_times else None
@@ -536,174 +613,203 @@ class VectorEngine:
 
         duration = t.duration
         # per-row duration tables gather from a flat (K*n) view with row
-        # stride n — hh never holds the sentinel (heads are filtered < n)
+        # stride n — issued heads are never the sentinel
         dur_flat = None if durations is None else durations.reshape(-1)
-        need_dev = t.need_dev
+        need = self._need
         need_host = t.need_host
-        headroom = t.headroom
-        check = t.check
-        scratch_r = t.scratch_r
-        buf_size = t.buf_size
-        buf_host = t.buf_host
-        dev_cap = t.device_capacity
+        limit = self._limit
+        limit_bare = self._limit_bare
         host_cap = t.host_capacity
-
-        # flat views + row offsets let the hot loop use ``take`` (contiguous
-        # 1-D gathers) instead of multi-axis fancy indexing
-        n1 = n + 1
-        row_off = ar * n1
+        host_check = self._host_check
+        gated, allocs, hosts = self._gated, self._allocs, self._hosts
+        any_host = any(hosts)
+        scratch = self._scratch if self._has_scratch else None
+        release_dev = self._release_dev
+        release_host = self._release_host if self._has_host_bufs else None
         consumers_pad = t.consumers_pad
         frees_pad = t.frees_pad
-        pair_alt = t.pair_alt
-        pair_flip = t.pair_flip
-        pair_task = t.pair_task
         has_pairs = t.has_pairs
+        pair_col = self._pair_col
+        pair_shift = self._pair_shift
         nf = max(t.n_flips, 1)
         keep_flat = np.ascontiguousarray(keep).reshape(-1)
+        inf = np.inf
+        # index arithmetic on the int32 task/buffer tables must not wrap
+        Ki = np.intp(K)
+        one = np.int32(1)  # a typed scalar keeps ufunc.at on its fast loop
 
-        # head-gather fast paths: a shared (broadcast) queue reads one row,
-        # a per-candidate queue reads its flat view with row offsets
-        q_shared: list[np.ndarray | None] = []
-        q_flat: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for qs in qk:
-            if qs.strides[0] == 0:
-                q_shared.append(qs[0])
-                q_flat.append(None)
-            else:
-                q_shared.append(None)
-                q_flat.append((qs.reshape(-1), qs.shape[1]))
-
-        while running.any():
-            # ---- scan: one prioritized pass over the three streams --------
-            for s in range(_N_STREAMS):
-                # compact on "stream open" before the head gather: the take
-                # and every later op run on the |ck| open rows, not all K
-                ck = np.nonzero(running & np.isinf(fin[:, s]))[0]
-                if ck.size == 0:
-                    continue
-                qrow = q_shared[s]
-                if qrow is not None:
-                    hc = qrow.take(cur[ck, s])
-                else:
-                    qf, qw = q_flat[s]
-                    hc = qf.take(ck * qw + cur[ck, s])
-                open_h = hc < n
-                if not open_h.all():
-                    ck = ck[open_h]
-                    if ck.size == 0:
+        while stopped < K:
+            rounds += 1
+            # ---- scan: issue every open lane whose head is ready ----------
+            # Openness and dependency readiness cannot change within one
+            # scan, so all three streams are screened at once; only the
+            # memory gates run stream by stream, in compute → D2H → H2D
+            # priority, because each stream's issues consume the memory the
+            # next one sees.
+            lane = (fin_flat == inf).nonzero()[0]
+            head = qcat.take(pos_flat.take(lane))
+            row = lane_row.take(lane)
+            ok = ind_flat.take(head * Ki + row) == 0
+            if not ok.all():
+                lane = lane[ok]
+                head = head[ok]
+                row = row[ok]
+            oom: list[int] = []
+            if lane.size:
+                issue = None  # per-lane issue mask; None = no refusals yet
+                lo = 0
+                for s, hi in enumerate((*lane.searchsorted(lane_split),
+                                        lane.size)):
+                    hi = int(hi)
+                    if hi == lo:
                         continue
-                    hc = hc[open_h]
-                ok = ind_flat.take(row_off[ck] + hc) == 0
-                ck = ck[ok]
-                if ck.size == 0:
-                    continue
-                hc = hc[ok]
-                nd = need_dev[hc]
-                free = dev_cap - dev_use[ck]
-                ok = (~check[hc]
-                      | ((nd <= free)
-                         & ((free >= nd + headroom[hc]) | (ninf[ck] == 0))))
-                hn = need_host[hc]
-                hbad = ok & (hn > host_cap - host_use[ck])
-                if hbad.any():
-                    for j in np.nonzero(hbad)[0]:
-                        k = int(ck[j])
-                        errors[k] = self._host_oom(int(hc[j]),
-                                                   int(host_use[k]))
-                        makespan[k] = np.inf
-                        running[k] = False
-                    ok &= ~hbad
-                kk = ck[ok]
-                if kk.size == 0:
-                    continue
-                hh = hc[ok]
-                dev_use[kk] += nd[ok]
-                host_use[kk] += hn[ok]
+                    ks = row[lo:hi]
+                    hs = head[lo:hi]
+                    m = None
+                    if oom:
+                        m = ~halted.take(ks)
+                    if gated[s]:
+                        du = dev_use.take(ks)
+                        fits = du <= limit.take(hs)
+                        if not fits.all():
+                            # headroom waiver: a row with nothing in flight
+                            # (no earlier-round task, no issue earlier in
+                            # this scan) only needs its need to fit
+                            w = (~fits).nonzero()[0]
+                            kw = ks.take(w)
+                            idle = fin.take(kw, axis=1).min(0) == inf
+                            if lo:
+                                early = row[:lo] if issue is None else (
+                                    row[:lo][issue[:lo]])
+                                busy[early] = True
+                                idle &= ~busy.take(kw)
+                                busy[early] = False
+                            if idle.any():
+                                w = w[idle]
+                                fits[w] = (du.take(w)
+                                           <= limit_bare.take(hs.take(w)))
+                            m = fits if m is None else m & fits
+                    if hosts[s] and host_check:
+                        hbad = (need_host.take(hs)
+                                > host_cap - host_use.take(ks))
+                        if m is not None:
+                            hbad &= m
+                        if hbad.any():
+                            for j in hbad.nonzero()[0].tolist():
+                                k = int(ks[j])
+                                errors[k] = self._host_oom(
+                                    int(hs[j]), int(host_use[k]))
+                                makespan[k] = inf
+                                halted[k] = True
+                                oom.append(k)
+                            m = ~hbad if m is None else m & ~hbad
+                    if m is not None and not m.all():
+                        if issue is None:
+                            issue = np.ones(lane.size, bool)
+                        issue[lo:hi] = m
+                        ks = ks[m]
+                        hs = hs[m]
+                    if allocs[s]:
+                        dev_use[ks] += need.take(hs)
+                    if hosts[s]:
+                        host_use[ks] += need_host.take(hs)
+                    lo = hi
+                if issue is not None:
+                    lane = lane[issue]
+                    row = row[issue]
+                    head = head[issue]
+                started = now.take(row)
                 if dur_flat is None:
-                    fin[kk, s] = now[kk] + duration[hh]
+                    fin_flat[lane] = started + duration.take(head)
                 else:
-                    fin[kk, s] = now[kk] + dur_flat.take(kk * n + hh)
-                inflight[kk, s] = hh
-                cur[kk, s] += 1
-                ninf[kk] += 1
+                    fin_flat[lane] = started + dur_flat.take(row * n + head)
+                inflight[lane] = head
+                pos_flat[lane] += lane_step.take(lane)
                 if starts is not None:
-                    starts[kk, hh] = now[kk]
+                    starts[row, head] = started
+                if oom:
+                    fin[:, oom] = np.nan
+                    stopped += len(oom)
             np.maximum(dev_peak, dev_use, out=dev_peak)
-            np.maximum(host_peak, host_use, out=host_peak)
+            if any_host:
+                np.maximum(host_peak, host_use, out=host_peak)
 
-            # ---- next event time per candidate ----------------------------
-            tnext = fin.min(1)
-            live = running & np.isfinite(tnext)
-            idle = running ^ live
-            if idle.any():
-                for k in np.nonzero(idle)[0]:
-                    if ncomp[k] == total[k]:
-                        makespan[k] = now[k]
-                    else:
-                        errors[k] = self._diagnose_stall(
-                            int(k), float(now[k]), qk, cur,
-                            ind_flat[k * n1:(k + 1) * n1],
-                            int(dev_use[k]), int(ninf[k]))
-                        makespan[k] = np.inf
-                running &= ~idle
-            if not live.any():
+            # ---- next event time per row ----------------------------------
+            np.minimum(fin[0], fin[1], out=tnext)
+            for s in range(2, S):
+                np.minimum(tnext, fin[s], out=tnext)
+            if np.fmax.reduce(tnext) == inf:
+                # rows with nothing in flight: finished or stalled
+                idle_rows = (tnext == inf).nonzero()[0]
+                issued = ((pos[:, idle_rows] - pos0[:, idle_rows])
+                          // step[:, None]).sum(0)
+                finished = issued == total[idle_rows]
+                done = idle_rows[finished]
+                makespan[done] = now[done]
+                for k in idle_rows[~finished].tolist():
+                    errors[k] = self._diagnose_stall(
+                        float(now[k]), qcat[pos[:, k]],
+                        ind_flat[k::K], int(dev_use[k]))
+                    makespan[k] = inf
+                fin[:, idle_rows] = np.nan
+                stopped += idle_rows.size
+                if stopped == K:
+                    break
+            now, tnext = tnext, now
+
+            # ---- batched completions at each row's event time -------------
+            lane = (fin == now).reshape(-1).nonzero()[0]
+            if not lane.size:
                 continue
-
-            # ---- batched completions at each candidate's event time -------
-            kk, ss = np.nonzero((fin <= tnext[:, None]) & live[:, None])
-            ii = inflight[kk, ss]
-            fin[kk, ss] = np.inf
-            np.copyto(now, tnext, where=live)
-            counts = np.bincount(kk, minlength=K)
-            ncomp += counts
-            ninf -= counts
-            # scratch release (rounded like the pool); int64 all the way
-            # keeps ufunc.at on its fast path
-            np.subtract.at(dev_use, kk, scratch_r[ii])
+            ii = inflight.take(lane)
+            fin_flat[lane] = inf
+            kk = lane_row.take(lane)
+            # scratch release (rounded like the pool); byte sums stay far
+            # below 2**53, so the float64 bincount is exact
+            if scratch is not None:
+                np.subtract(dev_use, np.bincount(kk, scratch.take(ii), K),
+                            out=dev_use, casting="unsafe")
             if ends is not None:
-                ends[kk, ii] = tnext[kk]
+                ends[kk, ii] = now.take(kk)
             # dependency countdown: each completion counts down its
-            # consumers' in-degrees (sentinel slots dropped first)
-            cons = consumers_pad[ii]
-            cflat = (kk[:, None] * n1 + cons)[cons < n]
-            np.subtract.at(ind_flat, cflat, 1)
+            # consumers' in-degrees (padding slots hit the sentinel row)
+            cons = consumers_pad.take(ii, axis=0)
+            np.subtract.at(ind_flat, cons * Ki + kk[:, None], one)
             # buffer free countdowns; a buffer is released when the last
-            # active edge fires.  Pair slots (confined to the few tasks in
-            # ``pair_task``) resolve to the kept-side buffer first; sentinel
-            # (padding) slots are dropped before the scatter, and several
+            # active edge fires.  Pair slots shift to the kept-side buffer
+            # in rows that keep their map (plain slots shift by 0); padding
+            # slots count down the _NEVER sentinel row, and several
             # same-instant completions hitting zero together are collapsed
             # into one release by a sort-dedupe.
-            fb = frees_pad[ii]
+            fb = frees_pad.take(ii, axis=0)
             if has_pairs:
-                pr = np.nonzero(pair_task[ii])[0]
-                if pr.size:
-                    pf = pair_flip[ii[pr]]
-                    kept = keep_flat.take(
-                        kk[pr, None] * nf + np.maximum(pf, 1) - 1)
-                    fb[pr] = np.where((pf > 0) & kept, pair_alt[ii[pr]],
-                                      fb[pr])
-            flat = (kk[:, None] * nb1 + fb)[fb < t.nbuf]
-            np.subtract.at(fc_flat, flat, 1)
-            zero = fc_flat[flat] == 0
-            if zero.any():
-                zf = np.sort(flat[zero])
+                fb += pair_shift.take(ii, axis=0) * keep_flat.take(
+                    kk[:, None] * nf + pair_col.take(ii, axis=0))
+            bf = fb * Ki + kk[:, None]
+            np.subtract.at(fc_flat, bf, one)
+            zf = bf[fc_flat.take(bf) == 0]
+            if zf.size:
                 if zf.size > 1:
+                    zf.sort()
                     zf = zf[np.concatenate(([True], zf[1:] != zf[:-1]))]
-                zk = zf // nb1
-                zb = zf - zk * nb1
-                sizes = buf_size[zb]
-                hsel = buf_host[zb]
-                np.subtract.at(dev_use, zk[~hsel], sizes[~hsel])
-                np.subtract.at(host_use, zk[hsel], sizes[hsel])
+                zb = zf // K
+                zk = zf - zb * K
+                np.subtract(dev_use,
+                            np.bincount(zk, release_dev.take(zb), K),
+                            out=dev_use, casting="unsafe")
+                if release_host is not None:
+                    np.subtract(host_use,
+                                np.bincount(zk, release_host.take(zb), K),
+                                out=host_use, casting="unsafe")
 
+        if registry is not None:
+            registry.count("engine.vector_rounds", rounds)
         out: list[VecOutcome] = []
-        for k in range(K):
+        for k, (span, dpeak, hpeak) in enumerate(zip(
+                makespan.tolist(), dev_peak.tolist(), host_peak.tolist())):
             err = errors.get(k)
-            o = VecOutcome(
-                makespan=float(makespan[k]) if err is None else float("inf"),
-                device_peak=int(dev_peak[k]),
-                host_peak=int(host_peak[k]),
-                error=err)
+            o = VecOutcome(makespan=span if err is None else float("inf"),
+                           device_peak=dpeak, host_peak=hpeak, error=err)
             if record_times and err is None:
                 o.starts = {t.tids[i]: float(starts[k, i])
                             for i in range(n) if not np.isnan(starts[k, i])}
@@ -711,6 +817,40 @@ class VectorEngine:
                           for i in range(n) if not np.isnan(ends[k, i])}
             out.append(o)
         return out
+
+
+def _sparse_layers(on_keep: np.ndarray, on_swap: np.ndarray):
+    """Compile two (flips, rows) count matrices into layers of sparse
+    updates for :func:`_seed`.  A term adds ``value`` to a table row in
+    every candidate where its flip is kept (``on_keep``) or swapped
+    (``on_swap``); a layer holds at most one term per row, so it applies as
+    one fancy-indexed add."""
+    f, r = np.nonzero(np.concatenate((on_keep, on_swap)))
+    value = np.concatenate((on_keep, on_swap))[f, r].astype(np.int32)
+    order = np.argsort(r, kind="stable")
+    f, r, value = f[order], r[order], value[order]
+    # occurrence number of each term within its row
+    first = np.searchsorted(r, r)
+    depth = np.arange(r.size) - first
+    layers = []
+    for d in range(int(depth.max(initial=-1)) + 1):
+        at = depth == d
+        v = value[at]
+        layers.append((r[at], f[at], None if (v == 1).all() else v[:, None]))
+    return layers
+
+
+def _seed(base: np.ndarray, layers, sel: np.ndarray) -> np.ndarray:
+    """(rows, K) int32 table: ``base`` plus every sparse term whose
+    selector row of ``sel`` (keep.T stacked over ~keep.T) is set."""
+    out = np.empty((base.size, sel.shape[1]), np.int32)
+    out[:] = base.astype(np.int32)[:, None]
+    for rows, cols, value in layers:
+        if value is None:
+            out[rows] += sel[cols]
+        else:
+            out[rows] += value * sel[cols]
+    return out
 
 
 def simulate_draft(tasks, queues, buffers, device_capacity: int,

@@ -269,6 +269,8 @@ class TestPlanPreservation:
         sections = reg.sections()
         assert sections["engine"]["runs"] >= 1
         assert sections["engine"]["tasks"] > 0
+        # the search's lockstep sweeps report their event rounds
+        assert sections["engine"]["vector_rounds"] > 0
         assert sections["allocator"]["device_peak_bytes"] > 0
         assert sections["allocator"]["device_capacity_bytes"] > 0
 

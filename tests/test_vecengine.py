@@ -13,6 +13,11 @@ checks that three ways:
   equal a from-scratch ``ScheduleBuilder`` draft for the classification
   that keeps S, replayed on ``FastEngine`` — the compiled family and the
   rebuilt schedule are two independent constructions of the same plan;
+* same-instant completions: with every duration on a coarse grid, several
+  streams of one row complete together and two last edges can empty one
+  buffer at once — keep-flip and duration-matrix batches must still match
+  both event engines task for task, also when some rows overflow the host
+  pool mid-batch;
 * the fallback matrix: draft families the lockstep formulation cannot
   express must refuse at compile time (``VectorUnsupported``), never
   silently diverge.
@@ -32,6 +37,7 @@ import pytest
 from repro.common.errors import OutOfMemoryError, SimulationError
 from repro.faults import FaultInjector, FaultSpec, FaultyDurations
 from repro.gpusim import Engine
+from repro.gpusim.engine import Schedule, TaskKind
 from repro.gpusim.fastengine import FastEngine
 from repro.gpusim.vecengine import (
     VectorEngine,
@@ -242,6 +248,202 @@ class TestKeepFlipFamily:
         self._check(MODEL_ZOO["resnet18"](batch=4),
                     scaled_machine(X86_V100, mem_scale=0.25),
                     FAULT_SEED + 4, rows=8)
+
+
+#: ~61 us; a power of two, so grid multiples and all their sums are exact
+#: floats and equal sums tie exactly
+_GRID = 2.0 ** -14
+
+
+class _GridDurations:
+    """Profiled durations rounded to whole multiples of ``_GRID`` (at least
+    one), each optionally scaled by a per-task integer factor drawn from
+    ``seed`` — still on the grid, so ties survive the scaling."""
+
+    def __init__(self, base, seed=None):
+        self.base = base
+        self.seed = seed
+
+    def _grid(self, kind, key, x):
+        units = max(1, round(x / _GRID))
+        if self.seed is not None:
+            units *= random.Random(f"{self.seed}:{kind}:{key}").randint(1, 3)
+        return units * _GRID
+
+    def fwd(self, layer):
+        return self._grid("fwd", layer, self.base.fwd(layer))
+
+    def bwd(self, layer):
+        return self._grid("bwd", layer, self.base.bwd(layer))
+
+    def swap_out(self, map_id):
+        return self._grid("swap_out", map_id, self.base.swap_out(map_id))
+
+    def swap_in(self, map_id):
+        return self._grid("swap_in", map_id, self.base.swap_in(map_id))
+
+    def input_load(self, layer):
+        return self._grid("input_load", layer, self.base.input_load(layer))
+
+    def update(self):
+        return self._grid("update", 0, self.base.update())
+
+
+class TestSameInstantCompletions:
+    """Lockstep rows on grid durations == ``FastEngine`` == ``Engine``:
+    makespan, per-task start/end and both pool peaks, for keep-flip rows
+    and for per-row duration tables."""
+
+    MACHINES = [
+        tiny_machine(mem_mib=224, link_gbps=2.0, name="tiny-slow"),
+        tiny_machine(mem_mib=224, link_gbps=200.0, name="tiny-fast"),
+    ]
+    MODELS = {
+        "poster_example": poster_example,
+        "small_cnn": small_cnn,
+        "resnet18": lambda: MODEL_ZOO["resnet18"](batch=2),
+    }
+    OPTIONS = ScheduleOptions(policy=SwapInPolicy.EAGER)
+
+    def _setup(self, name, machine):
+        graph = self.MODELS[name]()
+        profiled = run_profiling(graph, machine).durations()
+        return graph, profiled
+
+    def _assert_row(self, out, tasks, queues, buffers, machine,
+                    host_cap=None):
+        """One lockstep row against both event engines on the same draft;
+        returns how many task ends share their instant with another."""
+        capacity = machine.usable_gpu_memory
+        host_cap = host_cap or machine.cpu_mem_capacity
+        fast = FastEngine(tasks, queues, buffers, device_capacity=capacity,
+                          host_capacity=host_cap)
+        schedule = Schedule(
+            tasks={tid: d.to_task() for tid, d in tasks.items()},
+            queues=queues,
+            buffers={bid: b.to_spec() for bid, b in buffers.items()})
+        full = Engine(schedule, device_capacity=capacity,
+                      host_capacity=host_cap, validate=False)
+        try:
+            want = full.run()
+        except OutOfMemoryError as e:
+            with pytest.raises(OutOfMemoryError):
+                fast.run()
+            assert isinstance(out.error, OutOfMemoryError)
+            assert out.error.context == e.context
+            return 0
+        makespan, device_peak, host_peak = fast.run()
+        assert out.ok, out.error
+        assert out.makespan == want.makespan == makespan
+        assert out.device_peak == want.device_peak == device_peak
+        assert out.host_peak == want.host_peak == host_peak
+        assert len(out.starts) == len(want.records)
+        for rec in want.records:
+            assert out.starts[rec.tid] == rec.start
+            assert out.ends[rec.tid] == rec.end
+        ends = [rec.end for rec in want.records]
+        return len(ends) - len(set(ends))
+
+    def _draft(self, graph, cls, durations):
+        return ScheduleBuilder(graph, cls, durations, self.OPTIONS,
+                               validate=False).build_raw()
+
+    def _keep_flip_batch(self, name, machine, host_cap=None):
+        """Grid-duration keep-flip family: the all-swap base row plus seven
+        random keep sets, each checked against both event engines."""
+        graph, profiled = self._setup(name, machine)
+        durations = _GridDurations(profiled)
+        base = Classification.all_swap(graph)
+        tasks, queues, buffers = self._draft(graph, base, durations)
+        flips = keep_flip_specs(tasks, buffers,
+                                sorted(graph.classifiable_maps()))
+        tables = VectorTables(tasks, queues, buffers,
+                              machine.usable_gpu_memory,
+                              host_cap or machine.cpu_mem_capacity, flips)
+        rng = random.Random(FAULT_SEED + 5)
+        keep = np.zeros((8, len(flips)), bool)
+        for r in range(1, 8):  # row 0 stays the all-swap base
+            for c in range(len(flips)):
+                keep[r, c] = rng.random() < 0.5
+        outs = VectorEngine(tables).run_batch(keep, record_times=True)
+        ties = 0
+        for r, out in enumerate(outs):
+            cls = base.with_classes({f.map_id: MapClass.KEEP
+                                     for c, f in enumerate(flips)
+                                     if keep[r, c]})
+            ties += self._assert_row(out, *self._draft(graph, cls, durations),
+                                     machine, host_cap)
+        return outs, ties
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_keep_flip_rows(self, name, machine):
+        _outs, ties = self._keep_flip_batch(name, machine)
+        assert ties > 0
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_host_pool_overflow_rows(self, name):
+        # a host pool between the rows' host peaks: rows that swap more
+        # maps fail their host malloc mid-scan while the rest of the batch
+        # runs on, and each failure must blame the event engines' task
+        machine = self.MACHINES[0]
+        outs, _ties = self._keep_flip_batch(name, machine)
+        peaks = sorted({o.host_peak for o in outs if o.ok})
+        assert len(peaks) > 1
+        outs, _ties = self._keep_flip_batch(name, machine,
+                                            host_cap=peaks[len(peaks) // 2])
+        assert any(o.ok for o in outs)
+        assert any(isinstance(o.error, OutOfMemoryError) for o in outs)
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_duration_matrix_rows(self, name, machine):
+        graph, profiled = self._setup(name, machine)
+        cls = Classification.all_swap(graph)
+        tasks, queues, buffers = ScheduleBuilder(
+            graph, cls, _GridDurations(profiled), self.OPTIONS,
+            validate=False,
+        ).build_raw()
+        tables = VectorTables(tasks, queues, buffers,
+                              machine.usable_gpu_memory,
+                              machine.cpu_mem_capacity)
+        providers = [_GridDurations(profiled, seed=FAULT_SEED + r)
+                     for r in range(6)]
+        matrix = np.array([
+            [row_tasks[tid].duration for tid in tables.tids]
+            for row_tasks in (
+                ScheduleBuilder(graph, cls, p, self.OPTIONS,
+                                validate=False).build_raw()[0]
+                for p in providers)
+        ])
+        outs = VectorEngine(tables).run_batch(durations=matrix,
+                                              record_times=True)
+        ties = sum(self._assert_row(out, *self._draft(graph, cls, p), machine)
+                   for out, p in zip(outs, providers))
+        assert ties > 0
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    def test_two_last_edges_release_one_buffer(self, machine):
+        # builder drafts order a swap-out after its map's forward consumer;
+        # freed from that dep, each swap-out runs beside the consumer and,
+        # with small_cnn's durations all one grid unit, both of the forward
+        # buffer's last edges fire at the same instant: the buffer must be
+        # released once, not once per edge
+        graph, profiled = self._setup("small_cnn", machine)
+        tasks, queues, buffers = self._draft(
+            graph, Classification.all_swap(graph), _GridDurations(profiled))
+        tied = 0
+        for task in tasks.values():
+            if task.kind is TaskKind.SWAP_OUT:
+                (fwd,) = (b for b in task.reads if not buffers[b].host)
+                task.deps = {buffers[fwd].alloc_by}
+                tied += 1
+        assert tied
+        tables = VectorTables(tasks, queues, buffers,
+                              machine.usable_gpu_memory,
+                              machine.cpu_mem_capacity)
+        (out,) = VectorEngine(tables).run_batch(record_times=True)
+        assert self._assert_row(out, tasks, queues, buffers, machine) > 0
 
 
 class TestFallbackMatrix:
