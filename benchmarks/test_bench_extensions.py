@@ -4,8 +4,7 @@
    PoocH on the ResNet-50/batch-512/x86 workload — the related-work methods
    §6 discusses but does not measure.
 (The search-cost measurement lives in
-``test_bench_search_cost_parallel.py``, which also covers the parallel
-search determinism contract.)
+``test_bench_search_cost_incremental.py``.)
 """
 
 from repro.analysis import Table

@@ -216,11 +216,7 @@ def _cmd_optimize(args) -> int:
 
     graph = _build(args)
     machine = _machine(args)
-    config = PoochConfig(step1_sim_budget=args.budget, workers=args.workers,
-                         prune=not args.no_prune,
-                         incremental=not args.no_incremental,
-                         incremental_step2=not args.no_incremental_step2,
-                         vectorize=not args.no_vectorize)
+    config = PoochConfig(step1_sim_budget=args.budget)
     result = PoocH(machine, config, plan_cache=args.plan_cache).optimize(graph)
     print(result.summary())
     if result.stats.plan_cache_hit:
@@ -290,12 +286,7 @@ def _cmd_run(args) -> int:
         _write_trace(args, timeline, f"{args.model} saved-plan", multi=multi)
         return 0
     if args.method == "pooch":
-        config = PoochConfig(step1_sim_budget=args.budget,
-                             workers=args.workers,
-                             prune=not args.no_prune,
-                             incremental=not args.no_incremental,
-                             incremental_step2=not args.no_incremental_step2,
-                             vectorize=not args.no_vectorize)
+        config = PoochConfig(step1_sim_budget=args.budget)
         result = PoocH(machine, config, plan_cache=args.plan_cache,
                        faults=injector).optimize(graph)
         if injector is None:
@@ -398,7 +389,7 @@ def _cmd_client(args) -> int:
             if not args.target:
                 print("error: submit needs a model name", file=sys.stderr)
                 return 1
-            config = {"budget": args.budget, "workers": args.workers}
+            config = {"budget": args.budget}
             doc = client.submit(
                 args.target, batch=args.batch, machine=args.machine,
                 devices=args.devices, tenant=args.tenant, config=config,
@@ -512,31 +503,11 @@ def make_parser() -> argparse.ArgumentParser:
     _add_devices_arg(p)
     p.add_argument("--budget", type=_positive_int, default=600,
                    help="step-1 simulation budget (positive integer)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="search parallelism (process pool); results are "
-                        "bit-identical to --workers 1")
     p.add_argument("--plan-cache", metavar="DIR",
                    help="persistent plan/simulation cache directory: reuses "
                         "a previously chosen plan for the same graph, "
                         "machine and config (after re-verifying it by "
                         "simulation) and warm-starts the search otherwise")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable branch-and-bound pruning of the step-1 "
-                        "keep-vs-swap tree (exhaustive scan; the chosen plan "
-                        "is identical, only search cost changes)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable incremental prefix-shared simulation for "
-                        "both search steps (every candidate replays from "
-                        "t=0; bit-identical plans, higher search wall time)")
-    p.add_argument("--no-incremental-step2", action="store_true",
-                   help="disable only the step-2 extension: recompute "
-                        "candidates rebuild and replay in full, and r(X) "
-                        "values are re-evaluated every round instead of "
-                        "reused under dirty-set invalidation")
-    p.add_argument("--no-vectorize", action="store_true",
-                   help="disable the lockstep vector engine: every candidate "
-                        "simulates through the serial event engine "
-                        "(bit-identical plans, higher search wall time)")
     p.add_argument("--verbose", action="store_true",
                    help="print the per-map classification")
     p.add_argument("--save", metavar="PLAN.json",
@@ -553,24 +524,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="pooch",
                    choices=["pooch", "swap-opt", *sorted(_SIMPLE_PLANNERS)])
     p.add_argument("--budget", type=_positive_int, default=600)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="search parallelism for --method pooch")
     p.add_argument("--plan-cache", metavar="DIR",
                    help="persistent plan cache directory for --method pooch")
     p.add_argument("--plan", metavar="PLAN.json",
                    help="execute a saved plan instead of --method")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable search-tree pruning for --method pooch")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable incremental simulation (both search steps) "
-                        "for --method pooch")
-    p.add_argument("--no-incremental-step2", action="store_true",
-                   help="disable only step-2 incremental search (recompute "
-                        "delta drafts, resumable replay, r(X) reuse) for "
-                        "--method pooch")
-    p.add_argument("--no-vectorize", action="store_true",
-                   help="disable the lockstep vector engine for "
-                        "--method pooch (serial event-engine simulation)")
     p.add_argument("--trace", metavar="TRACE.json",
                    help="write a chrome://tracing / Perfetto trace of the "
                         "pipeline phases plus the executed timeline")
@@ -647,8 +604,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--devices", type=_positive_int, default=1)
     p.add_argument("--budget", type=_positive_int, default=600,
                    help="step-1 simulation budget for submit")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="search process-pool width for submit")
     p.add_argument("--wait", action="store_true",
                    help="block until the submitted job settles")
     p.add_argument("--timeout", type=float, default=300.0,

@@ -98,7 +98,7 @@ class MetricsRegistry:
     """Counters, gauges, timers and spans for one run.
 
     Not thread-safe by design: the pipeline's parallelism is process-based
-    (search workers report through the parent's replay), so a registry only
+    (fault-sweep workers report through the parent), so a registry only
     ever sees one thread.
     """
 

@@ -30,9 +30,7 @@ caps the search while keeping the best plan found.
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,67 +74,29 @@ class PoochConfig:
     #: forward re-fetch gap for long skip connections (extension; see
     #: ScheduleOptions.forward_refetch_gap; None reproduces the paper)
     forward_refetch_gap: int | None = None
-    #: simulation parallelism: >1 fans step-1 leaf evaluations and step-2
-    #: r(X) rounds over a process pool.  Results — chosen classification,
-    #: SearchStats times and simulation counts — are bit-identical to
-    #: ``workers=1``; see DESIGN.md §5 for the replay argument.
-    workers: int = 1
-    #: branch-and-bound pruning of the step-1 exact tree: subtrees whose
-    #: admissible lower bound (remaining undecided swaps assumed free)
-    #: cannot strictly beat the incumbent are skipped without simulating.
-    #: The chosen plan is provably identical to the exhaustive scan as long
-    #: as the simulation budget is not exhausted; under an exhausted budget
-    #: pruning lets the search reach deeper into the leaf list, so the knob
-    #: is part of :meth:`signature`.
-    prune: bool = True
-    #: incremental prefix-shared replay: candidate simulations resume from
-    #: checkpoints of recent candidates wherever their schedules provably
-    #: agree (see EngineCheckpoint).  Bit-identical outcomes and simulation
-    #: counts — only wall-clock changes, so like ``workers`` it is excluded
-    #: from :meth:`signature`.  In step 1 this covers every candidate; the
-    #: step-2 extension has its own knob below.
-    incremental: bool = True
-    #: extend the incremental machinery to step 2 (swap vs recompute):
-    #: recompute candidates are drafted by delta-patching and resumed from
-    #: recompute-aware checkpoints, and r(X) values are carried across
-    #: rounds under conservative dirty-set invalidation (only maps whose
-    #: perturbation windows overlap an accepted flip's are re-evaluated;
-    #: acceptance itself always re-predicts, ``verify_flips`` semantics
-    #: unchanged).  Keep probes whose liveness floor already exceeds
-    #: capacity are answered "infeasible" without drafting or simulating
-    #: them: the floor is an admissible peak bound
-    #: (:func:`~repro.runtime.schedule.liveness_floor`), derived exactly
-    #: for every "X kept" probe from one liveness profile of the current
-    #: plan (:class:`~repro.runtime.schedule.LivenessProfile`).
-    #: Plans are bit-identical on/off across the model zoo
-    #: (tests enforce it), but unlike ``incremental`` the r-value reuse
-    #: changes *which candidates are simulated*, so the knob is part of
-    #: :meth:`signature`.
-    incremental_step2: bool = True
-    #: evaluate pure keep/swap candidates on the lockstep vector engine
-    #: (:mod:`repro.gpusim.vecengine`): step-1 leaves are staged by a
-    #: speculative chunk-major sweep and step-2 keep probes by one sweep
-    #: per round, with the event engine as fallback for everything the
-    #: flip family cannot express (recompute probes, non-EAGER drafts).
-    #: Outcomes are bit-identical to the event engines (the differential
-    #: harness fuzzes it), so plans and simulation counts never change —
-    #: but the knob swaps the engine family that produced every cached
-    #: outcome, so it stays in :meth:`signature` out of caution: a plan
-    #: cache entry is never silently reused across engine families.
-    vectorize: bool = True
+
+    def __post_init__(self) -> None:
+        # configs arrive from CLI flags and HTTP bodies: reject a bad value
+        # here, naming it, instead of deep inside the search
+        for name, low in (("step1_sim_budget", 1), ("max_exact_li", 0),
+                          ("capacity_margin", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                kind = "positive" if low else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, "
+                                 f"got {value!r}")
 
     def signature(self) -> str:
-        """Stable identity of every knob that affects the *chosen plan* or
-        the set of candidates simulated (``workers`` and ``incremental``
-        excluded: they change wall-clock, never results).  Plan caches key
-        on this."""
+        """Stable identity of every knob that affects the *chosen plan*.
+        Plan caches key on this."""
         return (
             f"policy={self.policy.value};abs={self.abs_tolerance!r};"
             f"rel={self.rel_tolerance!r};li={self.max_exact_li};"
             f"budget={self.step1_sim_budget};eps={self.time_epsilon!r};"
             f"verify={self.verify_flips};margin={self.capacity_margin};"
-            f"gap={self.forward_refetch_gap};prune={self.prune};"
-            f"step2={self.incremental_step2};vec={self.vectorize}"
+            f"gap={self.forward_refetch_gap}"
         )
 
 
@@ -158,23 +118,20 @@ class SearchStats:
     #: round where every step-1 swap map is evaluated)
     r_values: dict[int, float] = field(default_factory=dict)
     #: per-round r(X) history — one dict per step-2 round, in round order,
-    #: capped at ``R_ROUNDS_LIMIT`` rounds (reused values included: this is
-    #: what the round's discard/argmin decisions actually read)
+    #: capped at ``R_ROUNDS_LIMIT`` rounds (what the round's discard/argmin
+    #: decisions actually read)
     r_rounds: list[dict[int, float]] = field(default_factory=list)
-    #: step-2 dirty-set accounting: rounds run, r-values recomputed because
-    #: their window overlapped an accepted flip's (or the round was fresh),
-    #: and r-values reused from the previous round
+    #: step-2 rounds run and r-values evaluated over them (every round
+    #: evaluates its whole surviving pool)
     step2_rounds: int = 0
     r_recomputed: int = 0
-    r_reused: int = 0
-    #: step-2 share of the full/resumed replay split below (serial-side
-    #: only, same ``workers>1`` caveat)
+    #: step-2 share of the full/resumed replay split below
     sims_step2_full: int = 0
     sims_step2_resumed: int = 0
     #: keep probes answered from their liveness floor (derived from the
     #: current plan's profile) instead of a simulation — the floor already
     #: exceeded capacity, so the simulation could only have returned
-    #: "infeasible" (incremental_step2 only)
+    #: "infeasible"
     keep_probes_elided: int = 0
     #: True when the plan came from a PlanCache (verified by simulation)
     #: instead of a fresh search — search fields above are then empty
@@ -185,16 +142,14 @@ class SearchStats:
     leaves_evaluated: int = 0
     subtrees_pruned: int = 0
     leaves_pruned: int = 0
-    #: of this process's simulations, how many replayed from time zero vs.
-    #: resumed from a shared-prefix checkpoint (with ``workers>1`` the
-    #: worker-side split is not collected; the sum then undercounts
-    #: ``sims_step1+sims_step2``, which remain the authoritative counts)
+    #: of the event-engine simulations, how many replayed from time zero
+    #: vs. resumed from a shared-prefix checkpoint
     sims_full: int = 0
     sims_resumed: int = 0
     #: vectorized-vs-fallback split of the search's simulations: outcomes a
     #: lockstep sweep produced *and the search consumed* (counted once, at
     #: absorb time) vs simulations that ran through the serial event-engine
-    #: path (recompute probes, non-expressible drafts, vectorize=False)
+    #: path (recompute probes, non-expressible drafts)
     sims_vectorized: int = 0
     sims_fallback: int = 0
     #: lockstep sweeps run and total candidate rows swept; rows the
@@ -217,67 +172,6 @@ class SearchStats:
 #: bound on the retained per-round r-value history (each entry is one dict
 #: per pool map; dozens of rounds only occur on degenerate searches)
 R_ROUNDS_LIMIT = 32
-
-
-# -- worker-process side of the parallel search ----------------------------------
-#
-# Each pool worker builds its own TimelinePredictor once (initializer) and
-# then evaluates work items independently; the parent *replays* the returned
-# outcomes in serial order, so caches, budget accounting and tie-breaking
-# are exactly those of the serial search (DESIGN.md §5).
-
-_worker_predictor: TimelinePredictor | None = None
-_worker_all_swap: Classification | None = None
-_worker_epsilon: float = 0.0
-
-
-def _init_search_worker(graph: NNGraph, profile: Profile,
-                        machine: MachineSpec, config: PoochConfig) -> None:
-    global _worker_predictor, _worker_all_swap, _worker_epsilon
-    _worker_predictor = TimelinePredictor(
-        graph, profile, machine, policy=config.policy,
-        capacity_margin=config.capacity_margin,
-        forward_refetch_gap=config.forward_refetch_gap,
-        incremental=config.incremental,
-        incremental_step2=config.incremental_step2,
-        vectorize=config.vectorize,
-    )
-    _worker_all_swap = Classification.all_swap(graph)
-    _worker_epsilon = config.time_epsilon
-
-
-def _eval_leaf(
-    args: tuple[tuple[int, ...], list[int], dict[int, int], int],
-) -> tuple[PredictedOutcome, list[PredictedOutcome | None]]:
-    """Evaluate one step-1 leaf to completion (no budget — the parent
-    truncates during replay).  Returns the leaf-base outcome plus one event
-    per scan position: ``None`` for a byte-budget skip, else the trial's
-    outcome."""
-    keeps, scan, map_bytes, keep_budget = args
-    pred, all_swap = _worker_predictor, _worker_all_swap
-    cls = all_swap.with_classes({m: MapClass.KEEP for m in keeps})
-    base = pred.predict(cls)
-    events: list[PredictedOutcome | None] = []
-    if not base.feasible:
-        return base, events
-    cur_cls, cur_time = cls, base.time
-    kept_bytes = sum(map_bytes[m] for m in keeps)
-    for m in scan:
-        if kept_bytes + map_bytes[m] > keep_budget:
-            events.append(None)
-            continue
-        trial = cur_cls.with_class(m, MapClass.KEEP)
-        out = pred.predict(trial)
-        events.append(out)
-        if out.feasible and out.time <= cur_time + _worker_epsilon:
-            cur_cls, cur_time = trial, out.time
-            kept_bytes += map_bytes[m]
-    return base, events
-
-
-def _predict_one(classification: Classification) -> PredictedOutcome:
-    """Simulate a single candidate in a pool worker (step-2 rounds)."""
-    return _worker_predictor.predict(classification)
 
 
 # -- step-1 branch-and-bound -----------------------------------------------------
@@ -410,12 +304,11 @@ class _LeafCursor:
     a tree node (= decision prefix over ``exact_li``) is bounded exactly
     once, at the moment the first surviving leaf underneath it comes up —
     the same moment, with the same incumbent, as a recursive DFS would
-    enter it.  With ``bounds=None`` the cursor degrades to plain iteration
-    (the ``--no-prune`` escape hatch).
+    enter it.
     """
 
     def __init__(self, leaves: list[tuple[int, ...]], exact_li: list[int],
-                 bounds: _StepOneBounds | None, stats: SearchStats) -> None:
+                 bounds: _StepOneBounds, stats: SearchStats) -> None:
         self._leaves = leaves
         self._exact = exact_li
         self._k = len(exact_li)
@@ -431,11 +324,6 @@ class _LeafCursor:
     def next(self, best_time: float) -> tuple[int, tuple[int, ...]] | None:
         """Index and keep-set of the next leaf to evaluate, or None."""
         leaves = self._leaves
-        if self._bounds is None:
-            if self._pos >= len(leaves):
-                return None
-            self._pos += 1
-            return self._pos - 1, leaves[self._pos - 1]
         while self._pos < len(leaves):
             keeps = leaves[self._pos]
             dec = self._decisions(keeps)
@@ -471,14 +359,14 @@ class _LeafCursor:
 
 class _VectorLeafStager:
     """Speculative chunk-major evaluation of step-1 leaves on the lockstep
-    vector engine, staged in the worker-protocol shape ``(base, events)``.
+    vector engine, staged per leaf as ``(base, events)``: the leaf-base
+    outcome plus one outcome (or None) per scan position.
 
     The serial search walks leaves one at a time, each an inherently
     sequential greedy scan (every accept changes the next trial).  The
-    stager breaks that chain the same way the process-pool path does —
-    evaluate ahead, then *replay* through ``consume_leaf`` so accounting,
-    budget truncation and the chosen plan are exactly serial — but gets its
-    outcomes from lockstep sweeps instead of worker processes:
+    stager breaks that chain by evaluating ahead, then *replaying* through
+    ``consume_leaf`` so accounting, budget truncation and the chosen plan
+    are exactly serial, with outcomes from lockstep sweeps:
 
     * leaves are staged in windows sized to the remaining simulation
       budget (everything past the budget's reach is never swept);
@@ -533,7 +421,7 @@ class _VectorLeafStager:
         self._next = 0
 
     def get(self, idx: int):
-        """Worker-protocol ``(base, events)`` for leaf ``idx``, staging the
+        """Staged ``(base, events)`` for leaf ``idx``, staging the
         window that contains it on demand; None when vectorization is
         unavailable (caller falls back to pure serial evaluation)."""
         if self._fi is None:
@@ -689,9 +577,6 @@ class PoochClassifier:
             graph, profile, machine, policy=self.config.policy,
             capacity_margin=self.config.capacity_margin,
             forward_refetch_gap=self.config.forward_refetch_gap,
-            incremental=self.config.incremental,
-            incremental_step2=self.config.incremental_step2,
-            vectorize=self.config.vectorize,
         )
         self.stats = SearchStats()
 
@@ -705,7 +590,6 @@ class PoochClassifier:
         """
         if steps not in (1, 2):
             raise ValueError(f"steps must be 1 or 2, got {steps}")
-        executor = self._make_executor()
         start = time.perf_counter()
         full_at_start = self.predictor.full_simulations
         resumed_at_start = self.predictor.resumed_simulations
@@ -714,13 +598,13 @@ class PoochClassifier:
         try:
             with metrics.span("search.step1", category="search",
                               graph=self.graph.name):
-                step1 = self._step1_keep_vs_swap(executor)
+                step1 = self._step1_keep_vs_swap()
             if steps == 1:
                 self.stats.time_after_step2 = self.stats.time_after_step1
                 return step1, self.stats
             with metrics.span("search.step2", category="search",
                               graph=self.graph.name):
-                step2 = self._step2_swap_vs_recompute(step1, executor)
+                step2 = self._step2_swap_vs_recompute(step1)
             return step2, self.stats
         finally:
             self.stats.wall_time_s = time.perf_counter() - start
@@ -740,8 +624,6 @@ class PoochClassifier:
                 self.stats.sims_step1 + self.stats.sims_step2
                 - self.stats.sims_vectorized
             )
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
             self._publish_stats()
 
     def _publish_stats(self) -> None:
@@ -775,7 +657,6 @@ class PoochClassifier:
         registry.count("search.keep_probes_elided", s.keep_probes_elided)
         registry.count("search.step2_rounds_run", s.step2_rounds)
         registry.count("search.r_recomputed", s.r_recomputed)
-        registry.count("search.r_reused", s.r_reused)
         if s.r_rounds:
             # structured per-round r(X) history (schema v1.1): what every
             # round's discard/argmin decisions actually read
@@ -796,23 +677,9 @@ class PoochClassifier:
         registry.gauge("search.time_after_step1", s.time_after_step1)
         registry.gauge("search.time_after_step2", s.time_after_step2)
 
-    def _make_executor(self) -> ProcessPoolExecutor | None:
-        if self.config.workers <= 1:
-            return None
-        # the baseline timeline is only read parent-side (overlap analysis);
-        # dropping it keeps the per-worker pickle payload small
-        profile = replace(self.profile, baseline=None)
-        return ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            initializer=_init_search_worker,
-            initargs=(self.graph, profile, self.machine, self.config),
-        )
-
     # -- step 1 -------------------------------------------------------------------
 
-    def _step1_keep_vs_swap(
-        self, executor: ProcessPoolExecutor | None = None
-    ) -> Classification:
+    def _step1_keep_vs_swap(self) -> Classification:
         cfg = self.config
         all_swap = Classification.all_swap(self.graph)
         base_outcome = self.predictor.predict(all_swap)
@@ -865,15 +732,10 @@ class PoochClassifier:
                 return False
             return True
 
-        # staged-outcome plumbing for the serial vectorized driver (below);
-        # stays None on the worker path, where ``pre`` outcomes come from
-        # processes and count as fallback (event-engine) simulations
-        stager: _VectorLeafStager | None = None
-
         def absorb_staged(key: tuple, out: PredictedOutcome | None) -> None:
             if out is None:
                 return  # nothing staged: the serial predictor takes over
-            if self.predictor.absorb(key, out) and stager is not None:
+            if self.predictor.absorb(key, out):
                 self.stats.sims_vectorized += 1
 
         def consume_leaf(
@@ -881,11 +743,11 @@ class PoochClassifier:
             pre: tuple[PredictedOutcome, list[PredictedOutcome | None]] | None,
         ) -> bool:
             """Evaluate one leaf: the exact L_I subset ``keeps``, then the
-            greedy scan.  With ``pre`` (a worker's outcomes) the evaluation
-            *replays* — each outcome is absorbed into the shared predictor
-            cache right before the lookup the serial search would make, so
-            state, accounting and budget truncation are identical.  Returns
-            False when the simulation budget ran out mid-leaf."""
+            greedy scan.  With ``pre`` (staged sweep outcomes) the
+            evaluation *replays* — each outcome is absorbed into the shared
+            predictor cache right before the lookup the serial search would
+            make, so state, accounting and budget truncation are identical.
+            Returns False when the simulation budget ran out mid-leaf."""
             nonlocal best_cls, best_time
             cls = all_swap.with_classes({m: MapClass.KEEP for m in keeps})
             if pre is not None:
@@ -916,9 +778,7 @@ class PoochClassifier:
         # Enumerate the exact-tree leaves in DFS order, KEEP branch first
         # (high-overhead maps are kept in the best plans, so good leaves are
         # found early under a simulation budget).  Enumeration depends only
-        # on the byte prune, never on simulation results, so the leaf list —
-        # and therefore the evaluation order — is identical for any number
-        # of workers.
+        # on the byte prune, never on simulation results.
         leaves: list[tuple[int, ...]] = []
 
         def enumerate_leaves(idx: int, keeps: list[int], kept_bytes: int) -> None:
@@ -939,73 +799,31 @@ class PoochClassifier:
         # lower bound cannot strictly beat the incumbent are skipped without
         # simulating.  Bounds never read simulation results, and the best
         # plan only ever improves on strict <, so the surviving evaluations
-        # — and the chosen plan — match the exhaustive scan exactly (as long
-        # as neither run exhausts the simulation budget; see PoochConfig).
-        bounds = (
-            _StepOneBounds(self.predictor, all_swap, candidates)
-            if cfg.prune else None
+        # — and the chosen plan — match the exhaustive scan exactly as long
+        # as the simulation budget is not exhausted (under an exhausted
+        # budget pruning lets the search reach deeper into the leaf list).
+        cursor = _LeafCursor(
+            leaves, exact_li,
+            _StepOneBounds(self.predictor, all_swap, candidates), self.stats,
         )
-        cursor = _LeafCursor(leaves, exact_li, bounds, self.stats)
-
-        if executor is None:
-            if cfg.vectorize:
-                # speculative lockstep sweeps stage worker-shaped outcome
-                # streams per leaf; the loop below remains the *definitive*
-                # serial walk (same cursor, pruning, budget truncation and
-                # accounting), it just replays staged outcomes instead of
-                # running the event engine candidate by candidate
-                stager = _VectorLeafStager(
-                    self.predictor, leaves, scan, map_bytes, keep_budget,
-                    cfg.time_epsilon,
-                    lambda: (cfg.step1_sim_budget
-                             - (self.predictor.simulations - sims_at_start)),
-                )
-            while True:
-                nxt = cursor.next(best_time)
-                if nxt is None or not budget_left():
-                    break
-                pre = stager.get(nxt[0]) if stager is not None else None
-                self.stats.leaves_evaluated += 1
-                if not consume_leaf(nxt[1], pre):
-                    break
-        else:
-            # keep a small window of leaves in flight; submission is
-            # speculative (pruning decisions arrive later, stale futures
-            # are discarded), but results are consumed strictly in the
-            # pruned-serial order, so accounting matches workers=1 exactly
-            window = 2 * self.config.workers
-            pending: deque = deque()
-            submit_idx = 0
-
-            def top_up() -> None:
-                nonlocal submit_idx
-                while len(pending) < window and submit_idx < len(leaves):
-                    keeps = leaves[submit_idx]
-                    args = (keeps, scan, map_bytes, keep_budget)
-                    pending.append(
-                        (submit_idx, executor.submit(_eval_leaf, args))
-                    )
-                    submit_idx += 1
-
-            top_up()
-            while True:
-                nxt = cursor.next(best_time)
-                if nxt is None or not budget_left():
-                    break
-                idx, keeps = nxt
-                while pending and pending[0][0] < idx:
-                    pending.popleft()[1].cancel()
-                if not pending:
-                    submit_idx = max(submit_idx, idx)
-                    top_up()
-                pre = None
-                if pending and pending[0][0] == idx:
-                    pre = pending.popleft()[1].result()
-                self.stats.leaves_evaluated += 1
-                ok = consume_leaf(keeps, pre)
-                top_up()
-                if not ok:
-                    break
+        # speculative lockstep sweeps stage per-leaf outcome streams; the
+        # loop below remains the *definitive* serial walk (same cursor,
+        # pruning, budget truncation and accounting), it just replays staged
+        # outcomes instead of running the event engine candidate by candidate
+        stager = _VectorLeafStager(
+            self.predictor, leaves, scan, map_bytes, keep_budget,
+            cfg.time_epsilon,
+            lambda: (cfg.step1_sim_budget
+                     - (self.predictor.simulations - sims_at_start)),
+        )
+        while True:
+            nxt = cursor.next(best_time)
+            if nxt is None or not budget_left():
+                break
+            pre = stager.get(nxt[0])
+            self.stats.leaves_evaluated += 1
+            if not consume_leaf(nxt[1], pre):
+                break
 
         self.stats.sims_step1 = self.predictor.simulations - sims_at_start
         self.stats.time_after_step1 = best_time
@@ -1026,8 +844,7 @@ class PoochClassifier:
         t_rec = self.predictor.predict(
             current.with_class(x, MapClass.RECOMPUTE)
         ).time
-        if (self.config.incremental_step2
-                and self.predictor.provably_infeasible(current, x)):
+        if self.predictor.provably_infeasible(current, x):
             # probe elision: the keep candidate's liveness floor (derived
             # from current's profile) already exceeds capacity, so the
             # simulation could only confirm infeasibility
@@ -1046,8 +863,8 @@ class PoochClassifier:
             return float("inf")
         return rec_overhead / swap_overhead
 
-    def _vector_keep_probes(self, current: Classification, fresh: list[int],
-                            memo: bool) -> None:
+    def _vector_keep_probes(self, current: Classification,
+                            pool: list[int]) -> None:
         """Answer a step-2 round's uncached keep probes ("X kept, everything
         else as in ``current``") with one lockstep sweep.
 
@@ -1056,10 +873,9 @@ class PoochClassifier:
         recompute flip is accepted the candidates leave the keep-flip
         family and the serial predictor takes over.  The recompute probes
         of :meth:`_r_value` are never expressible and always run serially
-        (they are the ``sims_fallback`` share of step 2).  Mirrors the
-        process-pool fan-out: outcomes are absorbed before the serial round
-        reads them, so r-values, caches and simulation counts are exactly
-        those of the unvectorized search."""
+        (they are the ``sims_fallback`` share of step 2).  Outcomes are
+        absorbed before the serial round reads them, so r-values, caches and
+        simulation counts are exactly those of a serial search."""
         keeps = []
         for m, c in current.classes.items():
             if c is MapClass.KEEP:
@@ -1070,8 +886,8 @@ class PoochClassifier:
         if fi is None:
             return
         todo: list[tuple[Classification, int]] = []
-        for x in fresh:
-            if memo and self.predictor.provably_infeasible(current, x):
+        for x in pool:
+            if self.predictor.provably_infeasible(current, x):
                 continue  # _r_value elides this probe: don't sweep it
             keep_c = current.with_class(x, MapClass.KEEP)
             if self.predictor.cached(keep_c) is None:
@@ -1090,10 +906,7 @@ class PoochClassifier:
             if out is not None and self.predictor.absorb(keep_c.key(), out):
                 self.stats.sims_vectorized += 1
 
-    def _step2_swap_vs_recompute(
-        self, step1: Classification,
-        executor: ProcessPoolExecutor | None = None,
-    ) -> Classification:
+    def _step2_swap_vs_recompute(self, step1: Classification) -> Classification:
         cfg = self.config
         sims_at_start = self.predictor.simulations
         full_at_start = self.predictor.full_simulations
@@ -1105,48 +918,17 @@ class PoochClassifier:
         ]
         current_time = self.predictor.predict(current).time
 
-        # Cross-round r-value memoization (incremental_step2): a round only
-        # re-evaluates the maps whose perturbation window overlaps the last
-        # accepted flip's — everything else reads last round's value.  A
-        # rejected flip leaves `current` untouched, so *no* value is stale
-        # then (re-evaluating would hit the predictor's memo cache anyway).
-        # Acceptance still always re-predicts the trial plan end to end.
-        # The same knob also elides keep probes whose infeasibility their
-        # liveness floor already proves (see _r_value) — on memory-tight
-        # configurations that is half the step-2 simulations.
-        memo = cfg.incremental_step2
-        windows = self.predictor.step2_windows(pool) if memo and pool else {}
-        r_cache: dict[int, float] = {}
-        dirty = set(pool)
+        # Every round evaluates r(X) for the whole surviving pool against the
+        # frozen `current`; after a rejected flip those probes are memo-cache
+        # hits (or elided again), and acceptance always re-predicts the
+        # trial plan end to end.
         first_round = True
         while pool:
-            fresh = [x for x in pool if x in dirty]
-            if executor is not None:
-                # Every stale r(X) of a round reads two candidates (X
-                # recompute / X kept) against the frozen `current` —
-                # embarrassingly parallel.  Fan out the uncached ones, then
-                # absorb in the serial evaluation order so cache contents
-                # and simulation counts match workers=1 exactly.
-                needed = []
-                for x in fresh:
-                    rec_c = current.with_class(x, MapClass.RECOMPUTE)
-                    if self.predictor.cached(rec_c) is None:
-                        needed.append(rec_c)
-                    if memo and self.predictor.provably_infeasible(current, x):
-                        continue  # _r_value elides this probe: don't fan out
-                    keep_c = current.with_class(x, MapClass.KEEP)
-                    if self.predictor.cached(keep_c) is None:
-                        needed.append(keep_c)
-                for c, outcome in zip(needed, executor.map(_predict_one, needed)):
-                    self.predictor.absorb(c.key(), outcome)
-            elif cfg.vectorize and fresh:
-                self._vector_keep_probes(current, fresh, memo)
-            for x in fresh:
-                r_cache[x] = self._r_value(current, x, current_time)
-            self.stats.r_recomputed += len(fresh)
-            self.stats.r_reused += len(pool) - len(fresh)
+            self._vector_keep_probes(current, pool)
+            r_values = {x: self._r_value(current, x, current_time)
+                        for x in pool}
+            self.stats.r_recomputed += len(pool)
             self.stats.step2_rounds += 1
-            r_values = {x: r_cache[x] for x in pool}
             if len(self.stats.r_rounds) < R_ROUNDS_LIMIT:
                 self.stats.r_rounds.append(dict(r_values))
             if first_round:
@@ -1166,16 +948,6 @@ class PoochClassifier:
                 current = trial
                 current_time = outcome.time
                 self.stats.flips_to_recompute.append(x)
-                if memo:
-                    ws, we = windows[x]
-                    dirty = {y for y in pool
-                             if windows[y][0] <= we and ws <= windows[y][1]}
-                else:
-                    dirty = set(pool)
-            elif memo:
-                dirty = set()
-            else:
-                dirty = set(pool)
 
         self.stats.sims_step2 = self.predictor.simulations - sims_at_start
         self.stats.sims_step2_full = (

@@ -207,9 +207,6 @@ class DynamicPoocH:
                 policy=self.config.policy,
                 capacity_margin=self.config.capacity_margin,
                 forward_refetch_gap=self.config.forward_refetch_gap,
-                incremental=self.config.incremental,
-                incremental_step2=self.config.incremental_step2,
-                vectorize=self.config.vectorize,
             )
         return self._predictors[size]
 

@@ -168,8 +168,7 @@ class PoochResult:
             f"step2={self.stats.sims_step2} "
             f"(full={self.stats.sims_full} resumed={self.stats.sims_resumed})",
             f"  step2 rounds: {self.stats.step2_rounds} "
-            f"(r-values recomputed={self.stats.r_recomputed} "
-            f"reused={self.stats.r_reused}, "
+            f"(r-values recomputed={self.stats.r_recomputed}, "
             f"full={self.stats.sims_step2_full} "
             f"resumed={self.stats.sims_step2_resumed}, "
             f"keep probes elided={self.stats.keep_probes_elided})",
@@ -281,9 +280,6 @@ class PoocH:
             graph, profile, self.machine, policy=self.config.policy,
             capacity_margin=self.config.capacity_margin,
             forward_refetch_gap=self.config.forward_refetch_gap,
-            incremental=self.config.incremental,
-            incremental_step2=self.config.incremental_step2,
-            vectorize=self.config.vectorize,
         )
         cache = self.plan_cache
         if cache is not None:

@@ -143,9 +143,6 @@ class TimelinePredictor:
         policy: SwapInPolicy = SwapInPolicy.EAGER,
         capacity_margin: int = 0,
         forward_refetch_gap: int | None = None,
-        incremental: bool = True,
-        incremental_step2: bool = True,
-        vectorize: bool = True,
     ) -> None:
         self.graph = graph
         self.profile = profile
@@ -163,22 +160,12 @@ class TimelinePredictor:
         self._cache: dict[tuple, PredictedOutcome] = {}
         self._full_cache: dict[tuple, RunResult] = {}
         #: simulations actually executed (cache misses) — the classifier's
-        #: search-cost metric.  Outcomes absorbed from worker processes via
-        #: :meth:`absorb` count too: the simulation ran, just elsewhere.
+        #: search-cost metric.  Outcomes absorbed from lockstep sweeps via
+        #: :meth:`absorb` count too: the simulation ran, just batched.
         #: Resumed replays count exactly like full ones, so this number —
-        #: and therefore budget truncation and the chosen plan — is
-        #: independent of ``incremental``.
+        #: and therefore budget truncation and the chosen plan — does not
+        #: depend on how a simulation was carried out.
         self.simulations = 0
-        #: share the simulated prefix between candidates whose schedules
-        #: agree on it (checkpoint/resume through FastEngine); results stay
-        #: bit-identical, only wall-clock changes
-        self.incremental = incremental
-        #: extend the delta-draft/resume machinery to recompute candidates
-        #: (step 2 of the search): keep+recompute drafts are patched from
-        #: the base via :func:`apply_recompute_delta` and resumed from
-        #: recompute-aware divergence fronts.  Only effective together with
-        #: ``incremental``; like it, never changes results
-        self.incremental_step2 = incremental_step2
         #: of the local (non-absorbed) simulations, how many replayed from
         #: time zero vs. resumed from a shared-prefix checkpoint
         self.full_simulations = 0
@@ -195,8 +182,8 @@ class TimelinePredictor:
         self._base: tuple | None = None
         #: per-map divergence positions and the recompute fronts below —
         #: the resume index, built on first use by :meth:`_ensure_fronts`
-        #: (only a resumed replay or step 2's dirty-set test reads it, so a
-        #: lone verification :meth:`predict` never pays for it)
+        #: (only a resumed replay reads it, so a lone verification
+        #: :meth:`predict` never pays for it)
         self._div: dict[int, tuple[int, int, int]] | None = None
         #: earliest compute position at which *recomputing* a map becomes
         #: engine-visible (its forward buffer now dies mid-forward, and its
@@ -205,9 +192,6 @@ class TimelinePredictor:
         #: of a recompute both schedules share
         self._rdiv_c: dict[int, int] = {}
         self._rev: dict[int, list[int]] = {}
-        #: conservative [start, end] compute-position window a map's
-        #: swap→recompute flip perturbs — the classifier's dirty-set test
-        self._rwin: dict[int, tuple[int, int]] = {}
         #: liveness profile of the last plan :meth:`provably_infeasible`
         #: was asked about, keyed by that plan's classification key
         self._profile: tuple[tuple, LivenessProfile] | None = None
@@ -215,11 +199,6 @@ class TimelinePredictor:
         #: step 2's probes all share the step-1 keeps, so its recompute
         #: drafts patch one memoized keep draft instead of rebuilding it
         self._keep_draft: tuple[frozenset, tuple] | None = None
-        #: evaluate pure keep/swap candidate *batches* on the lockstep
-        #: vector engine (:meth:`predict_keep_batch`); outcomes are
-        #: bit-identical to the event engines, so this only changes
-        #: wall-clock — never results
-        self.vectorize = vectorize
         #: lockstep sweeps run and candidate rows swept (includes rows the
         #: caller speculated on and discarded; absorbed-sim accounting is
         #: the classifier's ``SearchStats.sims_vectorized``)
@@ -277,10 +256,10 @@ class TimelinePredictor:
         return abs(measured - predicted) / predicted
 
     def absorb(self, key: tuple, outcome: PredictedOutcome) -> bool:
-        """Install an outcome computed elsewhere (a worker process or a
-        vectorized sweep) under ``key``, with the same miss accounting as a
-        local simulation.  Returns True when the outcome was new (and was
-        therefore counted as a simulation)."""
+        """Install an outcome computed elsewhere (a vectorized sweep) under
+        ``key``, with the same miss accounting as a local simulation.
+        Returns True when the outcome was new (and was therefore counted as
+        a simulation)."""
         if key not in self._cache:
             self.simulations += 1
             self._cache[key] = outcome
@@ -298,12 +277,12 @@ class TimelinePredictor:
     # :meth:`absorb` without changing any result.
 
     def _ensure_vec(self) -> VectorEngine | None:
-        """Compile the keep-flip vector family once; None when vectorization
-        is off or the draft family is not expressible (the caller then uses
-        the serial event-engine path, candidate by candidate)."""
+        """Compile the keep-flip vector family once; None when the draft
+        family is not expressible (the caller then uses the serial
+        event-engine path, candidate by candidate)."""
         if self._vec_engine is not None:
             return self._vec_engine
-        if not self.vectorize or self._vec_failed:
+        if self._vec_failed:
             return None
         if self.forward_refetch_gap is not None:
             # re-fetch swap-ins read the host instance a keep flip deletes —
@@ -439,15 +418,6 @@ class TimelinePredictor:
         self._full_cache[key] = result
         return result
 
-    def step2_windows(self, maps) -> dict[int, tuple[int, int]]:
-        """Conservative ``[start, end]`` compute-position window each map's
-        swap→recompute flip perturbs (its own forward-buffer lifetime plus
-        everything its recompute chain can touch, transitively).  The
-        classifier's dirty-set invalidation treats two maps as interacting
-        only when their windows overlap."""
-        self._ensure_fronts()
-        return {m: self._rwin[m] for m in maps}
-
     def draft(self, classification: Classification) -> tuple[dict, dict, dict]:
         """Raw (tasks, queues, buffers) draft for a candidate — the
         classifier's lower-bound precomputation reads queue orders,
@@ -478,7 +448,7 @@ class TimelinePredictor:
     #   exact longest common prefix instead.
     #
     # Budget accounting is untouched — a resumed replay is still one
-    # simulation — so plans are bit-identical with incremental on or off.
+    # simulation — so plans are bit-identical to from-scratch replays.
 
     def _ensure_base(self) -> None:
         """Build the all-swap base draft once — what every delta draft is
@@ -497,8 +467,7 @@ class TimelinePredictor:
         earliest queue position on each stream at which a schedule that
         keeps ``m`` becomes distinguishable from one that swaps it (task
         removed, dependency rewired, or a buffer's free time moved) — plus
-        the recompute fronts ``_rdiv_c``, chain-closure index ``_rev`` and
-        step-2 windows ``_rwin``."""
+        the recompute fronts ``_rdiv_c`` and chain-closure index ``_rev``."""
         if self._div is not None:
             return
         self._ensure_base()
@@ -533,21 +502,12 @@ class TimelinePredictor:
         # recomputable maps whose chain *may* contain j, so a flip of j
         # invalidates the shared region of any schedule pair that recomputes
         # one of them on both sides (the chain shape depends on j's class).
-        def last_read(j: int) -> int:
-            buf = buffers.get(f"fm{j}@b")
-            if buf is None:
-                return self._max_fwd(pos_c, j)
-            return max((pos_c[r] for r in buf.readers if r in pos_c),
-                       default=0)
-
         rdiv_c: dict[int, int] = {}
         rev: dict[int, list[int]] = {}
-        rwin: dict[int, tuple[int, int]] = {}
         for m in div:
             if not self.graph[m].op.recomputable:
                 continue
             front = min(self._max_fwd(pos_c, m), div[m][0])
-            end = last_read(m)
             seen = {m}
             stack = list(self.graph[m].preds)
             while stack:
@@ -558,7 +518,6 @@ class TimelinePredictor:
                 if j in div:  # classifiable producer: chain stops here, but
                     # its buffer gains a reader (its free moves later)
                     front = min(front, div[j][0])
-                    end = max(end, last_read(j))
                     rev.setdefault(j, []).append(m)
                     if self.graph[j].op.recomputable:
                         # ...unless j is itself classified RECOMPUTE, in
@@ -573,11 +532,9 @@ class TimelinePredictor:
                     # mid-forward
                     front = min(front, self._max_fwd(pos_c, j))
             rdiv_c[m] = front
-            rwin[m] = (front, end)
         self._div = div
         self._rdiv_c = rdiv_c
         self._rev = rev
-        self._rwin = rwin
 
     def _max_fwd(self, pos_c: dict[str, int], m: int) -> int:
         """Compute position of the last forward accessor of ``fm{m}`` — the
@@ -591,15 +548,14 @@ class TimelinePredictor:
 
         Pure keep/swap candidates (the entire step-1 tree) go through the
         keep-delta path; keep/swap/recompute candidates (step 2's r(X)
-        probes) additionally run :func:`apply_recompute_delta` when
-        ``incremental_step2`` is on and the swap-in policy is EAGER (the
-        only policy whose swap-in issue logic is position-free, which the
-        recompute-aware resume fronts rely on — it is also the only
-        checkpointable one in practice).  Everything else — forward
-        re-fetch, incremental off, non-EAGER recompute — falls back to a
-        full build with ``keeps``/``recs`` None, which also opts the
-        replay out of checkpoint/resume."""
-        if self.incremental and self.forward_refetch_gap is None:
+        probes) additionally run :func:`apply_recompute_delta` when the
+        swap-in policy is EAGER (the only policy whose swap-in issue logic
+        is position-free, which the recompute-aware resume fronts rely on —
+        it is also the only checkpointable one in practice).  Everything
+        else — forward re-fetch, non-EAGER recompute — falls back to a full
+        build with ``keeps``/``recs`` None, which also opts the replay out
+        of checkpoint/resume."""
+        if self.forward_refetch_gap is None:
             keeps: list[int] = []
             recs: list[int] = []
             pure = True
@@ -611,10 +567,7 @@ class TimelinePredictor:
                 elif cls is not MapClass.SWAP:
                     pure = False
                     break
-            if pure and recs and not (
-                self.incremental_step2
-                and self.policy is SwapInPolicy.EAGER
-            ):
+            if recs and self.policy is not SwapInPolicy.EAGER:
                 pure = False
             if pure:
                 kept = frozenset(keeps)

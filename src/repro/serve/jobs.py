@@ -218,13 +218,8 @@ class ServePlanner:
     #: PoochConfig knobs a request may set (API name -> constructor kwarg)
     CONFIG_KEYS = {
         "budget": "step1_sim_budget",
-        "workers": "workers",
         "max_exact_li": "max_exact_li",
         "capacity_margin": "capacity_margin",
-        "prune": "prune",
-        "incremental": "incremental",
-        "incremental_step2": "incremental_step2",
-        "vectorize": "vectorize",
     }
 
     def __init__(self, plan_cache: PlanCache | str | None = None,
@@ -285,7 +280,7 @@ class ServePlanner:
         try:
             config = PoochConfig(**kwargs)
         except (TypeError, ValueError) as e:
-            raise BadRequest(f"bad config: {e}") from e
+            raise BadRequest(f"bad config {config_req!r}: {e}") from e
         try:
             graph = self._graph(model, batch, input_size)
         except ReproError as e:

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import OutOfMemoryError
 from repro.common.units import GB, MiB
+from repro.gpusim import Engine
 from repro.hw import CostModel, MachineSpec, POWER9_V100, X86_V100
 from repro.models import linear_chain, mlp, poster_example, small_cnn
-from repro.pooch import PoochConfig
+from repro.pooch import PoochClassifier, PoochConfig
+from repro.pooch.predictor import PredictedOutcome, TimelinePredictor
+from repro.runtime.schedule import build_schedule
 
 
 def tiny_machine(
@@ -86,3 +90,65 @@ def cnn_residual():
 def fast_config() -> PoochConfig:
     """Search config small enough for unit tests."""
     return PoochConfig(max_exact_li=4, step1_sim_budget=200)
+
+
+class SerialPredictor(TimelinePredictor):
+    """The production predictor without lockstep sweeps: every candidate
+    runs through the event-engine path (delta drafts, checkpoint/resume,
+    liveness-floor elision all still on)."""
+
+    def _ensure_vec(self):
+        return None
+
+
+class OraclePredictor(SerialPredictor):
+    """The search's reference predictor: every candidate is simulated from
+    a fresh ``build_schedule`` on the reference :class:`Engine` — no
+    lockstep sweeps, no delta drafts, no checkpoint/resume and no
+    keep-probe elision.  Records every candidate it simulated, in order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.simulated: list[tuple] = []
+
+    def provably_infeasible(self, current, x) -> bool:
+        return False
+
+    def _simulate(self, classification) -> PredictedOutcome:
+        engine = Engine(
+            build_schedule(self.graph, classification, self._durations,
+                           self.options),
+            device_capacity=(self.machine.usable_gpu_memory
+                             - self.capacity_margin),
+            host_capacity=self.machine.host_swap_capacity,
+            validate=False,
+        )
+        try:
+            result = engine.run()
+            outcome = PredictedOutcome(feasible=True, time=result.makespan,
+                                       peak_memory=result.device_peak)
+        except OutOfMemoryError as e:
+            outcome = PredictedOutcome(feasible=False, time=float("inf"),
+                                       peak_memory=0, oom_context=e.context)
+        self.simulated.append((classification, outcome))
+        return outcome
+
+
+def classifier_on(predictor_cls, graph, profile, machine,
+                  config: PoochConfig | None = None) -> PoochClassifier:
+    """A classifier whose predictor is ``predictor_cls``, built with the
+    config's simulation settings."""
+    config = config or PoochConfig()
+    predictor = predictor_cls(
+        graph, profile, machine, policy=config.policy,
+        capacity_margin=config.capacity_margin,
+        forward_refetch_gap=config.forward_refetch_gap,
+    )
+    return PoochClassifier(graph, profile, machine, config,
+                           predictor=predictor)
+
+
+def search_fingerprint(cls, stats) -> tuple:
+    """What the search decided, independent of how much work it did."""
+    return (cls.key(), stats.time_after_step1, stats.time_after_step2,
+            stats.r_values, stats.flips_to_recompute, stats.sims_step1)

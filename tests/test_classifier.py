@@ -121,3 +121,29 @@ class TestMachineSensitivity:
         slow_gain = stats_slow.time_all_swap / stats_slow.time_after_step2
         fast_gain = stats_fast.time_all_swap / stats_fast.time_after_step2
         assert slow_gain >= fast_gain * 0.9
+
+
+class TestConfig:
+    def test_signature_reflects_search_knobs(self):
+        assert (PoochConfig(step1_sim_budget=100).signature()
+                != PoochConfig(step1_sim_budget=200).signature())
+        assert (PoochConfig(capacity_margin=1).signature()
+                != PoochConfig().signature())
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("step1_sim_budget", 0, ValueError),
+        ("step1_sim_budget", "x", TypeError),
+        ("step1_sim_budget", True, TypeError),
+        ("step1_sim_budget", 2.5, TypeError),
+        ("max_exact_li", -1, ValueError),
+        ("max_exact_li", False, TypeError),
+        ("capacity_margin", -5, ValueError),
+        ("capacity_margin", "1", TypeError),
+    ])
+    def test_bad_values_rejected_by_name(self, field, value, error):
+        with pytest.raises(error, match=field):
+            PoochConfig(**{field: value})
+
+    def test_zero_margin_and_exact_width_accepted(self):
+        cfg = PoochConfig(max_exact_li=0, capacity_margin=0)
+        assert cfg.max_exact_li == 0

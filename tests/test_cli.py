@@ -93,11 +93,6 @@ class TestOptimizeCacheAndWorkers:
         assert "plan reused from cache" in second
         assert "step1=0 step2=0" in second  # no re-search on the hit
 
-    def test_workers_flag(self, capsys):
-        assert main(["optimize", "mlp", "--batch", "8", "--budget", "20",
-                     "--workers", "2"]) == 0
-        assert "PoocH plan" in capsys.readouterr().out
-
 
 class TestReport:
     def test_collates_results(self, tmp_path, capsys):
@@ -114,10 +109,9 @@ class TestReport:
 
 
 class TestArgValidation:
-    """--workers and --budget must be rejected cleanly when non-positive."""
+    """--budget must be rejected cleanly when non-positive."""
 
     @pytest.mark.parametrize("flag,value", [
-        ("--workers", "0"), ("--workers", "-2"),
         ("--budget", "0"), ("--budget", "-5"), ("--budget", "abc"),
     ])
     @pytest.mark.parametrize("command", ["optimize", "run"])
@@ -129,7 +123,19 @@ class TestArgValidation:
 
     def test_positive_values_accepted(self, capsys):
         assert main(["run", "mlp", "--batch", "8", "--method", "in-core",
-                     "--workers", "1", "--budget", "10"]) == 0
+                     "--budget", "10"]) == 0
+
+    @pytest.mark.parametrize("flag", [
+        "--workers=2", "--no-prune", "--no-incremental",
+        "--no-incremental-step2", "--no-vectorize",
+    ])
+    @pytest.mark.parametrize("command", ["optimize", "run"])
+    def test_search_speed_flags_removed(self, command, flag, capsys):
+        # the search runs one configuration: speed knobs are not options
+        with pytest.raises(SystemExit) as e:
+            main([command, "mlp", flag])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-8", "abc"])
     def test_bad_batch_rejected(self, value, capsys):

@@ -248,7 +248,6 @@ class TestPlanPreservation:
         assert s["sims_step2_resumed"] == result.stats.sims_step2_resumed
         assert s["step2_rounds_run"] == result.stats.step2_rounds
         assert s["r_recomputed"] == result.stats.r_recomputed
-        assert s["r_reused"] == result.stats.r_reused
         assert s["keep_probes_elided"] == result.stats.keep_probes_elided
         if result.stats.r_rounds:
             import math

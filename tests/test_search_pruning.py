@@ -7,12 +7,15 @@ replay may only change how much work the search does, never what it returns.
   fresh ``ScheduleBuilder`` build for the same classification;
 * a ``FastEngine`` replay resumed from any of its own checkpoints must
   reproduce the full run bit-for-bit;
-* the pruned + incremental search must return the identical plan, predicted
-  time and peak memory as the exhaustive scan, across the model zoo
-  (``FAULT_SEED`` shifts the profiled machine/model mix like the fault
-  property harness);
-* the ``prune`` knob must be part of the plan-cache signature, the
-  ``incremental`` knob must not be.
+* the pruned + incremental search must return the identical plan,
+  predicted time and peak memory as the exhaustive from-scratch scan (the
+  oracle predictor with pruning off), across the model zoo;
+* resumed replays count against the simulation budget exactly like the
+  oracle's from-scratch ones, so budget truncation is unchanged;
+* the leaf cursor skips exactly the subtrees its bounds rule out.
+
+The search-wide equivalence against the (pruning) oracle search, and the
+admissibility of the pruning bounds, live in ``tests/test_search_oracle.py``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import random
 import pytest
 
 from repro.gpusim.fastengine import _STREAM_ORDER, FastEngine
-from repro.hw import X86_V100
-from repro.models import build_model, poster_example, small_cnn
+from repro.models import build_model
+from repro.pooch import classifier as classifier_mod
 from repro.pooch.classifier import (
     PoochClassifier,
     PoochConfig,
@@ -39,7 +42,13 @@ from repro.pooch.predictor import (
 from repro.runtime.plan import Classification, MapClass
 from repro.runtime.profiler import run_profiling
 from repro.runtime.schedule import ScheduleBuilder, apply_keep_delta
-from tests.conftest import tiny_machine
+from tests.conftest import (
+    OraclePredictor,
+    SerialPredictor,
+    classifier_on,
+    search_fingerprint,
+    tiny_machine,
+)
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
@@ -251,33 +260,46 @@ def test_alloc_on_ready_drafts_refuse_checkpointing():
     assert eng.checkpoints == []
 
 
+class _NoBounds:
+    """Bounds that never prune: the cursor walks every enumerated leaf."""
+
+    def __init__(self, *args) -> None:
+        pass
+
+    def lower_bound(self, committed) -> float:
+        return float("-inf")
+
+
 @pytest.mark.parametrize("name,batch", _ZOO)
-def test_search_equivalence_across_zoo(name, batch):
+def test_search_equivalence_across_zoo(name, batch, monkeypatch):
     """Pruned + incremental search chooses the identical plan (key,
-    predicted time, peak memory) as the exhaustive from-scratch scan."""
+    predicted time, peak memory) as the exhaustive from-scratch scan: the
+    oracle predictor walking every leaf, with pruning turned off."""
     g = _graph(name, batch)
     prof = run_profiling(g, _MACHINE)
     results = {}
-    for label, prune, inc in (("exhaustive", False, False),
-                              ("optimized", True, True)):
-        cfg = PoochConfig(prune=prune, incremental=inc)
-        clf = PoochClassifier(g, prof, _MACHINE, config=cfg)
+    for label in ("optimized", "exhaustive"):
+        if label == "exhaustive":
+            monkeypatch.setattr(classifier_mod, "_StepOneBounds", _NoBounds)
+            clf = classifier_on(OraclePredictor, g, prof, _MACHINE)
+        else:
+            clf = PoochClassifier(g, prof, _MACHINE, config=PoochConfig())
         cls, stats = clf.classify()
         out = clf.predictor.predict(cls)
         results[label] = (cls.key(), out.time, out.peak_memory,
-                          clf.predictor.simulations)
+                          stats.subtrees_pruned)
     ex, opt = results["exhaustive"], results["optimized"]
+    assert ex[3] == 0
     assert opt[:3] == ex[:3], f"plans differ: {ex} vs {opt}"
 
 
 def test_incremental_resumes_and_stats_populated():
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _MACHINE)
-    # vectorize=False: this test is about the *event-engine* replay modes
-    # (full vs prefix-resumed); under vectorization most step-1 sims never
+    # no lockstep sweeps: this test is about the *event-engine* replay
+    # modes (full vs prefix-resumed); with sweeps most step-1 sims never
     # touch the event engines at all
-    clf = PoochClassifier(g, prof, _MACHINE,
-                          config=PoochConfig(vectorize=False))
+    clf = classifier_on(SerialPredictor, g, prof, _MACHINE)
     _cls, stats = clf.classify()
     assert stats.wall_time_s > 0.0
     assert stats.leaves_total >= stats.leaves_evaluated > 0
@@ -307,17 +329,39 @@ def test_vectorized_stats_account_for_all_simulations():
 
 
 def test_incremental_counters_do_not_change_budget():
-    """`simulations` (the budget meter) counts resumed replays exactly like
-    full ones, so budget truncation is incremental-independent."""
+    """`simulations` (the budget meter) counts resumed replays and swept
+    outcomes exactly like the oracle's from-scratch simulations, so budget
+    truncation is independent of how each simulation ran."""
     g = _graph("small_cnn", 8)
     prof = run_profiling(g, _MACHINE)
+    cfg = PoochConfig(step1_sim_budget=40)
     counts = {}
-    for inc in (False, True):
-        cfg = PoochConfig(incremental=inc, step1_sim_budget=40)
-        clf = PoochClassifier(g, prof, _MACHINE, config=cfg)
+    for label, clf in (
+        ("oracle", classifier_on(OraclePredictor, g, prof, _MACHINE, cfg)),
+        ("search", PoochClassifier(g, prof, _MACHINE, config=cfg)),
+    ):
         cls, stats = clf.classify()
-        counts[inc] = (clf.predictor.simulations, cls.key())
-    assert counts[False] == counts[True]
+        counts[label] = (clf.predictor.simulations,
+                         search_fingerprint(cls, stats))
+    assert counts["search"] == counts["oracle"]
+
+
+def test_budget_truncated_mid_leaf_matches_oracle():
+    """A search whose step-1 budget runs out inside a leaf stops at the
+    same candidate, with the same plan, as the oracle search."""
+    g = _graph("resnet18", 4)
+    prof = run_profiling(g, _MACHINE)
+    cfg = PoochConfig(step1_sim_budget=20)  # runs out inside leaf 1
+    results = {}
+    for label, clf in (
+        ("oracle", classifier_on(OraclePredictor, g, prof, _MACHINE, cfg)),
+        ("search", PoochClassifier(g, prof, _MACHINE, config=cfg)),
+    ):
+        cls, stats = clf.classify()
+        assert stats.budget_exhausted
+        results[label] = (clf.predictor.simulations,
+                          search_fingerprint(cls, stats))
+    assert results["search"] == results["oracle"]
 
 
 class _FakeBounds:
@@ -355,37 +399,3 @@ def test_leaf_cursor_prunes_poisoned_subtree():
     assert len(seen) == 4
     assert stats.subtrees_pruned == 1
     assert stats.leaves_pruned == 4
-
-
-def test_no_prune_cursor_visits_everything():
-    exact = [0, 1]
-    leaves = [(0, 1), (0,), (1,), ()]
-    stats = SearchStats()
-    cursor = _LeafCursor(leaves, exact, None, stats)
-    seen = []
-    while True:
-        nxt = cursor.next(best_time=-1.0)  # incumbent beats every bound
-        if nxt is None:
-            break
-        seen.append(nxt[1])
-    assert seen == leaves
-    assert stats.subtrees_pruned == 0
-
-
-def test_prune_knob_is_in_plan_signature_incremental_is_not():
-    base = PoochConfig()
-    assert PoochConfig(prune=False).signature() != base.signature()
-    assert PoochConfig(incremental=False).signature() == base.signature()
-    assert PoochConfig(workers=4).signature() == base.signature()
-
-
-def test_plan_cache_misses_across_prune_setting(tmp_path):
-    from repro.runtime.plan_io import PlanCache
-
-    g = small_cnn(4)
-    cache = PlanCache(tmp_path)
-    cls = Classification.all_swap(g)
-    on, off = PoochConfig(prune=True), PoochConfig(prune=False)
-    cache.store_plan(g, X86_V100, on.signature(), cls, predicted_time=1.0)
-    assert cache.load_plan(g, X86_V100, on.signature()) is not None
-    assert cache.load_plan(g, X86_V100, off.signature()) is None

@@ -248,10 +248,25 @@ class TestResolve:
         {"model": "mlp", "config": {"warp_drive": 9}},
         {"model": "mlp", "config": ["not", "a", "dict"]},
         {"model": "mlp", "input_size": "wide"},
+        # config values fail at resolve, not inside the leader's search
+        {"model": "mlp", "config": {"budget": "x"}},
+        {"model": "mlp", "config": {"capacity_margin": "1"}},
+        {"model": "mlp", "config": {"budget": True}},
+        {"model": "mlp", "config": {"capacity_margin": -5}},
+        # search speed knobs are not configurable
+        {"model": "mlp", "config": {"workers": 2}},
+        {"model": "mlp", "config": {"prune": False}},
+        {"model": "mlp", "config": {"incremental": False}},
+        {"model": "mlp", "config": {"incremental_step2": False}},
+        {"model": "mlp", "config": {"vectorize": False}},
     ])
     def test_bad_requests_rejected(self, broken):
-        with pytest.raises(BadRequest):
+        with pytest.raises(BadRequest) as e:
             ServePlanner().resolve(broken)
+        config = broken.get("config")
+        if isinstance(config, dict):
+            for key, value in config.items():
+                assert repr(key) in str(e.value) or repr(value) in str(e.value)
 
     def test_multi_device_request_changes_machine(self):
         p = ServePlanner()
@@ -594,6 +609,13 @@ class TestHTTP:
         with pytest.raises(ServeClientError) as e:
             client.submit("no-such-model")
         assert e.value.status == 400
+        for config, named in (({"budget": "x"}, "'x'"),
+                              ({"capacity_margin": -5}, "-5"),
+                              ({"workers": 2}, "'workers'")):
+            with pytest.raises(ServeClientError) as e:
+                client.submit("mlp", batch=8, config=config)
+            assert e.value.status == 400
+            assert named in e.value.body["error"]
 
     def test_unknown_job_maps_to_404(self, server):
         client = PlannerClient(server.url)

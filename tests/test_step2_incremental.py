@@ -1,5 +1,5 @@
 """Incremental step-2 search: recompute-delta drafts, resumable r(X) probes,
-cross-round r-value reuse.
+keep-probe elision.
 
 Same contract as ``tests/test_search_pruning.py``, extended to step 2: the
 incremental machinery may only change how much work the swap-vs-recompute
@@ -9,13 +9,14 @@ loop does, never what it returns.
   identical to a fresh ``ScheduleBuilder`` build for the same classification,
   for every swap-in policy and random keep/recompute partitions across the
   model zoo;
-* the full search must choose the bit-identical plan — classification key,
-  predicted time, peak memory AND the r(X) table the choice was derived
-  from — with ``incremental_step2`` on and off, on multiple machines and
-  under fault-injected profile noise (``FAULT_SEED`` shifts the noise like
-  the fault property harness);
-* the dirty-set/resume machinery must actually cut work: step-2 full
-  simulations drop at least 3x on a step-2-heavy configuration;
+* step 2 run from the same step-1 plan returns the identical plan,
+  predicted time, peak memory and r(X) table with its machinery on (the
+  search) and off (the oracle's from-scratch step 2), on both machines;
+* the resume machinery must actually cut work: on a step-2-heavy
+  configuration the search runs at least 3x fewer full step-2 simulations
+  than the oracle's from-scratch step 2 simulates, for the same plan
+  (zoo-wide plan identity against the oracle lives in
+  ``tests/test_search_oracle.py``);
 * keep-probe elision is sound by construction: ``liveness_floor`` is an
   admissible bound (never above a feasible run's simulated peak), so a
   floor above capacity proves the simulation could only answer
@@ -27,9 +28,7 @@ loop does, never what it returns.
   answering probes that way drafts the step-1 keep set once per step 2,
   not once per probe;
 * the predictor's resume index is built on first use, and building it
-  eagerly instead changes neither the plan nor any step-2 counter;
-* the ``incremental_step2`` knob IS part of the plan-cache signature (its
-  exactness is empirical, not structural — unlike ``incremental``).
+  eagerly instead changes neither the plan nor any step-2 counter.
 """
 
 from __future__ import annotations
@@ -57,7 +56,12 @@ from repro.runtime.schedule import (
     apply_recompute_delta,
     liveness_floor,
 )
-from tests.conftest import tiny_machine
+from tests.conftest import (
+    OraclePredictor,
+    classifier_on,
+    search_fingerprint,
+    tiny_machine,
+)
 from tests.test_search_pruning import _ZOO, _assert_drafts_equal, _graph
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -228,40 +232,6 @@ def test_recompute_delta_rejects_bad_inputs():
                               set(), {recable[0]})
 
 
-@pytest.mark.parametrize("machine", [_MACHINE, _SLOW],
-                         ids=lambda m: m.name)
-@pytest.mark.parametrize("name,batch", _ZOO)
-def test_step2_plans_bit_identical_on_off(name, batch, machine):
-    """The whole search returns the identical plan, predicted outcome and
-    r(X) table with incremental step 2 on and off."""
-    g = _graph(name, batch)
-    prof = run_profiling(g, machine)
-    results = {}
-    for s2 in (True, False):
-        clf = PoochClassifier(g, prof, machine,
-                              config=PoochConfig(incremental_step2=s2))
-        cls, stats = clf.classify()
-        out = clf.predictor.predict(cls)
-        results[s2] = (cls.key(), out.time, out.peak_memory,
-                       stats.r_values, stats.flips_to_recompute)
-    assert results[True] == results[False]
-
-
-def test_step2_plans_identical_under_profile_noise():
-    """Bit-identity must survive a perturbed (fault-injected) profile."""
-    from repro.pooch import PoocH
-
-    g = _graph("resnet18", 4)
-    spec = "profile_noise=0.05"
-    results = {}
-    for s2 in (True, False):
-        res = PoocH(_SLOW, PoochConfig(incremental_step2=s2), faults=spec,
-                    fault_seed=FAULT_SEED).optimize(g)
-        results[s2] = (res.classification.key(), res.predicted.time,
-                       res.stats.r_values)
-    assert results[True] == results[False]
-
-
 def test_step2_resume_and_round_stats_populated():
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
@@ -272,32 +242,57 @@ def test_step2_resume_and_round_stats_populated():
     # one r-value history entry per round (bounded), first == r_values
     assert len(stats.r_rounds) == min(stats.step2_rounds, R_ROUNDS_LIMIT)
     assert stats.r_rounds[0] == stats.r_values
-    assert stats.r_recomputed + stats.r_reused == sum(
-        len(r) for r in stats.r_rounds)
+    assert stats.r_recomputed == sum(len(r) for r in stats.r_rounds)
     # EAGER is the resumable policy: most r(X) probes resume mid-replay
     assert stats.sims_step2_resumed > stats.sims_step2_full
-    # reuse never serves a value the round would not have recomputed: every
-    # r(X) published per round covers exactly the surviving pool
+    # every r(X) published per round covers exactly the surviving pool
     for earlier, later in zip(stats.r_rounds, stats.r_rounds[1:]):
         assert set(later) <= set(earlier)
 
 
+def _search_and_oracle_step2(g, prof, machine):
+    """The search, and the oracle's step 2 run from the search's step-1
+    plan.  The oracle's step 1 is the slow half; the oracle harness
+    (``tests/test_search_oracle.py``) compares it."""
+    step1, _ = PoochClassifier(g, prof, machine).classify(steps=1)
+    got = PoochClassifier(g, prof, machine).classify()
+    oracle = classifier_on(OraclePredictor, g, prof, machine)
+    oracle.predictor.predict(step1)  # cached after step 1, as in a search
+    return got, (oracle._step2_swap_vs_recompute(step1), oracle.stats)
+
+
+@pytest.mark.parametrize("machine", [_MACHINE, _SLOW],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("name,batch", _ZOO)
+def test_step2_plans_bit_identical_on_off(name, batch, machine):
+    """Step 2 with its machinery on (the search: delta drafts, resumed
+    r(X) probes, keep-probe elision) and off (the oracle's from-scratch
+    step 2 from the same step-1 plan) returns the identical plan,
+    predicted outcome and r(X) table."""
+    g = _graph(name, batch)
+    prof = run_profiling(g, machine)
+    on, off = _search_and_oracle_step2(g, prof, machine)
+    predictor = PoochClassifier(g, prof, machine).predictor
+    results = {}
+    for label, (cls, stats) in (("on", on), ("off", off)):
+        out = predictor.predict(cls)
+        results[label] = (cls.key(), out.time, out.peak_memory,
+                          stats.r_values, stats.flips_to_recompute)
+    assert results["on"] == results["off"]
+
+
 def test_step2_full_sims_cut_at_least_3x():
     """The acceptance criterion at test scale: on a step-2-heavy config the
-    incremental path does >= 3x fewer full step-2 simulations for the
-    bit-identical plan."""
+    search does >= 3x fewer full step-2 simulations than the oracle, which
+    simulates every step-2 candidate from scratch, for the bit-identical
+    plan."""
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
-    results = {}
-    for s2 in (True, False):
-        clf = PoochClassifier(g, prof, _SLOW,
-                              config=PoochConfig(incremental_step2=s2))
-        cls, stats = clf.classify()
-        results[s2] = (stats.sims_step2_full, cls.key())
-    assert results[True][1] == results[False][1]
-    assert results[False][0] >= 3 * max(results[True][0], 1), (
+    (cls, stats), (ref_cls, ref) = _search_and_oracle_step2(g, prof, _SLOW)
+    assert cls.key() == ref_cls.key()
+    assert ref.sims_step2 >= 3 * max(stats.sims_step2_full, 1), (
         f"expected >=3x fewer full step-2 sims, got "
-        f"{results[False][0]} -> {results[True][0]}"
+        f"{ref.sims_step2} -> {stats.sims_step2_full}"
     )
 
 
@@ -474,61 +469,29 @@ def test_lazy_resume_index_leaves_the_search_unchanged(monkeypatch):
 
 def test_keep_probe_elision_cuts_sims():
     """On a memory-tight machine every keep probe is provably infeasible:
-    the incremental arm answers them from the liveness floor and halves the
-    probe simulations, without touching any r-value."""
+    the search answers them from the liveness floor and halves the probe
+    simulations against the oracle (which elides nothing), without
+    touching any r-value."""
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
-    results = {}
-    for s2 in (True, False):
-        clf = PoochClassifier(g, prof, _SLOW,
-                              config=PoochConfig(incremental_step2=s2))
-        cls, stats = clf.classify()
-        results[s2] = (cls.key(), stats.r_rounds, stats)
-    on, off = results[True][2], results[False][2]
-    assert results[True][:2] == results[False][:2]
+    (on_cls, on), (off_cls, off) = _search_and_oracle_step2(g, prof, _SLOW)
+    assert (on_cls.key(), on.r_rounds) == (off_cls.key(), off.r_rounds)
     assert off.keep_probes_elided == 0
     assert on.keep_probes_elided > 0
-    # an elided probe is one keep simulation the exhaustive arm had to run
-    assert on.keep_probes_elided <= on.r_recomputed + on.r_reused
+    # an elided probe is one keep simulation the oracle had to run
+    assert on.keep_probes_elided <= on.r_recomputed
     assert on.sims_step2 < off.sims_step2
-
-
-def test_step2_counters_identical_across_workers():
-    """The memoization absorbs parallel results in serial evaluation order:
-    worker fan-out must not change any search counter or the plan."""
-    g = _graph("small_cnn", 8)
-    prof = run_profiling(g, _SLOW)
-    results = {}
-    for workers in (1, 2):
-        clf = PoochClassifier(g, prof, _SLOW,
-                              config=PoochConfig(workers=workers))
-        cls, stats = clf.classify()
-        results[workers] = (cls.key(), stats.sims_step2, stats.r_recomputed,
-                            stats.r_reused, stats.step2_rounds,
-                            stats.r_rounds)
-    assert results[1] == results[2]
-
-
-def test_step2_knob_is_in_plan_signature():
-    """Unlike ``incremental`` (provably plan-preserving), the step-2 knob's
-    exactness is established empirically, so it keys the plan cache."""
-    base = PoochConfig()
-    assert PoochConfig(incremental_step2=False).signature() != base.signature()
-    assert PoochConfig(incremental=False).signature() == base.signature()
-    assert PoochConfig(workers=4).signature() == base.signature()
 
 
 def test_non_eager_policies_fall_back_to_full_builds():
     """NAIVE/SUPERNEURONS swap-in triggers are not recompute-resumable; the
-    gate must quietly fall back without changing the chosen plan."""
+    gate must quietly fall back to full builds and choose the oracle's
+    plan."""
     g = _graph("poster_example", 2)
     prof = run_profiling(g, _MACHINE)
     for policy in (SwapInPolicy.NAIVE, SwapInPolicy.SUPERNEURONS):
-        results = {}
-        for s2 in (True, False):
-            clf = PoochClassifier(
-                g, prof, _MACHINE,
-                config=PoochConfig(policy=policy, incremental_step2=s2))
-            cls, stats = clf.classify()
-            results[s2] = (cls.key(), stats.r_values)
-        assert results[True] == results[False]
+        cfg = PoochConfig(policy=policy)
+        got = PoochClassifier(g, prof, _MACHINE, config=cfg).classify()
+        want = classifier_on(OraclePredictor, g, prof, _MACHINE,
+                             cfg).classify()
+        assert search_fingerprint(*got) == search_fingerprint(*want)

@@ -1,10 +1,10 @@
 """VectorEngine == FastEngine == Engine: the lockstep sweep is *bit-identical*.
 
-The vectorized search path (``PoochConfig.vectorize``) rests on the lockstep
-replay agreeing with both event engines float-for-float — same makespans,
-same per-task start/end times, same allocator high-water marks, and the same
-OOM attribution for infeasible plans (the stall diagnosis).  This harness
-checks that three ways:
+The search's lockstep sweeps rest on the lockstep replay agreeing with both
+event engines float-for-float — same makespans, same per-task start/end
+times, same allocator high-water marks, and the same OOM attribution for
+infeasible plans (the stall diagnosis).  This harness checks that three
+ways:
 
 * a three-way differential on fixed plans, random mixed plans, and the
   whole model zoo under seeded duration noise (``FAULT_SEED`` shifts the
@@ -12,7 +12,8 @@ checks that three ways:
 * the conditional keep-flip tables: a ``run_batch`` row for keep-set S must
   equal a from-scratch ``ScheduleBuilder`` draft for the classification
   that keeps S, replayed on ``FastEngine`` — the compiled family and the
-  rebuilt schedule are two independent constructions of the same plan;
+  rebuilt schedule are two independent constructions of the same plan —
+  for every zoo model on both quarter-memory machines;
 * same-instant completions: with every duration on a coarse grid, several
   streams of one row complete together and two last edges can empty one
   buffer at once — keep-flip and duration-matrix batches must still match
@@ -22,8 +23,8 @@ checks that three ways:
   express must refuse at compile time (``VectorUnsupported``), never
   silently diverge.
 
-End-to-end plan identity (``vectorize`` on/off through the full search) is
-covered zoo-wide in ``TestSearchPlanIdentity``.
+End-to-end plan identity of the search against its oracle is covered in
+``tests/test_search_oracle.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.gpusim.vecengine import (
 from repro.hw import CostModel, POWER9_V100, X86_V100, scaled_machine
 from repro.models import linear_chain, poster_example, small_cnn
 from repro.models.zoo import MODEL_ZOO
-from repro.pooch import PoocH, PoochConfig
+from repro.pooch import PoocH
 from repro.runtime.durations import CostModelDurations
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
 from repro.runtime.profiler import run_profiling
@@ -187,6 +188,13 @@ class TestZooEquivalenceUnderNoise:
             assert_three_way(graph, cls, self.MACHINE, durations)
 
 
+#: quarter-memory paper machines: the zoo models at batch 2 go out-of-core
+_QUARTER_MACHINES = [
+    scaled_machine(X86_V100, mem_scale=0.25, name="x86_quarter"),
+    scaled_machine(POWER9_V100, mem_scale=0.25, name="p9_quarter"),
+]
+
+
 class TestKeepFlipFamily:
     """A ``run_batch`` row must equal an independent from-scratch draft for
     the classification it encodes — compiled conditional tables vs a fresh
@@ -204,15 +212,19 @@ class TestKeepFlipFamily:
         return (VectorEngine(tables), [f.map_id for f in flips], base,
                 durations, capacity, host_cap)
 
-    def _check(self, graph, machine, seed, rows=16):
+    def _check(self, graph, machine, seed, rows=16) -> int:
+        """Compare ``rows`` random keep rows; return how many ran feasibly.
+        Row r keeps each map with probability r / rows, so the batch ramps
+        from all-swap toward all-keep and crosses the capacity wall."""
         engine, maps, base, durations, capacity, host_cap = self._family(
             graph, machine)
         rng = random.Random(seed)
         keep = np.zeros((rows, len(maps)), bool)
         for r in range(rows):
             for c in range(len(maps)):
-                keep[r, c] = rng.random() < 0.5
+                keep[r, c] = rng.random() < r / rows
         outs = engine.run_batch(keep)
+        feasible = 0
         options = ScheduleOptions(policy=SwapInPolicy.EAGER)
         for r, out in enumerate(outs):
             cls = base.with_classes(
@@ -233,6 +245,15 @@ class TestKeepFlipFamily:
             assert out.makespan == makespan
             assert out.device_peak == device_peak
             assert out.host_peak == host_peak
+            feasible += 1
+        return feasible
+
+    @pytest.mark.parametrize("machine", _QUARTER_MACHINES,
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+    def test_zoo_family(self, name, machine):
+        graph = MODEL_ZOO[name](batch=2)
+        assert self._check(graph, machine, FAULT_SEED + 5) >= 1
 
     def test_small_cnn_family(self):
         self._check(small_cnn(), tiny_machine(mem_mib=160), FAULT_SEED + 1)
@@ -487,45 +508,16 @@ class TestFallbackMatrix:
         machine = tiny_machine(mem_mib=224)
         profile = run_profiling(g, machine, forward_refetch_gap=2)
         predictor = TimelinePredictor(g, profile, machine,
-                                      forward_refetch_gap=2, vectorize=True)
+                                      forward_refetch_gap=2)
         assert predictor.vector_flip_index() is None
 
 
 class TestSearchPlanIdentity:
-    """``vectorize`` flips how step-1/step-2 outcomes are *computed*, never
-    what the search returns: zoo-wide, the chosen plan, its predicted time
-    and the full search accounting must be bit-identical on/off."""
-
-    MACHINES = [
-        scaled_machine(X86_V100, mem_scale=0.25, name="x86_quarter"),
-        scaled_machine(POWER9_V100, mem_scale=0.25, name="p9_quarter"),
-    ]
-
-    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
-    def test_zoo_plan_identity(self, name, machine):
-        graph = MODEL_ZOO[name](batch=2)
-        try:
-            profile = run_profiling(graph, machine)
-        except OutOfMemoryError:
-            pytest.skip("all-swap profiling infeasible at this scale")
-        results = {}
-        for vec in (True, False):
-            cfg = PoochConfig(vectorize=vec)
-            res = PoocH(machine, cfg).optimize(graph, profile)
-            s = res.stats
-            results[vec] = (
-                res.classification.key(), res.predicted.time,
-                res.predicted.peak_memory, s.sims_step1, s.sims_step2,
-                s.time_after_step1, s.time_after_step2, s.leaves_evaluated,
-                tuple(sorted(s.r_values.items())),
-                tuple(s.flips_to_recompute),
-            )
-        assert results[True] == results[False]
+    """The search actually takes the lockstep path on a zoo model."""
 
     def test_vectorized_search_actually_vectorizes(self):
-        machine = self.MACHINES[0]
+        machine = _QUARTER_MACHINES[0]
         graph = MODEL_ZOO["resnet18"](batch=2)
-        res = PoocH(machine, PoochConfig()).optimize(graph)
+        res = PoocH(machine).optimize(graph)
         assert res.stats.sims_vectorized > 0
         assert res.stats.vector_sweeps > 0
