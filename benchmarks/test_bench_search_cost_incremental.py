@@ -1,9 +1,10 @@
 """Search cost of the one search configuration on the headline problem.
 
 The search runs one configuration: branch-and-bound pruning of the step-1
-tree, delta drafts resumed from sibling checkpoints, liveness-floor elision
-of step-2 keep probes, and lockstep vectorization of keep/swap candidates
-(event engines as fallback for everything else).  Each mechanism's
+tree, delta drafts, liveness-floor elision of step-2 keep probes, and
+lockstep sweeps of every candidate — step 1's keep/swap family, and one
+variant-family sweep per step-2 round (event engines as fallback for
+inexpressible drafts).  Each mechanism's
 marginal wall was measured when the switches that turned them off were
 deleted; this benchmark records where the remaining search wall goes on
 ResNet-50 (batch=256, x86) with an untruncated budget.
@@ -12,8 +13,10 @@ Gates the configuration can still fail:
 
 * the plan digest and ground-truth makespan equal the ``r50-x86-exact``
   entry of ``benchmarks/e2e/expected.json`` (the same problem);
-* every step-1 candidate of the untruncated tree is simulated, all of them
-  by lockstep sweeps: ``sims_step1 == sims_vectorized == 25,223``;
+* every candidate of the untruncated tree is simulated, all of them by
+  lockstep sweeps — step 1's 25,223 and step 2's 42 recompute probes:
+  ``sims_vectorized == sims_step1 + sims_step2 == 25,265`` and
+  ``sims_fallback == 0``;
 * the liveness floor answers all 42 step-2 keep probes without simulating.
 
 Speed is gated by the end-to-end benchmark (``python -m benchmarks.e2e``),
@@ -68,8 +71,6 @@ def test_bench_search_cost_incremental(benchmark, report, results_dir):
             "step2": s.sims_step2,
             "vectorized": s.sims_vectorized,
             "fallback": s.sims_fallback,
-            "full": s.sims_full,
-            "resumed": s.sims_resumed,
             "vector_sweeps": s.vector_sweeps,
             "vector_candidates": s.vector_candidates,
         },
@@ -82,8 +83,6 @@ def test_bench_search_cost_incremental(benchmark, report, results_dir):
         "step2": {
             "rounds": s.step2_rounds,
             "r_values": s.r_recomputed,
-            "full": s.sims_step2_full,
-            "resumed": s.sims_step2_resumed,
             "keep_elided": s.keep_probes_elided,
         },
     }
@@ -100,16 +99,15 @@ def test_bench_search_cost_incremental(benchmark, report, results_dir):
         f"{s.leaves_total} leaves evaluated, {s.subtrees_pruned} subtrees "
         "pruned\n"
         f"  simulations: {s.sims_vectorized} lockstep + {s.sims_fallback} "
-        f"event-engine ({s.sims_full} full + {s.sims_resumed} resumed) "
-        f"over {s.vector_sweeps} sweeps ({s.vector_candidates} speculated "
-        "rows)\n"
-        f"  step 2: {s.step2_rounds} rounds, {s.sims_step2} simulations "
-        f"({s.sims_step2_full} full + {s.sims_step2_resumed} resumed), "
+        f"event-engine over {s.vector_sweeps} sweeps "
+        f"({s.vector_candidates} speculated rows)\n"
+        f"  step 2: {s.step2_rounds} rounds, {s.sims_step2} simulations, "
         f"{s.keep_probes_elided} keep probes elided\n"
         f"  plan {digest}, ground truth {timeline.makespan * 1e3:.3f} ms",
     )
 
     assert (digest, timeline.makespan) == (want["digest"], want["makespan_s"])
     assert not s.budget_exhausted
-    assert s.sims_step1 == s.sims_vectorized == 25_223
+    assert s.sims_vectorized == s.sims_step1 + s.sims_step2 == 25_265
+    assert s.sims_fallback == 0
     assert s.keep_probes_elided == 42

@@ -75,11 +75,9 @@ class RobustnessRow:
     #: lockstep vs serial split of the sweep's seeds
     rows_vectorized: int = 0
     rows_fallback: int = 0
-    #: search cost of this row's (re-)optimization: simulations executed,
-    #: split into full replays and prefix-shared resumes, plus wall time
+    #: search cost of this row's (re-)optimization: simulations executed
+    #: (lockstep and serial alike), plus wall time
     search_sims: int = 0
-    search_sims_full: int = 0
-    search_sims_resumed: int = 0
     search_wall_s: float = 0.0
 
 
@@ -248,9 +246,7 @@ def robustness_report(
             fallback_path=path,
             rows_vectorized=sum(o.vectorized for o in outcomes),
             rows_fallback=sum(not o.vectorized for o in outcomes),
-            search_sims=result.stats.sims_full + result.stats.sims_resumed,
-            search_sims_full=result.stats.sims_full,
-            search_sims_resumed=result.stats.sims_resumed,
+            search_sims=result.stats.sims_step1 + result.stats.sims_step2,
             search_wall_s=result.stats.wall_time_s,
         ))
     return report

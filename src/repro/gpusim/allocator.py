@@ -120,21 +120,6 @@ class MemoryPool:
         if self._track:
             self.trace.append(AllocEvent(time, "free", buffer, size, self.in_use))
 
-    # -- checkpointing -----------------------------------------------------------
-
-    def snapshot_state(self) -> tuple[dict[str, int], int, int]:
-        """Copy of (resident sizes, bytes in use, peak) — the full mutable
-        state of a counting pool, for mid-simulation engine checkpoints.
-        Only meaningful with ``track=False`` (the trace is not captured)."""
-        return dict(self._sizes), self.in_use, self.peak
-
-    def restore_state(self, sizes: dict[str, int], in_use: int,
-                      peak: int) -> None:
-        """Install a state captured by :meth:`snapshot_state`."""
-        self._sizes = dict(sizes)
-        self.in_use = in_use
-        self.peak = peak
-
     # -- reporting ---------------------------------------------------------------
 
     def usage_curve(self) -> list[tuple[float, int]]:

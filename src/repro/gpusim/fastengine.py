@@ -37,80 +37,6 @@ _STREAM_ORDER = (StreamName.COMPUTE, StreamName.D2H, StreamName.H2D)
 _N_STREAMS = len(_STREAM_ORDER)
 
 
-class EngineCheckpoint:
-    """Complete mutable state of a :class:`FastEngine` at an event-loop
-    fixpoint (post-scan, nothing issuable), keyed by task id so it can be
-    replanted onto a *different* engine whose schedule shares the simulated
-    prefix.
-
-    Validity for a candidate schedule B, given per-stream divergence
-    positions ``P[s]`` — the first queue position whose task (or whose
-    engine-visible effect: issue decision, allocation, or free) differs
-    from the schedule that recorded the checkpoint: for every stream,
-    ``cursors[s] <= P[s]``, and where ``cursors[s] == P[s]`` the head of
-    B's queue at that position (if any) must be dependency-blocked against
-    ``completed``/``inflight``.  Dependency completion is monotone, so a
-    head blocked *at* the checkpoint was blocked at every earlier scan —
-    B's from-scratch run provably replays the exact same events, which is
-    what makes resumed results bit-identical.  The predictor derives the
-    ``P[s]`` in O(1) per flipped map from the shared all-swap base draft
-    (see :mod:`repro.pooch.predictor` and DESIGN.md).
-
-    Capture is O(in-flight): pool contents are *not* copied — a resuming
-    engine reconstructs residency from its own alloc lists and free
-    countdowns, which agree with the recording run on the shared prefix.
-    """
-
-    __slots__ = (
-        "now", "seq", "completed_src", "progress", "inflight", "cursors",
-        "busy", "dev_in_use", "dev_peak", "host_in_use", "host_peak",
-        "_completed_set", "_started_set",
-    )
-
-    def __init__(self, now, seq, completed_src, progress, inflight, cursors,
-                 busy, dev_in_use, dev_peak, host_in_use, host_peak) -> None:
-        self.now = now
-        self.seq = seq
-        #: the recording engine's (append-only) completion-order tid list —
-        #: shared across this engine's checkpoints; the first ``progress``
-        #: entries are the tasks completed at capture time.  Sharing keeps
-        #: capture O(1) in run length.
-        self.completed_src = completed_src
-        self.progress = progress
-        #: (finish_time, seq, tid) of tasks issued but not yet completed
-        self.inflight = inflight
-        self.cursors = cursors
-        self.busy = busy
-        #: bytes-in-use / peak watermarks of the device and host pools
-        self.dev_in_use = dev_in_use
-        self.dev_peak = dev_peak
-        self.host_in_use = host_in_use
-        self.host_peak = host_peak
-        self._completed_set: frozenset | None = None
-        self._started_set: frozenset | None = None
-
-    def completed(self) -> list[str]:
-        """Completed tids in completion order (a copy)."""
-        return self.completed_src[: self.progress]
-
-    def completed_set(self) -> frozenset:
-        """Completed tids as a set (built lazily, cached: validity checks
-        probe the same checkpoint against many candidates)."""
-        s = self._completed_set
-        if s is None:
-            s = self._completed_set = frozenset(self.completed_src[: self.progress])
-        return s
-
-    def started_set(self) -> frozenset:
-        """Completed plus in-flight tids — everything issued by capture."""
-        s = self._started_set
-        if s is None:
-            s = self._started_set = self.completed_set() | frozenset(
-                tid for _, _, tid in self.inflight
-            )
-        return s
-
-
 class FastEngine:
     """Single-use replay of one raw schedule; see module docstring.
 
@@ -137,7 +63,6 @@ class FastEngine:
         index = {tid: i for i, tid in enumerate(tids)}
         n = len(tids)
         self._tids = tids
-        self._index = index
         self._duration = [tasks[t].duration for t in tids]
         self._gated = [tasks[t].memory_gated for t in tids]
         self._headroom = [tasks[t].headroom for t in tids]
@@ -217,18 +142,12 @@ class FastEngine:
         self._prealloc_pending = [i for i in range(n)
                                   if tasks[tids[i]].alloc_on_ready]
         self._prealloc_done = [False] * n
-        #: alloc-on-ready reservations make engine state depend on non-head
-        #: tasks, which the checkpoint validity argument does not cover
-        self.checkpointable = not self._prealloc_pending
 
         self._started = [False] * n
         self._n_completed = 0
-        self._completed_tids: list[str] = []
         self._now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, int]] = []
-        #: checkpoints recorded by ``run(checkpoint_every=...)``
-        self.checkpoints: list[EngineCheckpoint] = []
 
     # -- issue machinery ---------------------------------------------------------
 
@@ -353,7 +272,6 @@ class FastEngine:
 
     def _complete(self, i: int) -> None:
         self._n_completed += 1
-        self._completed_tids.append(self._tids[i])
         self._busy[self._stream_of[i]] = False
         self._n_inflight -= 1
         for j in self._dependents[i]:
@@ -406,130 +324,24 @@ class FastEngine:
             "can never issue (cyclic or unsatisfiable deps)"
         )
 
-    # -- checkpoint / resume ------------------------------------------------------
-
-    def _checkpoint(self) -> EngineCheckpoint:
-        """Capture the mutable state (valid only at a post-scan fixpoint,
-        where nothing can issue).  O(in-flight): the pools contribute only
-        their scalar watermarks, residency is reconstructed on restore."""
-        return EngineCheckpoint(
-            now=self._now,
-            seq=self._seq,
-            completed_src=self._completed_tids,
-            progress=self._n_completed,
-            inflight=tuple(
-                (t, seq, self._tids[i]) for t, seq, i in self._heap
-            ),
-            cursors=tuple(self._cursor),
-            busy=tuple(self._busy),
-            dev_in_use=self.device.in_use,
-            dev_peak=self.device.peak,
-            host_in_use=self.host.in_use,
-            host_peak=self.host.peak,
-        )
-
-    def _restore(self, cp: EngineCheckpoint) -> None:
-        """Replant a checkpoint captured on a schedule sharing the simulated
-        prefix: fast-forward dependency countdowns, free counts, stream
-        cursors and pool contents without replaying any event.  The caller
-        is responsible for validity (see the predictor's prefix matching).
-
-        Pool residency is rebuilt from *this* engine's structures: a buffer
-        is resident iff it is preallocated or its allocating task started,
-        and its free countdown has not reached zero.  On the shared prefix
-        this reproduces the recording engine's pool contents exactly (the
-        validity condition guarantees no allocation or free diverged before
-        the checkpoint), while the countdowns themselves are this
-        schedule's own — so the remainder of the run frees buffers exactly
-        when a from-scratch replay would."""
-        index = self._index
-        self._now = cp.now
-        self._seq = cp.seq
-        self._cursor = list(cp.cursors)
-        self._busy = list(cp.busy)
-        rem_deps, rem_starts = self._rem_deps, self._rem_starts
-        free_count = self._free_count
-        allocs = self._allocs
-        dev_sizes: dict[str, int] = {}
-        host_sizes: dict[str, int] = {}
-
-        def place(b) -> None:
-            if free_count.get(b.bid, 1) > 0:
-                sizes = host_sizes if b.host else dev_sizes
-                sizes[b.bid] = round_size(b.nbytes)
-
-        completed = cp.completed()
-        for tid in completed:
-            i = index[tid]
-            self._started[i] = True
-            for j in self._dependents[i]:
-                rem_deps[j] -= 1
-            for j in self._start_dependents[i]:
-                rem_starts[j] -= 1
-            for bid in self._frees_by_task[i]:
-                free_count[bid] -= 1
-        for b in self._prealloc_buffers:
-            place(b)
-        for tid in completed:
-            for b in allocs[index[tid]]:
-                place(b)
-        for t, seq, tid in cp.inflight:
-            i = index[tid]
-            self._started[i] = True
-            for j in self._start_dependents[i]:
-                rem_starts[j] -= 1
-            heapq.heappush(self._heap, (t, seq, i))
-            for b in allocs[i]:
-                place(b)
-            if self._scratch[i]:
-                dev_sizes[f"{tid}#ws"] = round_size(self._scratch[i])
-        self._n_inflight = len(cp.inflight)
-        self._n_completed = len(completed)
-        self._completed_tids = completed
-        self.device.restore_state(dev_sizes, cp.dev_in_use, cp.dev_peak)
-        self.host.restore_state(host_sizes, cp.host_in_use, cp.host_peak)
-
     # -- public ------------------------------------------------------------------
 
-    def run(
-        self,
-        checkpoint_every: int = 0,
-        resume_from: EngineCheckpoint | None = None,
-    ) -> tuple[float, int, int]:
+    def run(self) -> tuple[float, int, int]:
         """Replay to completion; returns (makespan, device peak, host peak).
 
         Raises exactly where the full engine would: ``OutOfMemoryError`` for
         plan infeasibility, ``ScheduleError`` for malformed dependencies.
-
-        ``checkpoint_every=k`` records an :class:`EngineCheckpoint` into
-        :attr:`checkpoints` every ~k completed tasks (skipped when the
-        schedule has alloc-on-ready reservations, whose state the checkpoint
-        validity argument does not cover).  ``resume_from`` replants a
-        checkpoint taken on a prefix-identical schedule instead of starting
-        at t=0 — results are then exactly those of a from-scratch run.
         """
-        registry = metrics.active()
-        if registry is not None:
-            registry.count("engine.fast_runs")
-            if resume_from is not None:
-                registry.count("engine.fast_resumed")
-        if resume_from is None:
-            for b in self._prealloc_buffers:
-                pool = self.host if b.host else self.device
-                pool.malloc(b.bid, b.nbytes, 0.0, context="prealloc")
-        else:
-            self._restore(resume_from)
+        metrics.count("engine.fast_runs")
+        for b in self._prealloc_buffers:
+            pool = self.host if b.host else self.device
+            pool.malloc(b.bid, b.nbytes, 0.0, context="prealloc")
         self._scan()
         heap = self._heap
         heappop = heapq.heappop
         complete = self._complete
         scan = self._scan
-        record = checkpoint_every > 0 and self.checkpointable
-        next_mark = self._n_completed + checkpoint_every
         while heap:
-            if record and self._n_completed >= next_mark:
-                self.checkpoints.append(self._checkpoint())
-                next_mark = self._n_completed + checkpoint_every
             time, _, i = heappop(heap)
             self._now = time
             complete(i)

@@ -1,16 +1,24 @@
 """Lockstep vectorized replay engine for schedule-candidate *families*.
 
 The classification search evaluates thousands of candidate schedules that
-all share one base draft and differ only by keep/swap flips: a kept map
-removes its ``SO``/``SI`` transfer pair and rewires the backward readers of
-the swapped-in instance onto the surviving forward instance (see
-:func:`repro.runtime.schedule.apply_keep_delta`).  :class:`VectorEngine`
-exploits that uniformity: it compiles the base draft once into numpy tables
-(durations, padded dependency lists, rounded memory needs, per-task free
-lists, stream queues) where every flip-dependent task, dependency edge and
-free edge carries a *condition* — "active iff map m is kept" / "active iff
-map m is swapped" — and then simulates K candidates in lockstep as an array
-program: one row of state per candidate, one batched sweep per event round.
+share most of one draft.  :class:`VectorEngine` simulates K of them in
+lockstep as an array program — one row of state per candidate, one batched
+sweep per event round — over either of two compiled families:
+
+* :class:`VectorTables`, a *keep-flip family*: step 1's candidates share
+  one all-swap base draft and differ only by keep/swap flips (a kept map
+  removes its ``SO``/``SI`` transfer pair and rewires the backward readers
+  of the swapped-in instance onto the surviving forward instance, see
+  :func:`repro.runtime.schedule.apply_keep_delta`).  The base draft
+  compiles once into numpy tables (durations, padded dependency lists,
+  rounded memory needs, per-task free lists, stream queues) where every
+  flip-dependent task, dependency edge and free edge carries a
+  *condition* — "active iff map m is kept" / "active iff map m is
+  swapped" — and a (K, maps) keep matrix instantiates the rows;
+* :class:`VariantTables`, a *variant family*: a step-2 round's probes,
+  each a complete delta draft ("current with X recomputed, or kept"), are
+  compiled together — tasks become one slot per distinct variant, and each
+  row seeds its own queues, free counts and task total.
 
 Per round, each candidate independently (at its own simulated clock)
 
@@ -27,11 +35,12 @@ is stream-major, (3, K): lane ``s*K + k`` is row k's stream s, and one
 stream's lanes are contiguous, so the next event time is two
 ``np.minimum`` calls and the scan screens all three streams' openness and
 readiness in one pass.  The per-row countdown tables are task-major
-(n + 1, K) in-degrees and buffer-major (nbuf + 1, K) free counts, int32:
-lockstep rows sit at similar tasks, so a round's gathers and scatters hit a
-few nearby table rows.  Pool counters are released with ``np.bincount``
-(byte sums stay below 2**53, so float64 weights are exact).  A stopped row
-carries NaN finish times, which no comparison selects.
+(n + 1, K) in-degrees and buffer-major (nbuf + 1, K) free counts, int16
+where that is provably exact (else int32): lockstep rows sit at similar
+tasks, so a round's gathers and scatters hit a few nearby table rows.
+Pool counters are released with ``np.bincount`` (byte sums stay below
+2**53, so float64 weights are exact).  A stopped row carries NaN finish
+times, which no comparison selects.
 
 Cost model.  A sweep costs about rounds × (per-round call overhead + K ×
 per-row work), and rounds ≈ tasks (one per distinct event instant).  See
@@ -50,13 +59,14 @@ reservations or start-deps (a single scan pass is then a fixpoint: issues
 only consume memory and dependency satisfaction needs a completion, so no
 issue can unblock another within one instant).  Anything else —
 NAIVE/SUPERNEURONS triggers, forward-refetch swap-ins with recompute
-interactions, mid-replay resume — raises :class:`VectorUnsupported` at
-compile time and the caller falls back to :class:`FastEngine`.
+interactions — raises :class:`VectorUnsupported` at compile time and the
+caller falls back to :class:`FastEngine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +80,10 @@ from repro.obs import metrics
 _STREAM_ORDER = (StreamName.COMPUTE, StreamName.D2H, StreamName.H2D)
 _N_STREAMS = len(_STREAM_ORDER)
 
-#: free-countdown value of the sentinel buffer column — never reaches zero
+#: countdown value of the sentinel task row and buffer column — never
+#: reaches zero (int32 tables; int16 ones use the second value)
 _NEVER = 1 << 30
+_NEVER16 = (1 << 15) - 1
 
 
 class VectorUnsupported(SimulationError):
@@ -129,14 +141,14 @@ class VectorTables:
     conditional edges of an optional keep-flip family).  Immutable; one
     compile serves every :meth:`VectorEngine.run_batch` over the family."""
 
+    #: per-row seeds of an explicit variant family (see VariantTables);
+    #: None here, where rows come from the keep matrix instead
+    row_queues = row_free = row_total = None
+
     def __init__(self, tasks, queues, buffers, device_capacity: int,
                  host_capacity: int | None = None,
                  flips: tuple[KeepFlip, ...] = ()) -> None:
-        if device_capacity <= 0:
-            raise SimulationError(
-                f"pool capacity must be positive, got {device_capacity}")
-        self.device_capacity = int(device_capacity)
-        self.host_capacity = int(host_capacity or (1 << 62))
+        _init_pools(self, device_capacity, host_capacity)
         self.flips = tuple(flips)
         self.flip_maps = tuple(f.map_id for f in self.flips)
 
@@ -146,21 +158,6 @@ class VectorTables:
         self.tids = tids
         self.index = index
         self.n = n
-
-        # -- expressibility gate (see module docstring) ---------------------
-        for tid in tids:
-            t = tasks[tid]
-            if not t.memory_gated:
-                raise VectorUnsupported(
-                    f"task {tid!r} is not memory-gated (SUPERNEURONS-style "
-                    "drafts need the event engine)")
-            if t.alloc_on_ready:
-                raise VectorUnsupported(
-                    f"task {tid!r} uses alloc-on-ready reservations")
-            if t.start_deps:
-                raise VectorUnsupported(
-                    f"task {tid!r} has start-deps (NAIVE/SUPERNEURONS "
-                    "triggers need the event engine)")
 
         # flip slot per conditioned tid: slot+1 when active-iff-kept is
         # False (task removed when kept) — tasks are only ever conditioned
@@ -185,15 +182,7 @@ class VectorTables:
         bids = list(buffers)
         bindex = {bid: i for i, bid in enumerate(bids)}
         nb = len(bids)
-        self.bids = bids
-        self.nbuf = nb
-        buf_size = np.zeros(nb + 1, np.int64)
-        buf_host = np.zeros(nb + 1, bool)
-        for bid, b in buffers.items():
-            buf_size[bindex[bid]] = round_size(b.nbytes)
-            buf_host[bindex[bid]] = b.host
-        self.buf_size = buf_size
-        self.buf_host = buf_host
+        _init_buffers(self, buffers.values())
 
         # -- dependency slots: one *shared* table for the whole family.
         # A rewired reader carries both the swap-in dep (fires only while
@@ -313,88 +302,328 @@ class VectorTables:
         self.count_keep = count_keep
         self.count_swap = count_swap
 
-        # -- per-task scalars (padded with a sentinel slot at index n, so
-        # scan-time gathers over sentinel queue heads stay in bounds) -------
-        self.duration = np.array([tasks[t].duration for t in tids], np.float64)
-        self.scratch_r = np.array(
-            [round_size(tasks[t].scratch_bytes) for t in tids], np.int64)
-        self.headroom = np.zeros(n + 1, np.int64)
-        self.headroom[:n] = [tasks[t].headroom for t in tids]
-
-        need_dev = np.zeros(n + 1, np.int64)
-        need_host = np.zeros(n + 1, np.int64)
-        host_buf_of = np.full(n + 1, -1, np.int64)
-        n_dev_bufs = np.zeros(n + 1, np.int64)
+        allocs: list[list[int]] = [[] for _ in range(n)]
         for bid, b in buffers.items():
-            if b.alloc_by is None:
-                continue
-            i = index[b.alloc_by]
-            if b.host:
-                if host_buf_of[i] >= 0:
-                    raise VectorUnsupported(
-                        f"task {b.alloc_by!r} allocates several host buffers")
-                host_buf_of[i] = bindex[bid]
-                need_host[i] += round_size(b.nbytes)
-            else:
-                need_dev[i] += round_size(b.nbytes)
-                n_dev_bufs[i] += 1
-        if np.any((need_host[:n] > 0)
-                  & ((need_dev[:n] > 0) | (self.scratch_r > 0))):
-            raise VectorUnsupported(
-                "a task allocates both host and device memory (host-pool "
-                "failure ordering is not expressible)")
-        need_dev[:n] += self.scratch_r
-        self.need_dev = need_dev
-        self.need_host = need_host
-        self.host_buf_of = host_buf_of
-        #: mirror of FastEngine's _check_full: no memory gate at all when a
-        #: task allocates nothing on the device
-        self.check = np.zeros(n + 1, bool)
-        self.check[:n] = (self.scratch_r > 0) | (n_dev_bufs[:n] > 0)
+            if b.alloc_by is not None:
+                allocs[index[b.alloc_by]].append(bindex[bid])
+        _init_tasks(self, [tasks[t] for t in tids], allocs)
 
         # -- stream queues (base order; candidates compact them by mask) -----
         self.queues = [
             np.array([index[t] for t in queues.get(s, [])], np.int32)
             for s in _STREAM_ORDER
         ]
-        stream_of = np.zeros(n, np.int32)
-        for si, q in enumerate(self.queues):
-            stream_of[q] = si
-        self.stream_of = stream_of
+        _init_prealloc(self, buffers.values())
 
-        # -- preallocated buffers (weights, gradients): resident from t=0.
-        # Replay the malloc sequence once — a prealloc overflow fails every
-        # candidate identically, with the pool's own error
-        self.prealloc_error: OutOfMemoryError | None = None
-        dev_use = host_use = 0
-        for bid, b in buffers.items():
+
+class VariantTables:
+    """Tables for an explicit *variant family*: K complete drafts that share
+    most of their task and buffer objects — step 2's probes of one plan,
+    each "current with one map recomputed (or kept)", all patched from the
+    same keep draft by :func:`repro.runtime.schedule.apply_recompute_delta`.
+
+    Row k replays exactly its own draft.  Tasks compile into *slots*, one
+    per distinct engine-visible variant of a task id (its durations, deps,
+    headroom, allocations and free edges); variants are told apart by
+    object identity against row 0's draft first, so the many objects the
+    rows share cost nothing, and by content second, so equal variants built
+    by different rows share a slot.  What then varies per row is seeded per
+    row: the stream queues (recompute chains inserted on the compute
+    stream, the ``SO``/``SI`` pair removed, the re-sorted H2D queue), the
+    buffer free counts and the task total.  Slot in-degrees are the same in
+    every row: a dependency names a task id, and each row runs exactly one
+    slot of that id, whose completion counts down every slot that names it.
+    A raised EAGER swap-in headroom is simply a different slot.
+
+    The family runs through the same :meth:`VectorEngine.run_batch` kernel
+    as a keep-flip family (with ``keep=None``; one outcome per draft)."""
+
+    flips: tuple[KeepFlip, ...] = ()
+    n_flips = 0
+    has_pairs = False
+
+    def __init__(self, drafts, device_capacity: int,
+                 host_capacity: int | None = None) -> None:
+        _init_pools(self, device_capacity, host_capacity)
+        # drafts are consumed one at a time (an iterator keeps only row 0's
+        # draft and the distinct task variants alive)
+        drafts = iter(drafts)
+        first = next(drafts)
+        ref_tasks, _ref_queues, ref_bufs = first
+        ref_free = {bid: b.writers | b.readers for bid, b in ref_bufs.items()}
+        ref_edges: dict[str, set[str]] = {}
+        ref_allocs: dict[str, set[str]] = {}
+        for bid, b in ref_bufs.items():
+            for tid in ref_free[bid]:
+                ref_edges.setdefault(tid, set()).add(bid)
             if b.alloc_by is not None:
-                continue
-            size = round_size(b.nbytes)
-            cap, in_use, name = (
-                (self.host_capacity, host_use, "host") if b.host
-                else (self.device_capacity, dev_use, "gpu"))
-            if size > cap - in_use:
-                self.prealloc_error = OutOfMemoryError(
-                    f"{name} pool out of memory allocating {bid!r}: "
-                    f"requested {format_bytes(size)}, free "
-                    f"{format_bytes(cap - in_use)} of {format_bytes(cap)}"
-                    " while prealloc",
-                    requested=size, free=cap - in_use, capacity=cap,
-                    context="prealloc")
-                break
-            if b.host:
-                host_use += size
+                ref_allocs.setdefault(b.alloc_by, set()).add(bid)
+        empty = frozenset()
+        ref_edges = {tid: frozenset(e) for tid, e in ref_edges.items()}
+        ref_allocs = {tid: frozenset(a) for tid, a in ref_allocs.items()}
+
+        buffers: dict[str, object] = dict(ref_bufs)
+
+        def buffer(bid, b) -> None:
+            seen = buffers.setdefault(bid, b)
+            if seen is not b and (seen.nbytes, seen.host, seen.alloc_by) != (
+                    b.nbytes, b.host, b.alloc_by):
+                raise VectorUnsupported(
+                    f"buffer {bid!r} changes size, pool or allocator "
+                    "across the family")
+            if b.alloc_by is None and ref_bufs.get(bid) is None:
+                raise VectorUnsupported(
+                    f"preallocated buffer {bid!r} differs across the family")
+
+        sigs: dict[tuple, int] = {}
+        #: id(task) -> engine-visible content, for the slot representatives
+        #: (which ``slots`` keeps alive, so their ids cannot be reused)
+        content: dict[int, tuple] = {}
+        slots: list = []   # (tid, task, allocs, edges) per slot
+
+        def slot(tid, t, allocs: frozenset, edges: frozenset) -> int:
+            c = content.get(id(t))
+            if c is None:
+                c = (t.duration, t.scratch_bytes, t.memory_gated, t.headroom,
+                     t.alloc_on_ready, frozenset(t.deps),
+                     frozenset(t.start_deps))
+            sig = (tid, c, allocs, edges)
+            i = sigs.get(sig)
+            if i is None:
+                i = sigs[sig] = len(slots)
+                slots.append((tid, t, allocs, edges))
+                content[id(t)] = c
+            return i
+
+        ref_slot = {tid: slot(tid, t, ref_allocs.get(tid, empty),
+                              ref_edges.get(tid, empty))
+                    for tid, t in ref_tasks.items()}
+
+        def edit(table, ref_table, tid) -> set[str]:
+            s = table.get(tid)
+            if s is None:
+                s = table[tid] = set(ref_table.get(tid, empty))
+            return s
+
+        row_q: list[list[np.ndarray]] = [[] for _ in _STREAM_ORDER]
+        free_fix: list[tuple[str, int, int]] = []
+        totals: list[int] = []
+        for k, (tasks, queues, bufs) in enumerate(
+                itertools.chain((first,), drafts)):
+            # the row's free edges and allocations, as edits to row 0's
+            edges: dict[str, set[str]] = {}
+            allocs: dict[str, set[str]] = {}
+            for bid, b in bufs.items():
+                rb = ref_bufs.get(bid)
+                if rb is b:
+                    continue
+                buffer(bid, b)
+                new = b.writers | b.readers
+                free_fix.append((bid, k, len(new)))
+                old = empty if rb is None else ref_free[bid]
+                for tid in new - old:
+                    edit(edges, ref_edges, tid).add(bid)
+                for tid in old - new:
+                    edit(edges, ref_edges, tid).discard(bid)
+                if rb is None and b.alloc_by is not None:
+                    edit(allocs, ref_allocs, b.alloc_by).add(bid)
+            for bid in ref_bufs.keys() - bufs.keys():
+                rb = ref_bufs[bid]
+                if rb.alloc_by is None:
+                    raise VectorUnsupported(
+                        f"preallocated buffer {bid!r} differs across the "
+                        "family")
+                free_fix.append((bid, k, _NEVER))
+                for tid in ref_free[bid]:
+                    edit(edges, ref_edges, tid).discard(bid)
+                edit(allocs, ref_allocs, rb.alloc_by).discard(bid)
+            lookup = dict(ref_slot)
+            for tid, t in tasks.items():
+                if (t is not ref_tasks.get(tid) or tid in edges
+                        or tid in allocs):
+                    lookup[tid] = slot(
+                        tid, t,
+                        frozenset(allocs[tid]) if tid in allocs
+                        else ref_allocs.get(tid, empty),
+                        frozenset(edges[tid]) if tid in edges
+                        else ref_edges.get(tid, empty))
+            total = 0
+            for s, stream in enumerate(_STREAM_ORDER):
+                q = np.array([lookup[tid] for tid in queues.get(stream, ())],
+                             np.int32)
+                row_q[s].append(q)
+                total += q.size
+            totals.append(total)
+        K = len(totals)
+
+        n = len(slots)
+        self.n = n
+        self.tids = [tid for tid, _t, _a, _e in slots]
+        bids = list(buffers)
+        bindex = {bid: i for i, bid in enumerate(bids)}
+        nb = len(bids)
+        _init_buffers(self, buffers.values())
+        _init_tasks(self, [t for _tid, t, _a, _e in slots],
+                    [[bindex[b] for b in a] for _tid, _t, a, _e in slots])
+        _init_prealloc(self, ref_bufs.values())
+
+        # dependencies: a slot's in-degree is its dep count in every row;
+        # completing any slot of task id d counts down every slot naming d
+        by_tid: dict[str, list[int]] = {}
+        for i, tid in enumerate(self.tids):
+            by_tid.setdefault(tid, []).append(i)
+        cons_lists: list[list[int]] = [[] for _ in range(n)]
+        self.indeg_base = np.zeros(n + 1, np.int32)
+        for i, (_tid, t, _a, _e) in enumerate(slots):
+            self.indeg_base[i] = len(t.deps)
+            for d in t.deps:
+                for j in by_tid[d]:
+                    cons_lists[j].append(i)
+        self.consumers_pad = _pad(cons_lists, n)
+        self.frees_pad = _pad([[bindex[b] for b in e]
+                               for _tid, _t, _a, e in slots], nb)
+
+        # per-row seeds: queues position-major (width + 1, K) with sentinel
+        # tails, free counts buffer-major (nbuf + 1, K)
+        self.queues = []
+        self.row_queues = []
+        for rows in row_q:
+            width = max(len(q) for q in rows)
+            part = np.full((width + 1, K), n, np.int32)
+            for k, q in enumerate(rows):
+                part[:len(q), k] = q
+            self.row_queues.append(part)
+            on = np.zeros(n + 1, bool)
+            on[part] = True
+            self.queues.append(np.flatnonzero(on[:n]).astype(np.int32))
+        base_free = np.full(nb + 1, _NEVER, np.int32)
+        for bid, fs in ref_free.items():
+            base_free[bindex[bid]] = len(fs)
+        self.row_free = np.repeat(base_free[:, None], K, axis=1)
+        for bid, k, count in free_fix:
+            self.row_free[bindex[bid], k] = count
+        self.row_total = np.array(totals, np.int64)
+
+
+def _init_pools(tables, device_capacity: int, host_capacity) -> None:
+    if device_capacity <= 0:
+        raise SimulationError(
+            f"pool capacity must be positive, got {device_capacity}")
+    tables.device_capacity = int(device_capacity)
+    tables.host_capacity = int(host_capacity or (1 << 62))
+
+
+def _init_buffers(tables, buffers) -> None:
+    """Rounded size and pool of each buffer, plus the sentinel column."""
+    buffers = list(buffers)
+    tables.bids = [b.bid for b in buffers]
+    tables.nbuf = nb = len(buffers)
+    tables.buf_size = np.zeros(nb + 1, np.int64)
+    tables.buf_host = np.zeros(nb + 1, bool)
+    for i, b in enumerate(buffers):
+        tables.buf_size[i] = round_size(b.nbytes)
+        tables.buf_host[i] = b.host
+
+
+def _init_tasks(tables, tasks: list, allocs: list[list[int]]) -> None:
+    """Per-task scalar tables, padded with a sentinel slot at index n so
+    scan-time gathers over sentinel queue heads stay in bounds.  ``allocs``
+    lists the buffer indices each task allocates."""
+    # -- expressibility gate (see module docstring) -------------------------
+    for t in tasks:
+        if not t.memory_gated:
+            raise VectorUnsupported(
+                f"task {t.tid!r} is not memory-gated (SUPERNEURONS-style "
+                "drafts need the event engine)")
+        if t.alloc_on_ready:
+            raise VectorUnsupported(
+                f"task {t.tid!r} uses alloc-on-ready reservations")
+        if t.start_deps:
+            raise VectorUnsupported(
+                f"task {t.tid!r} has start-deps (NAIVE/SUPERNEURONS "
+                "triggers need the event engine)")
+    n = len(tasks)
+    tables.duration = np.array([t.duration for t in tasks], np.float64)
+    tables.scratch_r = np.array(
+        [round_size(t.scratch_bytes) for t in tasks], np.int64)
+    tables.headroom = np.zeros(n + 1, np.int64)
+    tables.headroom[:n] = [t.headroom for t in tasks]
+
+    need_dev = np.zeros(n + 1, np.int64)
+    need_host = np.zeros(n + 1, np.int64)
+    host_buf_of = np.full(n + 1, -1, np.int64)
+    n_dev_bufs = np.zeros(n + 1, np.int64)
+    for i, bis in enumerate(allocs):
+        for bi in bis:
+            if tables.buf_host[bi]:
+                if host_buf_of[i] >= 0:
+                    raise VectorUnsupported(
+                        f"task {tasks[i].tid!r} allocates several host "
+                        "buffers")
+                host_buf_of[i] = bi
+                need_host[i] += tables.buf_size[bi]
             else:
-                dev_use += size
-        self.prealloc_dev = dev_use
-        self.prealloc_host = host_use
+                need_dev[i] += tables.buf_size[bi]
+                n_dev_bufs[i] += 1
+    if np.any((need_host[:n] > 0)
+              & ((need_dev[:n] > 0) | (tables.scratch_r > 0))):
+        raise VectorUnsupported(
+            "a task allocates both host and device memory (host-pool "
+            "failure ordering is not expressible)")
+    need_dev[:n] += tables.scratch_r
+    tables.need_dev = need_dev
+    tables.need_host = need_host
+    tables.host_buf_of = host_buf_of
+    #: mirror of FastEngine's _check_full: no memory gate at all when a
+    #: task allocates nothing on the device
+    tables.check = np.zeros(n + 1, bool)
+    tables.check[:n] = (tables.scratch_r > 0) | (n_dev_bufs[:n] > 0)
+
+
+def _init_prealloc(tables, buffers) -> None:
+    """Preallocated buffers (weights, gradients) are resident from t=0.
+    Replay the malloc sequence once — a prealloc overflow fails every
+    candidate identically, with the pool's own error."""
+    tables.prealloc_error = None
+    dev_use = host_use = 0
+    for b in buffers:
+        if b.alloc_by is not None:
+            continue
+        size = round_size(b.nbytes)
+        cap, in_use, name = (
+            (tables.host_capacity, host_use, "host") if b.host
+            else (tables.device_capacity, dev_use, "gpu"))
+        if size > cap - in_use:
+            tables.prealloc_error = OutOfMemoryError(
+                f"{name} pool out of memory allocating {b.bid!r}: "
+                f"requested {format_bytes(size)}, free "
+                f"{format_bytes(cap - in_use)} of {format_bytes(cap)}"
+                " while prealloc",
+                requested=size, free=cap - in_use, capacity=cap,
+                context="prealloc")
+            break
+        if b.host:
+            host_use += size
+        else:
+            dev_use += size
+    tables.prealloc_dev = dev_use
+    tables.prealloc_host = host_use
+
+
+def _pad(lists: list[list[int]], fill: int) -> np.ndarray:
+    """Ragged int lists as one (len, max width) int32 table padded with
+    ``fill`` (at least one column)."""
+    width = max((len(x) for x in lists), default=0)
+    out = np.full((len(lists), max(width, 1)), fill, np.int32)
+    for i, x in enumerate(lists):
+        out[i, :len(x)] = x
+    return out
 
 
 class VectorEngine:
     """Run batches of candidates against one :class:`VectorTables`."""
 
-    def __init__(self, tables: VectorTables) -> None:
+    def __init__(self, tables: VectorTables | VariantTables) -> None:
         self.tables = t = tables
         n = t.n
         cap = t.device_capacity
@@ -423,6 +652,17 @@ class VectorEngine:
         #: host allocations can only fail when they can outgrow the pool
         self._host_check = (t.prealloc_host + int(t.need_host.sum())
                             > t.host_capacity)
+        # per-row tables in the narrowest exact dtype: a sweep's memory is
+        # mostly its (task|buffer, K) countdowns and (queue, K) heads.  The
+        # sentinel countdowns absorb at most one padded slot per completed
+        # task and slot column, so they stay positive in int16 below that
+        # bound, and real counts never exceed n.
+        narrow = n * max(t.consumers_pad.shape[1], t.frees_pad.shape[1])
+        self._count_dtype = np.int16 if narrow < _NEVER16 else np.int32
+        self._never = _NEVER16 if narrow < _NEVER16 else _NEVER
+        self._queue_dtype = np.int16 if n < _NEVER16 else np.int32
+        if t.row_queues is not None:
+            return  # a variant family seeds its rows itself
         # pair slots: the keep-matrix column each slot reads and the buffer
         # shift it applies when that map is kept (0 on plain slots)
         on = t.pair_flip > 0
@@ -506,11 +746,20 @@ class VectorEngine:
         matrix — one duration table per row — so a batch can sweep K fault
         seeds (or other per-row perturbations) over one compiled draft;
         ``None`` keeps the shared table.  When only ``durations`` is given,
-        K is taken from it and every row runs the base draft.  Returns one
-        :class:`VecOutcome` per row, in order — infeasible candidates carry
-        their exact event-engine exception instead of raising."""
+        K is taken from it and every row runs the base draft.  A
+        :class:`VariantTables` family takes no ``keep``: its K compiled rows
+        run.  Returns one :class:`VecOutcome` per row, in order — infeasible
+        candidates carry their exact event-engine exception instead of
+        raising."""
         t = self.tables
-        if keep is None:
+        variants = t.row_total is not None
+        if variants:
+            if keep is not None:
+                raise SimulationError(
+                    "a variant family runs its compiled rows; pass no keep "
+                    "matrix")
+            keep = np.zeros((t.row_total.size, 0), bool)
+        elif keep is None:
             rows = 1 if durations is None else np.asarray(durations).shape[0]
             keep = np.zeros((rows, len(t.flips)), bool)
         keep = np.asarray(keep, bool)
@@ -535,54 +784,76 @@ class VectorEngine:
             return [VecOutcome(float("inf"), t.prealloc_dev, t.prealloc_host,
                                error=t.prealloc_error) for _ in range(K)]
 
-        total = n - keep @ self._removed
+        total = t.row_total if variants else n - keep @ self._removed
 
         # stream queues, concatenated into one flat table.  An
         # unconditioned queue (e.g. compute) is one shared sentinel-tailed
         # row; a conditioned one holds each row's active tasks, compacted
-        # in queue order by a stable sort, position-major (width, K) so the
-        # lockstep rows' heads sit side by side.  pos[s, k] is the flat
-        # index of row k's head on stream s and advances by step[s] per
-        # issue, so one take reads every lane's head.
+        # in queue order, position-major (width, K) so the lockstep rows'
+        # heads sit side by side (a variant family compiled its rows'
+        # queues in that layout already).  pos[s, k] is the flat index of
+        # row k's head on stream s and advances by step[s] per issue, so
+        # one take reads every lane's head.
         pos = np.empty((S, K), np.intp)
         step = np.ones(S, np.intp)
-        parts = []
+        per_row = [variants or self._queue_flip[s] is not None
+                   for s in range(S)]
+        sizes = [(t.row_queues[s].shape[0] if variants
+                  else t.queues[s].size + 1) * (K if per_row[s] else 1)
+                 for s in range(S)]
+        qcat = np.empty(sum(sizes), self._queue_dtype)
         base = 0
-        for s, (q, flip) in enumerate(zip(t.queues, self._queue_flip)):
-            if flip is None:
-                parts.append(np.append(q, n).astype(np.int32))
-                pos[s] = base
+        for s, size in enumerate(sizes):
+            part = qcat[base:base + size]
+            if variants:
+                part[:] = t.row_queues[s].reshape(-1)
+            elif self._queue_flip[s] is None:
+                part[:-1] = t.queues[s]
+                part[-1] = n
             else:
+                # compact each row's active entries by sorting their queue
+                # positions (inactive ones sort last, onto the sentinel)
+                q = t.queues[s]
+                flip = self._queue_flip[s]
+                at = np.arange(q.size, dtype=self._queue_dtype)
                 active = np.ones((K, q.size), bool)
                 cond = flip >= 0
                 active[:, cond] = ~keep[:, flip[cond]]
-                order = np.argsort(~active, axis=1, kind="stable").T
-                rank = np.arange(q.size + 1)[:, None]
-                part = np.full((q.size + 1, K), n, np.int32)
-                part[:-1] = np.where(rank[:-1] < active.sum(1), q[order], n)
-                parts.append(part.reshape(-1))
+                order = np.where(active, at, self._queue_dtype(q.size))
+                del active
+                order.sort(axis=1)
+                np.take(np.append(q, n).astype(self._queue_dtype), order.T,
+                        out=part[:-K].reshape(q.size, K))
+                part[-K:] = n
+                del order
+            if per_row[s]:
                 pos[s] = base + np.arange(K)
                 step[s] = K
-            base += parts[-1].size
-        qcat = np.concatenate(parts)
-        del parts
+            else:
+                pos[s] = base
+            base += size
         pos0 = pos.copy()
 
         # per-row countdown seeds, laid out task-major (n + 1, K) and
         # buffer-major (nbuf + 1, K): lockstep rows sit at similar tasks, so
         # a round's gathers and scatters land on a few nearby rows of the
-        # table instead of K scattered ones.  Both sentinel rows hold
-        # _NEVER: the in-degree one blocks sentinel (exhausted) queue heads
-        # and absorbs padded consumer slots, the free-count one absorbs
-        # padded free slots.  Counts stay far below 2**31, so int32 is exact
-        # and halves the tables.
-        sel = np.concatenate((keep.T, ~keep.T))
-        fc = _seed(t.free_base, self._count_layers, sel)
+        # table instead of K scattered ones.  Both sentinel rows hold the
+        # never-zero count: the in-degree one blocks sentinel (exhausted)
+        # queue heads and absorbs padded consumer slots, the free-count one
+        # absorbs padded free slots.
+        dtype, never = self._count_dtype, self._never
+        if variants:
+            fc = np.minimum(t.row_free, never).astype(dtype)
+            ind = np.repeat(t.indeg_base.astype(dtype)[:, None], K, axis=1)
+        else:
+            sel = np.concatenate((keep.T, ~keep.T))
+            fc = _seed(t.free_base, self._count_layers, sel, dtype)
+            ind = _seed(t.indeg_base, self._indeg_layers, sel, dtype)
+            del sel
+        fc[-1] = never
+        ind[n] = never
         fc_flat = fc.reshape(-1)
-        ind = _seed(t.indeg_base, self._indeg_layers, sel)
-        ind[n] = _NEVER
         ind_flat = ind.reshape(-1)
-        del sel
 
         # mutable lockstep state.  Per-stream state is stream-major (S, K),
         # so each stream's lane is contiguous; lane s*K + k is row k's
@@ -629,14 +900,15 @@ class VectorEngine:
         consumers_pad = t.consumers_pad
         frees_pad = t.frees_pad
         has_pairs = t.has_pairs
-        pair_col = self._pair_col
-        pair_shift = self._pair_shift
+        if has_pairs:
+            pair_col = self._pair_col
+            pair_shift = self._pair_shift
         nf = max(t.n_flips, 1)
         keep_flat = np.ascontiguousarray(keep).reshape(-1)
         inf = np.inf
         # index arithmetic on the int32 task/buffer tables must not wrap
         Ki = np.intp(K)
-        one = np.int32(1)  # a typed scalar keeps ufunc.at on its fast loop
+        one = dtype(1)  # a typed scalar keeps ufunc.at on its fast loop
 
         while stopped < K:
             rounds += 1
@@ -840,11 +1112,13 @@ def _sparse_layers(on_keep: np.ndarray, on_swap: np.ndarray):
     return layers
 
 
-def _seed(base: np.ndarray, layers, sel: np.ndarray) -> np.ndarray:
-    """(rows, K) int32 table: ``base`` plus every sparse term whose
-    selector row of ``sel`` (keep.T stacked over ~keep.T) is set."""
-    out = np.empty((base.size, sel.shape[1]), np.int32)
-    out[:] = base.astype(np.int32)[:, None]
+def _seed(base: np.ndarray, layers, sel: np.ndarray, dtype) -> np.ndarray:
+    """(rows, K) ``dtype`` table: ``base`` plus every sparse term whose
+    selector row of ``sel`` (keep.T stacked over ~keep.T) is set (the
+    caller overwrites the sentinel row, which may not fit ``dtype``)."""
+    out = np.empty((base.size, sel.shape[1]), dtype)
+    out[:] = np.minimum(base, _NEVER16 if dtype == np.int16 else _NEVER
+                        ).astype(dtype)[:, None]
     for rows, cols, value in layers:
         if value is None:
             out[rows] += sel[cols]

@@ -29,6 +29,7 @@ caps the search while keeping the best plan found.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -125,9 +126,6 @@ class SearchStats:
     #: evaluates its whole surviving pool)
     step2_rounds: int = 0
     r_recomputed: int = 0
-    #: step-2 share of the full/resumed replay split below
-    sims_step2_full: int = 0
-    sims_step2_resumed: int = 0
     #: keep probes answered from their liveness floor (derived from the
     #: current plan's profile) instead of a simulation — the floor already
     #: exceeded capacity, so the simulation could only have returned
@@ -142,14 +140,10 @@ class SearchStats:
     leaves_evaluated: int = 0
     subtrees_pruned: int = 0
     leaves_pruned: int = 0
-    #: of the event-engine simulations, how many replayed from time zero
-    #: vs. resumed from a shared-prefix checkpoint
-    sims_full: int = 0
-    sims_resumed: int = 0
     #: vectorized-vs-fallback split of the search's simulations: outcomes a
     #: lockstep sweep produced *and the search consumed* (counted once, at
     #: absorb time) vs simulations that ran through the serial event-engine
-    #: path (recompute probes, non-expressible drafts)
+    #: path (non-expressible drafts, engine errors, lost vectorization)
     sims_vectorized: int = 0
     sims_fallback: int = 0
     #: lockstep sweeps run and total candidate rows swept; rows the
@@ -370,23 +364,27 @@ class _VectorLeafStager:
 
     * leaves are staged in windows sized to the remaining simulation
       budget (everything past the budget's reach is never swept);
-    * every live leaf *speculates* a run of candidate trials along its
-      own greedy frontier under predicted accept/reject decisions; one
-      sweep evaluates every leaf's run at once; each leaf's greedy walk
-      then replays against the swept outcomes — a mispredicted decision
-      invalidates that leaf's speculated tail, which is regenerated from
-      the corrected prefix in the next round.  Leaves advance
-      independently (no barrier between scan positions), so a straggler
-      never forces the window back into tiny sweeps;
-    * decisions are predicted per scan position by majority vote over
-      the decisions other leaves already made there, and a leaf's run is
-      cut off once the joint probability that its speculated prefix is
-      right drops below ``THRESH`` (or at ``DEPTH`` trials).  Positions
-      where leaves agree are swept tens deep; positions where they
-      genuinely disagree are swept nearly unspeculated;
-    * a window opens with a pioneer cohort (growing fourfold per round)
-      so early leaves populate the votes before the bulk of the window
-      speculates against them.
+    * every live leaf *speculates* a tree of candidate trials below its
+      own greedy frontier: each trial's row branches into the trial that
+      follows if it is accepted and the one that follows if it is
+      rejected.  One sweep evaluates every leaf's tree at once; each
+      leaf's greedy walk then replays against the swept outcomes as far as
+      its tree reaches, and the walk's frontier seeds the next round's
+      tree.  Leaves advance independently (no barrier between scan
+      positions);
+    * a branch's probability is the product of the accept shares on its
+      path.  The share at a scan position is estimated from the decisions
+      leaves already made there, split by the same leaf's previous
+      decision (leaves mostly repeat it), with the overall repeat rate as
+      one pseudo-observation — so an unseen position follows the branch's
+      last decision about as often as leaves have so far.  Trees grow
+      best-first, most probable trial first, for as long as a trial's
+      probability exceeds the swept rows' expected yield per row of sweep
+      cost — ``ROWS`` prices the sweep's fixed cost in rows.  A sweep far
+      below ``ROWS`` rows therefore speculates both outcomes deep into
+      uncertain positions, while a sweep far above it keeps only
+      near-certain trials.  Every live leaf always stages its first trial
+      (probability 1), so every round makes progress.
 
     Decisions replayed here use the exact accept rule of the search on
     exact outcomes, so staged events equal what serial evaluation would
@@ -398,9 +396,11 @@ class _VectorLeafStager:
     never a decision, so they cannot affect the chosen plan.
     """
 
-    DEPTH = 48          # max speculated trials per leaf per sweep
-    THRESH = 0.9        # min joint probability a speculated tail is valid
-    RAMP = 32           # pioneer cohort size; quadruples every round
+    #: a sweep's break-even size.  One event round of a sweep costs about
+    #: 80 us plus 0.2 us per row (docs/architecture.md), so a row costs
+    #: 1/400 of a round's fixed cost: below 400 rows speculation is nearly
+    #: free, far above it every row must be likely to be consumed.
+    ROWS = 400
 
     def __init__(self, predictor, leaves, scan, map_bytes, keep_budget,
                  epsilon, budget_remaining) -> None:
@@ -413,10 +413,10 @@ class _VectorLeafStager:
         self.budget_remaining = budget_remaining
         self._fi = predictor.vector_flip_index()
         self._staged: dict[int, tuple] = {}
-        #: per scan position: how many staged leaves accepted / rejected
-        #: the flip there (majority predicts, minority share gates depth)
-        self._acc = [0] * len(scan)
-        self._rej = [0] * len(scan)
+        #: votes[j, prev, accepted]: decisions leaves made at scan position
+        #: j, split by the same leaf's previous trial decision (a leaf's
+        #: first trial counts as following an accept)
+        self._votes = np.zeros((len(scan), 2, 2), np.int64)
         #: leaves below this index were staged (or skipped past) already
         self._next = 0
 
@@ -456,34 +456,24 @@ class _VectorLeafStager:
         if outs is None:
             self._fi = None
             return
-        # leaves awaiting admission; each entry carries the walk state
-        # (prefix, keep row, best time, kept bytes) at its greedy frontier
-        queue: list[tuple[int, tuple]] = []
+        # live leaves, each with the walk state (prefix, keep row, best
+        # time, kept bytes) at its greedy frontier
+        live: dict[int, tuple] = {}
         for r, li in enumerate(indices):
             base = outs[r]
             self._staged[li] = (base, [None] * len(self.scan))
             if base is not None and base.feasible:
                 kb = sum(self.map_bytes[m] for m in self.leaves[li])
-                queue.append((li, ((), rows[r], base.time, kb)))
-        live: dict[int, tuple] = {}
-        admit = self.RAMP
-        while queue or live:
-            for li, st in queue[:admit]:
-                live[li] = st
-            del queue[:admit]
-            admit *= 4
-            entries: list[tuple[int, int, tuple]] = []
-            cand: list[np.ndarray] = []
-            for li, st in sorted(live.items()):
-                self._gen(li, st, entries, cand)
-            stage: dict[tuple[int, int], tuple] = {}
+                live[li] = ((), rows[r], base.time, kb, True)
+        while live:
+            entries, cand = self._gen(live)
+            stage: dict[tuple[int, tuple], PredictedOutcome | None] = {}
             if cand:
                 outs = self.predictor.predict_keep_batch(np.stack(cand))
                 if outs is None:
                     self._fi = None
                     return
-                for (li, j, prefix), out in zip(entries, outs):
-                    stage[(li, j)] = (prefix, out)
+                stage = dict(zip(entries, outs))
             for li, st in sorted(live.items()):
                 done, nst = self._walk(li, st, stage)
                 if done:
@@ -491,47 +481,62 @@ class _VectorLeafStager:
                 else:
                     live[li] = nst
 
-    def _gen(self, li, st, entries, cand) -> None:
-        """Speculate the next run of candidate trials along one leaf's
-        greedy frontier.  Each decision not yet made is predicted by the
-        per-position majority vote; the run stops once the joint
-        probability that the speculated prefix is right — the product of
-        the majority shares it rests on — drops below ``THRESH``.  The
-        first trial sits on no prediction at all, so every live leaf
-        always stages at least one decidable trial (progress guarantee)."""
-        prefix, cur, _t, kb = st
-        fi = self._fi
-        conf = 1.0
-        emitted = 0
-        for j in range(len(prefix), len(self.scan)):
-            m = self.scan[j]
-            if kb + self.map_bytes[m] > self.keep_budget:
-                prefix = prefix + (False,)
+    def _gen(self, live: dict[int, tuple]):
+        """Grow every live leaf's speculation tree best-first (see the
+        class docstring) and return the trials to sweep, as ``(leaf,
+        prefix)`` keys — ``prefix`` is the decision path the trial rests
+        on — and their keep rows.
+
+        Growth stops at the first trial whose probability ``p`` no longer
+        beats ``E / (ROWS + N)``: with N rows staged whose probabilities
+        sum to E (expected consumed rows), a sweep's cost is proportional
+        to ``ROWS + N``, so adding a row raises the expected yield per unit
+        of cost exactly when ``p`` exceeds the current ratio."""
+        fi, scan, votes = self._fi, self.scan, self._votes
+        # a leaf mostly repeats its previous decision (keeps accumulate
+        # until memory runs out): the share of repeats seen so far is the
+        # prior of every position, which that position's own votes refine
+        repeats = int(votes[:, 0, 0].sum() + votes[:, 1, 1].sum())
+        repeat = (repeats + 1) / (int(votes.sum()) + 2)
+        heap = [(-1.0, li, prefix, cur, kb, prev)
+                for li, (prefix, cur, _t, kb, prev) in sorted(live.items())]
+        heapq.heapify(heap)
+        entries: list[tuple[int, tuple]] = []
+        cand: list[np.ndarray] = []
+        expected = 0.0
+        while heap:
+            negp, li, prefix, cur, kb, prev = heapq.heappop(heap)
+            p = -negp
+            if p < 1.0 and p * (self.ROWS + len(cand)) <= expected:
+                break
+            j = len(prefix)
+            while j < len(scan) and (kb + self.map_bytes[scan[j]]
+                                     > self.keep_budget):
+                prefix += (False,)  # byte-skipped: decided without a trial
+                j += 1
+            if j == len(scan):
                 continue
+            m = scan[j]
             row = cur.copy()
             row[fi[m]] = True
-            entries.append((li, j, prefix))
+            entries.append((li, prefix))
             cand.append(row)
-            emitted += 1
-            acc, rej = self._acc[j], self._rej[j]
-            if acc >= rej:
-                cur = row
-                kb += self.map_bytes[m]
-                prefix = prefix + (True,)
-            else:
-                prefix = prefix + (False,)
-            if acc or rej:
-                conf *= max(acc, rej) / (acc + rej)
-            if emitted >= self.DEPTH or conf < self.THRESH:
-                return
+            expected += p
+            rej, acc = votes[j, int(prev)]
+            q = (acc + (repeat if prev else 1.0 - repeat)) / (acc + rej + 1)
+            heapq.heappush(heap, (-p * q, li, prefix + (True,), row,
+                                  kb + self.map_bytes[m], True))
+            heapq.heappush(heap, (-p * (1.0 - q), li, prefix + (False,),
+                                  cur, kb, False))
+        return entries, cand
 
     def _walk(self, li, st, stage):
         """Replay the greedy scan for one leaf against the swept outcomes,
         casting its accept/reject votes as it decides.  Returns
         ``(True, None)`` when the scan is finished, else ``(False, state)``
-        stalled at the first position whose outcome is missing (or was
-        swept under a mispredicted prefix), to regenerate next round."""
-        prefix, cur, t, kb = st
+        stalled at the first position whose outcome was not swept under
+        the leaf's actual decision path, to regrow from next round."""
+        prefix, cur, t, kb, prev = st
         _, events = self._staged[li]
         fi = self._fi
         for j in range(len(prefix), len(self.scan)):
@@ -539,22 +544,20 @@ class _VectorLeafStager:
             if kb + self.map_bytes[m] > self.keep_budget:
                 prefix = prefix + (False,)
                 continue
-            hit = stage.get((li, j))
-            if hit is None or hit[0] != prefix:
-                return False, (prefix, cur, t, kb)
-            out = hit[1]
+            if (li, prefix) not in stage:
+                return False, (prefix, cur, t, kb, prev)
+            out = stage[(li, prefix)]
             events[j] = out
-            if (out is not None and out.feasible
-                    and out.time <= t + self.epsilon):
+            accept = (out is not None and out.feasible
+                      and out.time <= t + self.epsilon)
+            self._votes[j, int(prev), int(accept)] += 1
+            if accept:
                 cur = cur.copy()
                 cur[fi[m]] = True
                 t = out.time
                 kb += self.map_bytes[m]
-                self._acc[j] += 1
-                prefix = prefix + (True,)
-            else:
-                self._rej[j] += 1
-                prefix = prefix + (False,)
+            prefix = prefix + (accept,)
+            prev = accept
         return True, None
 
 
@@ -591,8 +594,6 @@ class PoochClassifier:
         if steps not in (1, 2):
             raise ValueError(f"steps must be 1 or 2, got {steps}")
         start = time.perf_counter()
-        full_at_start = self.predictor.full_simulations
-        resumed_at_start = self.predictor.resumed_simulations
         sweeps_at_start = self.predictor.vector_sweeps
         swept_at_start = self.predictor.vector_candidates
         try:
@@ -608,12 +609,6 @@ class PoochClassifier:
             return step2, self.stats
         finally:
             self.stats.wall_time_s = time.perf_counter() - start
-            self.stats.sims_full = (
-                self.predictor.full_simulations - full_at_start
-            )
-            self.stats.sims_resumed = (
-                self.predictor.resumed_simulations - resumed_at_start
-            )
             self.stats.vector_sweeps = (
                 self.predictor.vector_sweeps - sweeps_at_start
             )
@@ -646,14 +641,10 @@ class PoochClassifier:
         registry.count("search.searches")
         registry.count("search.sims_step1", s.sims_step1)
         registry.count("search.sims_step2", s.sims_step2)
-        registry.count("search.sims_full", s.sims_full)
-        registry.count("search.sims_resumed", s.sims_resumed)
         registry.count("search.sims_vectorized", s.sims_vectorized)
         registry.count("search.sims_fallback", s.sims_fallback)
         registry.count("search.vector_sweeps", s.vector_sweeps)
         registry.count("search.vector_candidates", s.vector_candidates)
-        registry.count("search.sims_step2_full", s.sims_step2_full)
-        registry.count("search.sims_step2_resumed", s.sims_step2_resumed)
         registry.count("search.keep_probes_elided", s.keep_probes_elided)
         registry.count("search.step2_rounds_run", s.step2_rounds)
         registry.count("search.r_recomputed", s.r_recomputed)
@@ -732,12 +723,6 @@ class PoochClassifier:
                 return False
             return True
 
-        def absorb_staged(key: tuple, out: PredictedOutcome | None) -> None:
-            if out is None:
-                return  # nothing staged: the serial predictor takes over
-            if self.predictor.absorb(key, out):
-                self.stats.sims_vectorized += 1
-
         def consume_leaf(
             keeps: tuple[int, ...],
             pre: tuple[PredictedOutcome, list[PredictedOutcome | None]] | None,
@@ -751,7 +736,7 @@ class PoochClassifier:
             nonlocal best_cls, best_time
             cls = all_swap.with_classes({m: MapClass.KEEP for m in keeps})
             if pre is not None:
-                absorb_staged(cls.key(), pre[0])
+                self._absorb(cls.key(), pre[0])
             outcome = self.predictor.predict(cls)
             if not outcome.feasible:
                 return True  # keeping this L_I subset over-commits memory
@@ -766,7 +751,7 @@ class PoochClassifier:
                     continue
                 trial = cur_cls.with_class(m, MapClass.KEEP)
                 if pre is not None:
-                    absorb_staged(trial.key(), pre[1][idx])
+                    self._absorb(trial.key(), pre[1][idx])
                 out = self.predictor.predict(trial)
                 if out.feasible and out.time <= cur_time + cfg.time_epsilon:
                     cur_cls, cur_time = trial, out.time
@@ -863,54 +848,65 @@ class PoochClassifier:
             return float("inf")
         return rec_overhead / swap_overhead
 
-    def _vector_keep_probes(self, current: Classification,
-                            pool: list[int]) -> None:
-        """Answer a step-2 round's uncached keep probes ("X kept, everything
-        else as in ``current``") with one lockstep sweep.
+    def _sweep_round(self, current: Classification, pool: list[int],
+                     staged: dict[tuple, PredictedOutcome],
+                     ahead: Classification | None = None) -> None:
+        """Answer a step-2 round's uncached probes with one lockstep sweep:
+        every "current with X recomputed" probe of the pool, plus every
+        "current with X kept" probe the liveness floor does not already
+        elide — exactly the probes :meth:`_r_value` is about to read.
 
-        Expressible only while ``current`` is pure keep/swap — i.e. the
-        first round, and every round following a rejected flip; once a
-        recompute flip is accepted the candidates leave the keep-flip
-        family and the serial predictor takes over.  The recompute probes
-        of :meth:`_r_value` are never expressible and always run serially
-        (they are the ``sims_fallback`` share of step 2).  Outcomes are
-        absorbed before the serial round reads them, so r-values, caches and
-        simulation counts are exactly those of a serial search."""
-        keeps = []
-        for m, c in current.classes.items():
-            if c is MapClass.KEEP:
-                keeps.append(m)
-            elif c is not MapClass.SWAP:
-                return
-        fi = self.predictor.vector_flip_index()
-        if fi is None:
-            return
-        todo: list[tuple[Classification, int]] = []
+        ``ahead`` is the predicted next round's plan; when this round has
+        to sweep, the sweep also carries that round's recompute probes,
+        and their outcomes wait in ``staged`` (keyed by classification)
+        instead of the predictor's cache.  A probe is absorbed only when a
+        round reads it — straight from the sweep or from ``staged`` — so
+        r-values, caches and simulation counts are exactly those of a
+        serial search; a probe no sweep could answer stays for the serial
+        predictor."""
+        cached = self.predictor.cached
+        needed: list[Classification] = []
+        keeps: list[Classification] = []
         for x in pool:
-            if self.predictor.provably_infeasible(current, x):
-                continue  # _r_value elides this probe: don't sweep it
-            keep_c = current.with_class(x, MapClass.KEEP)
-            if self.predictor.cached(keep_c) is None:
-                todo.append((keep_c, x))
+            needed.append(current.with_class(x, MapClass.RECOMPUTE))
+            if not self.predictor.provably_infeasible(current, x):
+                keeps.append(current.with_class(x, MapClass.KEEP))
+        # recompute probes first: they share current's memoized keep draft
+        todo: list[Classification] = []
+        for cls in needed + keeps:
+            out = staged.pop(cls.key(), None)
+            if out is not None:
+                self._absorb(cls.key(), out)
+            elif cached(cls) is None:
+                todo.append(cls)
         if not todo:
             return
-        rows = np.zeros((len(todo), len(fi)), bool)
-        if keeps:
-            rows[:, [fi[m] for m in keeps]] = True
-        for r, (_, x) in enumerate(todo):
-            rows[r, fi[x]] = True
-        outs = self.predictor.predict_keep_batch(rows)
+        spec: list[Classification] = []
+        if ahead is not None:
+            spec = [c for c in (ahead.with_class(y, MapClass.RECOMPUTE)
+                                for y in pool
+                                if ahead.classes[y] is MapClass.SWAP)
+                    if cached(c) is None]
+        outs = self.predictor.predict_variant_batch(todo + spec)
+        staged.clear()
         if outs is None:
             return
-        for (keep_c, _), out in zip(todo, outs):
-            if out is not None and self.predictor.absorb(keep_c.key(), out):
-                self.stats.sims_vectorized += 1
+        for cls, out in zip(todo, outs):
+            self._absorb(cls.key(), out)
+        for cls, out in zip(spec, outs[len(todo):]):
+            if out is not None:
+                staged[cls.key()] = out
+
+    def _absorb(self, key: tuple, out: PredictedOutcome | None) -> None:
+        """Install a swept outcome the search is about to read, counting it
+        as vectorized; None (nothing swept) leaves the lookup to the serial
+        predictor."""
+        if out is not None and self.predictor.absorb(key, out):
+            self.stats.sims_vectorized += 1
 
     def _step2_swap_vs_recompute(self, step1: Classification) -> Classification:
         cfg = self.config
         sims_at_start = self.predictor.simulations
-        full_at_start = self.predictor.full_simulations
-        resumed_at_start = self.predictor.resumed_simulations
         current = step1
         pool = [
             m for m in step1.maps_of(MapClass.SWAP)
@@ -919,12 +915,23 @@ class PoochClassifier:
         current_time = self.predictor.predict(current).time
 
         # Every round evaluates r(X) for the whole surviving pool against the
-        # frozen `current`; after a rejected flip those probes are memo-cache
-        # hits (or elided again), and acceptance always re-predicts the
-        # trial plan end to end.
+        # frozen `current`, its uncached probes swept in lockstep first;
+        # after a rejected flip those probes are memo-cache hits (or elided
+        # again), and acceptance always reads the trial plan's own outcome.
+        # A sweep also speculates the next round's probes, assuming the flip
+        # this round accepts is the one the previous round's r-values rank
+        # first (r-values move little between rounds), so a correctly
+        # predicted round needs no sweep of its own.
         first_round = True
+        staged: dict[tuple, PredictedOutcome] = {}
+        r_values: dict[int, float] = {}
         while pool:
-            self._vector_keep_probes(current, pool)
+            ahead = None
+            if r_values:
+                guess = min(pool, key=lambda m: r_values[m])
+                if r_values[guess] < 1.0:
+                    ahead = current.with_class(guess, MapClass.RECOMPUTE)
+            self._sweep_round(current, pool, staged, ahead)
             r_values = {x: self._r_value(current, x, current_time)
                         for x in pool}
             self.stats.r_recomputed += len(pool)
@@ -950,11 +957,5 @@ class PoochClassifier:
                 self.stats.flips_to_recompute.append(x)
 
         self.stats.sims_step2 = self.predictor.simulations - sims_at_start
-        self.stats.sims_step2_full = (
-            self.predictor.full_simulations - full_at_start
-        )
-        self.stats.sims_step2_resumed = (
-            self.predictor.resumed_simulations - resumed_at_start
-        )
         self.stats.time_after_step2 = current_time
         return current

@@ -166,11 +166,10 @@ class PoochResult:
                f"(all-swap baseline {self.stats.time_all_swap * 1e3:.3f} ms)"),
             f"  search simulations: step1={self.stats.sims_step1} "
             f"step2={self.stats.sims_step2} "
-            f"(full={self.stats.sims_full} resumed={self.stats.sims_resumed})",
+            f"(vectorized={self.stats.sims_vectorized} "
+            f"fallback={self.stats.sims_fallback})",
             f"  step2 rounds: {self.stats.step2_rounds} "
             f"(r-values recomputed={self.stats.r_recomputed}, "
-            f"full={self.stats.sims_step2_full} "
-            f"resumed={self.stats.sims_step2_resumed}, "
             f"keep probes elided={self.stats.keep_probes_elided})",
             f"  search tree: {self.stats.leaves_evaluated}/"
             f"{self.stats.leaves_total} leaves evaluated, "

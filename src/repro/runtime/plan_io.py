@@ -128,6 +128,9 @@ def plan_to_dict(
 
 def plan_from_dict(data: dict[str, Any], graph: NNGraph) -> Classification:
     """Rebuild and validate a classification against ``graph``."""
+    if not isinstance(data, dict):
+        raise ScheduleError(
+            f"malformed plan file: expected a JSON object, got {data!r:.80}")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ScheduleError(f"unsupported plan format version {version!r}")
@@ -145,11 +148,16 @@ def plan_from_dict(data: dict[str, Any], graph: NNGraph) -> Classification:
             f"plan was made for a graph with {stored_maps} classifiable maps "
             f"({data.get('graph_name')!r}); this graph has {n_maps}"
         )
+    if "classes" not in data:
+        raise ScheduleError("malformed plan file: no 'classes' mapping")
+    raw = data["classes"]
+    if not isinstance(raw, dict):
+        raise ScheduleError(
+            f"malformed plan file: 'classes' must be a mapping of map id to "
+            f"class, got {raw!r:.80}")
     try:
-        classes = {
-            int(i): MapClass(value) for i, value in data["classes"].items()
-        }
-    except (KeyError, ValueError) as e:
+        classes = {int(i): MapClass(value) for i, value in raw.items()}
+    except (TypeError, ValueError) as e:
         raise ScheduleError(f"malformed plan file: {e}") from e
     classification = Classification(classes)
     classification.validate(graph)
@@ -282,6 +290,8 @@ class PlanCache:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None  # unreadable cache entries are misses, not errors
+        if not isinstance(data, dict):
+            return None
         for field, expect in signatures.items():
             if data.get(field) != expect:
                 return None

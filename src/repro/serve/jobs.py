@@ -328,8 +328,8 @@ class ServePlanner:
                 "plan_cache_hit": stats.plan_cache_hit,
                 "sims_step1": stats.sims_step1,
                 "sims_step2": stats.sims_step2,
-                "sims_full": stats.sims_full,
-                "sims_resumed": stats.sims_resumed,
+                "sims_vectorized": stats.sims_vectorized,
+                "sims_fallback": stats.sims_fallback,
                 "leaves_evaluated": stats.leaves_evaluated,
                 "wall_time_s": stats.wall_time_s,
             },

@@ -94,8 +94,8 @@ def fast_config() -> PoochConfig:
 
 class SerialPredictor(TimelinePredictor):
     """The production predictor without lockstep sweeps: every candidate
-    runs through the event-engine path (delta drafts, checkpoint/resume,
-    liveness-floor elision all still on)."""
+    runs through the event-engine path (delta drafts and liveness-floor
+    elision still on)."""
 
     def _ensure_vec(self):
         return None
@@ -104,8 +104,7 @@ class SerialPredictor(TimelinePredictor):
 class OraclePredictor(SerialPredictor):
     """The search's reference predictor: every candidate is simulated from
     a fresh ``build_schedule`` on the reference :class:`Engine` — no
-    lockstep sweeps, no delta drafts, no checkpoint/resume and no
-    keep-probe elision.  Records every candidate it simulated, in order."""
+    lockstep sweeps, no delta drafts and no keep-probe elision.  Records every candidate it simulated, in order."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

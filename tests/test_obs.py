@@ -244,8 +244,8 @@ class TestPlanPreservation:
         assert s["leaves_total"] == result.stats.leaves_total
         assert s["subtrees_pruned"] == result.stats.subtrees_pruned
         assert s["time_all_swap"] == result.stats.time_all_swap
-        assert s["sims_step2_full"] == result.stats.sims_step2_full
-        assert s["sims_step2_resumed"] == result.stats.sims_step2_resumed
+        assert s["sims_vectorized"] == result.stats.sims_vectorized
+        assert s["sims_fallback"] == result.stats.sims_fallback
         assert s["step2_rounds_run"] == result.stats.step2_rounds
         assert s["r_recomputed"] == result.stats.r_recomputed
         assert s["keep_probes_elided"] == result.stats.keep_probes_elided

@@ -8,6 +8,8 @@ validated on load.
 
 from __future__ import annotations
 
+import json
+import re
 import threading
 
 import pytest
@@ -147,12 +149,12 @@ class TestPoochWarmStart:
         assert warm.stats.sims_step1 == 0 and warm.stats.sims_step2 == 0
         assert "(from plan cache)" in warm.summary()
 
-    def test_cache_hit_leaves_the_resume_index_unbuilt(
+    def test_cache_hit_verifies_with_one_serial_simulation(
         self, tmp_path, machine, monkeypatch
     ):
         # a plan-only cache makes the hit re-verify by one simulation; that
-        # replay has nothing to resume from, so the predictor must build its
-        # base draft but not the divergence fronts only a resume reads
+        # lone replay runs on the event engine, so the predictor must build
+        # its base draft but never compile the lockstep tables a search uses
         from repro.pooch.predictor import TimelinePredictor
 
         g = poster_example()
@@ -175,7 +177,7 @@ class TestPoochWarmStart:
         assert all(p is predictor for p in seen)
         assert predictor.simulations == 1
         assert predictor._base is not None
-        assert predictor._div is None
+        assert predictor._vec_engine is None
 
     def test_outcomes_warm_start_skips_all_simulations(self, tmp_path, machine):
         # drop the plan but keep the outcomes: the re-search replays
@@ -409,3 +411,54 @@ class TestClassifiableMapsValidation:
         del data["classifiable_maps"]
         loaded = plan_from_dict(data, g)
         assert loaded.key() == Classification.all_swap(g).key()
+
+
+class TestMalformedPlanDocuments:
+    """Plan documents arrive from cache files and HTTP bodies: one that is
+    not shaped like a plan fails with a ``ScheduleError`` naming the
+    offending value, never an ``AttributeError``."""
+
+    @pytest.mark.parametrize("doc", [[], "plan", 3, None],
+                             ids=["list", "str", "int", "null"])
+    def test_document_not_an_object(self, doc):
+        with pytest.raises(ScheduleError, match="JSON object"):
+            plan_from_dict(doc, poster_example())
+
+    @pytest.mark.parametrize("classes", [None, [], "keep"],
+                             ids=["null", "list", "str"])
+    def test_classes_not_a_mapping(self, classes):
+        g = poster_example()
+        data = plan_to_dict(Classification.all_swap(g), g)
+        data["classes"] = classes
+        with pytest.raises(ScheduleError,
+                           match="'classes' must be a mapping.*"
+                           + re.escape(repr(classes))):
+            plan_from_dict(data, g)
+
+    def test_missing_classes(self):
+        g = poster_example()
+        data = plan_to_dict(Classification.all_swap(g), g)
+        del data["classes"]
+        with pytest.raises(ScheduleError, match="no 'classes'"):
+            plan_from_dict(data, g)
+
+    def test_corrupted_cache_entry(self, tmp_path, machine):
+        g = poster_example()
+        PlanCache(tmp_path).store_plan(g, machine, "cfg",
+                                       Classification.all_swap(g))
+        (path,) = (tmp_path / "plans").glob("*.json")
+        data = json.loads(path.read_text())
+        data["classes"] = None
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScheduleError, match="'classes' must be"):
+            PlanCache(tmp_path).load_plan(g, machine, "cfg")
+
+    def test_cache_entry_not_an_object_is_a_miss(self, tmp_path, machine):
+        g = poster_example()
+        cache = PlanCache(tmp_path)
+        cache.store_plan(g, machine, "cfg", Classification.all_swap(g))
+        (path,) = (tmp_path / "plans").glob("*.json")
+        path.write_text("[1, 2]")
+        fresh = PlanCache(tmp_path)
+        assert fresh.load_plan(g, machine, "cfg") is None
+        assert fresh.misses == 1

@@ -1,12 +1,13 @@
 """The search against its oracle.
 
 The search runs one configuration: branch-and-bound pruning of the step-1
-tree, checkpoint/resume replay, delta drafts with liveness-floor elision of
-step-2 keep probes, and lockstep sweeps.  Each of those may only change how
-much work the search does, never what it decides.  The reference arm runs
-the same classifier on ``OraclePredictor`` (``tests/conftest.py``), which
-simulates every candidate from a fresh ``build_schedule`` on the reference
-``Engine``, with no lockstep, no delta drafts, no resume and no elision.
+tree, delta drafts with liveness-floor elision of step-2 keep probes, and
+lockstep sweeps (speculative ones included).  Each of those may only
+change how much work the search does, never what it decides.  The
+reference arm runs the same classifier on ``OraclePredictor``
+(``tests/conftest.py``), which simulates every candidate from a fresh
+``build_schedule`` on the reference ``Engine``, with no lockstep, no delta
+drafts and no elision.
 
 * Across the zoo slice, both tiny machines, exact and noisy profiles
   (``FAULT_SEED`` picks the noise), the search returns the oracle's

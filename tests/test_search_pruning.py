@@ -1,17 +1,16 @@
-"""Search-cost machinery: delta drafts, checkpoint/resume, branch-and-bound.
+"""Search-cost machinery: delta drafts, lockstep accounting, branch-and-bound.
 
-The contract under test is *exact equivalence*: pruning and incremental
-replay may only change how much work the search does, never what it returns.
+The contract under test is *exact equivalence*: pruning, delta drafts and
+lockstep sweeps may only change how much work the search does, never what
+it returns.
 
 * delta drafts (``apply_keep_delta``) must be task-for-task identical to a
   fresh ``ScheduleBuilder`` build for the same classification;
-* a ``FastEngine`` replay resumed from any of its own checkpoints must
-  reproduce the full run bit-for-bit;
-* the pruned + incremental search must return the identical plan,
-  predicted time and peak memory as the exhaustive from-scratch scan (the
-  oracle predictor with pruning off), across the model zoo;
-* resumed replays count against the simulation budget exactly like the
-  oracle's from-scratch ones, so budget truncation is unchanged;
+* the pruned search must return the identical plan, predicted time and
+  peak memory as the exhaustive from-scratch scan (the oracle predictor
+  with pruning off), across the model zoo;
+* swept outcomes count against the simulation budget exactly like the
+  oracle's from-scratch simulations, so budget truncation is unchanged;
 * the leaf cursor skips exactly the subtrees its bounds rule out.
 
 The search-wide equivalence against the (pruning) oracle search, and the
@@ -25,7 +24,7 @@ import random
 
 import pytest
 
-from repro.gpusim.fastengine import _STREAM_ORDER, FastEngine
+from repro.gpusim.fastengine import _STREAM_ORDER
 from repro.models import build_model
 from repro.pooch import classifier as classifier_mod
 from repro.pooch.classifier import (
@@ -133,133 +132,6 @@ def test_delta_draft_leaves_base_unmodified():
     _assert_drafts_equal(base, ref)
 
 
-@pytest.mark.parametrize("name,batch", _ZOO)
-def test_engine_resume_is_bit_identical(name, batch):
-    """Resuming a replay from any of its own checkpoints reproduces the
-    full run's makespan and peaks exactly."""
-    g = _graph(name, batch)
-    prof = run_profiling(g, _MACHINE)
-    pred = TimelinePredictor(g, prof, _MACHINE)
-    maps = g.classifiable_maps()
-    cls = Classification.all_swap(g).with_classes(
-        {m: MapClass.KEEP for m in maps[: len(maps) // 2]}
-    )
-    tasks, queues, buffers = pred.draft(cls)
-    cap = _MACHINE.usable_gpu_memory
-    host = _MACHINE.cpu_mem_capacity
-    eng = FastEngine(tasks, queues, buffers, device_capacity=cap,
-                     host_capacity=host)
-    assert eng.checkpointable
-    full = eng.run(checkpoint_every=8)
-    assert eng.checkpoints, "expected checkpoints to be recorded"
-    for cp in eng.checkpoints:
-        again = FastEngine(tasks, queues, buffers, device_capacity=cap,
-                           host_capacity=host)
-        assert again.run(resume_from=cp) == full
-
-
-def _checkpoint_fixture(name="resnet18", batch=4, keep_stride=2):
-    """An engine mid-way through a mixed keep/swap replay, with a spy on
-    ``_checkpoint`` that also snapshots the recording pools at capture."""
-    g = _graph(name, batch)
-    prof = run_profiling(g, _MACHINE)
-    pred = TimelinePredictor(g, prof, _MACHINE)
-    maps = g.classifiable_maps()
-    cls = Classification.all_swap(g).with_classes(
-        {m: MapClass.KEEP for m in maps[::keep_stride]}
-    )
-    draft = pred.draft(cls)
-    caps = dict(device_capacity=_MACHINE.usable_gpu_memory,
-                host_capacity=_MACHINE.cpu_mem_capacity)
-    eng = FastEngine(*draft, **caps)
-    snaps = []
-    orig = eng._checkpoint
-
-    def spy():
-        cp = orig()
-        snaps.append((cp, eng.device.snapshot_state(),
-                      eng.host.snapshot_state()))
-        return cp
-
-    eng._checkpoint = spy
-    eng.run(checkpoint_every=6)
-    assert snaps, "expected checkpoints to be recorded"
-    return draft, caps, snaps
-
-
-def test_restore_reconstructs_pool_contents_exactly():
-    """``_restore`` never copies pool contents — it rebuilds residency from
-    the resuming engine's own alloc lists and free countdowns.  On the same
-    schedule that reconstruction must reproduce the recording pools
-    *buffer-for-buffer* (sizes dicts, not just the in-use/peak scalars the
-    checkpoint carries), including in-flight scratch workspaces and
-    swapped-out host instances."""
-    draft, caps, snaps = _checkpoint_fixture()
-    for cp, dev_snap, host_snap in snaps:
-        fresh = FastEngine(*draft, **caps)
-        fresh._restore(cp)
-        assert fresh.device.snapshot_state() == dev_snap
-        assert fresh.host.snapshot_state() == host_snap
-
-
-def test_restore_residency_sums_to_recorded_watermark():
-    """The reconstructed sizes dict and the recorded ``in_use`` scalar are
-    produced by independent mechanisms; they must agree or the resumed run
-    would drift from the from-scratch replay on the first allocation."""
-    draft, caps, snaps = _checkpoint_fixture()
-    for cp, _dev, _host in snaps:
-        fresh = FastEngine(*draft, **caps)
-        fresh._restore(cp)
-        dev_sizes, dev_in_use, dev_peak = fresh.device.snapshot_state()
-        host_sizes, host_in_use, _ = fresh.host.snapshot_state()
-        assert sum(dev_sizes.values()) == dev_in_use == cp.dev_in_use
-        assert sum(host_sizes.values()) == host_in_use == cp.host_in_use
-        assert dev_peak == cp.dev_peak >= dev_in_use
-
-
-def test_checkpoint_completed_and_started_sets():
-    """`completed()` is a prefix copy of the shared completion-order list,
-    and the lazily built sets stay consistent with it and the in-flight
-    tuple even as the recording engine keeps appending."""
-    draft, caps, snaps = _checkpoint_fixture()
-    n_tasks = len(draft[0])
-    prev = -1
-    for cp, _dev, _host in snaps:
-        done = cp.completed()
-        assert len(done) == cp.progress
-        assert len(done) > prev, "checkpoints must advance"
-        prev = len(done)
-        assert cp.completed_set() == frozenset(done)
-        assert cp.started_set() == frozenset(done) | {
-            tid for _, _, tid in cp.inflight
-        }
-        # the shared source list outgrew the prefix: later completions must
-        # not leak into an earlier checkpoint's view
-        assert len(cp.completed_src) >= len(done)
-    assert len(cp.completed_src) <= n_tasks
-
-
-def test_alloc_on_ready_drafts_refuse_checkpointing():
-    """SUPERNEURONS swap-ins are ungated and reserve memory the moment
-    their trigger fires — engine state then depends on non-head queue
-    positions, which the checkpoint validity argument does not cover, so
-    the engine must declare itself non-checkpointable and record nothing."""
-    from repro.runtime.plan import SwapInPolicy
-    from repro.runtime.schedule import ScheduleOptions
-
-    g = _graph("small_cnn", 8)
-    prof = run_profiling(g, _MACHINE)
-    draft = ScheduleBuilder(
-        g, Classification.all_swap(g), prof.durations(),
-        ScheduleOptions(policy=SwapInPolicy.SUPERNEURONS), validate=False,
-    ).build_raw()
-    eng = FastEngine(*draft, device_capacity=_MACHINE.usable_gpu_memory,
-                     host_capacity=_MACHINE.cpu_mem_capacity)
-    assert not eng.checkpointable
-    eng.run(checkpoint_every=4)
-    assert eng.checkpoints == []
-
-
 class _NoBounds:
     """Bounds that never prune: the cursor walks every enumerated leaf."""
 
@@ -293,26 +165,22 @@ def test_search_equivalence_across_zoo(name, batch, monkeypatch):
     assert opt[:3] == ex[:3], f"plans differ: {ex} vs {opt}"
 
 
-def test_incremental_resumes_and_stats_populated():
+def test_search_stats_populated():
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _MACHINE)
-    # no lockstep sweeps: this test is about the *event-engine* replay
-    # modes (full vs prefix-resumed); with sweeps most step-1 sims never
-    # touch the event engines at all
+    # no lockstep sweeps: every simulation runs on the event engine
     clf = classifier_on(SerialPredictor, g, prof, _MACHINE)
     _cls, stats = clf.classify()
     assert stats.wall_time_s > 0.0
     assert stats.leaves_total >= stats.leaves_evaluated > 0
-    assert stats.sims_full + stats.sims_resumed == clf.predictor.simulations
-    # prefix sharing must actually fire: sibling candidates differ in a
-    # handful of maps, so most replays resume
-    assert stats.sims_resumed > stats.sims_full
+    assert stats.sims_vectorized == stats.vector_sweeps == 0
+    assert stats.sims_fallback == stats.sims_step1 + stats.sims_step2 > 0
 
 
 def test_vectorized_stats_account_for_all_simulations():
     """Under the default (vectorized) search every simulation is either a
-    lockstep-swept outcome or an event-engine fallback, and the fallbacks
-    are exactly the full/resumed replays."""
+    lockstep-swept outcome or an event-engine fallback, and on an EAGER
+    search there are no fallbacks."""
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _MACHINE)
     clf = PoochClassifier(g, prof, _MACHINE, config=PoochConfig())
@@ -322,16 +190,17 @@ def test_vectorized_stats_account_for_all_simulations():
     assert stats.vector_candidates >= stats.sims_vectorized
     assert (stats.sims_vectorized + stats.sims_fallback
             == stats.sims_step1 + stats.sims_step2)
-    # every simulation is a swept outcome or an event-engine replay (the
-    # all-swap baseline runs outside the step windows, hence ``full``)
-    assert (stats.sims_vectorized + stats.sims_full + stats.sims_resumed
-            == clf.predictor.simulations)
+    # EAGER drafts are all expressible: both steps run entirely in lockstep,
+    # and only the all-swap baseline (outside the step windows) replays on
+    # the event engine
+    assert stats.sims_fallback == 0
+    assert stats.sims_vectorized + 1 == clf.predictor.simulations
 
 
 def test_incremental_counters_do_not_change_budget():
-    """`simulations` (the budget meter) counts resumed replays and swept
-    outcomes exactly like the oracle's from-scratch simulations, so budget
-    truncation is independent of how each simulation ran."""
+    """`simulations` (the budget meter) counts swept outcomes exactly like
+    the oracle's from-scratch simulations, so budget truncation is
+    independent of how each simulation ran."""
     g = _graph("small_cnn", 8)
     prof = run_profiling(g, _MACHINE)
     cfg = PoochConfig(step1_sim_budget=40)

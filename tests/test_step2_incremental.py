@@ -1,4 +1,4 @@
-"""Incremental step-2 search: recompute-delta drafts, resumable r(X) probes,
+"""Incremental step-2 search: recompute-delta drafts, lockstep r(X) rounds,
 keep-probe elision.
 
 Same contract as ``tests/test_search_pruning.py``, extended to step 2: the
@@ -12,10 +12,9 @@ loop does, never what it returns.
 * step 2 run from the same step-1 plan returns the identical plan,
   predicted time, peak memory and r(X) table with its machinery on (the
   search) and off (the oracle's from-scratch step 2), on both machines;
-* the resume machinery must actually cut work: on a step-2-heavy
-  configuration the search runs at least 3x fewer full step-2 simulations
-  than the oracle's from-scratch step 2 simulates, for the same plan
-  (zoo-wide plan identity against the oracle lives in
+* every step-2 probe runs in its round's lockstep sweep: on a
+  step-2-heavy configuration no probe falls back to the event engine, for
+  the oracle's plan (zoo-wide plan identity against the oracle lives in
   ``tests/test_search_oracle.py``);
 * keep-probe elision is sound by construction: ``liveness_floor`` is an
   admissible bound (never above a feasible run's simulated peak), so a
@@ -26,9 +25,7 @@ loop does, never what it returns.
   freshly built "X kept" draft exactly, across the zoo, both machines, all
   swap-in policies, forward re-fetch on/off and perturbed profiles — and
   answering probes that way drafts the step-1 keep set once per step 2,
-  not once per probe;
-* the predictor's resume index is built on first use, and building it
-  eagerly instead changes neither the plan nor any step-2 counter.
+  not once per probe.
 """
 
 from __future__ import annotations
@@ -232,19 +229,16 @@ def test_recompute_delta_rejects_bad_inputs():
                               set(), {recable[0]})
 
 
-def test_step2_resume_and_round_stats_populated():
+def test_step2_round_stats_populated():
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
     clf = PoochClassifier(g, prof, _SLOW, config=PoochConfig())
     _cls, stats = clf.classify()
-    assert stats.sims_step2_full + stats.sims_step2_resumed == stats.sims_step2
     assert stats.step2_rounds >= 1
     # one r-value history entry per round (bounded), first == r_values
     assert len(stats.r_rounds) == min(stats.step2_rounds, R_ROUNDS_LIMIT)
     assert stats.r_rounds[0] == stats.r_values
     assert stats.r_recomputed == sum(len(r) for r in stats.r_rounds)
-    # EAGER is the resumable policy: most r(X) probes resume mid-replay
-    assert stats.sims_step2_resumed > stats.sims_step2_full
     # every r(X) published per round covers exactly the surviving pool
     for earlier, later in zip(stats.r_rounds, stats.r_rounds[1:]):
         assert set(later) <= set(earlier)
@@ -265,8 +259,8 @@ def _search_and_oracle_step2(g, prof, machine):
                          ids=lambda m: m.name)
 @pytest.mark.parametrize("name,batch", _ZOO)
 def test_step2_plans_bit_identical_on_off(name, batch, machine):
-    """Step 2 with its machinery on (the search: delta drafts, resumed
-    r(X) probes, keep-probe elision) and off (the oracle's from-scratch
+    """Step 2 with its machinery on (the search: delta drafts, lockstep
+    r(X) rounds, keep-probe elision) and off (the oracle's from-scratch
     step 2 from the same step-1 plan) returns the identical plan,
     predicted outcome and r(X) table."""
     g = _graph(name, batch)
@@ -281,19 +275,32 @@ def test_step2_plans_bit_identical_on_off(name, batch, machine):
     assert results["on"] == results["off"]
 
 
-def test_step2_full_sims_cut_at_least_3x():
-    """The acceptance criterion at test scale: on a step-2-heavy config the
-    search does >= 3x fewer full step-2 simulations than the oracle, which
-    simulates every step-2 candidate from scratch, for the bit-identical
-    plan."""
+def test_step2_probes_run_in_one_sweep_per_round(monkeypatch):
+    """On a step-2-heavy config every step-2 probe is answered by a
+    lockstep sweep — its round's, or the previous round's speculation — so
+    no probe falls back to the event engine, no round sweeps twice, and
+    the search still returns the oracle's plan (which simulates every
+    step-2 candidate from scratch)."""
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
+    sweeps = []
+    real = predictor_mod.TimelinePredictor.predict_variant_batch
+
+    def counting(self, classifications):
+        outs = real(self, classifications)
+        if outs is not None:  # the oracle's predictor never sweeps
+            sweeps.append(len(classifications))
+        return outs
+
+    monkeypatch.setattr(predictor_mod.TimelinePredictor,
+                        "predict_variant_batch", counting)
     (cls, stats), (ref_cls, ref) = _search_and_oracle_step2(g, prof, _SLOW)
     assert cls.key() == ref_cls.key()
-    assert ref.sims_step2 >= 3 * max(stats.sims_step2_full, 1), (
-        f"expected >=3x fewer full step-2 sims, got "
-        f"{ref.sims_step2} -> {stats.sims_step2_full}"
-    )
+    assert stats.sims_fallback == 0
+    # rounds after a rejected flip, or after a correctly speculated one,
+    # are answered without a sweep of their own
+    assert 0 < len(sweeps) <= stats.step2_rounds
+    assert sum(sweeps) >= stats.sims_step2 > 0
 
 
 def _swapped_sample(cls, rng, k):
@@ -325,8 +332,8 @@ def test_liveness_floor_is_admissible_and_sound(name, batch):
             if proven:
                 assert not out.feasible
             if out.feasible:
-                tasks, queues, buffers, _k, _r = pred._sim_draft(kept)
-                assert liveness_floor(tasks, queues, buffers) <= out.peak_memory
+                assert (liveness_floor(*pred._sim_draft(kept))
+                        <= out.peak_memory)
     assert probed, "no partition left a swapped map to probe"
 
 
@@ -437,36 +444,6 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
     assert drafts <= 2, f"{drafts} keep drafts for one step 2"
 
 
-def test_lazy_resume_index_leaves_the_search_unchanged(monkeypatch):
-    """The predictor builds its resume index (divergence fronts, recompute
-    windows) on first use instead of with the base draft.  Building it
-    eagerly must give the same search on the memory-tight setup: plan,
-    step-2 simulations, how many of them resumed, and every r-round."""
-    g = _graph("resnet18", 4)
-    prof = run_profiling(g, _SLOW)
-
-    def search():
-        clf = PoochClassifier(g, prof, _SLOW, config=PoochConfig())
-        cls, stats = clf.classify()
-        return (cls.key(), stats.sims_step2, stats.sims_step2_resumed,
-                stats.r_rounds)
-
-    lazy = search()
-    real_base = predictor_mod.TimelinePredictor._ensure_base
-
-    def eager_base(self):
-        if self._base is None:
-            real_base(self)
-            self._ensure_fronts()
-
-    monkeypatch.setattr(predictor_mod.TimelinePredictor, "_ensure_base",
-                        eager_base)
-    assert search() == lazy
-    # as measured with the eager index
-    _key, sims_step2, resumed, rounds = lazy
-    assert (sims_step2, resumed, len(rounds)) == (21, 15, 6)
-
-
 def test_keep_probe_elision_cuts_sims():
     """On a memory-tight machine every keep probe is provably infeasible:
     the search answers them from the liveness floor and halves the probe
@@ -484,8 +461,9 @@ def test_keep_probe_elision_cuts_sims():
 
 
 def test_non_eager_policies_fall_back_to_full_builds():
-    """NAIVE/SUPERNEURONS swap-in triggers are not recompute-resumable; the
-    gate must quietly fall back to full builds and choose the oracle's
+    """NAIVE/SUPERNEURONS swap-in triggers are neither delta-draftable
+    with recomputes nor expressible in lockstep; the gates must quietly
+    fall back to full builds on the event engine and choose the oracle's
     plan."""
     g = _graph("poster_example", 2)
     prof = run_profiling(g, _MACHINE)

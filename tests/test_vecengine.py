@@ -35,12 +35,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.common.errors import OutOfMemoryError, SimulationError
+from repro.common.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.faults import FaultInjector, FaultSpec, FaultyDurations
 from repro.gpusim import Engine
-from repro.gpusim.engine import Schedule, TaskKind
+from repro.gpusim.engine import Schedule, StreamName, TaskKind
 from repro.gpusim.fastengine import FastEngine
 from repro.gpusim.vecengine import (
+    VariantTables,
     VectorEngine,
     VectorTables,
     VectorUnsupported,
@@ -465,6 +466,195 @@ class TestSameInstantCompletions:
                               machine.cpu_mem_capacity)
         (out,) = VectorEngine(tables).run_batch(record_times=True)
         assert self._assert_row(out, tasks, queues, buffers, machine) > 0
+
+
+def _assert_same_run(out, draft, capacity, host_cap) -> bool:
+    """One lockstep row against ``draft`` replayed on both event engines:
+    identical makespan, per-task start/end and both peaks — or the same
+    error type and text.  Returns whether the row ran feasibly."""
+    tasks, queues, buffers = draft
+    fast = FastEngine(tasks, queues, buffers, device_capacity=capacity,
+                      host_capacity=host_cap)
+    full = Engine(
+        Schedule(tasks={tid: d.to_task() for tid, d in tasks.items()},
+                 queues=queues,
+                 buffers={bid: b.to_spec() for bid, b in buffers.items()}),
+        device_capacity=capacity, host_capacity=host_cap, validate=False)
+    try:
+        want = full.run()
+    except (OutOfMemoryError, ScheduleError) as e:
+        with pytest.raises(type(e)) as caught:
+            fast.run()
+        assert str(caught.value) == str(e)
+        assert type(out.error) is type(e)
+        assert str(out.error) == str(e)
+        return False
+    makespan, device_peak, host_peak = fast.run()
+    assert out.ok, out.error
+    assert out.makespan == want.makespan == makespan
+    assert out.device_peak == want.device_peak == device_peak
+    assert out.host_peak == want.host_peak == host_peak
+    assert len(out.starts) == len(want.records)
+    for rec in want.records:
+        assert out.starts[rec.tid] == rec.start
+        assert out.ends[rec.tid] == rec.end
+    return True
+
+
+class TestVariantFamily:
+    """Step 2's variant family: each row "current with X recomputed (or
+    kept)", compiled from the search's own delta draft into one
+    ``VariantTables``, must equal that classification's fresh
+    ``ScheduleBuilder`` draft replayed on ``FastEngine`` and ``Engine`` —
+    the delta drafts plus the union compile against an independent build.
+    Profiles carry ``FAULT_SEED`` duration noise; current plans are random
+    keep/swap/recompute partitions."""
+
+    OPTIONS = ScheduleOptions(policy=SwapInPolicy.EAGER)
+    TINY = [tiny_machine(mem_mib=224, link_gbps=3.0, name="tiny-slow"),
+            tiny_machine(mem_mib=224, link_gbps=200.0, name="tiny-fast")]
+
+    def _rows(self, graph, machine, current, seed, limit=None):
+        """Sweep the one-flip probes of ``current`` (at most ``limit`` of
+        them, sampled) under a noisy profile and check every row."""
+        profile = FaultInjector(FaultSpec(profile_noise=0.1),
+                                seed=seed).perturb_profile(
+            run_profiling(graph, machine))
+        probes = self._one_flip_probes(graph, current)
+        if limit is not None and len(probes) > limit:
+            probes = random.Random(seed).sample(probes, limit)
+        return self._check_rows(graph, machine, profile, probes)
+
+    def _check_rows(self, graph, machine, profile, probes):
+        """Compile the search's delta drafts of ``probes`` into one variant
+        family, sweep it (in both row orders) and check every row against
+        its fresh build; returns (drafts, feasible rows)."""
+        from repro.pooch.predictor import TimelinePredictor
+
+        predictor = TimelinePredictor(graph, profile, machine)
+        drafts = [predictor._sim_draft(c) for c in probes]
+        capacity = machine.usable_gpu_memory
+        host_cap = machine.cpu_mem_capacity
+
+        def sweep(rows):
+            return VectorEngine(VariantTables(rows, capacity, host_cap)
+                                ).run_batch(record_times=True)
+
+        outs = sweep(drafts)
+        assert len(outs) == len(probes)
+        # the compile keys slots off row 0's objects: any row order must
+        # give every row the same replay
+        for a, b in zip(outs, reversed(sweep(drafts[::-1]))):
+            assert (a.makespan, a.device_peak, a.host_peak, a.starts,
+                    a.ends, repr(a.error)) == (
+                b.makespan, b.device_peak, b.host_peak, b.starts, b.ends,
+                repr(b.error))
+        durations = profile.durations()
+        feasible = sum(
+            _assert_same_run(out, ScheduleBuilder(
+                graph, cls, durations, self.OPTIONS,
+                validate=False).build_raw(), capacity, host_cap)
+            for cls, out in zip(probes, outs))
+        return drafts, feasible
+
+    @pytest.mark.parametrize("machine", _QUARTER_MACHINES,
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+    def test_zoo_variant_rows(self, name, machine):
+        graph = MODEL_ZOO[name](batch=2)
+        rng = random.Random(FAULT_SEED * 101 + len(name))
+        current = _random_classification(graph, rng)
+        self._rows(graph, machine, current, FAULT_SEED + 17, limit=8)
+
+    @pytest.mark.parametrize("machine", TINY, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", ["poster_example", "small_cnn",
+                                      "resnet18"])
+    def test_tiny_variant_rows(self, name, machine):
+        graph = {"poster_example": poster_example, "small_cnn": small_cnn,
+                 "resnet18": lambda: MODEL_ZOO["resnet18"](batch=4)}[name]()
+        rng = random.Random(FAULT_SEED * 31 + 3)
+        feasible = 0
+        for _ in range(3):
+            # swap-heavy partitions, so that most rows fit the machine
+            current = Classification({
+                m: rng.choice([MapClass.SWAP, MapClass.SWAP]
+                              + [MapClass.RECOMPUTE] * graph[m].op.recomputable)
+                for m in graph.classifiable_maps()})
+            feasible += self._rows(graph, machine, current,
+                                   FAULT_SEED + 29, limit=16)[1]
+        assert feasible >= 1
+
+    @staticmethod
+    def _one_flip_probes(graph, current):
+        probes = []
+        for x in current.maps_of(MapClass.SWAP):
+            if graph[x].op.recomputable:
+                probes.append(current.with_class(x, MapClass.RECOMPUTE))
+            probes.append(current.with_class(x, MapClass.KEEP))
+        return probes
+
+    def test_rows_raising_the_eager_headroom(self):
+        # the headroom-repair fixture of tests/test_step2_incremental.py on
+        # a tighter, faster machine: recomputing map 1 out-allocates every
+        # backward task, which raises every swap-in's headroom in that row
+        # only — and the raised reserve holds a prefetch back
+        def headroom(draft):
+            return max((t.headroom for t in draft[0].values()
+                        if t.kind is TaskKind.SWAP_IN), default=0)
+
+        graph = MODEL_ZOO["resnet18"](batch=4)
+        machine = tiny_machine(mem_mib=160, link_gbps=16.0)
+        profile = run_profiling(graph, machine)
+        recable = [m for m in graph.classifiable_maps()
+                   if graph[m].op.recomputable]
+        raised = 0
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            recs = set(rng.sample(recable, rng.randint(1, len(recable) // 2)))
+            current = Classification.all_swap(graph).with_classes(
+                {m: MapClass.RECOMPUTE for m in recs})
+            drafts, feasible = self._check_rows(
+                graph, machine, profile, self._one_flip_probes(graph, current))
+            floor = min(headroom(d) for d in drafts)
+            raised += sum(headroom(d) > floor for d in drafts)
+            assert feasible
+        assert raised, "no row raised the headroom: fixture lost its bite"
+
+    def test_rows_moving_swap_ins_earlier(self):
+        # densenet's concatenations give recompute chains several swapped
+        # inputs, resolved in graph order but first read in chain order:
+        # the row's H2D queue is re-sorted by first need, moving swap-ins
+        # earlier than the order they were requested in
+        graph = MODEL_ZOO["densenet121"](batch=2)
+        machine = self.TINY[0]
+        recable = [m for m in graph.classifiable_maps()
+                   if graph[m].op.recomputable]
+        rng = random.Random(2)
+        recs = set(rng.sample(recable, rng.randint(1, len(recable) // 2)))
+        current = Classification.all_swap(graph).with_classes(
+            {m: MapClass.RECOMPUTE for m in recs})
+        probes = [current.with_class(x, MapClass.RECOMPUTE)
+                  for x in current.maps_of(MapClass.SWAP)
+                  if graph[x].op.recomputable][:12]
+        profile = run_profiling(graph, machine)
+        drafts, _feasible = self._check_rows(graph, machine, profile, probes)
+        h2d = ScheduleBuilder(graph, current, profile.durations(),
+                              self.OPTIONS, validate=False
+                              ).build_raw()[1][StreamName.H2D]
+        assert any([t for t in h2d if t in tasks] != queues[StreamName.H2D]
+                   for tasks, queues, _b in drafts), (
+            "no row re-sorted its H2D queue: fixture lost its bite")
+
+    def test_variant_family_refuses_keep_matrix(self):
+        graph = poster_example()
+        machine = self.TINY[0]
+        draft = ScheduleBuilder(
+            graph, Classification.all_swap(graph),
+            run_profiling(graph, machine).durations(), self.OPTIONS,
+            validate=False).build_raw()
+        engine = VectorEngine(VariantTables([draft], 1 << 30))
+        with pytest.raises(SimulationError, match="keep matrix"):
+            engine.run_batch(np.zeros((1, 0), bool))
 
 
 class TestFallbackMatrix:
