@@ -32,9 +32,14 @@ for the planning-side share that prevents this by construction).
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
+
+import numpy as np
 
 from repro.common.errors import OutOfMemoryError, SimulationError
 from repro.common.units import format_bytes
@@ -42,6 +47,8 @@ from repro.gpusim.engine import RunResult, StreamName, TaskKind, TaskRecord
 
 #: streams whose tasks occupy the host link (the compute stream does not)
 _LINK_STREAMS = (StreamName.H2D, StreamName.D2H)
+#: a stream's busy-horizon slot in :class:`LinkArbiter`
+_STREAM_INDEX = {s: i for i, s in enumerate(StreamName)}
 
 
 @dataclass(frozen=True)
@@ -72,21 +79,30 @@ class LinkArbiter:
     everything that device does afterwards.
 
     Grants are deterministic: requests are served in non-decreasing
-    effective-request order with ties broken by (direction, device, task
-    id).  Within one device the effective order equals the original order
-    (slip is device-uniform), so a lone device — or any device whose
-    windows never overlap another's — experiences zero delay.
+    effective-request order with ties broken by (device, window index).
+    Within one device the effective order equals the original order (slip
+    is device-uniform), so a lone device — or any device whose windows
+    never overlap another's — experiences zero delay.
     """
 
     def __init__(self, link_shared: bool = True) -> None:
         self.link_shared = link_shared
-        self.grants: list[TransferGrant] = []
+        #: ``(device, record, requested, granted)`` per grant, in grant
+        #: order; :attr:`grants` expands them on demand
+        self._grants: list[tuple[int, TaskRecord, float, float]] = []
         #: busy horizon per direction (per (direction, device) when the
         #: link is not shared, which makes contention impossible)
-        self._free_at: dict = {}
+        self._free_at: dict[int, float] = {}
 
-    def _horizon_key(self, direction: StreamName, device: int):
-        return direction if self.link_shared else (direction, device)
+    @property
+    def grants(self) -> list[TransferGrant]:
+        """Every grant so far, in grant order."""
+        return [
+            TransferGrant(device=d, tid=rec.tid, direction=rec.stream,
+                          requested=requested, granted=granted,
+                          end=granted + rec.duration)
+            for d, rec, requested, granted in self._grants
+        ]
 
     def arbitrate(
         self,
@@ -100,51 +116,57 @@ class LinkArbiter:
         device, the slip breakpoints ``[(base_start, slip_after), ...]`` in
         increasing base-start order — the cumulative delay applying to
         every event of that device at or after ``base_start`` (stagger not
-        included).  The full grant list is left in :attr:`grants`.
+        included).  The grants are left in :attr:`grants`.
         """
         n = len(windows)
+        for d, s in enumerate(stagger):
+            if not math.isfinite(s) or s < 0:
+                raise SimulationError(
+                    f"stagger offsets must be finite and >= 0, got {s!r} "
+                    f"for device {d}")
+        # flat per-window start / duration / horizon-key lists, built once
+        # per distinct window list (replicas share one)
+        columns: dict[int, tuple[list, list, list]] = {}
+        for w in windows:
+            if id(w) not in columns:
+                columns[id(w)] = ([r.start for r in w],
+                                  [r.duration for r in w],
+                                  [_STREAM_INDEX[r.stream] for r in w])
+        starts, durations, keys = (
+            [columns[id(w)][k] for w in windows] for k in range(3))
+        stride = 0 if self.link_shared else len(_STREAM_INDEX)
         slip = [0.0] * n
         breakpoints: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        # per-device cursor into its (time-ordered) transfer list; a heap
-        # over effective request times picks the global next grant.  Heap
-        # entries are re-validated because a grant can raise its device's
-        # slip and therefore every pending request of that device.
-        cursors = [0] * n
-        heap: list[tuple[float, int, int]] = []
-
-        def push(d: int) -> None:
-            i = cursors[d]
-            if i < len(windows[d]):
-                rec = windows[d][i]
-                heapq.heappush(
-                    heap, (rec.start + stagger[d] + slip[d], d, i))
-
-        for d in range(n):
-            if stagger[d] < 0:
-                raise SimulationError(
-                    f"stagger offsets must be >= 0, got {stagger[d]!r} "
-                    f"for device {d}")
-            push(d)
+        free_at = self._free_at
+        grants = self._grants
+        # a heap over effective request times picks the global next grant;
+        # each device has one entry, its next window.  Entries are
+        # re-validated because a grant can raise its device's slip and
+        # therefore every pending request of that device.
+        heap = [(starts[d][0] + stagger[d] + slip[d], d, 0)
+                for d in range(n) if starts[d]]
+        heapq.heapify(heap)
         while heap:
-            requested, d, i = heapq.heappop(heap)
-            rec = windows[d][i]
-            fresh = rec.start + stagger[d] + slip[d]
+            requested, d, i = heap[0]
+            start = starts[d][i]
+            fresh = start + stagger[d] + slip[d]
             if fresh != requested:  # stale: slip grew since the push
-                heapq.heappush(heap, (fresh, d, i))
+                heapq.heapreplace(heap, (fresh, d, i))
                 continue
-            key = self._horizon_key(rec.stream, d)
-            granted = max(requested, self._free_at.get(key, 0.0))
-            self._free_at[key] = granted + rec.duration
+            key = keys[d][i] + stride * d
+            free = free_at.get(key, 0.0)
+            granted = requested if requested >= free else free
+            free_at[key] = granted + durations[d][i]
             if granted > requested:
-                slip[d] = granted - rec.start - stagger[d]
-                breakpoints[d].append((rec.start, slip[d]))
-            self.grants.append(TransferGrant(
-                device=d, tid=rec.tid, direction=rec.stream,
-                requested=requested, granted=granted,
-                end=granted + rec.duration,
-            ))
-            cursors[d] = i + 1
-            push(d)
+                slip[d] = granted - start - stagger[d]
+                breakpoints[d].append((start, slip[d]))
+            grants.append((d, windows[d][i], requested, granted))
+            i += 1
+            if i < len(starts[d]):
+                heapq.heapreplace(
+                    heap, (starts[d][i] + stagger[d] + slip[d], d, i))
+            else:
+                heapq.heappop(heap)
         return breakpoints
 
 
@@ -172,13 +194,11 @@ class DeviceTimeline:
         return max(self.timeline_end, self.backward_end + self.allreduce_time)
 
     def slip_at(self, base_start: float) -> float:
-        """Contention slip applying to an event at ``base_start``."""
-        s = 0.0
-        for t, value in self.slip_breakpoints:
-            if t > base_start:
-                break
-            s = value
-        return s
+        """Contention slip applying to an event at ``base_start``: the
+        value of the last breakpoint at or before it."""
+        i = bisect.bisect_right(self.slip_breakpoints, base_start,
+                                key=itemgetter(0))
+        return self.slip_breakpoints[i - 1][1] if i else 0.0
 
     def shift_of(self, base_start: float) -> float:
         return self.stagger + self.slip_at(base_start)
@@ -195,10 +215,16 @@ class MultiDeviceResult:
     makespan: float
     #: sum over devices of their final contention slip
     contention_delay_total: float
-    #: the arbiter's full grant list (contention-window forensics)
-    grants: list[TransferGrant] = field(default_factory=list)
     #: host DRAM concurrently held by all replicas' swapped bytes
     host_bytes_total: int = 0
+    #: the arbiter that timed the link (grants are expanded on demand)
+    arbiter: LinkArbiter | None = field(default=None, repr=False,
+                                        compare=False)
+
+    @property
+    def grants(self) -> list[TransferGrant]:
+        """The arbiter's full grant list (contention-window forensics)."""
+        return self.arbiter.grants if self.arbiter is not None else []
 
     @property
     def allreduce_time(self) -> float:
@@ -302,32 +328,37 @@ def simulate_multi_device(
     breakpoints = arbiter.arbitrate([transfers] * n, stagger)
 
     ar_time = ring_allreduce_time(grad_bytes, machine)
+    records = base.records
+    starts = np.fromiter((r.start for r in records), float, len(records))
+    ends = np.fromiter((r.end for r in records), float, len(records))
+    backward = np.fromiter((r.kind is TaskKind.BWD for r in records), bool,
+                           len(records))
     per_device: list[DeviceTimeline] = []
     for d in range(n):
-        dev = DeviceTimeline(
-            device=d,
-            stagger=stagger[d],
-            contention_delay=(breakpoints[d][-1][1] if breakpoints[d]
-                              else 0.0),
-            timeline_end=0.0,
-            backward_end=0.0,
-            allreduce_time=ar_time,
-            slip_breakpoints=breakpoints[d],
-        )
+        bp = breakpoints[d]
+        s = stagger[d]
         # ends shift by the slip in effect at each record's *start* (a
         # window already granted is never preempted), so re-derive both
-        # phase ends from the shifted records rather than shifting the max
-        timeline_end = backward_end = stagger[d]
-        for rec in base.records:
-            end = rec.end + dev.shift_of(rec.start)
-            if end > timeline_end:
-                timeline_end = end
-            if rec.kind is TaskKind.BWD and end > backward_end:
-                backward_end = end
-        dev.timeline_end = timeline_end
-        dev.backward_end = backward_end if backward_end > stagger[d] \
-            else timeline_end
-        per_device.append(dev)
+        # phase ends from the shifted records rather than shifting the max;
+        # the slip of a start is the last breakpoint at or before it, and
+        # the sum keeps ``end + (stagger + slip)``, the order of shift_of
+        slips = np.array([0.0] + [v for _, v in bp])[np.searchsorted(
+            np.array([t for t, _ in bp], float), starts, side="right")]
+        shifted = ends + (s + slips)
+        timeline_end = backward_end = s
+        if len(shifted):
+            timeline_end = max(s, float(shifted.max()))
+        if backward.any():
+            backward_end = max(s, float(shifted[backward].max()))
+        per_device.append(DeviceTimeline(
+            device=d,
+            stagger=s,
+            contention_delay=bp[-1][1] if bp else 0.0,
+            timeline_end=timeline_end,
+            backward_end=backward_end if backward_end > s else timeline_end,
+            allreduce_time=ar_time,
+            slip_breakpoints=bp,
+        ))
 
     return MultiDeviceResult(
         base=base,
@@ -336,6 +367,6 @@ def simulate_multi_device(
         makespan=max(dev.done for dev in per_device),
         contention_delay_total=sum(dev.contention_delay
                                    for dev in per_device),
-        grants=arbiter.grants,
         host_bytes_total=host_total,
+        arbiter=arbiter,
     )

@@ -43,19 +43,35 @@ class PoochResult:
     #: staggered swap-window plan across data-parallel replicas; populated
     #: only when the machine has more than one device
     multi: MultiDevicePlan | None = None
+    #: the stagger stage's ground-truth run, with the machine and cost
+    #: model it ran on: ``(machine, cost_model, run)``
+    ground_truth: tuple[MachineSpec, CostModel | None, RunResult] | None = \
+        field(default=None, repr=False, compare=False)
 
     def execute(
         self,
         machine: MachineSpec | None = None,
         cost_model: CostModel | None = None,
     ) -> RunResult:
-        """Ground-truth execution of the chosen plan."""
+        """Ground-truth execution of the chosen plan.
+
+        On a multi-device machine the stagger stage already ran the plan
+        once; when ``machine`` equals the machine it ran on and
+        ``cost_model`` is the very object it ran with (both defaults, for a
+        ``PoocH`` built without a cost model) that run is returned instead
+        of running the engine again.  Any other argument runs the engine.
+        """
         from repro.runtime.schedule import ScheduleOptions
 
+        machine = machine or self.machine
+        if self.ground_truth is not None:
+            ran_on, ran_with, run = self.ground_truth
+            if machine == ran_on and cost_model is ran_with:
+                return run
         return execute(
             self.graph,
             self.classification,
-            machine or self.machine,
+            machine,
             cost_model=cost_model,
             options=ScheduleOptions(
                 policy=self.config.policy,
@@ -103,7 +119,8 @@ class PoochResult:
     ):
         """Ground-truth multi-device execution of the chosen plan.
 
-        Runs the single-replica plan through the engine, then replays it on
+        Takes the single-replica run from :meth:`execute` (the stagger
+        stage's own run when the arguments match it), then replays it on
         every device of ``machine`` through the shared-link arbiter with this
         result's chosen stagger (when its device count matches).  Returns a
         :class:`~repro.gpusim.MultiDeviceResult`.
@@ -190,8 +207,12 @@ class PoocH:
         machine: execution environment to optimize for.
         config: search knobs (see :class:`PoochConfig`).
         cost_model: ground-truth cost model used for the profiling
-            iterations; defaults to a deterministic model of ``machine``
-            (pass one with ``jitter > 0`` to exercise noisy profiling).
+            iterations and, on a multi-device machine, for the stagger
+            stage's run of the chosen plan; defaults to a deterministic
+            model of ``machine`` (pass one with ``jitter > 0`` to exercise
+            noisy profiling).  :meth:`PoochResult.execute` returns the
+            stage's run when called with this same cost model (``None``
+            when none was given).
         profile_iterations: how many iterations the profiling phase averages
             (the paper runs "several"; 1 suffices when deterministic).
         plan_cache: a :class:`~repro.runtime.plan_io.PlanCache` (or a
@@ -356,8 +377,10 @@ class PoocH:
         searches per-device start offsets that interleave the replicas' swap
         windows on the shared host link (scored by the deterministic
         multi-device simulation, allreduce overlapped with the backward
-        tail).  Single-device machines skip this entirely, so their results
-        stay bit-identical to the pre-multi-device pipeline.
+        tail).  The run is kept on the result, so the caller's
+        ``execute()`` / ``execute_multi()`` do not run the plan again.
+        Single-device machines skip this entirely, so their results stay
+        bit-identical to the pre-multi-device pipeline.
         """
         if self.machine.devices <= 1:
             return result
@@ -367,6 +390,7 @@ class PoocH:
                           graph=result.graph.name,
                           machine=self.machine.name):
             base = result.execute(cost_model=self.cost_model)
+            result.ground_truth = (self.machine, self.cost_model, base)
             plan = plan_staggered(
                 base, self.machine, grad_bytes=result.grad_bytes()
             )

@@ -370,9 +370,17 @@ class TestSameInstantCompletions:
         return ScheduleBuilder(graph, cls, durations, self.OPTIONS,
                                validate=False).build_raw()
 
-    def _keep_flip_batch(self, name, machine, host_cap=None):
+    def _keep_flip_batch(self, name, machine, host_cap=None, keep=None,
+                         distinct_host_peaks=False):
         """Grid-duration keep-flip family: the all-swap base row plus seven
-        random keep sets, each checked against both event engines."""
+        random keep sets (or the given ``keep`` matrix), each checked
+        against both event engines.  Returns the rows' outcomes, the count
+        of same-instant task ends and the keep matrix.
+
+        With ``distinct_host_peaks`` the drawn batch is guaranteed two
+        feasible rows with different host peaks: while it lacks them, keep
+        sets are drawn further from the same stream and the first feasible
+        one with a new peak joins the batch."""
         graph, profiled = self._setup(name, machine)
         durations = _GridDurations(profiled)
         base = Classification.all_swap(graph)
@@ -383,10 +391,30 @@ class TestSameInstantCompletions:
                               machine.usable_gpu_memory,
                               host_cap or machine.cpu_mem_capacity, flips)
         rng = random.Random(FAULT_SEED + 5)
-        keep = np.zeros((8, len(flips)), bool)
-        for r in range(1, 8):  # row 0 stays the all-swap base
-            for c in range(len(flips)):
-                keep[r, c] = rng.random() < 0.5
+
+        def draw(rows):
+            keep = np.zeros((rows, len(flips)), bool)
+            for r in range(rows):
+                for c in range(len(flips)):
+                    keep[r, c] = rng.random() < 0.5
+            return keep
+
+        if keep is None:
+            # row 0 stays the all-swap base
+            keep = np.vstack([np.zeros((1, len(flips)), bool), draw(7)])
+        if distinct_host_peaks:
+            peaks = {o.host_peak for o in VectorEngine(tables).run_batch(keep)
+                     if o.ok}
+            for _ in range(200):
+                if len(peaks) > 1:
+                    break
+                extra = draw(8)
+                for row, out in zip(extra,
+                                    VectorEngine(tables).run_batch(extra)):
+                    if out.ok and out.host_peak not in peaks:
+                        keep = np.vstack([keep, row])
+                        peaks.add(out.host_peak)
+                        break
         outs = VectorEngine(tables).run_batch(keep, record_times=True)
         ties = 0
         for r, out in enumerate(outs):
@@ -395,12 +423,12 @@ class TestSameInstantCompletions:
                                      if keep[r, c]})
             ties += self._assert_row(out, *self._draft(graph, cls, durations),
                                      machine, host_cap)
-        return outs, ties
+        return outs, ties, keep
 
     @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_keep_flip_rows(self, name, machine):
-        _outs, ties = self._keep_flip_batch(name, machine)
+        _outs, ties, _keep = self._keep_flip_batch(name, machine)
         assert ties > 0
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -409,11 +437,14 @@ class TestSameInstantCompletions:
         # maps fail their host malloc mid-scan while the rest of the batch
         # runs on, and each failure must blame the event engines' task
         machine = self.MACHINES[0]
-        outs, _ties = self._keep_flip_batch(name, machine)
+        outs, _ties, keep = self._keep_flip_batch(name, machine,
+                                                  distinct_host_peaks=True)
         peaks = sorted({o.host_peak for o in outs if o.ok})
         assert len(peaks) > 1
-        outs, _ties = self._keep_flip_batch(name, machine,
-                                            host_cap=peaks[len(peaks) // 2])
+        # the median peak, or the lower of exactly two
+        cap = peaks[min(len(peaks) // 2, len(peaks) - 2)]
+        outs, _ties, _keep = self._keep_flip_batch(name, machine,
+                                                   host_cap=cap, keep=keep)
         assert any(o.ok for o in outs)
         assert any(isinstance(o.error, OutOfMemoryError) for o in outs)
 
