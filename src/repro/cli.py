@@ -16,10 +16,10 @@ Commands:
   plan under K fault seeds (lockstep-batched when the spec allows), and
   report P50/P95/P99 makespan, degradation, and OOM/fallback/retry rates.
 * ``serve [--port N] [--plan-cache DIR] [--serve-workers N] ...`` — run the
-  long-lived planning service (request coalescing, warm plan cache,
-  per-tenant quotas; see ``repro.serve``).
-* ``client <submit|status|result|cancel|events|stats|health|shutdown>`` —
-  talk to a running planning service.
+  long-lived planning service (request coalescing, warm plan cache, bounded
+  run queue; see ``repro.serve``).
+* ``client <submit|status|result|events|stats|health|shutdown>`` — talk to
+  a running planning service.
 
 ``run`` additionally accepts ``--faults SPEC --fault-seed N`` to execute
 under deterministic injected faults (see ``repro.faults``).
@@ -353,17 +353,14 @@ def _cmd_serve(args) -> int:
         ServePlanner(plan_cache=args.plan_cache),
         workers=args.serve_workers,
         max_queue=args.queue_depth,
-        tenant_quota=args.tenant_quota,
         warm_capacity=args.warm_capacity,
-        audit=args.audit,
     )
     server = PlannerServer(manager, host=args.host, port=args.port,
                            allow_remote_shutdown=not args.no_remote_shutdown)
     print(f"planning service listening on {server.url} "
-          f"(workers={args.serve_workers} queue={args.queue_depth} "
-          f"quota={args.tenant_quota}/tenant"
+          f"(workers={args.serve_workers} queue={args.queue_depth}"
           + (f" plan-cache={args.plan_cache}" if args.plan_cache else "")
-          + (f" audit={args.audit}" if args.audit else "") + ")",
+          + ")",
           flush=True)
     try:
         server.serve_forever()
@@ -397,7 +394,7 @@ def _cmd_client(args) -> int:
             print(f"job {doc['id']}: {doc['state']}"
                   + (f" (tier {doc['cache_tier']})"
                      if doc.get("cache_tier") else ""))
-            if args.wait and doc["state"] not in ("done", "failed", "cancelled"):
+            if args.wait and doc["state"] not in ("done", "failed"):
                 doc = client.wait(doc["id"], timeout=args.timeout)
             if doc["state"] == "done":
                 result = doc["result"]
@@ -414,7 +411,7 @@ def _cmd_client(args) -> int:
             elif args.wait:
                 print(f"  {doc['state']}: {doc.get('error')}")
                 return 1
-        elif args.action in ("status", "result", "cancel", "events"):
+        elif args.action in ("status", "result", "events"):
             if not args.target:
                 print(f"error: {args.action} needs a job id", file=sys.stderr)
                 return 1
@@ -423,8 +420,6 @@ def _cmd_client(args) -> int:
             elif args.action == "result":
                 print(json.dumps(client.result(args.target,
                                                timeout=args.timeout), indent=2))
-            elif args.action == "cancel":
-                print(f"cancelled: {client.cancel(args.target)}")
             else:
                 for event in client.events(args.target):
                     print(json.dumps(event))
@@ -577,13 +572,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-depth", type=_positive_int, default=16,
                    help="bounded run-queue depth; submissions beyond it are "
                         "rejected with 429")
-    p.add_argument("--tenant-quota", type=_positive_int, default=4,
-                   help="max active (queued+running+coalesced) jobs per "
-                        "tenant")
     p.add_argument("--warm-capacity", type=_positive_int, default=128,
                    help="entries in the in-memory warm response LRU")
-    p.add_argument("--audit", metavar="LOG.jsonl",
-                   help="append one JSONL audit record per settled request")
     p.add_argument("--no-remote-shutdown", action="store_true",
                    help="disable the POST /v1/shutdown endpoint")
     p.set_defaults(fn=_cmd_serve)
@@ -591,11 +581,11 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("client", help="talk to a running planning service",
                        parents=[obs])
     p.add_argument("action",
-                   choices=["submit", "status", "result", "cancel", "events",
+                   choices=["submit", "status", "result", "events",
                             "stats", "health", "shutdown"])
     p.add_argument("target", nargs="?",
                    help="model name (submit) or job id (status/result/"
-                        "cancel/events)")
+                        "events)")
     p.add_argument("--url", default="http://127.0.0.1:8477",
                    help="planning service base URL")
     p.add_argument("--tenant", default="default")

@@ -233,8 +233,7 @@ class PoocH:
             ``stagger:start``, ``stagger:done``) with a JSON-shaped info
             dict.  The planning server streams these to job watchers.
             Exceptions raised by the callback propagate and abort the
-            optimization — that is the server's cooperative-cancellation
-            mechanism, so ``optimize`` must not swallow them.
+            optimization; ``optimize`` must not swallow them.
     """
 
     def __init__(

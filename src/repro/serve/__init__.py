@@ -2,71 +2,55 @@
 
 PoocH's premise is that one expensive profiling+search phase is amortized
 over many training iterations; this package applies the same argument
-*across tenants and runs*.  A :class:`PlannerServer` keeps plans, predictor
-outcomes and signatures warm in one process, so N structurally identical
-optimize requests pay for exactly one search:
+*across requests and runs*.  A :class:`PlannerServer` keeps plans,
+predictor outcomes and signatures warm in one process, so N structurally
+identical optimize requests pay for exactly one search:
 
-* in-flight duplicates coalesce onto one leader
-  (:mod:`repro.serve.coalesce`),
+* in-flight duplicates coalesce onto one leader's search
+  (:class:`~repro.serve.jobs.JobManager`),
 * completed responses answer repeats from a bounded in-memory LRU
   (:mod:`repro.serve.cache`) over the persistent
   :class:`~repro.runtime.plan_io.PlanCache`,
-* a bounded job queue with per-tenant quotas fails fast under overload
-  (:mod:`repro.serve.jobs`),
-* every settled request leaves a JSONL audit record
-  (:mod:`repro.serve.audit`).
+* a bounded run queue fails fast under overload (:mod:`repro.serve.jobs`).
 
 Plans served are bit-identical to a direct ``PoocH.optimize`` for the same
 (graph, machine, config): the entire pipeline is deterministic, and caching
 never re-derives — it replays the one result the search produced.
 """
 
-from repro.serve.audit import AuditLog
 from repro.serve.cache import (
     TIER_COALESCED,
     TIER_PERSISTENT,
     TIER_SEARCH,
     TIER_WARM,
-    CachedResponse,
     LruCache,
-    WarmPlanCache,
 )
 from repro.serve.client import PlannerClient, ServeClientError
-from repro.serve.coalesce import Coalescer, Flight
 from repro.serve.jobs import (
     AdmissionError,
     BadRequest,
     Job,
-    JobCancelled,
     JobManager,
     JobState,
     QueueFull,
-    QuotaExceeded,
     ServePlanner,
 )
 from repro.serve.server import PlannerServer
 
 __all__ = [
-    "AuditLog",
     "AdmissionError",
     "BadRequest",
-    "CachedResponse",
-    "Coalescer",
-    "Flight",
     "Job",
-    "JobCancelled",
     "JobManager",
     "JobState",
     "LruCache",
     "PlannerClient",
     "PlannerServer",
     "QueueFull",
-    "QuotaExceeded",
     "ServeClientError",
     "ServePlanner",
     "TIER_COALESCED",
     "TIER_PERSISTENT",
     "TIER_SEARCH",
     "TIER_WARM",
-    "WarmPlanCache",
 ]

@@ -1,11 +1,10 @@
-"""The serve-side warm cache: complete optimize responses, in memory.
+"""The serve-side cache tiers: complete optimize responses, in memory.
 
 Two cache levels serve a request (plus coalescing for in-flight overlap):
 
-* **L1 — warm response cache** (:class:`WarmPlanCache`): a bounded
-  thread-safe LRU of *complete* optimize responses — the JSON-ready plan
-  dict, the deserialized :class:`~repro.runtime.plan.Classification`, the
-  predicted outcome and the search-stats summary — keyed by the same
+* **L1 — warm response cache**: a bounded thread-safe :class:`LruCache` of
+  *complete* optimize responses — the JSON-ready payload dict holding the
+  plan, the predicted time and the search-stats summary — keyed by the same
   (graph signature, machine signature, config signature) triple the
   persistent :class:`~repro.runtime.plan_io.PlanCache` uses.  A hit returns
   without profiling, without simulation and without touching JSON: the hot
@@ -18,9 +17,9 @@ Two cache levels serve a request (plus coalescing for in-flight overlap):
   simulation instead of a full search); the resulting response is then
   promoted into L1.
 
-Everything in a cached response is treated as immutable: the
-``Classification`` was produced once by the search (or one JSON parse) and
-is shared by reference with every subsequent hit — which is what makes the
+Everything in a cached payload is treated as immutable: each job's result
+is a shallow copy stamped with its own cache tier, and the nested plan dict
+is shared by reference with every hit — which is what makes the
 bit-identical-plans guarantee trivial, the same object is serialized every
 time.
 """
@@ -29,12 +28,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.runtime.plan import Classification
-
-#: cache-tier labels stamped into responses and the audit log
+#: cache-tier labels stamped into responses
 TIER_WARM = "warm-lru"
 TIER_PERSISTENT = "persistent"
 TIER_SEARCH = "miss-search"
@@ -100,42 +96,3 @@ class LruCache:
 #: the coalescing / cache key: (graph signature, machine signature,
 #: config signature) — identical to the persistent PlanCache plan key
 PlanKey = tuple[str, str, str]
-
-
-@dataclass
-class CachedResponse:
-    """One complete optimize result, ready to answer a repeat request."""
-
-    #: the chosen plan, deserialized — shared by reference with every hit
-    classification: Classification
-    #: JSON-ready response body (plan dict + prediction + search summary);
-    #: :meth:`response_for` copies the outer dict before stamping
-    #: job-specific fields, the nested plan dict is never mutated
-    payload: dict[str, Any]
-
-    def response_for(self, *, tier: str, coalesced_with: str | None = None
-                     ) -> dict[str, Any]:
-        response = dict(self.payload)
-        response["cache_tier"] = tier
-        response["coalesced_with"] = coalesced_with
-        return response
-
-
-@dataclass
-class WarmPlanCache:
-    """The L1 warm response cache plus its tier accounting."""
-
-    capacity: int = 128
-    _lru: LruCache = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._lru = LruCache(self.capacity)
-
-    def lookup(self, key: PlanKey) -> CachedResponse | None:
-        return self._lru.get(key)
-
-    def store(self, key: PlanKey, response: CachedResponse) -> None:
-        self._lru.put(key, response)
-
-    def stats(self) -> dict[str, int]:
-        return self._lru.stats()

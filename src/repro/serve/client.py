@@ -91,18 +91,13 @@ class PlannerClient:
     def job(self, job_id: str) -> dict[str, Any]:
         return self._request("GET", f"/v1/jobs/{job_id}")
 
-    def cancel(self, job_id: str) -> bool:
-        return bool(
-            self._request("POST", f"/v1/jobs/{job_id}/cancel")["cancelled"]
-        )
-
     def wait(self, job_id: str, timeout: float = 120.0,
              poll_s: float = 0.05) -> dict[str, Any]:
         """Poll until the job settles; returns the final job document."""
         deadline = time.monotonic() + timeout
         while True:
             doc = self.job(job_id)
-            if doc["state"] in ("done", "failed", "cancelled"):
+            if doc["state"] in ("done", "failed"):
                 return doc
             if time.monotonic() >= deadline:
                 raise ServeClientError(
@@ -110,7 +105,7 @@ class PlannerClient:
             time.sleep(poll_s)
 
     def result(self, job_id: str, timeout: float = 120.0) -> dict[str, Any]:
-        """The result payload of a finished job (raises on failed/cancelled)."""
+        """The result payload of a finished job (raises when it failed)."""
         doc = self.wait(job_id, timeout=timeout)
         if doc["state"] != "done":
             raise ServeClientError(

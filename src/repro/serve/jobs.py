@@ -1,30 +1,29 @@
 """Job queue, admission control, and the serve-side optimize pipeline.
 
 The :class:`JobManager` is the server's core: it owns the job table, the
-bounded run queue, the per-tenant quotas, the in-flight
-:class:`~repro.serve.coalesce.Coalescer` and the two cache tiers.  The HTTP
-layer (:mod:`repro.serve.server`) is a thin translation of requests onto
-this class, so everything here is testable without sockets.
+bounded run queue, the open flights of in-flight coalescing and the warm
+response cache.  The HTTP layer (:mod:`repro.serve.server`) is a thin
+translation of requests onto this class, so everything here is testable
+without sockets.
 
 A submitted request travels one of four paths, cheapest first:
 
 1. **warm hit** — the L1 response cache holds a completed response for the
    request's plan key: the job is born ``done``, no queue slot, no thread.
-2. **coalesced** — an open flight exists for the key: the job waits as a
-   follower and settles when the flight's leader completes (or is promoted
-   to leader if the leader is cancelled).
-3. **queued → running** — the job becomes a flight leader and runs the
+2. **coalesced** — a *flight* (one in-progress optimization) is open for
+   the key: the job joins it as a follower and settles when the flight's
+   leader completes.  A leader *error* settles the whole cohort with the
+   same error — the request is deterministic, so every follower would have
+   failed identically.
+3. **queued → running** — the job opens a flight as its leader and runs the
    profiling+search pipeline on a worker thread, with the persistent
    :class:`~repro.runtime.plan_io.PlanCache` attached (tier ``persistent``
    when that short-circuits the search, ``miss-search`` otherwise).
-4. **rejected** — tenant quota exceeded or run queue full: admission
-   control fails fast (the HTTP layer maps this to 429) instead of letting
-   a hot tenant grow the queue without bound.
+4. **rejected** — run queue full: admission control fails fast (the HTTP
+   layer maps this to 429) instead of letting the queue grow without bound.
 
-Cancellation is cooperative for running jobs: the pipeline's progress
-callback raises :class:`JobCancelled` at the next phase boundary.  A
-cancelled leader never fails its cohort — the coalescer promotes the oldest
-follower, which re-enters the queue and runs the search itself.
+The job table keeps every active job and the :data:`MAX_SETTLED_JOBS` most
+recently settled ones, so a long-lived server's memory stays bounded.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -49,18 +48,14 @@ from repro.runtime.plan_io import (
     machine_signature,
     plan_to_dict,
 )
-from repro.serve.audit import AuditLog
 from repro.serve.cache import (
     TIER_COALESCED,
     TIER_PERSISTENT,
     TIER_SEARCH,
     TIER_WARM,
-    CachedResponse,
     LruCache,
     PlanKey,
-    WarmPlanCache,
 )
-from repro.serve.coalesce import Coalescer
 
 log = get_logger(__name__)
 
@@ -77,16 +72,8 @@ class AdmissionError(ReproError):
     reason = "admission"
 
 
-class QuotaExceeded(AdmissionError):
-    reason = "tenant-quota"
-
-
 class QueueFull(AdmissionError):
     reason = "queue-full"
-
-
-class JobCancelled(Exception):
-    """Raised inside the pipeline's progress callback to abort a search."""
 
 
 class JobState(str, Enum):
@@ -95,12 +82,14 @@ class JobState(str, Enum):
     COALESCED = "coalesced"
     DONE = "done"
     FAILED = "failed"
-    CANCELLED = "cancelled"
 
 
-#: states that still count against a tenant's quota
-ACTIVE_STATES = (JobState.QUEUED, JobState.RUNNING, JobState.COALESCED)
-TERMINAL_STATES = (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
+TERMINAL_STATES = (JobState.DONE, JobState.FAILED)
+
+#: settled jobs the table keeps for status and event queries; the oldest
+#: settled ones are dropped first and their ids then answer 404.  Well above
+#: one ``serve-zipf`` server's ~516 requests, so the benchmark never evicts.
+MAX_SETTLED_JOBS = 2048
 
 
 @dataclass
@@ -135,7 +124,6 @@ class Job:
         self.coalesced_with: str | None = None
         self.result: dict[str, Any] | None = None
         self.error: str | None = None
-        self.cancel_requested = False
         #: ordered progress events; guarded by ``cond`` (the event-stream
         #: endpoint waits on it for new entries or a terminal state)
         self.events: list[dict[str, Any]] = []
@@ -299,10 +287,10 @@ class ServePlanner:
     # -- the pipeline ------------------------------------------------------------
 
     def optimize(self, resolved: ResolvedRequest,
-                 progress=None) -> tuple[CachedResponse, str]:
+                 progress=None) -> tuple[dict[str, Any], str]:
         """Run the full pipeline for a leader job.
 
-        Returns the cacheable response and the tier that produced it
+        Returns the cacheable response payload and the tier that produced it
         (``persistent`` when the directory-backed PlanCache short-circuited
         the search, ``miss-search`` for a fresh search).
         """
@@ -342,11 +330,18 @@ class ServePlanner:
                 "makespan_chosen_s": result.multi.chosen.makespan,
             }
         tier = TIER_PERSISTENT if stats.plan_cache_hit else TIER_SEARCH
-        return CachedResponse(result.classification, payload), tier
+        return payload, tier
+
+
+def _response(payload: dict[str, Any], tier: str,
+              coalesced_with: str | None = None) -> dict[str, Any]:
+    """One job's result: a shallow copy of the cached payload stamped with
+    the job's tier.  The nested plan dict is shared, never mutated."""
+    return {**payload, "cache_tier": tier, "coalesced_with": coalesced_with}
 
 
 class JobManager:
-    """Job table + run queue + admission control + coalescing + caches."""
+    """Job table + run queue + admission control + coalescing + warm cache."""
 
     def __init__(
         self,
@@ -354,30 +349,28 @@ class JobManager:
         *,
         workers: int = 2,
         max_queue: int = 16,
-        tenant_quota: int = 4,
         warm_capacity: int = 128,
-        audit: AuditLog | str | None = None,
         name: str = "serve",
     ) -> None:
-        if workers < 1 or max_queue < 1 or tenant_quota < 1:
-            raise ValueError("workers, max_queue and tenant_quota must be >= 1")
+        if workers < 1 or max_queue < 1:
+            raise ValueError("workers and max_queue must be >= 1")
         self.planner = planner or ServePlanner()
-        self.warm = WarmPlanCache(warm_capacity)
-        self.coalescer = Coalescer()
-        if audit is not None and not isinstance(audit, AuditLog):
-            audit = AuditLog(audit)
-        self.audit = audit
+        #: L1: complete response payloads by plan key
+        self.warm = LruCache(warm_capacity)
         self.max_queue = max_queue
-        self.tenant_quota = tenant_quota
         self._cv = threading.Condition()
         self._jobs: dict[str, Job] = {}
-        self._pending: deque[str] = deque()
+        #: ids of settled jobs still in ``_jobs``, oldest first
+        self._settled: deque[str] = deque()
+        #: open flights: plan key -> [leader, *followers in arrival order]
+        self._flights: dict[PlanKey, list[Job]] = {}
+        self._pending: deque[Job] = deque()
         self._stop = False
         self._seq = itertools.count(1)
         self.counters: dict[str, int] = {
             "requests": 0, "warm_hits": 0, "persistent_hits": 0,
-            "searches": 0, "coalesced": 0, "rejected_quota": 0,
-            "rejected_queue": 0, "cancelled": 0, "failed": 0, "completed": 0,
+            "searches": 0, "coalesced": 0, "rejected_queue": 0,
+            "failed": 0, "completed": 0,
         }
         self._threads = [
             threading.Thread(target=self._worker, name=f"{name}-worker-{i}",
@@ -393,7 +386,7 @@ class JobManager:
         """Admit one optimize request; returns its :class:`Job`.
 
         Raises :class:`BadRequest` on malformed requests and
-        :class:`QuotaExceeded` / :class:`QueueFull` on admission failure.
+        :class:`QueueFull` on admission failure.
         """
         resolved = self.planner.resolve(request)
         with self._cv:
@@ -402,47 +395,37 @@ class JobManager:
             self.counters["requests"] += 1
             job = Job(f"job-{next(self._seq):06d}", tenant, dict(request),
                       resolved)
-            # L1: a warm response answers without a queue slot or quota
-            cached = self.warm.lookup(job.key)
-            if cached is not None:
+            # L1: a warm response answers without a queue slot
+            payload = self.warm.get(job.key)
+            if payload is not None:
                 self.counters["warm_hits"] += 1
                 self.counters["completed"] += 1
                 self._jobs[job.id] = job
                 job.emit("cache:warm-hit")
-                job.finish(JobState.DONE,
-                           result=cached.response_for(tier=TIER_WARM),
+                job.finish(JobState.DONE, result=_response(payload, TIER_WARM),
                            tier=TIER_WARM)
-                self._audit(job)
+                self._retire_locked([job])
                 return job
-            active = sum(
-                1 for j in self._jobs.values()
-                if j.tenant == tenant and j.state in ACTIVE_STATES
-            )
-            if active >= self.tenant_quota:
-                self.counters["rejected_quota"] += 1
-                raise QuotaExceeded(
-                    f"tenant {tenant!r} already has {active} active jobs "
-                    f"(quota {self.tenant_quota})")
-            flight, is_leader = self.coalescer.join(job.key, job.id)
-            if not is_leader:
+            flight = self._flights.get(job.key)
+            if flight is not None:
+                leader = flight[0]
                 self.counters["coalesced"] += 1
                 job.state = JobState.COALESCED
-                job.coalesced_with = flight.leader
+                job.coalesced_with = leader.id
+                flight.append(job)
                 self._jobs[job.id] = job
-                job.emit("coalesce:joined", {"leader": flight.leader})
+                job.emit("coalesce:joined", {"leader": leader.id})
                 return job
             if len(self._pending) >= self.max_queue:
-                self.coalescer.leave(job.key, job.id)
                 self.counters["rejected_queue"] += 1
                 raise QueueFull(
                     f"run queue is full ({self.max_queue} jobs pending)")
+            self._flights[job.key] = [job]
             self._jobs[job.id] = job
-            self._pending.append(job.id)
+            self._pending.append(job)
             job.emit("queue:admitted", {"depth": len(self._pending)})
             self._cv.notify()
             return job
-
-    # -- lookup / cancellation ---------------------------------------------------
 
     def get(self, job_id: str) -> Job:
         with self._cv:
@@ -450,36 +433,6 @@ class JobManager:
                 return self._jobs[job_id]
             except KeyError:
                 raise KeyError(f"unknown job {job_id!r}") from None
-
-    def cancel(self, job_id: str) -> bool:
-        """Cancel a job; returns False when it already reached a terminal
-        state.  Queued/coalesced jobs settle immediately; running jobs are
-        flagged and abort at the pipeline's next progress checkpoint."""
-        with self._cv:
-            job = self.get(job_id)
-            if job.state in TERMINAL_STATES:
-                return False
-            if job.state is JobState.RUNNING:
-                job.cancel_requested = True
-                job.emit("cancel:requested")
-                return True
-            promoted = self.coalescer.leave(job.key, job.id)
-            self.counters["cancelled"] += 1
-            job.finish(JobState.CANCELLED)
-            if promoted is not None:
-                self._promote_locked(promoted, cancelled_leader=job.id)
-            self._audit(job)
-            return True
-
-    def _promote_locked(self, job_id: str, cancelled_leader: str) -> None:
-        """Re-enqueue a follower promoted to flight leader (holding _cv)."""
-        promoted = self._jobs[job_id]
-        promoted.state = JobState.QUEUED
-        promoted.coalesced_with = None
-        self._pending.append(job_id)
-        promoted.emit("coalesce:promoted",
-                      {"cancelled_leader": cancelled_leader})
-        self._cv.notify()
 
     # -- worker side -------------------------------------------------------------
 
@@ -490,103 +443,66 @@ class JobManager:
                     self._cv.wait()
                 if not self._pending:
                     return  # stopping and drained
-                job = self._jobs[self._pending.popleft()]
-                if job.state is not JobState.QUEUED:
-                    continue  # cancelled while queued; already settled
+                job = self._pending.popleft()
                 job.state = JobState.RUNNING
                 job.started_s = time.time()
             job.emit("run:start")
             self._run(job)
 
     def _run(self, job: Job) -> None:
-        def progress(event: str, info: dict[str, Any]) -> None:
-            if job.cancel_requested:
-                raise JobCancelled(job.id)
-            job.emit(event, info)
-
         try:
-            if job.cancel_requested:  # cancelled between pickup and start
-                raise JobCancelled(job.id)
-            cached, tier = self.planner.optimize(job.resolved,
-                                                 progress=progress)
-        except JobCancelled:
-            with self._cv:
-                promoted = self.coalescer.leave(job.key, job.id)
-                self.counters["cancelled"] += 1
-                job.finish(JobState.CANCELLED)
-                if promoted is not None:
-                    self._promote_locked(promoted, cancelled_leader=job.id)
-            self._audit(job)
+            payload, tier = self.planner.optimize(job.resolved,
+                                                  progress=job.emit)
         except Exception as e:  # noqa: BLE001 - a leader settles its cohort
             log.warning("job %s failed: %s", job.id, e)
             with self._cv:
-                followers = self.coalescer.complete(job.key, error=e)
-                self.counters["failed"] += 1 + len(followers)
+                cohort = self._flights.pop(job.key)
+                self.counters["failed"] += len(cohort)
                 job.finish(JobState.FAILED, error=str(e))
-                settled = [self._jobs[fid] for fid in followers]
-                for fjob in settled:
-                    fjob.finish(JobState.FAILED, error=str(e),
-                                coalesced_with=job.id)
-            for fjob in (job, *settled):
-                self._audit(fjob)
+                for follower in cohort[1:]:
+                    follower.finish(JobState.FAILED, error=str(e),
+                                    coalesced_with=job.id)
+                self._retire_locked(cohort)
         else:
-            self.warm.store(job.key, cached)
+            self.warm.put(job.key, payload)
             with self._cv:
-                followers = self.coalescer.complete(job.key, result=cached)
+                cohort = self._flights.pop(job.key)
                 if tier == TIER_PERSISTENT:
                     self.counters["persistent_hits"] += 1
                 else:
                     self.counters["searches"] += 1
-                self.counters["completed"] += 1 + len(followers)
-                job.finish(JobState.DONE,
-                           result=cached.response_for(tier=tier), tier=tier)
-                settled = [self._jobs[fid] for fid in followers]
-                for fjob in settled:
-                    fjob.finish(
+                self.counters["completed"] += len(cohort)
+                job.finish(JobState.DONE, result=_response(payload, tier),
+                           tier=tier)
+                for follower in cohort[1:]:
+                    follower.finish(
                         JobState.DONE,
-                        result=cached.response_for(tier=TIER_COALESCED,
-                                                   coalesced_with=job.id),
+                        result=_response(payload, TIER_COALESCED, job.id),
                         tier=TIER_COALESCED, coalesced_with=job.id)
-            for fjob in (job, *settled):
-                self._audit(fjob)
+                self._retire_locked(cohort)
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _audit(self, job: Job) -> None:
-        if self.audit is None:
-            return
-        self.audit.append({
-            "job_id": job.id,
-            "tenant": job.tenant,
-            "state": job.state.value,
-            "model": job.resolved.model,
-            "batch": job.resolved.batch,
-            "machine": job.resolved.machine_name,
-            "graph_signature": job.key[0],
-            "machine_signature": job.key[1],
-            "config_signature": job.key[2],
-            "cache_tier": job.cache_tier,
-            "coalesced_with": job.coalesced_with,
-            "wall_s": job.wall_s,
-            "error": job.error,
-        })
+    def _retire_locked(self, settled: list[Job]) -> None:
+        """Record newly settled jobs and drop the oldest settled ones beyond
+        :data:`MAX_SETTLED_JOBS` (holding ``_cv``)."""
+        self._settled.extend(j.id for j in settled)
+        while len(self._settled) > MAX_SETTLED_JOBS:
+            del self._jobs[self._settled.popleft()]
 
     def stats(self) -> dict[str, Any]:
         with self._cv:
             counters = dict(self.counters)
             queue_depth = len(self._pending)
+            open_flights = len(self._flights)
             states: dict[str, int] = {}
-            tenants: dict[str, int] = {}
             for j in self._jobs.values():
                 states[j.state.value] = states.get(j.state.value, 0) + 1
-                if j.state in ACTIVE_STATES:
-                    tenants[j.tenant] = tenants.get(j.tenant, 0) + 1
         doc = {
             "counters": counters,
             "queue_depth": queue_depth,
-            "open_flights": self.coalescer.open_flights(),
+            "open_flights": open_flights,
             "jobs_by_state": states,
-            "active_by_tenant": tenants,
             "warm_cache": self.warm.stats(),
         }
         cache = self.planner.plan_cache

@@ -10,23 +10,22 @@ bounded worker pool.  JSON in, JSON out:
                             "devices", "config": {...}}``; 200 with the full
                             job document when it settled synchronously (warm
                             hit), 202 while queued/coalesced/running, 429 with
-                            a ``reason`` on admission rejection, 400 on a
-                            malformed request.
+                            a ``reason`` when the run queue is full, 400 on a
+                            malformed request.  ``tenant`` is a label only.
 ``GET /v1/jobs/<id>``       job document (result embedded once done).
 ``GET /v1/jobs/<id>/events``  newline-delimited JSON progress stream; replays
                             recorded events (``?from=N`` to skip) then follows
                             live until the job settles.
-``POST /v1/jobs/<id>/cancel``  cancel; queued/coalesced jobs settle at once,
-                            running jobs abort at the next phase boundary.
-``GET /v1/stats``           serve counters, cache tiers, queue depth, tenants.
+``GET /v1/stats``           serve counters, cache tiers, queue depth, flights.
 ``GET /v1/healthz``         liveness probe.
 ``POST /v1/shutdown``       graceful stop (used by tests and the CI smoke
                             step; disable with ``allow_remote_shutdown=False``).
 ==========================  =====================================================
 
-The server never trusts request bodies: everything goes through
-:meth:`ServePlanner.resolve` validation, and errors map to structured JSON
-error bodies, never tracebacks.
+The server never trusts request bodies, headers or query strings: bodies go
+through :meth:`ServePlanner.resolve` validation, and malformed input maps
+to a structured JSON 400 naming the bad value, never a traceback or a
+dropped connection.
 """
 
 from __future__ import annotations
@@ -75,9 +74,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(status, {"error": message, **extra})
 
     def _body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise BadRequest(f"request body too large ({length} bytes)")
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body was not read, so the stream cannot carry another
+            # request on this connection
+            self.close_connection = True
+            raise BadRequest(f"bad Content-Length {header!r}: must be an "
+                             f"integer in [0, {MAX_BODY_BYTES}]")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -107,6 +114,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._stream_events(manager, parts[2], url.query)
             else:
                 self._error(404, f"no such endpoint: GET {url.path}")
+        except BadRequest as e:
+            self._error(400, str(e))
         except KeyError as e:
             self._error(404, str(e.args[0]) if e.args else "not found")
 
@@ -123,10 +132,6 @@ class _Handler(BaseHTTPRequestHandler):
                 job = manager.submit(body, tenant=tenant)
                 status = 200 if job.state in TERMINAL_STATES else 202
                 self._json(status, job.to_dict())
-            elif (len(parts) == 4 and parts[:2] == ["v1", "jobs"]
-                    and parts[3] == "cancel"):
-                cancelled = manager.cancel(parts[2])
-                self._json(200, {"id": parts[2], "cancelled": cancelled})
             elif parts == ["v1", "shutdown"]:
                 if not getattr(self.server, "allow_remote_shutdown", False):
                     self._error(403, "remote shutdown is disabled")
@@ -152,13 +157,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self, manager: JobManager, job_id: str,
                        query: str) -> None:
         job = manager.get(job_id)  # KeyError -> 404 upstream
-        start = 0
-        qs = parse_qs(query)
-        if "from" in qs:
-            try:
-                start = max(0, int(qs["from"][0]))
-            except ValueError:
-                start = 0
+        raw = parse_qs(query, keep_blank_values=True).get("from", ["0"])[0]
+        try:
+            start = int(raw)
+        except ValueError:
+            start = -1
+        if start < 0:
+            raise BadRequest(f"bad 'from' {raw!r}: must be a non-negative "
+                             f"integer")
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         # stream until terminal: length unknown, so close delimits the body

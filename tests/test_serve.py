@@ -10,8 +10,10 @@ not timing-based.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 
@@ -20,24 +22,21 @@ from repro.models import build_model
 from repro.pooch import PoocH, PoochConfig
 from repro.runtime.plan_io import graph_signature, plan_to_dict
 from repro.serve import (
-    AuditLog,
     BadRequest,
-    Coalescer,
     JobManager,
     JobState,
     LruCache,
     PlannerClient,
     PlannerServer,
     QueueFull,
-    QuotaExceeded,
     ServeClientError,
     ServePlanner,
     TIER_COALESCED,
     TIER_PERSISTENT,
     TIER_SEARCH,
     TIER_WARM,
-    WarmPlanCache,
 )
+from repro.serve.jobs import MAX_SETTLED_JOBS
 
 REQ = {"model": "mlp", "batch": 8, "config": {"budget": 20}}
 
@@ -64,6 +63,16 @@ class GatedPlanner(ServePlanner):
         return super().optimize(resolved, progress=progress)
 
 
+class FailingPlanner(GatedPlanner):
+    """A GatedPlanner whose every search fails once the gate opens."""
+
+    def optimize(self, resolved, progress=None):
+        assert self.gate.wait(timeout=30), "test gate never opened"
+        with self._count_lock:
+            self.optimize_calls += 1
+        raise RuntimeError("search exploded")
+
+
 def drain(manager: JobManager, *jobs, timeout: float = 30.0) -> None:
     for job in jobs:
         assert job.wait(timeout), f"{job.id} stuck in {job.state}"
@@ -78,7 +87,7 @@ def wait_until_running(job, timeout: float = 5.0) -> None:
 
 @pytest.fixture
 def manager():
-    m = JobManager(ServePlanner(), workers=2, max_queue=8, tenant_quota=8)
+    m = JobManager(ServePlanner(), workers=2, max_queue=8)
     yield m
     m.shutdown()
 
@@ -124,98 +133,108 @@ class TestLruCache:
         assert len(lru) <= 16
 
 
-class TestWarmPlanCache:
-    def test_response_stamping_copies_outer_dict(self):
-        from repro.serve.cache import CachedResponse
-
-        payload = {"plan": {"classes": {"0": "swap"}}, "x": 1}
-        cached = CachedResponse(classification=None, payload=payload)
-        a = cached.response_for(tier=TIER_WARM)
-        b = cached.response_for(tier=TIER_COALESCED, coalesced_with="job-1")
-        assert a["cache_tier"] == TIER_WARM and a["coalesced_with"] is None
-        assert b["cache_tier"] == TIER_COALESCED
-        assert b["coalesced_with"] == "job-1"
-        assert "cache_tier" not in payload  # original never mutated
-        assert a["plan"] is b["plan"]  # nested plan shared, not copied
-
-    def test_lookup_store(self):
-        from repro.serve.cache import CachedResponse
-
-        warm = WarmPlanCache(capacity=2)
-        key = ("g", "m", "c")
-        assert warm.lookup(key) is None
-        warm.store(key, CachedResponse(None, {}))
-        assert warm.lookup(key) is not None
-
-
-# -- coalescer units --------------------------------------------------------------
+# -- the coalescer (open flights inside JobManager) -------------------------------
 
 
 class TestCoalescer:
     def test_leader_then_followers(self):
-        c = Coalescer()
-        flight, is_leader = c.join("k", "j1")
-        assert is_leader and flight.leader == "j1"
-        _, second = c.join("k", "j2")
-        _, third = c.join("k", "j3")
-        assert not second and not third
-        assert flight.members() == ["j1", "j2", "j3"]
-        assert c.complete("k", result="r") == ["j2", "j3"]
-        assert c.open_flights() == 0
-        assert flight.done.is_set() and flight.result == "r"
+        planner = GatedPlanner()
+        manager = JobManager(planner, workers=1, max_queue=16)
+        try:
+            leader = manager.submit(small_request())
+            followers = [manager.submit(small_request()) for _ in range(2)]
+            assert leader.state in (JobState.QUEUED, JobState.RUNNING)
+            for f in followers:
+                assert f.state is JobState.COALESCED
+                assert f.coalesced_with == leader.id
+                assert f.events[0]["event"] == "coalesce:joined"
+                assert f.events[0]["leader"] == leader.id
+            assert manager.stats()["open_flights"] == 1
+            planner.gate.set()
+            drain(manager, leader, *followers)
+        finally:
+            manager.shutdown()
+        assert manager.stats()["open_flights"] == 0
+        assert planner.optimize_calls == 1
+        for f in followers:
+            assert f.cache_tier == TIER_COALESCED
+            assert f.result["coalesced_with"] == leader.id
+            # each job gets its own stamped copy; the plan itself is shared
+            assert f.result["plan"] is leader.result["plan"]
+        assert leader.result["coalesced_with"] is None
+        cached = manager.warm.get(leader.key)
+        assert "cache_tier" not in cached  # the cached payload is never stamped
 
     def test_distinct_keys_do_not_coalesce(self):
-        c = Coalescer()
-        _, a = c.join("ka", "j1")
-        _, b = c.join("kb", "j2")
-        assert a and b
-        assert c.open_flights() == 2
+        planner = GatedPlanner()
+        manager = JobManager(planner, workers=1, max_queue=16)
+        try:
+            a = manager.submit(small_request(batch=8))
+            b = manager.submit(small_request(batch=16))
+            again = manager.submit(small_request(batch=16))
+            assert manager.stats()["open_flights"] == 2
+            assert a.coalesced_with is None and b.coalesced_with is None
+            assert again.coalesced_with == b.id
+            planner.gate.set()
+            drain(manager, a, b, again)
+        finally:
+            manager.shutdown()
+        assert manager.stats()["open_flights"] == 0
 
     def test_concurrent_joins_elect_exactly_one_leader(self):
-        c = Coalescer()
+        planner = GatedPlanner()
+        manager = JobManager(planner, workers=2, max_queue=16)
         barrier = threading.Barrier(8)
-        leaders = []
-        lock = threading.Lock()
+        jobs, lock = [], threading.Lock()
 
-        def contender(i: int) -> None:
+        def contender() -> None:
             barrier.wait()
-            _, is_leader = c.join("k", f"j{i}")
-            if is_leader:
-                with lock:
-                    leaders.append(i)
+            job = manager.submit(small_request())
+            with lock:
+                jobs.append(job)
 
-        threads = [threading.Thread(target=contender, args=(i,))
-                   for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(leaders) == 1
-        assert c.coalesced_total == 7 and c.flights_opened == 1
-        assert len(c.complete("k")) == 7
+        try:
+            threads = [threading.Thread(target=contender) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            leaders = [j for j in jobs if j.state is not JobState.COALESCED]
+            assert len(leaders) == 1
+            assert {j.coalesced_with for j in jobs if j not in leaders} == {
+                leaders[0].id}
+            assert manager.stats()["open_flights"] == 1
+            planner.gate.set()
+            drain(manager, *jobs)
+        finally:
+            manager.shutdown()
+        assert manager.counters["coalesced"] == 7
 
-    def test_leave_follower_no_promotion(self):
-        c = Coalescer()
-        c.join("k", "j1")
-        c.join("k", "j2")
-        assert c.leave("k", "j2") is None
-        assert c.flight_for("k").members() == ["j1"]
-
-    def test_cancelled_leader_promotes_oldest_follower(self):
-        c = Coalescer()
-        c.join("k", "j1")
-        c.join("k", "j2")
-        c.join("k", "j3")
-        assert c.leave("k", "j1") == "j2"
-        assert c.flight_for("k").members() == ["j2", "j3"]
-
-    def test_lone_leader_leaving_closes_the_flight(self):
-        c = Coalescer()
-        c.join("k", "j1")
-        assert c.leave("k", "j1") is None
-        assert c.open_flights() == 0
-        _, is_leader = c.join("k", "j4")  # next request starts fresh
-        assert is_leader
+    def test_leader_error_settles_the_whole_cohort(self):
+        planner = FailingPlanner()
+        manager = JobManager(planner, workers=1, max_queue=16)
+        try:
+            leader = manager.submit(small_request())
+            followers = [manager.submit(small_request()) for _ in range(2)]
+            planner.gate.set()
+            drain(manager, leader, *followers)
+            for job in (leader, *followers):
+                assert job.state is JobState.FAILED
+                assert job.error == "search exploded"
+                assert job.events[-1]["event"] == "job:failed"
+            assert {f.coalesced_with for f in followers} == {leader.id}
+            assert manager.counters["failed"] == 3
+            assert manager.counters["completed"] == 0
+            assert manager.stats()["open_flights"] == 0
+            # the flight closed: a retry leads a fresh search
+            retry = manager.submit(small_request())
+            assert retry.state is not JobState.COALESCED
+            assert retry.coalesced_with is None
+            drain(manager, retry)
+        finally:
+            manager.shutdown()
+        assert planner.optimize_calls == 2
+        assert manager.counters["failed"] == 4
 
 
 # -- request resolution -----------------------------------------------------------
@@ -283,7 +302,7 @@ class TestResolve:
 class TestCoalescedSubmission:
     def test_eight_concurrent_identical_requests_run_one_search(self):
         planner = GatedPlanner()
-        manager = JobManager(planner, workers=2, max_queue=16, tenant_quota=16)
+        manager = JobManager(planner, workers=2, max_queue=16)
         profiles = {"n": 0}
         real_profiling = pipeline_mod.run_profiling
 
@@ -331,7 +350,7 @@ class TestCoalescedSubmission:
 
     def test_distinct_requests_do_not_coalesce(self):
         planner = GatedPlanner()
-        manager = JobManager(planner, workers=2, max_queue=16, tenant_quota=16)
+        manager = JobManager(planner, workers=2, max_queue=16)
         try:
             a = manager.submit(small_request(batch=8))
             b = manager.submit(small_request(batch=16))
@@ -347,83 +366,10 @@ class TestCoalescedSubmission:
         assert {a.cache_tier, b.cache_tier} == {TIER_SEARCH}
 
 
-class TestCancellation:
-    def test_cancelled_queued_leader_promotes_follower(self):
-        planner = GatedPlanner()
-        # one worker, occupied by a decoy: the real flight stays queued
-        manager = JobManager(planner, workers=1, max_queue=16, tenant_quota=16)
-        try:
-            decoy = manager.submit(small_request(batch=4))
-            # wait for the worker to pick the decoy up (it blocks on the gate)
-            wait_until_running(decoy)
-            leader = manager.submit(small_request())
-            follower = manager.submit(small_request())
-            assert leader.state is JobState.QUEUED
-            assert follower.state is JobState.COALESCED
-            assert follower.coalesced_with == leader.id
-
-            assert manager.cancel(leader.id)
-            assert leader.state is JobState.CANCELLED
-            assert follower.state is JobState.QUEUED  # promoted, re-enqueued
-            assert any(e["event"] == "coalesce:promoted"
-                       for e in follower.events)
-
-            planner.gate.set()
-            drain(manager, decoy, follower)
-        finally:
-            manager.shutdown()
-        assert follower.state is JobState.DONE
-        assert follower.cache_tier in (TIER_SEARCH, TIER_PERSISTENT)
-        assert manager.counters["cancelled"] == 1
-
-    def test_cancel_running_job_aborts_at_next_checkpoint(self):
-        planner = GatedPlanner()
-        manager = JobManager(planner, workers=1, max_queue=16, tenant_quota=16)
-        try:
-            job = manager.submit(small_request())
-            wait_until_running(job)
-            assert manager.cancel(job.id)  # flags it; abort is cooperative
-            assert job.state is JobState.RUNNING
-            planner.gate.set()
-            drain(manager, job)
-        finally:
-            manager.shutdown()
-        assert job.state is JobState.CANCELLED
-        assert manager.counters["cancelled"] == 1
-
-    def test_cancel_terminal_job_returns_false(self, manager):
-        job = manager.submit(small_request())
-        drain(manager, job)
-        assert manager.cancel(job.id) is False
-
-    def test_cancel_unknown_job_raises(self, manager):
-        with pytest.raises(KeyError):
-            manager.cancel("job-999999")
-
-
 class TestAdmissionControl:
-    def test_tenant_quota_is_deterministic(self):
-        planner = GatedPlanner()
-        manager = JobManager(planner, workers=1, max_queue=16, tenant_quota=2)
-        try:
-            a = manager.submit(small_request(batch=4), tenant="alice")
-            b = manager.submit(small_request(batch=8), tenant="alice")
-            with pytest.raises(QuotaExceeded):
-                manager.submit(small_request(batch=16), tenant="alice")
-            # another tenant is unaffected
-            c = manager.submit(small_request(batch=16), tenant="bob")
-            assert manager.counters["rejected_quota"] == 1
-            planner.gate.set()
-            drain(manager, a, b, c)
-            # quota frees up once jobs settle
-            d = manager.submit(small_request(batch=32), tenant="alice")
-            drain(manager, d)
-        finally:
-            manager.shutdown()
-
     def test_queue_full_fails_fast(self):
         planner = GatedPlanner()
-        manager = JobManager(planner, workers=1, max_queue=1, tenant_quota=16)
+        manager = JobManager(planner, workers=1, max_queue=1)
         try:
             running = manager.submit(small_request(batch=4))
             wait_until_running(running)
@@ -441,20 +387,27 @@ class TestAdmissionControl:
 
     def test_rejected_leader_does_not_leak_a_flight(self):
         planner = GatedPlanner()
-        manager = JobManager(planner, workers=1, max_queue=1, tenant_quota=16)
+        manager = JobManager(planner, workers=1, max_queue=1)
         try:
             running = manager.submit(small_request(batch=4))
             wait_until_running(running)
-            manager.submit(small_request(batch=8))  # fills the queue
+            queued = manager.submit(small_request(batch=8))  # fills the queue
             with pytest.raises(QueueFull):
                 manager.submit(small_request(batch=16))
-            # the rejected request's flight must have been rolled back:
-            # a retry becomes a leader, not a follower of a ghost flight
-            assert manager.coalescer.flight_for(
-                planner.resolve(small_request(batch=16)).key) is None
+            # the rejected request opened no flight: a retry is not admitted
+            # as a follower of a ghost flight, so the full queue rejects it
+            with pytest.raises(QueueFull):
+                manager.submit(small_request(batch=16))
             planner.gate.set()
+            drain(manager, running, queued)
+            # once the queue drains, the retry leads its own search
+            retry = manager.submit(small_request(batch=16))
+            assert retry.state is not JobState.COALESCED
+            drain(manager, retry)
         finally:
             manager.shutdown()
+        assert retry.cache_tier == TIER_SEARCH
+        assert manager.counters["rejected_queue"] == 2
 
 
 # -- cache tiers + the bit-identical guarantee ------------------------------------
@@ -507,44 +460,49 @@ class TestCacheTiers:
         assert job.result["predicted_time_s"] == direct.predicted.time
 
 
-# -- audit + metrics --------------------------------------------------------------
+# -- the job table ----------------------------------------------------------------
 
 
-class TestAudit:
-    def test_every_settled_job_leaves_one_record(self, tmp_path):
-        audit = AuditLog(tmp_path / "audit.jsonl")
-        manager = JobManager(ServePlanner(), workers=2, audit=audit)
+class TestJobTable:
+    def test_settled_jobs_are_bounded(self, manager):
+        first = manager.submit(small_request())
+        drain(manager, first)
+        warm = [manager.submit(small_request())
+                for _ in range(MAX_SETTLED_JOBS + 10)]
+        assert all(j.state is JobState.DONE for j in warm)
+        stats = manager.stats()
+        assert sum(stats["jobs_by_state"].values()) == MAX_SETTLED_JOBS
+        assert stats["counters"]["requests"] == MAX_SETTLED_JOBS + 11
+        # the oldest settled jobs go first
+        for gone in (first, *warm[:10]):
+            with pytest.raises(KeyError):
+                manager.get(gone.id)
+        assert manager.get(warm[10].id) is warm[10]
+        assert manager.get(warm[-1].id) is warm[-1]
+
+    def test_active_jobs_survive_eviction(self):
+        planner = GatedPlanner()
+        manager = JobManager(planner, workers=1, max_queue=16)
         try:
-            a = manager.submit(small_request())
-            drain(manager, a)
-            b = manager.submit(small_request())  # warm
-            drain(manager, b)
-        finally:
-            manager.shutdown()
-        records = audit.read()
-        assert [r["job_id"] for r in records] == [a.id, b.id]
-        assert records[0]["cache_tier"] == TIER_SEARCH
-        assert records[1]["cache_tier"] == TIER_WARM
-        for r in records:
-            assert r["tenant"] == "default"
-            assert r["graph_signature"] == a.key[0]
-            assert r["wall_s"] is not None
-
-    def test_torn_tail_is_skipped(self, tmp_path):
-        audit = AuditLog(tmp_path / "audit.jsonl")
-        audit.append({"job_id": "j1"})
-        with audit.path.open("a") as f:
-            f.write('{"job_id": "j2", "trunc')  # crash mid-write
-        assert [r["job_id"] for r in audit.read()] == ["j1"]
-
-    def test_string_path_accepted_by_manager(self, tmp_path):
-        manager = JobManager(ServePlanner(), workers=1,
-                             audit=str(tmp_path / "a.jsonl"))
-        try:
+            planner.gate.set()
             drain(manager, manager.submit(small_request()))
+            planner.gate.clear()
+            running = manager.submit(small_request(batch=4))
+            wait_until_running(running)
+            follower = manager.submit(small_request(batch=4))
+            queued = manager.submit(small_request(batch=16))
+            for _ in range(MAX_SETTLED_JOBS + 10):
+                manager.submit(small_request())  # warm hits
+            assert sum(manager.stats()["jobs_by_state"].values()) == (
+                MAX_SETTLED_JOBS + 3)
+            for job in (running, follower, queued):
+                assert manager.get(job.id) is job
+            planner.gate.set()
+            drain(manager, running, follower, queued)
         finally:
             manager.shutdown()
-        assert manager.audit.records_written == 1
+        assert follower.cache_tier == TIER_COALESCED
+        assert queued.cache_tier == TIER_SEARCH
 
 
 class TestServeMetrics:
@@ -573,8 +531,7 @@ class TestServeMetrics:
 
 @pytest.fixture
 def server():
-    manager = JobManager(ServePlanner(), workers=2, max_queue=8,
-                         tenant_quota=4)
+    manager = JobManager(ServePlanner(), workers=2, max_queue=8)
     with PlannerServer(manager, port=0) as srv:
         yield srv
 
@@ -623,30 +580,48 @@ class TestHTTP:
             client.job("job-424242")
         assert e.value.status == 404
 
-    def test_quota_rejection_maps_to_429_with_reason(self):
+    def test_queue_full_maps_to_429_with_reason(self):
         planner = GatedPlanner()
-        manager = JobManager(planner, workers=1, max_queue=8, tenant_quota=1)
+        manager = JobManager(planner, workers=1, max_queue=1)
         with PlannerServer(manager, port=0) as srv:
             client = PlannerClient(srv.url)
+            running = client.submit("mlp", batch=4, config={"budget": 20})
+            wait_until_running(manager.get(running["id"]))
             client.submit("mlp", batch=8, config={"budget": 20})
             with pytest.raises(ServeClientError) as e:
                 client.submit("mlp", batch=16, config={"budget": 20})
             assert e.value.status == 429
-            assert e.value.body["reason"] == "tenant-quota"
+            assert e.value.body["reason"] == "queue-full"
             planner.gate.set()
 
-    def test_cancel_over_http(self):
-        planner = GatedPlanner()
-        manager = JobManager(planner, workers=1, max_queue=8, tenant_quota=8)
-        with PlannerServer(manager, port=0) as srv:
-            client = PlannerClient(srv.url)
-            decoy = client.submit("mlp", batch=4, config={"budget": 20})
-            queued = client.submit("mlp", batch=8, config={"budget": 20})
-            assert client.cancel(queued["id"]) is True
-            assert client.job(queued["id"])["state"] == "cancelled"
-            assert client.cancel(queued["id"]) is False  # already terminal
-            planner.gate.set()
-            client.wait(decoy["id"])
+    @pytest.mark.parametrize("request_head, named", [
+        ("POST /v1/optimize HTTP/1.1\r\nContent-Length: abc", "'abc'"),
+        ("POST /v1/optimize HTTP/1.1\r\nContent-Length: -1", "'-1'"),
+        ("POST /v1/optimize HTTP/1.1\r\nContent-Length: 2000000",
+         "'2000000'"),
+        ("GET /v1/jobs/{job}/events?from=abc HTTP/1.1", "'abc'"),
+        ("GET /v1/jobs/{job}/events?from=-3 HTTP/1.1", "'-3'"),
+    ], ids=["length-abc", "length-negative", "length-too-large", "from-abc",
+            "from-negative"])
+    def test_malformed_http_input_maps_to_400(self, server, request_head,
+                                               named):
+        client = PlannerClient(server.url)
+        job = client.submit("mlp", batch=8, config={"budget": 20})["id"]
+        client.wait(job)
+        url = urlparse(server.url)
+        head = request_head.format(job=job)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5) as sock:
+            sock.sendall(f"{head}\r\nHost: x\r\nConnection: close"
+                         f"\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(65536):  # a hang raises socket.timeout
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400", reply
+        error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert named in error
+        assert client.health() == {"status": "ok"}  # the server survived
 
     def test_stats_endpoint(self, server):
         client = PlannerClient(server.url)
@@ -671,8 +646,7 @@ class TestHTTP:
 
     def test_eight_concurrent_http_clients_one_search(self):
         planner = GatedPlanner()
-        manager = JobManager(planner, workers=2, max_queue=16,
-                             tenant_quota=16)
+        manager = JobManager(planner, workers=2, max_queue=16)
         with PlannerServer(manager, port=0) as srv:
             barrier = threading.Barrier(8)
             docs, lock = [], threading.Lock()
