@@ -6,7 +6,8 @@ This benchmark measures what makes that affordable: for a vectorizable spec
 (pure ``duration_noise``) the sweep compiles the chosen plan's draft *once*
 into ``VectorTables``, precomputes each seed's keyed-RNG duration table into
 a (K, n) matrix, and replays all K seeds in one lockstep batch — versus the
-serial arm's per-seed schedule rebuild + event-engine run.
+serial arm's per-seed re-pricing of one validated schedule + event-engine
+run.
 
 The headline claim (ISSUE 8 acceptance): a 64-seed ``duration_noise`` sweep
 on ResNet-50 (batch=256, x86) is >=5x faster wall-clock than the serial
@@ -58,8 +59,8 @@ def test_bench_robustness_sweep(benchmark, report, results_dir):
     ser, t_ser = arms["serial"]
 
     # bit-identity first: every vectorized row equals its serial counterpart
-    # (the serial arm rebuilds the schedule under each seed's injector and
-    # replays it on the event engine inside execute_resilient)
+    # (the serial arm re-prices the plan chain's schedule under each seed's
+    # injector and replays it on the event engine inside execute_resilient)
     assert all(o.vectorized for o in vec)
     assert all(not o.vectorized for o in ser)
     for a, b in zip(vec, ser):

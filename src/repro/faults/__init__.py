@@ -16,6 +16,7 @@ unfaulted system.
 from repro.faults.injector import FaultInjector, FaultyDurations, FaultyMemoryPool
 from repro.faults.resilient import (
     FallbackStep,
+    PlanChain,
     RetryPolicy,
     RobustResult,
     apply_transfer_faults,
@@ -37,6 +38,7 @@ __all__ = [
     "FaultyMemoryPool",
     "RetryPolicy",
     "FallbackStep",
+    "PlanChain",
     "RobustResult",
     "SweepOutcome",
     "apply_transfer_faults",

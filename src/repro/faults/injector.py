@@ -25,6 +25,8 @@ from repro.common.errors import SpuriousOOMError
 from repro.common.units import format_bytes
 from repro.faults.spec import FaultSpec
 from repro.gpusim.allocator import MemoryPool, round_size
+from repro.gpusim.engine import StreamName, TaskKind
+from repro.gpusim.vecengine import VectorUnsupported
 
 #: hard floor on any multiplicative noise factor — matches the cost model's
 #: jitter clamp so a noisy duration can never go zero or negative
@@ -182,6 +184,188 @@ class FaultyDurations:
 
     def update(self) -> float:
         return self.base.update() * self.injector.duration_factor("update", -1)
+
+
+# -- duration tables: FaultyDurations without a schedule rebuild ----------------
+
+
+def _task_key(task) -> tuple[str, int, bool]:
+    """(duration-factor kind, key layer, is-transfer) of one draft task —
+    mirrors which :class:`FaultyDurations` method priced it."""
+    kind = task.kind
+    if kind is TaskKind.FWD:
+        if task.stream is StreamName.H2D:  # the mini-batch upload
+            return ("input_load", task.layer, True)
+        return ("fwd", task.layer, False)
+    if kind is TaskKind.RECOMPUTE:  # recompute shares the forward's key
+        return ("fwd", task.layer, False)
+    if kind is TaskKind.BWD:
+        return ("bwd", task.layer, False)
+    if kind is TaskKind.UPDATE:
+        return ("update", -1, False)
+    if kind is TaskKind.SWAP_OUT:
+        return ("swap_out", task.layer, True)
+    if kind is TaskKind.SWAP_IN:
+        return ("swap_in", task.layer, True)
+    raise VectorUnsupported(f"task kind {kind!r} has no duration-fault key")
+
+
+# -- fast keyed draws ----------------------------------------------------------
+#
+# A sweep needs K seeds x U duration keys independent draws, each defined as
+# ``default_rng((seed, digest)).standard_normal()``.  Constructing K*U
+# generators through ``default_rng`` costs ~15us each — it dominates the
+# whole lockstep sweep.  The SeedSequence entropy-pool hash (O'Neill's
+# seed_seq: pure uint32 arithmetic) vectorizes over all pairs at once, and
+# PCG64's seeding from the four output words is two 128-bit affine steps we
+# can do in Python ints and install via the bit generator's state setter —
+# reusing ONE generator object for every draw.  ``_keyed_normals``
+# cross-checks its first draw against ``default_rng`` at runtime and the
+# caller falls back to the per-seed injector loop on any mismatch, so
+# bit-identity never rests on this reimplementation alone.
+
+_SS_XSHIFT = np.uint32(16)
+_SS_INIT_A = np.uint32(0x43B0D7E5)
+_SS_MULT_A = np.uint32(0x931E8875)
+_SS_INIT_B = np.uint32(0x8B51F9DD)
+_SS_MULT_B = np.uint32(0x58F38DED)
+_SS_MIX_L = np.uint32(0xCA01F9DD)
+_SS_MIX_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MASK = (1 << 128) - 1
+
+
+def _seedseq_words(seeds32: np.ndarray, digests32: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, digest)).generate_state(4, uint64)`` for every
+    pair, vectorized — both entropy values must each fit in one uint32 word."""
+    old = np.seterr(over="ignore")  # uint32 wraparound is the algorithm
+    try:
+        entropy = (seeds32, digests32)
+        hash_const = _SS_INIT_A
+
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * _SS_MULT_A
+            value = value * hash_const
+            return value ^ (value >> _SS_XSHIFT)
+
+        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            r = (_SS_MIX_L * x) - (_SS_MIX_R * y)
+            return r ^ (r >> _SS_XSHIFT)
+
+        zero = np.zeros_like(seeds32)
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+                for i in range(4)]
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+        hash_const = _SS_INIT_B
+
+        def hashmix_out(value: np.ndarray) -> np.ndarray:
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * _SS_MULT_B
+            value = value * hash_const
+            return value ^ (value >> _SS_XSHIFT)
+
+        out32 = [hashmix_out(pool[i % 4]) for i in range(8)]
+        words = np.empty((len(seeds32), 4), np.uint64)
+        for i in range(4):
+            words[:, i] = (out32[2 * i].astype(np.uint64)
+                           | (out32[2 * i + 1].astype(np.uint64)
+                              << np.uint64(32)))
+        return words
+    finally:
+        np.seterr(**old)
+
+
+def _keyed_normals(seeds: list[int], digests: list[int]) -> np.ndarray | None:
+    """The ``(K, U)`` matrix of ``default_rng((seed, digest)).
+    standard_normal()`` draws, or ``None`` when the fast path cannot
+    guarantee bit-identity (exotic seeds, or the runtime cross-check fails).
+    """
+    if not all(0 <= s < 2**32 for s in seeds):
+        return None  # multi-word entropy: let the injector handle it
+    n_k, n_u = len(seeds), len(digests)
+    words = _seedseq_words(
+        np.repeat(np.asarray(seeds, np.uint32), n_u),
+        np.tile(np.asarray(digests, np.uint32), n_k),
+    )
+    bg = np.random.PCG64(0)
+    gen = np.random.Generator(bg)
+    state = bg.state
+    inner = state["state"]
+    normal = gen.standard_normal
+    out = np.empty(n_k * n_u, np.float64)
+    for i, (w0, w1, w2, w3) in enumerate(words.tolist()):
+        # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
+        inc = (((w2 << 64) | w3) << 1 | 1) & _PCG_MASK
+        inner["inc"] = inc
+        inner["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT
+                          + inc) & _PCG_MASK
+        bg.state = state
+        out[i] = normal()
+    ref = float(np.random.default_rng((seeds[0], digests[0]))
+                .standard_normal())
+    if out[0] != ref:  # pragma: no cover - numpy stream drift guard
+        return None
+    return out.reshape(n_k, n_u)
+
+
+class DurationTable:
+    """Faulted duration tables for one fixed task list, priced per seed.
+
+    Row k of :meth:`rows` holds, for every task of ``tids`` (in that
+    order), the duration a schedule rebuilt under ``FaultyDurations(base,
+    FaultInjector(spec, seed=seeds[k]))`` would carry — bit-identical,
+    because the multiply order matches the provider's left fold:
+    ``(clean * duration_factor) * transfer_slowdown``.  Tasks sharing a
+    duration key (a recompute and its forward) share one draw per seed.
+    ``tasks`` may be schedule drafts or finalized ``Task`` objects; their
+    durations are the clean ones.
+    """
+
+    def __init__(self, tasks, tids) -> None:
+        self.clean = np.array([tasks[t].duration for t in tids], np.float64)
+        keys = [_task_key(tasks[t]) for t in tids]
+        index: dict[tuple[str, int], int] = {}
+        self.col_of = np.array(
+            [index.setdefault((what, layer), len(index))
+             for what, layer, _ in keys], np.int64)
+        #: the distinct (kind, layer) duration keys, in column order
+        self.keys = list(index)
+        self.transfer = np.array([is_t for *_, is_t in keys], bool)
+        # the injector keys each draw on repr(("dur", what, layer))
+        self._digests = [zlib.crc32(repr(("dur", w, l)).encode())
+                         for w, l in self.keys]
+
+    def rows(self, spec: FaultSpec, seeds,
+             clean: np.ndarray | None = None) -> np.ndarray:
+        """The ``(K, n)`` table for ``seeds``; ``clean`` overrides the clean
+        durations (same task order) for a provider that re-draws them."""
+        clean = self.clean if clean is None else clean
+        seeds = [int(s) for s in seeds]
+        stddev = spec.duration_noise
+        if stddev <= 0.0:
+            fac = np.ones((len(seeds), len(self.keys)), np.float64)
+        else:
+            draws = _keyed_normals(seeds, self._digests)
+            if draws is not None:
+                fac = np.maximum(_MIN_FACTOR, 1.0 + stddev * draws)
+            else:
+                fac = np.empty((len(seeds), len(self.keys)), np.float64)
+                for r, seed in enumerate(seeds):
+                    inj = FaultInjector(spec, seed=seed)
+                    fac[r] = [inj.duration_factor(w, l) for w, l in self.keys]
+
+        mat = clean * fac[:, self.col_of]
+        slow = 1.0 / spec.bandwidth_factor  # FaultInjector.transfer_slowdown
+        if slow != 1.0:
+            mat[:, self.transfer] *= slow
+        return mat
 
 
 class FaultyMemoryPool(MemoryPool):

@@ -2,8 +2,7 @@
 
 ``robustness_report`` needs tail statistics — P95/P99 slowdown, OOM and
 fallback rates — which means executing the *same* chosen plan under many
-fault seeds.  Run serially that costs one schedule build plus one event
-simulation per seed; this module batches it.
+fault seeds.  This module batches that.
 
 The trick is the injector's keyed RNG: every duration draw is a pure
 function of ``(seed, task identity)`` — :meth:`FaultInjector.duration_factor`
@@ -11,11 +10,12 @@ keys on ``("dur", kind, layer)``, never on execution order — so a seed's
 entire duration table is computable *up front*.  And the schedule builder's
 structure is duration-independent (durations only fill ``_TaskDraft``
 fields; queue orders and headrooms derive from sizes and positions), so one
-clean draft compiled once into :class:`~repro.gpusim.vecengine.VectorTables`
-serves every seed: :func:`seed_duration_matrix` precomputes a ``(K, n)``
-matrix of per-task durations — bit-identical to what a per-seed
-:class:`FaultyDurations` rebuild would produce — and
-:meth:`VectorEngine.run_batch` replays all K rows in lockstep.
+clean draft serves every seed.  Compiled once into
+:class:`~repro.gpusim.vecengine.VectorTables`, it feeds the lockstep path:
+:func:`seed_duration_matrix` precomputes a ``(K, n)`` matrix of per-task
+durations — bit-identical to what a per-seed :class:`FaultyDurations`
+rebuild would produce — and :meth:`VectorEngine.run_batch` replays all K
+rows at once.
 
 Specs whose draws are *event-order dependent* cannot be precomputed:
 transfer stalls consume a variable number of draws per epoch, spurious OOMs
@@ -23,16 +23,22 @@ key on the attempt index, and host faults interleave with the fallback
 chain.  :func:`vectorizable` gates on that; non-vectorizable specs (and the
 few vectorized rows that genuinely fail, e.g. noise pushing a tight plan
 over capacity) fall back to the serial resilient path —
-:func:`~repro.faults.resilient.execute_resilient`, optionally batched
-across a process pool.  Every vectorized row is bit-identical (makespan,
-per-task times, pool high-water marks, OOM diagnosis) to a serial
-``FaultInjector`` + ``FastEngine`` run with the same seed —
-``tests/test_fault_sweep.py`` asserts exactly that across the model zoo.
+:func:`~repro.faults.resilient.execute_resilient`, once per seed, optionally
+split across a process pool.  The serial rows share one
+:class:`~repro.faults.resilient.PlanChain` whose first entry is the lockstep
+path's draft: a serial row costs one re-pricing of a validated schedule
+plus one event simulation, not a schedule rebuild.
+
+Every vectorized row is bit-identical (makespan, per-task times, pool
+high-water marks, OOM diagnosis) to a per-seed ``FaultyDurations`` rebuild
+run on the event :class:`~repro.gpusim.Engine` —
+``tests/test_fault_sweep.py`` asserts exactly that across the model zoo —
+and every serial row to the rebuild-per-attempt resilient executor
+(``tests/test_resilient_oracle.py``).
 """
 
 from __future__ import annotations
 
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -43,17 +49,16 @@ from repro.common.errors import (
     ReproError,
     SpuriousOOMError,
 )
-from repro.faults.injector import _MIN_FACTOR, FaultInjector
-from repro.faults.resilient import RetryPolicy, execute_resilient
+from repro.faults.injector import DurationTable, FaultInjector
+from repro.faults.resilient import PlanChain, RetryPolicy, execute_resilient
 from repro.faults.spec import FaultSpec
 from repro.graph import NNGraph
-from repro.gpusim.engine import StreamName, TaskKind
 from repro.gpusim.vecengine import VectorEngine, VectorTables, VectorUnsupported
 from repro.hw import CostModel, MachineSpec
 from repro.obs import get_logger, metrics
-from repro.runtime.durations import CostModelDurations, DurationProvider
+from repro.runtime.durations import DurationProvider
 from repro.runtime.plan import Classification
-from repro.runtime.schedule import ScheduleBuilder, ScheduleOptions
+from repro.runtime.schedule import ScheduleOptions
 
 log = get_logger(__name__)
 
@@ -73,178 +78,14 @@ def vectorizable(spec: FaultSpec) -> bool:
             and spec.host_oom_prob == 0.0)
 
 
-def _task_key(task) -> tuple[str, int, bool]:
-    """(duration-factor kind, key layer, is-transfer) of one draft task —
-    mirrors which :class:`FaultyDurations` method priced it."""
-    kind = task.kind
-    if kind is TaskKind.FWD:
-        if task.stream is StreamName.H2D:  # the mini-batch upload
-            return ("input_load", task.layer, True)
-        return ("fwd", task.layer, False)
-    if kind is TaskKind.RECOMPUTE:  # recompute shares the forward's key
-        return ("fwd", task.layer, False)
-    if kind is TaskKind.BWD:
-        return ("bwd", task.layer, False)
-    if kind is TaskKind.UPDATE:
-        return ("update", -1, False)
-    if kind is TaskKind.SWAP_OUT:
-        return ("swap_out", task.layer, True)
-    if kind is TaskKind.SWAP_IN:
-        return ("swap_in", task.layer, True)
-    raise VectorUnsupported(f"task kind {kind!r} has no duration-fault key")
-
-
-# -- fast keyed draws ----------------------------------------------------------
-#
-# A sweep needs K seeds x U duration keys independent draws, each defined as
-# ``default_rng((seed, digest)).standard_normal()``.  Constructing K*U
-# generators through ``default_rng`` costs ~15us each — it dominates the
-# whole lockstep sweep.  The SeedSequence entropy-pool hash (O'Neill's
-# seed_seq: pure uint32 arithmetic) vectorizes over all pairs at once, and
-# PCG64's seeding from the four output words is two 128-bit affine steps we
-# can do in Python ints and install via the bit generator's state setter —
-# reusing ONE generator object for every draw.  ``_keyed_normals``
-# cross-checks its first draw against ``default_rng`` at runtime and the
-# caller falls back to the per-seed injector loop on any mismatch, so
-# bit-identity never rests on this reimplementation alone.
-
-_SS_XSHIFT = np.uint32(16)
-_SS_INIT_A = np.uint32(0x43B0D7E5)
-_SS_MULT_A = np.uint32(0x931E8875)
-_SS_INIT_B = np.uint32(0x8B51F9DD)
-_SS_MULT_B = np.uint32(0x58F38DED)
-_SS_MIX_L = np.uint32(0xCA01F9DD)
-_SS_MIX_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MASK = (1 << 128) - 1
-
-
-def _seedseq_words(seeds32: np.ndarray, digests32: np.ndarray) -> np.ndarray:
-    """``SeedSequence((seed, digest)).generate_state(4, uint64)`` for every
-    pair, vectorized — both entropy values must each fit in one uint32 word."""
-    old = np.seterr(over="ignore")  # uint32 wraparound is the algorithm
-    try:
-        entropy = (seeds32, digests32)
-        hash_const = _SS_INIT_A
-
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = hash_const * _SS_MULT_A
-            value = value * hash_const
-            return value ^ (value >> _SS_XSHIFT)
-
-        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            r = (_SS_MIX_L * x) - (_SS_MIX_R * y)
-            return r ^ (r >> _SS_XSHIFT)
-
-        zero = np.zeros_like(seeds32)
-        pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-                for i in range(4)]
-        for i_src in range(4):
-            for i_dst in range(4):
-                if i_src != i_dst:
-                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-
-        hash_const = _SS_INIT_B
-
-        def hashmix_out(value: np.ndarray) -> np.ndarray:
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = hash_const * _SS_MULT_B
-            value = value * hash_const
-            return value ^ (value >> _SS_XSHIFT)
-
-        out32 = [hashmix_out(pool[i % 4]) for i in range(8)]
-        words = np.empty((len(seeds32), 4), np.uint64)
-        for i in range(4):
-            words[:, i] = (out32[2 * i].astype(np.uint64)
-                           | (out32[2 * i + 1].astype(np.uint64)
-                              << np.uint64(32)))
-        return words
-    finally:
-        np.seterr(**old)
-
-
-def _keyed_normals(seeds: list[int], digests: list[int]) -> np.ndarray | None:
-    """The ``(K, U)`` matrix of ``default_rng((seed, digest)).
-    standard_normal()`` draws, or ``None`` when the fast path cannot
-    guarantee bit-identity (exotic seeds, or the runtime cross-check fails).
-    """
-    if not all(0 <= s < 2**32 for s in seeds):
-        return None  # multi-word entropy: let the injector handle it
-    n_k, n_u = len(seeds), len(digests)
-    words = _seedseq_words(
-        np.repeat(np.asarray(seeds, np.uint32), n_u),
-        np.tile(np.asarray(digests, np.uint32), n_k),
-    )
-    bg = np.random.PCG64(0)
-    gen = np.random.Generator(bg)
-    state = bg.state
-    inner = state["state"]
-    normal = gen.standard_normal
-    out = np.empty(n_k * n_u, np.float64)
-    for i, (w0, w1, w2, w3) in enumerate(words.tolist()):
-        # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
-        inc = (((w2 << 64) | w3) << 1 | 1) & _PCG_MASK
-        inner["inc"] = inc
-        inner["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT
-                          + inc) & _PCG_MASK
-        bg.state = state
-        out[i] = normal()
-    ref = float(np.random.default_rng((seeds[0], digests[0]))
-                .standard_normal())
-    if out[0] != ref:  # pragma: no cover - numpy stream drift guard
-        return None
-    return out.reshape(n_k, n_u)
-
-
 def seed_duration_matrix(tasks, tids, spec: FaultSpec,
                          seeds) -> np.ndarray:
-    """Precompute the ``(K, n)`` faulted duration table for ``seeds``.
-
-    Row k holds, for every task of the *clean* draft (in ``tids`` order),
-    the duration a schedule rebuilt under ``FaultyDurations(base,
-    FaultInjector(spec, seed=seeds[k]))`` would carry — bit-identical,
-    because the multiply order matches the provider's left fold:
-    ``(clean * duration_factor) * transfer_slowdown``.  Tasks sharing a
-    duration key (a recompute and its forward) share one draw per seed.
-    """
-    n = len(tids)
-    base = np.array([tasks[t].duration for t in tids], np.float64)
-    keys = [_task_key(tasks[t]) for t in tids]
-    uniq: list[tuple[str, int]] = []
-    index: dict[tuple[str, int], int] = {}
-    col_of = np.empty(n, np.int64)
-    for i, (what, layer, _) in enumerate(keys):
-        k = (what, layer)
-        if k not in index:
-            index[k] = len(uniq)
-            uniq.append(k)
-        col_of[i] = index[k]
-    transfer = np.array([is_t for (_, _, is_t) in keys], bool)
-
-    seeds = [int(s) for s in seeds]
-    stddev = spec.duration_noise
-    if stddev <= 0.0:
-        fac = np.ones((len(seeds), len(uniq)), np.float64)
-    else:
-        # the injector keys each draw on repr(("dur", what, layer))
-        digests = [zlib.crc32(repr(("dur", w, l)).encode()) for w, l in uniq]
-        draws = _keyed_normals(seeds, digests)
-        if draws is not None:
-            fac = np.maximum(_MIN_FACTOR, 1.0 + stddev * draws)
-        else:
-            fac = np.empty((len(seeds), len(uniq)), np.float64)
-            for r, seed in enumerate(seeds):
-                inj = FaultInjector(spec, seed=seed)
-                fac[r] = [inj.duration_factor(w, l) for w, l in uniq]
-
-    mat = base * fac[:, col_of]
-    slow = 1.0 / spec.bandwidth_factor  # FaultInjector.transfer_slowdown
-    if slow != 1.0:
-        mat[:, transfer] *= slow
-    return mat
+    """Precompute the ``(K, n)`` faulted duration table for ``seeds``: row k
+    holds, for every task of the *clean* draft (in ``tids`` order), the
+    duration a schedule rebuilt under ``FaultyDurations(base,
+    FaultInjector(spec, seed=seeds[k]))`` would carry, bit for bit (see
+    :class:`~repro.faults.injector.DurationTable`)."""
+    return DurationTable(tasks, tids).rows(spec, seeds)
 
 
 @dataclass(frozen=True)
@@ -281,19 +122,16 @@ class SweepOutcome:
         return not self.failed
 
 
-def _serial_outcome(graph: NNGraph, classification: Classification,
-                    machine: MachineSpec, spec: FaultSpec, seed: int,
-                    retry: RetryPolicy | None,
-                    options: ScheduleOptions | None,
-                    cost_model: CostModel | None,
-                    durations: DurationProvider | None) -> SweepOutcome:
+def _serial_outcome(chain: PlanChain, spec: FaultSpec, seed: int,
+                    retry: RetryPolicy | None) -> SweepOutcome:
     """One seed through the full serial resilient path."""
     injector = FaultInjector(spec, seed=seed)
     try:
         robust = execute_resilient(
-            graph, classification, machine,
-            faults=injector, retry=retry, options=options,
-            cost_model=cost_model, durations=durations,
+            chain.graph, chain.classification, chain.machine,
+            faults=injector, retry=retry, options=chain.options,
+            cost_model=chain.cost_model, durations=chain.durations,
+            chain=chain,
         )
     except ReproError as e:
         genuine_oom = (isinstance(e, OutOfMemoryError)
@@ -318,8 +156,14 @@ def _serial_outcome(graph: NNGraph, classification: Classification,
     )
 
 
-def _serial_star(packed) -> SweepOutcome:
-    return _serial_outcome(*packed)
+def _serial_chunk(packed) -> list[SweepOutcome]:
+    """A pool worker's share of the serial seeds, over one chain it builds
+    itself (so neither the graph nor the chain is shipped per seed)."""
+    (graph, classification, machine, options, cost_model, durations,
+     spec, seeds, retry) = packed
+    chain = PlanChain(graph, classification, machine, options=options,
+                      cost_model=cost_model, durations=durations)
+    return [_serial_outcome(chain, spec, seed, retry) for seed in seeds]
 
 
 def fault_seed_sweep(
@@ -341,8 +185,9 @@ def fault_seed_sweep(
     Vectorizable specs run all seeds in one lockstep batch over the clean
     draft (compiled once); rows that fail under their per-seed durations —
     and every seed of a non-vectorizable spec — take the serial resilient
-    path, fanned across a process pool when ``workers > 1``.  Emits
-    ``faults.rows_vectorized`` / ``faults.rows_fallback`` counters.
+    path over one shared :class:`PlanChain`, split into one chunk of seeds
+    per process when ``workers > 1``.  Emits ``faults.rows_vectorized`` /
+    ``faults.rows_fallback`` counters.
 
     ``durations`` overrides the clean duration provider (default: the
     machine's deterministic cost model); ``vectorize=False`` forces the
@@ -351,18 +196,14 @@ def fault_seed_sweep(
     if isinstance(spec, str):
         spec = FaultSpec.parse(spec)
     seeds = [int(s) for s in seeds]
-    opts = options or ScheduleOptions()
+    chain = PlanChain(graph, classification, machine, options=options,
+                      cost_model=cost_model, durations=durations)
     outcomes: dict[int, SweepOutcome] = {}
     serial_idx = list(range(len(seeds)))
 
     if vectorize and seeds and vectorizable(spec):
         try:
-            base = durations
-            if base is None:
-                base = CostModelDurations(graph,
-                                          cost_model or CostModel(machine))
-            tasks, queues, buffers = ScheduleBuilder(
-                graph, classification, base, opts).build_raw()
+            tasks, queues, buffers = chain.draft()
             host_capacity = int(machine.host_swap_capacity
                                 * spec.host_capacity_factor)
             tables = VectorTables(
@@ -397,14 +238,20 @@ def fault_seed_sweep(
     metrics.count("faults.rows_fallback", len(serial_idx))
 
     if serial_idx:
-        jobs = [(graph, classification, machine, spec, seeds[i],
-                 retry, opts, cost_model, durations) for i in serial_idx]
-        if workers > 1 and len(serial_idx) > 1:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(serial_idx))) as pool:
-                results = list(pool.map(_serial_star, jobs))
+        serial_seeds = [seeds[i] for i in serial_idx]
+        n_chunks = min(workers, len(serial_seeds))
+        if n_chunks > 1:
+            step = -(-len(serial_seeds) // n_chunks)
+            jobs = [(graph, classification, machine, chain.options,
+                     cost_model, durations, spec,
+                     serial_seeds[k:k + step], retry)
+                    for k in range(0, len(serial_seeds), step)]
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+                results = [out for part in pool.map(_serial_chunk, jobs)
+                           for out in part]
         else:
-            results = [_serial_star(j) for j in jobs]
+            results = [_serial_outcome(chain, spec, seed, retry)
+                       for seed in serial_seeds]
         for i, out in zip(serial_idx, results):
             outcomes[i] = out
 

@@ -597,7 +597,11 @@ class ScheduleBuilder:
     def build(self) -> Schedule:
         """Construct and return the validated schedule."""
         self.build_raw()
+        return self.finalize()
 
+    def finalize(self) -> Schedule:
+        """The validated ``Task``/``BufferSpec`` form of the drafts
+        :meth:`build_raw` produced (which must have run first)."""
         tasks = {tid: d.to_task() for tid, d in self._tasks.items()}
         # carry io annotations for the numeric backend
         io = {tid: d.io for tid, d in self._tasks.items() if d.io}

@@ -178,6 +178,37 @@ class TestTransferFaults:
         assert e.value.attempts == 4
 
 
+class TestRetryPolicyValidation:
+    @pytest.mark.parametrize("field, value", [
+        # zero attempts used to die on a bare assert in execute_resilient
+        ("max_plan_attempts", 0),
+        ("max_plan_attempts", 1.5),
+        # a negative budget silently disabled every stall
+        ("max_transfer_retries", -2),
+        # a negative backoff made stalls *save* time (negative makespans)
+        ("backoff_base", -1.0),
+        ("backoff_base", float("inf")),
+        ("backoff_cap", float("nan")),
+        ("backoff_cap", -1e-3),
+    ])
+    def test_bad_field_names_field_and_value(self, field, value):
+        with pytest.raises(FaultError, match=f"{field}.*got {value!r}"):
+            RetryPolicy(**{field: value})
+
+    def test_boundaries_accepted(self):
+        policy = RetryPolicy(max_transfer_retries=0, backoff_base=0.0,
+                             backoff_cap=0.0, max_plan_attempts=1)
+        assert policy.backoff(5) == 0.0
+
+    def test_negative_backoff_can_no_longer_shorten_a_run(self):
+        g = poster_example()
+        with pytest.raises(FaultError, match="backoff_base"):
+            execute_resilient(
+                g, Classification.all_swap(g), tiny_machine(mem_mib=224),
+                faults=FaultInjector(FaultSpec(stall_prob=0.5), seed=0),
+                retry=RetryPolicy(backoff_base=-1.0))
+
+
 class TestFallbackChain:
     def test_declared_order(self):
         g = poster_example()
