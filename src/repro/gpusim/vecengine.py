@@ -16,9 +16,10 @@ sweep per event round — over either of two compiled families:
   *condition* — "active iff map m is kept" / "active iff map m is
   swapped" — and a (K, maps) keep matrix instantiates the rows;
 * :class:`VariantTables`, a *variant family*: a step-2 round's probes,
-  each a complete delta draft ("current with X recomputed, or kept"), are
-  compiled together — tasks become one slot per distinct variant, and each
-  row seeds its own queues, free counts and task total.
+  each a :class:`DraftPatch` of the current plan's draft ("current with X
+  recomputed, or kept"), are compiled together — the base's tasks once,
+  each row only what its patch touches: tasks become one slot per distinct
+  variant, and each row seeds its own queues, free counts and task total.
 
 Per round, each candidate independently (at its own simulated clock)
 
@@ -65,7 +66,7 @@ caller falls back to :class:`FastEngine`.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,40 +317,75 @@ class VectorTables:
         _init_prealloc(self, buffers.values())
 
 
-class VariantTables:
-    """Tables for an explicit *variant family*: K complete drafts that share
-    most of their task and buffer objects — step 2's probes of one plan,
-    each "current with one map recomputed (or kept)", all patched from the
-    same keep draft by :func:`repro.runtime.schedule.apply_recompute_delta`.
+@dataclass(frozen=True, eq=False, repr=False)
+class DraftPatch:
+    """One variant of a base draft, as the edits that turn the base into
+    it: task and buffer drafts added or replaced, ids dropped, and the
+    variant's complete stream queues (the base's own lists where a stream
+    is unchanged).  Built by
+    :func:`repro.runtime.schedule.apply_recompute_delta`; the base is
+    never mutated, so any number of patches share it."""
 
-    Row k replays exactly its own draft.  Tasks compile into *slots*, one
-    per distinct engine-visible variant of a task id (its durations, deps,
-    headroom, allocations and free edges); variants are told apart by
-    object identity against row 0's draft first, so the many objects the
-    rows share cost nothing, and by content second, so equal variants built
-    by different rows share a slot.  What then varies per row is seeded per
-    row: the stream queues (recompute chains inserted on the compute
-    stream, the ``SO``/``SI`` pair removed, the re-sorted H2D queue), the
-    buffer free counts and the task total.  Slot in-degrees are the same in
-    every row: a dependency names a task id, and each row runs exactly one
-    slot of that id, whose completion counts down every slot that names it.
-    A raised EAGER swap-in headroom is simply a different slot.
+    #: the ``(tasks, queues, buffers)`` draft the edits apply to
+    base: tuple
+    tasks: dict
+    buffers: dict
+    dropped_tasks: frozenset
+    dropped_buffers: frozenset
+    queues: dict
+
+    @functools.cached_property
+    def draft(self) -> tuple:
+        """The patched ``(tasks, queues, buffers)`` draft itself."""
+        base_tasks, _queues, base_buffers = self.base
+        tasks = dict(base_tasks)
+        for tid in self.dropped_tasks:
+            del tasks[tid]
+        tasks.update(self.tasks)
+        buffers = dict(base_buffers)
+        for bid in self.dropped_buffers:
+            del buffers[bid]
+        buffers.update(self.buffers)
+        return tasks, self.queues, buffers
+
+
+class VariantTables:
+    """Tables for an explicit *variant family*: K patches of one base draft
+    — step 2's probes of one plan, each "current with one map recomputed
+    (or kept)", or a speculative "ahead with one more map recomputed", all
+    patched from current's draft by
+    :func:`repro.runtime.schedule.apply_recompute_delta`.
+
+    Row k replays exactly ``patches[k].draft``.  Tasks compile into
+    *slots*, one per distinct engine-visible variant of a task id (its
+    durations, deps, headroom, allocations and free edges); the base's
+    tasks are compiled once, and a row adds slots only for what its patch
+    touches — replaced or added tasks, and tasks whose free edges or
+    allocations the patched buffers change — told apart by content, so
+    equal variants built by different rows share a slot.  What then
+    varies per row is seeded per row: the stream queues (recompute chains
+    inserted on the compute stream, the ``SO``/``SI`` pair removed, the
+    re-sorted H2D queue), the buffer free counts and the task total.  A
+    row therefore costs its patch plus its queue seed, never a walk over
+    every task and buffer.  Slot in-degrees are the same in every row: a
+    dependency names a task id, and each row runs exactly one slot of that
+    id, whose completion counts down every slot that names it.  A raised
+    EAGER swap-in headroom is simply a different slot.
 
     The family runs through the same :meth:`VectorEngine.run_batch` kernel
-    as a keep-flip family (with ``keep=None``; one outcome per draft)."""
+    as a keep-flip family (with ``keep=None``; one outcome per patch)."""
 
     flips: tuple[KeepFlip, ...] = ()
     n_flips = 0
     has_pairs = False
 
-    def __init__(self, drafts, device_capacity: int,
+    def __init__(self, base, patches, device_capacity: int,
                  host_capacity: int | None = None) -> None:
         _init_pools(self, device_capacity, host_capacity)
-        # drafts are consumed one at a time (an iterator keeps only row 0's
-        # draft and the distinct task variants alive)
-        drafts = iter(drafts)
-        first = next(drafts)
-        ref_tasks, _ref_queues, ref_bufs = first
+        patches = list(patches)
+        if not patches:
+            raise VectorUnsupported("the variant family is empty")
+        ref_tasks, _ref_queues, ref_bufs = base
         ref_free = {bid: b.writers | b.readers for bid, b in ref_bufs.items()}
         ref_edges: dict[str, set[str]] = {}
         ref_allocs: dict[str, set[str]] = {}
@@ -375,29 +411,31 @@ class VariantTables:
                 raise VectorUnsupported(
                     f"preallocated buffer {bid!r} differs across the family")
 
+        def content(t) -> tuple:
+            return (t.duration, t.scratch_bytes, t.memory_gated, t.headroom,
+                    t.alloc_on_ready, frozenset(t.deps),
+                    frozenset(t.start_deps))
+
+        # the base's tasks are slots 0..n-1; a base slot's signature is
+        # registered only once some row varies its task id
+        slots: list = [(tid, t, ref_allocs.get(tid, empty),
+                        ref_edges.get(tid, empty))
+                       for tid, t in ref_tasks.items()]
+        ref_slot = {tid: i for i, tid in enumerate(ref_tasks)}
         sigs: dict[tuple, int] = {}
-        #: id(task) -> engine-visible content, for the slot representatives
-        #: (which ``slots`` keeps alive, so their ids cannot be reused)
-        content: dict[int, tuple] = {}
-        slots: list = []   # (tid, task, allocs, edges) per slot
+        registered: set[str] = set()
 
         def slot(tid, t, allocs: frozenset, edges: frozenset) -> int:
-            c = content.get(id(t))
-            if c is None:
-                c = (t.duration, t.scratch_bytes, t.memory_gated, t.headroom,
-                     t.alloc_on_ready, frozenset(t.deps),
-                     frozenset(t.start_deps))
-            sig = (tid, c, allocs, edges)
+            if tid not in registered and tid in ref_slot:
+                registered.add(tid)
+                _tid, t0, a0, e0 = slots[ref_slot[tid]]
+                sigs[(tid, content(t0), a0, e0)] = ref_slot[tid]
+            sig = (tid, content(t), allocs, edges)
             i = sigs.get(sig)
             if i is None:
                 i = sigs[sig] = len(slots)
                 slots.append((tid, t, allocs, edges))
-                content[id(t)] = c
             return i
-
-        ref_slot = {tid: slot(tid, t, ref_allocs.get(tid, empty),
-                              ref_edges.get(tid, empty))
-                    for tid, t in ref_tasks.items()}
 
         def edit(table, ref_table, tid) -> set[str]:
             s = table.get(tid)
@@ -408,18 +446,19 @@ class VariantTables:
         row_q: list[list[np.ndarray]] = [[] for _ in _STREAM_ORDER]
         free_fix: list[tuple[str, int, int]] = []
         totals: list[int] = []
-        for k, (tasks, queues, bufs) in enumerate(
-                itertools.chain((first,), drafts)):
-            # the row's free edges and allocations, as edits to row 0's
+        for k, patch in enumerate(patches):
+            if (patch.base[0] is not ref_tasks
+                    or patch.base[2] is not ref_bufs):
+                raise VectorUnsupported(
+                    f"row {k} is patched from another base draft")
+            # the row's free edges and allocations, as edits to the base's
             edges: dict[str, set[str]] = {}
             allocs: dict[str, set[str]] = {}
-            for bid, b in bufs.items():
-                rb = ref_bufs.get(bid)
-                if rb is b:
-                    continue
+            for bid, b in patch.buffers.items():
                 buffer(bid, b)
                 new = b.writers | b.readers
                 free_fix.append((bid, k, len(new)))
+                rb = ref_bufs.get(bid)
                 old = empty if rb is None else ref_free[bid]
                 for tid in new - old:
                     edit(edges, ref_edges, tid).add(bid)
@@ -427,7 +466,7 @@ class VariantTables:
                     edit(edges, ref_edges, tid).discard(bid)
                 if rb is None and b.alloc_by is not None:
                     edit(allocs, ref_allocs, b.alloc_by).add(bid)
-            for bid in ref_bufs.keys() - bufs.keys():
+            for bid in patch.dropped_buffers:
                 rb = ref_bufs[bid]
                 if rb.alloc_by is None:
                     raise VectorUnsupported(
@@ -438,21 +477,22 @@ class VariantTables:
                     edit(edges, ref_edges, tid).discard(bid)
                 edit(allocs, ref_allocs, rb.alloc_by).discard(bid)
             lookup = dict(ref_slot)
-            for tid, t in tasks.items():
-                if (t is not ref_tasks.get(tid) or tid in edges
-                        or tid in allocs):
-                    lookup[tid] = slot(
-                        tid, t,
-                        frozenset(allocs[tid]) if tid in allocs
-                        else ref_allocs.get(tid, empty),
-                        frozenset(edges[tid]) if tid in edges
-                        else ref_edges.get(tid, empty))
+            for tid in patch.tasks.keys() | edges.keys() | allocs.keys():
+                if tid in patch.dropped_tasks:
+                    continue
+                t = patch.tasks.get(tid) or ref_tasks[tid]
+                lookup[tid] = slot(
+                    tid, t,
+                    frozenset(allocs[tid]) if tid in allocs
+                    else ref_allocs.get(tid, empty),
+                    frozenset(edges[tid]) if tid in edges
+                    else ref_edges.get(tid, empty))
             total = 0
             for s, stream in enumerate(_STREAM_ORDER):
-                q = np.array([lookup[tid] for tid in queues.get(stream, ())],
-                             np.int32)
-                row_q[s].append(q)
-                total += q.size
+                q = patch.queues.get(stream, ())
+                row_q[s].append(np.fromiter(map(lookup.__getitem__, q),
+                                            np.int32, len(q)))
+                total += len(q)
             totals.append(total)
         K = len(totals)
 

@@ -156,6 +156,13 @@ class MetricsRegistry:
             bucket[0] += 1
             bucket[1] += elapsed
 
+    def add_time(self, name: str, seconds: float) -> None:
+        """Add one interval measured elsewhere to timer ``name`` — for loops
+        that time themselves so that telemetry cannot influence them."""
+        bucket = self.timers.setdefault(name, [0, 0.0])
+        bucket[0] += 1
+        bucket[1] += seconds
+
     @contextmanager
     def span(self, name: str, category: str = "phase", **meta) -> Iterator["MetricsRegistry"]:
         """Record a nested span (and a timer entry of the same name)."""

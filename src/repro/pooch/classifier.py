@@ -151,6 +151,13 @@ class SearchStats:
     #: tails, pruned leaves) are included, so rows ≥ ``sims_vectorized``
     vector_sweeps: int = 0
     vector_candidates: int = 0
+    #: step 2's variant-family sweeps: wall seconds drafting and compiling
+    #: them and running them, rows swept, and the tasks the rows' patches
+    #: add, replace or drop against the current plan's draft
+    step2_compile_s: float = 0.0
+    step2_sweep_s: float = 0.0
+    step2_rows: int = 0
+    step2_patched_tasks: int = 0
     #: wall-clock seconds spent inside classify()
     wall_time_s: float = 0.0
     #: multi-device planning (populated only when the machine has more than
@@ -594,8 +601,10 @@ class PoochClassifier:
         if steps not in (1, 2):
             raise ValueError(f"steps must be 1 or 2, got {steps}")
         start = time.perf_counter()
-        sweeps_at_start = self.predictor.vector_sweeps
-        swept_at_start = self.predictor.vector_candidates
+        pred = self.predictor
+        at_start = (pred.vector_sweeps, pred.vector_candidates,
+                    pred.variant_compile_s, pred.variant_sweep_s,
+                    pred.variant_rows, pred.variant_patched_tasks)
         try:
             with metrics.span("search.step1", category="search",
                               graph=self.graph.name):
@@ -608,13 +617,15 @@ class PoochClassifier:
                 step2 = self._step2_swap_vs_recompute(step1)
             return step2, self.stats
         finally:
-            self.stats.wall_time_s = time.perf_counter() - start
-            self.stats.vector_sweeps = (
-                self.predictor.vector_sweeps - sweeps_at_start
-            )
-            self.stats.vector_candidates = (
-                self.predictor.vector_candidates - swept_at_start
-            )
+            s = self.stats
+            s.wall_time_s = time.perf_counter() - start
+            (s.vector_sweeps, s.vector_candidates, s.step2_compile_s,
+             s.step2_sweep_s, s.step2_rows, s.step2_patched_tasks) = (
+                now - then for now, then in zip(
+                    (pred.vector_sweeps, pred.vector_candidates,
+                     pred.variant_compile_s, pred.variant_sweep_s,
+                     pred.variant_rows, pred.variant_patched_tasks),
+                    at_start))
             self.stats.sims_fallback = (
                 self.stats.sims_step1 + self.stats.sims_step2
                 - self.stats.sims_vectorized
@@ -648,6 +659,14 @@ class PoochClassifier:
         registry.count("search.keep_probes_elided", s.keep_probes_elided)
         registry.count("search.step2_rounds_run", s.step2_rounds)
         registry.count("search.r_recomputed", s.r_recomputed)
+        registry.count("search.step2_rows", s.step2_rows)
+        registry.count("search.step2_patched_tasks", s.step2_patched_tasks)
+        # why step 2 took its time: drafting + compiling its variant
+        # families vs sweeping them (timers, shown in the search section)
+        for name, seconds in (("step2_compile", s.step2_compile_s),
+                              ("step2_sweep", s.step2_sweep_s)):
+            registry.add_time(f"search.{name}", seconds)
+            registry.gauge(f"search.{name}_wall_s", seconds)
         if s.r_rounds:
             # structured per-round r(X) history (schema v1.1): what every
             # round's discard/argmin decisions actually read
@@ -871,7 +890,6 @@ class PoochClassifier:
             needed.append(current.with_class(x, MapClass.RECOMPUTE))
             if not self.predictor.provably_infeasible(current, x):
                 keeps.append(current.with_class(x, MapClass.KEEP))
-        # recompute probes first: they share current's memoized keep draft
         todo: list[Classification] = []
         for cls in needed + keeps:
             out = staged.pop(cls.key(), None)

@@ -21,6 +21,7 @@ engine on demand when records or memory traces are actually needed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.graph import NNGraph
 from repro.gpusim import Engine, RunResult
 from repro.gpusim.fastengine import FastEngine
 from repro.gpusim.vecengine import (
+    DraftPatch,
     VariantTables,
     VectorEngine,
     VectorTables,
@@ -141,10 +143,12 @@ class TimelinePredictor:
         #: liveness profile of the last plan :meth:`provably_infeasible`
         #: was asked about, keyed by that plan's classification key
         self._profile: tuple[tuple, LivenessProfile] | None = None
-        #: the last :func:`apply_keep_delta` result, keyed by its keep set:
-        #: step 2's probes all share the step-1 keeps, so its recompute
-        #: drafts patch one memoized keep draft instead of rebuilding it
+        #: the last :func:`apply_keep_delta` result, keyed by its keep set
         self._keep_draft: tuple[frozenset, tuple] | None = None
+        #: (keeps, recomputes, draft) of the last plan
+        #: :meth:`provably_infeasible` was asked about — step 2's current
+        #: plan, whose probes are patches of this draft
+        self._plan: tuple[frozenset, frozenset, tuple] | None = None
         #: lockstep sweeps run and candidate rows swept (includes rows the
         #: caller speculated on and discarded; absorbed-sim accounting is
         #: the classifier's ``SearchStats.sims_vectorized``)
@@ -152,6 +156,13 @@ class TimelinePredictor:
         self.vector_candidates = 0
         self._vec_engine: VectorEngine | None = None
         self._flip_index: dict[int, int] | None = None
+        #: variant-family work (step 2's sweeps): wall seconds compiling
+        #: (drafting the patches, tables) and sweeping, rows swept, and the
+        #: tasks those rows' patches add, replace or drop
+        self.variant_compile_s = 0.0
+        self.variant_sweep_s = 0.0
+        self.variant_rows = 0
+        self.variant_patched_tasks = 0
         #: the draft family proved inexpressible (non-EAGER triggers,
         #: forward re-fetch, host+device allocating tasks, ...) — every
         #: later batch request falls back to the event engine
@@ -187,7 +198,7 @@ class TimelinePredictor:
         — see :class:`~repro.runtime.schedule.LivenessProfile`."""
         key = current.key()
         if self._profile is None or self._profile[0] != key:
-            self._profile = (key, LivenessProfile(*self._sim_draft(current)))
+            self._profile = (key, LivenessProfile(*self._plan_draft(current)))
         capacity = self.machine.usable_gpu_memory - self.capacity_margin
         return self._profile[1].keep_floor(x) > capacity
 
@@ -283,26 +294,40 @@ class TimelinePredictor:
     ) -> list[PredictedOutcome | None] | None:
         """Simulate K arbitrary keep/swap/recompute candidates in one
         lockstep sweep — step 2's probe pool, each probe "current with one
-        map recomputed (or kept)".
+        map recomputed (or kept)", or "ahead with one more map recomputed".
 
         Each row replays exactly the delta draft :meth:`_sim_draft` builds
-        for it (the drafts compile into one
-        :class:`~repro.gpusim.vecengine.VariantTables`).  Same contract as
-        :meth:`predict_keep_batch`: outcomes are positional, the memo cache
-        and counters are untouched, a row is None after a non-OOM engine
-        error, and the call returns None when the drafts are not
-        expressible (NAIVE/SUPERNEURONS triggers, forward re-fetch)."""
+        for it: the rows are patches of the draft of the plan
+        :meth:`provably_infeasible` last profiled (step 2's current plan),
+        compiled into one :class:`~repro.gpusim.vecengine.VariantTables`.
+        Same contract as :meth:`predict_keep_batch`: outcomes are
+        positional, the memo cache and counters are untouched, a row is
+        None after a non-OOM engine error, and the call returns None when
+        the drafts are not expressible (NAIVE/SUPERNEURONS triggers,
+        forward re-fetch) or not all patches of one draft."""
         if not classifications or self._ensure_vec() is None:
             return None
+        start = time.perf_counter()
+        splits = [self._delta_split(c) for c in classifications]
+        if None in splits:
+            return None
+        patches = [self._patch(*split) for split in splits]
         try:
-            tables = VariantTables(
-                (self._sim_draft(c) for c in classifications),
+            engine = VectorEngine(VariantTables(
+                patches[0].base, patches,
                 self.machine.usable_gpu_memory - self.capacity_margin,
                 self.machine.host_swap_capacity,
-            )
+            ))
         except VectorUnsupported:
             return None
-        return self._sweep(VectorEngine(tables))
+        swept = time.perf_counter()
+        outs = self._sweep(engine)
+        self.variant_compile_s += swept - start
+        self.variant_sweep_s += time.perf_counter() - swept
+        self.variant_rows += len(patches)
+        self.variant_patched_tasks += sum(
+            len(p.tasks) + len(p.dropped_tasks) for p in patches)
+        return outs
 
     def _sweep(self, engine: VectorEngine,
                keep: np.ndarray | None = None
@@ -409,12 +434,18 @@ class TimelinePredictor:
     #
     # Candidates in the classifier's searches differ from one another only
     # in which maps they keep (step 1) or additionally recompute (step 2),
-    # so their drafts are produced by patching the all-swap base draft
-    # (:func:`apply_keep_delta`, then :func:`apply_recompute_delta`) in
-    # O(affected region) instead of rebuilding the whole schedule.
+    # so their drafts are produced by patching a memoized draft in
+    # O(what the flips touch) instead of rebuilding the whole schedule:
+    # step 1's keep sets patch the all-swap base draft
+    # (:func:`apply_keep_delta`); step 2's probes patch the current plan's
+    # draft (:func:`apply_recompute_delta`), which :meth:`provably_infeasible`
+    # drafts once per round for its liveness profile — a probe is then one
+    # or two flips, not a replay of every recompute chain of the plan.
+    # Candidates the current plan does not reach by swap→keep/recompute
+    # flips patch their keep set's draft instead.
 
     def _ensure_base(self) -> None:
-        """Build the all-swap base draft once — what every delta draft is
+        """Build the all-swap base draft once — what every keep draft is
         patched from and the vector engine compiles."""
         if self._base is not None:
             return
@@ -423,47 +454,79 @@ class TimelinePredictor:
             self._durations, self.options, validate=False,
         ).build_raw()
 
+    def _delta_split(
+        self, classification: Classification
+    ) -> tuple[frozenset, frozenset] | None:
+        """(keeps, recomputes) of a candidate the delta paths can draft —
+        forward re-fetch off, and recomputes only under EAGER — else None
+        (a full build)."""
+        if self.forward_refetch_gap is not None:
+            return None
+        keeps: list[int] = []
+        recs: list[int] = []
+        for m, cls in classification.classes.items():
+            if cls is MapClass.KEEP:
+                keeps.append(m)
+            elif cls is MapClass.RECOMPUTE:
+                recs.append(m)
+            elif cls is not MapClass.SWAP:
+                return None
+        if recs and self.policy is not SwapInPolicy.EAGER:
+            return None
+        return frozenset(keeps), frozenset(recs)
+
+    def _keep_delta(self, keeps: frozenset) -> tuple:
+        """Draft of ``all-swap + keeps``, memoized on the last keep set."""
+        memo = self._keep_draft
+        if memo is not None and memo[0] == keeps:
+            return memo[1]
+        self._ensure_base()
+        draft = apply_keep_delta(
+            self._base[0], self._base[1], self._base[2], keeps)
+        self._keep_draft = (keeps, draft)
+        return draft
+
+    def _patch(self, keeps: frozenset, recs: frozenset) -> DraftPatch:
+        """The draft of ``all-swap + keeps + recs`` as a patch: of the
+        memoized plan draft when that plan reaches it by swap→keep and
+        swap→recompute flips, else of its keep set's draft."""
+        plan = self._plan
+        if plan is not None and plan[0] <= keeps and plan[1] <= recs:
+            base = plan[2]
+        else:
+            base = self._keep_delta(keeps)
+        return apply_recompute_delta(
+            base[0], base[1], base[2], self.graph, self._durations,
+            self.options, keeps, recs,
+        )
+
+    def _plan_draft(self, classification: Classification) -> tuple:
+        """Draft of a plan step 2 evaluates probes against, memoized as the
+        base its probes patch."""
+        split = self._delta_split(classification)
+        if split is None:
+            return self.draft(classification)
+        plan = self._plan
+        if plan is None or plan[:2] != split:
+            self._plan = (*split, self._delta_draft(*split))
+        return self._plan[2]
+
     def _sim_draft(self, classification: Classification):
         """(tasks, queues, buffers) draft for one simulation.
 
-        Pure keep/swap candidates (the entire step-1 tree) go through the
-        keep-delta path; keep/swap/recompute candidates (step 2's r(X)
-        probes) additionally run :func:`apply_recompute_delta` when the
-        swap-in policy is EAGER.  Everything else — forward re-fetch,
-        non-EAGER recompute — falls back to a full build."""
-        if self.forward_refetch_gap is None:
-            keeps: list[int] = []
-            recs: list[int] = []
-            pure = True
-            for m, cls in classification.classes.items():
-                if cls is MapClass.KEEP:
-                    keeps.append(m)
-                elif cls is MapClass.RECOMPUTE:
-                    recs.append(m)
-                elif cls is not MapClass.SWAP:
-                    pure = False
-                    break
-            if recs and self.policy is not SwapInPolicy.EAGER:
-                pure = False
-            if pure:
-                kept = frozenset(keeps)
-                memo = self._keep_draft
-                if memo is not None and memo[0] == kept:
-                    tasks, queues, buffers = memo[1]
-                else:
-                    self._ensure_base()
-                    tasks, queues, buffers = apply_keep_delta(
-                        self._base[0], self._base[1], self._base[2], keeps
-                    )
-                    self._keep_draft = (kept, (tasks, queues, buffers))
-                if recs:
-                    tasks, queues, buffers = apply_recompute_delta(
-                        tasks, queues, buffers,
-                        self.graph, self._durations, self.options,
-                        keeps, recs,
-                    )
-                return tasks, queues, buffers
-        return self.draft(classification)
+        Pure keep/swap candidates (the entire step-1 tree) patch the
+        all-swap base; keep/swap/recompute candidates (step 2's r(X)
+        probes) are :meth:`_patch` drafts.  Everything else — forward
+        re-fetch, non-EAGER recompute — falls back to a full build."""
+        split = self._delta_split(classification)
+        if split is None:
+            return self.draft(classification)
+        return self._delta_draft(*split)
+
+    def _delta_draft(self, keeps: frozenset, recs: frozenset) -> tuple:
+        if not recs:
+            return self._keep_delta(keeps)
+        return self._patch(keeps, recs).draft
 
     def _simulate(self, classification: Classification) -> PredictedOutcome:
         """One uncached simulation through the fast draft-replay path."""

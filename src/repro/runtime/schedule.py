@@ -43,7 +43,7 @@ from repro.graph import NNGraph
 from repro.graph.ops import OpKind
 from repro.gpusim import BufferSpec, Schedule, StreamName, Task, TaskKind
 from repro.gpusim.allocator import round_size
-from repro.gpusim.vecengine import KeepFlip
+from repro.gpusim.vecengine import DraftPatch, KeepFlip
 from repro.runtime.durations import DurationProvider
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
 
@@ -114,6 +114,11 @@ class _TaskDraft:
     #: io annotation consumed by the numeric backend: input/output instance
     #: ids and the map/gradient ids involved.
     io: dict = field(default_factory=dict)
+    #: for a backward swap-in or recompute task: the layer of the backward
+    #: task whose construction resolved it (its *root*; -1 elsewhere).
+    #: Engines never read it; :func:`apply_recompute_delta` locates the
+    #: part of a draft a recompute flip rebuilds by it.
+    root: int = -1
 
     def to_task(self) -> Task:
         return Task(
@@ -173,6 +178,8 @@ class ScheduleBuilder:
         #: swap-in task id -> tid of the first compute task that reads the
         #: restored instance (for NAIVE / SUPERNEURONS start triggers)
         self._si_first_reader: dict[str, str] = {}
+        #: layer of the backward task whose needs are being resolved
+        self._root = -1
 
     # -- small helpers -----------------------------------------------------------
 
@@ -357,6 +364,7 @@ class ScheduleBuilder:
                 stream=StreamName.H2D,
                 duration=self.dur.swap_in(m),
                 layer=m,
+                root=self._root,
             )
             si.deps.add(f"SO{m}")
             si.io = {"op": "swap_in", "layer": m, "src": f"fm{m}@host",
@@ -382,6 +390,7 @@ class ScheduleBuilder:
             duration=self.dur.fwd(m),
             layer=m,
             scratch_bytes=layer.op.workspace_bytes,
+            root=self._root,
         )
         r.io = {"op": "fwd", "layer": m, "ins": [], "out": f"fm{m}@r"}
         inst = self._add_buffer(
@@ -465,6 +474,7 @@ class ScheduleBuilder:
                 needed.extend(layer.preds)
             if layer.op.bwd_needs_output:
                 needed.append(i)
+            self._root = i
             for m in needed:
                 self._ensure_available(m, b)
                 if m == i:
@@ -643,13 +653,103 @@ def _copy_task(t: _TaskDraft) -> _TaskDraft:
         tid=t.tid, kind=t.kind, stream=t.stream, duration=t.duration,
         layer=t.layer, scratch_bytes=t.scratch_bytes,
         memory_gated=t.memory_gated, headroom=t.headroom,
-        alloc_on_ready=t.alloc_on_ready,
+        alloc_on_ready=t.alloc_on_ready, root=t.root,
     )
     nt.deps = set(t.deps)
     nt.start_deps = t.start_deps
     nt.reads = set(t.reads)
     nt.io = t.io
     return nt
+
+
+class _DraftEdit:
+    """Edits accumulating against one base draft, which is never mutated:
+    task and buffer drafts are copied on first write, dropped ids are
+    recorded, and the three queues are replaced list by list.  Reads see
+    the edited draft."""
+
+    def __init__(self, base_tasks, base_queues, base_buffers) -> None:
+        self.base = (base_tasks, base_queues, base_buffers)
+        self._base_tasks = base_tasks
+        self._base_buffers = base_buffers
+        self.tasks: dict[str, _TaskDraft] = {}
+        self.buffers: dict[str, _BufferDraft] = {}
+        self.dropped_tasks: set[str] = set()
+        self.dropped_buffers: set[str] = set()
+        self.compute: list[str] = base_queues.get(StreamName.COMPUTE, [])
+        self.h2d: list[str] = base_queues.get(StreamName.H2D, [])
+        self.d2h: list[str] = base_queues.get(StreamName.D2H, [])
+
+    def task(self, tid: str) -> _TaskDraft | None:
+        t = self.tasks.get(tid)
+        if t is None and tid not in self.dropped_tasks:
+            t = self._base_tasks.get(tid)
+        return t
+
+    def own_task(self, tid: str) -> _TaskDraft:
+        """The edited draft's task ``tid``, as a private copy."""
+        t = self.tasks.get(tid)
+        if t is None:
+            t = self.tasks[tid] = _copy_task(self._base_tasks[tid])
+        return t
+
+    def buffer(self, bid: str) -> _BufferDraft:
+        b = self.buffers.get(bid)
+        return self._base_buffers[bid] if b is None else b
+
+    def own_buffer(self, bid: str) -> _BufferDraft:
+        b = self.buffers.get(bid)
+        if b is None:
+            b = self._base_buffers[bid]
+            nb = _BufferDraft(b.bid, b.nbytes, alloc_by=b.alloc_by,
+                              host=b.host)
+            nb.writers = set(b.writers)
+            nb.readers = set(b.readers)
+            b = self.buffers[bid] = nb
+        return b
+
+    def drop_task(self, tid: str) -> None:
+        self.tasks.pop(tid, None)
+        if tid in self._base_tasks:
+            self.dropped_tasks.add(tid)
+
+    def drop_buffer(self, bid: str) -> None:
+        self.buffers.pop(bid, None)
+        if bid in self._base_buffers:
+            self.dropped_buffers.add(bid)
+
+    def patch(self) -> DraftPatch:
+        return DraftPatch(
+            base=self.base, tasks=self.tasks, buffers=self.buffers,
+            dropped_tasks=frozenset(self.dropped_tasks),
+            dropped_buffers=frozenset(self.dropped_buffers),
+            queues={StreamName.COMPUTE: self.compute,
+                    StreamName.H2D: self.h2d, StreamName.D2H: self.d2h},
+        )
+
+
+def _flip_keep(edit: _DraftEdit, m: int) -> set[str]:
+    """Swap→keep flip of ``m`` (see :func:`apply_keep_delta`); returns the
+    removed transfer tasks, which the caller drops from the queues."""
+    so, si = f"SO{m}", f"SI{m}"
+    fwd_bid, back_bid = f"fm{m}@f", f"fm{m}@b"
+    edit.drop_task(so)
+    edit.drop_buffer(f"fm{m}@host")
+    fb = edit.own_buffer(fwd_bid)
+    fb.readers.discard(so)
+    if edit.task(si) is None:
+        return {so}  # no backward consumer: nothing reads the kept instance
+    readers = edit.buffer(back_bid).readers
+    edit.drop_task(si)
+    edit.drop_buffer(back_bid)
+    for rid in readers:
+        rt = edit.own_task(rid)
+        rt.deps.discard(si)
+        rt.deps.add(f"F{m}")
+        rt.reads.discard(back_bid)
+        rt.reads.add(fwd_bid)
+        fb.readers.add(rid)
+    return {so, si}
 
 
 def apply_keep_delta(
@@ -686,51 +786,17 @@ def apply_keep_delta(
     tasks still reference the removed instances; only the draft-replay
     engines consume delta drafts and they never read ``io``.
     """
-    tasks = dict(base_tasks)
-    buffers = dict(base_buffers)
+    edit = _DraftEdit(base_tasks, base_queues, base_buffers)
     removed: set[str] = set()
-    patched_tasks: dict[str, _TaskDraft] = {}
     for m in keeps:
-        so, si = f"SO{m}", f"SI{m}"
-        fwd_bid, host_bid, back_bid = f"fm{m}@f", f"fm{m}@host", f"fm{m}@b"
-        if so not in tasks:
+        if edit.task(f"SO{m}") is None:
             raise ScheduleError(
                 f"apply_keep_delta: map {m} is not swapped in the base draft"
             )
-        del tasks[so]
-        del buffers[host_bid]
-        removed.add(so)
-        fb = buffers[fwd_bid]
-        if fb is base_buffers[fwd_bid]:
-            nb = _BufferDraft(fb.bid, fb.nbytes, alloc_by=fb.alloc_by,
-                              host=fb.host)
-            nb.writers = set(fb.writers)
-            nb.readers = set(fb.readers)
-            buffers[fwd_bid] = fb = nb
-        fb.readers.discard(so)
-        if si not in tasks:
-            continue  # no backward consumer: nothing reads the kept instance
-        del tasks[si]
-        removed.add(si)
-        bb = buffers.pop(back_bid)
-        for rid in bb.readers:
-            rt = patched_tasks.get(rid)
-            if rt is None:
-                rt = patched_tasks[rid] = _copy_task(tasks[rid])
-                tasks[rid] = rt
-            rt.deps.discard(si)
-            rt.deps.add(f"F{m}")
-            rt.reads.discard(back_bid)
-            rt.reads.add(fwd_bid)
-            fb.readers.add(rid)
-    queues = {
-        StreamName.COMPUTE: base_queues[StreamName.COMPUTE],
-        StreamName.H2D: [t for t in base_queues[StreamName.H2D]
-                         if t not in removed],
-        StreamName.D2H: [t for t in base_queues[StreamName.D2H]
-                         if t not in removed],
-    }
-    return tasks, queues, buffers
+        removed |= _flip_keep(edit, m)
+    edit.h2d = [t for t in edit.h2d if t not in removed]
+    edit.d2h = [t for t in edit.d2h if t not in removed]
+    return edit.patch().draft
 
 
 def keep_flip_specs(
@@ -786,37 +852,54 @@ def apply_recompute_delta(
     options: ScheduleOptions | None,
     keeps,
     recomputes,
-) -> tuple[dict[str, _TaskDraft], dict[StreamName, list[str]],
-           dict[str, _BufferDraft]]:
-    """Draft for ``all-swap + keeps + {m: RECOMPUTE for m in recomputes}`` by
-    patching the keep-delta draft — the step-2 search hot path, where every
-    r(X) probe differs from the step-1 plan by a handful of recompute flips.
+) -> DraftPatch:
+    """Patch turning a base draft into the draft of ``all-swap + keeps +
+    {m: RECOMPUTE for m in recomputes}`` — the step-2 search hot path,
+    where every r(X) probe is the current plan plus one flip (two for a
+    speculative probe of the next round's plan).
 
-    ``base_*`` must be the output of ``apply_keep_delta(all_swap_base,
-    keeps)`` for the same ``keeps`` (the all-swap base itself when ``keeps``
-    is empty), built without forward re-fetch (``forward_refetch_gap`` must
-    be ``None`` — re-fetch segments splice extra forward swap-ins whose
-    interaction with recompute chains is not local).
+    The base may be the draft of any plan that reaches the target by
+    swap→keep and swap→recompute flips: the keep draft
+    ``apply_keep_delta(all_swap_base, keeps)`` (every recompute is then a
+    new flip), or the current plan's own draft, which already carries its
+    recomputes.  Maps of ``keeps``/``recomputes`` still swapped in the base
+    are the flips; the base must be built without forward re-fetch
+    (``forward_refetch_gap`` must be ``None`` — re-fetch segments splice
+    extra forward swap-ins whose interaction with recompute chains is not
+    local).  Flips apply one at a time, keeps first, each exact against
+    the plan before it.
 
-    A swap→recompute flip is *suffix-local in the backward pass*, but not a
-    pure task removal like a keep flip: the recompute subtree must be
-    spliced onto the compute stream (recursively re-running discarded
-    producers, exactly like ``ScheduleBuilder._ensure_available``), the
-    ``SO{m}``/``SI{m}`` transfer pair dropped, and the swap-in policy
-    repaired (H2D first-need order, EAGER auto-headroom — recompute tasks
-    allocate — and NAIVE/SUPERNEURONS triggers, which reference compute
-    positions that the spliced R tasks shift).  Rather than reasoning about
-    each interaction separately, this replays the builder's backward
-    *resolution* pass over the unchanged backward task order, creating
-    draft objects only where the resolution differs from the base — the
-    construction order, and therefore every order-sensitive tie-break
-    (stable H2D sort, resident-chain reuse), is the fresh builder's by
-    construction.  The result is task-for-task identical to a fresh
+    A swap→keep flip removes the map's ``SO``/``SI`` pair and rewires the
+    readers of ``fm{m}@b`` onto ``fm{m}@f`` (see :func:`apply_keep_delta`;
+    that argument holds with recomputes in the base too).  A swap→recompute
+    flip of X is local because a map's backward instance depends only on
+    its class — ``fm{m}@f`` kept or retained, ``@b`` swapped, ``@r``
+    recomputed — never on when the builder resolves it.  Flipping X
+    therefore changes only:
+
+    * X's ``SO``/``SI`` pair and its host and swapped-in buffers, which go;
+    * the readers of ``fm{X}@b``, which read ``fm{X}@r`` after ``R{X}``;
+    * the backward *root* whose construction first needed X (see
+      ``_TaskDraft.root``): its compute segment — the recompute tasks the
+      builder queued right before that root's ``B`` task — is rebuilt by
+      replaying the builder's resolution of that one root, which now
+      splices in the chain of ``R{X}``.  Chain inputs a later root used to
+      resolve move into it (their ``R`` tasks leave their old segments),
+      and inputs nothing needed before get new ``R`` tasks;
+    * the H2D queue, which the builder sorts by first need: its swap-ins
+      group by root in root order, so only this root's group is re-sorted
+      (moved swap-ins leave their old groups);
+    * every swap-in's EAGER auto-headroom, but only when a new ``R`` task
+      out-allocates the current one.  NAIVE/SUPERNEURONS start triggers
+      reference compute positions and are re-derived over the whole draft
+      (those policies are never on the search path).
+
+    The patched draft (``.draft``) is task-for-task identical to a fresh
     ``ScheduleBuilder(...).build_raw()`` for the same classification —
     ``tests/test_step2_incremental.py`` asserts exact draft equality across
-    the model zoo.  Like :func:`apply_keep_delta`, the base draft is never
-    mutated and stale ``io`` annotations of patched tasks are tolerated
-    (draft-replay engines never read ``io``).
+    the model zoo and ``tests/test_random_graphs.py`` on random DAGs.  The
+    base draft is never mutated; stale ``io`` annotations of patched tasks
+    are tolerated (draft-replay engines never read ``io``).
     """
     opt = options or ScheduleOptions()
     if opt.forward_refetch_gap is not None:
@@ -829,192 +912,209 @@ def apply_recompute_delta(
         raise ScheduleError(
             f"maps {sorted(rec_set & keep_set)} are both kept and recomputed"
         )
-    tasks = dict(base_tasks)
-    buffers = dict(base_buffers)
+    edit = _DraftEdit(base_tasks, base_queues, base_buffers)
+    # the flips are the target's kept and recomputed maps the base still
+    # swaps; its D2H queue holds one swap-out per swapped map, in map order
+    swapped = [base_tasks[so].layer for so in edit.d2h]
     removed: set[str] = set()
+    for m in swapped:
+        if m in keep_set:
+            removed |= _flip_keep(edit, m)
+    if removed:
+        edit.h2d = [t for t in edit.h2d if t not in removed]
+        edit.d2h = [t for t in edit.d2h if t not in removed]
+    flips = [m for m in swapped if m in rec_set]
+    for m in flips:
+        _flip_recompute(edit, m, graph, durations, opt, keep_set, rec_set)
+    if flips and opt.policy is not SwapInPolicy.EAGER:
+        _repair_triggers(edit, graph, opt.policy)
+    return edit.patch()
 
-    def patch_task(tid: str) -> _TaskDraft:
-        t = tasks[tid]
-        if tid in base_tasks and t is base_tasks[tid]:
-            t = tasks[tid] = _copy_task(t)
-        return t
 
-    def patch_buffer(bid: str) -> _BufferDraft:
-        b = buffers[bid]
-        if bid in base_buffers and b is base_buffers[bid]:
-            nb = _BufferDraft(b.bid, b.nbytes, alloc_by=b.alloc_by,
-                              host=b.host)
-            nb.writers = set(b.writers)
-            nb.readers = set(b.readers)
-            buffers[bid] = b = nb
-        return b
+def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
+                    durations: DurationProvider, opt: ScheduleOptions,
+                    keep_set: set[int], rec_set: set[int]) -> None:
+    """Swap→recompute flip of ``x`` (see :func:`apply_recompute_delta`)."""
+    so, si = f"SO{x}", f"SI{x}"
+    edit.drop_task(so)
+    edit.drop_buffer(f"fm{x}@host")
+    edit.own_buffer(f"fm{x}@f").readers.discard(so)
+    edit.d2h = list(edit.d2h)
+    edit.d2h.remove(so)
+    x_si = edit.task(si)
+    if x_si is None:
+        return  # no backward consumer: nothing to recompute
+    r = x_si.root
+    b_tid = f"B{r}"
 
-    # -- forward patch: a RECOMPUTE map has no swap-out (and thus no host
-    # instance and no backward swap-in); its forward instance is freed after
-    # its last forward consumer, exactly like a keep flip minus the keep
-    for m in sorted(rec_set):
-        so, si = f"SO{m}", f"SI{m}"
-        if so not in tasks:
-            raise ScheduleError(
-                f"apply_recompute_delta: map {m} is not swapped in the base "
-                "draft"
-            )
-        del tasks[so]
-        del buffers[f"fm{m}@host"]
-        removed.add(so)
-        fb = patch_buffer(f"fm{m}@f")
-        fb.readers.discard(so)
-        if si in tasks:
-            del tasks[si]
-            del buffers[f"fm{m}@b"]
-            removed.add(si)
+    # where root r's compute segment and H2D group sit before the flip
+    compute = edit.compute
+    seg_end = compute.index(b_tid)
+    seg_start = seg_end
+    while (seg_start > 0 and edit.task(compute[seg_start - 1]).kind
+           is TaskKind.RECOMPUTE):
+        seg_start -= 1
+    h2d = edit.h2d
+    lo = hi = h2d.index(si)
+    while lo > 0 and edit.task(h2d[lo - 1]).root == r:
+        lo -= 1
+    while hi + 1 < len(h2d) and edit.task(h2d[hi + 1]).root == r:
+        hi += 1
 
-    # -- backward resolution replay (see ScheduleBuilder._ensure_available):
-    # walk the unchanged backward compute order, tracking which map instance
-    # is resident at each point; only resolutions that differ from the base
-    # (recompute chains and their inputs) create or patch draft objects
-    classifiable = set(graph.classifiable_maps())
-    resident: dict[int, tuple[str, str]] = {
-        m: (f"fm{m}@f", f"F{m}") for m in keep_set
-    }
-    si_order: list[str] = []      # swap-in creation order of the fresh build
-    pending_r: list[str] = []     # R tasks to splice before the current B
-    r_headroom = 0                # largest recompute-task allocation
+    x_readers = edit.buffer(f"fm{x}@b").readers
+    edit.drop_task(si)
+    edit.drop_buffer(f"fm{x}@b")
 
-    def make_recompute(m: int) -> tuple[str, str]:
-        nonlocal r_headroom
-        layer = graph[m]
-        r = _TaskDraft(
-            tid=f"R{m}",
-            kind=TaskKind.RECOMPUTE,
-            stream=StreamName.COMPUTE,
-            duration=durations.fwd(m),
-            layer=m,
-            scratch_bytes=layer.op.workspace_bytes,
-        )
-        r.io = {"op": "fwd", "layer": m, "ins": [], "out": f"fm{m}@r"}
-        inst = _BufferDraft(f"fm{m}@r", layer.out_spec.nbytes, alloc_by=r.tid)
-        inst.writers.add(r.tid)
-        buffers[inst.bid] = inst
-        r_headroom = max(
-            r_headroom, round_size(inst.nbytes) + round_size(r.scratch_bytes)
-        )
+    # -- replay root r's resolution (ScheduleBuilder._ensure_available) -----
+    # maps resolved by an earlier root (larger layer) stay resident; maps of
+    # this root are re-resolved in the new order; maps of a later root that
+    # the chain needs now move here
+    resolved: dict[int, tuple[str, str]] = {}
+    segment: list[str] = []       # the root's compute tasks, in queue order
+    group: list[str] = []         # the root's swap-ins, in creation order
+    si_readers: dict[str, list[str]] = {}
+    moved: set[str] = set()
+    new_alloc = 0
+
+    def claim(tid: str, t: _TaskDraft) -> None:
+        if t.root != r:  # resolved by a later root before the flip
+            edit.own_task(tid).root = r
+            moved.add(tid)
+
+    def resolve(m: int, reader: str, new: _TaskDraft | None) -> str:
+        hit = resolved.get(m)
+        if hit is None:
+            hit = resolved[m] = resolve_map(m)
+        bid, producer = hit
+        if new is not None:  # only new tasks register their reads
+            new.reads.add(bid)
+            new.deps.add(producer)
+            edit.own_buffer(bid).readers.add(reader)
+        if producer in si_readers:
+            si_readers[producer].append(reader)
+        return bid
+
+    def resolve_map(m: int) -> tuple[str, str]:
+        if edit.task(f"SO{m}") is not None:  # swapped
+            tid = f"SI{m}"
+            t = edit.task(tid)
+            if t is None:
+                raise ScheduleError(
+                    f"apply_recompute_delta: swapped map {m} has no swap-in "
+                    "in the base draft")
+            if t.root <= r:
+                claim(tid, t)
+                group.append(tid)
+                si_readers[tid] = []
+            return f"fm{m}@b", tid
+        if m in keep_set:
+            return f"fm{m}@f", f"F{m}"
+        if m not in rec_set and not graph[m].op.recomputable:
+            return f"fm{m}@f", f"F{m}"  # retain the forward instance
+        tid = f"R{m}"
+        t = edit.task(tid)
+        if t is not None and t.root > r:
+            return f"fm{m}@r", tid
         # register before resolving inputs so diamond-shaped chains reuse it
-        resident[m] = (inst.bid, r.tid)
-        for j in layer.preds:
-            bid, producer = resolve(j)
-            r.reads.add(bid)
-            r.deps.add(producer)
-            patch_buffer(bid).readers.add(r.tid)
-            r.io["ins"].append(bid)
-        tasks[r.tid] = r
-        pending_r.append(r.tid)
-        return resident[m]
+        resolved[m] = (f"fm{m}@r", tid)
+        layer = graph[m]
+        if t is None:  # x itself, or a chain input nothing needed before
+            nonlocal new_alloc
+            t = _TaskDraft(
+                tid=tid, kind=TaskKind.RECOMPUTE, stream=StreamName.COMPUTE,
+                duration=durations.fwd(m), layer=m,
+                scratch_bytes=layer.op.workspace_bytes, root=r,
+            )
+            t.io = {"op": "fwd", "layer": m, "ins": [], "out": f"fm{m}@r"}
+            edit.tasks[tid] = t
+            inst = _BufferDraft(f"fm{m}@r", layer.out_spec.nbytes,
+                                alloc_by=tid)
+            inst.writers.add(tid)
+            edit.buffers[inst.bid] = inst
+            new_alloc = max(new_alloc, round_size(inst.nbytes)
+                            + round_size(t.scratch_bytes))
+            for j in layer.preds:
+                t.io["ins"].append(resolve(j, tid, t))
+        else:
+            claim(tid, t)
+            for j in layer.preds:
+                resolve(j, tid, None)
+        segment.append(tid)
+        return resolved[m]
 
-    def resolve(m: int) -> tuple[str, str]:
-        hit = resident.get(m)
-        if hit is not None:
-            return hit
-        if m in rec_set:
-            return make_recompute(m)
-        if m in classifiable:  # still SWAP: the base swap-in survives
-            si_order.append(f"SI{m}")
-            resident[m] = (f"fm{m}@b", f"SI{m}")
-            return resident[m]
-        if graph[m].op.recomputable:  # unclassified chain input, regenerable
-            return make_recompute(m)
-        resident[m] = (f"fm{m}@f", f"F{m}")  # retain the forward instance
-        return resident[m]
+    layer = graph[r]
+    needed: list[int] = []
+    if layer.op.bwd_needs_input:
+        needed.extend(layer.preds)
+    if layer.op.bwd_needs_output:
+        needed.append(r)
+    for m in needed:
+        resolve(m, b_tid, None)
+    segment.append(b_tid)
 
-    new_compute: list[str] = []
-    for tid in base_queues[StreamName.COMPUTE]:
-        t = base_tasks[tid]
-        if t.kind is TaskKind.BWD:
-            layer = graph[t.layer]
-            needed: list[int] = []
-            if layer.op.bwd_needs_input:
-                needed.extend(layer.preds)
-            if layer.op.bwd_needs_output:
-                needed.append(t.layer)
-            for m in needed:
-                bid, producer = resolve(m)
-                if m in rec_set:
-                    bt = patch_task(tid)
-                    bt.reads.discard(f"fm{m}@b")
-                    bt.deps.discard(f"SI{m}")
-                    bt.reads.add(bid)
-                    bt.deps.add(producer)
-                    buffers[bid].readers.add(tid)
-            if pending_r:
-                new_compute.extend(pending_r)
-                pending_r.clear()
-        new_compute.append(tid)
+    # every task that needed x now reads the recomputed instance
+    x_inst = edit.buffers[f"fm{x}@r"]
+    for rid in x_readers:
+        rt = edit.own_task(rid)
+        rt.deps.discard(si)
+        rt.deps.add(f"R{x}")
+        rt.reads.discard(f"fm{x}@b")
+        rt.reads.add(f"fm{x}@r")
+        x_inst.readers.add(rid)
 
-    # -- swap-in policy repair (see ScheduleBuilder._apply_swap_in_policy):
-    # recompute splices shift compute positions and can first-read restored
-    # instances earlier than the backward task that requested them
+    # -- splice the rebuilt segment and H2D group ----------------------------
+    tail = compute[seg_end + 1:]
+    if moved:
+        tail = [t for t in tail if t not in moved]
+    edit.compute = compute[:seg_start] + segment + tail
+    at = {tid: n for n, tid in enumerate(segment)}
+    group.sort(key=lambda tid: min(at[rid] for rid in si_readers[tid]))
+    tail = h2d[hi + 1:]
+    if moved:
+        tail = [t for t in tail if t not in moved]
+    h2d = edit.h2d = h2d[:lo] + group + tail
+
+    if (opt.policy is SwapInPolicy.EAGER and opt.headroom is None
+            and new_alloc > x_si.headroom):
+        for tid in h2d:
+            if edit.task(tid).kind is TaskKind.SWAP_IN:
+                edit.own_task(tid).headroom = new_alloc
+
+
+def _repair_triggers(edit: _DraftEdit, graph: NNGraph,
+                     policy: SwapInPolicy) -> None:
+    """Re-derive NAIVE/SUPERNEURONS swap-in start triggers against the
+    edited compute order (see ``ScheduleBuilder._apply_swap_in_policy``)."""
+    compute = edit.compute
     si_by_out: dict[str, str] = {}
-    for tid, t in tasks.items():
+    for tid in edit.h2d:
+        t = edit.task(tid)
         if t.kind is TaskKind.SWAP_IN:
             si_by_out[t.io["dst"]] = tid
     first_reader: dict[str, str] = {}
-    for tid in new_compute:
-        for bid in tasks[tid].reads:
+    for tid in compute:
+        for bid in edit.task(tid).reads:
             si = si_by_out.get(bid)
             if si is not None and si not in first_reader:
                 first_reader[si] = tid
-    pos = {tid: n for n, tid in enumerate(new_compute)}
-
-    def need_position(tid: str) -> int:
-        reader = first_reader.get(tid)
-        p = pos.get(reader) if reader is not None else None
-        return p if p is not None else -1
-
-    # fresh creation order: input loads (forward order), then swap-ins in
-    # resolution order — the stable sort's tie-break, like the builder's
-    new_h2d = [tid for tid in base_queues[StreamName.H2D]
-               if tid not in removed
-               and base_tasks[tid].kind is not TaskKind.SWAP_IN]
-    new_h2d += si_order
-    new_h2d.sort(key=need_position)
-
-    if opt.policy is SwapInPolicy.EAGER:
-        if opt.headroom is None and si_by_out:
-            base_h = max(
-                (t.headroom for t in base_tasks.values()
-                 if t.kind is TaskKind.SWAP_IN),
-                default=0,
-            )
-            headroom = max(base_h, r_headroom)
-            if headroom != base_h:
-                for tid in si_by_out.values():
-                    patch_task(tid).headroom = headroom
-    else:
-        for si_tid, reader in first_reader.items():
-            p = pos.get(reader)
-            desired: set[str] = set()
-            if p is not None and p > 0:
-                if opt.policy is SwapInPolicy.NAIVE:
-                    desired = {new_compute[p - 1]}
-                else:  # SUPERNEURONS: nearest preceding conv backward
-                    trigger = new_compute[p - 1]
-                    for q in range(p - 1, -1, -1):
-                        t = tasks[new_compute[q]]
-                        if (t.kind is TaskKind.BWD
-                                and graph[t.layer].op.kind is OpKind.CONV):
-                            trigger = t.tid
-                            break
-                    desired = {trigger}
-            if tasks[si_tid].start_deps != desired:
-                patch_task(si_tid).start_deps = desired
-
-    queues = {
-        StreamName.COMPUTE: new_compute,
-        StreamName.H2D: new_h2d,
-        StreamName.D2H: [t for t in base_queues[StreamName.D2H]
-                         if t not in removed],
-    }
-    return tasks, queues, buffers
+    pos = {tid: n for n, tid in enumerate(compute)}
+    for si_tid, reader in first_reader.items():
+        p = pos.get(reader)
+        desired: set[str] = set()
+        if p is not None and p > 0:
+            if policy is SwapInPolicy.NAIVE:
+                desired = {compute[p - 1]}
+            else:  # SUPERNEURONS: nearest preceding conv backward
+                trigger = compute[p - 1]
+                for q in range(p - 1, -1, -1):
+                    t = edit.task(compute[q])
+                    if (t.kind is TaskKind.BWD
+                            and graph[t.layer].op.kind is OpKind.CONV):
+                        trigger = t.tid
+                        break
+                desired = {trigger}
+        if edit.task(si_tid).start_deps != desired:
+            edit.own_task(si_tid).start_deps = desired
 
 
 def liveness_floor(

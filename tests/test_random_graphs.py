@@ -8,8 +8,12 @@ policies, then checks the invariants that hold for *any* graph:
 * the predictor agrees exactly with ground truth,
 * the numeric backend produces bit-identical gradients to in-core,
 * the lockstep vector engine replays the draft bit-identically to both
-  event engines (makespan, per-task times, high-water marks, OOM blame).
+  event engines (makespan, per-task times, high-water marks, OOM blame),
+* step 2's one- and two-flip patches of a plan's own draft equal fresh
+  builds and leave that draft untouched.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -133,3 +137,28 @@ def test_random_graph_vector_engine_bit_identical(layer_picks, branch_picks,
     cls = random_classification(graph, class_picks)
     machine = tiny_machine(mem_mib=(64, 24, 12)[mem_pick], link_gbps=4.0)
     assert_three_way(graph, cls, machine)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(st.integers(0, 4), min_size=4, max_size=12),
+    st.lists(st.integers(0, 7), min_size=4, max_size=4),
+    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    st.integers(0, 2**16),
+)
+def test_random_graph_plan_patches_equal_fresh_builds(layer_picks,
+                                                      branch_picks,
+                                                      class_picks, seed):
+    """Step 2's draft patches on random DAGs, whose residual adds give
+    recompute chains unclassified inputs to regenerate: every sampled one-
+    and two-flip patch of the plan's own draft equals the fresh build."""
+    from tests.test_step2_incremental import check_plan_patches
+
+    graph = build_random_graph(layer_picks, branch_picks)
+    cls = random_classification(graph, class_picks)
+    if not cls.maps_of(MapClass.SWAP):
+        return
+    durations = run_profiling(
+        graph, tiny_machine(mem_mib=64, link_gbps=4.0)).durations()
+    check_plan_patches(graph, durations, cls, random.Random(seed))

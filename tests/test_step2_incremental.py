@@ -8,7 +8,9 @@ loop does, never what it returns.
 * recompute-delta drafts (``apply_recompute_delta``) must be task-for-task
   identical to a fresh ``ScheduleBuilder`` build for the same classification,
   for every swap-in policy and random keep/recompute partitions across the
-  model zoo;
+  model zoo — patched from the keep draft, and as step 2 drafts its probes:
+  one- and two-flip patches of a current plan's own draft, which must
+  leave that draft untouched;
 * step 2 run from the same step-1 plan returns the identical plan,
   predicted time, peak memory and r(X) table with its machinery on (the
   search) and off (the oracle's from-scratch step 2), on both machines;
@@ -43,6 +45,7 @@ from repro.pooch.classifier import (
     PoochConfig,
     R_ROUNDS_LIMIT,
 )
+from repro.gpusim.engine import StreamName, TaskKind
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
 from repro.runtime.profiler import run_profiling
 from repro.runtime.schedule import (
@@ -107,8 +110,126 @@ def test_recompute_delta_equals_fresh_build(name, batch, policy):
                                 validate=False).build_raw()
         kd = apply_keep_delta(base[0], base[1], base[2], keeps)
         delta = apply_recompute_delta(kd[0], kd[1], kd[2], g, durs, opts,
-                                      keeps, recs)
+                                      keeps, recs).draft
         _assert_drafts_equal(delta, fresh)
+
+
+def _draft_signature(draft):
+    """Everything a draft says, engine-visible or not (kind, stream and
+    each swap-in/recompute task's root included; ``io`` aside), in
+    comparable form."""
+    tasks, queues, buffers = draft
+    return (
+        {tid: (t.kind, t.stream, t.layer, t.duration, t.scratch_bytes,
+               t.memory_gated, t.headroom, t.alloc_on_ready, t.root,
+               frozenset(t.deps), frozenset(t.start_deps),
+               frozenset(t.reads))
+         for tid, t in tasks.items()},
+        {s: list(queues.get(s, [])) for s in
+         (StreamName.COMPUTE, StreamName.H2D, StreamName.D2H)},
+        {bid: (b.nbytes, b.host, b.alloc_by, frozenset(b.writers),
+               frozenset(b.readers))
+         for bid, b in buffers.items()},
+    )
+
+
+def _split(cls):
+    return (set(cls.maps_of(MapClass.KEEP)),
+            set(cls.maps_of(MapClass.RECOMPUTE)))
+
+
+def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4):
+    """Every sampled one-flip (swap→recompute, swap→keep) and two-flip
+    (recompute+recompute, keep+recompute) patch of ``current``'s own EAGER
+    draft equals the fresh build of its classification, and the base
+    draft is left untouched.  Returns which local effects the patches
+    exercised."""
+    opts = ScheduleOptions(policy=SwapInPolicy.EAGER)
+
+    def builder(cls):
+        return ScheduleBuilder(g, cls, durs, opts, validate=False)
+
+    base = builder(current).build_raw()
+    before = _draft_signature(base)
+    swapped = current.maps_of(MapClass.SWAP)
+    recable = [m for m in swapped if g[m].op.recomputable]
+    # the earliest map's chain splices at the very end of the backward
+    # pass and tends to out-allocate every backward task
+    ones = rng.sample(recable, min(n_one, len(recable)))
+    ones += [m for m in recable[:1] if m not in ones]
+    trials = [current.with_class(x, MapClass.RECOMPUTE) for x in ones]
+    trials += [current.with_class(x, MapClass.KEEP)
+               for x in rng.sample(swapped, min(n_one // 2, len(swapped)))]
+    for _ in range(n_two if len(recable) > 1 else 0):
+        x, y = rng.sample(recable, 2)
+        trials.append(current.with_classes({
+            x: rng.choice([MapClass.RECOMPUTE, MapClass.KEEP]),
+            y: MapClass.RECOMPUTE}))
+    seen = dict.fromkeys(("headroom", "h2d_resort", "read_in_chain",
+                          "moved_chain"), False)
+    base_h = max((t.headroom for t in base[0].values()
+                  if t.kind is TaskKind.SWAP_IN), default=0)
+    for trial in trials:
+        patch = apply_recompute_delta(*base, g, durs, opts, *_split(trial))
+        fresh = builder(trial)
+        want = fresh.build_raw()
+        assert _draft_signature(patch.draft) == _draft_signature(want), (
+            current.key(), trial.key())
+        tasks, queues, _ = patch.draft
+        flips = [m for m in trial.maps_of(MapClass.RECOMPUTE)
+                 if current.classes[m] is MapClass.SWAP]
+        seen["headroom"] |= any(t.headroom > base_h for t in tasks.values()
+                                if t.kind is TaskKind.SWAP_IN)
+        # a flipped map's root first reads its swap-ins in another order
+        # than it created them, so the patch must re-sort that H2D group
+        roots = {base[0][f"SI{x}"].root for x in flips}
+        created = [t for t in fresh._si_first_reader
+                   if tasks[t].root in roots]
+        seen["h2d_resort"] |= created != [
+            t for t in queues[StreamName.H2D]
+            if tasks[t].kind is TaskKind.SWAP_IN and tasks[t].root in roots]
+        seen["read_in_chain"] |= any(
+            rid.startswith("R") for x in flips
+            for rid in base[2][f"fm{x}@b"].readers)
+        seen["moved_chain"] |= any(
+            tid.startswith("R") and tid in base[0]
+            and t.root != base[0][tid].root
+            for tid, t in patch.tasks.items())
+    assert _draft_signature(base) == before, "patching mutated the base"
+    return seen
+
+
+def test_plan_patches_equal_fresh_builds():
+    """Step 2 patches its probes from the current plan's own draft: one-
+    and two-flip patches of random keep/swap/recompute plans, across the
+    zoo, both tiny machines and ``FAULT_SEED`` profile noise, must equal
+    fresh builds task for task (deps, reads, durations, headroom, roots),
+    queue for queue and buffer for buffer — and the fixtures must reach
+    every local effect a recompute flip has: a raised EAGER headroom, a
+    re-sorted H2D group, the flipped map read inside another recompute
+    chain, and a chain input moving from a later root into the flip's."""
+    seen: dict[str, bool] = {}
+    # densenet's concatenations give recompute chains several swapped
+    # inputs, resolved in graph order but first read in chain order
+    cases = [(zoo, machine) for zoo in _ZOO for machine in (_MACHINE, _SLOW)]
+    cases.append((("densenet121", 2), _MACHINE))
+    for (name, batch), machine in cases:
+        g = _graph(name, batch)
+        durs = FaultInjector(FaultSpec(profile_noise=0.05),
+                             seed=FAULT_SEED).perturb_profile(
+            run_profiling(g, machine)).durations()
+        rng = random.Random(FAULT_SEED * 613 + batch
+                            + len(g.classifiable_maps()))
+        for keeps, recs in [(set(), set())] + _partitions(g, rng, n=2):
+            current = Classification.all_swap(g).with_classes(
+                {m: MapClass.KEEP for m in keeps}
+                | {m: MapClass.RECOMPUTE for m in recs})
+            if not current.maps_of(MapClass.SWAP):
+                continue
+            for k, v in check_plan_patches(g, durs, current,
+                                           rng).items():
+                seen[k] = seen.get(k, False) or v
+    assert all(seen.values()), f"fixtures lost their bite: {seen}"
 
 
 def test_recompute_delta_leaves_base_unmodified():
@@ -156,7 +277,7 @@ def test_recompute_delta_repairs_swap_in_triggers(policy):
         {m: MapClass.RECOMPUTE for m in recs})
     fresh = ScheduleBuilder(g, cls, durs, opts, validate=False).build_raw()
     delta = apply_recompute_delta(base[0], base[1], base[2], g, durs, opts,
-                                  set(), recs)
+                                  set(), recs).draft
     tasks, queues, _ = delta
     sis = [t for t in tasks.values() if t.kind is TaskKind.SWAP_IN]
     assert sis, "expected surviving swap-ins"
@@ -203,7 +324,7 @@ def test_recompute_delta_repairs_eager_headroom():
         fresh = ScheduleBuilder(g, cls, durs, opts,
                                 validate=False).build_raw()
         delta = apply_recompute_delta(base[0], base[1], base[2], g, durs,
-                                      opts, set(), recs)
+                                      opts, set(), recs).draft
         want = {t.tid: t.headroom for t in fresh[0].values()
                 if t.kind is TaskKind.SWAP_IN}
         got = {t.tid: t.headroom for t in delta[0].values()
@@ -395,9 +516,13 @@ def test_keep_floor_rejects_unswapped_maps():
 def test_step2_drafts_the_keep_set_once(monkeypatch):
     """Every step-2 probe shares the step-1 keep set, so answering keep
     probes from current's liveness profile and patching recompute probes
-    onto the memoized keep draft must call ``apply_keep_delta`` a small
-    constant number of times per step 2 — not once per probe — while the
-    search itself stays exactly what per-probe fresh drafts produce."""
+    onto the memoized plan draft must call ``apply_keep_delta`` a small
+    constant number of times per step 2 — not once per probe — and every
+    ``apply_recompute_delta`` call must patch at most two flips onto its
+    base (a probe of current, a speculative probe of the next plan, or the
+    next plan itself), never replay the plan's recompute chains from the
+    keep draft — while the search itself stays exactly what per-probe
+    fresh drafts produce."""
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
 
@@ -413,18 +538,29 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
         calls = [0]
         if count_drafts:
             real_delta = predictor_mod.apply_keep_delta
+            real_patch = predictor_mod.apply_recompute_delta
             real_step2 = clf._step2_swap_vs_recompute
 
             def counting_delta(*args, **kwargs):
                 calls[0] += 1
                 return real_delta(*args, **kwargs)
 
+            def counting_patch(tasks, queues, buffers, graph, durations,
+                               options, keeps, recomputes):
+                patched.append(sum(f"SO{m}" in tasks
+                                 for m in set(keeps) | set(recomputes)))
+                return real_patch(tasks, queues, buffers, graph, durations,
+                                  options, keeps, recomputes)
+
             def step2(*args, **kwargs):
                 calls[0] = 0  # count step 2's drafts only
+                patched.clear()
                 return real_step2(*args, **kwargs)
 
             monkeypatch.setattr(predictor_mod, "apply_keep_delta",
                                 counting_delta)
+            monkeypatch.setattr(predictor_mod, "apply_recompute_delta",
+                                counting_patch)
             monkeypatch.setattr(clf, "_step2_swap_vs_recompute", step2)
         cls, stats = clf.classify()
         monkeypatch.undo()
@@ -432,6 +568,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
                           stats.sims_step2, stats.r_rounds,
                           stats.flips_to_recompute)
 
+    patched: list[int] = []  # flips per apply_recompute_delta call
     drafts, derived = search(count_drafts=True)
     monkeypatch.setattr(predictor_mod.TimelinePredictor,
                         "provably_infeasible", fresh_draft_verdict)
@@ -442,6 +579,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
     assert (elided, sims_step2, flips) == (21, 21, [3, 4, 6, 9, 14, 15])
     assert elided + sims_step2 >= 10 * max(drafts, 1)
     assert drafts <= 2, f"{drafts} keep drafts for one step 2"
+    assert patched and max(patched) <= 2, patched
 
 
 def test_keep_probe_elision_cuts_sims():

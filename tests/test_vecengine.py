@@ -57,6 +57,7 @@ from repro.runtime.profiler import run_profiling
 from repro.runtime.schedule import (
     ScheduleBuilder,
     ScheduleOptions,
+    apply_recompute_delta,
     build_schedule,
     keep_flip_specs,
 )
@@ -534,10 +535,11 @@ def _assert_same_run(out, draft, capacity, host_cap) -> bool:
 
 class TestVariantFamily:
     """Step 2's variant family: each row "current with X recomputed (or
-    kept)", compiled from the search's own delta draft into one
+    kept)" — or, speculatively, "ahead with Y recomputed", a two-flip patch
+    — compiled from the search's own patches of current's draft into one
     ``VariantTables``, must equal that classification's fresh
     ``ScheduleBuilder`` draft replayed on ``FastEngine`` and ``Engine`` —
-    the delta drafts plus the union compile against an independent build.
+    the patches plus the family compile against an independent build.
     Profiles carry ``FAULT_SEED`` duration noise; current plans are random
     keep/swap/recompute partitions."""
 
@@ -554,28 +556,32 @@ class TestVariantFamily:
         probes = self._one_flip_probes(graph, current)
         if limit is not None and len(probes) > limit:
             probes = random.Random(seed).sample(probes, limit)
-        return self._check_rows(graph, machine, profile, probes)
+        return self._check_rows(graph, machine, profile, current, probes)
 
-    def _check_rows(self, graph, machine, profile, probes):
-        """Compile the search's delta drafts of ``probes`` into one variant
-        family, sweep it (in both row orders) and check every row against
-        its fresh build; returns (drafts, feasible rows)."""
+    def _check_rows(self, graph, machine, profile, current, probes):
+        """Compile the search's patches of ``current``'s draft for
+        ``probes`` into one variant family, sweep it (in both row orders)
+        and check every row against its fresh build; returns (drafts,
+        feasible rows)."""
         from repro.pooch.predictor import TimelinePredictor
 
         predictor = TimelinePredictor(graph, profile, machine)
-        drafts = [predictor._sim_draft(c) for c in probes]
+        base = predictor._plan_draft(current)
+        patches = [predictor._patch(*predictor._delta_split(c))
+                   for c in probes]
+        assert all(p.base[0] is base[0] for p in patches)
         capacity = machine.usable_gpu_memory
         host_cap = machine.cpu_mem_capacity
 
         def sweep(rows):
-            return VectorEngine(VariantTables(rows, capacity, host_cap)
+            return VectorEngine(VariantTables(base, rows, capacity, host_cap)
                                 ).run_batch(record_times=True)
 
-        outs = sweep(drafts)
+        outs = sweep(patches)
         assert len(outs) == len(probes)
-        # the compile keys slots off row 0's objects: any row order must
+        # slots are told apart by content across rows: any row order must
         # give every row the same replay
-        for a, b in zip(outs, reversed(sweep(drafts[::-1]))):
+        for a, b in zip(outs, reversed(sweep(patches[::-1]))):
             assert (a.makespan, a.device_peak, a.host_peak, a.starts,
                     a.ends, repr(a.error)) == (
                 b.makespan, b.device_peak, b.host_peak, b.starts, b.ends,
@@ -586,7 +592,7 @@ class TestVariantFamily:
                 graph, cls, durations, self.OPTIONS,
                 validate=False).build_raw(), capacity, host_cap)
             for cls, out in zip(probes, outs))
-        return drafts, feasible
+        return [p.draft for p in patches], feasible
 
     @pytest.mark.parametrize("machine", _QUARTER_MACHINES,
                              ids=lambda m: m.name)
@@ -645,7 +651,8 @@ class TestVariantFamily:
             current = Classification.all_swap(graph).with_classes(
                 {m: MapClass.RECOMPUTE for m in recs})
             drafts, feasible = self._check_rows(
-                graph, machine, profile, self._one_flip_probes(graph, current))
+                graph, machine, profile, current,
+                self._one_flip_probes(graph, current))
             floor = min(headroom(d) for d in drafts)
             raised += sum(headroom(d) > floor for d in drafts)
             assert feasible
@@ -668,7 +675,8 @@ class TestVariantFamily:
                   for x in current.maps_of(MapClass.SWAP)
                   if graph[x].op.recomputable][:12]
         profile = run_profiling(graph, machine)
-        drafts, _feasible = self._check_rows(graph, machine, profile, probes)
+        drafts, _feasible = self._check_rows(graph, machine, profile,
+                                             current, probes)
         h2d = ScheduleBuilder(graph, current, profile.durations(),
                               self.OPTIONS, validate=False
                               ).build_raw()[1][StreamName.H2D]
@@ -676,16 +684,56 @@ class TestVariantFamily:
                    for tasks, queues, _b in drafts), (
             "no row re-sorted its H2D queue: fixture lost its bite")
 
+    @pytest.mark.parametrize("machine", TINY, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", ["small_cnn", "resnet18"])
+    def test_speculative_two_flip_rows(self, name, machine):
+        # a step-2 sweep also carries the next round's probes: "ahead" is
+        # current with its guessed flip G recomputed, and each speculative
+        # row recomputes one more map Y — a two-flip patch of current's
+        # draft, in one family with the round's own one-flip probes
+        graph = {"small_cnn": small_cnn,
+                 "resnet18": lambda: MODEL_ZOO["resnet18"](batch=4)}[name]()
+        rng = random.Random(FAULT_SEED * 43 + len(name))
+        profile = FaultInjector(FaultSpec(profile_noise=0.1),
+                                seed=FAULT_SEED + 5).perturb_profile(
+            run_profiling(graph, machine))
+        recable = [m for m in graph.classifiable_maps()
+                   if graph[m].op.recomputable]
+        current = Classification.all_swap(graph).with_classes(
+            {m: MapClass.RECOMPUTE
+             for m in rng.sample(recable, len(recable) // 3)})
+        pool = [m for m in current.maps_of(MapClass.SWAP)
+                if graph[m].op.recomputable]
+        guess = rng.choice(pool)
+        ahead = current.with_class(guess, MapClass.RECOMPUTE)
+        probes = [current.with_class(x, MapClass.RECOMPUTE) for x in pool]
+        probes += [ahead.with_class(y, MapClass.RECOMPUTE)
+                   for y in pool if y != guess]
+        drafts, _feasible = self._check_rows(graph, machine, profile,
+                                             current, probes)
+        assert len(drafts) == 2 * len(pool) - 1
+
     def test_variant_family_refuses_keep_matrix(self):
         graph = poster_example()
         machine = self.TINY[0]
+        durations = run_profiling(graph, machine).durations()
         draft = ScheduleBuilder(
-            graph, Classification.all_swap(graph),
-            run_profiling(graph, machine).durations(), self.OPTIONS,
+            graph, Classification.all_swap(graph), durations, self.OPTIONS,
             validate=False).build_raw()
-        engine = VectorEngine(VariantTables([draft], 1 << 30))
+        same = apply_recompute_delta(*draft, graph, durations, self.OPTIONS,
+                                     (), ())
+        engine = VectorEngine(VariantTables(draft, [same], 1 << 30))
         with pytest.raises(SimulationError, match="keep matrix"):
             engine.run_batch(np.zeros((1, 0), bool))
+
+    def test_empty_family_is_refused(self):
+        graph = poster_example()
+        draft = ScheduleBuilder(
+            graph, Classification.all_swap(graph),
+            run_profiling(graph, self.TINY[0]).durations(), self.OPTIONS,
+            validate=False).build_raw()
+        with pytest.raises(VectorUnsupported, match="family is empty"):
+            VariantTables(draft, [], 1 << 30)
 
 
 class TestFallbackMatrix:
