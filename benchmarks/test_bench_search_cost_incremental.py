@@ -1,13 +1,13 @@
 """Search cost of the one search configuration on the headline problem.
 
-The search runs one configuration: branch-and-bound pruning of the step-1
-tree, delta drafts, liveness-floor elision of step-2 keep probes, and
-lockstep sweeps of every candidate — step 1's keep/swap family, and one
-variant-family sweep per step-2 round (event engines as fallback for
-inexpressible drafts).  Each mechanism's
-marginal wall was measured when the switches that turned them off were
-deleted; this benchmark records where the remaining search wall goes on
-ResNet-50 (batch=256, x86) with an untruncated budget.
+The search runs one configuration: the exhaustive step-1 walk over the
+exact tree's leaves, delta drafts, liveness-floor elision of step-2 keep
+probes, and lockstep sweeps of every candidate — step 1's keep/swap
+family, and one variant-family sweep per step-2 round (event engines as
+fallback for inexpressible drafts).  Each mechanism's marginal wall was
+measured when the switches that turned them off were deleted; this
+benchmark records where the remaining search wall goes on ResNet-50
+(batch=256, x86) with an untruncated budget.
 
 Gates the configuration can still fail:
 
@@ -77,8 +77,6 @@ def test_bench_search_cost_incremental(benchmark, report, results_dir):
         "step1": {
             "leaves_total": s.leaves_total,
             "leaves_evaluated": s.leaves_evaluated,
-            "subtrees_pruned": s.subtrees_pruned,
-            "leaves_pruned": s.leaves_pruned,
         },
         "step2": {
             "rounds": s.step2_rounds,
@@ -96,8 +94,7 @@ def test_bench_search_cost_incremental(benchmark, report, results_dir):
         f"{t_prof:.2f} s):\n"
         f"  search wall: {wall:.1f} s\n"
         f"  step 1: {s.sims_step1} simulations, {s.leaves_evaluated}/"
-        f"{s.leaves_total} leaves evaluated, {s.subtrees_pruned} subtrees "
-        "pruned\n"
+        f"{s.leaves_total} leaves evaluated\n"
         f"  simulations: {s.sims_vectorized} lockstep + {s.sims_fallback} "
         f"event-engine over {s.vector_sweeps} sweeps "
         f"({s.vector_candidates} speculated rows)\n"

@@ -30,6 +30,7 @@ caps the search while keeping the best plan found.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -38,7 +39,6 @@ import numpy as np
 from repro.common.errors import OutOfMemoryError
 from repro.graph import NNGraph
 from repro.gpusim.allocator import round_size
-from repro.gpusim.engine import StreamName
 from repro.hw import MachineSpec
 from repro.obs import get_logger, metrics
 from repro.pooch.overlap import OverlapAnalysis, analyze_overlap
@@ -135,11 +135,11 @@ class SearchStats:
     #: instead of a fresh search — search fields above are then empty
     plan_cache_hit: bool = False
     #: step-1 exact-tree accounting: leaves enumerated after the byte
-    #: prune, leaves actually evaluated, and what branch-and-bound skipped
+    #: prune, up to the simulation budget's reach (``step1_sim_budget + 1``
+    #: leaves at most on a cold predictor cache), and leaves actually
+    #: evaluated
     leaves_total: int = 0
     leaves_evaluated: int = 0
-    subtrees_pruned: int = 0
-    leaves_pruned: int = 0
     #: vectorized-vs-fallback split of the search's simulations: outcomes a
     #: lockstep sweep produced *and the search consumed* (counted once, at
     #: absorb time) vs simulations that ran through the serial event-engine
@@ -148,7 +148,8 @@ class SearchStats:
     sims_fallback: int = 0
     #: lockstep sweeps run and total candidate rows swept; rows the
     #: speculative step-1 driver evaluated but never consumed (mispredicted
-    #: tails, pruned leaves) are included, so rows ≥ ``sims_vectorized``
+    #: tails, leaves past the budget) are included, so rows ≥
+    #: ``sims_vectorized``
     vector_sweeps: int = 0
     vector_candidates: int = 0
     #: step 2's variant-family sweeps: wall seconds drafting and compiling
@@ -173,189 +174,6 @@ class SearchStats:
 #: bound on the retained per-round r-value history (each entry is one dict
 #: per pool map; dozens of rounds only occur on degenerate searches)
 R_ROUNDS_LIMIT = 32
-
-
-# -- step-1 branch-and-bound -----------------------------------------------------
-
-
-class _StepOneBounds:
-    """Admissible lower bounds on the simulated makespan of any step-1
-    candidate, as a function of which exact-tree maps are committed SWAP.
-
-    Everything derives from the *all-swap* draft once.  Step-1 candidates
-    share its compute queue exactly (keep/swap never adds or removes compute
-    tasks), transfer queues of a candidate are order-preserving subsets of
-    the all-swap ones, and a committed-swap map keeps its ``SO``/``SI``
-    tasks in every leaf of the subtree.  Four relaxations, each ignoring
-    memory gating and every undecided transfer (both only delay):
-
-    * the serial compute queue itself;
-    * per committed map, the dependency chain
-      F → SO → SI → first backward reader → remaining compute queue;
-    * the FIFO D2H queue packed with the committed swap-outs only;
-    * the FIFO H2D queue packed with the committed swap-ins only.
-
-    Float discipline: the engine's event arithmetic is a left fold of
-    ``max(...) + duration`` steps, and IEEE ``max``/``+`` are monotone, so
-    any bound computed as a left fold over a *subset* of those steps, in
-    queue order, never exceeds the engine's float result.  The one sum that
-    cannot be order-matched (the chain bound's compute-queue tail, which
-    the engine folds forward but we precompute backward) is scaled down by
-    the standard ``2n·ulp`` summation-error envelope.  Pruning on these
-    bounds with a strict-< incumbent is therefore *exactly* plan-preserving.
-    """
-
-    def __init__(self, predictor: TimelinePredictor, all_swap: Classification,
-                 candidates: set[int]) -> None:
-        tasks, queues, buffers = predictor.draft(all_swap)
-        compute = queues.get(StreamName.COMPUTE, [])
-        pos_c = {tid: p for p, tid in enumerate(compute)}
-        durs = [tasks[tid].duration for tid in compute]
-        n = len(durs)
-        t0 = 0.0
-        if compute:
-            first = tasks[compute[0]]
-            t0 = max((tasks[d].duration for d in first.deps), default=0.0)
-        # left-fold completion-time floor per compute position, engine order
-        prefix = [0.0] * n
-        acc = t0
-        for p, d in enumerate(durs):
-            acc += d
-            prefix[p] = acc
-        self.compute_lb = acc if n else 0.0
-        # backward suffix sums, deflated to stay under any forward fold
-        deflate = 1.0 - 2.0 * n * 2.0 ** -52
-        suffix = [0.0] * (n + 1)
-        for p in range(n - 1, -1, -1):
-            suffix[p] = suffix[p + 1] + durs[p]
-
-        pos_d = {tid: p for p, tid in enumerate(queues.get(StreamName.D2H, []))}
-        pos_h = {tid: p for p, tid in enumerate(queues.get(StreamName.H2D, []))}
-        self._ready: dict[int, float] = {}
-        self._d_so: dict[int, float] = {}
-        self._d_si: dict[int, float] = {}
-        self._chain: dict[int, float] = {}
-        order_d: list[tuple[int, int]] = []
-        order_h: list[tuple[int, int]] = []
-        for m in all_swap.maps_of(MapClass.SWAP):
-            so = tasks.get(f"SO{m}")
-            if so is None:
-                continue
-            fp = max((pos_c[d] for d in so.deps if d in pos_c), default=None)
-            ready = prefix[fp] if fp is not None else t0
-            self._ready[m] = ready
-            self._d_so[m] = so.duration
-            order_d.append((pos_d[f"SO{m}"], m))
-            si = tasks.get(f"SI{m}")
-            if si is None:
-                continue
-            self._d_si[m] = si.duration
-            order_h.append((pos_h[f"SI{m}"], m))
-            buf = buffers.get(f"fm{m}@b")
-            rp = min(
-                (pos_c[r] for r in buf.readers if r in pos_c), default=None
-            ) if buf is not None else None
-            if rp is not None:
-                self._chain[m] = (
-                    ready + so.duration + si.duration + suffix[rp] * deflate
-                )
-        order_d.sort()
-        order_h.sort()
-        self._order_d = [m for _, m in order_d]
-        self._order_h = [m for _, m in order_h]
-        #: maps outside the step-1 candidate set stay SWAP in every leaf
-        self._base = frozenset(self._ready) - candidates
-
-    def lower_bound(self, committed: frozenset[int] | set[int]) -> float:
-        """Best-case makespan when ``base ∪ committed`` maps swap and every
-        other transfer is free."""
-        base = self._base
-        lb = self.compute_lb
-        chain = self._chain
-        ready = self._ready
-        # FIFO pack of the committed swap-outs (left fold, queue order)
-        v = 0.0
-        d_so = self._d_so
-        for m in self._order_d:
-            if m in base or m in committed:
-                r = ready[m]
-                v = (v if v > r else r) + d_so[m]
-                c = chain.get(m, 0.0)
-                if c > lb:
-                    lb = c
-        if v > lb:
-            lb = v
-        # FIFO pack of the committed swap-ins; each waits for its swap-out
-        v = 0.0
-        d_si = self._d_si
-        for m in self._order_h:
-            if m in base or m in committed:
-                r = ready[m] + d_so[m]
-                v = (v if v > r else r) + d_si[m]
-        if v > lb:
-            lb = v
-        return lb
-
-
-class _LeafCursor:
-    """Walks the enumerated step-1 leaves in DFS order, skipping subtrees
-    whose lower bound cannot strictly beat the incumbent.
-
-    Equivalent to branch-and-bound woven into the recursive enumeration:
-    a tree node (= decision prefix over ``exact_li``) is bounded exactly
-    once, at the moment the first surviving leaf underneath it comes up —
-    the same moment, with the same incumbent, as a recursive DFS would
-    enter it.
-    """
-
-    def __init__(self, leaves: list[tuple[int, ...]], exact_li: list[int],
-                 bounds: _StepOneBounds, stats: SearchStats) -> None:
-        self._leaves = leaves
-        self._exact = exact_li
-        self._k = len(exact_li)
-        self._bounds = bounds
-        self._stats = stats
-        self._pos = 0
-        self._prev: tuple[bool, ...] | None = None
-
-    def _decisions(self, keeps: tuple[int, ...]) -> tuple[bool, ...]:
-        ks = set(keeps)
-        return tuple(m in ks for m in self._exact)
-
-    def next(self, best_time: float) -> tuple[int, tuple[int, ...]] | None:
-        """Index and keep-set of the next leaf to evaluate, or None."""
-        leaves = self._leaves
-        while self._pos < len(leaves):
-            keeps = leaves[self._pos]
-            dec = self._decisions(keeps)
-            prev = self._prev
-            if prev is None:
-                entered = 0  # first leaf enters the root and every node below
-            else:
-                entered = 0
-                while entered < self._k and dec[entered] == prev[entered]:
-                    entered += 1
-                entered += 1  # nodes at depths <= common prefix were bounded
-            pruned_depth = -1
-            for depth in range(entered, self._k + 1):
-                committed = frozenset(
-                    self._exact[j] for j in range(depth) if not dec[j]
-                )
-                if self._bounds.lower_bound(committed) >= best_time:
-                    pruned_depth = depth
-                    break
-            self._prev = dec
-            if pruned_depth < 0:
-                self._pos += 1
-                return self._pos - 1, keeps
-            self._stats.subtrees_pruned += 1
-            prefix = dec[:pruned_depth]
-            while (self._pos < len(leaves)
-                   and self._decisions(leaves[self._pos])[:pruned_depth]
-                   == prefix):
-                self._pos += 1
-                self._stats.leaves_pruned += 1
-        return None
 
 
 class _VectorLeafStager:
@@ -436,7 +254,7 @@ class _VectorLeafStager:
         pre = self._staged.pop(idx, None)
         if pre is not None:
             return pre
-        if idx < self._next:  # already consumed (cannot happen: the cursor
+        if idx < self._next:  # already consumed (cannot happen: the walk
             return None       # visits each leaf once) — serve serially
         # size the window to what the simulation budget can still absorb:
         # one base plus one trial per scan position per leaf
@@ -641,10 +459,10 @@ class PoochClassifier:
         registry = metrics.active()
         s = self.stats
         log.info(
-            "search on %r: step1 %d sims (%d/%d leaves, %d subtrees pruned), "
+            "search on %r: step1 %d sims (%d/%d leaves), "
             "step2 %d sims, %d recompute flips, %.2f s wall",
             self.graph.name, s.sims_step1, s.leaves_evaluated,
-            s.leaves_total, s.subtrees_pruned, s.sims_step2,
+            s.leaves_total, s.sims_step2,
             len(s.flips_to_recompute), s.wall_time_s,
         )
         if registry is None:
@@ -676,8 +494,6 @@ class PoochClassifier:
             ])
         registry.count("search.leaves_total", s.leaves_total)
         registry.count("search.leaves_evaluated", s.leaves_evaluated)
-        registry.count("search.subtrees_pruned", s.subtrees_pruned)
-        registry.count("search.leaves_pruned", s.leaves_pruned)
         registry.count("search.budget_exhausted", int(s.budget_exhausted))
         registry.count("search.flips_to_recompute", len(s.flips_to_recompute))
         registry.count("search.predictor_cache_hits",
@@ -779,40 +595,35 @@ class PoochClassifier:
                         best_cls, best_time = cur_cls, cur_time
             return True
 
-        # Enumerate the exact-tree leaves in DFS order, KEEP branch first
+        # The exact tree's leaves in DFS order, KEEP branch first
         # (high-overhead maps are kept in the best plans, so good leaves are
         # found early under a simulation budget).  Enumeration depends only
         # on the byte prune, never on simulation results.
-        leaves: list[tuple[int, ...]] = []
-
-        def enumerate_leaves(idx: int, keeps: list[int], kept_bytes: int) -> None:
+        def enumerate_leaves(idx: int, keeps: tuple[int, ...],
+                             kept_bytes: int):
             if idx == len(exact_li):
-                leaves.append(tuple(keeps))
+                yield keeps
                 return
             m = exact_li[idx]
             if kept_bytes + map_bytes[m] <= keep_budget:
-                keeps.append(m)
-                enumerate_leaves(idx + 1, keeps, kept_bytes + map_bytes[m])
-                keeps.pop()
-            enumerate_leaves(idx + 1, keeps, kept_bytes)
+                yield from enumerate_leaves(idx + 1, keeps + (m,),
+                                            kept_bytes + map_bytes[m])
+            yield from enumerate_leaves(idx + 1, keeps, kept_bytes)
 
-        enumerate_leaves(0, [], 0)
+        # Leaves keep distinct L_I subsets and scan trials never equal a
+        # leaf base, so every leaf whose base is not cached before the walk
+        # costs at least one new simulation.  Only the cached outcomes — the
+        # all-swap base ``()``, which is the last leaf, and any a plan cache
+        # preloaded — let the walk pass a leaf for free, so it never gets
+        # past leaf ``step1_sim_budget + cached - 1`` and the leaves beyond
+        # are never listed (the tree has up to 2**max_exact_li leaves).
+        reach = cfg.step1_sim_budget + self.predictor.outcomes_cached
+        leaves = list(itertools.islice(enumerate_leaves(0, (), 0), reach))
         self.stats.leaves_total = len(leaves)
 
-        # Branch-and-bound over the same leaf list: subtrees whose admissible
-        # lower bound cannot strictly beat the incumbent are skipped without
-        # simulating.  Bounds never read simulation results, and the best
-        # plan only ever improves on strict <, so the surviving evaluations
-        # — and the chosen plan — match the exhaustive scan exactly as long
-        # as the simulation budget is not exhausted (under an exhausted
-        # budget pruning lets the search reach deeper into the leaf list).
-        cursor = _LeafCursor(
-            leaves, exact_li,
-            _StepOneBounds(self.predictor, all_swap, candidates), self.stats,
-        )
         # speculative lockstep sweeps stage per-leaf outcome streams; the
-        # loop below remains the *definitive* serial walk (same cursor,
-        # pruning, budget truncation and accounting), it just replays staged
+        # loop below remains the *definitive* serial walk (same leaf order,
+        # budget truncation and accounting), it just replays staged
         # outcomes instead of running the event engine candidate by candidate
         stager = _VectorLeafStager(
             self.predictor, leaves, scan, map_bytes, keep_budget,
@@ -820,13 +631,12 @@ class PoochClassifier:
             lambda: (cfg.step1_sim_budget
                      - (self.predictor.simulations - sims_at_start)),
         )
-        while True:
-            nxt = cursor.next(best_time)
-            if nxt is None or not budget_left():
+        for idx, keeps in enumerate(leaves):
+            if not budget_left():
                 break
-            pre = stager.get(nxt[0])
+            pre = stager.get(idx)
             self.stats.leaves_evaluated += 1
-            if not consume_leaf(nxt[1], pre):
+            if not consume_leaf(keeps, pre):
                 break
 
         self.stats.sims_step1 = self.predictor.simulations - sims_at_start

@@ -189,8 +189,7 @@ class PoochResult:
             f"(r-values recomputed={self.stats.r_recomputed}, "
             f"keep probes elided={self.stats.keep_probes_elided})",
             f"  search tree: {self.stats.leaves_evaluated}/"
-            f"{self.stats.leaves_total} leaves evaluated, "
-            f"{self.stats.subtrees_pruned} subtrees pruned",
+            f"{self.stats.leaves_total} leaves evaluated",
             f"  search wall time: {self.stats.wall_time_s:.2f} s",
         ]
         if self.multi is not None:

@@ -184,6 +184,11 @@ class TimelinePredictor:
         """Cache lookup without simulating (and without counting a miss)."""
         return self._cache.get(classification.key())
 
+    @property
+    def outcomes_cached(self) -> int:
+        """Outcomes in the memo cache: simulated, absorbed or preloaded."""
+        return len(self._cache)
+
     def provably_infeasible(self, current: Classification, x: int) -> bool:
         """True when ``current`` with its swapped map ``x`` kept provably
         cannot run: that candidate's compute-stream liveness floor
@@ -421,9 +426,8 @@ class TimelinePredictor:
         return result
 
     def draft(self, classification: Classification) -> tuple[dict, dict, dict]:
-        """Raw (tasks, queues, buffers) draft for a candidate — the
-        classifier's lower-bound precomputation reads queue orders,
-        durations and dependencies from it."""
+        """Raw (tasks, queues, buffers) draft for a candidate, built from
+        scratch — the fallback of every draft no delta can patch."""
         builder = ScheduleBuilder(
             self.graph, classification, self._durations, self.options,
             validate=False,

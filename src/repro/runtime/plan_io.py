@@ -223,9 +223,15 @@ def key_to_str(key: tuple[tuple[int, str], ...]) -> str:
 def key_from_str(s: str) -> tuple[tuple[int, str], ...]:
     if not s:
         return ()
-    return tuple(
-        (int(i), v) for i, _, v in (part.partition(":") for part in s.split(","))
-    )
+    return tuple(map(_key_pair, s.split(",")))
+
+
+@functools.lru_cache(maxsize=8192)
+def _key_pair(part: str) -> tuple[int, str]:
+    """One ``map:class`` pair, shared by every key that holds it: an outcome
+    store holds hundreds of keys over the same few hundred pairs."""
+    i, _, v = part.partition(":")
+    return int(i), v
 
 
 class PlanCache:

@@ -242,7 +242,6 @@ class TestPlanPreservation:
         assert s["sims_step1"] == result.stats.sims_step1
         assert s["sims_step2"] == result.stats.sims_step2
         assert s["leaves_total"] == result.stats.leaves_total
-        assert s["subtrees_pruned"] == result.stats.subtrees_pruned
         assert s["time_all_swap"] == result.stats.time_all_swap
         assert s["sims_vectorized"] == result.stats.sims_vectorized
         assert s["sims_fallback"] == result.stats.sims_fallback

@@ -204,6 +204,23 @@ class TestPoochWarmStart:
         # but the shared outcome store still serves the overlapping sims
         assert redo.stats.sims_step1 == 0
 
+    def test_preloaded_leaves_are_walked_past_the_budget(
+        self, tmp_path, machine
+    ):
+        # leaves whose outcomes the plan cache preloaded cost no simulation,
+        # so a tiny-budget re-search still walks every leaf the exhaustive
+        # search did and lands on its plan
+        from dataclasses import replace
+
+        g = poster_example(batch=64)
+        cold = PoocH(machine, replace(CFG, step1_sim_budget=100_000),
+                     plan_cache=tmp_path).optimize(g)
+        warm = PoocH(machine, replace(CFG, step1_sim_budget=2),
+                     plan_cache=tmp_path).optimize(g)
+        assert warm.stats.sims_step1 == 0
+        assert warm.stats.leaves_evaluated == cold.stats.leaves_evaluated > 3
+        assert warm.classification.key() == cold.classification.key()
+
     def test_path_and_plancache_arguments_equivalent(self, tmp_path, machine):
         p = PoocH(machine, CFG, plan_cache=str(tmp_path))
         assert isinstance(p.plan_cache, PlanCache)

@@ -1,20 +1,19 @@
-"""Search-cost machinery: delta drafts, lockstep accounting, branch-and-bound.
+"""Search-cost machinery: delta drafts, lockstep accounting, the leaf walk.
 
-The contract under test is *exact equivalence*: pruning, delta drafts and
-lockstep sweeps may only change how much work the search does, never what
-it returns.
+The contract under test is *exact equivalence*: delta drafts and lockstep
+sweeps may only change how much work the search does, never what it
+returns.
 
 * delta drafts (``apply_keep_delta``) must be task-for-task identical to a
   fresh ``ScheduleBuilder`` build for the same classification;
-* the pruned search must return the identical plan, predicted time and
-  peak memory as the exhaustive from-scratch scan (the oracle predictor
-  with pruning off), across the model zoo;
 * swept outcomes count against the simulation budget exactly like the
   oracle's from-scratch simulations, so budget truncation is unchanged;
-* the leaf cursor skips exactly the subtrees its bounds rule out.
+* the step-1 walk lists only the exact-tree leaves the simulation budget
+  can reach, however wide ``max_exact_li`` makes the tree, and still
+  returns the oracle's plan.
 
-The search-wide equivalence against the (pruning) oracle search, and the
-admissibility of the pruning bounds, live in ``tests/test_search_oracle.py``.
+The search-wide equivalence against the oracle search (plan, times, peak
+memory, r(X) table) lives in ``tests/test_search_oracle.py``.
 """
 
 from __future__ import annotations
@@ -26,13 +25,8 @@ import pytest
 
 from repro.gpusim.fastengine import _STREAM_ORDER
 from repro.models import build_model
-from repro.pooch import classifier as classifier_mod
-from repro.pooch.classifier import (
-    PoochClassifier,
-    PoochConfig,
-    SearchStats,
-    _LeafCursor,
-)
+from repro.hw import X86_V100
+from repro.pooch.classifier import PoochClassifier, PoochConfig
 from repro.pooch.predictor import (
     TimelinePredictor,
     _buffers_equal,
@@ -132,39 +126,6 @@ def test_delta_draft_leaves_base_unmodified():
     _assert_drafts_equal(base, ref)
 
 
-class _NoBounds:
-    """Bounds that never prune: the cursor walks every enumerated leaf."""
-
-    def __init__(self, *args) -> None:
-        pass
-
-    def lower_bound(self, committed) -> float:
-        return float("-inf")
-
-
-@pytest.mark.parametrize("name,batch", _ZOO)
-def test_search_equivalence_across_zoo(name, batch, monkeypatch):
-    """Pruned + incremental search chooses the identical plan (key,
-    predicted time, peak memory) as the exhaustive from-scratch scan: the
-    oracle predictor walking every leaf, with pruning turned off."""
-    g = _graph(name, batch)
-    prof = run_profiling(g, _MACHINE)
-    results = {}
-    for label in ("optimized", "exhaustive"):
-        if label == "exhaustive":
-            monkeypatch.setattr(classifier_mod, "_StepOneBounds", _NoBounds)
-            clf = classifier_on(OraclePredictor, g, prof, _MACHINE)
-        else:
-            clf = PoochClassifier(g, prof, _MACHINE, config=PoochConfig())
-        cls, stats = clf.classify()
-        out = clf.predictor.predict(cls)
-        results[label] = (cls.key(), out.time, out.peak_memory,
-                          stats.subtrees_pruned)
-    ex, opt = results["exhaustive"], results["optimized"]
-    assert ex[3] == 0
-    assert opt[:3] == ex[:3], f"plans differ: {ex} vs {opt}"
-
-
 def test_search_stats_populated():
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _MACHINE)
@@ -233,38 +194,22 @@ def test_budget_truncated_mid_leaf_matches_oracle():
     assert results["search"] == results["oracle"]
 
 
-class _FakeBounds:
-    """Synthetic bounds: subtrees committing map 0 to SWAP are unbeatable."""
-
-    def __init__(self, poison: int, incumbent: float) -> None:
-        self.poison = poison
-        self.incumbent = incumbent
-
-    def lower_bound(self, committed) -> float:
-        return self.incumbent + 1.0 if self.poison in committed else 0.0
-
-
-def test_leaf_cursor_prunes_poisoned_subtree():
-    exact = [0, 1, 2]
-    # keep-first DFS enumeration over {0,1,2}
-    leaves = []
-    for d0 in (True, False):
-        for d1 in (True, False):
-            for d2 in (True, False):
-                leaves.append(tuple(
-                    m for m, dec in zip(exact, (d0, d1, d2)) if dec
-                ))
-    stats = SearchStats()
-    cursor = _LeafCursor(leaves, exact, _FakeBounds(0, 1.0), stats)
-    seen = []
-    while True:
-        nxt = cursor.next(best_time=1.0)
-        if nxt is None:
-            break
-        seen.append(nxt[1])
-    # every surviving leaf keeps map 0; the swap-0 half of the tree is one
-    # pruned subtree of four leaves
-    assert all(0 in leaf for leaf in seen)
-    assert len(seen) == 4
-    assert stats.subtrees_pruned == 1
-    assert stats.leaves_pruned == 4
+def test_wide_exact_tree_lists_only_leaves_within_budget():
+    """ResNet-50/256 on x86 has 73 L_I maps, so ``max_exact_li=20`` spans a
+    tree of about a million byte-feasible leaves.  Every leaf but the
+    all-swap one costs a simulation, so the walk lists at most
+    ``step1_sim_budget + 1`` of them, and decides as the oracle does."""
+    g = build_model("resnet50", batch=256)
+    prof = run_profiling(g, X86_V100)
+    cfg = PoochConfig(max_exact_li=20, step1_sim_budget=12)
+    results = {}
+    for label, clf in (
+        ("oracle", classifier_on(OraclePredictor, g, prof, X86_V100, cfg)),
+        ("search", PoochClassifier(g, prof, X86_V100, config=cfg)),
+    ):
+        cls, stats = clf.classify(steps=1)
+        assert len(stats.exact_li) == 20
+        assert stats.leaves_total <= cfg.step1_sim_budget + 1
+        assert stats.budget_exhausted
+        results[label] = search_fingerprint(cls, stats)
+    assert results["search"] == results["oracle"]
