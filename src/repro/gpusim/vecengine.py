@@ -348,15 +348,50 @@ class DraftPatch:
         buffers.update(self.buffers)
         return tasks, self.queues, buffers
 
+    def compose(self, later: DraftPatch) -> DraftPatch:
+        """``later`` — a patch of the draft this patch describes — as a
+        patch of this patch's base, with the same :attr:`draft`.
+
+        The edits overlay: ``later``'s task and buffer drafts replace this
+        patch's, ids ``later`` drops leave (and are recorded as dropped
+        only when the base has them), ids dropped here stay dropped unless
+        ``later`` adds them back, and ``later``'s queues are complete.  The
+        cost is the two patches' sizes, never the draft's: step 2 drafts a
+        plan several flips ahead once, then each speculative row as one
+        more flip of it, composed back onto current's draft."""
+        base_tasks, _queues, base_buffers = self.base
+        tasks = {**self.tasks, **later.tasks}
+        for tid in later.dropped_tasks:
+            tasks.pop(tid, None)
+        buffers = {**self.buffers, **later.buffers}
+        for bid in later.dropped_buffers:
+            buffers.pop(bid, None)
+        return DraftPatch(
+            base=self.base, tasks=tasks, buffers=buffers,
+            dropped_tasks=frozenset(
+                tid for tid in self.dropped_tasks | later.dropped_tasks
+                if tid in base_tasks and tid not in tasks),
+            dropped_buffers=frozenset(
+                bid for bid in self.dropped_buffers | later.dropped_buffers
+                if bid in base_buffers and bid not in buffers),
+            queues=later.queues,
+        )
+
 
 class VariantTables:
     """Tables for an explicit *variant family*: K patches of one base draft
     — step 2's probes of one plan, each "current with one map recomputed
-    (or kept)", or a speculative "ahead with one more map recomputed", all
-    patched from current's draft by
-    :func:`repro.runtime.schedule.apply_recompute_delta`.
+    (or kept)", or a speculative row several rounds ahead: "current with
+    the flips predicted for the rounds between, plus one more map
+    recomputed" — all patches of current's draft, built by
+    :func:`repro.runtime.schedule.apply_recompute_delta` (a speculative
+    row as one flip of its predicted plan's draft, composed back onto
+    current's with :meth:`DraftPatch.compose`).
 
-    Row k replays exactly ``patches[k].draft``.  Tasks compile into
+    Row k replays exactly the draft of the k-th patch.  ``patches`` is
+    consumed once, in order, so it may be an iterator that drafts each
+    row as it is compiled: a family's patches need not all be alive at
+    once.  Tasks compile into
     *slots*, one per distinct engine-visible variant of a task id (its
     durations, deps, headroom, allocations and free edges); the base's
     tasks are compiled once, and a row adds slots only for what its patch
@@ -382,9 +417,6 @@ class VariantTables:
     def __init__(self, base, patches, device_capacity: int,
                  host_capacity: int | None = None) -> None:
         _init_pools(self, device_capacity, host_capacity)
-        patches = list(patches)
-        if not patches:
-            raise VectorUnsupported("the variant family is empty")
         ref_tasks, _ref_queues, ref_bufs = base
         ref_free = {bid: b.writers | b.readers for bid, b in ref_bufs.items()}
         ref_edges: dict[str, set[str]] = {}
@@ -495,6 +527,8 @@ class VariantTables:
                 total += len(q)
             totals.append(total)
         K = len(totals)
+        if not K:
+            raise VectorUnsupported("the variant family is empty")
 
         n = len(slots)
         self.n = n

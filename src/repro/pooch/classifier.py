@@ -159,6 +159,11 @@ class SearchStats:
     step2_sweep_s: float = 0.0
     step2_rows: int = 0
     step2_patched_tasks: int = 0
+    #: step 2's sweeps, the speculative rows they carried for later rounds
+    #: (:class:`_FlipTree`), and the staged rows a round actually read
+    step2_sweeps: int = 0
+    step2_staged_rows: int = 0
+    step2_staged_hits: int = 0
     #: wall-clock seconds spent inside classify()
     wall_time_s: float = 0.0
     #: multi-device planning (populated only when the machine has more than
@@ -386,6 +391,132 @@ class _VectorLeafStager:
         return True, None
 
 
+class _FlipTree:
+    """Best-first speculation over future step-2 rounds.
+
+    Step 2 is a greedy chain: each round flips the pool map with the
+    smallest r(X) < 1 to ``recompute``, and the next round probes the
+    plan that flip produced.  Which map a round flips is nearly always the
+    one the previous round's r-values ranked first, so when a round has to
+    sweep, its sweep also carries the recompute probes of the plans the
+    following rounds will most likely probe:
+
+    * a *node* is a predicted plan: the sweeping round's plan plus the
+      flips ``path`` predicted accepted, one per round.  Its children
+      recompute one more map each, the maps of the sweep's r-order
+      (:meth:`PoochClassifier._rank`) not on the path, best-ranked first;
+    * a child's probability is its parent's times the share of accepted
+      flips that had the child's rank among the maps not yet flipped —
+      the search's running tally (:meth:`advance`), with one
+      pseudo-observation spread over the ranks as 1/2, 1/4, ... so that a
+      search with no history speculates one level when it pays;
+    * the tree grows best-first, most probable node first, by the break-
+      even rule of :class:`_VectorLeafStager`: a node's rows are staged
+      while its probability ``p`` beats ``E / (ROWS + N)``, the expected
+      consumed rows per unit of sweep cost over the ``N`` rows staged so
+      far (the round's own probes count with probability 1), and while
+      the sweep stays within ``MAX_ROWS``.  Identical plans reached along
+      two paths are staged once.
+
+    Outcomes wait in ``staged`` until a round reads them (see
+    :meth:`PoochClassifier._sweep_round`); the tally and the ranking steer
+    only which probes are swept, never a decision.  Each row is drafted as
+    one flip of its node's plan, and each node once, as one flip of its
+    parent's (:meth:`TimelinePredictor.predict_variant_batch`), so a row's
+    drafting cost does not grow with its depth."""
+
+    #: a step-2 sweep's fixed cost, in rows.  Timed per phase over
+    #: ResNet-50/512 x86's step 2 (budget 600, shared 2-vCPU x86 host,
+    #: runs at several values of this constant): a sweep costs 40–46 ms
+    #: fixed (``run_batch`` plus building its tables) and a row 0.6–0.7
+    #: ms (about 0.2 ms each drafting, tables and sweep, 0.1 ms
+    #: classifying and growing the tree), so 60–85 rows.  75 and 85 grow
+    #: the same trees there, and gave the fastest step 2 among 40, 60,
+    #: 75, 85, 100, 150 and 300 (three runs each).
+    ROWS = 75
+    #: most rows one sweep carries.  A family's memory grows with its
+    #: rows (each row's patch, queue seeds and free counts), and the
+    #: allocator keeps the peak: the ResNet-50/512 x86 search peaked at
+    #: 53.3 MiB RSS with its largest family at 330 rows, 50.8 MiB capped
+    #: at 256 rows (still 9 sweeps), 48.1 MiB with one level speculated.
+    MAX_ROWS = 256
+
+    def __init__(self) -> None:
+        #: outcomes of speculative probes, keyed by classification, that no
+        #: round has read yet
+        self.staged: dict[tuple, PredictedOutcome] = {}
+        #: hits[r]: accepted flips that had rank r among the maps of the
+        #: tree's r-order not yet flipped since the tree was grown
+        self._hits: list[int] = []
+        self._order: list[int] = []
+        self._path: list[int] = []
+
+    def advance(self, x: int) -> None:
+        """A round accepted the flip of ``x``: tally its rank."""
+        rest = [m for m in self._order if m not in self._path]
+        if x not in rest:
+            return  # no tree grown yet (the first round has no r-order)
+        rank = rest.index(x)
+        self._hits.extend([0] * (rank + 1 - len(self._hits)))
+        self._hits[rank] += 1
+        self._path.append(x)
+
+    def _share(self, rank: int) -> float:
+        hits = self._hits[rank] if rank < len(self._hits) else 0
+        return (hits + 0.5 ** (rank + 1)) / (sum(self._hits) + 1)
+
+    def grow(self, current: Classification, order: list[int], certain: int,
+             cached) -> tuple[list[Classification], list[tuple[int, ...]]]:
+        """Grow the tree for a round sweeping ``certain`` probes of
+        ``current``; returns the speculative probes to sweep with it and,
+        for each, its node's path.  Staged outcomes the new tree still
+        reaches are kept (not swept again); the rest are dropped."""
+        self._order, self._path = list(order), []
+        kept: dict[tuple, PredictedOutcome] = {}
+        spec: list[Classification] = []
+        paths: list[tuple[int, ...]] = []
+        seen_plans: set[frozenset] = set()
+        seen_rows: set[tuple] = set()
+        expected = staged = float(certain)
+        heap = [(-1.0, 0, (), current)]
+        tie = itertools.count(1)
+        while heap:
+            negp, _, path, plan = heapq.heappop(heap)
+            p = -negp
+            if path:
+                if (p * (self.ROWS + staged) <= expected
+                        or staged + len(order) - len(path) > self.MAX_ROWS):
+                    break
+                if frozenset(path) in seen_plans:
+                    continue
+                seen_plans.add(frozenset(path))
+                # one flip of the parent's plan: keys derive by splicing
+                plan = plan.with_class(path[-1], MapClass.RECOMPUTE)
+                rows = 0
+                for y in order:
+                    if y in path:
+                        continue
+                    cls = plan.with_class(y, MapClass.RECOMPUTE)
+                    key = cls.key()
+                    if key in seen_rows:
+                        continue
+                    seen_rows.add(key)
+                    if key in self.staged:
+                        kept[key] = self.staged[key]
+                    elif cached(cls) is None:
+                        spec.append(cls)
+                        paths.append(path)
+                        rows += 1
+                staged += rows
+                expected += p * rows
+            rest = [m for m in order if m not in path]
+            for rank, y in enumerate(rest):
+                heapq.heappush(heap, (-p * self._share(rank), next(tie),
+                                      path + (y,), plan))
+        self.staged = kept
+        return spec, paths
+
+
 class PoochClassifier:
     """Runs the two-step search; one instance per (graph, profile, machine)."""
 
@@ -479,6 +610,9 @@ class PoochClassifier:
         registry.count("search.r_recomputed", s.r_recomputed)
         registry.count("search.step2_rows", s.step2_rows)
         registry.count("search.step2_patched_tasks", s.step2_patched_tasks)
+        registry.count("search.step2_sweeps", s.step2_sweeps)
+        registry.count("search.step2_staged_rows", s.step2_staged_rows)
+        registry.count("search.step2_staged_hits", s.step2_staged_hits)
         # why step 2 took its time: drafting + compiling its variant
         # families vs sweeping them (timers, shown in the search section)
         for name, seconds in (("step2_compile", s.step2_compile_s),
@@ -645,6 +779,14 @@ class PoochClassifier:
 
     # -- step 2 ----------------------------------------------------------------------
 
+    @staticmethod
+    def _rank(pool: list[int], r_values: dict[int, float]) -> list[int]:
+        """The pool ranked by the latest r-values, lowest first — the order
+        step 2's speculation tree predicts flips in (``sorted`` is stable,
+        so on a tie rank 0 is the map the round's ``min`` picks).  It
+        steers only which probes are swept ahead, never a decision."""
+        return sorted(pool, key=r_values.__getitem__)
+
     def _r_value(
         self, current: Classification, x: int, t_swap: float
     ) -> float:
@@ -678,21 +820,20 @@ class PoochClassifier:
         return rec_overhead / swap_overhead
 
     def _sweep_round(self, current: Classification, pool: list[int],
-                     staged: dict[tuple, PredictedOutcome],
-                     ahead: Classification | None = None) -> None:
+                     tree: _FlipTree, order: list[int] | tuple = ()) -> None:
         """Answer a step-2 round's uncached probes with one lockstep sweep:
         every "current with X recomputed" probe of the pool, plus every
         "current with X kept" probe the liveness floor does not already
         elide — exactly the probes :meth:`_r_value` is about to read.
 
-        ``ahead`` is the predicted next round's plan; when this round has
-        to sweep, the sweep also carries that round's recompute probes,
-        and their outcomes wait in ``staged`` (keyed by classification)
-        instead of the predictor's cache.  A probe is absorbed only when a
-        round reads it — straight from the sweep or from ``staged`` — so
-        r-values, caches and simulation counts are exactly those of a
-        serial search; a probe no sweep could answer stays for the serial
-        predictor."""
+        When this round has to sweep, the sweep also carries the recompute
+        probes of the later rounds ``tree`` predicts from ``order`` (the
+        pool ranked by the latest r-values), and their outcomes wait in
+        ``tree.staged`` (keyed by classification) instead of the
+        predictor's cache.  A probe is absorbed only when a round reads it
+        — straight from the sweep or from ``tree.staged`` — so r-values,
+        caches and simulation counts are exactly those of a serial search;
+        a probe no sweep could answer stays for the serial predictor."""
         cached = self.predictor.cached
         needed: list[Classification] = []
         keeps: list[Classification] = []
@@ -702,28 +843,26 @@ class PoochClassifier:
                 keeps.append(current.with_class(x, MapClass.KEEP))
         todo: list[Classification] = []
         for cls in needed + keeps:
-            out = staged.pop(cls.key(), None)
+            out = tree.staged.pop(cls.key(), None)
             if out is not None:
+                self.stats.step2_staged_hits += 1
                 self._absorb(cls.key(), out)
             elif cached(cls) is None:
                 todo.append(cls)
         if not todo:
             return
-        spec: list[Classification] = []
-        if ahead is not None:
-            spec = [c for c in (ahead.with_class(y, MapClass.RECOMPUTE)
-                                for y in pool
-                                if ahead.classes[y] is MapClass.SWAP)
-                    if cached(c) is None]
-        outs = self.predictor.predict_variant_batch(todo + spec)
-        staged.clear()
+        spec, paths = tree.grow(current, order, len(todo), cached)
+        outs = self.predictor.predict_variant_batch(
+            todo + spec, [()] * len(todo) + paths)
         if outs is None:
             return
+        self.stats.step2_sweeps += 1
+        self.stats.step2_staged_rows += len(spec)
         for cls, out in zip(todo, outs):
             self._absorb(cls.key(), out)
         for cls, out in zip(spec, outs[len(todo):]):
             if out is not None:
-                staged[cls.key()] = out
+                tree.staged[cls.key()] = out
 
     def _absorb(self, key: tuple, out: PredictedOutcome | None) -> None:
         """Install a swept outcome the search is about to read, counting it
@@ -746,20 +885,15 @@ class PoochClassifier:
         # frozen `current`, its uncached probes swept in lockstep first;
         # after a rejected flip those probes are memo-cache hits (or elided
         # again), and acceptance always reads the trial plan's own outcome.
-        # A sweep also speculates the next round's probes, assuming the flip
-        # this round accepts is the one the previous round's r-values rank
-        # first (r-values move little between rounds), so a correctly
-        # predicted round needs no sweep of its own.
+        # A sweep also speculates the probes of later rounds along the flips
+        # the latest r-values rank first (r-values move little between
+        # rounds), so a correctly predicted round needs no sweep of its own.
         first_round = True
-        staged: dict[tuple, PredictedOutcome] = {}
+        tree = _FlipTree()
         r_values: dict[int, float] = {}
         while pool:
-            ahead = None
-            if r_values:
-                guess = min(pool, key=lambda m: r_values[m])
-                if r_values[guess] < 1.0:
-                    ahead = current.with_class(guess, MapClass.RECOMPUTE)
-            self._sweep_round(current, pool, staged, ahead)
+            self._sweep_round(current, pool, tree,
+                              self._rank(pool, r_values) if r_values else [])
             r_values = {x: self._r_value(current, x, current_time)
                         for x in pool}
             self.stats.r_recomputed += len(pool)
@@ -783,6 +917,7 @@ class PoochClassifier:
                 current = trial
                 current_time = outcome.time
                 self.stats.flips_to_recompute.append(x)
+                tree.advance(x)
 
         self.stats.sims_step2 = self.predictor.simulations - sims_at_start
         self.stats.time_after_step2 = current_time

@@ -216,10 +216,6 @@ class DynamicPoocH:
         predictor = self._predictor(size)
         cache = self.plan_cache
         if cache is not None:
-            predictor.preload_outcomes(
-                cache.load_outcomes(graph, self.machine,
-                                    predictor.sim_signature())
-            )
             hit = (cache.load_plan(graph, self.machine, self.config.signature())
                    if use_plan_cache else None)
             if hit is not None:
@@ -227,6 +223,11 @@ class DynamicPoocH:
                 if predictor.predict(classification).feasible:
                     self.stats.optimizations += 1
                     return classification
+            # only a search reads the stored outcomes (see PoocH._optimize)
+            predictor.preload_outcomes(
+                cache.load_outcomes(graph, self.machine,
+                                    predictor.sim_signature())
+            )
         classifier = PoochClassifier(
             graph, profile, self.machine, self.config, predictor
         )

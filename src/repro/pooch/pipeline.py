@@ -172,6 +172,11 @@ class PoochResult:
 
     def summary(self) -> str:
         counts = self.classification.counts()
+        # staged rows: speculative step-2 probes swept for later rounds
+        hits, staged = (self.stats.step2_staged_hits,
+                        self.stats.step2_staged_rows)
+        hit_rate = (f"{hits / staged:.0%} ({hits}/{staged} staged rows read)"
+                    if staged else "-")
         lines = [
             f"PoocH plan for {self.graph.name!r} on {self.machine.name}:",
             "  classes: " + " ".join(
@@ -185,9 +190,10 @@ class PoochResult:
             f"step2={self.stats.sims_step2} "
             f"(vectorized={self.stats.sims_vectorized} "
             f"fallback={self.stats.sims_fallback})",
-            f"  step2 rounds: {self.stats.step2_rounds} "
-            f"(r-values recomputed={self.stats.r_recomputed}, "
-            f"keep probes elided={self.stats.keep_probes_elided})",
+            f"  step 2: {self.stats.step2_rounds} rounds, "
+            f"{self.stats.step2_sweeps} sweeps, hit rate {hit_rate}; "
+            f"r-values recomputed={self.stats.r_recomputed}, "
+            f"keep probes elided={self.stats.keep_probes_elided}",
             f"  search tree: {self.stats.leaves_evaluated}/"
             f"{self.stats.leaves_total} leaves evaluated",
             f"  search wall time: {self.stats.wall_time_s:.2f} s",
@@ -301,10 +307,6 @@ class PoocH:
         )
         cache = self.plan_cache
         if cache is not None:
-            predictor.preload_outcomes(
-                cache.load_outcomes(graph, self.machine,
-                                    predictor.sim_signature())
-            )
             hit = cache.load_plan(graph, self.machine, self.config.signature())
             if hit is not None:
                 classification, _meta = hit
@@ -331,6 +333,12 @@ class PoocH:
                         faults=self.faults,
                     ))
                 metrics.count("search.plan_cache_rejections")
+            # only a search reads the stored outcomes: a hit re-verifies its
+            # plan with one simulation instead of parsing them all
+            predictor.preload_outcomes(
+                cache.load_outcomes(graph, self.machine,
+                                    predictor.sim_signature())
+            )
         self._emit("search:start", graph=graph.name,
                    maps=len(graph.classifiable_maps()))
         classifier = PoochClassifier(

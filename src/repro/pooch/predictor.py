@@ -21,6 +21,7 @@ engine on demand when records or memory traces are actually needed.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -295,43 +296,65 @@ class TimelinePredictor:
         return self._sweep(engine, keep)
 
     def predict_variant_batch(
-        self, classifications: list[Classification]
+        self, classifications: list[Classification],
+        paths: list[tuple[int, ...]] | None = None,
     ) -> list[PredictedOutcome | None] | None:
         """Simulate K arbitrary keep/swap/recompute candidates in one
         lockstep sweep — step 2's probe pool, each probe "current with one
-        map recomputed (or kept)", or "ahead with one more map recomputed".
+        map recomputed (or kept)", and speculative probes of later rounds.
 
-        Each row replays exactly the delta draft :meth:`_sim_draft` builds
-        for it: the rows are patches of the draft of the plan
+        The rows are patches of the draft of the plan
         :meth:`provably_infeasible` last profiled (step 2's current plan),
-        compiled into one :class:`~repro.gpusim.vecengine.VariantTables`.
-        Same contract as :meth:`predict_keep_batch`: outcomes are
-        positional, the memo cache and counters are untouched, a row is
-        None after a non-OOM engine error, and the call returns None when
-        the drafts are not expressible (NAIVE/SUPERNEURONS triggers,
-        forward re-fetch) or not all patches of one draft."""
+        compiled into one :class:`~repro.gpusim.vecengine.VariantTables`;
+        each replays a draft task-for-task identical to the one
+        :meth:`_sim_draft` builds for it.  ``paths[k]``, when given and not
+        empty, names the maps that row k's candidate recomputes beyond the
+        current plan's, bar the last flip: the row is drafted as that last
+        flip of the plan "current with ``paths[k]`` recomputed".  Each such
+        plan is drafted once per call, as one flip of its parent path's
+        plan, so a speculative row costs one flip however many rounds
+        ahead it lies.  Same contract as :meth:`predict_keep_batch`:
+        outcomes are positional, the memo cache and counters are
+        untouched, a row is None after a non-OOM engine error, and the
+        call returns None when the drafts are not expressible
+        (NAIVE/SUPERNEURONS triggers, forward re-fetch) or not all patches
+        of one draft."""
         if not classifications or self._ensure_vec() is None:
             return None
         start = time.perf_counter()
         splits = [self._delta_split(c) for c in classifications]
         if None in splits:
             return None
-        patches = [self._patch(*split) for split in splits]
+        ahead: dict[tuple[int, ...], tuple] = {}
+        patched = 0
+
+        def patches():
+            # drafted as the tables consume them, so the family's patches
+            # are never all alive at once
+            nonlocal patched
+            for split, path in zip(splits, paths or [()] * len(splits)):
+                patch = (self._patch(*split) if not path
+                         else self._ahead_patch(path, *split, ahead))
+                patched += len(patch.tasks) + len(patch.dropped_tasks)
+                yield patch
+
+        rows = patches()
+        first = next(rows)
         try:
-            engine = VectorEngine(VariantTables(
-                patches[0].base, patches,
+            tables = VariantTables(
+                first.base, itertools.chain((first,), rows),
                 self.machine.usable_gpu_memory - self.capacity_margin,
                 self.machine.host_swap_capacity,
-            ))
+            )
         except VectorUnsupported:
             return None
+        del ahead, first, rows
         swept = time.perf_counter()
-        outs = self._sweep(engine)
+        outs = self._sweep(VectorEngine(tables))
         self.variant_compile_s += swept - start
         self.variant_sweep_s += time.perf_counter() - swept
-        self.variant_rows += len(patches)
-        self.variant_patched_tasks += sum(
-            len(p.tasks) + len(p.dropped_tasks) for p in patches)
+        self.variant_rows += len(outs)
+        self.variant_patched_tasks += patched
         return outs
 
     def _sweep(self, engine: VectorEngine,
@@ -503,6 +526,37 @@ class TimelinePredictor:
             base[0], base[1], base[2], self.graph, self._durations,
             self.options, keeps, recs,
         )
+
+    def _ahead_patch(self, path: tuple[int, ...], keeps: frozenset,
+                     recs: frozenset, ahead: dict) -> DraftPatch:
+        """The draft of ``all-swap + keeps + recs`` as a patch of the plan
+        draft, built as one flip of the plan "plan + ``path`` recomputed"
+        (see :meth:`predict_variant_batch`).  ``ahead`` memoizes, per
+        path, that plan's patch of the plan draft and its own draft; a
+        path's plan is one flip of its parent path's.  A plan draft that
+        does not reach the candidate falls back to :meth:`_patch`."""
+        plan = self._plan
+        if plan is None or not (plan[0] <= keeps
+                                and plan[1] | set(path) <= recs):
+            return self._patch(keeps, recs)
+
+        def node(p: tuple[int, ...]) -> tuple:
+            hit = ahead.get(p)
+            if hit is None:
+                if not p:
+                    return None, plan[2]
+                parent, draft = node(p[:-1])
+                one = apply_recompute_delta(
+                    *draft, self.graph, self._durations, self.options,
+                    plan[0], plan[1] | set(p))
+                hit = ahead[p] = (one if parent is None
+                                  else parent.compose(one), one.draft)
+            return hit
+
+        parent, draft = node(path)
+        one = apply_recompute_delta(*draft, self.graph, self._durations,
+                                    self.options, keeps, recs)
+        return one if parent is None else parent.compose(one)
 
     def _plan_draft(self, classification: Classification) -> tuple:
         """Draft of a plan step 2 evaluates probes against, memoized as the

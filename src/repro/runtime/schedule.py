@@ -855,8 +855,9 @@ def apply_recompute_delta(
 ) -> DraftPatch:
     """Patch turning a base draft into the draft of ``all-swap + keeps +
     {m: RECOMPUTE for m in recomputes}`` — the step-2 search hot path,
-    where every r(X) probe is the current plan plus one flip (two for a
-    speculative probe of the next round's plan).
+    where every r(X) probe is the current plan plus one flip, and a
+    speculative probe of a later round is one flip of that round's
+    predicted plan, itself drafted as one flip of the plan before it.
 
     The base may be the draft of any plan that reaches the target by
     swap→keep and swap→recompute flips: the keep draft

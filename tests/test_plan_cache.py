@@ -179,6 +179,37 @@ class TestPoochWarmStart:
         assert predictor._base is not None
         assert predictor._vec_engine is None
 
+    def test_cache_hit_never_parses_the_outcome_store(
+        self, tmp_path, machine, monkeypatch
+    ):
+        # the outcome store holds every simulation of the cold search; a hit
+        # re-verifies one plan, so it must not read the store — only a
+        # search that follows a miss or a rejected hit does
+        from repro.pooch.predictor import TimelinePredictor
+
+        g = poster_example()
+        cold = PoocH(machine, CFG, plan_cache=tmp_path).optimize(g)
+        sig = TimelinePredictor(g, cold.profile, machine).sim_signature()
+        assert PlanCache(tmp_path).load_outcomes(g, machine, sig)
+        reads = []
+        real = PlanCache.load_outcomes
+
+        def spy(self, *args):
+            reads.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(PlanCache, "load_outcomes", spy)
+        warm = PoocH(machine, CFG, plan_cache=tmp_path).optimize(g)
+        assert warm.stats.plan_cache_hit
+        assert reads == []
+        assert warm.classification.key() == cold.classification.key()
+        assert warm.predicted == cold.predicted
+        # DynamicPoocH's per-size planning takes the same path
+        dyn = DynamicPoocH(machine, lambda batch: poster_example(batch=batch),
+                           CFG, plan_cache=tmp_path)
+        assert dyn._optimize(64).key() == cold.classification.key()
+        assert reads == []
+
     def test_outcomes_warm_start_skips_all_simulations(self, tmp_path, machine):
         # drop the plan but keep the outcomes: the re-search replays
         # entirely from the cache and lands on the same plan for free

@@ -14,10 +14,15 @@ loop does, never what it returns.
 * step 2 run from the same step-1 plan returns the identical plan,
   predicted time, peak memory and r(X) table with its machinery on (the
   search) and off (the oracle's from-scratch step 2), on both machines;
-* every step-2 probe runs in its round's lockstep sweep: on a
-  step-2-heavy configuration no probe falls back to the event engine, for
-  the oracle's plan (zoo-wide plan identity against the oracle lives in
-  ``tests/test_search_oracle.py``);
+* every step-2 probe runs in a lockstep sweep, its round's or an earlier
+  round's speculation: on a step-2-heavy configuration no probe falls back
+  to the event engine, a nine-round chain sweeps three times, and the
+  plan is the oracle's (zoo-wide plan identity against the oracle lives
+  in ``tests/test_search_oracle.py``);
+* speculating later rounds changes no decision: with the speculation
+  tree on, off, or ranking the pool backwards, plans, r-values, flips,
+  simulation counts, elided keep probes and the cached outcomes are
+  identical under ``FAULT_SEED`` noise;
 * keep-probe elision is sound by construction: ``liveness_floor`` is an
   admissible bound (never above a feasible run's simulated peak), so a
   floor above capacity proves the simulation could only answer
@@ -44,6 +49,7 @@ from repro.pooch.classifier import (
     PoochClassifier,
     PoochConfig,
     R_ROUNDS_LIMIT,
+    _FlipTree,
 )
 from repro.gpusim.engine import StreamName, TaskKind
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
@@ -398,17 +404,20 @@ def test_step2_plans_bit_identical_on_off(name, batch, machine):
 
 def test_step2_probes_run_in_one_sweep_per_round(monkeypatch):
     """On a step-2-heavy config every step-2 probe is answered by a
-    lockstep sweep — its round's, or the previous round's speculation — so
-    no probe falls back to the event engine, no round sweeps twice, and
-    the search still returns the oracle's plan (which simulates every
-    step-2 candidate from scratch)."""
-    g = _graph("resnet18", 4)
+    lockstep sweep — its round's, or an earlier round's speculation — so
+    no probe falls back to the event engine, and the search still returns
+    the oracle's plan (which simulates every step-2 candidate from
+    scratch).  A sweep speculates several rounds ahead, so a nine-round
+    chain sweeps three times: the first round (no r-values to rank by
+    yet), the second (with no hit tally yet, speculation pays for one
+    level) and once more for the rest."""
+    g = _graph("mobilenet_v1", 4)
     prof = run_profiling(g, _SLOW)
     sweeps = []
     real = predictor_mod.TimelinePredictor.predict_variant_batch
 
-    def counting(self, classifications):
-        outs = real(self, classifications)
+    def counting(self, classifications, paths=None):
+        outs = real(self, classifications, paths)
         if outs is not None:  # the oracle's predictor never sweeps
             sweeps.append(len(classifications))
         return outs
@@ -417,11 +426,79 @@ def test_step2_probes_run_in_one_sweep_per_round(monkeypatch):
                         "predict_variant_batch", counting)
     (cls, stats), (ref_cls, ref) = _search_and_oracle_step2(g, prof, _SLOW)
     assert cls.key() == ref_cls.key()
+    assert stats.flips_to_recompute == ref.flips_to_recompute
     assert stats.sims_fallback == 0
-    # rounds after a rejected flip, or after a correctly speculated one,
-    # are answered without a sweep of their own
-    assert 0 < len(sweeps) <= stats.step2_rounds
+    assert stats.step2_rounds == 9
+    assert len(sweeps) == stats.step2_sweeps == 3
+    assert sum(sweeps) == stats.step2_rows
+    assert stats.step2_staged_hits <= stats.step2_staged_rows
     assert sum(sweeps) >= stats.sims_step2 > 0
+
+
+def _search(g, prof, machine, monkeypatch, tree=None, rank=None):
+    """A search whose speculation tree grows by ``tree`` and ranks by
+    ``rank`` (the search's own when None); returns the classifier (its
+    step-1 plan in ``step1``), the plan and the stats."""
+    with monkeypatch.context() as patch:
+        if tree is not None:
+            patch.setattr(_FlipTree, "grow", tree)
+        if rank is not None:
+            patch.setattr(PoochClassifier, "_rank", staticmethod(rank))
+        clf = PoochClassifier(g, prof, machine)
+        step2 = clf._step2_swap_vs_recompute
+
+        def from_step1(step1):
+            clf.step1 = step1
+            return step2(step1)
+
+        clf._step2_swap_vs_recompute = from_step1
+        cls, stats = clf.classify()
+    return clf, cls, stats
+
+
+def _decisions(clf, cls, stats) -> tuple:
+    """What step 2 decided and simulated, and the outcomes it cached."""
+    return (cls.key(), stats.r_rounds, stats.flips_to_recompute,
+            stats.sims_step1, stats.sims_step2, stats.sims_vectorized,
+            stats.sims_fallback, stats.keep_probes_elided,
+            stats.time_after_step2, set(clf.predictor._cache))
+
+
+@pytest.mark.parametrize("machine", [_MACHINE, _SLOW],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("name,batch", _ZOO + [("mobilenet_v1", 4)])
+def test_speculation_changes_no_decision(name, batch, machine, monkeypatch):
+    """Speculating later rounds may change how much work step 2 does,
+    never what it decides.  Against the same search with a tree that
+    stages nothing, the plan, every round's r-values, the flips, the
+    simulation split and the elided keep probes are identical, and the
+    predictor caches hold the same outcomes: staged ones never enter
+    unread.  That holds for the tree's own ranking and for the pool
+    ranked backwards, so that its branches predict the flips least likely
+    to be taken — and the plan, r-values and flips are those of the
+    oracle's from-scratch step 2 run from the same step-1 plan."""
+    g = _graph(name, batch)
+    prof = FaultInjector(FaultSpec(profile_noise=0.1),
+                         seed=FAULT_SEED).perturb_profile(
+        run_profiling(g, machine), g, machine)
+    flat = _decisions(*_search(g, prof, machine, monkeypatch,
+                               tree=lambda self, *args: ([], [])))
+    clf, cls, stats = _search(g, prof, machine, monkeypatch)
+    assert _decisions(clf, cls, stats) == flat
+    back = _search(g, prof, machine, monkeypatch,
+                   rank=lambda pool, r: sorted(pool, key=r.__getitem__)[::-1])
+    assert _decisions(*back) == flat
+    if (name, batch, machine) == ("mobilenet_v1", 4, _SLOW):
+        # a nine-round chain: the backward tree misses where the search's
+        # own ranking hits
+        assert back[2].step2_staged_hits < back[2].step2_staged_rows
+        assert back[2].step2_staged_hits < stats.step2_staged_hits
+    oracle = classifier_on(OraclePredictor, g, prof, machine)
+    oracle.predictor.predict(clf.step1)  # cached after step 1, as in a search
+    ref_cls = oracle._step2_swap_vs_recompute(clf.step1)
+    assert (cls.key(), stats.r_rounds, stats.flips_to_recompute) == (
+        ref_cls.key(), oracle.stats.r_rounds,
+        oracle.stats.flips_to_recompute)
 
 
 def _swapped_sample(cls, rng, k):

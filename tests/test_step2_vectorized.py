@@ -12,7 +12,7 @@ lives in ``tests/test_search_oracle.py``).
 
 from __future__ import annotations
 
-from repro.pooch.classifier import PoochClassifier, PoochConfig
+from repro.pooch.classifier import PoochClassifier, PoochConfig, _FlipTree
 from repro.runtime.plan import Classification, MapClass
 from repro.runtime.profiler import run_profiling
 from repro.models import build_model
@@ -48,7 +48,7 @@ class TestAbsorbedOutcomesExact:
                             | {m: MapClass.KEEP for m in recable[1::5]})):
             pool, probed = _probes(g, current)
             assert all(clf.predictor.cached(c) is None for c in probed)
-            clf._sweep_round(current, pool, {})
+            clf._sweep_round(current, pool, _FlipTree())
             for cls in probed:
                 got = clf.predictor.cached(cls)
                 if got is None:
@@ -73,7 +73,7 @@ class TestAbsorbedOutcomesExact:
         elided = [x for x in pool
                   if clf.predictor.provably_infeasible(current, x)]
         before = clf.predictor.simulations
-        clf._sweep_round(current, pool, {})
+        clf._sweep_round(current, pool, _FlipTree())
         absorbed = clf.predictor.simulations - before
         assert absorbed <= 2 * len(pool) - len(elided)
         for x in elided:

@@ -62,6 +62,7 @@ from repro.runtime.schedule import (
     keep_flip_specs,
 )
 from tests.conftest import tiny_machine
+from tests.test_search_pruning import _assert_drafts_equal
 
 #: CI pins a seed matrix through this env var; locally it defaults to 0
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -535,8 +536,9 @@ def _assert_same_run(out, draft, capacity, host_cap) -> bool:
 
 class TestVariantFamily:
     """Step 2's variant family: each row "current with X recomputed (or
-    kept)" — or, speculatively, "ahead with Y recomputed", a two-flip patch
-    — compiled from the search's own patches of current's draft into one
+    kept)" — or, speculatively, a later round's probe, one flip of a plan
+    several predicted flips ahead, composed back onto current's draft —
+    compiled from the search's own patches of current's draft into one
     ``VariantTables``, must equal that classification's fresh
     ``ScheduleBuilder`` draft replayed on ``FastEngine`` and ``Engine`` —
     the patches plus the family compile against an independent build.
@@ -558,17 +560,23 @@ class TestVariantFamily:
             probes = random.Random(seed).sample(probes, limit)
         return self._check_rows(graph, machine, profile, current, probes)
 
-    def _check_rows(self, graph, machine, profile, current, probes):
+    def _check_rows(self, graph, machine, profile, current, probes,
+                    paths=None):
         """Compile the search's patches of ``current``'s draft for
         ``probes`` into one variant family, sweep it (in both row orders)
         and check every row against its fresh build; returns (drafts,
-        feasible rows)."""
+        feasible rows).  ``paths`` drafts rows as the speculation tree
+        does (see ``TimelinePredictor.predict_variant_batch``)."""
         from repro.pooch.predictor import TimelinePredictor
 
         predictor = TimelinePredictor(graph, profile, machine)
         base = predictor._plan_draft(current)
-        patches = [predictor._patch(*predictor._delta_split(c))
-                   for c in probes]
+        ahead: dict = {}
+        patches = [
+            predictor._patch(*predictor._delta_split(c)) if not path
+            else predictor._ahead_patch(path, *predictor._delta_split(c),
+                                        ahead)
+            for c, path in zip(probes, paths or [()] * len(probes))]
         assert all(p.base[0] is base[0] for p in patches)
         capacity = machine.usable_gpu_memory
         host_cap = machine.cpu_mem_capacity
@@ -712,6 +720,51 @@ class TestVariantFamily:
         drafts, _feasible = self._check_rows(graph, machine, profile,
                                              current, probes)
         assert len(drafts) == 2 * len(pool) - 1
+
+    @pytest.mark.parametrize("machine", TINY, ids=lambda m: m.name)
+    @pytest.mark.parametrize("name", ["poster_example", "resnet18"])
+    def test_tree_rows_of_several_levels(self, name, machine):
+        # a sweep that speculates several rounds carries rows of every tree
+        # level: level d is current with d predicted flips recomputed, and
+        # its rows recompute one more map each — drafted as one flip of the
+        # level's plan and composed back onto current's draft, so a row of
+        # level 2 or deeper is a composed patch of three or more flips
+        graph = {"poster_example": poster_example,
+                 "resnet18": lambda: MODEL_ZOO["resnet18"](batch=4)}[name]()
+        rng = random.Random(FAULT_SEED * 53 + len(name))
+        profile = FaultInjector(FaultSpec(profile_noise=0.1),
+                                seed=FAULT_SEED + 7).perturb_profile(
+            run_profiling(graph, machine))
+        recable = [m for m in graph.classifiable_maps()
+                   if graph[m].op.recomputable]
+        current = Classification.all_swap(graph).with_classes(
+            {m: MapClass.RECOMPUTE
+             for m in rng.sample(recable, len(recable) // 4)})
+        pool = [m for m in current.maps_of(MapClass.SWAP)
+                if graph[m].op.recomputable]
+        rng.shuffle(pool)
+        path = tuple(pool[:3])
+        probes, paths = [], []
+        for depth in range(len(path) + 1):
+            node = current.with_classes(
+                {m: MapClass.RECOMPUTE for m in path[:depth]})
+            for y in pool[depth:depth + 4]:
+                probes.append(node.with_class(y, MapClass.RECOMPUTE))
+                paths.append(path[:depth])
+        assert max(map(len, paths)) >= 2  # rows of three flips or more
+        drafts, _feasible = self._check_rows(graph, machine, profile,
+                                             current, probes, paths)
+        # the composed patch's draft is the patch apply_recompute_delta
+        # builds from current's draft in one go
+        durations = profile.durations()
+        base = ScheduleBuilder(graph, current, durations, self.OPTIONS,
+                               validate=False).build_raw()
+        for cls, draft in zip(probes, drafts):
+            keeps = cls.maps_of(MapClass.KEEP)
+            recs = cls.maps_of(MapClass.RECOMPUTE)
+            direct = apply_recompute_delta(*base, graph, durations,
+                                           self.OPTIONS, keeps, recs)
+            _assert_drafts_equal(draft, direct.draft)
 
     def test_variant_family_refuses_keep_matrix(self):
         graph = poster_example()
