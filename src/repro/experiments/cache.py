@@ -1,8 +1,9 @@
 """Per-process memoization of profiling runs and PoocH optimizations.
 
-Keys are (model key, machine name, config fingerprint) — graphs themselves
-are rebuilt cheaply, but a PoocH search over ResNet-50 costs tens of seconds,
-and several benchmarks share the same search (Fig. 15 / Fig. 17 / Table 3).
+Keys are (model key, machine name, ``PoochConfig.signature()``) — graphs
+themselves are rebuilt cheaply, but a PoocH search over ResNet-50 costs tens
+of seconds, and several benchmarks share the same search (Fig. 15 / Fig. 17 /
+Table 3).
 """
 
 from __future__ import annotations
@@ -16,20 +17,6 @@ from repro.runtime.profiler import Profile, run_profiling
 
 _profiles: dict[tuple, Profile] = {}
 _results: dict[tuple, PoochResult] = {}
-
-
-def _config_key(config: PoochConfig | None) -> tuple:
-    cfg = config or PoochConfig()
-    return (
-        cfg.policy.value,
-        cfg.max_exact_li,
-        cfg.step1_sim_budget,
-        cfg.abs_tolerance,
-        cfg.rel_tolerance,
-        cfg.verify_flips,
-        cfg.capacity_margin,
-        cfg.forward_refetch_gap,
-    )
 
 
 def profile_cached(
@@ -50,7 +37,7 @@ def optimize_cached(
     config: PoochConfig | None = None,
 ) -> PoochResult:
     """PoocH-optimize a model on a machine, reusing any cached search."""
-    key = (model_key, machine.name, _config_key(config))
+    key = (model_key, machine.name, (config or PoochConfig()).signature())
     if key not in _results:
         graph, profile = profile_cached(model_key, build, machine)
         _results[key] = PoocH(machine, config).optimize(graph, profile=profile)

@@ -29,8 +29,21 @@ Semantics (modelled on CUDA + a framework memory pool):
   purely on memory (every such stall is a memory-capacity failure of the
   plan), otherwise :class:`ScheduleError` (a malformed dependency graph).
 
-The engine knows nothing about neural networks; schedules are produced by
-:mod:`repro.runtime.schedule`.
+One event loop (:class:`EventLoop`) implements these semantics, with two
+entry points:
+
+* :class:`Engine` runs a validated :class:`Schedule` and returns its
+  timeline (:class:`RunResult`: task records, traced pools), asserting that
+  every buffer a task reads is resident when it issues, running payloads
+  and calling the free hook — ground truth, profiling, the fault layer and
+  the test oracles use it;
+* :class:`~repro.gpusim.fastengine.FastEngine` replays the schedule
+  builder's raw draft with untracked pools and returns only the makespan
+  and peaks — the predictor's lone predictions use it.
+
+The lockstep :class:`~repro.gpusim.vecengine.VectorEngine` replays whole
+candidate families with the same semantics.  The engine knows nothing about
+neural networks; schedules are produced by :mod:`repro.runtime.schedule`.
 """
 
 from __future__ import annotations
@@ -71,6 +84,7 @@ class StreamName(enum.Enum):
 
 #: deterministic scan priority when several streams could issue at one instant
 _STREAM_ORDER = (StreamName.COMPUTE, StreamName.D2H, StreamName.H2D)
+_N_STREAMS = len(_STREAM_ORDER)
 
 
 @dataclass(slots=True)
@@ -226,8 +240,373 @@ class RunResult:
         return merged
 
 
-class Engine:
-    """Executes one :class:`Schedule`; engines are single-use."""
+class EventLoop:
+    """The one event-driven issue/complete loop; see the module docstring.
+
+    ``tasks`` maps tid to anything with :class:`Task`'s scheduling fields
+    (insertion order = creation order), ``queues`` maps each
+    :class:`StreamName` to its FIFO tid list and ``buffers`` maps bid to
+    anything with :class:`BufferSpec`'s fields.  Everything is indexed once
+    up front: tasks and streams are dense integers, dependency readiness is
+    a countdown decremented when a dependency completes (``deps``) or issues
+    (``start_deps``), and each task's device need is pre-rounded.
+
+    Two entry points run it.  :class:`Engine` executes a :class:`Schedule`
+    and keeps the timeline: with ``_records`` a list, the loop also records
+    every task, asserts that each buffer a task reads is resident when it
+    issues, runs task payloads and calls the free hook.
+    :class:`~repro.gpusim.fastengine.FastEngine` replays a builder draft
+    with ``_records`` ``None`` and returns only the makespan and peaks.
+    """
+
+    def __init__(self, tasks: dict, queues: dict, buffers: dict,
+                 device: MemoryPool, host: MemoryPool) -> None:
+        self.device = device
+        self.host = host
+        #: completed tasks in completion order; ``None`` keeps no timeline
+        self._records: list[TaskRecord] | None = None
+        #: called with the buffer id whenever a buffer is freed — lets the
+        #: numeric backend invalidate its arrays so that any use-after-free
+        #: in a schedule fails loudly instead of silently reusing stale data
+        self.free_hook: Callable[[str], None] | None = None
+        # the counting pool's fit rule is inlined as ``need > free``; a pool
+        # with a rule of its own (the block allocator's contiguity) is asked
+        self._fit = (device.can_fit_all
+                     if type(device).can_fit_all is not MemoryPool.can_fit_all
+                     else None)
+        self._buffers = buffers
+
+        tids = list(tasks)
+        index = {tid: i for i, tid in enumerate(tids)}
+        n = len(tids)
+        task_list = list(tasks.values())
+        self._tids = tids
+        self._tasks = task_list
+        self._duration = [t.duration for t in task_list]
+        self._gated = [t.memory_gated for t in task_list]
+        self._headroom = [t.headroom for t in task_list]
+        self._scratch = [t.scratch_bytes for t in task_list]
+
+        # dependency countdowns + reverse edges
+        rem_deps = [0] * n
+        rem_starts = [0] * n
+        dependents: list[list[int]] = [[] for _ in range(n)]
+        start_dependents: list[list[int]] = [[] for _ in range(n)]
+        for i, t in enumerate(task_list):
+            rem_deps[i] = len(t.deps)
+            rem_starts[i] = len(t.start_deps)
+            for d in t.deps:
+                dependents[index[d]].append(i)
+            for d in t.start_deps:
+                start_dependents[index[d]].append(i)
+        self._rem_deps = rem_deps
+        self._rem_starts = rem_starts
+        self._dependents = dependents
+        self._start_dependents = start_dependents
+
+        # buffers, in creation order: (bid, nbytes, pool) allocations of
+        # each task and of t=0, the (bid, pool) frees each task's completion
+        # counts down, and each task's pre-rounded device buffer bytes
+        self._prealloc: list[tuple[str, int, MemoryPool]] = []
+        allocs: list[list[tuple[str, int, MemoryPool]]] = [[] for _ in range(n)]
+        frees: list[list[tuple[str, MemoryPool]]] = [[] for _ in range(n)]
+        self._free_count: dict[str, int] = {}
+        reserve = [0] * n
+        on_device = [False] * n
+        for b in buffers.values():
+            pool = host if b.host else device
+            if b.alloc_by is None:
+                self._prealloc.append((b.bid, b.nbytes, pool))
+            else:
+                i = index[b.alloc_by]
+                allocs[i].append((b.bid, b.nbytes, pool))
+                if not b.host:
+                    reserve[i] += round_size(b.nbytes)
+                    on_device[i] = True
+            free_after = b.free_after
+            if free_after:
+                self._free_count[b.bid] = len(free_after)
+                for tid in free_after:
+                    frees[index[tid]].append((b.bid, pool))
+        self._allocs = allocs
+        self._frees = frees
+
+        # pre-rounded device bytes a task allocates when it issues: ``_need``
+        # in full, ``_need_reserved`` once its alloc-on-ready reservation (of
+        # ``_reserve`` bytes) is placed; -1 allocates nothing on the device,
+        # so no memory gate applies
+        need = [-1] * n
+        need_reserved = [-1] * n
+        for i, scratch in enumerate(self._scratch):
+            if scratch:
+                need_reserved[i] = round_size(scratch)
+                need[i] = need_reserved[i] + reserve[i]
+            elif on_device[i]:
+                need[i] = reserve[i]
+        self._need = need
+        self._need_reserved = need_reserved
+        self._reserve = reserve
+
+        # per-stream queues as index lists + cursors + in-flight flags
+        self._queues = [[index[tid] for tid in queues.get(s, [])]
+                        for s in _STREAM_ORDER]
+        self._cursor = [0] * _N_STREAMS
+        self._busy = [False] * _N_STREAMS
+        self._n_inflight = 0
+        stream_of = [0] * n
+        for s, q in enumerate(self._queues):
+            for i in q:
+                stream_of[i] = s
+        self._stream_of = stream_of
+
+        self._prealloc_pending = [i for i, t in enumerate(task_list)
+                                  if t.alloc_on_ready]
+        self._reserved = [False] * n
+
+        self._start: list[float | None] = [None] * n
+        self._n_completed = 0
+        self._now = 0.0
+        self._seq = 0
+        self._heap: list[tuple[float, int, int]] = []
+
+    # -- issue machinery ---------------------------------------------------------
+
+    def _device_sizes(self, i: int) -> list[int]:
+        """Task ``i``'s device requests at issue, unrounded (for a pool's
+        own fit rule)."""
+        sizes = [self._scratch[i]] if self._scratch[i] else []
+        if not self._reserved[i]:
+            sizes += [nbytes for _, nbytes, pool in self._allocs[i]
+                      if pool is self.device]
+        return sizes
+
+    def _issue_need(self, i: int) -> int:
+        return self._need_reserved[i] if self._reserved[i] else self._need[i]
+
+    def _assert_resident(self, i: int) -> None:
+        # every read must be in its pool right now — a violation is a
+        # schedule-builder bug (use-after-free / missing dep)
+        for bid in self._tasks[i].reads:
+            pool = self.host if self._buffers[bid].host else self.device
+            if not pool.is_resident(bid):
+                raise ScheduleError(
+                    f"task {self._tids[i]!r} reads buffer {bid!r} which is not "
+                    f"resident at t={self._now:.6f} (use-after-free or missing "
+                    "dependency)"
+                )
+
+    def _issue(self, i: int, stream: int) -> None:
+        tid = self._tids[i]
+        now = self._now
+        records = self._records
+        if records is not None:
+            self._assert_resident(i)
+        if not self._reserved[i]:
+            for bid, nbytes, pool in self._allocs[i]:
+                pool.malloc(bid, nbytes, now, context=tid)
+        if self._scratch[i]:
+            self.device.malloc(f"{tid}#ws", self._scratch[i], now, context=tid)
+        self._start[i] = now
+        for j in self._start_dependents[i]:
+            self._rem_starts[j] -= 1
+        if records is not None and self._tasks[i].payload is not None:
+            self._tasks[i].payload()
+        self._seq += 1
+        heapq.heappush(self._heap, (now + self._duration[i], self._seq, i))
+        self._busy[stream] = True
+        self._n_inflight += 1
+
+    def _raise_ungated_oom(self, i: int) -> None:
+        need = self._issue_need(i)
+        raise OutOfMemoryError(
+            f"ungated task {self._tids[i]!r} failed allocation at "
+            f"t={self._now:.6f}: needs {format_bytes(need)}, free "
+            f"{format_bytes(self.device.free_bytes)}",
+            requested=need,
+            free=self.device.free_bytes,
+            capacity=self.device.capacity,
+            context=self._tids[i],
+        )
+
+    def _run_ready_preallocs(self) -> bool:
+        """Reserve output buffers of alloc-on-ready tasks whose dependencies
+        are satisfied, even while they wait in their queue.  An un-gated
+        reservation that does not fit raises (the SuperNeurons failure mode);
+        a gated one simply stays pending."""
+        device = self.device
+        progress = False
+        still_pending: list[int] = []
+        for i in self._prealloc_pending:
+            ready = not self._rem_deps[i] and not self._rem_starts[i]
+            started = self._start[i] is not None
+            if not ready or started:
+                if not started:
+                    still_pending.append(i)
+                continue
+            if self._gated[i]:
+                if self._fit is None:
+                    blocked = self._reserve[i] > device.free_bytes
+                else:
+                    blocked = not self._fit([nbytes for _, nbytes, pool
+                                             in self._allocs[i]
+                                             if pool is device])
+                if blocked:
+                    still_pending.append(i)
+                    continue
+            context = f"{self._tids[i]} (scheduled reservation)"
+            for bid, nbytes, pool in self._allocs[i]:
+                pool.malloc(bid, nbytes, self._now, context=context)
+            self._reserved[i] = True
+            progress = True
+        self._prealloc_pending = still_pending
+        return progress
+
+    def _scan(self) -> None:
+        """Issue every task that can start at the current instant:
+        reservations first, then stream heads in the deterministic order, to
+        a fixpoint (a start may satisfy another task's start_deps)."""
+        queues = self._queues
+        cursor = self._cursor
+        busy = self._busy
+        rem_deps = self._rem_deps
+        rem_starts = self._rem_starts
+        reserved = self._reserved
+        need_full = self._need
+        need_reserved = self._need_reserved
+        headroom = self._headroom
+        device = self.device
+        fit = self._fit
+        progress = True
+        while progress:
+            progress = False
+            if self._prealloc_pending and self._run_ready_preallocs():
+                progress = True
+            for s in range(_N_STREAMS):
+                if busy[s]:
+                    continue
+                q = queues[s]
+                c = cursor[s]
+                if c >= len(q):
+                    continue
+                i = q[c]
+                if rem_deps[i] or rem_starts[i]:
+                    continue
+                need = need_reserved[i] if reserved[i] else need_full[i]
+                if need >= 0:
+                    free = device.capacity - device.in_use
+                    # headroom is a politeness reserve for upcoming
+                    # computation; when nothing at all is in flight
+                    # (computation is stalled waiting on this very transfer)
+                    # insisting on it would deadlock, so it is waived.
+                    # Streams are scanned compute first, so computation
+                    # always gets first claim on memory.
+                    if ((need > free if fit is None
+                         else not fit(self._device_sizes(i)))
+                            or (free < need + headroom[i] and self._n_inflight)):
+                        if not self._gated[i]:
+                            self._raise_ungated_oom(i)
+                        continue
+                cursor[s] = c + 1
+                self._issue(i, s)
+                progress = True
+
+    def _complete(self, i: int) -> None:
+        self._n_completed += 1
+        self._busy[self._stream_of[i]] = False
+        self._n_inflight -= 1
+        for j in self._dependents[i]:
+            self._rem_deps[j] -= 1
+        now = self._now
+        if self._records is not None:
+            t = self._tasks[i]
+            self._records.append(TaskRecord(t.tid, t.kind, t.stream, t.layer,
+                                            self._start[i], now))
+        if self._scratch[i]:
+            self.device.free(f"{self._tids[i]}#ws", now)
+        free_count = self._free_count
+        for bid, pool in self._frees[i]:
+            remaining = free_count[bid] - 1
+            free_count[bid] = remaining
+            if not remaining:
+                pool.free(bid, now)
+                if self.free_hook is not None:
+                    self.free_hook(bid)
+
+    def _short_of_memory(self, i: int) -> bool:
+        """Whether task ``i`` is blocked purely on memory with nothing in
+        flight (so the headroom waiver applies)."""
+        if self._rem_deps[i] or self._rem_starts[i]:
+            return False
+        need = self._issue_need(i)
+        if need < 0:
+            return False
+        if self._fit is None:
+            return need > self.device.free_bytes
+        return not self._fit(self._device_sizes(i))
+
+    def _deadlock(self) -> SimulationError:
+        """The error of a run whose event heap emptied with tasks
+        unfinished: a memory deadlock when a stream head is blocked purely on
+        memory, else a dependency deadlock."""
+        memory_blocked: list[int] = []
+        dep_blocked: list[int] = []
+        for s in range(_N_STREAMS):
+            q = self._queues[s]
+            c = self._cursor[s]
+            if c >= len(q):
+                continue
+            i = q[c]
+            if self._short_of_memory(i):
+                memory_blocked.append(i)
+            else:
+                dep_blocked.append(i)
+        if memory_blocked:
+            i = memory_blocked[0]
+            need = self._issue_need(i)
+            return OutOfMemoryError(
+                f"memory deadlock at t={self._now:.6f}: task "
+                f"{self._tids[i]!r} needs {format_bytes(need)} "
+                f"(+{format_bytes(self._headroom[i])} headroom), free "
+                f"{format_bytes(self.device.free_bytes)} of "
+                f"{format_bytes(self.device.capacity)}, nothing in flight",
+                requested=need,
+                free=self.device.free_bytes,
+                capacity=self.device.capacity,
+                context=self._tids[i],
+            )
+        heads = [self._tids[i] for i in dep_blocked]
+        return ScheduleError(
+            f"dependency deadlock at t={self._now:.6f}: stream heads {heads} "
+            "can never issue (cyclic or unsatisfiable deps)"
+        )
+
+    def _replay(self) -> None:
+        """Run to completion.  Raises :class:`OutOfMemoryError` for plan
+        infeasibility (the simulated equivalent of a CUDA allocation
+        failure) and :class:`ScheduleError` for builder bugs."""
+        # preallocated buffers (weights, gradients) occupy memory from t=0
+        for bid, nbytes, pool in self._prealloc:
+            pool.malloc(bid, nbytes, 0.0, context="prealloc")
+        self._scan()
+        heap = self._heap
+        heappop = heapq.heappop
+        complete = self._complete
+        scan = self._scan
+        while heap:
+            time, _, i = heappop(heap)
+            self._now = time
+            complete(i)
+            # batch all completions at identical timestamps before rescanning
+            while heap and heap[0][0] == time:
+                complete(heappop(heap)[2])
+            scan()
+        if self._n_completed != len(self._tids):
+            raise self._deadlock()
+
+
+class Engine(EventLoop):
+    """Executes one :class:`Schedule` and returns its timeline; engines are
+    single-use."""
 
     def __init__(
         self,
@@ -248,238 +627,21 @@ class Engine:
         # explicit pools (e.g. the fault layer's spuriously-failing pool)
         # override the default construction and must match the capacities
         pool_cls = BlockMemoryPool if fragmentation else MemoryPool
-        self.device = device_pool if device_pool is not None else pool_cls(
+        device = device_pool if device_pool is not None else pool_cls(
             device_capacity, "gpu")
-        self.host = host_pool if host_pool is not None else MemoryPool(
+        host = host_pool if host_pool is not None else MemoryPool(
             host_capacity or (1 << 62), "host")
-        #: called with the buffer id whenever a buffer is freed — lets the
-        #: numeric backend invalidate its arrays so that any use-after-free
-        #: in a schedule fails loudly instead of silently reusing stale data
+        super().__init__(schedule.tasks, schedule.queues, schedule.buffers,
+                         device, host)
         self.free_hook = free_hook
-        self._now = 0.0
-        self._seq = 0
-        self._heap: list[tuple[float, int, str]] = []
-        self._started: dict[str, float] = {}
-        self._completed: dict[str, float] = {}
-        self._records: list[TaskRecord] = []
-        # per-stream cursor into the queue and in-flight task id
-        self._cursor: dict[StreamName, int] = {s: 0 for s in StreamName}
-        self._inflight: dict[StreamName, str | None] = {s: None for s in StreamName}
-        # alloc-on-ready bookkeeping
-        self._prealloc_pending: list[str] = [
-            t.tid for t in schedule.tasks.values() if t.alloc_on_ready
-        ]
-        self._prealloc_done: set[str] = set()
-        # buffer bookkeeping
-        self._allocs_by_task: dict[str, list[BufferSpec]] = {}
-        self._free_countdown: dict[str, set[str]] = {}
-        self._frees_by_task: dict[str, list[str]] = {}
-        for b in schedule.buffers.values():
-            if b.alloc_by is not None:
-                self._allocs_by_task.setdefault(b.alloc_by, []).append(b)
-            if b.free_after:
-                self._free_countdown[b.bid] = set(b.free_after)
-                for tid in b.free_after:
-                    self._frees_by_task.setdefault(tid, []).append(b.bid)
+        self._records = []
 
-    # -- issue machinery ---------------------------------------------------------
-
-    def _pool_of(self, b: BufferSpec) -> MemoryPool:
-        return self.host if b.host else self.device
-
-    def _device_need_sizes(self, task: Task) -> list[int]:
-        sizes = []
-        if task.scratch_bytes:
-            sizes.append(task.scratch_bytes)
-        if task.tid not in self._prealloc_done:
-            for b in self._allocs_by_task.get(task.tid, ()):
-                if not b.host:
-                    sizes.append(b.nbytes)
-        return sizes
-
-    def _device_need(self, task: Task) -> int:
-        return sum(round_size(s) for s in self._device_need_sizes(task))
-
-    def _blocked_reason(self, task: Task) -> str | None:
-        """None if the task can issue now, else 'deps' | 'memory'."""
-        for d in task.deps:
-            if d not in self._completed:
-                return "deps"
-        for d in task.start_deps:
-            if d not in self._started:
-                return "deps"
-        sizes = self._device_need_sizes(task)
-        if sizes:
-            need = sum(round_size(s) for s in sizes)
-            free = self.device.free_bytes
-            if not self.device.can_fit_all(sizes):
-                return "memory"
-            if free < need + task.headroom and self._any_inflight():
-                # headroom is a politeness reserve for upcoming computation;
-                # when nothing at all is in flight (computation is stalled
-                # waiting on this very transfer) insisting on it would
-                # deadlock, so it is waived.  Streams are scanned compute
-                # first, so computation always gets first claim on memory.
-                return "memory"
-        return None
-
-    def _any_inflight(self) -> bool:
-        return any(tid is not None for tid in self._inflight.values())
-
-    def _issue(self, task: Task) -> None:
-        # residency assertion: every read must be in its pool right now —
-        # a violation is a schedule-builder bug (use-after-free / missing dep)
-        for bid in task.reads:
-            b = self.schedule.buffers[bid]
-            if not self._pool_of(b).is_resident(bid):
-                raise ScheduleError(
-                    f"task {task.tid!r} reads buffer {bid!r} which is not resident "
-                    f"at t={self._now:.6f} (use-after-free or missing dependency)"
-                )
-        if task.tid not in self._prealloc_done:
-            for b in self._allocs_by_task.get(task.tid, ()):
-                self._pool_of(b).malloc(b.bid, b.nbytes, self._now, context=task.tid)
-        if task.scratch_bytes:
-            self.device.malloc(f"{task.tid}#ws", task.scratch_bytes, self._now,
-                               context=task.tid)
-        self._started[task.tid] = self._now
-        if task.payload is not None:
-            task.payload()
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + task.duration, self._seq, task.tid))
-        self._inflight[task.stream] = task.tid
-
-    def _try_issue_head(self, stream: StreamName) -> bool:
-        """Attempt to issue the next task of ``stream``; True if issued."""
-        if self._inflight[stream] is not None:
-            return False
-        q = self.schedule.queues.get(stream, [])
-        i = self._cursor[stream]
-        if i >= len(q):
-            return False
-        task = self.schedule.tasks[q[i]]
-        reason = self._blocked_reason(task)
-        if reason == "memory" and not task.memory_gated:
-            need = self._device_need(task)
-            raise OutOfMemoryError(
-                f"ungated task {task.tid!r} failed allocation at t={self._now:.6f}: "
-                f"needs {format_bytes(need)}, free {format_bytes(self.device.free_bytes)}",
-                requested=need,
-                free=self.device.free_bytes,
-                capacity=self.device.capacity,
-                context=task.tid,
-            )
-        if reason is not None:
-            return False
-        self._cursor[stream] = i + 1
-        self._issue(task)
-        return True
-
-    def _run_ready_preallocs(self) -> bool:
-        """Reserve output buffers of alloc-on-ready tasks whose dependencies
-        are satisfied, even while they wait in their queue.  An un-gated
-        reservation that does not fit raises (the SuperNeurons failure mode);
-        a gated one simply stays pending."""
-        progress = False
-        still_pending: list[str] = []
-        for tid in self._prealloc_pending:
-            task = self.schedule.tasks[tid]
-            ready = all(d in self._completed for d in task.deps) and all(
-                d in self._started for d in task.start_deps
-            )
-            if not ready or tid in self._started:
-                if tid not in self._started:
-                    still_pending.append(tid)
-                continue
-            buf_sizes = [
-                b.nbytes for b in self._allocs_by_task.get(tid, ()) if not b.host
-            ]
-            if task.memory_gated and not self.device.can_fit_all(buf_sizes):
-                still_pending.append(tid)
-                continue
-            for b in self._allocs_by_task.get(tid, ()):
-                self._pool_of(b).malloc(b.bid, b.nbytes, self._now,
-                                        context=f"{tid} (scheduled reservation)")
-            self._prealloc_done.add(tid)
-            progress = True
-        self._prealloc_pending = still_pending
-        return progress
-
-    def _scan(self) -> None:
-        """Issue every task that can start at the current instant (fixpoint:
-        a start may satisfy another task's start_deps)."""
-        progress = True
-        while progress:
-            progress = False
-            if self._prealloc_pending and self._run_ready_preallocs():
-                progress = True
-            for stream in _STREAM_ORDER:
-                if self._try_issue_head(stream):
-                    progress = True
-
-    def _complete(self, tid: str) -> None:
-        task = self.schedule.tasks[tid]
-        self._completed[tid] = self._now
-        self._inflight[task.stream] = None
-        self._records.append(
-            TaskRecord(tid, task.kind, task.stream, task.layer,
-                       self._started[tid], self._now)
-        )
-        if task.scratch_bytes:
-            self.device.free(f"{tid}#ws", self._now)
-        for bid in self._frees_by_task.get(tid, ()):
-            pending = self._free_countdown[bid]
-            pending.discard(tid)
-            if not pending:
-                b = self.schedule.buffers[bid]
-                self._pool_of(b).free(bid, self._now)
-                if self.free_hook is not None:
-                    self.free_hook(bid)
-
-    def _diagnose_stall(self) -> None:
-        """Called when the event heap is empty but tasks remain unfinished."""
-        memory_blocked: list[Task] = []
-        dep_blocked: list[Task] = []
-        for stream in _STREAM_ORDER:
-            q = self.schedule.queues.get(stream, [])
-            i = self._cursor[stream]
-            if i >= len(q):
-                continue
-            task = self.schedule.tasks[q[i]]
-            reason = self._blocked_reason(task)
-            if reason == "memory":
-                memory_blocked.append(task)
-            else:
-                dep_blocked.append(task)
-        if memory_blocked:
-            t = memory_blocked[0]
-            need = self._device_need(t)
-            metrics.count("engine.stalls_memory")
-            log.warning(
-                "memory deadlock at t=%.6f: task %r needs %s, free %s",
-                self._now, t.tid, format_bytes(need),
-                format_bytes(self.device.free_bytes),
-            )
-            raise OutOfMemoryError(
-                f"memory deadlock at t={self._now:.6f}: task {t.tid!r} needs "
-                f"{format_bytes(need)} (+{format_bytes(t.headroom)} headroom), "
-                f"free {format_bytes(self.device.free_bytes)} of "
-                f"{format_bytes(self.device.capacity)}, nothing in flight",
-                requested=need,
-                free=self.device.free_bytes,
-                capacity=self.device.capacity,
-                context=t.tid,
-            )
-        heads = [t.tid for t in dep_blocked]
-        metrics.count("engine.stalls_dependency")
-        log.warning("dependency deadlock at t=%.6f: stream heads %s",
-                    self._now, heads)
-        raise ScheduleError(
-            f"dependency deadlock at t={self._now:.6f}: stream heads {heads} "
-            "can never issue (cyclic or unsatisfiable deps)"
-        )
-
-    # -- public --------------------------------------------------------------------
+    def _deadlock(self) -> SimulationError:
+        err = super()._deadlock()
+        kind = "memory" if isinstance(err, OutOfMemoryError) else "dependency"
+        metrics.count(f"engine.stalls_{kind}")
+        log.warning("%s", err)
+        return err
 
     def run(self) -> RunResult:
         """Execute the schedule to completion and return the timeline.
@@ -488,29 +650,15 @@ class Engine:
         equivalent of a CUDA allocation failure) and :class:`ScheduleError`
         for builder bugs.
         """
-        # preallocated buffers (weights, gradients) occupy memory from t=0
-        for b in self.schedule.buffers.values():
-            if b.alloc_by is None:
-                self._pool_of(b).malloc(b.bid, b.nbytes, 0.0, context="prealloc")
-        self._scan()
-        while self._heap:
-            time, _, tid = heapq.heappop(self._heap)
-            self._now = time
-            self._complete(tid)
-            # batch all completions at identical timestamps before rescanning
-            while self._heap and self._heap[0][0] == time:
-                _, _, tid2 = heapq.heappop(self._heap)
-                self._complete(tid2)
-            self._scan()
-        if len(self._completed) != len(self.schedule.tasks):
-            self._diagnose_stall()
-        self._records.sort(key=lambda r: (r.start, r.tid))
+        self._replay()
+        records = self._records
+        records.sort(key=lambda r: (r.start, r.tid))
         registry = metrics.active()
         if registry is not None:
             registry.count("engine.runs")
-            registry.count("engine.tasks", len(self._records))
+            registry.count("engine.tasks", len(records))
             by_kind: dict[str, int] = {}
-            for rec in self._records:
+            for rec in records:
                 by_kind[rec.kind.value] = by_kind.get(rec.kind.value, 0) + 1
             for kind, n in by_kind.items():
                 registry.count(f"engine.tasks_{kind}", n)
@@ -520,7 +668,7 @@ class Engine:
                     registry.gauge_max(f"allocator.{side}_{name}", value)
         return RunResult(
             makespan=self._now,
-            records=self._records,
+            records=records,
             device_peak=self.device.peak,
             host_peak=self.host.peak,
             device_trace=self.device.trace,

@@ -48,12 +48,14 @@ per-row work), and rounds ≈ tasks (one per distinct event instant).  See
 ``docs/architecture.md`` for measured figures.
 
 Because all engine arithmetic is the same left-fold of IEEE ``+``/``min``
-over the same operands, results are bit-identical to
-:class:`~repro.gpusim.fastengine.FastEngine` and
-:class:`~repro.gpusim.engine.Engine` — same makespans, same per-task
-start/end times, same allocator high-water marks, and the same OOM/deadlock
-diagnoses at the same simulated instants.  ``tests/test_vecengine.py``
-fuzzes exactly that equivalence.
+over the same operands, results are bit-identical to the event loop
+(:class:`~repro.gpusim.engine.EventLoop`, run by both
+:class:`~repro.gpusim.engine.Engine` and
+:class:`~repro.gpusim.fastengine.FastEngine`) — same makespans, same
+per-task start/end times, same allocator high-water marks, and the same
+OOM/deadlock diagnoses at the same simulated instants.
+``tests/test_vecengine.py`` fuzzes exactly that equivalence against
+``Engine``.
 
 The lockstep formulation covers EAGER-policy drafts without alloc-on-ready
 reservations or start-deps (a single scan pass is then a fixpoint: issues
@@ -61,7 +63,8 @@ only consume memory and dependency satisfaction needs a completion, so no
 issue can unblock another within one instant).  Anything else —
 NAIVE/SUPERNEURONS triggers, forward-refetch swap-ins with recompute
 interactions — raises :class:`VectorUnsupported` at compile time and the
-caller falls back to :class:`FastEngine`.
+caller falls back to the event loop (:class:`FastEngine`, its draft entry
+point).
 """
 
 from __future__ import annotations
@@ -74,12 +77,8 @@ import numpy as np
 from repro.common.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.common.units import format_bytes
 from repro.gpusim.allocator import round_size
-from repro.gpusim.engine import StreamName
+from repro.gpusim.engine import _N_STREAMS, _STREAM_ORDER
 from repro.obs import metrics
-
-#: same deterministic scan priority as the event engines
-_STREAM_ORDER = (StreamName.COMPUTE, StreamName.D2H, StreamName.H2D)
-_N_STREAMS = len(_STREAM_ORDER)
 
 #: countdown value of the sentinel task row and buffer column — never
 #: reaches zero (int32 tables; int16 ones use the second value)
@@ -119,7 +118,7 @@ class KeepFlip:
 class VecOutcome:
     """Result of one candidate's lockstep replay.
 
-    ``error`` carries the exact exception an event engine run would have
+    ``error`` carries the exact exception an event-loop run would have
     raised (``OutOfMemoryError`` or ``ScheduleError``) — not raised here so
     one infeasible candidate cannot abort its batch.  ``starts``/``ends``
     map tid → time when the batch ran with ``record_times=True``.
@@ -648,8 +647,8 @@ def _init_tasks(tables, tasks: list, allocs: list[list[int]]) -> None:
     tables.need_dev = need_dev
     tables.need_host = need_host
     tables.host_buf_of = host_buf_of
-    #: mirror of FastEngine's _check_full: no memory gate at all when a
-    #: task allocates nothing on the device
+    #: mirror of the event loop's ``_need`` sentinel: no memory gate at all
+    #: when a task allocates nothing on the device
     tables.check = np.zeros(n + 1, bool)
     tables.check[:n] = (tables.scratch_r > 0) | (n_dev_bufs[:n] > 0)
 
@@ -763,7 +762,7 @@ class VectorEngine:
 
     def _diagnose_stall(self, now: float, heads, indeg_k,
                         dev_use: int) -> Exception:
-        """Mirror of the event engines' deadlock diagnosis for one candidate
+        """Mirror of the event loop's deadlock diagnosis for one candidate
         given its stream heads (reached with nothing in flight, so the
         headroom waiver is moot)."""
         t = self.tables

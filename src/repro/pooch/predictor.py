@@ -14,9 +14,11 @@ Predictions are memoized on the classification key — the classifier's
 searches re-visit many identical candidates.  The search's candidates run
 in batched lockstep sweeps (:mod:`repro.gpusim.vecengine`); a lone
 :meth:`TimelinePredictor.predict` miss replays its draft through
-:class:`~repro.gpusim.fastengine.FastEngine` (bit-identical makespans, no
-timeline records); :meth:`TimelinePredictor.timeline` re-runs the full
-engine on demand when records or memory traces are actually needed.
+:class:`~repro.gpusim.fastengine.FastEngine`, the draft entry point of the
+one event loop (no validation, no timeline records);
+:meth:`TimelinePredictor.timeline` runs the same loop through
+:class:`~repro.gpusim.engine.Engine` on demand when records or memory
+traces are actually needed.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ class TimelinePredictor:
     # the all-swap base draft serves every step-1 sweep.  Step 2's probes
     # carry recompute chains instead; each round compiles its probe pool as
     # a variant family of delta drafts.  Outcomes are bit-identical to
-    # FastEngine replays of the same candidates (tests/test_vecengine.py
+    # event-loop replays of the same candidates (tests/test_vecengine.py
     # fuzzes that), so callers may install them in the memo cache via
     # :meth:`absorb` without changing any result.
 
@@ -423,7 +425,7 @@ class TimelinePredictor:
         """Full predicted timeline (records, memory trace) for a feasible
         plan; used by the overlap analysis and the examples.
 
-        Runs the *full* engine (the fast path keeps no records), caching the
+        Runs :class:`Engine` (the draft path keeps no records), caching the
         result per classification key.
         """
         key = classification.key()

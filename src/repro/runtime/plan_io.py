@@ -22,10 +22,10 @@ import json
 import os
 import pathlib
 import threading
-from collections import OrderedDict
 from typing import Any, TYPE_CHECKING
 
 from repro.common.errors import ScheduleError
+from repro.common.lru import LruCache
 from repro.graph import NNGraph
 from repro.runtime.plan import Classification, MapClass
 
@@ -254,13 +254,14 @@ class PlanCache:
     records the full signatures and is ignored on mismatch, so a hash
     collision degrades to a cache miss, never a wrong plan.
 
-    With ``lru_capacity > 0`` a bounded in-memory LRU sits in front of the
-    directory: plan hits return the already-deserialized
-    :class:`Classification` (no file read, no JSON parse, no re-validation)
-    and outcome hits return the parsed entry dict.  Stores write through, so
-    the memo never serves anything the directory does not also hold.  All
-    LRU state is lock-guarded — the planning server shares one ``PlanCache``
-    across its worker threads.  Entries are keyed by the *full* signature
+    With ``lru_capacity > 0`` a bounded in-memory
+    :class:`~repro.common.lru.LruCache` sits in front of the directory: plan
+    hits return the already-deserialized :class:`Classification` (no file
+    read, no JSON parse, no re-validation) and outcome hits return the
+    parsed entry dict.  Stores write through, so the memo never serves
+    anything the directory does not also hold.  All LRU state is
+    lock-guarded — the planning server shares one ``PlanCache`` across its
+    worker threads.  Entries are keyed by the *full* signature
     triple (not the truncated file digest), so a digest collision still
     cannot alias two problems in memory.
     """
@@ -276,12 +277,15 @@ class PlanCache:
             ) from e
         self.lru_capacity = lru_capacity
         self._lock = threading.Lock()
-        #: (kind, *signatures) -> cached value; ordered oldest-first
-        self._lru: OrderedDict[tuple, Any] = OrderedDict()
+        #: (kind, *signatures) -> cached value
+        self._lru = LruCache(lru_capacity) if lru_capacity > 0 else None
         #: tier accounting for the serve benchmark / stats endpoint
-        self.lru_hits = 0
         self.disk_hits = 0
         self.misses = 0
+
+    @property
+    def lru_hits(self) -> int:
+        return self._lru.hits if self._lru is not None else 0
 
     # -- internals ---------------------------------------------------------------
 
@@ -304,25 +308,11 @@ class PlanCache:
         return data
 
     def _lru_get(self, key: tuple) -> Any | None:
-        if not self.lru_capacity:
-            return None
-        with self._lock:
-            try:
-                value = self._lru.pop(key)
-            except KeyError:
-                return None
-            self._lru[key] = value  # re-insert as most recent
-            self.lru_hits += 1
-            return value
+        return self._lru.get(key) if self._lru is not None else None
 
     def _lru_put(self, key: tuple, value: Any) -> None:
-        if not self.lru_capacity:
-            return
-        with self._lock:
-            self._lru.pop(key, None)
-            self._lru[key] = value
-            while len(self._lru) > self.lru_capacity:
-                self._lru.popitem(last=False)
+        if self._lru is not None:
+            self._lru.put(key, value)
 
     # -- plans -------------------------------------------------------------------
 

@@ -87,12 +87,17 @@ class _BufferDraft:
     writers: set[str] = field(default_factory=set)
     readers: set[str] = field(default_factory=set)
 
+    @property
+    def free_after(self) -> set[str]:
+        """The tasks after whose completion the buffer is freed."""
+        return self.writers | self.readers
+
     def to_spec(self) -> BufferSpec:
         return BufferSpec(
             bid=self.bid,
             nbytes=self.nbytes,
             alloc_by=self.alloc_by,
-            free_after=frozenset(self.writers | self.readers),
+            free_after=frozenset(self.free_after),
             host=self.host,
         )
 
@@ -583,10 +588,13 @@ class ScheduleBuilder:
                dict[str, _BufferDraft]]:
         """Construct the schedule in *draft* form: (tasks, queues, buffers).
 
-        This is the search hot path — :class:`repro.gpusim.FastEngine`
-        consumes the drafts directly, skipping ``Task``/``BufferSpec``
-        finalisation and structural validation.  :meth:`build` layers those
-        on top, so both paths describe the exact same schedule.
+        The predictor's lone predictions replay these drafts directly on
+        :class:`~repro.gpusim.fastengine.FastEngine`, the draft entry point
+        of the event loop, skipping ``Task``/``BufferSpec`` finalisation and
+        structural validation; the lockstep engine compiles them.
+        :meth:`build` layers finalisation and validation on top for
+        :class:`~repro.gpusim.engine.Engine`, so both entry points run the
+        exact same schedule.
         """
         # persistent parameter and parameter-gradient storage (kept on GPU
         # for the whole run, per §4.1.1)
@@ -891,9 +899,12 @@ def apply_recompute_delta(
       group by root in root order, so only this root's group is re-sorted
       (moved swap-ins leave their old groups);
     * every swap-in's EAGER auto-headroom, but only when a new ``R`` task
-      out-allocates the current one.  NAIVE/SUPERNEURONS start triggers
-      reference compute positions and are re-derived over the whole draft
-      (those policies are never on the search path).
+      out-allocates the current one.
+
+    Recompute flips need the EAGER swap-in policy: NAIVE/SUPERNEURONS start
+    triggers reference compute positions that a spliced chain shifts all
+    over the draft, so a recompute flip under them raises
+    :class:`ScheduleError` (the predictor builds those drafts from scratch).
 
     The patched draft (``.draft``) is task-for-task identical to a fresh
     ``ScheduleBuilder(...).build_raw()`` for the same classification —
@@ -917,6 +928,12 @@ def apply_recompute_delta(
     # the flips are the target's kept and recomputed maps the base still
     # swaps; its D2H queue holds one swap-out per swapped map, in map order
     swapped = [base_tasks[so].layer for so in edit.d2h]
+    flips = [m for m in swapped if m in rec_set]
+    if flips and opt.policy is not SwapInPolicy.EAGER:
+        raise ScheduleError(
+            "apply_recompute_delta flips maps to recompute only under the "
+            f"EAGER swap-in policy, not {opt.policy.name}"
+        )
     removed: set[str] = set()
     for m in swapped:
         if m in keep_set:
@@ -924,11 +941,8 @@ def apply_recompute_delta(
     if removed:
         edit.h2d = [t for t in edit.h2d if t not in removed]
         edit.d2h = [t for t in edit.d2h if t not in removed]
-    flips = [m for m in swapped if m in rec_set]
     for m in flips:
         _flip_recompute(edit, m, graph, durations, opt, keep_set, rec_set)
-    if flips and opt.policy is not SwapInPolicy.EAGER:
-        _repair_triggers(edit, graph, opt.policy)
     return edit.patch()
 
 
@@ -1080,42 +1094,6 @@ def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
         for tid in h2d:
             if edit.task(tid).kind is TaskKind.SWAP_IN:
                 edit.own_task(tid).headroom = new_alloc
-
-
-def _repair_triggers(edit: _DraftEdit, graph: NNGraph,
-                     policy: SwapInPolicy) -> None:
-    """Re-derive NAIVE/SUPERNEURONS swap-in start triggers against the
-    edited compute order (see ``ScheduleBuilder._apply_swap_in_policy``)."""
-    compute = edit.compute
-    si_by_out: dict[str, str] = {}
-    for tid in edit.h2d:
-        t = edit.task(tid)
-        if t.kind is TaskKind.SWAP_IN:
-            si_by_out[t.io["dst"]] = tid
-    first_reader: dict[str, str] = {}
-    for tid in compute:
-        for bid in edit.task(tid).reads:
-            si = si_by_out.get(bid)
-            if si is not None and si not in first_reader:
-                first_reader[si] = tid
-    pos = {tid: n for n, tid in enumerate(compute)}
-    for si_tid, reader in first_reader.items():
-        p = pos.get(reader)
-        desired: set[str] = set()
-        if p is not None and p > 0:
-            if policy is SwapInPolicy.NAIVE:
-                desired = {compute[p - 1]}
-            else:  # SUPERNEURONS: nearest preceding conv backward
-                trigger = compute[p - 1]
-                for q in range(p - 1, -1, -1):
-                    t = edit.task(compute[q])
-                    if (t.kind is TaskKind.BWD
-                            and graph[t.layer].op.kind is OpKind.CONV):
-                        trigger = t.tid
-                        break
-                desired = {trigger}
-        if edit.task(si_tid).start_deps != desired:
-            edit.own_task(si_tid).start_deps = desired
 
 
 def liveness_floor(

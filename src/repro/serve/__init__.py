@@ -18,12 +18,12 @@ Plans served are bit-identical to a direct ``PoocH.optimize`` for the same
 never re-derives — it replays the one result the search produced.
 """
 
+from repro.common.lru import LruCache
 from repro.serve.cache import (
     TIER_COALESCED,
     TIER_PERSISTENT,
     TIER_SEARCH,
     TIER_WARM,
-    LruCache,
 )
 from repro.serve.client import PlannerClient, ServeClientError
 from repro.serve.jobs import (

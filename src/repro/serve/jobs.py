@@ -37,6 +37,7 @@ from enum import Enum
 from typing import Any
 
 from repro.common.errors import ReproError
+from repro.common.lru import LruCache
 from repro.graph import NNGraph
 from repro.hw import MachineSpec, POWER9_V100, X86_V100, multi_gpu
 from repro.models import build_model
@@ -53,7 +54,6 @@ from repro.serve.cache import (
     TIER_PERSISTENT,
     TIER_SEARCH,
     TIER_WARM,
-    LruCache,
     PlanKey,
 )
 

@@ -11,6 +11,8 @@ from repro.gpusim import (
     Task,
     TaskKind,
 )
+from repro.gpusim.fastengine import FastEngine
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 C, H, D = StreamName.COMPUTE, StreamName.H2D, StreamName.D2H
 
@@ -177,6 +179,25 @@ class TestMemory:
         with pytest.raises(OutOfMemoryError, match="deadlock"):
             Engine(sched, 1024).run()
 
+    def test_fragmentation_gates_on_contiguous_block(self):
+        # at t=1 "c" frees the middle of A|Cc|B, leaving 1536 bytes free in
+        # two blocks (1024 + 512): the counting pool issues "d" (1536), the
+        # best-fit arena has no block that size and deadlocks on it
+        bufs = [
+            BufferSpec("A", 1024, alloc_by="a", free_after=frozenset({"d"})),
+            BufferSpec("Cc", 1024, alloc_by="c", free_after=frozenset({"c"})),
+            BufferSpec("B", 1024, alloc_by="b", free_after=frozenset({"d"})),
+            BufferSpec("D", 1536, alloc_by="d", free_after=frozenset({"d"})),
+        ]
+        sched = make_schedule(
+            [task("a", C), task("c", D), task("b", H),
+             task("d", C, deps=("a", "b", "c"))],
+            bufs,
+        )
+        assert Engine(sched, 3584).run().makespan == 2.0
+        with pytest.raises(OutOfMemoryError, match="memory deadlock"):
+            Engine(sched, 3584, fragmentation=True).run()
+
     def test_alloc_on_ready_reserves_early(self):
         # b's buffer is reserved the moment its start_dep starts, long
         # before b reaches the head of its queue
@@ -307,6 +328,41 @@ class TestRunResult:
         Engine(make_schedule([task("a")], bufs), 1024,
                free_hook=freed.append).run()
         assert freed == ["x"]
+
+
+class TestTelemetry:
+    """``engine.*`` counters: a Schedule run counts its run, tasks and
+    stalls; a draft replay (``FastEngine``) counts only ``fast_runs``."""
+
+    def _counters(self, run) -> dict:
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            try:
+                run()
+            except (OutOfMemoryError, ScheduleError):
+                pass
+        return {k: v for k, v in registry.counters.items()
+                if k.startswith("engine.")}
+
+    def test_schedule_run_counts(self):
+        sched = make_schedule([task("a"), task("b", kind=TaskKind.BWD)])
+        assert self._counters(Engine(sched, 1024).run) == {
+            "engine.runs": 1, "engine.tasks": 2, "engine.tasks_fwd": 1,
+            "engine.tasks_bwd": 1}
+
+    def test_stalls_counted_on_schedule_runs_only(self):
+        bufs = [BufferSpec("x", 1024, alloc_by="a", free_after=frozenset())]
+        memory = make_schedule([task("a"), task("b", scratch_bytes=1024)],
+                               bufs)
+        cycle = make_schedule([task("a", C, deps=("b",)),
+                               task("b", H, deps=("a",))])
+        assert self._counters(Engine(memory, 1024).run) == {
+            "engine.stalls_memory": 1}
+        assert self._counters(Engine(cycle, 1024).run) == {
+            "engine.stalls_dependency": 1}
+        for sched in (memory, cycle):
+            fast = FastEngine(sched.tasks, sched.queues, sched.buffers, 1024)
+            assert self._counters(fast.run) == {"engine.fast_runs": 1}
 
 
 class TestSchedulesWithHostBuffers:

@@ -45,6 +45,7 @@ class TestPredictor:
         outcome = pred.predict(Classification.all_keep(g))
         assert not outcome.feasible
         assert outcome.time == float("inf")
+        assert outcome.oom_context  # the task the replay blamed
         with pytest.raises(OutOfMemoryError):
             execute(g, Classification.all_keep(g), machine)
 
@@ -57,14 +58,19 @@ class TestPredictor:
         assert pred.simulations == n
 
     def test_timeline_available_for_feasible(self, setup):
+        # timeline() works before any predict(); its Engine run and the
+        # prediction's draft replay agree exactly
         g, prof, pred = setup
         cls = Classification.all_swap(g)
         tl = pred.timeline(cls)
-        assert tl.makespan == pred.predict(cls).time
+        assert tl.records
+        outcome = pred.predict(cls)
+        assert tl.makespan == outcome.time
+        assert tl.device_peak == outcome.peak_memory
 
     def test_timeline_raises_for_infeasible(self, setup):
         g, prof, pred = setup
-        with pytest.raises(OutOfMemoryError):
+        with pytest.raises(OutOfMemoryError, match="infeasible"):
             pred.timeline(Classification.all_keep(g))
 
     def test_noisy_profile_still_close(self, machine):

@@ -128,15 +128,15 @@ def test_random_graph_gradients_bit_identical(layer_picks, branch_picks,
 )
 def test_random_graph_vector_engine_bit_identical(layer_picks, branch_picks,
                                                   class_picks, mem_pick):
-    """Three-way engine differential on random DAGs: the lockstep replay
-    must match Engine and FastEngine exactly, including the OOM branch
-    (``mem_pick`` shrinks the pool to push some draws out of core)."""
-    from tests.test_vecengine import assert_three_way
+    """Engine differential on random DAGs: the lockstep replay must match
+    Engine exactly, including the OOM branch (``mem_pick`` shrinks the
+    pool to push some draws out of core)."""
+    from tests.test_vecengine import assert_matches_engine
 
     graph = build_random_graph(layer_picks, branch_picks)
     cls = random_classification(graph, class_picks)
     machine = tiny_machine(mem_mib=(64, 24, 12)[mem_pick], link_gbps=4.0)
-    assert_three_way(graph, cls, machine)
+    assert_matches_engine(graph, cls, machine)
 
 
 @settings(max_examples=25, deadline=None,

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.gpusim.fastengine import _STREAM_ORDER
+from repro.gpusim.engine import _STREAM_ORDER
 from repro.models import build_model
 from repro.hw import X86_V100
 from repro.pooch.classifier import PoochClassifier, PoochConfig

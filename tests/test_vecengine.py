@@ -1,23 +1,24 @@
-"""VectorEngine == FastEngine == Engine: the lockstep sweep is *bit-identical*.
+"""VectorEngine == Engine: the lockstep sweep is *bit-identical*.
 
-The search's lockstep sweeps rest on the lockstep replay agreeing with both
-event engines float-for-float — same makespans, same per-task start/end
+The search's lockstep sweeps rest on the lockstep replay agreeing with the
+event loop float-for-float — same makespans, same per-task start/end
 times, same allocator high-water marks, and the same OOM attribution for
-infeasible plans (the stall diagnosis).  This harness checks that three
-ways:
+infeasible plans (the stall diagnosis).  This harness checks that against
+``Engine`` (the event loop's ``FastEngine`` entry point is held to
+``Engine`` in ``tests/test_fastengine.py``):
 
-* a three-way differential on fixed plans, random mixed plans, and the
-  whole model zoo under seeded duration noise (``FAULT_SEED`` shifts the
+* a differential on fixed plans, random mixed plans, and the whole model
+  zoo under seeded duration noise (``FAULT_SEED`` shifts the
   interleavings like the fault property harness);
 * the conditional keep-flip tables: a ``run_batch`` row for keep-set S must
-  equal a from-scratch ``ScheduleBuilder`` draft for the classification
-  that keeps S, replayed on ``FastEngine`` — the compiled family and the
-  rebuilt schedule are two independent constructions of the same plan —
-  for every zoo model on both quarter-memory machines;
+  equal a from-scratch ``ScheduleBuilder`` schedule for the classification
+  that keeps S, run on ``Engine`` — the compiled family and the rebuilt
+  schedule are two independent constructions of the same plan — for every
+  zoo model on both quarter-memory machines;
 * same-instant completions: with every duration on a coarse grid, several
   streams of one row complete together and two last edges can empty one
   buffer at once — keep-flip and duration-matrix batches must still match
-  both event engines task for task, also when some rows overflow the host
+  the event engine task for task, also when some rows overflow the host
   pool mid-batch;
 * the fallback matrix: draft families the lockstep formulation cannot
   express must refuse at compile time (``VectorUnsupported``), never
@@ -39,7 +40,6 @@ from repro.common.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.faults import FaultInjector, FaultSpec, FaultyDurations
 from repro.gpusim import Engine
 from repro.gpusim.engine import Schedule, StreamName, TaskKind
-from repro.gpusim.fastengine import FastEngine
 from repro.gpusim.vecengine import (
     VariantTables,
     VectorEngine,
@@ -84,9 +84,10 @@ def _raw_draft(graph, cls, machine, durations=None, *, gap=None, margin=0):
             durations, options)
 
 
-def assert_three_way(graph, cls, machine, durations=None, **kw):
-    """Engine, FastEngine and VectorEngine on one draft: identical makespan,
-    per-task start/end times, high-water marks — or identical OOM blame."""
+def assert_matches_engine(graph, cls, machine, durations=None, **kw):
+    """VectorEngine on one draft against Engine on its schedule: identical
+    makespan, per-task start/end times, high-water marks — or identical OOM
+    blame."""
     (tasks, queues, buffers, capacity, host_cap,
      durations, options) = _raw_draft(graph, cls, machine, durations, **kw)
     vec = simulate_draft(tasks, queues, buffers, capacity, host_cap,
@@ -95,23 +96,17 @@ def assert_three_way(graph, cls, machine, durations=None, **kw):
         build_schedule(graph, cls, durations, options),
         device_capacity=capacity, host_capacity=host_cap, validate=False,
     )
-    fast = FastEngine(tasks, queues, buffers, device_capacity=capacity,
-                      host_capacity=host_cap)
     try:
         want = full.run()
     except OutOfMemoryError as e:
-        with pytest.raises(OutOfMemoryError) as caught:
-            fast.run()
-        assert caught.value.context == e.context
         assert isinstance(vec.error, OutOfMemoryError)
         assert vec.error.context == e.context
         return
-    makespan, device_peak, host_peak = fast.run()
     assert vec.ok, vec.error
     # exact equality throughout — never approx
-    assert vec.makespan == want.makespan == makespan
-    assert vec.device_peak == want.device_peak == device_peak
-    assert vec.host_peak == want.host_peak == host_peak
+    assert vec.makespan == want.makespan
+    assert vec.device_peak == want.device_peak
+    assert vec.host_peak == want.host_peak
     assert len(vec.starts) == len(want.records)
     for rec in want.records:
         assert vec.starts[rec.tid] == rec.start
@@ -129,29 +124,31 @@ def _random_classification(graph, rng):
 
 
 class TestThreeWayEquivalence:
+    """VectorEngine against Engine on fixed and random plans."""
+
     def test_poster_all_swap(self):
         g = poster_example()
-        assert_three_way(g, Classification.all_swap(g),
+        assert_matches_engine(g, Classification.all_swap(g),
                          tiny_machine(mem_mib=224))
 
     def test_poster_all_recompute(self):
         g = poster_example()
-        assert_three_way(g, Classification.all_recompute(g),
+        assert_matches_engine(g, Classification.all_recompute(g),
                          tiny_machine(mem_mib=224))
 
     def test_in_core_plan(self):
         g = poster_example()
-        assert_three_way(g, Classification.all_keep(g), X86_V100)
+        assert_matches_engine(g, Classification.all_keep(g), X86_V100)
 
     def test_all_keep_oom_matches(self):
         # infeasible plans must fail the same way, blaming the same task
         g = poster_example()
-        assert_three_way(g, Classification.all_keep(g),
+        assert_matches_engine(g, Classification.all_keep(g),
                          tiny_machine(mem_mib=224))
 
     def test_forward_refetch_gap(self):
         g = linear_chain(6, batch=16, channels=32, image=64)
-        assert_three_way(g, Classification.all_swap(g),
+        assert_matches_engine(g, Classification.all_swap(g),
                          tiny_machine(mem_mib=224), gap=2)
 
     def test_random_mixed_plans(self):
@@ -159,7 +156,7 @@ class TestThreeWayEquivalence:
         machine = tiny_machine(mem_mib=160)
         rng = random.Random(7)
         for _ in range(12):
-            assert_three_way(g, _random_classification(g, rng), machine)
+            assert_matches_engine(g, _random_classification(g, rng), machine)
 
     def test_random_mixed_plans_near_capacity(self):
         # tighter memory: exercise the OOM/stall-diagnosis branch too
@@ -167,12 +164,12 @@ class TestThreeWayEquivalence:
         machine = tiny_machine(mem_mib=96)
         rng = random.Random(11)
         for _ in range(12):
-            assert_three_way(g, _random_classification(g, rng), machine)
+            assert_matches_engine(g, _random_classification(g, rng), machine)
 
 
 class TestZooEquivalenceUnderNoise:
-    """Three-way differential for *every* zoo model, at two batch sizes,
-    with seeded duration noise on every task."""
+    """VectorEngine against Engine for *every* zoo model, at two batch
+    sizes, with seeded duration noise on every task."""
 
     MACHINE = scaled_machine(X86_V100, mem_scale=0.25, name="x86_quarter")
 
@@ -188,7 +185,7 @@ class TestZooEquivalenceUnderNoise:
         for cls in (Classification.all_swap(graph),
                     Classification.all_recompute(graph),
                     Classification.all_keep(graph)):
-            assert_three_way(graph, cls, self.MACHINE, durations)
+            assert_matches_engine(graph, cls, self.MACHINE, durations)
 
 
 #: quarter-memory paper machines: the zoo models at batch 2 go out-of-core
@@ -232,22 +229,19 @@ class TestKeepFlipFamily:
         for r, out in enumerate(outs):
             cls = base.with_classes(
                 {m: MapClass.KEEP for c, m in enumerate(maps) if keep[r, c]})
-            tasks, queues, buffers = ScheduleBuilder(
-                graph, cls, durations, options, validate=False
-            ).build_raw()
-            fast = FastEngine(tasks, queues, buffers,
-                              device_capacity=capacity,
-                              host_capacity=host_cap)
+            full = Engine(build_schedule(graph, cls, durations, options),
+                          device_capacity=capacity, host_capacity=host_cap,
+                          validate=False)
             try:
-                makespan, device_peak, host_peak = fast.run()
+                want = full.run()
             except OutOfMemoryError as e:
                 assert isinstance(out.error, OutOfMemoryError)
                 assert out.error.context == e.context
                 continue
             assert out.ok, out.error
-            assert out.makespan == makespan
-            assert out.device_peak == device_peak
-            assert out.host_peak == host_peak
+            assert out.makespan == want.makespan
+            assert out.device_peak == want.device_peak
+            assert out.host_peak == want.host_peak
             feasible += 1
         return feasible
 
@@ -314,7 +308,7 @@ class _GridDurations:
 
 
 class TestSameInstantCompletions:
-    """Lockstep rows on grid durations == ``FastEngine`` == ``Engine``:
+    """Lockstep rows on grid durations == ``Engine``:
     makespan, per-task start/end and both pool peaks, for keep-flip rows
     and for per-row duration tables."""
 
@@ -336,12 +330,10 @@ class TestSameInstantCompletions:
 
     def _assert_row(self, out, tasks, queues, buffers, machine,
                     host_cap=None):
-        """One lockstep row against both event engines on the same draft;
-        returns how many task ends share their instant with another."""
+        """One lockstep row against Engine on the same draft; returns how
+        many task ends share their instant with another."""
         capacity = machine.usable_gpu_memory
         host_cap = host_cap or machine.cpu_mem_capacity
-        fast = FastEngine(tasks, queues, buffers, device_capacity=capacity,
-                          host_capacity=host_cap)
         schedule = Schedule(
             tasks={tid: d.to_task() for tid, d in tasks.items()},
             queues=queues,
@@ -351,16 +343,13 @@ class TestSameInstantCompletions:
         try:
             want = full.run()
         except OutOfMemoryError as e:
-            with pytest.raises(OutOfMemoryError):
-                fast.run()
             assert isinstance(out.error, OutOfMemoryError)
             assert out.error.context == e.context
             return 0
-        makespan, device_peak, host_peak = fast.run()
         assert out.ok, out.error
-        assert out.makespan == want.makespan == makespan
-        assert out.device_peak == want.device_peak == device_peak
-        assert out.host_peak == want.host_peak == host_peak
+        assert out.makespan == want.makespan
+        assert out.device_peak == want.device_peak
+        assert out.host_peak == want.host_peak
         assert len(out.starts) == len(want.records)
         for rec in want.records:
             assert out.starts[rec.tid] == rec.start
@@ -376,7 +365,7 @@ class TestSameInstantCompletions:
                          distinct_host_peaks=False):
         """Grid-duration keep-flip family: the all-swap base row plus seven
         random keep sets (or the given ``keep`` matrix), each checked
-        against both event engines.  Returns the rows' outcomes, the count
+        against Engine.  Returns the rows' outcomes, the count
         of same-instant task ends and the keep matrix.
 
         With ``distinct_host_peaks`` the drawn batch is guaranteed two
@@ -502,12 +491,10 @@ class TestSameInstantCompletions:
 
 
 def _assert_same_run(out, draft, capacity, host_cap) -> bool:
-    """One lockstep row against ``draft`` replayed on both event engines:
-    identical makespan, per-task start/end and both peaks — or the same
-    error type and text.  Returns whether the row ran feasibly."""
+    """One lockstep row against ``draft``'s schedule on Engine: identical
+    makespan, per-task start/end and both peaks — or the same error type
+    and text.  Returns whether the row ran feasibly."""
     tasks, queues, buffers = draft
-    fast = FastEngine(tasks, queues, buffers, device_capacity=capacity,
-                      host_capacity=host_cap)
     full = Engine(
         Schedule(tasks={tid: d.to_task() for tid, d in tasks.items()},
                  queues=queues,
@@ -516,17 +503,13 @@ def _assert_same_run(out, draft, capacity, host_cap) -> bool:
     try:
         want = full.run()
     except (OutOfMemoryError, ScheduleError) as e:
-        with pytest.raises(type(e)) as caught:
-            fast.run()
-        assert str(caught.value) == str(e)
         assert type(out.error) is type(e)
         assert str(out.error) == str(e)
         return False
-    makespan, device_peak, host_peak = fast.run()
     assert out.ok, out.error
-    assert out.makespan == want.makespan == makespan
-    assert out.device_peak == want.device_peak == device_peak
-    assert out.host_peak == want.host_peak == host_peak
+    assert out.makespan == want.makespan
+    assert out.device_peak == want.device_peak
+    assert out.host_peak == want.host_peak
     assert len(out.starts) == len(want.records)
     for rec in want.records:
         assert out.starts[rec.tid] == rec.start
@@ -540,7 +523,7 @@ class TestVariantFamily:
     several predicted flips ahead, composed back onto current's draft —
     compiled from the search's own patches of current's draft into one
     ``VariantTables``, must equal that classification's fresh
-    ``ScheduleBuilder`` draft replayed on ``FastEngine`` and ``Engine`` —
+    ``ScheduleBuilder`` draft's schedule on ``Engine`` —
     the patches plus the family compile against an independent build.
     Profiles carry ``FAULT_SEED`` duration noise; current plans are random
     keep/swap/recompute partitions."""
