@@ -499,10 +499,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive_int, default=600,
                    help="step-1 simulation budget (positive integer)")
     p.add_argument("--plan-cache", metavar="DIR",
-                   help="persistent plan/simulation cache directory: reuses "
-                        "a previously chosen plan for the same graph, "
-                        "machine and config (after re-verifying it by "
-                        "simulation) and warm-starts the search otherwise")
+                   help="persistent plan cache directory: reuses a "
+                        "previously chosen plan for the same graph, machine "
+                        "and config (after re-verifying it by simulation) "
+                        "and stores the plan a search chooses otherwise")
     p.add_argument("--verbose", action="store_true",
                    help="print the per-map classification")
     p.add_argument("--save", metavar="PLAN.json",
@@ -564,8 +564,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="listen port (0 picks a free one; the chosen URL is "
                         "printed on startup)")
     p.add_argument("--plan-cache", metavar="DIR",
-                   help="persistent plan/outcome cache directory shared with "
-                        "the offline CLI and other servers (safe: writes are "
+                   help="persistent plan cache directory shared with the "
+                        "offline CLI and other servers (safe: writes are "
                         "atomic)")
     p.add_argument("--serve-workers", type=_positive_int, default=2,
                    help="search worker threads (each runs one job at a time)")

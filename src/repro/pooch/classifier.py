@@ -48,6 +48,10 @@ from repro.runtime.profiler import Profile
 
 log = get_logger(__name__)
 
+#: a keep-switch (step 1) or recompute flip (step 2) is accepted when it does
+#: not slow the plan by more than this many seconds
+TIME_EPSILON = 1e-12
+
 
 @dataclass(frozen=True)
 class PoochConfig:
@@ -55,19 +59,11 @@ class PoochConfig:
 
     #: swap-in schedule used for every simulation and for execution (§4.3)
     policy: SwapInPolicy = SwapInPolicy.EAGER
-    #: hidden-swap tolerances for the L_O/L_I extraction
-    abs_tolerance: float = 2e-6
-    rel_tolerance: float = 0.02
     #: exact-search width: at most this many L_I maps get true binary-tree
     #: enumeration; the rest fall back to the greedy scan
     max_exact_li: int = 8
     #: hard cap on step-1 predictor simulations (best plan so far is kept)
     step1_sim_budget: int = 1200
-    #: accept a keep-switch when it does not slow the plan by more than this
-    time_epsilon: float = 1e-12
-    #: re-verify each r(X)<1 flip end-to-end and revert if it slowed the plan
-    #: (safety net on top of the paper's rule)
-    verify_flips: bool = True
     #: bytes of device capacity the chosen plan must leave free — slack for
     #: allocator fragmentation that the counting memory model cannot see
     #: (0 reproduces the paper; see the fragmentation ablation benchmark)
@@ -93,10 +89,8 @@ class PoochConfig:
         """Stable identity of every knob that affects the *chosen plan*.
         Plan caches key on this."""
         return (
-            f"policy={self.policy.value};abs={self.abs_tolerance!r};"
-            f"rel={self.rel_tolerance!r};li={self.max_exact_li};"
-            f"budget={self.step1_sim_budget};eps={self.time_epsilon!r};"
-            f"verify={self.verify_flips};margin={self.capacity_margin};"
+            f"policy={self.policy.value};li={self.max_exact_li};"
+            f"budget={self.step1_sim_budget};margin={self.capacity_margin};"
             f"gap={self.forward_refetch_gap}"
         )
 
@@ -233,13 +227,12 @@ class _VectorLeafStager:
     ROWS = 400
 
     def __init__(self, predictor, leaves, scan, map_bytes, keep_budget,
-                 epsilon, budget_remaining) -> None:
+                 budget_remaining) -> None:
         self.predictor = predictor
         self.leaves = leaves
         self.scan = scan
         self.map_bytes = map_bytes
         self.keep_budget = keep_budget
-        self.epsilon = epsilon
         self.budget_remaining = budget_remaining
         self._fi = predictor.vector_flip_index()
         self._staged: dict[int, tuple] = {}
@@ -379,7 +372,7 @@ class _VectorLeafStager:
             out = stage[(li, prefix)]
             events[j] = out
             accept = (out is not None and out.feasible
-                      and out.time <= t + self.epsilon)
+                      and out.time <= t + TIME_EPSILON)
             self._votes[j, int(prev), int(accept)] += 1
             if accept:
                 cur = cur.copy()
@@ -653,11 +646,7 @@ class PoochClassifier:
 
         if self.profile.baseline is None:
             raise OutOfMemoryError("profile is missing its baseline timeline")
-        overlap = analyze_overlap(
-            self.profile.baseline,
-            abs_tolerance=cfg.abs_tolerance,
-            rel_tolerance=cfg.rel_tolerance,
-        )
+        overlap = analyze_overlap(self.profile.baseline)
         self.stats.overlap = overlap
 
         # maps eligible for KEEP consideration; everything else stays swap
@@ -722,7 +711,7 @@ class PoochClassifier:
                 if pre is not None:
                     self._absorb(trial.key(), pre[1][idx])
                 out = self.predictor.predict(trial)
-                if out.feasible and out.time <= cur_time + cfg.time_epsilon:
+                if out.feasible and out.time <= cur_time + TIME_EPSILON:
                     cur_cls, cur_time = trial, out.time
                     kept_bytes += map_bytes[m]
                     if cur_time < best_time:
@@ -747,10 +736,12 @@ class PoochClassifier:
         # Leaves keep distinct L_I subsets and scan trials never equal a
         # leaf base, so every leaf whose base is not cached before the walk
         # costs at least one new simulation.  Only the cached outcomes — the
-        # all-swap base ``()``, which is the last leaf, and any a plan cache
-        # preloaded — let the walk pass a leaf for free, so it never gets
-        # past leaf ``step1_sim_budget + cached - 1`` and the leaves beyond
-        # are never listed (the tree has up to 2**max_exact_li leaves).
+        # all-swap base ``()``, which is the last leaf, and any plan checked
+        # on this predictor before the search (a plan-cache hit that failed
+        # re-verification, a DynamicPoocH donor plan) — let the walk pass a
+        # leaf for free, so it never gets past leaf
+        # ``step1_sim_budget + cached - 1`` and the leaves beyond are never
+        # listed (the tree has up to 2**max_exact_li leaves).
         reach = cfg.step1_sim_budget + self.predictor.outcomes_cached
         leaves = list(itertools.islice(enumerate_leaves(0, (), 0), reach))
         self.stats.leaves_total = len(leaves)
@@ -761,7 +752,6 @@ class PoochClassifier:
         # outcomes instead of running the event engine candidate by candidate
         stager = _VectorLeafStager(
             self.predictor, leaves, scan, map_bytes, keep_budget,
-            cfg.time_epsilon,
             lambda: (cfg.step1_sim_budget
                      - (self.predictor.simulations - sims_at_start)),
         )
@@ -872,7 +862,6 @@ class PoochClassifier:
             self.stats.sims_vectorized += 1
 
     def _step2_swap_vs_recompute(self, step1: Classification) -> Classification:
-        cfg = self.config
         sims_at_start = self.predictor.simulations
         current = step1
         pool = [
@@ -909,9 +898,10 @@ class PoochClassifier:
             x = min(pool, key=lambda m: r_values[m])
             trial = current.with_class(x, MapClass.RECOMPUTE)
             outcome = self.predictor.predict(trial)
-            accept = outcome.feasible
-            if accept and cfg.verify_flips:
-                accept = outcome.time <= current_time + cfg.time_epsilon
+            # re-verify the r(X)<1 flip end-to-end and reject it if it
+            # slowed the plan (safety net on top of the paper's rule)
+            accept = (outcome.feasible
+                      and outcome.time <= current_time + TIME_EPSILON)
             pool.remove(x)
             if accept:
                 current = trial

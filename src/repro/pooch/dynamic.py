@@ -88,9 +88,9 @@ class DynamicPoocH:
         config: search configuration shared by every optimization.
         strategy: ``"exact"`` or ``"nearest"`` (see module docstring).
         plan_cache: optional :class:`~repro.runtime.plan_io.PlanCache` (or a
-            directory path) — plans and simulation outcomes then persist
-            across streams *and* across processes, so a restarted training
-            run skips the searches entirely.
+            directory path) — chosen plans then persist across streams
+            *and* across processes, so a restarted training run skips the
+            searches entirely (each reused plan re-verified by simulation).
         faults: optional :class:`~repro.faults.FaultInjector` (or a
             :class:`~repro.faults.FaultSpec` / CLI spec string built with
             ``fault_seed``) — iterations then execute resiliently under the
@@ -223,11 +223,6 @@ class DynamicPoocH:
                 if predictor.predict(classification).feasible:
                     self.stats.optimizations += 1
                     return classification
-            # only a search reads the stored outcomes (see PoocH._optimize)
-            predictor.preload_outcomes(
-                cache.load_outcomes(graph, self.machine,
-                                    predictor.sim_signature())
-            )
         classifier = PoochClassifier(
             graph, profile, self.machine, self.config, predictor
         )
@@ -237,9 +232,6 @@ class DynamicPoocH:
                 graph, self.machine, self.config.signature(), classification,
                 predicted_time=predictor.predict(classification).time,
             )
-            cache.merge_outcomes(graph, self.machine,
-                                 predictor.sim_signature(),
-                                 predictor.export_outcomes())
         self.stats.optimizations += 1
         return classification
 

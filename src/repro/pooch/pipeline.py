@@ -221,11 +221,11 @@ class PoocH:
         profile_iterations: how many iterations the profiling phase averages
             (the paper runs "several"; 1 suffices when deterministic).
         plan_cache: a :class:`~repro.runtime.plan_io.PlanCache` (or a
-            directory path for one).  ``optimize`` then warm-starts the
-            predictor from cached simulation outcomes, reuses a cached plan
+            directory path for one).  ``optimize`` then reuses a cached plan
             when one exists for this (graph, machine, config) — after
             re-verifying it by simulation against the current profile — and
-            stores fresh results back for the next run.
+            stores a freshly searched plan for the next run.  A search
+            never reads the cache, so it returns what it would without one.
         faults: a :class:`~repro.faults.FaultInjector` (or a
             :class:`~repro.faults.FaultSpec` / CLI spec string built with
             ``fault_seed``).  ``profile_noise`` then perturbs the measured
@@ -333,12 +333,6 @@ class PoocH:
                         faults=self.faults,
                     ))
                 metrics.count("search.plan_cache_rejections")
-            # only a search reads the stored outcomes: a hit re-verifies its
-            # plan with one simulation instead of parsing them all
-            predictor.preload_outcomes(
-                cache.load_outcomes(graph, self.machine,
-                                    predictor.sim_signature())
-            )
         self._emit("search:start", graph=graph.name,
                    maps=len(graph.classifiable_maps()))
         classifier = PoochClassifier(
@@ -362,9 +356,6 @@ class PoocH:
                 graph, self.machine, self.config.signature(), classification,
                 predicted_time=predicted.time,
             )
-            cache.merge_outcomes(graph, self.machine,
-                                 predictor.sim_signature(),
-                                 predictor.export_outcomes())
         return self._attach_multi(PoochResult(
             graph=graph,
             machine=self.machine,

@@ -189,7 +189,7 @@ class TimelinePredictor:
 
     @property
     def outcomes_cached(self) -> int:
-        """Outcomes in the memo cache: simulated, absorbed or preloaded."""
+        """Outcomes in the memo cache: simulated or absorbed."""
         return len(self._cache)
 
     def provably_infeasible(self, current: Classification, x: int) -> bool:
@@ -380,46 +380,6 @@ class TimelinePredictor:
             else:
                 results.append(None)
         return results
-
-    def sim_signature(self) -> str:
-        """Identity of everything (besides graph and machine) an outcome of
-        this predictor depends on — the :class:`~repro.runtime.plan_io.PlanCache`
-        key for sharing outcomes across runs."""
-        from repro.runtime.plan_io import profile_signature
-
-        return (
-            f"{profile_signature(self.profile)};policy={self.policy.value};"
-            f"margin={self.capacity_margin};gap={self.forward_refetch_gap}"
-        )
-
-    def export_outcomes(self) -> dict[tuple, dict]:
-        """The memo cache as JSON-ready dicts (for :class:`PlanCache`)."""
-        return {
-            k: {
-                "feasible": o.feasible,
-                "time": o.time,
-                "peak_memory": o.peak_memory,
-                "oom_context": o.oom_context,
-            }
-            for k, o in self._cache.items()
-        }
-
-    def preload_outcomes(self, entries: dict[tuple, dict]) -> int:
-        """Warm-start the memo cache from exported entries; returns how many
-        were new.  Preloaded entries are cache hits — they do not count as
-        simulations."""
-        loaded = 0
-        for k, d in entries.items():
-            if k in self._cache:
-                continue
-            self._cache[k] = PredictedOutcome(
-                feasible=bool(d["feasible"]),
-                time=float(d["time"]),
-                peak_memory=int(d["peak_memory"]),
-                oom_context=str(d.get("oom_context", "")),
-            )
-            loaded += 1
-        return loaded
 
     def timeline(self, classification: Classification) -> RunResult:
         """Full predicted timeline (records, memory trace) for a feasible

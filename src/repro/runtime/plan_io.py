@@ -8,10 +8,9 @@ plan-portability experiment in tool form: save the POWER9 plan, load it on
 the x86 machine, watch it underperform.
 
 :class:`PlanCache` layers a directory-backed store on top: chosen plans
-keyed by (graph signature, machine signature, search-config signature), and
-predictor simulation outcomes keyed additionally by classification — so
-repeated optimizations (PoocH across runs, DynamicPoocH across sizes) can
-warm-start instead of re-searching from scratch.
+keyed by (graph signature, machine signature, search-config signature), so
+repeated optimizations (PoocH across runs, DynamicPoocH across processes)
+reuse a plan instead of re-searching from scratch.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ import threading
 from typing import Any, TYPE_CHECKING
 
 from repro.common.errors import ScheduleError
-from repro.common.lru import LruCache
 from repro.graph import NNGraph
 from repro.runtime.plan import Classification, MapClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw import MachineSpec
-    from repro.runtime.profiler import Profile
 
 FORMAT_VERSION = 1
 
@@ -40,7 +37,7 @@ def graph_signature(graph: NNGraph) -> str:
     """Structural identity of a graph: layers, ops, shapes, wiring.
 
     Two graphs with the same signature build identical schedules for a given
-    classification — the property plan/outcome reuse rests on.  Deliberately
+    classification — the property plan reuse rests on.  Deliberately
     *excludes* the graph name, so e.g. a renamed but structurally unchanged
     model still hits the cache.
 
@@ -91,18 +88,6 @@ def machine_signature(machine: "MachineSpec") -> str:
         # existing plan caches remain valid
         sig += f";dev={machine.devices}"
     return sig
-
-
-def profile_signature(profile: "Profile") -> str:
-    """Content hash of the profiled durations — simulation outcomes are a
-    pure function of (graph, machine capacities, these numbers)."""
-    h = hashlib.sha256()
-    for table in (profile.fwd, profile.bwd, profile.swap_out, profile.swap_in):
-        for k in sorted(table):
-            h.update(f"{k}:{table[k]!r};".encode())
-        h.update(b"|")
-    h.update(f"upd:{profile.update_time!r}".encode())
-    return h.hexdigest()[:32]
 
 
 def plan_to_dict(
@@ -213,133 +198,55 @@ def load_plan(path: str | pathlib.Path, graph: NNGraph) -> Classification:
     return plan_from_dict(data, graph)
 
 
-# -- persistent plan / simulation-outcome cache -----------------------------------
-
-#: serialized form of Classification.key(): "0:swap,1:keep,..."
-def key_to_str(key: tuple[tuple[int, str], ...]) -> str:
-    return ",".join(f"{i}:{v}" for i, v in key)
-
-
-def key_from_str(s: str) -> tuple[tuple[int, str], ...]:
-    if not s:
-        return ()
-    return tuple(map(_key_pair, s.split(",")))
-
-
-@functools.lru_cache(maxsize=8192)
-def _key_pair(part: str) -> tuple[int, str]:
-    """One ``map:class`` pair, shared by every key that holds it: an outcome
-    store holds hundreds of keys over the same few hundred pairs."""
-    i, _, v = part.partition(":")
-    return int(i), v
-
+# -- persistent plan cache -----------------------------------------------------
 
 class PlanCache:
-    """Directory-backed cache of search results, shareable across runs.
+    """Directory-backed cache of chosen plans, shareable across runs.
 
-    Two stores under ``root``:
-
-    * ``plans/`` — the chosen classification per (graph signature, machine
-      signature, caller-supplied config signature).  Callers are expected to
-      re-verify a loaded plan by simulation before trusting it (the
-      simulate-before-running discipline); the cache only guarantees the
-      plan was chosen for a structurally identical problem.
-    * ``outcomes/`` — predictor simulation outcomes per (graph signature,
-      machine signature, caller-supplied simulation signature), keyed by
-      classification.  Entries are plain dicts mirroring
-      ``PredictedOutcome`` fields; merging is last-writer-wins per
-      classification (outcomes are deterministic, so writers agree).
+    ``root/plans/`` holds the chosen classification per (graph signature,
+    machine signature, caller-supplied config signature).  Callers are
+    expected to re-verify a loaded plan by simulation before trusting it
+    (the simulate-before-running discipline); the cache only guarantees the
+    plan was chosen for a structurally identical problem.  A search never
+    reads the cache, so what it returns depends only on its graph, machine,
+    config and profile.
 
     File names are content-hashed from the key signatures; each file also
     records the full signatures and is ignored on mismatch, so a hash
-    collision degrades to a cache miss, never a wrong plan.
-
-    With ``lru_capacity > 0`` a bounded in-memory
-    :class:`~repro.common.lru.LruCache` sits in front of the directory: plan
-    hits return the already-deserialized :class:`Classification` (no file
-    read, no JSON parse, no re-validation) and outcome hits return the
-    parsed entry dict.  Stores write through, so the memo never serves
-    anything the directory does not also hold.  All LRU state is
-    lock-guarded — the planning server shares one ``PlanCache`` across its
-    worker threads.  Entries are keyed by the *full* signature
-    triple (not the truncated file digest), so a digest collision still
-    cannot alias two problems in memory.
+    collision degrades to a cache miss, never a wrong plan.  The hit/miss
+    counters are lock-guarded — the planning server shares one
+    ``PlanCache`` across its worker threads.
     """
 
-    def __init__(self, root: str | pathlib.Path, *, lru_capacity: int = 0) -> None:
+    def __init__(self, root: str | pathlib.Path) -> None:
         self.root = pathlib.Path(root)
         try:
             (self.root / "plans").mkdir(parents=True, exist_ok=True)
-            (self.root / "outcomes").mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise ScheduleError(
                 f"cannot create plan cache directory at {self.root}: {e}"
             ) from e
-        self.lru_capacity = lru_capacity
         self._lock = threading.Lock()
-        #: (kind, *signatures) -> cached value
-        self._lru = LruCache(lru_capacity) if lru_capacity > 0 else None
         #: tier accounting for the serve benchmark / stats endpoint
         self.disk_hits = 0
         self.misses = 0
 
-    @property
-    def lru_hits(self) -> int:
-        return self._lru.hits if self._lru is not None else 0
-
-    # -- internals ---------------------------------------------------------------
-
-    @staticmethod
-    def _digest(*parts: str) -> str:
-        return hashlib.sha256(";;".join(parts).encode()).hexdigest()[:24]
-
-    def _read(self, path: pathlib.Path, signatures: dict[str, str]) -> dict | None:
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None  # unreadable cache entries are misses, not errors
-        if not isinstance(data, dict):
-            return None
-        for field, expect in signatures.items():
-            if data.get(field) != expect:
-                return None
-        return data
-
-    def _lru_get(self, key: tuple) -> Any | None:
-        return self._lru.get(key) if self._lru is not None else None
-
-    def _lru_put(self, key: tuple, value: Any) -> None:
-        if self._lru is not None:
-            self._lru.put(key, value)
-
-    # -- plans -------------------------------------------------------------------
-
     def plan_path(self, graph: NNGraph, machine: "MachineSpec",
                   config_signature: str) -> pathlib.Path:
-        digest = self._digest(graph_signature(graph),
-                              machine_signature(machine), config_signature)
+        digest = hashlib.sha256(";;".join(
+            (graph_signature(graph), machine_signature(machine),
+             config_signature)).encode()).hexdigest()[:24]
         return self.root / "plans" / f"{digest}.json"
 
     def load_plan(
         self, graph: NNGraph, machine: "MachineSpec", config_signature: str
     ) -> tuple[Classification, dict[str, Any]] | None:
         """The cached plan and its provenance dict, or ``None`` on miss."""
-        gsig, msig = graph_signature(graph), machine_signature(machine)
-        key = ("plan", gsig, msig, config_signature)
-        cached = self._lru_get(key)
-        if cached is not None:
-            classification, data = cached
-            return classification, dict(data)
-        data = self._read(
-            self.root / "plans" / f"{self._digest(gsig, msig, config_signature)}.json",
-            {
-                "graph_signature": gsig,
-                "machine_signature": msig,
-                "config_signature": config_signature,
-            },
-        )
+        data = self._read(self.plan_path(graph, machine, config_signature), {
+            "graph_signature": graph_signature(graph),
+            "machine_signature": machine_signature(machine),
+            "config_signature": config_signature,
+        })
         if data is None:
             with self._lock:
                 self.misses += 1
@@ -347,8 +254,20 @@ class PlanCache:
         classification = plan_from_dict(data, graph)
         with self._lock:
             self.disk_hits += 1
-        self._lru_put(key, (classification, data))
-        return classification, dict(data)
+        return classification, data
+
+    @staticmethod
+    def _read(path: pathlib.Path, signatures: dict[str, str]) -> dict | None:
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError):
+            return None  # missing or unreadable entries are misses, not errors
+        if not isinstance(data, dict):
+            return None
+        for field, expect in signatures.items():
+            if data.get(field) != expect:
+                return None
+        return data
 
     def store_plan(
         self,
@@ -358,76 +277,12 @@ class PlanCache:
         classification: Classification,
         *,
         predicted_time: float | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> pathlib.Path:
-        gsig, msig = graph_signature(graph), machine_signature(machine)
         payload = plan_to_dict(classification, graph, machine=machine.name,
                                predicted_time=predicted_time)
-        payload["graph_signature"] = gsig
-        payload["machine_signature"] = msig
+        payload["graph_signature"] = graph_signature(graph)
+        payload["machine_signature"] = machine_signature(machine)
         payload["config_signature"] = config_signature
-        if extra:
-            payload.update(extra)
-        path = self.root / "plans" / f"{self._digest(gsig, msig, config_signature)}.json"
+        path = self.plan_path(graph, machine, config_signature)
         _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        self._lru_put(("plan", gsig, msig, config_signature),
-                      (classification, payload))
         return path
-
-    # -- simulation outcomes -----------------------------------------------------
-
-    def outcomes_path(self, graph: NNGraph, machine: "MachineSpec",
-                      sim_signature: str) -> pathlib.Path:
-        digest = self._digest(graph_signature(graph),
-                              machine_signature(machine), sim_signature)
-        return self.root / "outcomes" / f"{digest}.json"
-
-    def load_outcomes(
-        self, graph: NNGraph, machine: "MachineSpec", sim_signature: str
-    ) -> dict[tuple[tuple[int, str], ...], dict[str, Any]]:
-        """Cached simulation outcomes by classification key (empty on miss).
-
-        Returns a fresh outer dict on every call (LRU hits included), so
-        callers may merge into the result without corrupting the memo.
-        """
-        gsig, msig = graph_signature(graph), machine_signature(machine)
-        key = ("outcomes", gsig, msig, sim_signature)
-        cached = self._lru_get(key)
-        if cached is not None:
-            return dict(cached)
-        data = self._read(
-            self.root / "outcomes" / f"{self._digest(gsig, msig, sim_signature)}.json",
-            {
-                "graph_signature": gsig,
-                "machine_signature": msig,
-                "sim_signature": sim_signature,
-            },
-        )
-        if data is None:
-            return {}
-        entries = {key_from_str(k): v for k, v in data.get("entries", {}).items()}
-        self._lru_put(key, entries)
-        return dict(entries)
-
-    def merge_outcomes(
-        self,
-        graph: NNGraph,
-        machine: "MachineSpec",
-        sim_signature: str,
-        entries: dict[tuple[tuple[int, str], ...], dict[str, Any]],
-    ) -> int:
-        """Union ``entries`` into the store; returns the total entry count."""
-        gsig, msig = graph_signature(graph), machine_signature(machine)
-        existing = self.load_outcomes(graph, machine, sim_signature)
-        existing.update(entries)
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "graph_signature": gsig,
-            "machine_signature": msig,
-            "sim_signature": sim_signature,
-            "entries": {key_to_str(k): v for k, v in existing.items()},
-        }
-        path = self.root / "outcomes" / f"{self._digest(gsig, msig, sim_signature)}.json"
-        _atomic_write_text(path, json.dumps(payload) + "\n")
-        self._lru_put(("outcomes", gsig, msig, sim_signature), existing)
-        return len(existing)

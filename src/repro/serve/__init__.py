@@ -2,9 +2,9 @@
 
 PoocH's premise is that one expensive profiling+search phase is amortized
 over many training iterations; this package applies the same argument
-*across requests and runs*.  A :class:`PlannerServer` keeps plans,
-predictor outcomes and signatures warm in one process, so N structurally
-identical optimize requests pay for exactly one search:
+*across requests and runs*.  A :class:`PlannerServer` keeps complete
+responses, built graphs and signatures warm in one process, so N
+structurally identical optimize requests pay for exactly one search:
 
 * in-flight duplicates coalesce onto one leader's search
   (:class:`~repro.serve.jobs.JobManager`),

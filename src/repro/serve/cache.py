@@ -11,12 +11,13 @@ Two cache levels serve a request (plus coalescing for in-flight overlap):
   without profiling, without simulation and without touching JSON: the hot
   path of a duplicate-heavy workload is a dict lookup under a lock.
 
-* **L2 — persistent PlanCache**: the directory-backed store, shared across
-  server processes and with the offline CLI.  On an L1 miss the search
-  pipeline runs with the PlanCache attached, so a previously *persisted*
-  plan still short-circuits the search (profile + one verification
-  simulation instead of a full search); the resulting response is then
-  promoted into L1.
+* **L2 — persistent PlanCache**: the directory of chosen plans, shared
+  across server processes and with the offline CLI.  On an L1 miss the
+  search pipeline runs with the PlanCache attached, so a previously
+  *persisted* plan still short-circuits the search (profile + one
+  verification simulation instead of a full search); the resulting
+  response is then promoted into L1.  Every L2 lookup reads the file — the
+  L1 tier answers repeats before they get here.
 
 Everything in a cached payload is treated as immutable: each job's result
 is a shallow copy stamped with its own cache tier, and the nested plan dict

@@ -213,7 +213,7 @@ class ServePlanner:
     def __init__(self, plan_cache: PlanCache | str | None = None,
                  graph_cache_size: int = 32) -> None:
         if plan_cache is not None and not isinstance(plan_cache, PlanCache):
-            plan_cache = PlanCache(plan_cache, lru_capacity=128)
+            plan_cache = PlanCache(plan_cache)
         self.plan_cache = plan_cache
         self._graphs = LruCache(graph_cache_size)
 
@@ -252,11 +252,13 @@ class ServePlanner:
                              f"got {devices!r}")
         input_size = request.get("input_size")
         if input_size is not None:
-            try:
-                input_size = tuple(int(v) for v in input_size)
-            except (TypeError, ValueError):
-                raise BadRequest(f"'input_size' must be a list of integers, "
-                                 f"got {input_size!r}") from None
+            if not (isinstance(input_size, (list, tuple))
+                    and len(input_size) == 3
+                    and all(isinstance(v, int) and not isinstance(v, bool)
+                            and v > 0 for v in input_size)):
+                raise BadRequest(f"'input_size' must be a list of three "
+                                 f"positive integers, got {input_size!r}")
+            input_size = tuple(input_size)
         config_req = request.get("config") or {}
         if not isinstance(config_req, dict):
             raise BadRequest("'config' must be an object")
@@ -509,7 +511,6 @@ class JobManager:
         if cache is not None:
             doc["plan_cache"] = {
                 "root": str(cache.root),
-                "lru_hits": cache.lru_hits,
                 "disk_hits": cache.disk_hits,
                 "misses": cache.misses,
             }
@@ -526,8 +527,6 @@ class JobManager:
         metrics.gauge("serve.queue_depth", stats["queue_depth"])
         metrics.gauge("serve.warm_cache_size", stats["warm_cache"]["size"])
         if "plan_cache" in stats:
-            metrics.gauge("serve.plan_cache_lru_hits",
-                          stats["plan_cache"]["lru_hits"])
             metrics.gauge("serve.plan_cache_disk_hits",
                           stats["plan_cache"]["disk_hits"])
 

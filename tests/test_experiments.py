@@ -121,14 +121,14 @@ class TestCache:
         b = optimize_cached("poster", poster_example, other, CFG)
         assert a is not b
 
-    def test_configs_differing_only_in_epsilon_not_shared(self, machine):
-        # the accept epsilon can change the plan, so it is part of the key
-        loose = PoochConfig(max_exact_li=3, step1_sim_budget=120,
-                            time_epsilon=1e-3)
+    def test_configs_differing_only_in_margin_not_shared(self, machine):
+        # the capacity margin can change the plan, so it is part of the key
+        margin = PoochConfig(max_exact_li=3, step1_sim_budget=120,
+                             capacity_margin=1 << 20)
         a = optimize_cached("poster", poster_example, machine, CFG)
-        b = optimize_cached("poster", poster_example, machine, loose)
+        b = optimize_cached("poster", poster_example, machine, margin)
         assert a is not b
-        assert b.config.time_epsilon == 1e-3
+        assert b.config.capacity_margin == 1 << 20
 
     def test_clear(self, machine):
         a = optimize_cached("poster", poster_example, machine, CFG)

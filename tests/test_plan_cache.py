@@ -1,9 +1,9 @@
-"""PlanCache: persistent plans and simulation outcomes across runs.
+"""PlanCache: persistent chosen plans across runs.
 
-Covers the signature keying, the JSON round trip (including ±inf outcome
-times), PoocH's warm start, DynamicPoocH's cross-instance reuse, and the
-``classifiable_maps`` provenance check that used to be stored but never
-validated on load.
+Covers the signature keying, the JSON round trip, PoocH's plan reuse (and
+that an attached cache never changes what a search returns),
+DynamicPoocH's cross-instance reuse, and the ``classifiable_maps``
+provenance check that used to be stored but never validated on load.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.runtime.plan import Classification, MapClass
 from repro.runtime.plan_io import (
     PlanCache,
     graph_signature,
-    key_from_str,
-    key_to_str,
     machine_signature,
     plan_from_dict,
     plan_to_dict,
@@ -52,11 +50,6 @@ class TestSignatures:
         assert machine_signature(tiny_machine(mem_mib=160)) != machine_signature(
             tiny_machine(mem_mib=224)
         )
-
-    def test_key_str_roundtrip(self):
-        key = ((0, "swap"), (3, "keep"), (7, "recompute"))
-        assert key_from_str(key_to_str(key)) == key
-        assert key_from_str(key_to_str(())) == ()
 
 
 class TestPlanStore:
@@ -97,44 +90,6 @@ class TestPlanStore:
         path = cache.store_plan(g, machine, "cfg", Classification.all_swap(g))
         path.write_text("{not json")
         assert cache.load_plan(g, machine, "cfg") is None
-
-
-class TestOutcomeStore:
-    def test_merge_and_load(self, tmp_path, machine):
-        g = poster_example()
-        cache = PlanCache(tmp_path)
-        entries = {
-            ((0, "swap"), (1, "keep")): {
-                "feasible": True, "time": 0.25, "peak_memory": 123,
-                "oom_context": "",
-            },
-            ((0, "keep"), (1, "keep")): {
-                "feasible": False, "time": float("inf"), "peak_memory": 0,
-                "oom_context": "F1",
-            },
-        }
-        assert cache.merge_outcomes(g, machine, "sig", entries) == 2
-        loaded = cache.load_outcomes(g, machine, "sig")
-        assert loaded == entries  # floats (incl. inf) survive JSON exactly
-
-    def test_merge_is_a_union(self, tmp_path, machine):
-        g = poster_example()
-        cache = PlanCache(tmp_path)
-        one = {((0, "swap"),): {"feasible": True, "time": 1.0,
-                                "peak_memory": 1, "oom_context": ""}}
-        two = {((0, "keep"),): {"feasible": True, "time": 2.0,
-                                "peak_memory": 2, "oom_context": ""}}
-        cache.merge_outcomes(g, machine, "sig", one)
-        assert cache.merge_outcomes(g, machine, "sig", two) == 2
-        assert len(cache.load_outcomes(g, machine, "sig")) == 2
-
-    def test_signature_scoping(self, tmp_path, machine):
-        g = poster_example()
-        cache = PlanCache(tmp_path)
-        entry = {((0, "swap"),): {"feasible": True, "time": 1.0,
-                                  "peak_memory": 1, "oom_context": ""}}
-        cache.merge_outcomes(g, machine, "profile-a", entry)
-        assert cache.load_outcomes(g, machine, "profile-b") == {}
 
 
 class TestPoochWarmStart:
@@ -179,52 +134,7 @@ class TestPoochWarmStart:
         assert predictor._base is not None
         assert predictor._vec_engine is None
 
-    def test_cache_hit_never_parses_the_outcome_store(
-        self, tmp_path, machine, monkeypatch
-    ):
-        # the outcome store holds every simulation of the cold search; a hit
-        # re-verifies one plan, so it must not read the store — only a
-        # search that follows a miss or a rejected hit does
-        from repro.pooch.predictor import TimelinePredictor
-
-        g = poster_example()
-        cold = PoocH(machine, CFG, plan_cache=tmp_path).optimize(g)
-        sig = TimelinePredictor(g, cold.profile, machine).sim_signature()
-        assert PlanCache(tmp_path).load_outcomes(g, machine, sig)
-        reads = []
-        real = PlanCache.load_outcomes
-
-        def spy(self, *args):
-            reads.append(args)
-            return real(self, *args)
-
-        monkeypatch.setattr(PlanCache, "load_outcomes", spy)
-        warm = PoocH(machine, CFG, plan_cache=tmp_path).optimize(g)
-        assert warm.stats.plan_cache_hit
-        assert reads == []
-        assert warm.classification.key() == cold.classification.key()
-        assert warm.predicted == cold.predicted
-        # DynamicPoocH's per-size planning takes the same path
-        dyn = DynamicPoocH(machine, lambda batch: poster_example(batch=batch),
-                           CFG, plan_cache=tmp_path)
-        assert dyn._optimize(64).key() == cold.classification.key()
-        assert reads == []
-
-    def test_outcomes_warm_start_skips_all_simulations(self, tmp_path, machine):
-        # drop the plan but keep the outcomes: the re-search replays
-        # entirely from the cache and lands on the same plan for free
-        g = poster_example()
-        cache = PlanCache(tmp_path)
-        cold = PoocH(machine, CFG, plan_cache=cache).optimize(g)
-        cache.plan_path(g, machine, CFG.signature()).unlink()
-        redo = PoocH(machine, CFG, plan_cache=cache).optimize(g)
-        assert not redo.stats.plan_cache_hit
-        assert redo.classification.key() == cold.classification.key()
-        assert redo.stats.sims_step1 == 0 and redo.stats.sims_step2 == 0
-
-    def test_different_config_searches_but_shares_outcomes(
-        self, tmp_path, machine
-    ):
+    def test_different_config_searches(self, tmp_path, machine):
         from dataclasses import replace
 
         g = poster_example()
@@ -232,25 +142,29 @@ class TestPoochWarmStart:
         other = replace(CFG, step1_sim_budget=150)
         redo = PoocH(machine, other, plan_cache=tmp_path).optimize(g)
         assert not redo.stats.plan_cache_hit  # plan keyed by config
-        # but the shared outcome store still serves the overlapping sims
-        assert redo.stats.sims_step1 == 0
+        assert redo.stats.sims_step1 > 0
 
-    def test_preloaded_leaves_are_walked_past_the_budget(
-        self, tmp_path, machine
-    ):
-        # leaves whose outcomes the plan cache preloaded cost no simulation,
-        # so a tiny-budget re-search still walks every leaf the exhaustive
-        # search did and lands on its plan
+    @pytest.mark.parametrize("budget", [2, 5, 10])
+    def test_attached_cache_changes_no_search(self, tmp_path, machine,
+                                              budget):
+        # a plan depends only on its graph, machine, config and profile:
+        # after an exhaustive search filled the cache, a small-budget search
+        # (a plan-cache miss: the config differs) must walk exactly as far
+        # as the same search without a cache, and land on the same plan
         from dataclasses import replace
 
-        g = poster_example(batch=64)
-        cold = PoocH(machine, replace(CFG, step1_sim_budget=100_000),
-                     plan_cache=tmp_path).optimize(g)
-        warm = PoocH(machine, replace(CFG, step1_sim_budget=2),
-                     plan_cache=tmp_path).optimize(g)
-        assert warm.stats.sims_step1 == 0
-        assert warm.stats.leaves_evaluated == cold.stats.leaves_evaluated > 3
-        assert warm.classification.key() == cold.classification.key()
+        g = poster_example()
+        PoocH(machine, replace(CFG, step1_sim_budget=100_000),
+              plan_cache=tmp_path).optimize(g)
+        cfg = replace(CFG, step1_sim_budget=budget)
+        cached = PoocH(machine, cfg, plan_cache=tmp_path).optimize(g)
+        direct = PoocH(machine, cfg).optimize(g)
+        assert not cached.stats.plan_cache_hit
+        assert cached.classification.key() == direct.classification.key()
+        assert cached.predicted == direct.predicted
+        for field in ("sims_step1", "sims_step2", "leaves_evaluated"):
+            assert (getattr(cached.stats, field)
+                    == getattr(direct.stats, field)), field
 
     def test_path_and_plancache_arguments_equivalent(self, tmp_path, machine):
         p = PoocH(machine, CFG, plan_cache=str(tmp_path))
@@ -320,10 +234,6 @@ class TestAtomicWrites:
         g = poster_example()
         cache = PlanCache(tmp_path)
         cache.store_plan(g, machine, "cfg", Classification.all_swap(g))
-        cache.merge_outcomes(g, machine, "sig", {
-            ((0, "swap"),): {"feasible": True, "time": 1.0,
-                             "peak_memory": 1, "oom_context": ""},
-        })
         leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
 
@@ -356,8 +266,8 @@ class TestAtomicWrites:
                 errors.append(e)
 
         def reader() -> None:
-            # a fresh PlanCache per reader: no shared LRU, every load is a
-            # real file read racing the writer
+            # a fresh PlanCache per reader, each load a real file read
+            # racing the writer
             mine = PlanCache(tmp_path)
             try:
                 for _ in range(300):
@@ -380,67 +290,21 @@ class TestAtomicWrites:
         assert not [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
 
 
-class TestInMemoryLru:
-    def test_plan_hits_skip_the_disk_after_first_load(self, tmp_path, machine):
+class TestTierCounters:
+    def test_disk_hits_counted(self, tmp_path, machine):
         g = poster_example()
-        cache = PlanCache(tmp_path, lru_capacity=8)
+        cache = PlanCache(tmp_path)
         cache.store_plan(g, machine, "cfg", Classification.all_swap(g))
-        # store writes through, so the very first load is already memoized
         first = cache.load_plan(g, machine, "cfg")
-        assert first is not None
-        assert cache.lru_hits == 1 and cache.disk_hits == 0
-        # and the memoized Classification is shared by reference
         second = cache.load_plan(g, machine, "cfg")
-        assert second[0] is first[0]
-        assert cache.lru_hits == 2
-
-    def test_cold_load_counts_a_disk_hit_then_memoizes(self, tmp_path, machine):
-        g = poster_example()
-        PlanCache(tmp_path).store_plan(g, machine, "cfg",
-                                       Classification.all_swap(g))
-        cache = PlanCache(tmp_path, lru_capacity=8)  # empty memo
-        cache.load_plan(g, machine, "cfg")
-        assert cache.disk_hits == 1 and cache.lru_hits == 0
-        cache.load_plan(g, machine, "cfg")
-        assert cache.disk_hits == 1 and cache.lru_hits == 1
+        assert first is not None and second is not None
+        assert second[0].key() == first[0].key()
+        assert cache.disk_hits == 2 and cache.misses == 0
 
     def test_miss_counted(self, tmp_path, machine):
-        cache = PlanCache(tmp_path, lru_capacity=8)
+        cache = PlanCache(tmp_path)
         assert cache.load_plan(poster_example(), machine, "cfg") is None
-        assert cache.misses == 1
-
-    def test_zero_capacity_disables_the_memo(self, tmp_path, machine):
-        g = poster_example()
-        cache = PlanCache(tmp_path)  # default: no LRU
-        cache.store_plan(g, machine, "cfg", Classification.all_swap(g))
-        cache.load_plan(g, machine, "cfg")
-        cache.load_plan(g, machine, "cfg")
-        assert cache.lru_hits == 0 and cache.disk_hits == 2
-
-    def test_memoized_outcomes_survive_caller_mutation(self, tmp_path, machine):
-        g = poster_example()
-        cache = PlanCache(tmp_path, lru_capacity=8)
-        entry = {((0, "swap"),): {"feasible": True, "time": 1.0,
-                                  "peak_memory": 1, "oom_context": ""}}
-        cache.merge_outcomes(g, machine, "sig", entry)
-        loaded = cache.load_outcomes(g, machine, "sig")
-        loaded[((9, "keep"),)] = {"feasible": True, "time": 9.0,
-                                  "peak_memory": 9, "oom_context": ""}
-        # the caller's edit must not poison the memo (merge_outcomes mutates
-        # the returned dict on every PoocH run)
-        assert len(cache.load_outcomes(g, machine, "sig")) == 1
-
-    def test_lru_eviction_is_bounded(self, tmp_path, machine):
-        g = poster_example()
-        cache = PlanCache(tmp_path, lru_capacity=2)
-        for i in range(4):
-            cache.store_plan(g, machine, f"cfg-{i}",
-                             Classification.all_swap(g))
-        assert len(cache._lru) == 2
-        # evicted entries fall back to disk, not to a miss
-        hit = cache.load_plan(g, machine, "cfg-0")
-        assert hit is not None
-        assert cache.disk_hits == 1
+        assert cache.misses == 1 and cache.disk_hits == 0
 
 
 class TestClassifiableMapsValidation:

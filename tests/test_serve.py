@@ -278,6 +278,14 @@ class TestResolve:
         {"model": "mlp", "config": {"incremental": False}},
         {"model": "mlp", "config": {"incremental_step2": False}},
         {"model": "mlp", "config": {"vectorize": False}},
+        # input_size: exactly three positive integers, checked before any
+        # graph is built (json.loads accepts Infinity)
+        {"model": "resnext101_3d", "input_size": [float("inf"), 8, 8]},
+        {"model": "resnext101_3d", "input_size": [8, 8]},
+        {"model": "resnext101_3d", "input_size": "888"},
+        {"model": "resnext101_3d", "input_size": [8.9, 8, 8]},
+        {"model": "resnext101_3d", "input_size": [True, 8, 8]},
+        {"model": "resnext101_3d", "input_size": [0, 8, 8]},
     ])
     def test_bad_requests_rejected(self, broken):
         with pytest.raises(BadRequest) as e:
@@ -286,6 +294,17 @@ class TestResolve:
         if isinstance(config, dict):
             for key, value in config.items():
                 assert repr(key) in str(e.value) or repr(value) in str(e.value)
+        if "input_size" in broken:
+            assert repr(broken["input_size"]) in str(e.value)
+
+    def test_input_size_reaches_the_graph(self):
+        p = ServePlanner()
+        small = p.resolve({"model": "resnext101_3d", "batch": 1,
+                           "input_size": [4, 8, 8]})
+        large = p.resolve({"model": "resnext101_3d", "batch": 1,
+                           "input_size": (8, 16, 16)})
+        assert (small.graph[0].out_spec.nbytes * 8
+                == large.graph[0].out_spec.nbytes)
 
     def test_multi_device_request_changes_machine(self):
         p = ServePlanner()
@@ -573,6 +592,31 @@ class TestHTTP:
                 client.submit("mlp", batch=8, config=config)
             assert e.value.status == 400
             assert named in e.value.body["error"]
+
+    @pytest.mark.parametrize("input_size", [
+        "[Infinity, 8, 8]", "[8, 8]", '"888"', "[8.9, 8, 8]",
+    ], ids=["infinity", "two-dims", "string", "float"])
+    def test_malformed_input_size_maps_to_400(self, server, capsys,
+                                               input_size):
+        # json.loads accepts Infinity; none of these may reach build_model
+        body = ('{"model": "resnext101_3d", "batch": 1, "input_size": '
+                f"{input_size}}}").encode()
+        url = urlparse(server.url)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /v1/optimize HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n" + body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400", reply
+        error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert "'input_size'" in error
+        assert repr(json.loads(input_size)) in error
+        assert "Traceback" not in capsys.readouterr().err
+        assert PlannerClient(server.url).health() == {"status": "ok"}
 
     def test_unknown_job_maps_to_404(self, server):
         client = PlannerClient(server.url)
