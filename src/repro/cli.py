@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from typing import Sequence
@@ -82,6 +83,31 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port (--port; 0 picks a free one)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a port in [0, 65535], got {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected a port in [0, 65535], got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for a positive, finite duration (--timeout)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number of seconds, got {text!r}")
     return value
 
 
@@ -560,7 +586,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="run the long-lived planning service (coalescing + warm cache)",
         parents=[obs])
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8477,
+    p.add_argument("--port", type=_port, default=8477,
                    help="listen port (0 picks a free one; the chosen URL is "
                         "printed on startup)")
     p.add_argument("--plan-cache", metavar="DIR",
@@ -596,7 +622,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="step-1 simulation budget for submit")
     p.add_argument("--wait", action="store_true",
                    help="block until the submitted job settles")
-    p.add_argument("--timeout", type=float, default=300.0,
+    p.add_argument("--timeout", type=_positive_seconds, default=300.0,
                    help="client-side wait/transport timeout, seconds")
     p.set_defaults(fn=_cmd_client)
 
@@ -612,7 +638,8 @@ def make_parser() -> argparse.ArgumentParser:
                    default="swap")
     p.add_argument("--policy", choices=[pol.value for pol in SwapInPolicy],
                    default="eager")
-    p.add_argument("--width", type=int, default=100)
+    p.add_argument("--width", type=_positive_int, default=100,
+                   help="timeline width in characters (positive integer)")
     p.add_argument("--trace", metavar="TRACE.json",
                    help="also write a chrome://tracing / Perfetto trace file")
     p.set_defaults(fn=_cmd_timeline)

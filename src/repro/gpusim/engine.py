@@ -29,17 +29,17 @@ Semantics (modelled on CUDA + a framework memory pool):
   purely on memory (every such stall is a memory-capacity failure of the
   plan), otherwise :class:`ScheduleError` (a malformed dependency graph).
 
-One event loop (:class:`EventLoop`) implements these semantics, with two
-entry points:
+One event loop (:class:`EventLoop`) implements these semantics, and
+:class:`Engine` runs it two ways:
 
-* :class:`Engine` runs a validated :class:`Schedule` and returns its
-  timeline (:class:`RunResult`: task records, traced pools), asserting that
-  every buffer a task reads is resident when it issues, running payloads
-  and calling the free hook — ground truth, profiling, the fault layer and
-  the test oracles use it;
-* :class:`~repro.gpusim.fastengine.FastEngine` replays the schedule
-  builder's raw draft with untracked pools and returns only the makespan
-  and peaks — the predictor's lone predictions use it.
+* ``Engine(schedule).run()`` runs a validated :class:`Schedule` and returns
+  its timeline (:class:`RunResult`: task records, traced pools), asserting
+  that every buffer a task reads is resident when it issues, running
+  payloads and calling the free hook — ground truth, profiling, the fault
+  layer and the test oracles use it;
+* :meth:`Engine.replay_draft` replays the schedule builder's raw draft
+  with untracked pools and returns only the makespan and peaks — the
+  predictor's lone predictions and the search oracle use it.
 
 The lockstep :class:`~repro.gpusim.vecengine.VectorEngine` replays whole
 candidate families with the same semantics.  The engine knows nothing about
@@ -251,12 +251,12 @@ class EventLoop:
     a countdown decremented when a dependency completes (``deps``) or issues
     (``start_deps``), and each task's device need is pre-rounded.
 
-    Two entry points run it.  :class:`Engine` executes a :class:`Schedule`
-    and keeps the timeline: with ``_records`` a list, the loop also records
-    every task, asserts that each buffer a task reads is resident when it
-    issues, runs task payloads and calls the free hook.
-    :class:`~repro.gpusim.fastengine.FastEngine` replays a builder draft
-    with ``_records`` ``None`` and returns only the makespan and peaks.
+    :class:`Engine` runs it two ways.  ``Engine.run`` executes a
+    :class:`Schedule` and keeps the timeline: with ``_records`` a list, the
+    loop also records every task, asserts that each buffer a task reads is
+    resident when it issues, runs task payloads and calls the free hook.
+    :meth:`Engine.replay_draft` replays a builder draft with ``_records``
+    ``None`` and returns only the makespan and peaks.
     """
 
     def __init__(self, tasks: dict, queues: dict, buffers: dict,
@@ -606,7 +606,37 @@ class EventLoop:
 
 class Engine(EventLoop):
     """Executes one :class:`Schedule` and returns its timeline; engines are
-    single-use."""
+    single-use.  :meth:`replay_draft` is the draft entry point."""
+
+    @staticmethod
+    def replay_draft(
+        tasks: dict,
+        queues: dict,
+        buffers: dict,
+        device_capacity: int,
+        host_capacity: int | None = None,
+    ) -> tuple[float, int, int]:
+        """Replay a raw builder draft; returns (makespan, device peak, host
+        peak).
+
+        ``tasks``/``queues``/``buffers`` are
+        :meth:`~repro.runtime.schedule.ScheduleBuilder.build_raw`'s drafts
+        (or a delta patch of one), trusted exactly as ``validate=False``
+        trusts a schedule: no ``Task``/``BufferSpec`` finalisation, no
+        validation, and no timeline — untracked counting pools, no
+        :class:`TaskRecord`, no residency asserts, payloads or free hook.
+        Counted as ``engine.draft_runs``.  Raises exactly where :meth:`run`
+        would: ``OutOfMemoryError`` for plan infeasibility,
+        ``ScheduleError`` for malformed dependencies.
+        """
+        loop = EventLoop(
+            tasks, queues, buffers,
+            MemoryPool(device_capacity, "gpu", track=False),
+            MemoryPool(host_capacity or (1 << 62), "host", track=False),
+        )
+        metrics.count("engine.draft_runs")
+        loop._replay()
+        return loop._now, loop.device.peak, loop.host.peak
 
     def __init__(
         self,

@@ -8,13 +8,13 @@ sweep per event round — over either of two compiled families:
 * :class:`VectorTables`, a *keep-flip family*: step 1's candidates share
   one all-swap base draft and differ only by keep/swap flips (a kept map
   removes its ``SO``/``SI`` transfer pair and rewires the backward readers
-  of the swapped-in instance onto the surviving forward instance, see
-  :func:`repro.runtime.schedule.apply_keep_delta`).  The base draft
-  compiles once into numpy tables (durations, padded dependency lists,
-  rounded memory needs, per-task free lists, stream queues) where every
-  flip-dependent task, dependency edge and free edge carries a
-  *condition* — "active iff map m is kept" / "active iff map m is
-  swapped" — and a (K, maps) keep matrix instantiates the rows;
+  of the swapped-in instance onto the surviving forward instance, as
+  :func:`repro.runtime.schedule.apply_recompute_delta` drafts a kept map).
+  The base draft compiles once into numpy tables (durations, padded
+  dependency lists, rounded memory needs, per-task free lists, stream
+  queues) where every flip-dependent task, dependency edge and free edge
+  carries a *condition* — "active iff map m is kept" / "active iff map m
+  is swapped" — and a (K, maps) keep matrix instantiates the rows;
 * :class:`VariantTables`, a *variant family*: a step-2 round's probes,
   each a :class:`DraftPatch` of the current plan's draft ("current with X
   recomputed, or kept"), are compiled together — the base's tasks once,
@@ -49,9 +49,8 @@ per-row work), and rounds ≈ tasks (one per distinct event instant).  See
 
 Because all engine arithmetic is the same left-fold of IEEE ``+``/``min``
 over the same operands, results are bit-identical to the event loop
-(:class:`~repro.gpusim.engine.EventLoop`, run by both
-:class:`~repro.gpusim.engine.Engine` and
-:class:`~repro.gpusim.fastengine.FastEngine`) — same makespans, same
+(:class:`~repro.gpusim.engine.EventLoop`, run by both ``Engine.run`` and
+:meth:`~repro.gpusim.engine.Engine.replay_draft`) — same makespans, same
 per-task start/end times, same allocator high-water marks, and the same
 OOM/deadlock diagnoses at the same simulated instants.
 ``tests/test_vecengine.py`` fuzzes exactly that equivalence against
@@ -63,8 +62,8 @@ only consume memory and dependency satisfaction needs a completion, so no
 issue can unblock another within one instant).  Anything else —
 NAIVE/SUPERNEURONS triggers, forward-refetch swap-ins with recompute
 interactions — raises :class:`VectorUnsupported` at compile time and the
-caller falls back to the event loop (:class:`FastEngine`, its draft entry
-point).
+caller falls back to the event loop (:meth:`Engine.replay_draft
+<repro.gpusim.engine.Engine.replay_draft>`, its draft entry point).
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class KeepFlip:
     free set of ``fwd_buffer`` (whose ``swap_out`` free edge disappears
     with the swap-out task).  Built from a base draft by
     :func:`repro.runtime.schedule.keep_flip_specs`, mirroring
-    ``apply_keep_delta`` edge for edge.
+    the keep flip of ``apply_recompute_delta`` edge for edge.
     """
 
     map_id: int

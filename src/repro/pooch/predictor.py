@@ -14,11 +14,11 @@ Predictions are memoized on the classification key — the classifier's
 searches re-visit many identical candidates.  The search's candidates run
 in batched lockstep sweeps (:mod:`repro.gpusim.vecengine`); a lone
 :meth:`TimelinePredictor.predict` miss replays its draft through
-:class:`~repro.gpusim.fastengine.FastEngine`, the draft entry point of the
-one event loop (no validation, no timeline records);
-:meth:`TimelinePredictor.timeline` runs the same loop through
-:class:`~repro.gpusim.engine.Engine` on demand when records or memory
-traces are actually needed.
+:meth:`Engine.replay_draft <repro.gpusim.engine.Engine.replay_draft>`, the
+draft entry point of the one event loop (no validation, no timeline
+records); :meth:`TimelinePredictor.timeline` runs the same loop through
+``Engine.run`` on demand when records or memory traces are actually
+needed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from repro.common.errors import OutOfMemoryError, ScheduleError
 from repro.graph import NNGraph
 from repro.gpusim import Engine, RunResult
-from repro.gpusim.fastengine import FastEngine
 from repro.gpusim.vecengine import (
     DraftPatch,
     VariantTables,
@@ -47,13 +46,9 @@ from repro.runtime.schedule import (
     LivenessProfile,
     ScheduleBuilder,
     ScheduleOptions,
-    apply_keep_delta,
     apply_recompute_delta,
     build_schedule,
     keep_flip_specs,
-    # not called here (LivenessProfile derives keep-probe floors); the
-    # oracle stays bound in this namespace, where benchmarks/e2e traces it
-    liveness_floor,  # noqa: F401
 )
 
 
@@ -141,13 +136,12 @@ class TimelinePredictor:
         #: revisit-heavy candidate streams this dwarfs ``simulations``
         self.cache_hits = 0
         #: all-swap base draft, built lazily on the first delta-eligible
-        #: simulation
+        #: simulation: every draft the current plan's does not reach is a
+        #: patch of it
         self._base: tuple | None = None
         #: liveness profile of the last plan :meth:`provably_infeasible`
         #: was asked about, keyed by that plan's classification key
         self._profile: tuple[tuple, LivenessProfile] | None = None
-        #: the last :func:`apply_keep_delta` result, keyed by its keep set
-        self._keep_draft: tuple[frozenset, tuple] | None = None
         #: (keeps, recomputes, draft) of the last plan
         #: :meth:`provably_infeasible` was asked about — step 2's current
         #: plan, whose probes are patches of this draft
@@ -424,18 +418,18 @@ class TimelinePredictor:
     # Candidates in the classifier's searches differ from one another only
     # in which maps they keep (step 1) or additionally recompute (step 2),
     # so their drafts are produced by patching a memoized draft in
-    # O(what the flips touch) instead of rebuilding the whole schedule:
-    # step 1's keep sets patch the all-swap base draft
-    # (:func:`apply_keep_delta`); step 2's probes patch the current plan's
-    # draft (:func:`apply_recompute_delta`), which :meth:`provably_infeasible`
-    # drafts once per round for its liveness profile — a probe is then one
-    # or two flips, not a replay of every recompute chain of the plan.
-    # Candidates the current plan does not reach by swap→keep/recompute
-    # flips patch their keep set's draft instead.
+    # O(what the flips touch) instead of rebuilding the whole schedule,
+    # always through :func:`apply_recompute_delta`: step 2's probes patch
+    # the current plan's draft, which :meth:`provably_infeasible` drafts
+    # once per round for its liveness profile — a probe is then one or two
+    # flips, not a replay of every recompute chain of the plan.  Candidates
+    # the current plan does not reach by swap→keep/recompute flips (the
+    # whole step-1 tree among them) patch the all-swap base draft.
 
     def _ensure_base(self) -> None:
-        """Build the all-swap base draft once — what every keep draft is
-        patched from and the vector engine compiles."""
+        """Build the all-swap base draft once — what every draft the plan
+        draft does not reach is patched from, and the vector engine
+        compiles."""
         if self._base is not None:
             return
         self._base = ScheduleBuilder(
@@ -464,30 +458,18 @@ class TimelinePredictor:
             return None
         return frozenset(keeps), frozenset(recs)
 
-    def _keep_delta(self, keeps: frozenset) -> tuple:
-        """Draft of ``all-swap + keeps``, memoized on the last keep set."""
-        memo = self._keep_draft
-        if memo is not None and memo[0] == keeps:
-            return memo[1]
-        self._ensure_base()
-        draft = apply_keep_delta(
-            self._base[0], self._base[1], self._base[2], keeps)
-        self._keep_draft = (keeps, draft)
-        return draft
-
     def _patch(self, keeps: frozenset, recs: frozenset) -> DraftPatch:
         """The draft of ``all-swap + keeps + recs`` as a patch: of the
         memoized plan draft when that plan reaches it by swap→keep and
-        swap→recompute flips, else of its keep set's draft."""
+        swap→recompute flips, else of the all-swap base draft."""
         plan = self._plan
         if plan is not None and plan[0] <= keeps and plan[1] <= recs:
             base = plan[2]
         else:
-            base = self._keep_delta(keeps)
+            self._ensure_base()
+            base = self._base
         return apply_recompute_delta(
-            base[0], base[1], base[2], self.graph, self._durations,
-            self.options, keeps, recs,
-        )
+            *base, self.graph, self._durations, self.options, keeps, recs)
 
     def _ahead_patch(self, path: tuple[int, ...], keeps: frozenset,
                      recs: frozenset, ahead: dict) -> DraftPatch:
@@ -528,35 +510,29 @@ class TimelinePredictor:
             return self.draft(classification)
         plan = self._plan
         if plan is None or plan[:2] != split:
-            self._plan = (*split, self._delta_draft(*split))
+            self._plan = (*split, self._patch(*split).draft)
         return self._plan[2]
 
     def _sim_draft(self, classification: Classification):
         """(tasks, queues, buffers) draft for one simulation.
 
-        Pure keep/swap candidates (the entire step-1 tree) patch the
-        all-swap base; keep/swap/recompute candidates (step 2's r(X)
-        probes) are :meth:`_patch` drafts.  Everything else — forward
-        re-fetch, non-EAGER recompute — falls back to a full build."""
+        Keep/swap/recompute candidates are :meth:`_patch` drafts.
+        Everything else — forward re-fetch, non-EAGER recompute — falls
+        back to a full build."""
         split = self._delta_split(classification)
         if split is None:
             return self.draft(classification)
-        return self._delta_draft(*split)
-
-    def _delta_draft(self, keeps: frozenset, recs: frozenset) -> tuple:
-        if not recs:
-            return self._keep_delta(keeps)
-        return self._patch(keeps, recs).draft
+        return self._patch(*split).draft
 
     def _simulate(self, classification: Classification) -> PredictedOutcome:
-        """One uncached simulation through the fast draft-replay path."""
-        engine = FastEngine(
-            *self._sim_draft(classification),
-            device_capacity=self.machine.usable_gpu_memory - self.capacity_margin,
-            host_capacity=self.machine.host_swap_capacity,
-        )
+        """One uncached simulation through the draft entry point."""
         try:
-            makespan, device_peak, _host_peak = engine.run()
+            makespan, device_peak, _host_peak = Engine.replay_draft(
+                *self._sim_draft(classification),
+                device_capacity=(self.machine.usable_gpu_memory
+                                 - self.capacity_margin),
+                host_capacity=self.machine.host_swap_capacity,
+            )
         except OutOfMemoryError as e:
             return PredictedOutcome(
                 feasible=False, time=float("inf"), peak_memory=0,

@@ -588,9 +588,10 @@ class ScheduleBuilder:
                dict[str, _BufferDraft]]:
         """Construct the schedule in *draft* form: (tasks, queues, buffers).
 
-        The predictor's lone predictions replay these drafts directly on
-        :class:`~repro.gpusim.fastengine.FastEngine`, the draft entry point
-        of the event loop, skipping ``Task``/``BufferSpec`` finalisation and
+        The predictor's lone predictions and the search oracle replay these
+        drafts directly through :meth:`Engine.replay_draft
+        <repro.gpusim.engine.Engine.replay_draft>`, the draft entry point of
+        the event loop, skipping ``Task``/``BufferSpec`` finalisation and
         structural validation; the lockstep engine compiles them.
         :meth:`build` layers finalisation and validation on top for
         :class:`~repro.gpusim.engine.Engine`, so both entry points run the
@@ -737,8 +738,23 @@ class _DraftEdit:
 
 
 def _flip_keep(edit: _DraftEdit, m: int) -> set[str]:
-    """Swap→keep flip of ``m`` (see :func:`apply_keep_delta`); returns the
-    removed transfer tasks, which the caller drops from the queues."""
+    """Swap→keep flip of ``m`` (see :func:`apply_recompute_delta`); returns
+    the removed transfer tasks, which the caller drops from the queues.
+
+    A keep↔swap flip is local under the builder's semantics (with forward
+    re-fetch disabled):
+
+    * the compute queue never changes — keeping a map removes only its
+      ``SO{m}``/``SI{m}`` transfer tasks and rewires the backward readers
+      of ``fm{m}@b`` onto the surviving forward instance ``fm{m}@f``;
+    * the H2D queue order is by first-need *compute position*, which a
+      removal leaves intact (Python's sort is stable and no other swap-in's
+      first reader moves), and the D2H queue is in forward producer order —
+      both reduce to "base order minus the removed tasks";
+    * the EAGER auto-headroom reads only backward *compute* allocations
+      (gradients, recompute outputs, scratch), none of which a keep/swap
+      flip touches, so every surviving swap-in keeps its headroom.
+    """
     so, si = f"SO{m}", f"SI{m}"
     fwd_bid, back_bid = f"fm{m}@f", f"fm{m}@b"
     edit.drop_task(so)
@@ -760,53 +776,6 @@ def _flip_keep(edit: _DraftEdit, m: int) -> set[str]:
     return {so, si}
 
 
-def apply_keep_delta(
-    base_tasks: dict[str, _TaskDraft],
-    base_queues: dict[StreamName, list[str]],
-    base_buffers: dict[str, _BufferDraft],
-    keeps,
-) -> tuple[dict[str, _TaskDraft], dict[StreamName, list[str]],
-           dict[str, _BufferDraft]]:
-    """Draft for ``all-swap + {m: KEEP for m in keeps}`` by *patching* the
-    all-swap base draft instead of rebuilding it — the classifier's search
-    hot path, where candidates differ from the base by a handful of flips.
-
-    A keep↔swap flip is local under the builder's semantics (with forward
-    re-fetch disabled, which the caller must guarantee):
-
-    * the compute queue never changes — keeping a map removes only its
-      ``SO{m}``/``SI{m}`` transfer tasks and rewires the backward readers
-      of ``fm{m}@b`` onto the surviving forward instance ``fm{m}@f``;
-    * the H2D queue order is by first-need *compute position*, which a
-      removal leaves intact (Python's sort is stable and no other swap-in's
-      first reader moves), and the D2H queue is in forward producer order —
-      both reduce to "base order minus the removed tasks";
-    * the EAGER auto-headroom reads only backward *compute* allocations
-      (gradients, recompute outputs, scratch), none of which a keep/swap
-      flip touches, so every surviving swap-in keeps its headroom.
-
-    The result is task-for-task identical to a fresh
-    ``ScheduleBuilder(...).build_raw()`` for the same classification —
-    ``tests/test_search_pruning.py`` asserts exact draft equality across
-    the model zoo.  The base draft is never mutated: patched tasks/buffers
-    are copies, untouched ones are shared (callers must treat drafts as
-    immutable, which the engines do).  Stale ``io`` annotations of patched
-    tasks still reference the removed instances; only the draft-replay
-    engines consume delta drafts and they never read ``io``.
-    """
-    edit = _DraftEdit(base_tasks, base_queues, base_buffers)
-    removed: set[str] = set()
-    for m in keeps:
-        if edit.task(f"SO{m}") is None:
-            raise ScheduleError(
-                f"apply_keep_delta: map {m} is not swapped in the base draft"
-            )
-        removed |= _flip_keep(edit, m)
-    edit.h2d = [t for t in edit.h2d if t not in removed]
-    edit.d2h = [t for t in edit.d2h if t not in removed]
-    return edit.patch().draft
-
-
 def keep_flip_specs(
     base_tasks: dict[str, _TaskDraft],
     base_buffers: dict[str, _BufferDraft],
@@ -814,9 +783,10 @@ def keep_flip_specs(
 ) -> tuple[KeepFlip, ...]:
     """Declarative :class:`~repro.gpusim.vecengine.KeepFlip` descriptors for
     keep↔swap flips against an all-swap base draft — the exact edge set
-    :func:`apply_keep_delta` rewires, so the lockstep vector engine's
-    conditional tables describe the same candidate family the event engines
-    replay (``tests/test_vecengine.py`` fuzzes the agreement).
+    :func:`apply_recompute_delta` rewires for a kept map (see
+    :func:`_flip_keep`), so the lockstep vector engine's conditional tables
+    describe the same candidate family the event engines replay
+    (``tests/test_vecengine.py`` fuzzes the agreement).
 
     Requires a base built without forward re-fetch: re-fetch swap-ins read
     the host instance a keep flip deletes, which is not a pure edge
@@ -868,19 +838,19 @@ def apply_recompute_delta(
     predicted plan, itself drafted as one flip of the plan before it.
 
     The base may be the draft of any plan that reaches the target by
-    swap→keep and swap→recompute flips: the keep draft
-    ``apply_keep_delta(all_swap_base, keeps)`` (every recompute is then a
-    new flip), or the current plan's own draft, which already carries its
-    recomputes.  Maps of ``keeps``/``recomputes`` still swapped in the base
-    are the flips; the base must be built without forward re-fetch
-    (``forward_refetch_gap`` must be ``None`` — re-fetch segments splice
-    extra forward swap-ins whose interaction with recompute chains is not
-    local).  Flips apply one at a time, keeps first, each exact against
-    the plan before it.
+    swap→keep and swap→recompute flips: the all-swap draft (every keep and
+    recompute is then a flip; with no recomputes the patch is the keep-only
+    draft the step-1 search replays), or the current plan's own draft,
+    which already carries its recomputes.  Maps of ``keeps``/``recomputes``
+    still swapped in the base are the flips; the base must be built without
+    forward re-fetch (``forward_refetch_gap`` must be ``None`` — re-fetch
+    segments splice extra forward swap-ins whose interaction with
+    recompute chains is not local).  Flips apply one at a time, keeps
+    first, each exact against the plan before it.
 
     A swap→keep flip removes the map's ``SO``/``SI`` pair and rewires the
-    readers of ``fm{m}@b`` onto ``fm{m}@f`` (see :func:`apply_keep_delta`;
-    that argument holds with recomputes in the base too).  A swap→recompute
+    readers of ``fm{m}@b`` onto ``fm{m}@f`` (see :func:`_flip_keep`; that
+    argument holds with recomputes in the base too).  A swap→recompute
     flip of X is local because a map's backward instance depends only on
     its class — ``fm{m}@f`` kept or retained, ``@b`` swapped, ``@r``
     recomputed — never on when the builder resolves it.  Flipping X
@@ -1128,7 +1098,8 @@ class LivenessProfile:
     2's keep-probe bound, priced once per plan instead of once per probe.
 
     The derivation is exact, not a further bound, because a swap→keep flip
-    of map X (see :func:`apply_keep_delta`):
+    of map X (X among :func:`apply_recompute_delta`'s ``keeps``; see
+    :func:`_flip_keep`):
 
     * leaves the compute queue, and therefore every position, unchanged;
     * removes only transfer tasks (``SO``/``SI``, forward re-fetch swap-ins)

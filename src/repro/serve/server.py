@@ -50,6 +50,11 @@ log = get_logger(__name__)
 #: bigger is a client bug or abuse
 MAX_BODY_BYTES = 1 << 20
 
+#: seconds between the accept loop's shutdown checks: ``shutdown()`` blocks
+#: until the next one (socketserver's default of 0.5 s made every stop wait
+#: about that long); a new connection wakes the loop at once either way
+POLL_INTERVAL_S = 0.05
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto ``self.server.manager`` (a JobManager)."""
@@ -235,7 +240,8 @@ class PlannerServer:
     def start(self) -> "PlannerServer":
         """Serve on a background thread (returns immediately)."""
         self._thread = threading.Thread(
-            target=self.httpd.serve_forever, name="serve-http", daemon=True
+            target=self.httpd.serve_forever, args=(POLL_INTERVAL_S,),
+            name="serve-http", daemon=True,
         )
         self._thread.start()
         log.info("planning server listening on %s", self.url)
@@ -245,7 +251,7 @@ class PlannerServer:
         """Serve on the calling thread until :meth:`shutdown` (or the
         ``/v1/shutdown`` endpoint) is invoked."""
         log.info("planning server listening on %s", self.url)
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(POLL_INTERVAL_S)
 
     def shutdown(self) -> None:
         self.httpd.shutdown()

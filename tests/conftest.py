@@ -16,7 +16,7 @@ from repro.hw import CostModel, MachineSpec, POWER9_V100, X86_V100
 from repro.models import linear_chain, mlp, poster_example, small_cnn
 from repro.pooch import PoochClassifier, PoochConfig
 from repro.pooch.predictor import PredictedOutcome, TimelinePredictor
-from repro.runtime.schedule import build_schedule
+from repro.runtime.schedule import ScheduleBuilder
 
 
 def tiny_machine(
@@ -103,8 +103,11 @@ class SerialPredictor(TimelinePredictor):
 
 class OraclePredictor(SerialPredictor):
     """The search's reference predictor: every candidate is simulated from
-    a fresh ``build_schedule`` on the reference :class:`Engine` — no
-    lockstep sweeps, no delta drafts and no keep-probe elision.  Records every candidate it simulated, in order."""
+    a fresh ``ScheduleBuilder`` draft replayed by ``Engine.replay_draft`` —
+    no lockstep sweeps, no delta drafts and no keep-probe elision.  (That
+    a raw draft replays exactly like its finalized schedule on ``Engine``
+    is ``tests/test_engine.py``'s draft contract.)  Records every
+    candidate it simulated, in order."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -114,18 +117,17 @@ class OraclePredictor(SerialPredictor):
         return False
 
     def _simulate(self, classification) -> PredictedOutcome:
-        engine = Engine(
-            build_schedule(self.graph, classification, self._durations,
-                           self.options),
-            device_capacity=(self.machine.usable_gpu_memory
-                             - self.capacity_margin),
-            host_capacity=self.machine.host_swap_capacity,
-            validate=False,
-        )
+        draft = ScheduleBuilder(self.graph, classification, self._durations,
+                                self.options, validate=False).build_raw()
         try:
-            result = engine.run()
-            outcome = PredictedOutcome(feasible=True, time=result.makespan,
-                                       peak_memory=result.device_peak)
+            makespan, device_peak, _host_peak = Engine.replay_draft(
+                *draft,
+                device_capacity=(self.machine.usable_gpu_memory
+                                 - self.capacity_margin),
+                host_capacity=self.machine.host_swap_capacity,
+            )
+            outcome = PredictedOutcome(feasible=True, time=makespan,
+                                       peak_memory=device_peak)
         except OutOfMemoryError as e:
             outcome = PredictedOutcome(feasible=False, time=float("inf"),
                                        peak_memory=0, oom_context=e.context)

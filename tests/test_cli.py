@@ -162,6 +162,30 @@ class TestArgValidation:
         assert "positive integer" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv,named", [
+        (["serve", "--port", "70000"], "70000"),
+        (["serve", "--port", "-1"], "-1"),
+        (["serve", "--port", "http"], "'http'"),
+        (["client", "health", "--timeout", "-1"], "'-1'"),
+        (["client", "health", "--timeout", "0"], "'0'"),
+        (["client", "health", "--timeout", "nan"], "'nan'"),
+        (["client", "health", "--timeout", "inf"], "'inf'"),
+        (["timeline", "poster_example", "--width", "0"], "0"),
+        (["timeline", "poster_example", "--width", "-5"], "-5"),
+    ], ids=["port-too-large", "port-negative", "port-text",
+            "timeout-negative", "timeout-zero", "timeout-nan",
+            "timeout-inf", "width-zero", "width-negative"])
+    def test_numeric_boundaries_rejected(self, argv, named, capsys):
+        # each used to end in a traceback (bind, socket timeout) or, for
+        # --width, in empty bars and exit 0
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"got {named}" in err
+        assert "Traceback" not in err
+
+
 class TestMultiDeviceFlags:
     def test_optimize_devices(self, capsys):
         assert main(["optimize", "mlp", "--batch", "8", "--budget", "20",

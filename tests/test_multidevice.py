@@ -47,7 +47,6 @@ from repro.gpusim import (
     ring_allreduce_time,
     simulate_multi_device,
 )
-from repro.gpusim.fastengine import FastEngine
 from repro.gpusim.multidevice import check_host_fit
 from repro.hw import (
     POWER9_V100,
@@ -292,7 +291,7 @@ class TestSingleDevicePassThrough:
     @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
     def test_zoo_identity_under_noise(self, name, batch):
         """Every zoo model, seeded duration noise: the N=1 multi-device
-        makespan equals both the full engine's and the fast engine's."""
+        makespan equals both the full engine's and its draft replay's."""
         graph = MODEL_ZOO[name](batch=batch)
         injector = FaultInjector(FaultSpec(duration_noise=0.1),
                                  seed=FAULT_SEED + batch)
@@ -316,12 +315,12 @@ class TestSingleDevicePassThrough:
         tasks, queues, buffers = ScheduleBuilder(
             graph, cls, durations, options, validate=False
         ).build_raw()
-        fast_makespan, _, _ = FastEngine(
+        draft_makespan, _, _ = Engine.replay_draft(
             tasks, queues, buffers,
             device_capacity=self.MACHINE.usable_gpu_memory,
             host_capacity=self.MACHINE.host_swap_capacity,
-        ).run()
-        assert res.makespan == fast_makespan
+        )
+        assert res.makespan == draft_makespan
 
 
 class TestPlanStaggered:

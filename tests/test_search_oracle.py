@@ -5,8 +5,9 @@ exact tree's leaves, delta drafts with liveness-floor elision of step-2
 keep probes, and lockstep sweeps (speculative ones included).  Each of
 those may only change how much work the search does, never what it
 decides.  The reference arm runs the same classifier on
-``OraclePredictor`` (``tests/conftest.py``), which simulates every
-candidate from a fresh ``build_schedule`` on the reference ``Engine``, with
+``OraclePredictor`` (``tests/conftest.py``), which replays every
+candidate's freshly built draft on ``Engine.replay_draft`` (held to
+``Engine.run`` by the draft contract in ``tests/test_engine.py``), with
 no lockstep, no delta drafts and no elision.
 
 Across the zoo slice, both tiny machines, exact and noisy profiles

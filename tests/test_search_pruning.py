@@ -4,8 +4,9 @@ The contract under test is *exact equivalence*: delta drafts and lockstep
 sweeps may only change how much work the search does, never what it
 returns.
 
-* delta drafts (``apply_keep_delta``) must be task-for-task identical to a
-  fresh ``ScheduleBuilder`` build for the same classification;
+* keep-only delta drafts (``apply_recompute_delta`` of the all-swap base
+  with no recomputes) must be task-for-task identical to a fresh
+  ``ScheduleBuilder`` build for the same classification;
 * swept outcomes count against the simulation budget exactly like the
   oracle's from-scratch simulations, so budget truncation is unchanged;
 * the step-1 walk lists only the exact-tree leaves the simulation budget
@@ -34,7 +35,7 @@ from repro.pooch.predictor import (
 )
 from repro.runtime.plan import Classification, MapClass
 from repro.runtime.profiler import run_profiling
-from repro.runtime.schedule import ScheduleBuilder, apply_keep_delta
+from repro.runtime.schedule import ScheduleBuilder, apply_recompute_delta
 from tests.conftest import (
     OraclePredictor,
     SerialPredictor,
@@ -89,8 +90,9 @@ def _assert_drafts_equal(a, b):
 
 @pytest.mark.parametrize("name,batch", _ZOO)
 def test_delta_draft_equals_fresh_build(name, batch):
-    """apply_keep_delta(all_swap base, keeps) == ScheduleBuilder for the
-    same keep-set, for random keep-sets across the zoo."""
+    """apply_recompute_delta(all_swap base, keeps, no recomputes) ==
+    ScheduleBuilder for the same keep-set, for random keep-sets across the
+    zoo."""
     g = _graph(name, batch)
     prof = run_profiling(g, _MACHINE)
     durs = prof.durations()
@@ -108,7 +110,8 @@ def test_delta_draft_equals_fresh_build(name, batch):
         )
         fresh = ScheduleBuilder(g, cls, durs, pred.options,
                                 validate=False).build_raw()
-        delta = apply_keep_delta(base[0], base[1], base[2], keeps)
+        delta = apply_recompute_delta(*base, g, durs, pred.options,
+                                      keeps, ()).draft
         _assert_drafts_equal(delta, fresh)
 
 
@@ -122,7 +125,7 @@ def test_delta_draft_leaves_base_unmodified():
     ref = ScheduleBuilder(g, Classification.all_swap(g), durs,
                           pred.options, validate=False).build_raw()
     maps = g.classifiable_maps()
-    apply_keep_delta(base[0], base[1], base[2], set(maps[::2]))
+    apply_recompute_delta(*base, g, durs, pred.options, set(maps[::2]), ())
     _assert_drafts_equal(base, ref)
 
 

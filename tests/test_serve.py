@@ -676,6 +676,15 @@ class TestHTTP:
         assert stats["warm_cache"]["capacity"] > 0
         assert "queue_depth" in stats and "open_flights" in stats
 
+    def test_started_server_stops_promptly(self):
+        # shutdown() waits for the accept loop's next poll
+        server = PlannerServer(JobManager(ServePlanner(), workers=1),
+                               port=0).start()
+        assert PlannerClient(server.url).health() == {"status": "ok"}
+        start = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - start < 0.25
+
     def test_remote_shutdown_can_be_disabled(self):
         manager = JobManager(ServePlanner(), workers=1)
         server = PlannerServer(manager, port=0, allow_remote_shutdown=False)

@@ -9,9 +9,9 @@ loop does, never what it returns.
   identical to a fresh ``ScheduleBuilder`` build for the same classification,
   for random keep/recompute partitions across the model zoo under the
   EAGER swap-in policy (recompute flips under any other policy raise) —
-  patched from the keep draft, and as step 2 drafts its probes: one- and
-  two-flip patches of a current plan's own draft, which must leave that
-  draft untouched;
+  patched from a keep-only patch of the all-swap base, and as step 2
+  drafts its probes: one- and two-flip patches of a current plan's own
+  draft, which must leave that draft untouched;
 * step 2 run from the same step-1 plan returns the identical plan,
   predicted time, peak memory and r(X) table with its machinery on (the
   search) and off (the oracle's from-scratch step 2), on both machines;
@@ -32,8 +32,8 @@ loop does, never what it returns.
   profile (``LivenessProfile.keep_floor``) equals ``liveness_floor`` of the
   freshly built "X kept" draft exactly, across the zoo, both machines, all
   swap-in policies, forward re-fetch on/off and perturbed profiles — and
-  answering probes that way drafts the step-1 keep set once per step 2,
-  not once per probe.
+  answering probes that way patches the step-1 keep set onto the all-swap
+  base once per step 2, not once per probe.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from repro.runtime.schedule import (
     LivenessProfile,
     ScheduleBuilder,
     ScheduleOptions,
-    apply_keep_delta,
     apply_recompute_delta,
     liveness_floor,
 )
@@ -102,8 +101,9 @@ def _partitions(g, rng, n=6):
                          ids=lambda p: p.name.lower())
 @pytest.mark.parametrize("name,batch", _ZOO)
 def test_recompute_delta_equals_fresh_build(name, batch, policy):
-    """apply_recompute_delta(keep-delta base, ...) == ScheduleBuilder for the
-    same keep/recompute sets, for random partitions across the zoo."""
+    """apply_recompute_delta(keep-only patch of the all-swap base, ...) ==
+    ScheduleBuilder for the same keep/recompute sets, for random partitions
+    across the zoo."""
     g = _graph(name, batch)
     prof = run_profiling(g, _MACHINE)
     durs = prof.durations()
@@ -118,7 +118,7 @@ def test_recompute_delta_equals_fresh_build(name, batch, policy):
         )
         fresh = ScheduleBuilder(g, cls, durs, opts,
                                 validate=False).build_raw()
-        kd = apply_keep_delta(base[0], base[1], base[2], keeps)
+        kd = apply_recompute_delta(*base, g, durs, opts, keeps, ()).draft
         delta = apply_recompute_delta(kd[0], kd[1], kd[2], g, durs, opts,
                                       keeps, recs).draft
         _assert_drafts_equal(delta, fresh)
@@ -250,8 +250,8 @@ def test_recompute_delta_leaves_base_unmodified():
     base = ScheduleBuilder(g, Classification.all_swap(g), durs, opts,
                            validate=False).build_raw()
     keeps = set(g.classifiable_maps()[::3])
-    kd = apply_keep_delta(base[0], base[1], base[2], keeps)
-    ref = apply_keep_delta(base[0], base[1], base[2], keeps)
+    kd = apply_recompute_delta(*base, g, durs, opts, keeps, ()).draft
+    ref = apply_recompute_delta(*base, g, durs, opts, keeps, ()).draft
     recs = {m for m in g.classifiable_maps()
             if g[m].op.recomputable and m not in keeps}
     apply_recompute_delta(kd[0], kd[1], kd[2], g, durs, opts, keeps, recs)
@@ -564,13 +564,13 @@ def test_keep_floor_rejects_unswapped_maps():
 def test_step2_drafts_the_keep_set_once(monkeypatch):
     """Every step-2 probe shares the step-1 keep set, so answering keep
     probes from current's liveness profile and patching recompute probes
-    onto the memoized plan draft must call ``apply_keep_delta`` a small
-    constant number of times per step 2 — not once per probe — and every
-    ``apply_recompute_delta`` call must patch at most two flips onto its
-    base (a probe of current, a speculative probe of the next plan, or the
-    next plan itself), never replay the plan's recompute chains from the
-    keep draft — while the search itself stays exactly what per-probe
-    fresh drafts produce."""
+    onto the memoized plan draft must call ``apply_recompute_delta`` on
+    the all-swap base (drafting the keep set) a small constant number of
+    times per step 2 — not once per probe — and every other call must
+    patch at most two flips onto its base (a probe of current, a
+    speculative probe of the next plan, or the next plan itself), never
+    replay the plan's recompute chains from the keep draft — while the
+    search itself stays exactly what per-probe fresh drafts produce."""
     g = _graph("resnet18", 4)
     prof = run_profiling(g, _SLOW)
 
@@ -585,18 +585,17 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
         clf = PoochClassifier(g, prof, _SLOW, config=PoochConfig())
         calls = [0]
         if count_drafts:
-            real_delta = predictor_mod.apply_keep_delta
+            pred = clf.predictor
             real_patch = predictor_mod.apply_recompute_delta
             real_step2 = clf._step2_swap_vs_recompute
 
-            def counting_delta(*args, **kwargs):
-                calls[0] += 1
-                return real_delta(*args, **kwargs)
-
             def counting_patch(tasks, queues, buffers, graph, durations,
                                options, keeps, recomputes):
-                patched.append(sum(f"SO{m}" in tasks
-                                 for m in set(keeps) | set(recomputes)))
+                if pred._base is not None and tasks is pred._base[0]:
+                    calls[0] += 1  # the keep set drafted from all-swap
+                else:
+                    patched.append(sum(f"SO{m}" in tasks for m
+                                       in set(keeps) | set(recomputes)))
                 return real_patch(tasks, queues, buffers, graph, durations,
                                   options, keeps, recomputes)
 
@@ -605,8 +604,6 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
                 patched.clear()
                 return real_step2(*args, **kwargs)
 
-            monkeypatch.setattr(predictor_mod, "apply_keep_delta",
-                                counting_delta)
             monkeypatch.setattr(predictor_mod, "apply_recompute_delta",
                                 counting_patch)
             monkeypatch.setattr(clf, "_step2_swap_vs_recompute", step2)

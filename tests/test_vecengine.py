@@ -4,8 +4,8 @@ The search's lockstep sweeps rest on the lockstep replay agreeing with the
 event loop float-for-float — same makespans, same per-task start/end
 times, same allocator high-water marks, and the same OOM attribution for
 infeasible plans (the stall diagnosis).  This harness checks that against
-``Engine`` (the event loop's ``FastEngine`` entry point is held to
-``Engine`` in ``tests/test_fastengine.py``):
+``Engine`` (its draft entry point ``Engine.replay_draft`` is held to
+``Engine.run`` by the draft contract in ``tests/test_engine.py``):
 
 * a differential on fixed plans, random mixed plans, and the whole model
   zoo under seeded duration noise (``FAULT_SEED`` shifts the
