@@ -565,8 +565,9 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
     """Every step-2 probe shares the step-1 keep set, so answering keep
     probes from current's liveness profile and patching recompute probes
     onto the memoized plan draft must call ``apply_recompute_delta`` on
-    the all-swap base (drafting the keep set) a small constant number of
-    times per step 2 — not once per probe — and every other call must
+    the all-swap base (drafting the keep set, with no recomputes) a small
+    constant number of times per step 2 — not once per probe — and every
+    other call must
     patch at most two flips onto its base (a probe of current, a
     speculative probe of the next plan, or the next plan itself), never
     replay the plan's recompute chains from the keep draft — while the
@@ -593,6 +594,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
                                options, keeps, recomputes):
                 if pred._base is not None and tasks is pred._base[0]:
                     calls[0] += 1  # the keep set drafted from all-swap
+                    base_recomputes.append(len(recomputes))
                 else:
                     patched.append(sum(f"SO{m}" in tasks for m
                                        in set(keeps) | set(recomputes)))
@@ -602,6 +604,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
             def step2(*args, **kwargs):
                 calls[0] = 0  # count step 2's drafts only
                 patched.clear()
+                base_recomputes.clear()
                 return real_step2(*args, **kwargs)
 
             monkeypatch.setattr(predictor_mod, "apply_recompute_delta",
@@ -613,7 +616,8 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
                           stats.sims_step2, stats.r_rounds,
                           stats.flips_to_recompute)
 
-    patched: list[int] = []  # flips per apply_recompute_delta call
+    patched: list[int] = []  # flips per patch of a non-base draft
+    base_recomputes: list[int] = []  # recomputes per patch of the base
     drafts, derived = search(count_drafts=True)
     monkeypatch.setattr(predictor_mod.TimelinePredictor,
                         "provably_infeasible", fresh_draft_verdict)
@@ -624,6 +628,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
     assert (elided, sims_step2, flips) == (21, 21, [3, 4, 6, 9, 14, 15])
     assert elided + sims_step2 >= 10 * max(drafts, 1)
     assert drafts <= 2, f"{drafts} keep drafts for one step 2"
+    assert not any(base_recomputes), base_recomputes  # keep-only drafts
     assert patched and max(patched) <= 2, patched
 
 
