@@ -16,6 +16,7 @@ from repro.analysis import Table
 from repro.common.errors import OutOfMemoryError
 from repro.common.units import MiB
 from repro.experiments import optimize_cached
+from repro.gpusim import BlockMemoryPool
 from repro.hw import X86_V100
 from repro.models import resnet50
 from repro.pooch import PoochConfig
@@ -45,7 +46,8 @@ def test_bench_extension_fragmentation(benchmark, report):
         for name, cls in plans:
             counting = execute(g, cls, X86_V100)
             try:
-                block = execute(g, cls, X86_V100, fragmentation=True)
+                block = execute(g, cls, X86_V100, device_pool=BlockMemoryPool(
+                    X86_V100.usable_gpu_memory))
                 arena = images_per_second(block, 512)
             except OutOfMemoryError as e:
                 arena = None

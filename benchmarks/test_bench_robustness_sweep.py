@@ -27,7 +27,6 @@ from repro.experiments.cache import optimize_cached
 from repro.faults import FaultSpec, fault_seed_sweep
 from repro.hw import X86_V100
 from repro.models import resnet50
-from repro.runtime.schedule import ScheduleOptions
 
 from benchmarks.conftest import BENCH_CONFIG, run_once
 
@@ -39,10 +38,7 @@ def test_bench_robustness_sweep(benchmark, report, results_dir):
     def run():
         result = optimize_cached("resnet50_b256", lambda: resnet50(256),
                                  X86_V100, BENCH_CONFIG)
-        options = ScheduleOptions(
-            policy=result.config.policy,
-            forward_refetch_gap=result.config.forward_refetch_gap,
-        )
+        options = result.config.options
         seeds = range(N_SEEDS)
         arms = {}
         for label, vectorize in (("vectorized", True), ("serial", False)):

@@ -179,7 +179,6 @@ def robustness_report(
     process pool.
     """
     from repro.pooch import PoocH  # lazy: pooch.overlap imports this package
-    from repro.runtime.schedule import ScheduleOptions
 
     if fault_seeds < 1:
         raise ValueError(f"fault_seeds must be >= 1, got {fault_seeds}")
@@ -212,13 +211,9 @@ def robustness_report(
         # plan once per scenario — the sweep is evaluation-side only
         injector = FaultInjector(spec, seed=seed)
         result = PoocH(machine, config=config, faults=injector).optimize(graph)
-        options = ScheduleOptions(
-            policy=result.config.policy,
-            forward_refetch_gap=result.config.forward_refetch_gap,
-        )
         outcomes = fault_seed_sweep(
             graph, result.classification, machine, spec, seeds,
-            retry=retry, options=options, workers=workers,
+            retry=retry, options=result.config.options, workers=workers,
         )
         makespans = np.array([o.makespan for o in outcomes])
         p50, p95, p99 = (float(np.percentile(makespans, q))

@@ -7,7 +7,7 @@ run through the exact same runtime and simulator as PoocH.
 """
 
 from repro.baselines.checkpointing import plan_checkpoint
-from repro.baselines.common import BaselinePlan, run_plan
+from repro.baselines.common import BaselinePlan
 from repro.baselines.incore import plan_incore
 from repro.baselines.recompute_all import plan_recompute_all
 from repro.baselines.superneurons import plan_superneurons
@@ -17,7 +17,6 @@ from repro.baselines.vdnn import plan_vdnn
 
 __all__ = [
     "BaselinePlan",
-    "run_plan",
     "plan_incore",
     "plan_swap_all",
     "plan_swap_all_unscheduled",

@@ -10,6 +10,7 @@ from repro.gpusim import RunResult
 from repro.hw import CostModel, MachineSpec
 from repro.runtime.executor import execute
 from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.schedule import ScheduleOptions
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,6 @@ class BaselinePlan:
         cost_model: CostModel | None = None,
     ) -> RunResult:
         return execute(
-            graph, self.classification, machine,
-            policy=self.policy, cost_model=cost_model,
+            graph, self.classification, machine, cost_model=cost_model,
+            options=ScheduleOptions(policy=self.policy),
         )
-
-
-def run_plan(
-    plan: BaselinePlan, graph: NNGraph, machine: MachineSpec,
-    cost_model: CostModel | None = None,
-) -> RunResult:
-    """Uniform ground-truth execution of a baseline plan."""
-    return plan.execute(graph, machine, cost_model)

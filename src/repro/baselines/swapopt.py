@@ -6,7 +6,8 @@ from __future__ import annotations
 from repro.baselines.common import BaselinePlan
 from repro.graph import NNGraph
 from repro.hw import CostModel, MachineSpec
-from repro.pooch.classifier import PoochClassifier, PoochConfig
+from repro.pooch.classifier import PoochClassifier
+from repro.pooch.config import PoochConfig
 from repro.runtime.profiler import Profile, run_profiling
 
 

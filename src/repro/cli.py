@@ -58,7 +58,13 @@ from repro.hw import MachineSpec, POWER9_V100, X86_V100, multi_gpu
 from repro.models import MODEL_ZOO, build_model
 from repro.obs import LEVELS, MetricsRegistry, configure_logging, metrics
 from repro.pooch import PoocH, PoochConfig
-from repro.runtime import Classification, SwapInPolicy, execute, images_per_second
+from repro.runtime import (
+    Classification,
+    ScheduleOptions,
+    SwapInPolicy,
+    execute,
+    images_per_second,
+)
 
 _MACHINES: dict[str, MachineSpec] = {"x86": X86_V100, "power9": POWER9_V100}
 
@@ -271,7 +277,6 @@ def _cmd_optimize(args) -> int:
 
 def _run_resilient(graph, cls, machine, injector, policy=SwapInPolicy.EAGER):
     from repro.faults import execute_resilient
-    from repro.runtime.schedule import ScheduleOptions
 
     robust = execute_resilient(graph, cls, machine, faults=injector,
                                options=ScheduleOptions(policy=policy))
@@ -323,6 +328,14 @@ def _cmd_run(args) -> int:
             timeline = robust.result
         if result.multi is not None:
             multi = result.multi.chosen
+            if injector is not None:
+                from repro.gpusim import simulate_multi_device
+
+                # the stagger stage ran the clean plan: replay the faulted
+                # iteration with the stagger it chose
+                multi = simulate_multi_device(
+                    timeline, machine, stagger=result.multi.stagger,
+                    grad_bytes=result.grad_bytes())
             _print_multi(machine, multi, staggered=any(result.multi.stagger))
     else:
         if args.method == "swap-opt":
@@ -489,8 +502,8 @@ def _cmd_timeline(args) -> int:
         "swap": Classification.all_swap,
         "recompute": Classification.all_recompute,
     }[args.plan](graph)
-    result = execute(graph, cls, machine,
-                     policy=SwapInPolicy(args.policy))
+    result = execute(graph, cls, machine, options=ScheduleOptions(
+        policy=SwapInPolicy(args.policy)))
     if args.trace:
         from repro.analysis import write_chrome_trace
 

@@ -49,10 +49,6 @@ class LruCache:
         with self._lock:
             return key in self._entries
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.common.errors import OutOfMemoryError, SimulationError
 from repro.common.units import format_bytes
@@ -143,15 +144,32 @@ class MemoryPool:
         )
 
 
+def _best_fit(sizes: Iterable[int], request: int) -> int | None:
+    """Index of the smallest size that holds ``request`` bytes, the first
+    among equal sizes; None when none does."""
+    best = None
+    best_size = 0
+    for i, size in enumerate(sizes):
+        if size >= request and (best is None or size < best_size):
+            best, best_size = i, size
+    return best
+
+
 class BlockMemoryPool(MemoryPool):
     """Address-space best-fit allocator with splitting and coalescing.
 
     Unlike the counting pool, this models *fragmentation*: an allocation
     fails when no single free block is large enough, even if the total free
     bytes would suffice — the failure mode Chainer's arena allocator adds on
-    top of pure capacity.  Opt-in via ``Engine(..., fragmentation=True)``;
-    the counting pool remains the default so that PoocH's predictor and the
-    ground truth stay exactly consistent (see DESIGN.md §5).
+    top of pure capacity.  Opt-in by passing one as a device pool
+    (``execute(..., device_pool=BlockMemoryPool(capacity))``); the counting
+    pool remains the default so that PoocH's predictor and the ground truth
+    stay exactly consistent (see DESIGN.md §5).
+
+    Placement scans the offset-sorted free list linearly: the smallest block
+    that fits, the lowest offset among ties.  The list stays short (a
+    ResNet-50 all-swap iteration never holds more than a handful of free
+    blocks), so no size index is kept beside it.
     """
 
     def __init__(self, capacity: int, name: str = "gpu") -> None:
@@ -159,36 +177,11 @@ class BlockMemoryPool(MemoryPool):
         #: sorted list of free (offset, size) blocks
         self._free_blocks: list[tuple[int, int]] = [(0, self.capacity)]
         self._offsets: dict[str, tuple[int, int]] = {}
-        #: size-bucketed index over the same free blocks: the sorted distinct
-        #: block sizes plus, per size, the sorted offsets of blocks with that
-        #: size.  ``malloc``'s best-fit choice (smallest size >= request,
-        #: lowest offset among ties) becomes two bisects instead of a linear
-        #: scan of the free list; the block picked is identical.
-        self._size_keys: list[int] = [self.capacity]
-        self._buckets: dict[int, list[int]] = {self.capacity: [0]}
-
-    # -- size-bucket index -------------------------------------------------
-
-    def _bucket_add(self, off: int, size: int) -> None:
-        bucket = self._buckets.get(size)
-        if bucket is None:
-            bisect.insort(self._size_keys, size)
-            self._buckets[size] = [off]
-        else:
-            bisect.insort(bucket, off)
-
-    def _bucket_remove(self, off: int, size: int) -> None:
-        bucket = self._buckets[size]
-        if len(bucket) == 1:
-            del self._buckets[size]
-            del self._size_keys[bisect.bisect_left(self._size_keys, size)]
-        else:
-            del bucket[bisect.bisect_left(bucket, off)]
 
     # -- queries -----------------------------------------------------------
 
     def largest_free_block(self) -> int:
-        return self._size_keys[-1] if self._size_keys else 0
+        return max((s for _, s in self._free_blocks), default=0)
 
     def fragmentation(self) -> float:
         """1 - largest_free_block / free_bytes (0 = unfragmented)."""
@@ -198,37 +191,29 @@ class BlockMemoryPool(MemoryPool):
         return 1.0 - self.largest_free_block() / free
 
     def can_fit(self, nbytes: int) -> bool:
-        size = round_size(nbytes)
-        return bool(self._size_keys) and self._size_keys[-1] >= size
+        return _best_fit((s for _, s in self._free_blocks),
+                         round_size(nbytes)) is not None
 
     def stats(self) -> dict[str, float]:
         """Counting-pool stats plus the fragmentation the block model adds
-        and the shape of the size-bucket index (free blocks, distinct
-        bucket sizes, deepest bucket)."""
+        (largest free block, fragmentation ratio, free blocks)."""
         base = super().stats()
         base["largest_free_block_bytes"] = self.largest_free_block()
         base["fragmentation"] = self.fragmentation()
         base["free_blocks"] = len(self._free_blocks)
-        base["size_buckets"] = len(self._size_keys)
-        base["largest_bucket_blocks"] = max(
-            (len(b) for b in self._buckets.values()), default=0
-        )
         return base
 
     def can_fit_all(self, sizes: list[int]) -> bool:
         """Whether all requests could be placed simultaneously (best-fit,
         largest-first trial placement on a copy of the free list)."""
-        blocks = sorted((s for _, s in self._free_blocks), reverse=False)
+        blocks = [s for _, s in self._free_blocks]
         for size in sorted((round_size(s) for s in sizes), reverse=True):
             if size == 0:
                 continue
-            for i, s in enumerate(blocks):
-                if s >= size:
-                    blocks[i] = s - size
-                    blocks.sort()
-                    break
-            else:
+            i = _best_fit(blocks, size)
+            if i is None:
                 return False
+            blocks[i] -= size
         return True
 
     # -- mutation ------------------------------------------------------------
@@ -238,12 +223,8 @@ class BlockMemoryPool(MemoryPool):
         if buffer in self._sizes:
             raise SimulationError(f"{self.name}: double malloc of {buffer!r}")
         size = round_size(nbytes)
-        # best-fit via the bucket index: the first size key >= request is the
-        # smallest qualifying block size, and its bucket's first offset is the
-        # lowest-offset block of that size — exactly what a linear best-fit
-        # scan of the offset-sorted free list would pick.
-        k = bisect.bisect_left(self._size_keys, size)
-        if k == len(self._size_keys):
+        idx = _best_fit((s for _, s in self._free_blocks), size)
+        if idx is None:
             total_free = self.free_bytes
             raise OutOfMemoryError(
                 f"{self.name} pool cannot place {buffer!r}: requested "
@@ -257,19 +238,15 @@ class BlockMemoryPool(MemoryPool):
                 capacity=self.capacity,
                 context=context,
             )
-        s = self._size_keys[k]
-        off = self._buckets[s][0]
+        off, s = self._free_blocks[idx]
         if size:
             # zero-size requests reserve an address but no block: putting
             # 0-byte blocks on the free list would create duplicate-offset
             # entries that break the sorted invariant free() relies on.
-            self._bucket_remove(off, s)
-            idx = bisect.bisect_left(self._free_blocks, (off, 0))
             if s == size:
                 del self._free_blocks[idx]
             else:
                 self._free_blocks[idx] = (off + size, s - size)
-                self._bucket_add(off + size, s - size)
         self._offsets[buffer] = (off, size)
         self._sizes[buffer] = size
         self.in_use += size
@@ -289,27 +266,19 @@ class BlockMemoryPool(MemoryPool):
             self.trace.append(AllocEvent(time, "free", buffer, size, self.in_use))
         if not size:
             return  # zero-size buffers hold no block (see malloc)
-        # insert and coalesce with neighbours, keeping the bucket index in step
+        # insert and coalesce with neighbours
         idx = bisect.bisect_left(self._free_blocks, (off, 0))
         self._free_blocks.insert(idx, (off, size))
-        self._bucket_add(off, size)
         # merge right
         if idx + 1 < len(self._free_blocks):
             o2, s2 = self._free_blocks[idx + 1]
             if off + size == o2:
-                self._bucket_remove(off, size)
-                self._bucket_remove(o2, s2)
-                size += s2
-                self._free_blocks[idx] = (off, size)
+                self._free_blocks[idx] = (off, size + s2)
                 del self._free_blocks[idx + 1]
-                self._bucket_add(off, size)
         # merge left
         if idx > 0:
             o0, s0 = self._free_blocks[idx - 1]
             o1, s1 = self._free_blocks[idx]
             if o0 + s0 == o1:
-                self._bucket_remove(o0, s0)
-                self._bucket_remove(o1, s1)
                 self._free_blocks[idx - 1] = (o0, s0 + s1)
                 del self._free_blocks[idx]
-                self._bucket_add(o0, s0 + s1)

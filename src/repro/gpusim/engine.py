@@ -61,7 +61,7 @@ from repro.common.errors import (
     nearest_keys,
 )
 from repro.common.units import format_bytes
-from repro.gpusim.allocator import BlockMemoryPool, MemoryPool, round_size
+from repro.gpusim.allocator import MemoryPool, round_size
 from repro.obs import get_logger, metrics
 
 log = get_logger(__name__)
@@ -645,19 +645,17 @@ class Engine(EventLoop):
         host_capacity: int | None = None,
         validate: bool = True,
         free_hook: Callable[[str], None] | None = None,
-        fragmentation: bool = False,
         device_pool: MemoryPool | None = None,
         host_pool: MemoryPool | None = None,
     ) -> None:
         if validate:
             schedule.validate()
         self.schedule = schedule
-        # fragmentation=True swaps in the best-fit block allocator, which can
-        # additionally fail when no contiguous block fits (DESIGN.md §5);
-        # explicit pools (e.g. the fault layer's spuriously-failing pool)
-        # override the default construction and must match the capacities
-        pool_cls = BlockMemoryPool if fragmentation else MemoryPool
-        device = device_pool if device_pool is not None else pool_cls(
+        # explicit pools override the counting default and must match the
+        # capacities: a BlockMemoryPool, which can additionally fail when no
+        # contiguous block fits (DESIGN.md §5), or the fault layer's
+        # spuriously-failing pool
+        device = device_pool if device_pool is not None else MemoryPool(
             device_capacity, "gpu")
         host = host_pool if host_pool is not None else MemoryPool(
             host_capacity or (1 << 62), "host")

@@ -243,19 +243,6 @@ class MultiDeviceResult:
             ))
         return out
 
-    def summary(self) -> str:
-        lines = [
-            f"{self.devices}-device iteration: {self.makespan * 1e3:.2f} ms "
-            f"(single device {self.base.makespan * 1e3:.2f} ms)",
-        ]
-        for dev in self.per_device:
-            lines.append(
-                f"  device {dev.device}: stagger {dev.stagger * 1e3:.2f} ms, "
-                f"contention delay {dev.contention_delay * 1e3:.2f} ms, "
-                f"allreduce {dev.allreduce_time * 1e3:.2f} ms, "
-                f"done at {dev.done * 1e3:.2f} ms")
-        return "\n".join(lines)
-
 
 def ring_allreduce_time(grad_bytes: int, machine) -> float:
     """Ring-allreduce duration for ``grad_bytes`` of gradients.

@@ -173,10 +173,6 @@ class NNGraph:
     def total_fwd_flops(self) -> float:
         return sum(l.op.fwd_flops for l in self.layers)
 
-    @property
-    def total_bwd_flops(self) -> float:
-        return sum(l.op.bwd_flops for l in self.layers)
-
     def training_memory_bytes(self, optimizer_state_factor: float = 1.0) -> int:
         """Estimate of total training memory: all live feature maps + params
         + parameter gradients (+ optimizer state as a factor of params).

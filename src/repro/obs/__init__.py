@@ -37,7 +37,6 @@ from repro.obs.metrics import (
     active,
     count,
     gauge,
-    gauge_max,
     record,
     set_active,
     span,
@@ -58,7 +57,6 @@ __all__ = [
     "active",
     "count",
     "gauge",
-    "gauge_max",
     "record",
     "set_active",
     "span",

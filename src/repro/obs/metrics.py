@@ -311,12 +311,6 @@ def gauge(name: str, value: float) -> None:
         registry.gauge(name, value)
 
 
-def gauge_max(name: str, value: float) -> None:
-    registry = _ACTIVE
-    if registry is not None:
-        registry.gauge_max(name, value)
-
-
 def record(name: str, value) -> None:
     registry = _ACTIVE
     if registry is not None:

@@ -14,7 +14,8 @@ The pipeline mirrors the paper's three phases:
 :class:`PoocH` wraps all three; see ``examples/quickstart.py``.
 """
 
-from repro.pooch.classifier import PoochClassifier, PoochConfig, SearchStats
+from repro.pooch.classifier import PoochClassifier, SearchStats
+from repro.pooch.config import PoochConfig
 from repro.pooch.dynamic import DynamicPoocH, DynamicStats
 from repro.pooch.multidevice import (
     MultiDevicePlan,

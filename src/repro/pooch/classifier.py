@@ -41,9 +41,10 @@ from repro.graph import NNGraph
 from repro.gpusim.allocator import round_size
 from repro.hw import MachineSpec
 from repro.obs import get_logger, metrics
+from repro.pooch.config import PoochConfig
 from repro.pooch.overlap import OverlapAnalysis, analyze_overlap
 from repro.pooch.predictor import PredictedOutcome, TimelinePredictor
-from repro.runtime.plan import Classification, MapClass, SwapInPolicy
+from repro.runtime.plan import Classification, MapClass
 from repro.runtime.profiler import Profile
 
 log = get_logger(__name__)
@@ -52,47 +53,9 @@ log = get_logger(__name__)
 #: not slow the plan by more than this many seconds
 TIME_EPSILON = 1e-12
 
-
-@dataclass(frozen=True)
-class PoochConfig:
-    """Classifier knobs; defaults follow the paper where it specifies them."""
-
-    #: swap-in schedule used for every simulation and for execution (§4.3)
-    policy: SwapInPolicy = SwapInPolicy.EAGER
-    #: exact-search width: at most this many L_I maps get true binary-tree
-    #: enumeration; the rest fall back to the greedy scan
-    max_exact_li: int = 8
-    #: hard cap on step-1 predictor simulations (best plan so far is kept)
-    step1_sim_budget: int = 1200
-    #: bytes of device capacity the chosen plan must leave free — slack for
-    #: allocator fragmentation that the counting memory model cannot see
-    #: (0 reproduces the paper; see the fragmentation ablation benchmark)
-    capacity_margin: int = 0
-    #: forward re-fetch gap for long skip connections (extension; see
-    #: ScheduleOptions.forward_refetch_gap; None reproduces the paper)
-    forward_refetch_gap: int | None = None
-
-    def __post_init__(self) -> None:
-        # configs arrive from CLI flags and HTTP bodies: reject a bad value
-        # here, naming it, instead of deep inside the search
-        for name, low in (("step1_sim_budget", 1), ("max_exact_li", 0),
-                          ("capacity_margin", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                kind = "positive" if low else "non-negative"
-                raise ValueError(f"{name} must be a {kind} integer, "
-                                 f"got {value!r}")
-
-    def signature(self) -> str:
-        """Stable identity of every knob that affects the *chosen plan*.
-        Plan caches key on this."""
-        return (
-            f"policy={self.policy.value};li={self.max_exact_li};"
-            f"budget={self.step1_sim_budget};margin={self.capacity_margin};"
-            f"gap={self.forward_refetch_gap}"
-        )
+#: the config fields a predictor simulates under; a classifier refuses a
+#: predictor whose config disagrees with its own on any of them
+_SIMULATION_FIELDS = ("policy", "capacity_margin", "forward_refetch_gap")
 
 
 @dataclass
@@ -511,7 +474,11 @@ class _FlipTree:
 
 
 class PoochClassifier:
-    """Runs the two-step search; one instance per (graph, profile, machine)."""
+    """Runs the two-step search; one instance per (graph, profile, machine).
+
+    A supplied ``predictor`` must have been built from a config that agrees
+    with ``config`` on every simulation setting (``ValueError`` otherwise):
+    the keep-bytes prune and the simulations then read one capacity."""
 
     def __init__(
         self,
@@ -525,11 +492,17 @@ class PoochClassifier:
         self.profile = profile
         self.machine = machine
         self.config = config or PoochConfig()
-        self.predictor = predictor or TimelinePredictor(
-            graph, profile, machine, policy=self.config.policy,
-            capacity_margin=self.config.capacity_margin,
-            forward_refetch_gap=self.config.forward_refetch_gap,
-        )
+        if predictor is None:
+            predictor = TimelinePredictor(graph, profile, machine, self.config)
+        for name in _SIMULATION_FIELDS:
+            ours, theirs = (getattr(self.config, name),
+                            getattr(predictor.config, name))
+            if ours != theirs:
+                raise ValueError(
+                    f"config {name}={ours!r} disagrees with the predictor's "
+                    f"{name}={theirs!r}: the search would prune and simulate "
+                    f"under different settings")
+        self.predictor = predictor
         self.stats = SearchStats()
 
     # -- public -------------------------------------------------------------------
@@ -664,10 +637,8 @@ class PoochClassifier:
         self.stats.scan_order = list(scan)
 
         # conservative keep-budget prune: keeps beyond this certainly OOM
-        keep_budget = (
-            self.machine.usable_gpu_memory - cfg.capacity_margin
-            - 2 * round_size(self.graph.total_param_bytes)
-        )
+        keep_budget = (self.predictor.capacity
+                       - 2 * round_size(self.graph.total_param_bytes))
         map_bytes = {m: round_size(self.graph[m].out_spec.nbytes) for m in candidates}
 
         best_cls = all_swap

@@ -36,14 +36,14 @@ from repro.graph import NNGraph
 from repro.gpusim import RunResult
 from repro.hw import CostModel, MachineSpec
 from repro.obs import get_logger, metrics
-from repro.pooch.classifier import PoochClassifier, PoochConfig
+from repro.pooch.config import PoochConfig
+from repro.pooch.pipeline import PoocH
 from repro.pooch.predictor import TimelinePredictor
 from repro.runtime.durations import CostModelDurations
 from repro.runtime.executor import execute
 from repro.runtime.plan import Classification
 from repro.runtime.plan_io import PlanCache
 from repro.runtime.profiler import Profile, run_profiling
-from repro.runtime.schedule import ScheduleOptions
 
 log = get_logger(__name__)
 
@@ -124,16 +124,18 @@ class DynamicPoocH:
         if replan_tolerance is not None and replan_tolerance <= 0:
             raise ScheduleError(
                 f"replan_tolerance must be positive, got {replan_tolerance!r}")
+        #: profiles and plans every size; its config alone sets how every
+        #: size is profiled, verified and executed (simulate-before-running
+        #: is void unless they agree)
+        self._pooch = PoocH(machine, config, cost_model=cost_model,
+                            plan_cache=plan_cache, faults=faults,
+                            fault_seed=fault_seed)
         self.machine = machine
         self.build_graph = build_graph
-        self.config = config or PoochConfig()
+        self.config = self._pooch.config
         self.strategy = strategy
-        if plan_cache is not None and not isinstance(plan_cache, PlanCache):
-            plan_cache = PlanCache(plan_cache)
-        self.plan_cache = plan_cache
-        if faults is not None and not isinstance(faults, FaultInjector):
-            faults = FaultInjector(faults, seed=fault_seed)
-        self.faults = faults
+        self.plan_cache = self._pooch.plan_cache
+        self.faults = self._pooch.faults
         self.replan_tolerance = replan_tolerance
         self.retry = retry or RetryPolicy()
         self.cost_model = cost_model
@@ -142,12 +144,6 @@ class DynamicPoocH:
         self._graphs: dict[Size, NNGraph] = {}
         self._profiles: dict[Size, Profile] = {}
         self._predictors: dict[Size, TimelinePredictor] = {}
-        #: one options object per stream — verification and execution MUST
-        #: agree on it (simulate-before-running is void otherwise)
-        self._options = ScheduleOptions(
-            policy=self.config.policy,
-            forward_refetch_gap=self.config.forward_refetch_gap,
-        )
         self.stats = DynamicStats()
 
     # -- internals -------------------------------------------------------------
@@ -177,23 +173,18 @@ class DynamicPoocH:
         sees."""
         if size not in self._profiles:
             graph = self._graph(size)
-            durations = None
             if faulted and self.faults is not None:
-                durations = FaultyDurations(
-                    CostModelDurations(
-                        graph, self.cost_model or CostModel(self.machine)),
-                    self.faults,
+                profile = run_profiling(
+                    graph, self.machine,
+                    options=self.config.options,
+                    durations=FaultyDurations(
+                        CostModelDurations(
+                            graph, self.cost_model or CostModel(self.machine)),
+                        self.faults,
+                    ),
                 )
-            profile = run_profiling(
-                graph, self.machine,
-                cost_model=self.cost_model,
-                policy=self.config.policy,
-                forward_refetch_gap=self.config.forward_refetch_gap,
-                durations=durations,
-            )
-            if not faulted and self.faults is not None:
-                profile = self.faults.perturb_profile(
-                    profile, graph, self.machine, options=self._options)
+            else:
+                profile = self._pooch.measure(graph)
             self._profiles[size] = profile
             self.stats.profilings += 1
         return self._profiles[size]
@@ -204,36 +195,16 @@ class DynamicPoocH:
         if size not in self._predictors:
             self._predictors[size] = TimelinePredictor(
                 self._graph(size), self._profile(size), self.machine,
-                policy=self.config.policy,
-                capacity_margin=self.config.capacity_margin,
-                forward_refetch_gap=self.config.forward_refetch_gap,
-            )
+                self.config)
         return self._predictors[size]
 
     def _optimize(self, size: Size, use_plan_cache: bool = True) -> Classification:
-        graph = self._graph(size)
-        profile = self._profile(size)
-        predictor = self._predictor(size)
-        cache = self.plan_cache
-        if cache is not None:
-            hit = (cache.load_plan(graph, self.machine, self.config.signature())
-                   if use_plan_cache else None)
-            if hit is not None:
-                classification, _meta = hit
-                if predictor.predict(classification).feasible:
-                    self.stats.optimizations += 1
-                    return classification
-        classifier = PoochClassifier(
-            graph, profile, self.machine, self.config, predictor
-        )
-        classification, _ = classifier.classify()
-        if cache is not None:
-            cache.store_plan(
-                graph, self.machine, self.config.signature(), classification,
-                predicted_time=predictor.predict(classification).time,
-            )
+        """PoocH's planning stage on this size's predictor: the cached plan
+        when it re-verifies, else a fresh search (stored in the cache)."""
+        result = self._pooch.plan(self._predictor(size),
+                                  self.plan_cache if use_plan_cache else None)
         self.stats.optimizations += 1
-        return classification
+        return result.classification
 
     def _transferable_plan(self, size: Size) -> Classification | None:
         """nearest strategy: the plan of the smallest already-planned size
@@ -281,7 +252,8 @@ class DynamicPoocH:
         self._plans.pop(size, None)
         self._profile(size, faulted=True)
         # bypass the plan cache: it would hand back the very plan that
-        # drifted (cache keys ignore the profile)
+        # drifted (cache keys ignore the profile), and a plan fitted to the
+        # faulted profile must not displace the clean one stored there
         self._plans[size] = self._optimize(size, use_plan_cache=False)
         self.stats.replans += 1
         metrics.count("resilience.replans")
@@ -302,7 +274,7 @@ class DynamicPoocH:
                 graph, plan, self.machine,
                 faults=self.faults,
                 retry=self.retry,
-                options=self._options,
+                options=self.config.options,
                 cost_model=self.cost_model,
             )
             result = robust.result
@@ -310,7 +282,8 @@ class DynamicPoocH:
             self.stats.fallbacks += len(robust.fallbacks)
             degraded = robust.degraded
         else:
-            result = execute(graph, plan, self.machine, options=self._options,
+            result = execute(graph, plan, self.machine,
+                             options=self.config.options,
                              cost_model=self.cost_model)
             degraded = False
         self.stats.iterations += 1

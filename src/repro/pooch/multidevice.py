@@ -48,12 +48,6 @@ class MultiDevicePlan:
     def makespan(self) -> float:
         return self.chosen.makespan
 
-    @property
-    def contention_avoided(self) -> float:
-        """Seconds of link queueing the stagger removed (across devices)."""
-        return (self.naive.contention_delay_total
-                - self.chosen.contention_delay_total)
-
     def summary(self) -> str:
         naive, chosen = self.naive.makespan, self.chosen.makespan
         gain = (naive / chosen - 1.0) if chosen > 0 else 0.0

@@ -11,7 +11,8 @@ from repro.graph import NNGraph
 from repro.gpusim import RunResult
 from repro.hw import CostModel, MachineSpec
 from repro.obs import get_logger, metrics
-from repro.pooch.classifier import PoochClassifier, PoochConfig, SearchStats
+from repro.pooch.classifier import PoochClassifier, SearchStats
+from repro.pooch.config import PoochConfig
 from repro.pooch.multidevice import MultiDevicePlan, plan_staggered
 from repro.pooch.predictor import PredictedOutcome, TimelinePredictor
 from repro.runtime.executor import execute
@@ -61,8 +62,6 @@ class PoochResult:
         ``PoocH`` built without a cost model) that run is returned instead
         of running the engine again.  Any other argument runs the engine.
         """
-        from repro.runtime.schedule import ScheduleOptions
-
         machine = machine or self.machine
         if self.ground_truth is not None:
             ran_on, ran_with, run = self.ground_truth
@@ -73,10 +72,7 @@ class PoochResult:
             self.classification,
             machine,
             cost_model=cost_model,
-            options=ScheduleOptions(
-                policy=self.config.policy,
-                forward_refetch_gap=self.config.forward_refetch_gap,
-            ),
+            options=self.config.options,
         )
 
     def execute_resilient(
@@ -93,7 +89,6 @@ class PoochResult:
         chosen-plan → swap-all → recompute-all chain instead of raising on an
         execution-time failure."""
         from repro.faults.resilient import execute_resilient as _resilient
-        from repro.runtime.schedule import ScheduleOptions
 
         return _resilient(
             self.graph,
@@ -102,10 +97,7 @@ class PoochResult:
             faults=faults if faults is not None else self.faults,
             retry=retry,
             cost_model=cost_model,
-            options=ScheduleOptions(
-                policy=self.config.policy,
-                forward_refetch_gap=self.config.forward_refetch_gap,
-            ),
+            options=self.config.options,
         )
 
     def grad_bytes(self) -> int:
@@ -272,9 +264,15 @@ class PoocH:
         """Run profiling (unless a profile is supplied) and classification."""
         with metrics.span("optimize", category="search", graph=graph.name,
                           machine=self.machine.name):
-            return self._optimize(graph, profile)
+            profile = self.measure(graph, profile)
+            predictor = TimelinePredictor(graph, profile, self.machine,
+                                          self.config)
+            return self._attach_multi(self.plan(predictor, self.plan_cache))
 
-    def _optimize(self, graph: NNGraph, profile: Profile | None) -> PoochResult:
+    def measure(self, graph: NNGraph, profile: Profile | None = None) -> Profile:
+        """The profiling stage: profile ``graph`` under the config's schedule
+        (unless a profile is supplied) and, under faults, perturb it — the
+        classifier plans from what it *measured*."""
         if profile is None:
             self._emit("profile:start", graph=graph.name,
                        machine=self.machine.name,
@@ -284,34 +282,26 @@ class PoocH:
                 self.machine,
                 cost_model=self.cost_model,
                 iterations=self.profile_iterations,
-                policy=self.config.policy,
-                forward_refetch_gap=self.config.forward_refetch_gap,
+                options=self.config.options,
             )
             self._emit("profile:done", graph=graph.name)
         if self.faults is not None:
-            # the classifier plans from what it *measured* — under profile
-            # noise that is a perturbed copy of the truth
-            from repro.runtime.schedule import ScheduleOptions
-
             profile = self.faults.perturb_profile(
-                profile, graph, self.machine,
-                options=ScheduleOptions(
-                    policy=self.config.policy,
-                    forward_refetch_gap=self.config.forward_refetch_gap,
-                ),
-            )
-        predictor = TimelinePredictor(
-            graph, profile, self.machine, policy=self.config.policy,
-            capacity_margin=self.config.capacity_margin,
-            forward_refetch_gap=self.config.forward_refetch_gap,
-        )
-        cache = self.plan_cache
+                profile, graph, self.machine, options=self.config.options)
+        return profile
+
+    def plan(self, predictor: TimelinePredictor,
+             cache: PlanCache | None) -> PoochResult:
+        """The planning stage: the plan for ``predictor``'s graph and
+        profile — ``cache``'s plan when it has one the predictor still
+        finds feasible (simulate-before-running), else a fresh search,
+        stored into ``cache``.  ``predictor`` must be built from this
+        PoocH's config.  No multi-device stagger stage."""
+        graph = predictor.graph
         if cache is not None:
             hit = cache.load_plan(graph, self.machine, self.config.signature())
             if hit is not None:
                 classification, _meta = hit
-                # simulate-before-running: trust the cache only if the plan
-                # is still feasible under the *current* profile
                 outcome = predictor.predict(classification)
                 if outcome.feasible:
                     metrics.count("search.plan_cache_hits")
@@ -322,21 +312,13 @@ class PoocH:
                                predicted_time_s=outcome.time)
                     stats = SearchStats(plan_cache_hit=True)
                     stats.time_after_step2 = outcome.time
-                    return self._attach_multi(PoochResult(
-                        graph=graph,
-                        machine=self.machine,
-                        classification=classification,
-                        profile=profile,
-                        stats=stats,
-                        predicted=outcome,
-                        config=self.config,
-                        faults=self.faults,
-                    ))
+                    return self._result(predictor, classification, stats,
+                                        outcome)
                 metrics.count("search.plan_cache_rejections")
         self._emit("search:start", graph=graph.name,
                    maps=len(graph.classifiable_maps()))
         classifier = PoochClassifier(
-            graph, profile, self.machine, self.config, predictor
+            graph, predictor.profile, self.machine, self.config, predictor
         )
         classification, stats = classifier.classify()
         predicted = predictor.predict(classification)
@@ -356,16 +338,21 @@ class PoocH:
                 graph, self.machine, self.config.signature(), classification,
                 predicted_time=predicted.time,
             )
-        return self._attach_multi(PoochResult(
-            graph=graph,
+        return self._result(predictor, classification, stats, predicted)
+
+    def _result(self, predictor: TimelinePredictor,
+                classification: Classification, stats: SearchStats,
+                predicted: PredictedOutcome) -> PoochResult:
+        return PoochResult(
+            graph=predictor.graph,
             machine=self.machine,
             classification=classification,
-            profile=profile,
+            profile=predictor.profile,
             stats=stats,
             predicted=predicted,
             config=self.config,
             faults=self.faults,
-        ))
+        )
 
     def _attach_multi(self, result: PoochResult) -> PoochResult:
         """KARMA-style second planning stage for multi-device machines.

@@ -16,9 +16,11 @@ in batched lockstep sweeps (:mod:`repro.gpusim.vecengine`); a lone
 :meth:`TimelinePredictor.predict` miss replays its draft through
 :meth:`Engine.replay_draft <repro.gpusim.engine.Engine.replay_draft>`, the
 draft entry point of the one event loop (no validation, no timeline
-records); :meth:`TimelinePredictor.timeline` runs the same loop through
-``Engine.run`` on demand when records or memory traces are actually
-needed.
+records).
+
+A predictor simulates under the :class:`~repro.pooch.config.PoochConfig`
+it is built from: that config's schedule options and its planning capacity
+(usable device memory less the capacity margin), derived once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from repro.common.errors import OutOfMemoryError, ScheduleError
 from repro.graph import NNGraph
-from repro.gpusim import Engine, RunResult
+from repro.gpusim import Engine
 from repro.gpusim.vecengine import (
     DraftPatch,
     VariantTables,
@@ -40,16 +42,18 @@ from repro.gpusim.vecengine import (
     VectorUnsupported,
 )
 from repro.hw import MachineSpec
+from repro.pooch.config import PoochConfig
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
 from repro.runtime.profiler import Profile
 from repro.runtime.schedule import (
     LivenessProfile,
     ScheduleBuilder,
-    ScheduleOptions,
     apply_recompute_delta,
-    build_schedule,
     keep_flip_specs,
 )
+# not called here; stays bound because benchmarks/e2e/trace.py hooks
+# this name in this namespace
+from repro.runtime.schedule import build_schedule  # noqa: F401
 
 
 def _buffers_equal(a, b) -> bool:
@@ -94,10 +98,6 @@ class PredictedOutcome:
     peak_memory: int  # predicted GPU peak (0 when infeasible)
     oom_context: str = ""  # which task hit the wall, for diagnostics
 
-    @property
-    def infeasible(self) -> bool:
-        return not self.feasible
-
 
 class TimelinePredictor:
     """Simulates candidate classifications from a :class:`Profile`."""
@@ -107,25 +107,20 @@ class TimelinePredictor:
         graph: NNGraph,
         profile: Profile,
         machine: MachineSpec,
-        policy: SwapInPolicy = SwapInPolicy.EAGER,
-        capacity_margin: int = 0,
-        forward_refetch_gap: int | None = None,
+        config: PoochConfig | None = None,
     ) -> None:
         self.graph = graph
         self.profile = profile
         self.machine = machine
-        #: bytes subtracted from the device capacity during prediction —
-        #: plans are then chosen to leave this much slack, which buys
-        #: robustness against allocator fragmentation the counting model
-        #: does not see (see the fragmentation ablation benchmark)
-        self.capacity_margin = capacity_margin
-        self.policy = policy
-        self.forward_refetch_gap = forward_refetch_gap
-        self.options = ScheduleOptions(policy=policy,
-                                       forward_refetch_gap=forward_refetch_gap)
+        self.config = config or PoochConfig()
+        self.options = self.config.options
+        #: device bytes a simulated plan may use: the config's capacity
+        #: margin is left free, which buys robustness against allocator
+        #: fragmentation the counting model does not see (see the
+        #: fragmentation ablation benchmark)
+        self.capacity = machine.usable_gpu_memory - self.config.capacity_margin
         self._durations = profile.durations()
         self._cache: dict[tuple, PredictedOutcome] = {}
-        self._full_cache: dict[tuple, RunResult] = {}
         #: simulations actually executed (cache misses) — the classifier's
         #: search-cost metric.  Outcomes absorbed from lockstep sweeps via
         #: :meth:`absorb` count too: the simulation ran, just batched, so
@@ -201,8 +196,7 @@ class TimelinePredictor:
         key = current.key()
         if self._profile is None or self._profile[0] != key:
             self._profile = (key, LivenessProfile(*self._plan_draft(current)))
-        capacity = self.machine.usable_gpu_memory - self.capacity_margin
-        return self._profile[1].keep_floor(x) > capacity
+        return self._profile[1].keep_floor(x) > self.capacity
 
     def drift(self, classification: Classification, measured: float) -> float:
         """Relative deviation of a *measured* makespan from this predictor's
@@ -243,7 +237,7 @@ class TimelinePredictor:
             return self._vec_engine
         if self._vec_failed:
             return None
-        if self.forward_refetch_gap is not None:
+        if self.options.forward_refetch_gap is not None:
             # re-fetch swap-ins read the host instance a keep flip deletes —
             # not a pure edge condition (keep_flip_specs would refuse too)
             self._vec_failed = True
@@ -254,8 +248,7 @@ class TimelinePredictor:
             maps = sorted(self.graph.classifiable_maps())
             flips = keep_flip_specs(tasks, buffers, maps)
             tables = VectorTables(
-                tasks, queues, buffers,
-                self.machine.usable_gpu_memory - self.capacity_margin,
+                tasks, queues, buffers, self.capacity,
                 self.machine.host_swap_capacity, flips,
             )
         except (VectorUnsupported, ScheduleError):
@@ -338,8 +331,7 @@ class TimelinePredictor:
         first = next(rows)
         try:
             tables = VariantTables(
-                first.base, itertools.chain((first,), rows),
-                self.machine.usable_gpu_memory - self.capacity_margin,
+                first.base, itertools.chain((first,), rows), self.capacity,
                 self.machine.host_swap_capacity,
             )
         except VectorUnsupported:
@@ -374,35 +366,6 @@ class TimelinePredictor:
             else:
                 results.append(None)
         return results
-
-    def timeline(self, classification: Classification) -> RunResult:
-        """Full predicted timeline (records, memory trace) for a feasible
-        plan; used by the overlap analysis and the examples.
-
-        Runs :class:`Engine` (the draft path keeps no records), caching the
-        result per classification key.
-        """
-        key = classification.key()
-        hit = self._full_cache.get(key)
-        if hit is not None:
-            return hit
-        outcome = self.predict(classification)
-        if not outcome.feasible:
-            raise OutOfMemoryError(
-                f"classification is predicted infeasible ({outcome.oom_context})"
-            )
-        schedule = build_schedule(
-            self.graph, classification, self._durations, self.options
-        )
-        engine = Engine(
-            schedule,
-            device_capacity=self.machine.usable_gpu_memory - self.capacity_margin,
-            host_capacity=self.machine.host_swap_capacity,
-            validate=False,
-        )
-        result = engine.run()
-        self._full_cache[key] = result
-        return result
 
     def draft(self, classification: Classification) -> tuple[dict, dict, dict]:
         """Raw (tasks, queues, buffers) draft for a candidate, built from
@@ -443,7 +406,7 @@ class TimelinePredictor:
         """(keeps, recomputes) of a candidate the delta paths can draft —
         forward re-fetch off, and recomputes only under EAGER — else None
         (a full build)."""
-        if self.forward_refetch_gap is not None:
+        if self.options.forward_refetch_gap is not None:
             return None
         keeps: list[int] = []
         recs: list[int] = []
@@ -454,7 +417,7 @@ class TimelinePredictor:
                 recs.append(m)
             elif cls is not MapClass.SWAP:
                 return None
-        if recs and self.policy is not SwapInPolicy.EAGER:
+        if recs and self.options.policy is not SwapInPolicy.EAGER:
             return None
         return frozenset(keeps), frozenset(recs)
 
@@ -529,8 +492,7 @@ class TimelinePredictor:
         try:
             makespan, device_peak, _host_peak = Engine.replay_draft(
                 *self._sim_draft(classification),
-                device_capacity=(self.machine.usable_gpu_memory
-                                 - self.capacity_margin),
+                device_capacity=self.capacity,
                 host_capacity=self.machine.host_swap_capacity,
             )
         except OutOfMemoryError as e:

@@ -10,7 +10,7 @@ from repro.graph import NNGraph
 from repro.gpusim import Engine, RunResult
 from repro.hw import CostModel, MachineSpec
 from repro.runtime.durations import CostModelDurations, DurationProvider
-from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.plan import Classification
 from repro.runtime.schedule import ScheduleOptions, build_schedule
 
 
@@ -19,11 +19,9 @@ def execute(
     classification: Classification,
     machine: MachineSpec,
     *,
-    policy: SwapInPolicy = SwapInPolicy.EAGER,
     cost_model: CostModel | None = None,
     durations: DurationProvider | None = None,
     options: ScheduleOptions | None = None,
-    fragmentation: bool = False,
     device_pool=None,
     host_pool=None,
 ) -> RunResult:
@@ -31,19 +29,20 @@ def execute(
 
     Raises :class:`~repro.common.errors.OutOfMemoryError` when the plan does
     not fit the machine — the simulated analogue of the "execution fails"
-    outcomes in the paper's Figs. 17–22.  ``device_pool`` / ``host_pool``
-    inject pre-built memory pools (the fault layer passes pools whose
-    allocations can spuriously fail).
+    outcomes in the paper's Figs. 17–22.  ``options`` defaults to the EAGER
+    schedule.  ``device_pool`` / ``host_pool`` inject pre-built memory pools
+    (a :class:`~repro.gpusim.allocator.BlockMemoryPool` to model
+    fragmentation; the fault layer passes pools whose allocations can
+    spuriously fail).
     """
     if durations is None:
         durations = CostModelDurations(graph, cost_model or CostModel(machine))
-    opts = options or ScheduleOptions(policy=policy)
-    schedule = build_schedule(graph, classification, durations, opts)
+    schedule = build_schedule(graph, classification, durations,
+                              options or ScheduleOptions())
     engine = Engine(
         schedule,
         device_capacity=machine.usable_gpu_memory,
         host_capacity=machine.host_swap_capacity,
-        fragmentation=fragmentation,
         device_pool=device_pool,
         host_pool=host_pool,
     )

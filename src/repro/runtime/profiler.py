@@ -19,7 +19,7 @@ from repro.gpusim import Engine, RunResult, TaskKind
 from repro.hw import CostModel, MachineSpec
 from repro.obs import get_logger, metrics
 from repro.runtime.durations import CostModelDurations, DurationProvider
-from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.plan import Classification
 from repro.runtime.schedule import ScheduleOptions, build_schedule
 
 log = get_logger(__name__)
@@ -105,8 +105,7 @@ def run_profiling(
     machine: MachineSpec,
     cost_model: CostModel | None = None,
     iterations: int = 1,
-    policy: SwapInPolicy = SwapInPolicy.EAGER,
-    forward_refetch_gap: int | None = None,
+    options: ScheduleOptions | None = None,
     durations: DurationProvider | None = None,
 ) -> Profile:
     """Execute the profiling phase and return the averaged :class:`Profile`.
@@ -122,6 +121,10 @@ def run_profiling(
     iterations, or an average of three or more equal values rounding off by
     an ulp) the baseline is replayed from the averages.
 
+    ``options`` (default: the EAGER schedule) is the schedule the plan will
+    run under — PoocH passes its config's
+    :attr:`~repro.pooch.config.PoochConfig.options` — so the profiled
+    transfers and the baseline timeline are the ones execution sees.
     ``durations`` overrides the ground-truth duration source entirely (the
     fault layer profiles through it to model a machine that misbehaves while
     being measured); the default is the analytic cost model.
@@ -132,8 +135,7 @@ def run_profiling(
         cost_model = cost_model or CostModel(machine)
         durations = CostModelDurations(graph, cost_model)
     all_swap = Classification.all_swap(graph)
-    options = ScheduleOptions(policy=policy,
-                              forward_refetch_gap=forward_refetch_gap)
+    options = options or ScheduleOptions()
 
     sums: dict[tuple[TaskKind, int], float] = {}
     counts: dict[tuple[TaskKind, int], int] = {}

@@ -53,15 +53,12 @@ class ScheduleOptions:
     """Builder knobs.
 
     Attributes:
-        policy: swap-in start policy (see :class:`SwapInPolicy`).
-        include_update: append the optimizer-update task (on by default;
-            benchmarks measure full iterations like the paper).
-        headroom: bytes that must stay free when an EAGER swap-in issues.
-            ``None`` (default) computes the reserve automatically as the
-            largest single allocation any backward-phase compute task makes —
-            the profiled bound that keeps prefetching from starving
-            computation (§4.3: "the amount of free memory ... can be judged
-            from profiling result").
+        policy: swap-in start policy (see :class:`SwapInPolicy`).  Under
+            EAGER, a swap-in issues only while the largest single allocation
+            any backward-phase compute task makes stays free — the profiled
+            reserve that keeps prefetching from starving computation (§4.3:
+            "the amount of free memory ... can be judged from profiling
+            result").
         forward_refetch_gap: extension beyond the paper (§3.1 keeps a
             swapped map on the GPU until its *last* forward consumer, which
             pins long skip connections for the whole forward pass).  When
@@ -73,8 +70,6 @@ class ScheduleOptions:
     """
 
     policy: SwapInPolicy = SwapInPolicy.EAGER
-    include_update: bool = True
-    headroom: int | None = None
     forward_refetch_gap: int | None = None
 
 
@@ -489,20 +484,19 @@ class ScheduleBuilder:
 
             self._add_task(b)
 
-        if self.opt.include_update:
-            upd = _TaskDraft(
-                tid="UPD",
-                kind=TaskKind.UPDATE,
-                stream=StreamName.COMPUTE,
-                duration=self.dur.update(),
-                layer=-1,
-            )
-            if self._compute_q:
-                upd.deps.add(self._compute_q[-1])
-            self._add_task(upd)
-            if "params" in self._buffers:
-                self._read(upd, "params", None)
-                self._read(upd, "pgrads", None)
+        upd = _TaskDraft(
+            tid="UPD",
+            kind=TaskKind.UPDATE,
+            stream=StreamName.COMPUTE,
+            duration=self.dur.update(),
+            layer=-1,
+        )
+        if self._compute_q:
+            upd.deps.add(self._compute_q[-1])
+        self._add_task(upd)
+        if "params" in self._buffers:
+            self._read(upd, "params", None)
+            self._read(upd, "pgrads", None)
 
     # -- policies & finalisation -------------------------------------------------------
 
@@ -541,9 +535,7 @@ class ScheduleBuilder:
         self._h2d_q.sort(key=need_position)
 
         if policy is SwapInPolicy.EAGER:
-            headroom = self.opt.headroom
-            if headroom is None:
-                headroom = self._auto_headroom()
+            headroom = self._auto_headroom()
             for tid in self._si_first_reader:
                 self._tasks[tid].headroom = headroom
             return
@@ -1059,8 +1051,7 @@ def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
         tail = [t for t in tail if t not in moved]
     h2d = edit.h2d = h2d[:lo] + group + tail
 
-    if (opt.policy is SwapInPolicy.EAGER and opt.headroom is None
-            and new_alloc > x_si.headroom):
+    if opt.policy is SwapInPolicy.EAGER and new_alloc > x_si.headroom:
         for tid in h2d:
             if edit.task(tid).kind is TaskKind.SWAP_IN:
                 edit.own_task(tid).headroom = new_alloc

@@ -122,8 +122,7 @@ class OraclePredictor(SerialPredictor):
         try:
             makespan, device_peak, _host_peak = Engine.replay_draft(
                 *draft,
-                device_capacity=(self.machine.usable_gpu_memory
-                                 - self.capacity_margin),
+                device_capacity=self.capacity,
                 host_capacity=self.machine.host_swap_capacity,
             )
             outcome = PredictedOutcome(feasible=True, time=makespan,
@@ -140,11 +139,7 @@ def classifier_on(predictor_cls, graph, profile, machine,
     """A classifier whose predictor is ``predictor_cls``, built with the
     config's simulation settings."""
     config = config or PoochConfig()
-    predictor = predictor_cls(
-        graph, profile, machine, policy=config.policy,
-        capacity_margin=config.capacity_margin,
-        forward_refetch_gap=config.forward_refetch_gap,
-    )
+    predictor = predictor_cls(graph, profile, machine, config)
     return PoochClassifier(graph, profile, machine, config,
                            predictor=predictor)
 

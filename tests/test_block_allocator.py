@@ -66,7 +66,7 @@ class TestPlacement:
         p.malloc("x", 20 * KiB, 2.0)
         assert p._offsets["x"][0] == 20 * KiB
 
-    def test_bucket_stats_reported(self):
+    def test_block_stats_reported(self):
         p = BlockMemoryPool(100 * KiB)
         p.malloc("a", 20 * KiB, 0.0)
         p.malloc("b", 20 * KiB, 0.0)
@@ -75,11 +75,10 @@ class TestPlacement:
         p.free("c", 1.0)  # two free blocks: 20 KiB hole + 20+40 KiB tail
         s = p.stats()
         assert s["free_blocks"] == 2
-        assert s["size_buckets"] == 2
-        assert s["largest_bucket_blocks"] == 1
+        assert s["largest_free_block_bytes"] == 60 * KiB
         p.free("b", 2.0)
         s = p.stats()
-        assert s["free_blocks"] == s["size_buckets"] == 1
+        assert s["free_blocks"] == 1
         assert s["largest_free_block_bytes"] == 100 * KiB
 
     def test_zero_size_request_holds_no_block(self):
@@ -137,12 +136,6 @@ def test_block_pool_invariants(script):
         for (o1, s1), (o2, s2) in zip(blocks, blocks[1:]):
             assert o1 + s1 < o2
         assert sum(s for _, s in blocks) == p.capacity - p.in_use
-        # the size-bucket index mirrors the free list exactly
-        by_size: dict[int, list[int]] = {}
-        for off, s in blocks:
-            by_size.setdefault(s, []).append(off)
-        assert p._size_keys == sorted(by_size)
-        assert {s: sorted(offs) for s, offs in by_size.items()} == p._buckets
 
 
 @settings(max_examples=120, deadline=None)
@@ -154,9 +147,9 @@ def test_block_pool_invariants(script):
     )
 )
 def test_bucketed_placement_matches_linear_scan(script):
-    """The size-bucket fast path must pick the exact block a linear best-fit
-    scan of the free list would: smallest size >= request, lowest offset
-    among equal sizes."""
+    """Placement must pick the exact block a reference best-fit scan of the
+    free list would: smallest size >= request, lowest offset among equal
+    sizes."""
     p = BlockMemoryPool(128 * KiB)
     live: set[str] = set()
     for is_malloc, slot, size in script:
@@ -178,12 +171,16 @@ def test_bucketed_placement_matches_linear_scan(script):
             live.remove(bid)
 
 
+def _arena(machine):
+    return BlockMemoryPool(machine.usable_gpu_memory)
+
+
 class TestEngineIntegration:
     def test_fragmented_execution_matches_counting_when_roomy(self):
         g = small_cnn()
         cls = Classification.all_swap(g)
         a = execute(g, cls, X86_V100)
-        b = execute(g, cls, X86_V100, fragmentation=True)
+        b = execute(g, cls, X86_V100, device_pool=_arena(X86_V100))
         assert a.makespan == pytest.approx(b.makespan, rel=1e-9)
         assert a.device_peak == b.device_peak
 
@@ -194,7 +191,7 @@ class TestEngineIntegration:
         cls = Classification.all_swap(g)
         counting = execute(g, cls, m)
         try:
-            block = execute(g, cls, m, fragmentation=True)
+            block = execute(g, cls, m, device_pool=_arena(m))
         except OutOfMemoryError:
             return  # fragmentation turning a tight fit into OOM is legal
         assert block.makespan >= counting.makespan * 0.999

@@ -3,9 +3,16 @@
 import pytest
 
 from repro.common.errors import OutOfMemoryError
+from repro.common.units import MiB
 from repro.models import linear_chain, poster_example
 from repro.pooch import PoochClassifier, PoochConfig, TimelinePredictor
-from repro.runtime import Classification, MapClass, execute, run_profiling
+from repro.runtime import (
+    Classification,
+    MapClass,
+    SwapInPolicy,
+    execute,
+    run_profiling,
+)
 from tests.conftest import tiny_machine
 
 
@@ -147,3 +154,37 @@ class TestConfig:
     def test_zero_margin_and_exact_width_accepted(self):
         cfg = PoochConfig(max_exact_li=0, capacity_margin=0)
         assert cfg.max_exact_li == 0
+
+
+class TestConfigPredictorAgreement:
+    """A classifier prunes by its config and simulates by its predictor's:
+    the two must agree on every simulation setting."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("policy", SwapInPolicy.NAIVE),
+        ("capacity_margin", 4 * MiB),
+        ("forward_refetch_gap", 3),
+    ])
+    def test_disagreeing_predictor_rejected(self, slow, field, value):
+        g = poster_example()
+        profile = run_profiling(g, slow)
+        pred = TimelinePredictor(g, profile, slow)
+        default = getattr(PoochConfig(), field)
+        with pytest.raises(ValueError) as err:
+            PoochClassifier(g, profile, slow, PoochConfig(**{field: value}),
+                            predictor=pred)
+        # names the field and both values
+        assert f"{field}={value!r}" in str(err.value)
+        assert f"{field}={default!r}" in str(err.value)
+
+    def test_predictor_from_the_config_accepted(self, slow):
+        g = poster_example()
+        profile = run_profiling(g, slow)
+        config = PoochConfig(capacity_margin=4 * MiB, max_exact_li=4,
+                             step1_sim_budget=300)
+        pred = TimelinePredictor(g, profile, slow, config)
+        # the search-only knobs (max_exact_li, budget) may differ
+        clf = PoochClassifier(g, profile, slow,
+                              PoochConfig(capacity_margin=4 * MiB),
+                              predictor=pred)
+        assert clf.predictor.capacity == (slow.usable_gpu_memory - 4 * MiB)

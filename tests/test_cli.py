@@ -260,6 +260,35 @@ class TestFaultFlags:
                      "--faults", "profile_noise=0.1", "--fault-seed", "2"]) == 0
         assert "executed plan:" in capsys.readouterr().out
 
+    def test_pooch_multi_device_iteration_runs_the_faulted_timeline(
+        self, tmp_path, capsys
+    ):
+        import json
+        import re
+
+        def run(*extra):
+            trace = tmp_path / f"trace{len(list(tmp_path.iterdir()))}.json"
+            assert main(["run", "poster_example", "--batch", "64",
+                         "--budget", "50", "--devices", "2",
+                         "--trace", str(trace), *extra]) == 0
+            out = capsys.readouterr().out
+            line = re.search(r"2-device iteration \(staggered\): (\S+) ms",
+                             out).group(1)
+            device_events = sorted(
+                (e["name"], e["args"]["device"], e["ts"])
+                for e in json.loads(trace.read_text())["traceEvents"]
+                if "device" in e.get("args", {}))
+            return line, device_events
+
+        clean = run()
+        faulted = [run("--faults", "duration_noise=0.3", "--fault-seed", seed)
+                   for seed in ("1", "2")]
+        # each fault seed's multi-device line and trace come from its own
+        # faulted iteration, not from the stagger stage's clean run
+        lines = {clean[0]} | {f[0] for f in faulted}
+        assert len(lines) == 3
+        assert clean[1] != faulted[0][1] != faulted[1][1]
+
 
 class TestRobustnessCommand:
     def test_sweep_renders_table(self, capsys):

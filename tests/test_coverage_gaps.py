@@ -10,10 +10,9 @@ from repro.gpusim import (
     Schedule,
     StreamName,
     Task,
-    TaskKind,
 )
 from repro.hw import CostModel, X86_V100
-from repro.models import build_model, linear_chain, small_cnn
+from repro.models import build_model, linear_chain
 from repro.runtime import (
     Classification,
     CostModelDurations,
@@ -21,7 +20,6 @@ from repro.runtime import (
     ScheduleOptions,
     SwapInPolicy,
     build_schedule,
-    execute,
 )
 from tests.test_engine import make_schedule, task
 
@@ -94,12 +92,6 @@ class TestBuilderInteractions:
         assert f"SI{stem_idx}~f1" in sched.tasks
         assert f"SI{stem_idx}~f2" in sched.tasks
         Engine(sched, X86_V100.usable_gpu_memory).run()
-
-    def test_update_excluded_keeps_working(self):
-        g = small_cnn()
-        r = execute(g, Classification.all_swap(g), X86_V100,
-                    options=ScheduleOptions(include_update=False))
-        assert all(rec.kind is not TaskKind.UPDATE for rec in r.records)
 
 
 class TestZooCompleteness:

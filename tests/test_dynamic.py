@@ -107,9 +107,11 @@ class TestRegressionFixes:
                           capacity_margin=4 * MiB, forward_refetch_gap=3)
         d = DynamicPoocH(machine, build, cfg, strategy="nearest")
         p = d._predictor(16)
-        assert p.capacity_margin == cfg.capacity_margin
-        assert p.forward_refetch_gap == cfg.forward_refetch_gap
-        assert p.policy == cfg.policy
+        assert p.config == cfg
+        assert p.config.capacity_margin == cfg.capacity_margin
+        assert p.options.forward_refetch_gap == cfg.forward_refetch_gap
+        assert p.options.policy == cfg.policy
+        assert p.capacity == machine.usable_gpu_memory - cfg.capacity_margin
 
     def test_execute_gets_schedule_options(self, machine, monkeypatch):
         # regression: run_iteration called execute() without options,
@@ -132,8 +134,43 @@ class TestRegressionFixes:
         assert opts is not None
         assert opts.forward_refetch_gap == 2
         assert opts.policy == cfg.policy
-        # verification and execution share the exact same options object
-        assert opts is d._options
+        # verification and execution run the config's one schedule
+        assert opts == cfg.options
+        assert opts == d._predictor(16).options
+
+
+class TestPlanCache:
+    def test_cache_hit_counts_in_search_metrics(self, machine, tmp_path):
+        from repro.obs import MetricsRegistry, use_registry
+
+        DynamicPoocH(machine, build, CFG, plan_cache=tmp_path).plan_for(16)
+        warm = DynamicPoocH(machine, build, CFG, plan_cache=tmp_path)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            warm.plan_for(16)
+        assert warm.stats.optimizations == 1
+        assert registry.counters.get("search.plan_cache_hits") == 1
+        assert "search.plan_cache_rejections" not in registry.counters
+
+    def test_drift_replan_bypasses_the_cache(self, machine, tmp_path):
+        d = DynamicPoocH(machine, build, CFG, plan_cache=tmp_path,
+                         faults="bandwidth_factor=0.33", fault_seed=5,
+                         replan_tolerance=0.1)
+        cache = d.plan_cache
+        calls = []
+        for name in ("load_plan", "store_plan"):
+            real = getattr(cache, name)
+
+            def spy(*args, _name=name, _real=real, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            setattr(cache, name, spy)
+        d.run_iteration(16)
+        assert d.stats.replans == 1
+        # the re-plan neither reads the cache (it would hand back the plan
+        # that drifted) nor overwrites the clean-profile plan stored there
+        assert calls == ["load_plan", "store_plan"]
 
 
 class TestValidation:

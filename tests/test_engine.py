@@ -11,6 +11,7 @@ from repro.common.errors import OutOfMemoryError, ReproError, ScheduleError
 from repro.common.units import MiB
 from repro.faults import FaultInjector, FaultSpec, FaultyDurations
 from repro.gpusim import (
+    BlockMemoryPool,
     BufferSpec,
     Engine,
     Schedule,
@@ -213,7 +214,7 @@ class TestMemory:
         )
         assert Engine(sched, 3584).run().makespan == 2.0
         with pytest.raises(OutOfMemoryError, match="memory deadlock"):
-            Engine(sched, 3584, fragmentation=True).run()
+            Engine(sched, 3584, device_pool=BlockMemoryPool(3584)).run()
 
     def test_alloc_on_ready_reserves_early(self):
         # b's buffer is reserved the moment its start_dep starts, long
@@ -480,11 +481,10 @@ def _random_classification(graph, rng):
 def assert_equivalent(graph, cls, machine, *, policy=SwapInPolicy.EAGER,
                       gap=None, margin=0):
     """The contract on profiled durations, as the predictor replays them."""
-    durations = run_profiling(graph, machine, policy=policy,
-                              forward_refetch_gap=gap).durations()
-    assert_draft_matches_schedule(
-        graph, cls, machine, durations,
-        ScheduleOptions(policy=policy, forward_refetch_gap=gap), margin)
+    options = ScheduleOptions(policy=policy, forward_refetch_gap=gap)
+    durations = run_profiling(graph, machine, options=options).durations()
+    assert_draft_matches_schedule(graph, cls, machine, durations, options,
+                                  margin)
 
 
 class TestDraftEquivalence:

@@ -51,8 +51,10 @@ class TestExecute:
         # percent on very small devices — assert it is at least competitive
         m = tiny_machine(mem_mib=224, link_gbps=4.0)
         cls = Classification.all_swap(poster)
-        eager = execute(poster, cls, m, policy=SwapInPolicy.EAGER)
-        naive = execute(poster, cls, m, policy=SwapInPolicy.NAIVE)
+        eager = execute(poster, cls, m,
+                        options=ScheduleOptions(policy=SwapInPolicy.EAGER))
+        naive = execute(poster, cls, m,
+                        options=ScheduleOptions(policy=SwapInPolicy.NAIVE))
         assert eager.makespan != naive.makespan  # the policy matters
         assert eager.makespan <= naive.makespan * 1.1
 
@@ -193,9 +195,8 @@ class TestBaselineIdentity:
     def test_baseline_equals_fresh_replay(self, name, batch, machine, policy,
                                           gap):
         g = build_model(name, batch=batch)
-        prof = run_profiling(g, machine, policy=policy,
-                             forward_refetch_gap=gap)
         options = ScheduleOptions(policy=policy, forward_refetch_gap=gap)
+        prof = run_profiling(g, machine, options=options)
         _assert_same_run(prof.baseline,
                          _replayed_baseline(g, machine, prof, options))
 

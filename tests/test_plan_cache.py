@@ -172,8 +172,9 @@ class TestPoochWarmStart:
 
 
 class TestDynamicPoochCache:
-    def test_plans_persist_across_instances(self, tmp_path, machine):
-        import repro.pooch.dynamic as dyn
+    def test_plans_persist_across_instances(self, tmp_path, machine,
+                                            monkeypatch):
+        import repro.pooch.pipeline as pipeline
 
         def build(batch):
             return linear_chain(6, batch=batch, channels=32, image=64)
@@ -191,12 +192,9 @@ class TestDynamicPoochCache:
             def __init__(self, *a, **kw):
                 raise AssertionError("search ran despite a cached plan")
 
-        real = dyn.PoochClassifier
-        dyn.PoochClassifier = Boom
-        try:
-            second.run_stream([16, 32])
-        finally:
-            dyn.PoochClassifier = real
+        # DynamicPoocH plans through PoocH's planning stage
+        monkeypatch.setattr(pipeline, "PoochClassifier", Boom)
+        second.run_stream([16, 32])
         assert {s: second._plans[s].key() for s in (16, 32)} == plans
 
 

@@ -57,22 +57,6 @@ class TestPredictor:
         pred.predict(cls)
         assert pred.simulations == n
 
-    def test_timeline_available_for_feasible(self, setup):
-        # timeline() works before any predict(); its Engine run and the
-        # prediction's draft replay agree exactly
-        g, prof, pred = setup
-        cls = Classification.all_swap(g)
-        tl = pred.timeline(cls)
-        assert tl.records
-        outcome = pred.predict(cls)
-        assert tl.makespan == outcome.time
-        assert tl.device_peak == outcome.peak_memory
-
-    def test_timeline_raises_for_infeasible(self, setup):
-        g, prof, pred = setup
-        with pytest.raises(OutOfMemoryError, match="infeasible"):
-            pred.timeline(Classification.all_keep(g))
-
     def test_noisy_profile_still_close(self, machine):
         g = poster_example()
         noisy = CostModel(machine, jitter=0.05, seed=5)
@@ -126,12 +110,13 @@ class TestCapacityMargin:
     def test_margin_tightens_feasibility(self, setup, machine):
         """With a margin close to the full capacity, nothing is feasible;
         with zero margin the all-swap plan is."""
-        from repro.pooch import TimelinePredictor
+        from repro.pooch import PoochConfig, TimelinePredictor
         g, prof, _ = setup
         cls = Classification.all_swap(g)
-        loose = TimelinePredictor(g, prof, machine, capacity_margin=0)
-        tight = TimelinePredictor(g, prof, machine,
-                                  capacity_margin=machine.usable_gpu_memory // 2)
+        loose = TimelinePredictor(g, prof, machine,
+                                  PoochConfig(capacity_margin=0))
+        tight = TimelinePredictor(g, prof, machine, PoochConfig(
+            capacity_margin=machine.usable_gpu_memory // 2))
         assert loose.predict(cls).feasible
         assert not tight.predict(cls).feasible
 

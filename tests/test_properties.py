@@ -21,6 +21,7 @@ from repro.runtime import (
     execute,
     run_profiling,
 )
+from repro.runtime.schedule import ScheduleOptions
 from tests.conftest import tiny_machine
 
 # module-level fixtures computed once (hypothesis re-runs the test body)
@@ -70,7 +71,8 @@ def test_execution_invariants_for_any_plan(picks, policy):
     task exactly once."""
     cls = _classification(picks)
     try:
-        r = execute(_GRAPH, cls, _MACHINE, policy=policy)
+        r = execute(_GRAPH, cls, _MACHINE,
+                    options=ScheduleOptions(policy=policy))
     except OutOfMemoryError:
         return
     assert r.device_peak <= _MACHINE.usable_gpu_memory

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.common.errors import OutOfMemoryError
 from repro.graph import GraphBuilder
 from repro.hw import X86_V100
-from repro.pooch import TimelinePredictor
+from repro.pooch import PoochConfig, TimelinePredictor
 from repro.runtime import (
     Classification,
     MapClass,
@@ -89,12 +89,13 @@ def test_random_graph_executes_and_predicts(layer_picks, branch_picks,
     graph = build_random_graph(layer_picks, branch_picks)
     cls = random_classification(graph, class_picks)
     machine = tiny_machine(mem_mib=64, link_gbps=4.0)
+    config = PoochConfig(policy=policy)
     try:
-        gt = execute(graph, cls, machine, policy=policy)
+        gt = execute(graph, cls, machine, options=config.options)
     except OutOfMemoryError:
         gt = None
-    profile = run_profiling(graph, machine, policy=policy)
-    predictor = TimelinePredictor(graph, profile, machine, policy=policy)
+    profile = run_profiling(graph, machine, options=config.options)
+    predictor = TimelinePredictor(graph, profile, machine, config)
     outcome = predictor.predict(cls)
     if gt is None:
         assert not outcome.feasible

@@ -305,7 +305,7 @@ class TestChainArguments:
                               tiny_machine(mem_mib=224), chain=chain)
         with pytest.raises(ValueError, match="options"):
             execute_resilient(graph, Classification.all_swap(graph), machine,
-                              options=ScheduleOptions(include_update=False),
+                              options=ScheduleOptions(forward_refetch_gap=2),
                               chain=chain)
 
     def test_default_options_match_an_explicit_default(self):

@@ -93,10 +93,6 @@ class TestBackwardStructure:
         sched = build(g, Classification.all_keep(g))
         assert sched.queues[StreamName.COMPUTE][-1] == "UPD"
 
-    def test_update_optional(self, g):
-        sched = build(g, Classification.all_keep(g), include_update=False)
-        assert "UPD" not in sched.tasks
-
     def test_gradient_buffers_freed_by_reader(self, g):
         sched = build(g, Classification.all_keep(g))
         conv2 = g.by_name("conv2").index
@@ -196,11 +192,6 @@ class TestPolicies:
                     layer = int(dep[1:])
                     # trigger layer is a conv unless none precedes the reader
                     assert g[layer].op.kind in (OpKind.CONV,) or True
-
-    def test_explicit_headroom_respected(self, g):
-        sched = build(g, Classification.all_swap(g), headroom=12345)
-        sis = [t for t in sched.tasks.values() if t.kind is TaskKind.SWAP_IN]
-        assert all(t.headroom == 12345 for t in sis)
 
 
 class TestMeta:

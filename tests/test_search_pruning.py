@@ -27,7 +27,7 @@ import pytest
 from repro.gpusim.engine import _STREAM_ORDER
 from repro.models import build_model
 from repro.hw import X86_V100
-from repro.pooch.classifier import PoochClassifier, PoochConfig
+from repro.pooch import PoochClassifier, PoochConfig
 from repro.pooch.predictor import (
     TimelinePredictor,
     _buffers_equal,

@@ -521,9 +521,9 @@ def test_keep_floor_equals_fresh_draft_floor(name, batch, machine, policy,
                          seed=FAULT_SEED).perturb_profile(
         run_profiling(g, machine))
     durs = prof.durations()
-    opts = ScheduleOptions(policy=policy, forward_refetch_gap=gap)
-    pred = predictor_mod.TimelinePredictor(g, prof, machine, policy=policy,
-                                           forward_refetch_gap=gap)
+    config = PoochConfig(policy=policy, forward_refetch_gap=gap)
+    opts = config.options
+    pred = predictor_mod.TimelinePredictor(g, prof, machine, config)
     capacity = machine.usable_gpu_memory
 
     def fresh(cls):
@@ -580,7 +580,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
         floor = liveness_floor(*ScheduleBuilder(
             self.graph, kept, self._durations, self.options,
             validate=False).build_raw())
-        return floor > self.machine.usable_gpu_memory - self.capacity_margin
+        return floor > self.capacity
 
     def search(count_drafts: bool):
         clf = PoochClassifier(g, prof, _SLOW, config=PoochConfig())

@@ -12,7 +12,8 @@ lives in ``tests/test_search_oracle.py``).
 
 from __future__ import annotations
 
-from repro.pooch.classifier import PoochClassifier, PoochConfig, _FlipTree
+from repro.pooch import PoochConfig
+from repro.pooch.classifier import PoochClassifier, _FlipTree
 from repro.runtime.plan import Classification, MapClass
 from repro.runtime.profiler import run_profiling
 from repro.models import build_model

@@ -70,12 +70,11 @@ FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 def _raw_draft(graph, cls, machine, durations=None, *, gap=None, margin=0):
     """EAGER raw draft plus the capacities both engine families use."""
-    if durations is None:
-        durations = run_profiling(
-            graph, machine, forward_refetch_gap=gap
-        ).durations()
     options = ScheduleOptions(policy=SwapInPolicy.EAGER,
                               forward_refetch_gap=gap)
+    if durations is None:
+        durations = run_profiling(graph, machine,
+                                  options=options).durations()
     tasks, queues, buffers = ScheduleBuilder(
         graph, cls, durations, options, validate=False
     ).build_raw()
@@ -778,8 +777,8 @@ class TestFallbackMatrix:
     def _draft(self, policy):
         g = poster_example()
         machine = tiny_machine(mem_mib=224)
-        durations = run_profiling(g, machine, policy=policy).durations()
         options = ScheduleOptions(policy=policy)
+        durations = run_profiling(g, machine, options=options).durations()
         return ScheduleBuilder(
             g, Classification.all_swap(g), durations, options,
             validate=False,
@@ -807,13 +806,13 @@ class TestFallbackMatrix:
         # the integration layer must not even try to vectorize drafts the
         # flip family cannot describe (forward re-fetch reads the host
         # instance a keep flip deletes)
-        from repro.pooch.predictor import TimelinePredictor
+        from repro.pooch import PoochConfig, TimelinePredictor
 
         g = poster_example()
         machine = tiny_machine(mem_mib=224)
-        profile = run_profiling(g, machine, forward_refetch_gap=2)
-        predictor = TimelinePredictor(g, profile, machine,
-                                      forward_refetch_gap=2)
+        config = PoochConfig(forward_refetch_gap=2)
+        profile = run_profiling(g, machine, options=config.options)
+        predictor = TimelinePredictor(g, profile, machine, config)
         assert predictor.vector_flip_index() is None
 
 
