@@ -19,10 +19,12 @@ def plan_swap_opt(
     cost_model: CostModel | None = None,
     config: PoochConfig | None = None,
 ) -> BaselinePlan:
-    """Profile (unless given) and run only step 1 of the classification."""
-    if profile is None:
-        profile = run_profiling(graph, machine, cost_model=cost_model)
+    """Profile under the config's schedule (unless given) and run only
+    step 1 of the classification."""
     cfg = config or PoochConfig()
+    if profile is None:
+        profile = run_profiling(graph, machine, cost_model=cost_model,
+                                options=cfg.options)
     classifier = PoochClassifier(graph, profile, machine, cfg)
     classification, _ = classifier.classify(steps=1)
     return BaselinePlan(

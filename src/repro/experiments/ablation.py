@@ -54,7 +54,8 @@ def ablation_rows(
         ("swap-all(w/o scheduling)", plan_swap_all_unscheduled(graph)),
         ("swap-all", plan_swap_all(graph)),
     ]
-    _, profile = profile_cached(model_key, build, machine)
+    _, profile = profile_cached(model_key, build, machine,
+                                (config or PoochConfig()).options)
     plans.append(
         ("swap-opt", plan_swap_opt(graph, machine, profile=profile,
                                    config=config))

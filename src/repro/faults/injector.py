@@ -17,6 +17,7 @@ properties the tests lean on hard:
 
 from __future__ import annotations
 
+import operator
 import zlib
 
 import numpy as np
@@ -27,10 +28,26 @@ from repro.faults.spec import FaultSpec
 from repro.gpusim.allocator import MemoryPool, round_size
 from repro.gpusim.engine import StreamName, TaskKind
 from repro.gpusim.vecengine import VectorUnsupported
+from repro.obs import metrics
 
 #: hard floor on any multiplicative noise factor — matches the cost model's
 #: jitter clamp so a noisy duration can never go zero or negative
 _MIN_FACTOR = 0.05
+
+
+def fault_seed(value) -> int:
+    """``value`` as a fault seed: a non-negative integer (numpy ints too).
+    Raises ``ValueError`` naming the value for a negative, ``bool`` or
+    non-integral one, which ``int()`` would truncate or numpy reject late."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            seed = operator.index(value)
+        except TypeError:
+            seed = -1
+        if seed >= 0:
+            return seed
+    raise ValueError(
+        f"fault seed must be a non-negative integer, got {value!r}")
 
 
 class FaultInjector:
@@ -42,7 +59,7 @@ class FaultInjector:
         elif isinstance(spec, str):
             spec = FaultSpec.parse(spec)
         self.spec = spec
-        self.seed = int(seed)
+        self.seed = fault_seed(seed)
 
     # -- keyed randomness ---------------------------------------------------------
 
@@ -215,15 +232,20 @@ def _task_key(task) -> tuple[str, int, bool]:
 # A sweep needs K seeds x U duration keys independent draws, each defined as
 # ``default_rng((seed, digest)).standard_normal()``.  Constructing K*U
 # generators through ``default_rng`` costs ~15us each — it dominates the
-# whole lockstep sweep.  The SeedSequence entropy-pool hash (O'Neill's
-# seed_seq: pure uint32 arithmetic) vectorizes over all pairs at once, and
-# PCG64's seeding from the four output words is two 128-bit affine steps we
-# can do in Python ints and install via the bit generator's state setter —
-# reusing ONE generator object for every draw.  ``_keyed_normals``
-# cross-checks its first draw against ``default_rng`` at runtime and the
-# caller falls back to the per-seed injector loop on any mismatch, so
-# bit-identity never rests on this reimplementation alone.
+# whole lockstep sweep.  ``SeedSequence`` turns the entropy tuple into
+# little-endian uint32 words (each int gives its own words, ``[0]`` for
+# zero) and hashes them into a four-word pool (O'Neill's seed_seq: pure
+# uint32 arithmetic), so the hash vectorizes over every pair whose entropy
+# has the same word count: a seed below 2**32 gives two words with its
+# digest, a larger seed three or more.  PCG64's seeding from the four output
+# words is two 128-bit affine steps we do in Python ints and install via the
+# bit generator's state setter — reusing ONE generator object for every
+# draw, ``_DRAW_CHUNK`` pairs' words at a time.  ``_keyed_normals``
+# cross-checks one draw per word count against ``default_rng`` at runtime
+# and the caller falls back to the per-seed injector loop on any mismatch,
+# so bit-identity never rests on this reimplementation alone.
 
+_SS_POOL = 4
 _SS_XSHIFT = np.uint32(16)
 _SS_INIT_A = np.uint32(0x43B0D7E5)
 _SS_MULT_A = np.uint32(0x931E8875)
@@ -233,14 +255,27 @@ _SS_MIX_L = np.uint32(0xCA01F9DD)
 _SS_MIX_R = np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MASK = (1 << 128) - 1
+#: keyed draws whose seeding words are held as Python ints at once
+_DRAW_CHUNK = 1024
 
 
-def _seedseq_words(seeds32: np.ndarray, digests32: np.ndarray) -> np.ndarray:
-    """``SeedSequence((seed, digest)).generate_state(4, uint64)`` for every
-    pair, vectorized — both entropy values must each fit in one uint32 word."""
+def _uint32_words(value: int) -> list[int]:
+    """``SeedSequence``'s entropy words for one non-negative int:
+    little-endian uint32 words, ``[0]`` for zero."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _seedseq_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` for every row,
+    vectorized: ``entropy`` holds one equal-length uint32 column per entropy
+    word, and row i's entropy is ``[col[i] for col in entropy]``."""
     old = np.seterr(over="ignore")  # uint32 wraparound is the algorithm
     try:
-        entropy = (seeds32, digests32)
         hash_const = _SS_INIT_A
 
         def hashmix(value: np.ndarray) -> np.ndarray:
@@ -254,13 +289,17 @@ def _seedseq_words(seeds32: np.ndarray, digests32: np.ndarray) -> np.ndarray:
             r = (_SS_MIX_L * x) - (_SS_MIX_R * y)
             return r ^ (r >> _SS_XSHIFT)
 
-        zero = np.zeros_like(seeds32)
+        zero = np.zeros_like(entropy[0])
         pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-                for i in range(4)]
-        for i_src in range(4):
-            for i_dst in range(4):
+                for i in range(_SS_POOL)]
+        for i_src in range(_SS_POOL):
+            for i_dst in range(_SS_POOL):
                 if i_src != i_dst:
                     pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        # entropy beyond the pool size mixes into every pool word
+        for i_src in range(_SS_POOL, len(entropy)):
+            for i_dst in range(_SS_POOL):
+                pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
 
         hash_const = _SS_INIT_B
 
@@ -271,8 +310,8 @@ def _seedseq_words(seeds32: np.ndarray, digests32: np.ndarray) -> np.ndarray:
             value = value * hash_const
             return value ^ (value >> _SS_XSHIFT)
 
-        out32 = [hashmix_out(pool[i % 4]) for i in range(8)]
-        words = np.empty((len(seeds32), 4), np.uint64)
+        out32 = [hashmix_out(pool[i % _SS_POOL]) for i in range(8)]
+        words = np.empty((len(zero), 4), np.uint64)
         for i in range(4):
             words[:, i] = (out32[2 * i].astype(np.uint64)
                            | (out32[2 * i + 1].astype(np.uint64)
@@ -284,35 +323,43 @@ def _seedseq_words(seeds32: np.ndarray, digests32: np.ndarray) -> np.ndarray:
 
 def _keyed_normals(seeds: list[int], digests: list[int]) -> np.ndarray | None:
     """The ``(K, U)`` matrix of ``default_rng((seed, digest)).
-    standard_normal()`` draws, or ``None`` when the fast path cannot
-    guarantee bit-identity (exotic seeds, or the runtime cross-check fails).
-    """
-    if not all(0 <= s < 2**32 for s in seeds):
-        return None  # multi-word entropy: let the injector handle it
+    standard_normal()`` draws for non-negative seeds and uint32 digests, or
+    ``None`` when a runtime cross-check against ``default_rng`` fails."""
     n_k, n_u = len(seeds), len(digests)
-    words = _seedseq_words(
-        np.repeat(np.asarray(seeds, np.uint32), n_u),
-        np.tile(np.asarray(digests, np.uint32), n_k),
-    )
+    out = np.empty((n_k, n_u), np.float64)
+    if not n_k or not n_u:
+        return out
+    groups: dict[int, list[int]] = {}  # seed word count -> rows of seeds
+    seed_words = [_uint32_words(s) for s in seeds]
+    for k, words in enumerate(seed_words):
+        groups.setdefault(len(words), []).append(k)
     bg = np.random.PCG64(0)
     gen = np.random.Generator(bg)
     state = bg.state
     inner = state["state"]
     normal = gen.standard_normal
-    out = np.empty(n_k * n_u, np.float64)
-    for i, (w0, w1, w2, w3) in enumerate(words.tolist()):
-        # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
-        inc = (((w2 << 64) | w3) << 1 | 1) & _PCG_MASK
-        inner["inc"] = inc
-        inner["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT
-                          + inc) & _PCG_MASK
-        bg.state = state
-        out[i] = normal()
-    ref = float(np.random.default_rng((seeds[0], digests[0]))
-                .standard_normal())
-    if out[0] != ref:  # pragma: no cover - numpy stream drift guard
-        return None
-    return out.reshape(n_k, n_u)
+    digest_col = np.asarray(digests, np.uint32)
+    for n_words, rows in groups.items():
+        per_seed = np.asarray([seed_words[k] for k in rows], np.uint32)
+        entropy = [np.repeat(per_seed[:, j], n_u) for j in range(n_words)]
+        entropy.append(np.tile(digest_col, len(rows)))
+        words = _seedseq_words(entropy)
+        flat = np.empty(len(words), np.float64)
+        for lo in range(0, len(words), _DRAW_CHUNK):
+            chunk = words[lo:lo + _DRAW_CHUNK].tolist()
+            for i, (w0, w1, w2, w3) in enumerate(chunk, lo):
+                # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
+                inc = (((w2 << 64) | w3) << 1 | 1) & _PCG_MASK
+                inner["inc"] = inc
+                inner["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT
+                                  + inc) & _PCG_MASK
+                bg.state = state
+                flat[i] = normal()
+        ref = np.random.default_rng((seeds[rows[0]], digests[0]))
+        if flat[0] != float(ref.standard_normal()):
+            return None  # numpy's seeding drifted from this reimplementation
+        out[rows] = flat.reshape(len(rows), n_u)
+    return out
 
 
 class DurationTable:
@@ -345,9 +392,11 @@ class DurationTable:
     def rows(self, spec: FaultSpec, seeds,
              clean: np.ndarray | None = None) -> np.ndarray:
         """The ``(K, n)`` table for ``seeds``; ``clean`` overrides the clean
-        durations (same task order) for a provider that re-draws them."""
+        durations (same task order) for a provider that re-draws them.
+        Counts its keyed draws as ``faults.draws_vectorized`` or, when the
+        fast path's cross-check fails, ``faults.draws_fallback``."""
         clean = self.clean if clean is None else clean
-        seeds = [int(s) for s in seeds]
+        seeds = [fault_seed(s) for s in seeds]
         stddev = spec.duration_noise
         if stddev <= 0.0:
             fac = np.ones((len(seeds), len(self.keys)), np.float64)
@@ -355,11 +404,13 @@ class DurationTable:
             draws = _keyed_normals(seeds, self._digests)
             if draws is not None:
                 fac = np.maximum(_MIN_FACTOR, 1.0 + stddev * draws)
+                metrics.count("faults.draws_vectorized", fac.size)
             else:
                 fac = np.empty((len(seeds), len(self.keys)), np.float64)
                 for r, seed in enumerate(seeds):
                     inj = FaultInjector(spec, seed=seed)
                     fac[r] = [inj.duration_factor(w, l) for w, l in self.keys]
+                metrics.count("faults.draws_fallback", fac.size)
 
         mat = clean * fac[:, self.col_of]
         slow = 1.0 / spec.bandwidth_factor  # FaultInjector.transfer_slowdown

@@ -49,7 +49,7 @@ from repro.common.errors import (
     ReproError,
     SpuriousOOMError,
 )
-from repro.faults.injector import DurationTable, FaultInjector
+from repro.faults.injector import DurationTable, FaultInjector, fault_seed
 from repro.faults.resilient import PlanChain, RetryPolicy, execute_resilient
 from repro.faults.spec import FaultSpec
 from repro.graph import NNGraph
@@ -195,7 +195,7 @@ def fault_seed_sweep(
     """
     if isinstance(spec, str):
         spec = FaultSpec.parse(spec)
-    seeds = [int(s) for s in seeds]
+    seeds = [fault_seed(s) for s in seeds]
     chain = PlanChain(graph, classification, machine, options=options,
                       cost_model=cost_model, durations=durations)
     outcomes: dict[int, SweepOutcome] = {}

@@ -9,11 +9,14 @@ from repro.experiments import (
     memory_curve,
     optimize_cached,
     performance_sweep,
+    profile_cached,
     resnet50_memory_curve,
     resnext3d_memory_curve,
 )
-from repro.models import poster_example
-from repro.pooch import PoochConfig
+from repro.baselines import plan_swap_opt
+from repro.models import poster_example, resnet18
+from repro.pooch import PoocH, PoochConfig
+from repro.runtime.profiler import run_profiling
 from tests.conftest import tiny_machine
 
 CFG = PoochConfig(max_exact_li=3, step1_sim_budget=120)
@@ -129,6 +132,28 @@ class TestCache:
         b = optimize_cached("poster", poster_example, machine, margin)
         assert a is not b
         assert b.config.capacity_margin == 1 << 20
+
+    def test_profiles_under_the_config_schedule(self, machine):
+        # a forward re-fetch gap changes the profiled schedule, so the
+        # cached search must plan from the profile PoocH itself would take
+        cfg = PoochConfig(forward_refetch_gap=2, step1_sim_budget=200)
+        graph = resnet18(batch=4)
+        got = optimize_cached("resnet18-b4", lambda: resnet18(batch=4),
+                              machine, cfg)
+        want = PoocH(machine, cfg).optimize(graph)
+        assert got.classification == want.classification
+        assert got.predicted == want.predicted
+        _, profile = profile_cached("resnet18-b4", lambda: resnet18(batch=4),
+                                    machine)
+        assert profile is not got.profile  # the EAGER profile, keyed apart
+
+    def test_swap_opt_profiles_under_the_config_schedule(self, machine):
+        cfg = PoochConfig(forward_refetch_gap=2, step1_sim_budget=200)
+        graph = resnet18(batch=4)
+        profile = run_profiling(graph, machine, options=cfg.options)
+        want = plan_swap_opt(graph, machine, profile=profile, config=cfg)
+        got = plan_swap_opt(graph, machine, config=cfg)
+        assert got.classification == want.classification
 
     def test_clear(self, machine):
         a = optimize_cached("poster", poster_example, machine, CFG)

@@ -21,7 +21,9 @@ and forced-serial arms must agree end to end.
 from __future__ import annotations
 
 import os
+import re
 
+import numpy as np
 import pytest
 
 from repro.common.errors import FaultError, OutOfMemoryError
@@ -33,6 +35,8 @@ from repro.faults import (
     seed_duration_matrix,
     vectorizable,
 )
+from repro.faults import injector as injector_module
+from repro.faults.injector import _DRAW_CHUNK, DurationTable, _keyed_normals
 from repro.gpusim import Engine
 from repro.gpusim.vecengine import VectorEngine, VectorTables
 from repro.hw import CostModel, X86_V100, scaled_machine
@@ -48,6 +52,10 @@ from tests.conftest import tiny_machine
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 _EAGER = ScheduleOptions(policy=SwapInPolicy.EAGER)
+
+#: seed bases around the uint32 entropy-word boundaries (base 0 is
+#: ``TestSeedMatrixParity.test_noise_and_bandwidth``)
+SEED_BASES = (2**32 - 1, 2**32, 2**64, 2**96 + 3)
 
 
 def _vector_rows(graph, cls, machine, spec, seeds):
@@ -125,6 +133,11 @@ class TestSeedMatrixParity:
     def test_noise_and_bandwidth(self):
         self._compare(self.SPEC)
 
+    @pytest.mark.parametrize("base", SEED_BASES)
+    def test_noise_and_bandwidth_at_seed_base(self, base):
+        # seeds past 2**32 give SeedSequence three or more entropy words
+        self._compare(self.SPEC, seeds=tuple(range(base, base + 4)))
+
     def test_inert_spec_is_identity(self):
         graph = small_cnn()
         machine = tiny_machine(mem_mib=160)
@@ -156,6 +169,43 @@ class TestSeedMatrixParity:
                 factor = injector.duration_factor("fwd", layer)
                 assert (matrix[0, index[tid]]
                         == tasks[tid].duration * factor)
+
+
+class TestKeyedNormals:
+    """The vectorized draw == ``default_rng((seed, digest))``, bit for bit,
+    for every entropy word count ``SeedSequence`` can see."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 7_901_234_496, 2**64 - 1, 2**64,
+             2**96 + 3, 2**127 + 11, 2**128, 2**160 + 7, 2**200]
+    DIGESTS = [0, 2**32 - 1, 1, 0x9E3779B9]
+
+    @staticmethod
+    def _reference(seeds, digests):
+        return np.array([[np.random.default_rng((s, d)).standard_normal()
+                          for d in digests] for s in seeds])
+
+    def test_matches_default_rng_across_word_counts(self):
+        got = _keyed_normals(self.SEEDS, self.DIGESTS)
+        assert got is not None
+        assert np.array_equal(got, self._reference(self.SEEDS, self.DIGESTS))
+
+    def test_rows_keep_seed_order_across_groups(self):
+        # interleaved word counts: each group's rows land where they came from
+        seeds = [2**200, 5, 2**40, 2**64 + 1, 6, 2**40 + 1]
+        digests = list(range(3))
+        got = _keyed_normals(seeds, digests)
+        assert np.array_equal(got, self._reference(seeds, digests))
+
+    def test_draws_span_chunks(self):
+        seeds = [2**64 + k for k in range(3)]
+        digests = list(range(_DRAW_CHUNK // 2 + 1))  # 1.5 chunks per group
+        got = _keyed_normals(seeds, digests)
+        want = self._reference(seeds, digests[:2] + digests[-2:])
+        assert np.array_equal(got[:, [0, 1, -2, -1]], want)
+
+    def test_empty(self):
+        assert _keyed_normals([], [1, 2]).shape == (0, 2)
+        assert _keyed_normals([3], []).shape == (1, 0)
 
 
 class TestZooSweepBitIdentity:
@@ -253,6 +303,18 @@ class TestSweepFallbackMatrix:
         assert all(not o.vectorized for o in ser)
         self._outcomes_agree(vec, ser)
 
+    def test_large_seeds_match_serial_arm(self):
+        graph = small_cnn()
+        machine = tiny_machine(mem_mib=160)
+        cls = Classification.all_swap(graph)
+        spec = FaultSpec(duration_noise=0.1, bandwidth_factor=0.9)
+        seeds = [2**32 + FAULT_SEED + k for k in range(4)] + [2**96 + 3]
+        vec = fault_seed_sweep(graph, cls, machine, spec, seeds)
+        ser = fault_seed_sweep(graph, cls, machine, spec, seeds,
+                               vectorize=False)
+        assert all(o.vectorized for o in vec)
+        self._outcomes_agree(vec, ser)
+
     def test_oom_rows_replay_the_fallback_chain(self):
         # a vectorizable spec whose shrunken host pool breaks the chosen
         # plan: every lockstep row errors, falls back serially, and degrades
@@ -305,6 +367,76 @@ class TestSweepMetrics:
         assert faults["sweeps"] == 2
         assert faults["rows_vectorized"] == 4
         assert faults["rows_fallback"] == 2
+
+    @staticmethod
+    def _draws(seeds):
+        graph = small_cnn()
+        machine = tiny_machine(mem_mib=160)
+        base = CostModelDurations(graph, CostModel(machine))
+        tasks, _, _ = ScheduleBuilder(
+            graph, Classification.all_swap(graph), base, _EAGER,
+            validate=False).build_raw()
+        table = DurationTable(tasks, list(tasks))
+        registry = MetricsRegistry()
+        with metrics.use_registry(registry):
+            rows = table.rows(FaultSpec(duration_noise=0.1), seeds)
+        return rows, len(table.keys), registry.snapshot()["sections"]
+
+    def test_large_seed_draws_stay_vectorized(self):
+        seeds = [2**32 + k for k in range(4)]
+        rows, n_keys, sections = self._draws(seeds)
+        faults = sections["faults"]
+        assert faults["draws_vectorized"] == len(seeds) * n_keys
+        assert faults.get("draws_fallback", 0) == 0
+
+    def test_sweep_from_2_32_has_no_fallback_draws(self):
+        graph = small_cnn()
+        machine = tiny_machine(mem_mib=160)
+        registry = MetricsRegistry()
+        with metrics.use_registry(registry):
+            fault_seed_sweep(graph, Classification.all_swap(graph), machine,
+                             FaultSpec(duration_noise=0.05,
+                                       stall_prob=0.1),
+                             range(2**32, 2**32 + 3))
+        faults = registry.snapshot()["sections"]["faults"]
+        assert faults["draws_vectorized"] > 0
+        assert faults.get("draws_fallback", 0) == 0
+
+    def test_failing_cross_check_counts_every_draw_as_fallback(
+            self, monkeypatch):
+        seeds = [FAULT_SEED, 2**64 + 1]
+        want, n_keys, _ = self._draws(seeds)
+        real = injector_module._seedseq_words
+        monkeypatch.setattr(injector_module, "_seedseq_words",
+                            lambda entropy: real(entropy) ^ np.uint64(1))
+        got, _, sections = self._draws(seeds)
+        faults = sections["faults"]
+        assert faults["draws_fallback"] == len(seeds) * n_keys
+        assert faults.get("draws_vectorized", 0) == 0
+        assert np.array_equal(got, want)
+
+
+class TestSeedBoundary:
+    """Fault seeds are non-negative integers; anything else is named."""
+
+    @pytest.mark.parametrize("bad", [-3, True, False, 2.7, 3.0, "3", None])
+    def test_injector_rejects(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            FaultInjector("duration_noise=0.1", seed=bad)
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.7])
+    def test_sweep_rejects(self, bad):
+        graph = small_cnn()
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            fault_seed_sweep(graph, Classification.all_swap(graph),
+                             tiny_machine(mem_mib=160),
+                             FaultSpec(duration_noise=0.1), [0, bad])
+
+    def test_numpy_ints_accepted(self):
+        injector = FaultInjector("duration_noise=0.1", seed=np.int64(5))
+        assert injector.seed == 5 and type(injector.seed) is int
+        big = FaultInjector(seed=np.uint64(2**64 - 1))
+        assert big.seed == 2**64 - 1
 
 
 class TestRobustnessSeedDistribution:
