@@ -23,7 +23,7 @@ from repro.baselines.common import BaselinePlan
 from repro.graph import NNGraph
 from repro.graph.ops import OpKind
 from repro.hw import MachineSpec
-from repro.runtime.plan import Classification, MapClass, SwapInPolicy
+from repro.runtime.plan import Classification, MapClass
 
 
 def plan_checkpoint(
@@ -47,6 +47,5 @@ def plan_checkpoint(
         classes[i] = MapClass.KEEP if is_checkpoint else MapClass.RECOMPUTE
     return BaselinePlan(
         name=f"checkpoint(k={k})",
-        classification=Classification(classes),
-        policy=SwapInPolicy.EAGER,  # irrelevant: no swaps
+        classification=Classification(classes),  # no swaps: any policy
     )

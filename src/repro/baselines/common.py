@@ -1,5 +1,6 @@
-"""Shared baseline plumbing: a (classification, policy) pair and a uniform
-execution helper so every method measures through the same runtime."""
+"""Shared baseline plumbing: a (classification, schedule options) pair and a
+uniform execution helper so every method measures through the same
+runtime."""
 
 from __future__ import annotations
 
@@ -9,18 +10,19 @@ from repro.graph import NNGraph
 from repro.gpusim import RunResult
 from repro.hw import CostModel, MachineSpec
 from repro.runtime.executor import execute
-from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.plan import Classification
 from repro.runtime.schedule import ScheduleOptions
 
 
 @dataclass(frozen=True)
 class BaselinePlan:
-    """A baseline's decision: what to do with each map, and when swap-ins
-    start."""
+    """A baseline's decision: what to do with each map, and the schedule
+    options (swap-in policy, forward re-fetch gap) it was planned under and
+    runs under."""
 
     name: str
     classification: Classification
-    policy: SwapInPolicy
+    options: ScheduleOptions = ScheduleOptions()
 
     def execute(
         self, graph: NNGraph, machine: MachineSpec,
@@ -28,5 +30,5 @@ class BaselinePlan:
     ) -> RunResult:
         return execute(
             graph, self.classification, machine, cost_model=cost_model,
-            options=ScheduleOptions(policy=self.policy),
+            options=self.options,
         )

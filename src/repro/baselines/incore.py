@@ -9,7 +9,7 @@ from __future__ import annotations
 from repro.baselines.common import BaselinePlan
 from repro.graph import NNGraph
 from repro.hw import MachineSpec
-from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.plan import Classification
 
 
 def plan_incore(graph: NNGraph, machine: MachineSpec | None = None) -> BaselinePlan:
@@ -17,6 +17,5 @@ def plan_incore(graph: NNGraph, machine: MachineSpec | None = None) -> BaselineP
     uniformity; in-core needs no machine knowledge)."""
     return BaselinePlan(
         name="in-core",
-        classification=Classification.all_keep(graph),
-        policy=SwapInPolicy.EAGER,  # irrelevant: no swaps exist
+        classification=Classification.all_keep(graph),  # no swaps exist
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.baselines.common import BaselinePlan
 from repro.graph import NNGraph
 from repro.hw import MachineSpec
-from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.plan import Classification
 
 
 def plan_recompute_all(
@@ -21,5 +21,4 @@ def plan_recompute_all(
     return BaselinePlan(
         name="recompute-all",
         classification=Classification.all_recompute(graph),
-        policy=SwapInPolicy.EAGER,
     )

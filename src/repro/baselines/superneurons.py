@@ -23,6 +23,7 @@ from repro.graph.ops import OpKind
 from repro.gpusim.allocator import round_size
 from repro.hw import MachineSpec
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
+from repro.runtime.schedule import ScheduleOptions
 
 
 def _static_working_set(graph: NNGraph) -> int:
@@ -84,5 +85,5 @@ def plan_superneurons(graph: NNGraph, machine: MachineSpec) -> BaselinePlan:
     return BaselinePlan(
         name="superneurons",
         classification=Classification(classes),
-        policy=SwapInPolicy.SUPERNEURONS,
+        options=ScheduleOptions(policy=SwapInPolicy.SUPERNEURONS),
     )

@@ -11,6 +11,7 @@ from repro.baselines.common import BaselinePlan
 from repro.graph import NNGraph
 from repro.hw import MachineSpec
 from repro.runtime.plan import Classification, SwapInPolicy
+from repro.runtime.schedule import ScheduleOptions
 
 
 def plan_swap_all_unscheduled(
@@ -20,7 +21,7 @@ def plan_swap_all_unscheduled(
     return BaselinePlan(
         name="swap-all(w/o scheduling)",
         classification=Classification.all_swap(graph),
-        policy=SwapInPolicy.NAIVE,
+        options=ScheduleOptions(policy=SwapInPolicy.NAIVE),
     )
 
 
@@ -29,5 +30,4 @@ def plan_swap_all(graph: NNGraph, machine: MachineSpec | None = None) -> Baselin
     return BaselinePlan(
         name="swap-all",
         classification=Classification.all_swap(graph),
-        policy=SwapInPolicy.EAGER,
     )

@@ -30,5 +30,5 @@ def plan_swap_opt(
     return BaselinePlan(
         name="swap-opt",
         classification=classification,
-        policy=cfg.policy,
+        options=cfg.options,
     )

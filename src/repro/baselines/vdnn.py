@@ -15,6 +15,7 @@ from repro.graph import NNGraph
 from repro.graph.ops import OpKind
 from repro.hw import MachineSpec
 from repro.runtime.plan import Classification, MapClass, SwapInPolicy
+from repro.runtime.schedule import ScheduleOptions
 
 
 def plan_vdnn(graph: NNGraph, machine: MachineSpec | None = None) -> BaselinePlan:
@@ -28,5 +29,5 @@ def plan_vdnn(graph: NNGraph, machine: MachineSpec | None = None) -> BaselinePla
     return BaselinePlan(
         name="vdnn",
         classification=Classification(classes),
-        policy=SwapInPolicy.NAIVE,
+        options=ScheduleOptions(policy=SwapInPolicy.NAIVE),
     )

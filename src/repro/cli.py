@@ -275,11 +275,11 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _run_resilient(graph, cls, machine, injector, policy=SwapInPolicy.EAGER):
+def _run_resilient(graph, cls, machine, injector, options=ScheduleOptions()):
     from repro.faults import execute_resilient
 
     robust = execute_resilient(graph, cls, machine, faults=injector,
-                               options=ScheduleOptions(policy=policy))
+                               options=options)
     print(robust.describe())
     return robust.result
 
@@ -346,7 +346,7 @@ def _cmd_run(args) -> int:
             timeline = plan.execute(graph, machine)
         else:
             timeline = _run_resilient(graph, plan.classification, machine,
-                                      injector, policy=plan.policy)
+                                      injector, options=plan.options)
         if machine.devices > 1:
             from repro.gpusim import simulate_multi_device
 

@@ -231,19 +231,33 @@ def _task_key(task) -> tuple[str, int, bool]:
 #
 # A sweep needs K seeds x U duration keys independent draws, each defined as
 # ``default_rng((seed, digest)).standard_normal()``.  Constructing K*U
-# generators through ``default_rng`` costs ~15us each — it dominates the
-# whole lockstep sweep.  ``SeedSequence`` turns the entropy tuple into
-# little-endian uint32 words (each int gives its own words, ``[0]`` for
-# zero) and hashes them into a four-word pool (O'Neill's seed_seq: pure
-# uint32 arithmetic), so the hash vectorizes over every pair whose entropy
-# has the same word count: a seed below 2**32 gives two words with its
-# digest, a larger seed three or more.  PCG64's seeding from the four output
-# words is two 128-bit affine steps we do in Python ints and install via the
-# bit generator's state setter — reusing ONE generator object for every
-# draw, ``_DRAW_CHUNK`` pairs' words at a time.  ``_keyed_normals``
-# cross-checks one draw per word count against ``default_rng`` at runtime
-# and the caller falls back to the per-seed injector loop on any mismatch,
-# so bit-identity never rests on this reimplementation alone.
+# generators through ``default_rng`` costs ~15us each, so the draw is done
+# as array math instead, with no generator object per draw:
+#
+# * ``SeedSequence`` turns the entropy tuple into little-endian uint32 words
+#   (each int gives its own words, ``[0]`` for zero) and hashes them into a
+#   four-word pool (O'Neill's seed_seq: pure uint32 arithmetic), so the
+#   hash vectorizes over every pair whose entropy has the same word count: a
+#   seed below 2**32 gives two words with its digest, a larger seed three or
+#   more.
+# * PCG64 seeds from the four output words (``init``, ``seq``) with
+#   ``inc = 2*seq + 1`` and two LCG steps, and its first draw takes one more,
+#   so the state it outputs from is ``init*M**2 + inc*(M**2 + M + 1) mod
+#   2**128``: two 128-bit multiplies by constants, done on uint64 arrays in
+#   32-bit limbs.  The output is ``rotr64(hi ^ lo, hi >> 58)``.
+# * ``standard_normal`` is numpy's ziggurat, whose first try accepts about
+#   98.5% of draws: ``idx = r & 0xff``, ``sign = (r >> 8) & 1``, ``rabs =
+#   (r >> 9) & (2**52 - 1)``, accepted when ``rabs < ki[idx]`` with value
+#   ``±(rabs * wi[idx])``.  A rejected first try (the tail of layer 0,
+#   layer 1 whose ``ki`` is 0, the wedges) is replayed through one reused
+#   PCG64 object set to the seeded state, i.e. numpy itself.
+#
+# ``_ZIG_WI`` and ``_ZIG_KI`` pin numpy's ``wi_double`` / ``ki_double``;
+# ``_tables_match_numpy`` checks them against the running numpy once per
+# process with crafted generator states, and ``_keyed_normals`` cross-checks
+# each group's first accepted draw and first replayed one against
+# ``default_rng``.  On any mismatch the caller falls back to the per-seed
+# injector loop, so bit-identity never rests on this reimplementation alone.
 
 _SS_POOL = 4
 _SS_XSHIFT = np.uint32(16)
@@ -255,8 +269,242 @@ _SS_MIX_L = np.uint32(0xCA01F9DD)
 _SS_MIX_R = np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MASK = (1 << 128) - 1
-#: keyed draws whose seeding words are held as Python ints at once
-_DRAW_CHUNK = 1024
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+#: a seeded state's first output comes from init*_PCG_A + inc*_PCG_B
+_PCG_A = _PCG_MULT * _PCG_MULT & _PCG_MASK
+_PCG_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _PCG_MASK
+_U32 = np.uint64(0xFFFFFFFF)
+_RABS_MASK = np.uint64((1 << 52) - 1)
+#: keyed draws whose 128-bit temporaries are held at once
+_DRAW_CHUNK = 4096
+
+# numpy's float64 ziggurat tables, read from numpy through crafted PCG64
+# states (``TestKeyedNormals.test_pinned_tables_are_numpys`` re-derives them)
+#: ``wi_double``: layer widths, as ``float.hex``
+_ZIG_WI = np.array([float.fromhex(h) for h in """
+0x1.f493b7815d979p-51 0x1.b8d0be3fdf6c6p-55 0x1.250af3c2c5bb4p-54
+0x1.57cb938443b61p-54 0x1.801fce82fa70cp-54 0x1.a230c2e4cd0bcp-54
+0x1.c004d2f3861f7p-54 0x1.dac2f5a747274p-54 0x1.f32482d4cd5c3p-54
+0x1.04d32278ebbadp-53 0x1.0f5053b025d43p-53 0x1.192a697413677p-53
+0x1.227a28f7a1af5p-53 0x1.2b52e3863d880p-53 0x1.33c3fc05791f5p-53
+0x1.3bd9ec1a2b12fp-53 0x1.439ef8dff9b55p-53 0x1.4b1bb363dfea7p-53
+0x1.52575621ad374p-53 0x1.59580a707ce96p-53 0x1.60231cfd97eeap-53
+0x1.66bd261a37c3dp-53 0x1.6d2a292000570p-53 0x1.736dad346f8a6p-53
+0x1.798ad10b32a77p-53 0x1.7f845ad46f543p-53 0x1.855cc53430a77p-53
+0x1.8b1649e7b769ap-53 0x1.90b2ea94ecf98p-53 0x1.96347822c1eeap-53
+0x1.9b9c98e38c546p-53 0x1.a0eccdca4a72cp-53 0x1.a62676d77cd59p-53
+0x1.ab4ad6e101630p-53 0x1.b05b16d136c9cp-53 0x1.b558487427a29p-53
+0x1.ba4368e529f3ap-53 0x1.bf1d62abf8232p-53 0x1.c3e70f9594ef3p-53
+0x1.c8a13a5323b61p-53 0x1.cd4c9fe72268bp-53 0x1.d1e9f0e80b748p-53
+0x1.d679d29e41f10p-53 0x1.dafce0023b8c3p-53 0x1.df73aa9f17653p-53
+0x1.e3debb5d2edfep-53 0x1.e83e9337a6f00p-53 0x1.ec93abdf982cep-53
+0x1.f0de784f06226p-53 0x1.f51f654d8f688p-53 0x1.f956d9e87d7aep-53
+0x1.fd8537dfa2eacp-53 0x1.00d56e04234ecp-52 0x1.02e40f5398f9ap-52
+0x1.04eea9e16a5fcp-52 0x1.06f565b72a010p-52 0x1.08f869071f40bp-52
+0x1.0af7d84bc6113p-52 0x1.0cf3d664bcc7fp-52 0x1.0eec84b16086bp-52
+0x1.10e20329515eep-52 0x1.12d4707310fbep-52 0x1.14c3e9f8e9141p-52
+0x1.16b08bfc4201ep-52 0x1.189a71a78da34p-52 0x1.1a81b51ee6d88p-52
+0x1.1c666f8f82acbp-52 0x1.1e48b93e0d42ep-52 0x1.2028a9940a09fp-52
+0x1.2206572c4c6e9p-52 0x1.23e1d7de9c31fp-52 0x1.25bb40ca96bfbp-52
+0x1.2792a661dd37fp-52 0x1.29681c719d71bp-52 0x1.2b3bb62b82edap-52
+0x1.2d0d862e1b853p-52 0x1.2edd9e8cba98ep-52 0x1.30ac10d6e48d7p-52
+0x1.3278ee1f4b930p-52 0x1.3444470265ea1p-52 0x1.360e2baca52d5p-52
+0x1.37d6abe05586ap-52 0x1.399dd6fb2b264p-52 0x1.3b63bbfb83d03p-52
+0x1.3d28698561de0p-52 0x1.3eebede725a83p-52 0x1.40ae571e09e74p-52
+0x1.426fb2da6745dp-52 0x1.44300e83c30a4p-52 0x1.45ef773cac75dp-52
+0x1.47adf9e66c336p-52 0x1.496ba32488f2fp-52 0x1.4b287f602415dp-52
+0x1.4ce49acb311dcp-52 0x1.4ea001638a605p-52 0x1.505abef5e5562p-52
+0x1.5214df20a8b5ap-52 0x1.53ce6d56a664fp-52 0x1.558774e1bb2c8p-52
+0x1.574000e555f78p-52 0x1.58f81c60e8514p-52 0x1.5aafd23241b59p-52
+0x1.5c672d17d733dp-52 0x1.5e1e37b2f8cd3p-52 0x1.5fd4fc89f5e38p-52
+0x1.618b860a31fc3p-52 0x1.6341de8a2b0a2p-52 0x1.64f8104b7260bp-52
+0x1.66ae257c99672p-52 0x1.6864283b13137p-52 0x1.6a1a22950b2b1p-52
+0x1.6bd01e8b343bbp-52 0x1.6d8626128d352p-52 0x1.6f3c43161f854p-52
+0x1.70f27f78b68ebp-52 0x1.72a8e516914c6p-52 0x1.745f7dc70eedcp-52
+0x1.7616535e5731fp-52 0x1.77cd6faeff449p-52 0x1.7984dc8babd93p-52
+0x1.7b3ca3c8b1409p-52 0x1.7cf4cf3db22fbp-52 0x1.7ead68c73dee7p-52
+0x1.80667a486ea1fp-52 0x1.82200dac88676p-52 0x1.83da2ce899f15p-52
+0x1.8594e1fd1f5bdp-52 0x1.875036f7a7ec5p-52 0x1.890c35f47f72dp-52
+0x1.8ac8e9205c043p-52 0x1.8c865aba10c9cp-52 0x1.8e44951446a27p-52
+0x1.9003a2973b58fp-52 0x1.91c38dc288347p-52 0x1.9384612ef0afcp-52
+0x1.954627903a28ap-52 0x1.9708ebb70d5eep-52 0x1.98ccb892e2a31p-52
+0x1.9a919933f99bfp-52 0x1.9c5798cd5d92cp-52 0x1.9e1ec2b6f7411p-52
+0x1.9fe7226fad24ap-52 0x1.a1b0c39f93692p-52 0x1.a37bb21a2c85bp-52
+0x1.a547f9e0bbb88p-52 0x1.a715a724aa9a4p-52 0x1.a8e4c64a0313dp-52
+0x1.aab563e9ff108p-52 0x1.ac878cd5af5cep-52 0x1.ae5b4e18bb336p-52
+0x1.b030b4fc3a11ap-52 0x1.b207cf09a985bp-52 0x1.b3e0aa0e00c00p-52
+0x1.b5bb541ce3d03p-52 0x1.b797db93f8927p-52 0x1.b9764f1e5f73cp-52
+0x1.bb56bdb85256ep-52 0x1.bd3936b2ec0a2p-52 0x1.bf1dc9b81ae83p-52
+0x1.c10486cec16a0p-52 0x1.c2ed7e5f07a2dp-52 0x1.c4d8c136e0d1cp-52
+0x1.c6c6608ec8705p-52 0x1.c8b66e0eba617p-52 0x1.caa8fbd36a2abp-52
+0x1.cc9e1c73bd690p-52 0x1.ce95e3068e037p-52 0x1.d0906328b8f6ep-52
+0x1.d28db1037ef20p-52 0x1.d48de1533c647p-52 0x1.d691096e7f123p-52
+0x1.d8973f4d7fba5p-52 0x1.daa0999206e70p-52 0x1.dcad2f8fc490ep-52
+0x1.debd195522e37p-52 0x1.e0d06fb49d21cp-52 0x1.e2e74c4ea46f6p-52
+0x1.e501c99c1d188p-52 0x1.e72002f97fe25p-52 0x1.e94214b2abf0ap-52
+0x1.eb681c0f76f08p-52 0x1.ed9237610a73ap-52 0x1.efc086101eca9p-52
+0x1.f1f328ac25321p-52 0x1.f42a40fb74d6dp-52 0x1.f665f20c90168p-52
+0x1.f8a6604899782p-52 0x1.faebb187122bfp-52 0x1.fd360d22fe785p-52
+0x1.ff859c118f60bp-52 0x1.00ed447d3a075p-51 0x1.021a8028fc947p-51
+0x1.034a983a902abp-51 0x1.047da4e3ef5c7p-51 0x1.05b3bf6adb37ep-51
+0x1.06ed023a72668p-51 0x1.082988f632e17p-51 0x1.0969708e8a254p-51
+0x1.0aacd7571c0c4p-51 0x1.0bf3dd1eed448p-51 0x1.0d3ea34aa3d30p-51
+0x1.0e8d4cf116593p-51 0x1.0fdffefa69fb6p-51 0x1.1136e04207041p-51
+0x1.129219bbb5d35p-51 0x1.13f1d69c4096dp-51 0x1.1556448602e3bp-51
+0x1.16bf93b9deef3p-51 0x1.182df74d21261p-51 0x1.19a1a564eebacp-51
+0x1.1b1ad777f2f8ep-51 0x1.1c99ca971a694p-51 0x1.1e1ebfbe4ae39p-51
+0x1.1fa9fc2e2d901p-51 0x1.213bc9d04cc81p-51 0x1.22d477a6fd3eep-51
+0x1.24745a4ac9c24p-51 0x1.261bcc77658e0p-51 0x1.27cb2faa8592ep-51
+0x1.2982ecd770e78p-51 0x1.2b437532a0a52p-51 0x1.2d0d43196db97p-51
+0x1.2ee0db1a978f5p-51 0x1.30becd256aeeep-51 0x1.32a7b5e68a4a3p-51
+0x1.349c405ae12a3p-51 0x1.369d27a33a840p-51 0x1.38ab39256410ap-51
+0x1.3ac7570ae88fap-51 0x1.3cf27b31704a6p-51 0x1.3f2dbaa60f475p-51
+0x1.417a49cb9e5dap-51 0x1.43d9815545e94p-51 0x1.464ce44a73a15p-51
+0x1.48d62759c43bcp-51 0x1.4b7739d6b5a27p-51 0x1.4e3250dcd8902p-51
+0x1.5109f53e9ac41p-51 0x1.54011523a7e42p-51 0x1.571b1a94ae41bp-51
+0x1.5a5c08b718dd9p-51 0x1.5dc8a243ad0fep-51 0x1.61669cf861e4cp-51
+0x1.653ce7b006aeap-51 0x1.69540be9fe5c3p-51 0x1.6db6b8d09e232p-51
+0x1.72728f05f7a34p-51 0x1.7799556090673p-51 0x1.7d42df4d6ce8cp-51
+0x1.839030529f234p-51 0x1.8ab0fbfaa7c14p-51 0x1.92ee0946f4496p-51
+0x1.9cbee014057abp-51 0x1.a8fdc7894775ap-51 0x1.b981f3878fdb1p-51
+0x1.d3bb48209ad33p-51
+""".split()])
+#: ``ki_double``: first-try acceptance bounds on ``rabs``, in hex
+_ZIG_KI = np.array([int(h, 16) for h in """
+ef33d8025ef6a 0000000000000 c08be98fbc6a8 da354fabd8142 e51f67ec1eeea
+eb255e9d3f77e eef4b817ecab9 f19470afa44aa f37ed61ffcb18 f4f469561255c
+f61a5e41ba396 f707a755396a4 f7cb2ec28449a f86f10c6357d3 f8fa6578325de
+f9724c74dd0da f9da907dbf509 fa360f581fa74 fa86fde5b4bf8 facf160d354dc
+fb0fb6718b90f fb49f8d5374c6 fb7ec2366fe77 fbaece9a1e50e fbdab9d040bed
+fc03060ff6c57 fc2821037a248 fc4a67ae25bd1 fc6a2977aee31 fc87aa92896a4
+fca325e4bde85 fcbcce902231a fcd4d12f839c4 fceb54d8fec99 fd007bf1dc930
+fd1464dd6c4e6 fd272a8e2f450 fd38e4ff0c91e fd49a9990b478 fd598b8920f53
+fd689c08e99ec fd76ea9c8e832 fd848547b08e8 fd9178bad2c8c fd9dd07a7add2
+fda9970105e8c fdb4d5dc02e20 fdbf95c5bfcd0 fdc9debb99a7d fdd3b8118729d
+fddd288342f90 fde6364369f64 fdeee708d514e fdf7401a6b42e fdff46599ed40
+fe06fe4bc24f2 fe0e6c225a258 fe1593c28b84c fe1c78cbc3f99 fe231e9db1caa
+fe29885da1b91 fe2fb8fb54186 fe35b33558d4a fe3b799d0002a fe410e99ead7f
+fe46746d47734 fe4bad34c095c fe50baed29524 fe559f74ebc78 fe5a5c8e41212
+fe5ef3e138689 fe6366fd91078 fe67b75c6d578 fe6be661e11aa fe6ff55e5f4f2
+fe73e5900a702 fe77b823e9e39 fe7b6e37070a2 fe7f08d774243 fe8289053f08c
+fe85efb35173a fe893dc840864 fe8c741f0cebc fe8f9387d4ef6 fe929cc879b1d
+fe95909d388ea fe986fb939aa2 fe9b3ac714866 fe9df2694b6d5 fea0973abe67c
+fea329cf166a4 fea5aab32952c fea81a6d5741a feaa797de1cf0 feacc85f3d920
+feaf07865e63c feb13762fec13 feb3585fe2a4a feb56ae3162b4 feb76f4e284fa
+feb965fe62014 febb4f4cf9d7c febd2b8f449d0 febefb16e2e3e fec0be31ebde8
+fec2752b15a15 fec42049dafd3 fec5bfd29f196 fec75406ceef4 fec8dd2500cb4
+feca5b6911f12 fecbcf0c427fe fecd38454fb15 fece97488c8b3 fecfec47f91b7
+fed1377358528 fed278f844903 fed3b10242f4c fed4dfbad586e fed605498c3dd
+fed721d414fe8 fed8357e4a982 fed9406a42cc8 feda42b85b704 fedb3c8746ab4
+fedc2df416652 fedd171a46e52 feddf813c8ad3 feded0f909980 fedfa1e0fd414
+fee06ae124bc4 fee12c0d95a06 fee1e579006e0 fee29734b6524 fee34150ae4bc
+fee3e3db89b3c fee47ee2982f4 fee51271db086 fee59e9407f41 fee623528b42e
+fee6a0b5897f1 fee716c3e077a fee7858327b82 fee7ecf7b06ba fee84d2484ab2
+fee8a60b66343 fee8f7accc851 fee94207e25da fee9851a829ea fee9c0e13485c
+fee9f557273f4 feea22762ccae feea4836b42ac feea668fc2d71 feea7d76ed6fa
+feea8ce04fa0a feea94be8333b feea950296410 feea8d9c0075e feea7e7897654
+feea678481d24 feea48aa29e83 feea21d22e4da fee9f2e352024 fee9bbc26af2e
+fee97c524f2e4 fee93473c0a3a fee8e40557516 fee88ae369c7a fee828e7f3dfd
+fee7bdea7b888 fee749bff37ff fee6cc3a9bd5e fee64529e007e fee5b45a32888
+fee51994e57b6 fee474a0006cf fee3c53e12c50 fee30b2e02ad8 fee2462ad8205
+fee175eb83c5a fee09a22a1447 fedfb27e349cc fedebea76216c feddbe422047e
+fedcb0ece39d3 fedb964042cf4 feda6dce938c9 fed937237e98d fed7f1c38a836
+fed69d2b9c02b fed538d06ae00 fed3c41dea422 fed23e76a2fd8 fed0a732fe644
+fecefda07fe34 fecd4100eb7b8 fecb708956eb4 fec98b61230c1 fec790a0da978
+fec57f50f31fe fec356686c962 fec114cb4b335 febeb948e6fd0 febc429a0b692
+feb9af5ee0cdc feb6fe1c98542 feb42d3ad1f9e feb13b00b2d4b feae2591a02e9
+feaaeae992257 fea788d8ee326 fea3fcffd73e5 fea044c8dd9f6 fe9c5d62f563b
+fe9843ba947a4 fe93f471d4728 fe8f6bd76c5d6 fe8aa5dc4e8e6 fe859e07ab1ea
+fe804f690a940 fe7ab488233c0 fe74c751f6aa5 fe6e8102aa202 fe67da0b6abd8
+fe60c9f38307e fe5947338f742 fe51470977280 fe48bd436f458 fe3f9bffd1e37
+fe35d35eeb19c fe2b5122fe4fe fe20003995557 fe13c82788314 fe068c4ee67b0
+fdf82b02b71aa fde87c57efeaa fdd7509c63bfd fdc46e529bf13 fdaf8f82e0282
+fd985e1b2ba75 fd7e6ef48cf04 fd613adbd650b fd40149e2f012 fd1a1a7b4c7ac
+fcee204761f9e fcba8d85e11b2 fc7d26ecd2d22 fc32b2f1e22ed fbd6581c0b83a
+fb606c4005434 fac40582a2874 f9e971e014598 f89fa48a41dfc f66c5f7f0302c
+f1a5a4b331c4a
+""".split()], np.uint64)
+
+#: per process: whether the pinned tables match the running numpy
+_tables_verified: bool | None = None
+
+
+def _crafted_state(first: int) -> dict:
+    """A PCG64 state whose next two 64-bit outputs are ``first`` and 0 (a
+    state whose high word is 0 outputs its low word)."""
+    inc = -first * _PCG_MULT & _PCG_MASK
+    state = (first - inc) * _PCG_MULT_INV & _PCG_MASK
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _tables_match_numpy() -> bool:
+    """Whether ``_ZIG_WI`` / ``_ZIG_KI`` are the running numpy's, checked
+    once per process: a first output with ``rabs = 1`` must return
+    ``wi[idx]`` (the wedge accepts layer 1's: its next output is 0), one
+    with ``rabs = ki - 1`` must return on its first step and one with
+    ``rabs = ki`` must not."""
+    global _tables_verified
+    if _tables_verified is None:
+        bg = np.random.PCG64(0)
+        normal = np.random.Generator(bg).standard_normal
+
+        def draw(rabs: int, idx: int) -> tuple[float, bool]:
+            first = rabs << 9 | idx
+            bg.state = _crafted_state(first)
+            value = float(normal())
+            return value, bg.state["state"]["state"] == first
+
+        ok = True
+        for idx, (wi, ki) in enumerate(zip(_ZIG_WI.tolist(),
+                                           _ZIG_KI.tolist())):
+            ok = (ok and draw(1, idx)[0] == wi
+                  and (ki == 0 or draw(ki - 1, idx) == ((ki - 1) * wi, True))
+                  and not draw(ki, idx)[1])
+        _tables_verified = ok
+    return _tables_verified
+
+
+def _mul128(a_hi: np.ndarray, a_lo: np.ndarray,
+            b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a * b) mod 2**128`` as (high, low) uint64 words, for a 128-bit
+    array ``a`` and a 128-bit constant ``b``: 32-bit limbs keep every
+    partial product of the low words' full product within uint64."""
+    b_hi, b_lo = np.uint64(b >> 64), np.uint64(b & 0xFFFFFFFFFFFFFFFF)
+    b0, b1 = b_lo & _U32, b_lo >> np.uint64(32)
+    a0, a1 = a_lo & _U32, a_lo >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & _U32) + (p10 & _U32)
+    lo = (mid << np.uint64(32)) | (p00 & _U32)
+    hi = (a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+          + (mid >> np.uint64(32)) + a_hi * b_lo + a_lo * b_hi)
+    return hi, lo
+
+
+def _first_outputs(words: np.ndarray) -> np.ndarray:
+    """The first 64-bit output of a PCG64 seeded from each column of
+    ``words`` (``SeedSequence.generate_state(4, uint64)`` per column)."""
+    one = np.uint64(1)
+    init_hi, init_lo, seq_hi, seq_lo = words
+    a_hi, a_lo = _mul128(init_hi, init_lo, _PCG_A)
+    b_hi, b_lo = _mul128((seq_hi << one) | (seq_lo >> np.uint64(63)),
+                         (seq_lo << one) | one, _PCG_B)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    out = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def _first_try_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ziggurat's first try on each column's first output: the draws,
+    and a mask of the ones it rejects (their value is not the draw)."""
+    r = _first_outputs(words)
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & _RABS_MASK
+    draws = rabs.astype(np.float64) * _ZIG_WI[idx]
+    np.negative(draws, out=draws, where=(r & np.uint64(0x100)).astype(bool))
+    return draws, rabs >= _ZIG_KI[idx]
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -273,7 +521,8 @@ def _uint32_words(value: int) -> list[int]:
 def _seedseq_words(entropy: list[np.ndarray]) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, uint64)`` for every row,
     vectorized: ``entropy`` holds one equal-length uint32 column per entropy
-    word, and row i's entropy is ``[col[i] for col in entropy]``."""
+    word, and row i's entropy is ``[col[i] for col in entropy]``.  Returns
+    the four words as rows: row i's state is column i."""
     old = np.seterr(over="ignore")  # uint32 wraparound is the algorithm
     try:
         hash_const = _SS_INIT_A
@@ -311,11 +560,11 @@ def _seedseq_words(entropy: list[np.ndarray]) -> np.ndarray:
             return value ^ (value >> _SS_XSHIFT)
 
         out32 = [hashmix_out(pool[i % _SS_POOL]) for i in range(8)]
-        words = np.empty((len(zero), 4), np.uint64)
+        words = np.empty((4, len(zero)), np.uint64)
         for i in range(4):
-            words[:, i] = (out32[2 * i].astype(np.uint64)
-                           | (out32[2 * i + 1].astype(np.uint64)
-                              << np.uint64(32)))
+            words[i] = (out32[2 * i].astype(np.uint64)
+                        | (out32[2 * i + 1].astype(np.uint64)
+                           << np.uint64(32)))
         return words
     finally:
         np.seterr(**old)
@@ -324,41 +573,55 @@ def _seedseq_words(entropy: list[np.ndarray]) -> np.ndarray:
 def _keyed_normals(seeds: list[int], digests: list[int]) -> np.ndarray | None:
     """The ``(K, U)`` matrix of ``default_rng((seed, digest)).
     standard_normal()`` draws for non-negative seeds and uint32 digests, or
-    ``None`` when a runtime cross-check against ``default_rng`` fails."""
+    ``None`` when the pinned ziggurat tables or a runtime cross-check
+    against ``default_rng`` fail.  Counts the draws whose first try was
+    rejected, and so replayed through numpy, as ``faults.draws_replayed``."""
     n_k, n_u = len(seeds), len(digests)
     out = np.empty((n_k, n_u), np.float64)
     if not n_k or not n_u:
         return out
+    if not _tables_match_numpy():
+        return None
     groups: dict[int, list[int]] = {}  # seed word count -> rows of seeds
     seed_words = [_uint32_words(s) for s in seeds]
     for k, words in enumerate(seed_words):
         groups.setdefault(len(words), []).append(k)
     bg = np.random.PCG64(0)
-    gen = np.random.Generator(bg)
     state = bg.state
     inner = state["state"]
-    normal = gen.standard_normal
+    normal = np.random.Generator(bg).standard_normal
     digest_col = np.asarray(digests, np.uint32)
+    replayed = 0
     for n_words, rows in groups.items():
         per_seed = np.asarray([seed_words[k] for k in rows], np.uint32)
         entropy = [np.repeat(per_seed[:, j], n_u) for j in range(n_words)]
         entropy.append(np.tile(digest_col, len(rows)))
         words = _seedseq_words(entropy)
-        flat = np.empty(len(words), np.float64)
-        for lo in range(0, len(words), _DRAW_CHUNK):
-            chunk = words[lo:lo + _DRAW_CHUNK].tolist()
-            for i, (w0, w1, w2, w3) in enumerate(chunk, lo):
-                # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
-                inc = (((w2 << 64) | w3) << 1 | 1) & _PCG_MASK
-                inner["inc"] = inc
-                inner["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT
-                                  + inc) & _PCG_MASK
-                bg.state = state
-                flat[i] = normal()
-        ref = np.random.default_rng((seeds[rows[0]], digests[0]))
-        if flat[0] != float(ref.standard_normal()):
-            return None  # numpy's seeding drifted from this reimplementation
+        n = words.shape[1]
+        flat = np.empty(n, np.float64)
+        rejected = np.empty(n, bool)
+        for lo in range(0, n, _DRAW_CHUNK):
+            hi = lo + _DRAW_CHUNK
+            flat[lo:hi], rejected[lo:hi] = _first_try_normals(words[:, lo:hi])
+        replays = np.flatnonzero(rejected).tolist()
+        for i in replays:
+            # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
+            w0, w1, w2, w3 = words[:, i].tolist()
+            inc = (((w2 << 64) | w3) << 1 | 1) & _PCG_MASK
+            inner["inc"] = inc
+            inner["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT
+                              + inc) & _PCG_MASK
+            bg.state = state
+            flat[i] = normal()
+        replayed += len(replays)
+        # cross-check the group's first accepted draw and first replayed one
+        for i in {int(np.argmin(rejected)), *replays[:1]}:
+            ref = np.random.default_rng((seeds[rows[i // n_u]],
+                                         digests[i % n_u]))
+            if flat[i] != float(ref.standard_normal()):
+                return None  # numpy drifted from this reimplementation
         out[rows] = flat.reshape(len(rows), n_u)
+    metrics.count("faults.draws_replayed", replayed)
     return out
 
 
@@ -393,8 +656,9 @@ class DurationTable:
              clean: np.ndarray | None = None) -> np.ndarray:
         """The ``(K, n)`` table for ``seeds``; ``clean`` overrides the clean
         durations (same task order) for a provider that re-draws them.
-        Counts its keyed draws as ``faults.draws_vectorized`` or, when the
-        fast path's cross-check fails, ``faults.draws_fallback``."""
+        Counts its keyed draws as ``faults.draws_vectorized`` (of which
+        ``faults.draws_replayed`` went through a per-draw generator) or,
+        when the fast path's checks fail, ``faults.draws_fallback``."""
         clean = self.clean if clean is None else clean
         seeds = [fault_seed(s) for s in seeds]
         stddev = spec.duration_noise

@@ -14,8 +14,9 @@ from repro.baselines import (
 from repro.common.errors import OutOfMemoryError
 from repro.graph.ops import OpKind
 from repro.hw import POWER9_V100, X86_V100
-from repro.models import poster_example, small_cnn
-from repro.runtime import MapClass, SwapInPolicy
+from repro.models import densenet121, poster_example, small_cnn
+from repro.pooch.config import PoochConfig
+from repro.runtime import MapClass, SwapInPolicy, execute
 from tests.conftest import tiny_machine
 
 
@@ -30,8 +31,8 @@ class TestSimplePlans:
         assert all(c is MapClass.KEEP for c in plan.classification.classes.values())
 
     def test_swap_all_policies(self, g):
-        assert plan_swap_all(g).policy is SwapInPolicy.EAGER
-        assert plan_swap_all_unscheduled(g).policy is SwapInPolicy.NAIVE
+        assert plan_swap_all(g).options.policy is SwapInPolicy.EAGER
+        assert plan_swap_all_unscheduled(g).options.policy is SwapInPolicy.NAIVE
 
     def test_recompute_all_swaps_ineligible(self, g):
         plan = plan_recompute_all(g)
@@ -79,7 +80,7 @@ class TestSuperNeurons:
                 assert g[i].op.kind not in cheap or not g[i].op.recomputable
 
     def test_policy_is_superneurons(self, g):
-        assert plan_superneurons(g, X86_V100).policy is SwapInPolicy.SUPERNEURONS
+        assert plan_superneurons(g, X86_V100).options.policy is SwapInPolicy.SUPERNEURONS
 
     def test_everything_kept_when_memory_ample(self, g):
         cls = plan_superneurons(g, X86_V100).classification
@@ -99,6 +100,16 @@ class TestSwapOpt:
         opt = plan_swap_opt(g, m).execute(g, m)
         base = plan_swap_all(g).execute(g, m)
         assert opt.makespan <= base.makespan
+
+    def test_executes_under_the_config_schedule(self):
+        # the plan was chosen under the re-fetch gap, so it must run with it
+        m = tiny_machine(mem_mib=224, link_gbps=2.0)
+        g = densenet121(batch=2)
+        cfg = PoochConfig(forward_refetch_gap=2, step1_sim_budget=100)
+        plan = plan_swap_opt(g, m, config=cfg)
+        want = execute(g, plan.classification, m, options=cfg.options)
+        assert plan.execute(g, m).makespan == want.makespan
+        assert plan.options == cfg.options
 
 
 class TestExecution:

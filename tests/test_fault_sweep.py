@@ -40,7 +40,7 @@ from repro.faults.injector import _DRAW_CHUNK, DurationTable, _keyed_normals
 from repro.gpusim import Engine
 from repro.gpusim.vecengine import VectorEngine, VectorTables
 from repro.hw import CostModel, X86_V100, scaled_machine
-from repro.models import small_cnn
+from repro.models import build_model, small_cnn
 from repro.models.zoo import MODEL_ZOO
 from repro.obs import MetricsRegistry, metrics
 from repro.runtime.durations import CostModelDurations
@@ -206,6 +206,91 @@ class TestKeyedNormals:
     def test_empty(self):
         assert _keyed_normals([], [1, 2]).shape == (0, 2)
         assert _keyed_normals([3], []).shape == (1, 0)
+
+    @staticmethod
+    def _assert_bits_equal(got, want):
+        assert got is not None
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_pinned_tables_are_numpys(self):
+        # re-derive wi / ki from the installed numpy by crafted states: a
+        # first output with rabs = 1 returns wi[idx] (layer 1's wedge accepts
+        # it, the output after being 0), and ki[idx] is the smallest rabs
+        # whose draw advances the generator more than one step
+        bg = np.random.PCG64(0)
+        normal = np.random.Generator(bg).standard_normal
+
+        def draw(rabs, idx):
+            first = rabs << 9 | idx
+            bg.state = injector_module._crafted_state(first)
+            value = float(normal())
+            return value, bg.state["state"]["state"] != first
+
+        wi, ki = [], []
+        for idx in range(256):
+            wi.append(draw(1, idx)[0])
+            lo, hi = 0, 1 << 52
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if draw(mid, idx)[1] else (mid + 1, hi)
+            ki.append(lo)
+        assert wi == injector_module._ZIG_WI.tolist()
+        assert ki == injector_module._ZIG_KI.tolist()
+        assert ki[1] == 0 and all(0 < k < 1 << 52 for k in ki[2:] + ki[:1])
+
+    @staticmethod
+    def _branch(seed, digest):
+        """Which ziggurat branch ``default_rng((seed, digest))``'s draw
+        takes, read from numpy alone: the first output's layer, and whether
+        the draw used more than that one output."""
+        bg = np.random.default_rng((seed, digest)).bit_generator
+        start = bg.state
+        idx = int(bg.random_raw()) & 0xFF
+        one_step = bg.state["state"]["state"]
+        bg.state = start
+        np.random.Generator(bg).standard_normal()
+        rejected = bg.state["state"]["state"] != one_step
+        if idx == 0:
+            return "layer 0 tail" if rejected else "layer 0"
+        if idx == 1:
+            return "layer 1 (ki 0)" if rejected else "layer 1 accepted"
+        return "wedge" if rejected else "accepted"
+
+    def test_key_scan_covers_every_branch(self):
+        want = {"layer 0", "layer 0 tail", "layer 1 (ki 0)", "wedge",
+                "accepted"}
+        found: dict[str, tuple[int, int]] = {}
+        for digest in range(20_000):
+            seed = 3 if digest % 2 else 2**40 + 3
+            found.setdefault(self._branch(seed, digest), (seed, digest))
+            if want <= set(found):
+                break
+        assert set(found) == want  # layer 1 never accepts: its ki is 0
+        seeds = sorted({s for s, _ in found.values()})
+        digests = sorted({d for _, d in found.values()})
+        got = _keyed_normals(seeds, digests)
+        assert got is not None
+        for seed, digest in found.values():
+            ref = np.random.default_rng((seed, digest)).standard_normal()
+            cell = got[seeds.index(seed), digests.index(digest)]
+            assert np.float64(cell).tobytes() == np.float64(ref).tobytes()
+
+    def test_random_differential(self):
+        rng = np.random.default_rng(FAULT_SEED)
+        seeds = ([int(s) for s in rng.integers(0, 2**32, 10)]
+                 + [int(s) for s in rng.integers(2**32, 2**63, 5)]
+                 + [int(s) << 40 for s in rng.integers(1, 2**40, 5)])
+        digests = [int(d) for d in rng.integers(0, 2**32, 1000)]
+        self._assert_bits_equal(_keyed_normals(seeds, digests),
+                                self._reference(seeds, digests))
+
+    @pytest.mark.parametrize("n_seeds, n_digests", [(1, 300), (300, 1)])
+    def test_single_row_and_column(self, n_seeds, n_digests):
+        seeds = [2**32 - 150 + k for k in range(n_seeds)]
+        digests = [FAULT_SEED * 7919 + k for k in range(n_digests)]
+        self._assert_bits_equal(_keyed_normals(seeds, digests),
+                                self._reference(seeds, digests))
 
 
 class TestZooSweepBitIdentity:
@@ -401,6 +486,43 @@ class TestSweepMetrics:
         faults = registry.snapshot()["sections"]["faults"]
         assert faults["draws_vectorized"] > 0
         assert faults.get("draws_fallback", 0) == 0
+
+    def test_wide_table_from_2_32_replays_few_draws(self):
+        # a (64, 466) draw stays on the array path: a slide back to one
+        # generator per draw would show as replayed or fallback draws
+        graph = build_model("resnet50", batch=2)
+        base = CostModelDurations(graph, CostModel(X86_V100))
+        tasks, _, _ = ScheduleBuilder(
+            graph, Classification.all_swap(graph), base, _EAGER,
+            validate=False).build_raw()
+        table = DurationTable(tasks, list(tasks))
+        registry = MetricsRegistry()
+        with metrics.use_registry(registry):
+            table.rows(FaultSpec(duration_noise=0.1),
+                       range(2**32, 2**32 + 64))
+        faults = registry.snapshot()["sections"]["faults"]
+        draws = 64 * len(table.keys)
+        assert faults["draws_vectorized"] == draws
+        assert faults.get("draws_fallback", 0) == 0
+        assert 0 < faults["draws_replayed"] <= 0.03 * draws
+
+    @pytest.mark.parametrize("table, idx", [("_ZIG_WI", 200), ("_ZIG_KI", 5)])
+    def test_wrong_table_entry_falls_back(self, monkeypatch, table, idx):
+        seeds = [FAULT_SEED, 2**64 + 1]
+        want, n_keys, _ = self._draws(seeds)
+        wrong = getattr(injector_module, table).copy()
+        if table == "_ZIG_WI":
+            wrong[idx] = np.nextafter(wrong[idx], 1.0)
+        else:
+            wrong[idx] += np.uint64(1)
+        monkeypatch.setattr(injector_module, table, wrong)
+        monkeypatch.setattr(injector_module, "_tables_verified", None)
+        got, _, sections = self._draws(seeds)
+        faults = sections["faults"]
+        assert injector_module._tables_verified is False
+        assert faults["draws_fallback"] == len(seeds) * n_keys
+        assert faults.get("draws_vectorized", 0) == 0
+        assert np.array_equal(got, want)
 
     def test_failing_cross_check_counts_every_draw_as_fallback(
             self, monkeypatch):
