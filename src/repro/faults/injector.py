@@ -252,9 +252,10 @@ def _task_key(task) -> tuple[str, int, bool]:
 #   layer 1 whose ``ki`` is 0, the wedges) is replayed through one reused
 #   PCG64 object set to the seeded state, i.e. numpy itself.
 #
-# ``_ZIG_WI`` and ``_ZIG_KI`` pin numpy's ``wi_double`` / ``ki_double``;
-# ``_tables_match_numpy`` checks them against the running numpy once per
-# process with crafted generator states, and ``_keyed_normals`` cross-checks
+# ``_ZIG_KI`` pins numpy's ``ki_double``, which only a binary search over
+# crafted generator states could re-derive; ``_numpy_wi`` reads
+# ``wi_double`` from the running numpy once per process with crafted states
+# and checks ``_ZIG_KI`` against it there, and ``_keyed_normals`` cross-checks
 # each group's first accepted draw and first replayed one against
 # ``default_rng``.  On any mismatch the caller falls back to the per-seed
 # injector loop, so bit-identity never rests on this reimplementation alone.
@@ -278,98 +279,9 @@ _RABS_MASK = np.uint64((1 << 52) - 1)
 #: keyed draws whose 128-bit temporaries are held at once
 _DRAW_CHUNK = 4096
 
-# numpy's float64 ziggurat tables, read from numpy through crafted PCG64
-# states (``TestKeyedNormals.test_pinned_tables_are_numpys`` re-derives them)
-#: ``wi_double``: layer widths, as ``float.hex``
-_ZIG_WI = np.array([float.fromhex(h) for h in """
-0x1.f493b7815d979p-51 0x1.b8d0be3fdf6c6p-55 0x1.250af3c2c5bb4p-54
-0x1.57cb938443b61p-54 0x1.801fce82fa70cp-54 0x1.a230c2e4cd0bcp-54
-0x1.c004d2f3861f7p-54 0x1.dac2f5a747274p-54 0x1.f32482d4cd5c3p-54
-0x1.04d32278ebbadp-53 0x1.0f5053b025d43p-53 0x1.192a697413677p-53
-0x1.227a28f7a1af5p-53 0x1.2b52e3863d880p-53 0x1.33c3fc05791f5p-53
-0x1.3bd9ec1a2b12fp-53 0x1.439ef8dff9b55p-53 0x1.4b1bb363dfea7p-53
-0x1.52575621ad374p-53 0x1.59580a707ce96p-53 0x1.60231cfd97eeap-53
-0x1.66bd261a37c3dp-53 0x1.6d2a292000570p-53 0x1.736dad346f8a6p-53
-0x1.798ad10b32a77p-53 0x1.7f845ad46f543p-53 0x1.855cc53430a77p-53
-0x1.8b1649e7b769ap-53 0x1.90b2ea94ecf98p-53 0x1.96347822c1eeap-53
-0x1.9b9c98e38c546p-53 0x1.a0eccdca4a72cp-53 0x1.a62676d77cd59p-53
-0x1.ab4ad6e101630p-53 0x1.b05b16d136c9cp-53 0x1.b558487427a29p-53
-0x1.ba4368e529f3ap-53 0x1.bf1d62abf8232p-53 0x1.c3e70f9594ef3p-53
-0x1.c8a13a5323b61p-53 0x1.cd4c9fe72268bp-53 0x1.d1e9f0e80b748p-53
-0x1.d679d29e41f10p-53 0x1.dafce0023b8c3p-53 0x1.df73aa9f17653p-53
-0x1.e3debb5d2edfep-53 0x1.e83e9337a6f00p-53 0x1.ec93abdf982cep-53
-0x1.f0de784f06226p-53 0x1.f51f654d8f688p-53 0x1.f956d9e87d7aep-53
-0x1.fd8537dfa2eacp-53 0x1.00d56e04234ecp-52 0x1.02e40f5398f9ap-52
-0x1.04eea9e16a5fcp-52 0x1.06f565b72a010p-52 0x1.08f869071f40bp-52
-0x1.0af7d84bc6113p-52 0x1.0cf3d664bcc7fp-52 0x1.0eec84b16086bp-52
-0x1.10e20329515eep-52 0x1.12d4707310fbep-52 0x1.14c3e9f8e9141p-52
-0x1.16b08bfc4201ep-52 0x1.189a71a78da34p-52 0x1.1a81b51ee6d88p-52
-0x1.1c666f8f82acbp-52 0x1.1e48b93e0d42ep-52 0x1.2028a9940a09fp-52
-0x1.2206572c4c6e9p-52 0x1.23e1d7de9c31fp-52 0x1.25bb40ca96bfbp-52
-0x1.2792a661dd37fp-52 0x1.29681c719d71bp-52 0x1.2b3bb62b82edap-52
-0x1.2d0d862e1b853p-52 0x1.2edd9e8cba98ep-52 0x1.30ac10d6e48d7p-52
-0x1.3278ee1f4b930p-52 0x1.3444470265ea1p-52 0x1.360e2baca52d5p-52
-0x1.37d6abe05586ap-52 0x1.399dd6fb2b264p-52 0x1.3b63bbfb83d03p-52
-0x1.3d28698561de0p-52 0x1.3eebede725a83p-52 0x1.40ae571e09e74p-52
-0x1.426fb2da6745dp-52 0x1.44300e83c30a4p-52 0x1.45ef773cac75dp-52
-0x1.47adf9e66c336p-52 0x1.496ba32488f2fp-52 0x1.4b287f602415dp-52
-0x1.4ce49acb311dcp-52 0x1.4ea001638a605p-52 0x1.505abef5e5562p-52
-0x1.5214df20a8b5ap-52 0x1.53ce6d56a664fp-52 0x1.558774e1bb2c8p-52
-0x1.574000e555f78p-52 0x1.58f81c60e8514p-52 0x1.5aafd23241b59p-52
-0x1.5c672d17d733dp-52 0x1.5e1e37b2f8cd3p-52 0x1.5fd4fc89f5e38p-52
-0x1.618b860a31fc3p-52 0x1.6341de8a2b0a2p-52 0x1.64f8104b7260bp-52
-0x1.66ae257c99672p-52 0x1.6864283b13137p-52 0x1.6a1a22950b2b1p-52
-0x1.6bd01e8b343bbp-52 0x1.6d8626128d352p-52 0x1.6f3c43161f854p-52
-0x1.70f27f78b68ebp-52 0x1.72a8e516914c6p-52 0x1.745f7dc70eedcp-52
-0x1.7616535e5731fp-52 0x1.77cd6faeff449p-52 0x1.7984dc8babd93p-52
-0x1.7b3ca3c8b1409p-52 0x1.7cf4cf3db22fbp-52 0x1.7ead68c73dee7p-52
-0x1.80667a486ea1fp-52 0x1.82200dac88676p-52 0x1.83da2ce899f15p-52
-0x1.8594e1fd1f5bdp-52 0x1.875036f7a7ec5p-52 0x1.890c35f47f72dp-52
-0x1.8ac8e9205c043p-52 0x1.8c865aba10c9cp-52 0x1.8e44951446a27p-52
-0x1.9003a2973b58fp-52 0x1.91c38dc288347p-52 0x1.9384612ef0afcp-52
-0x1.954627903a28ap-52 0x1.9708ebb70d5eep-52 0x1.98ccb892e2a31p-52
-0x1.9a919933f99bfp-52 0x1.9c5798cd5d92cp-52 0x1.9e1ec2b6f7411p-52
-0x1.9fe7226fad24ap-52 0x1.a1b0c39f93692p-52 0x1.a37bb21a2c85bp-52
-0x1.a547f9e0bbb88p-52 0x1.a715a724aa9a4p-52 0x1.a8e4c64a0313dp-52
-0x1.aab563e9ff108p-52 0x1.ac878cd5af5cep-52 0x1.ae5b4e18bb336p-52
-0x1.b030b4fc3a11ap-52 0x1.b207cf09a985bp-52 0x1.b3e0aa0e00c00p-52
-0x1.b5bb541ce3d03p-52 0x1.b797db93f8927p-52 0x1.b9764f1e5f73cp-52
-0x1.bb56bdb85256ep-52 0x1.bd3936b2ec0a2p-52 0x1.bf1dc9b81ae83p-52
-0x1.c10486cec16a0p-52 0x1.c2ed7e5f07a2dp-52 0x1.c4d8c136e0d1cp-52
-0x1.c6c6608ec8705p-52 0x1.c8b66e0eba617p-52 0x1.caa8fbd36a2abp-52
-0x1.cc9e1c73bd690p-52 0x1.ce95e3068e037p-52 0x1.d0906328b8f6ep-52
-0x1.d28db1037ef20p-52 0x1.d48de1533c647p-52 0x1.d691096e7f123p-52
-0x1.d8973f4d7fba5p-52 0x1.daa0999206e70p-52 0x1.dcad2f8fc490ep-52
-0x1.debd195522e37p-52 0x1.e0d06fb49d21cp-52 0x1.e2e74c4ea46f6p-52
-0x1.e501c99c1d188p-52 0x1.e72002f97fe25p-52 0x1.e94214b2abf0ap-52
-0x1.eb681c0f76f08p-52 0x1.ed9237610a73ap-52 0x1.efc086101eca9p-52
-0x1.f1f328ac25321p-52 0x1.f42a40fb74d6dp-52 0x1.f665f20c90168p-52
-0x1.f8a6604899782p-52 0x1.faebb187122bfp-52 0x1.fd360d22fe785p-52
-0x1.ff859c118f60bp-52 0x1.00ed447d3a075p-51 0x1.021a8028fc947p-51
-0x1.034a983a902abp-51 0x1.047da4e3ef5c7p-51 0x1.05b3bf6adb37ep-51
-0x1.06ed023a72668p-51 0x1.082988f632e17p-51 0x1.0969708e8a254p-51
-0x1.0aacd7571c0c4p-51 0x1.0bf3dd1eed448p-51 0x1.0d3ea34aa3d30p-51
-0x1.0e8d4cf116593p-51 0x1.0fdffefa69fb6p-51 0x1.1136e04207041p-51
-0x1.129219bbb5d35p-51 0x1.13f1d69c4096dp-51 0x1.1556448602e3bp-51
-0x1.16bf93b9deef3p-51 0x1.182df74d21261p-51 0x1.19a1a564eebacp-51
-0x1.1b1ad777f2f8ep-51 0x1.1c99ca971a694p-51 0x1.1e1ebfbe4ae39p-51
-0x1.1fa9fc2e2d901p-51 0x1.213bc9d04cc81p-51 0x1.22d477a6fd3eep-51
-0x1.24745a4ac9c24p-51 0x1.261bcc77658e0p-51 0x1.27cb2faa8592ep-51
-0x1.2982ecd770e78p-51 0x1.2b437532a0a52p-51 0x1.2d0d43196db97p-51
-0x1.2ee0db1a978f5p-51 0x1.30becd256aeeep-51 0x1.32a7b5e68a4a3p-51
-0x1.349c405ae12a3p-51 0x1.369d27a33a840p-51 0x1.38ab39256410ap-51
-0x1.3ac7570ae88fap-51 0x1.3cf27b31704a6p-51 0x1.3f2dbaa60f475p-51
-0x1.417a49cb9e5dap-51 0x1.43d9815545e94p-51 0x1.464ce44a73a15p-51
-0x1.48d62759c43bcp-51 0x1.4b7739d6b5a27p-51 0x1.4e3250dcd8902p-51
-0x1.5109f53e9ac41p-51 0x1.54011523a7e42p-51 0x1.571b1a94ae41bp-51
-0x1.5a5c08b718dd9p-51 0x1.5dc8a243ad0fep-51 0x1.61669cf861e4cp-51
-0x1.653ce7b006aeap-51 0x1.69540be9fe5c3p-51 0x1.6db6b8d09e232p-51
-0x1.72728f05f7a34p-51 0x1.7799556090673p-51 0x1.7d42df4d6ce8cp-51
-0x1.839030529f234p-51 0x1.8ab0fbfaa7c14p-51 0x1.92ee0946f4496p-51
-0x1.9cbee014057abp-51 0x1.a8fdc7894775ap-51 0x1.b981f3878fdb1p-51
-0x1.d3bb48209ad33p-51
-""".split()])
-#: ``ki_double``: first-try acceptance bounds on ``rabs``, in hex
+# numpy's float64 ziggurat ``ki_double`` table (first-try acceptance bounds
+# on ``rabs``, in hex), read from numpy through crafted PCG64 states
+# (``TestKeyedNormals.test_ki_table_is_numpys`` re-derives it)
 _ZIG_KI = np.array([int(h, 16) for h in """
 ef33d8025ef6a 0000000000000 c08be98fbc6a8 da354fabd8142 e51f67ec1eeea
 eb255e9d3f77e eef4b817ecab9 f19470afa44aa f37ed61ffcb18 f4f469561255c
@@ -425,8 +337,9 @@ fb606c4005434 fac40582a2874 f9e971e014598 f89fa48a41dfc f66c5f7f0302c
 f1a5a4b331c4a
 """.split()], np.uint64)
 
-#: per process: whether the pinned tables match the running numpy
-_tables_verified: bool | None = None
+#: per process: numpy's ``wi_double`` read by ``_numpy_wi``, or ``False``
+#: when ``_ZIG_KI`` does not match the running numpy
+_zig_wi: np.ndarray | bool | None = None
 
 
 def _crafted_state(first: int) -> dict:
@@ -438,14 +351,15 @@ def _crafted_state(first: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _tables_match_numpy() -> bool:
-    """Whether ``_ZIG_WI`` / ``_ZIG_KI`` are the running numpy's, checked
-    once per process: a first output with ``rabs = 1`` must return
-    ``wi[idx]`` (the wedge accepts layer 1's: its next output is 0), one
-    with ``rabs = ki - 1`` must return on its first step and one with
-    ``rabs = ki`` must not."""
-    global _tables_verified
-    if _tables_verified is None:
+def _numpy_wi() -> np.ndarray | None:
+    """The running numpy's ziggurat ``wi_double`` table, read once per
+    process, or ``None`` when ``_ZIG_KI`` is not numpy's.  A first output
+    with ``rabs = 1`` returns ``wi[idx]`` (the wedge accepts layer 1's: its
+    next output is 0); then one with ``rabs = ki - 1`` must return ``(ki -
+    1) * wi[idx]`` on its first step and one with ``rabs = ki`` must not
+    return on it."""
+    global _zig_wi
+    if _zig_wi is None:
         bg = np.random.PCG64(0)
         normal = np.random.Generator(bg).standard_normal
 
@@ -455,14 +369,12 @@ def _tables_match_numpy() -> bool:
             value = float(normal())
             return value, bg.state["state"]["state"] == first
 
-        ok = True
-        for idx, (wi, ki) in enumerate(zip(_ZIG_WI.tolist(),
-                                           _ZIG_KI.tolist())):
-            ok = (ok and draw(1, idx)[0] == wi
-                  and (ki == 0 or draw(ki - 1, idx) == ((ki - 1) * wi, True))
-                  and not draw(ki, idx)[1])
-        _tables_verified = ok
-    return _tables_verified
+        wi = [draw(1, idx)[0] for idx in range(256)]
+        ok = all((ki == 0 or draw(ki - 1, idx) == ((ki - 1) * w, True))
+                 and not draw(ki, idx)[1]
+                 for idx, (w, ki) in enumerate(zip(wi, _ZIG_KI.tolist())))
+        _zig_wi = np.array(wi) if ok else False
+    return None if _zig_wi is False else _zig_wi
 
 
 def _mul128(a_hi: np.ndarray, a_lo: np.ndarray,
@@ -496,13 +408,15 @@ def _first_outputs(words: np.ndarray) -> np.ndarray:
     return (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
-def _first_try_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ziggurat's first try on each column's first output: the draws,
-    and a mask of the ones it rejects (their value is not the draw)."""
+def _first_try_normals(words: np.ndarray,
+                       wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ziggurat's first try on each column's first output, with layer
+    widths ``wi``: the draws, and a mask of the ones it rejects (their
+    value is not the draw)."""
     r = _first_outputs(words)
     idx = (r & np.uint64(0xFF)).astype(np.intp)
     rabs = (r >> np.uint64(9)) & _RABS_MASK
-    draws = rabs.astype(np.float64) * _ZIG_WI[idx]
+    draws = rabs.astype(np.float64) * wi[idx]
     np.negative(draws, out=draws, where=(r & np.uint64(0x100)).astype(bool))
     return draws, rabs >= _ZIG_KI[idx]
 
@@ -573,14 +487,15 @@ def _seedseq_words(entropy: list[np.ndarray]) -> np.ndarray:
 def _keyed_normals(seeds: list[int], digests: list[int]) -> np.ndarray | None:
     """The ``(K, U)`` matrix of ``default_rng((seed, digest)).
     standard_normal()`` draws for non-negative seeds and uint32 digests, or
-    ``None`` when the pinned ziggurat tables or a runtime cross-check
+    ``None`` when the pinned ``ki`` table or a runtime cross-check
     against ``default_rng`` fail.  Counts the draws whose first try was
     rejected, and so replayed through numpy, as ``faults.draws_replayed``."""
     n_k, n_u = len(seeds), len(digests)
     out = np.empty((n_k, n_u), np.float64)
     if not n_k or not n_u:
         return out
-    if not _tables_match_numpy():
+    wi = _numpy_wi()
+    if wi is None:
         return None
     groups: dict[int, list[int]] = {}  # seed word count -> rows of seeds
     seed_words = [_uint32_words(s) for s in seeds]
@@ -602,7 +517,8 @@ def _keyed_normals(seeds: list[int], digests: list[int]) -> np.ndarray | None:
         rejected = np.empty(n, bool)
         for lo in range(0, n, _DRAW_CHUNK):
             hi = lo + _DRAW_CHUNK
-            flat[lo:hi], rejected[lo:hi] = _first_try_normals(words[:, lo:hi])
+            flat[lo:hi], rejected[lo:hi] = _first_try_normals(
+                words[:, lo:hi], wi)
         replays = np.flatnonzero(rejected).tolist()
         for i in replays:
             # pcg_setseq_128_srandom: state=0; step; state+=initstate; step
