@@ -19,7 +19,7 @@ import sys
 
 from repro import PoocH
 from repro.analysis import robustness_report
-from repro.faults import FaultSpec, RetryPolicy
+from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.models import alexnet
 from repro.hw import scaled_machine, X86_V100
 
@@ -34,13 +34,13 @@ def main() -> None:
     # transient faults — it degrades and reports.
     spec = FaultSpec(duration_noise=0.10, profile_noise=0.05,
                      stall_prob=0.05, oom_prob=0.02)
-    result = PoocH(machine, faults=spec, fault_seed=seed).optimize(graph)
+    result = PoocH(machine, faults=FaultInjector(spec, seed=seed)).optimize(graph)
     robust = result.execute_resilient(retry=RetryPolicy(max_transfer_retries=3))
     print(f"faults: {spec.describe()}  (seed {seed})")
     print(robust.describe())
 
     # 2. same seed, fresh pipeline: the faulted run is bit-reproducible
-    again = (PoocH(machine, faults=spec, fault_seed=seed)
+    again = (PoocH(machine, faults=FaultInjector(spec, seed=seed))
              .optimize(graph).execute_resilient())
     assert again.makespan == robust.makespan
     assert again.plan_used == robust.plan_used

@@ -163,7 +163,6 @@ def robustness_report(
     fault_seeds: int = 1,
     config=None,
     retry: RetryPolicy | None = None,
-    workers: int = 1,
 ) -> RobustnessReport:
     """Run the fault sweep and return the filled report.
 
@@ -175,8 +174,7 @@ def robustness_report(
     sweep.  Each spec plans **once**
     (under fault seed ``seed``, exactly as a single-run report would) and
     then executes the chosen plan under seeds ``seed .. seed +
-    fault_seeds - 1``; ``workers`` fans the serial-path seeds across a
-    process pool.
+    fault_seeds - 1``.
     """
     from repro.pooch import PoocH  # lazy: pooch.overlap imports this package
 
@@ -213,7 +211,7 @@ def robustness_report(
         result = PoocH(machine, config=config, faults=injector).optimize(graph)
         outcomes = fault_seed_sweep(
             graph, result.classification, machine, spec, seeds,
-            retry=retry, options=result.config.options, workers=workers,
+            retry=retry, options=result.config.options,
         )
         makespans = np.array([o.makespan for o in outcomes])
         p50, p95, p99 = (float(np.percentile(makespans, q))

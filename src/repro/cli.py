@@ -80,7 +80,7 @@ _SIMPLE_PLANNERS = {
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (--workers, --budget)."""
+    """argparse type for counts that must be >= 1 (--batch, --budget)."""
     try:
         value = int(text)
     except ValueError:
@@ -378,7 +378,6 @@ def _cmd_robustness(args) -> int:
         noise_levels=tuple(args.noise_levels),
         seed=args.fault_seed,
         fault_seeds=args.fault_seeds,
-        workers=args.workers,
     )
     print(report.render())
     return 0
@@ -587,10 +586,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "fault-seed .. fault-seed+N-1); vectorizable specs "
                         "run all seeds in one lockstep batch and the report "
                         "gains P50/P95/P99 plus OOM/fallback/retry rates")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-pool fan-out for serial-path fault seeds "
-                        "(stall/OOM specs); results are bit-identical to "
-                        "--workers 1")
     _add_fault_args(p)
     p.set_defaults(fn=_cmd_robustness)
 

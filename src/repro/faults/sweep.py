@@ -23,8 +23,9 @@ key on the attempt index, and host faults interleave with the fallback
 chain.  :func:`vectorizable` gates on that; non-vectorizable specs (and the
 few vectorized rows that genuinely fail, e.g. noise pushing a tight plan
 over capacity) fall back to the serial resilient path —
-:func:`~repro.faults.resilient.execute_resilient`, once per seed, optionally
-split across a process pool.  The serial rows share one
+:func:`~repro.faults.resilient.execute_resilient`, once per seed, in a loop
+in the calling process, so every row's telemetry lands in the caller's
+metrics registry.  The serial rows share one
 :class:`~repro.faults.resilient.PlanChain` whose first entry is the lockstep
 path's draft: a serial row costs one re-pricing of a validated schedule
 plus one event simulation, not a schedule rebuild.
@@ -39,7 +40,6 @@ and every serial row to the rebuild-per-attempt resilient executor
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,16 +156,6 @@ def _serial_outcome(chain: PlanChain, spec: FaultSpec, seed: int,
     )
 
 
-def _serial_chunk(packed) -> list[SweepOutcome]:
-    """A pool worker's share of the serial seeds, over one chain it builds
-    itself (so neither the graph nor the chain is shipped per seed)."""
-    (graph, classification, machine, options, cost_model, durations,
-     spec, seeds, retry) = packed
-    chain = PlanChain(graph, classification, machine, options=options,
-                      cost_model=cost_model, durations=durations)
-    return [_serial_outcome(chain, spec, seed, retry) for seed in seeds]
-
-
 def fault_seed_sweep(
     graph: NNGraph,
     classification: Classification,
@@ -178,16 +168,14 @@ def fault_seed_sweep(
     cost_model: CostModel | None = None,
     durations: DurationProvider | None = None,
     vectorize: bool = True,
-    workers: int = 1,
 ) -> list[SweepOutcome]:
     """Execute one plan under every seed of ``seeds``; one outcome per seed.
 
     Vectorizable specs run all seeds in one lockstep batch over the clean
     draft (compiled once); rows that fail under their per-seed durations —
     and every seed of a non-vectorizable spec — take the serial resilient
-    path over one shared :class:`PlanChain`, split into one chunk of seeds
-    per process when ``workers > 1``.  Emits ``faults.rows_vectorized`` /
-    ``faults.rows_fallback`` counters.
+    path, one seed after another over one shared :class:`PlanChain`.  Emits
+    ``faults.rows_vectorized`` / ``faults.rows_fallback`` counters.
 
     ``durations`` overrides the clean duration provider (default: the
     machine's deterministic cost model); ``vectorize=False`` forces the
@@ -237,22 +225,7 @@ def fault_seed_sweep(
     metrics.count("faults.rows_vectorized", len(outcomes))
     metrics.count("faults.rows_fallback", len(serial_idx))
 
-    if serial_idx:
-        serial_seeds = [seeds[i] for i in serial_idx]
-        n_chunks = min(workers, len(serial_seeds))
-        if n_chunks > 1:
-            step = -(-len(serial_seeds) // n_chunks)
-            jobs = [(graph, classification, machine, chain.options,
-                     cost_model, durations, spec,
-                     serial_seeds[k:k + step], retry)
-                    for k in range(0, len(serial_seeds), step)]
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                results = [out for part in pool.map(_serial_chunk, jobs)
-                           for out in part]
-        else:
-            results = [_serial_outcome(chain, spec, seed, retry)
-                       for seed in serial_seeds]
-        for i, out in zip(serial_idx, results):
-            outcomes[i] = out
+    for i in serial_idx:
+        outcomes[i] = _serial_outcome(chain, spec, seeds[i], retry)
 
     return [outcomes[i] for i in range(len(seeds))]

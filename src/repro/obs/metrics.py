@@ -18,6 +18,7 @@ event counts, byte watermarks — is deterministic for a fixed seed, which
 from __future__ import annotations
 
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -97,9 +98,11 @@ def _json_safe(value):
 class MetricsRegistry:
     """Counters, gauges, timers and spans for one run.
 
-    Not thread-safe by design: the pipeline's parallelism is process-based
-    (fault-sweep workers report through the parent), so a registry only
-    ever sees one thread.
+    Everything runs in one process, but the planning server's worker
+    threads may report into one registry at once: every mutation and
+    every export holds one lock, and span depth is kept per thread, so two
+    concurrent searches nest their spans exactly as one search alone
+    would.
     """
 
     def __init__(self) -> None:
@@ -111,7 +114,8 @@ class MetricsRegistry:
         #: structured (JSON-shaped) values; last write wins, like gauges
         self.records: dict[str, object] = {}
         self.spans: list[Span] = []
-        self._depth = 0
+        self._lock = threading.RLock()
+        self._local = threading.local()
 
     # -- clock -------------------------------------------------------------------
 
@@ -123,24 +127,28 @@ class MetricsRegistry:
 
     def count(self, name: str, value: float = 1) -> None:
         """Add ``value`` to counter ``name`` (creates it at 0)."""
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (last write wins)."""
-        self.gauges[name] = value
+        with self._lock:
+            self.gauges[name] = value
 
     def gauge_max(self, name: str, value: float) -> None:
         """Raise gauge ``name`` to ``value`` if higher (high-water marks)."""
-        current = self.gauges.get(name)
-        if current is None or value > current:
-            self.gauges[name] = value
+        with self._lock:
+            current = self.gauges.get(name)
+            if current is None or value > current:
+                self.gauges[name] = value
 
     def record(self, name: str, value) -> None:
         """Store a structured (JSON-shaped: dicts/lists/scalars) value under
         ``name`` — e.g. the per-round r(X) history of a search.  Rendered
         into the same ``sections`` tree as counters and gauges (schema
         v1.1); last write wins."""
-        self.records[name] = value
+        with self._lock:
+            self.records[name] = value
 
     # -- time instruments -------------------------------------------------------
 
@@ -151,32 +159,31 @@ class MetricsRegistry:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            bucket = self.timers.setdefault(name, [0, 0.0])
-            bucket[0] += 1
-            bucket[1] += elapsed
+            self.add_time(name, time.perf_counter() - start)
 
     def add_time(self, name: str, seconds: float) -> None:
         """Add one interval measured elsewhere to timer ``name`` — for loops
         that time themselves so that telemetry cannot influence them."""
-        bucket = self.timers.setdefault(name, [0, 0.0])
-        bucket[0] += 1
-        bucket[1] += seconds
+        with self._lock:
+            bucket = self.timers.setdefault(name, [0, 0.0])
+            bucket[0] += 1
+            bucket[1] += seconds
 
     @contextmanager
     def span(self, name: str, category: str = "phase", **meta) -> Iterator["MetricsRegistry"]:
-        """Record a nested span (and a timer entry of the same name)."""
+        """Record a nested span (and a timer entry of the same name); its
+        depth counts the spans open on the calling thread."""
+        depth = getattr(self._local, "depth", 0)
         start = self.now()
-        self._depth += 1
+        self._local.depth = depth + 1
         try:
             yield self
         finally:
-            self._depth -= 1
+            self._local.depth = depth
             end = self.now()
-            self.spans.append(Span(name, category, start, end, self._depth, meta))
-            bucket = self.timers.setdefault(name, [0, 0.0])
-            bucket[0] += 1
-            bucket[1] += end - start
+            with self._lock:
+                self.spans.append(Span(name, category, start, end, depth, meta))
+                self.add_time(name, end - start)
 
     # -- export -------------------------------------------------------------------
 
@@ -184,38 +191,40 @@ class MetricsRegistry:
         """Counters and gauges grouped by their first name component; the
         canonical :data:`SECTIONS` are always present."""
         grouped: dict[str, dict] = {name: {} for name in SECTIONS}
-        for source in (self.counters, self.gauges, self.records):
-            for name, value in source.items():
-                head, _, rest = name.partition(".")
-                if rest:
-                    grouped.setdefault(head, {})[rest] = _json_safe(value)
+        with self._lock:
+            for source in (self.counters, self.gauges, self.records):
+                for name, value in source.items():
+                    head, _, rest = name.partition(".")
+                    if rest:
+                        grouped.setdefault(head, {})[rest] = _json_safe(value)
         return grouped
 
     def snapshot(self, meta: dict | None = None) -> dict:
         """The RunMetrics document (JSON-ready, deterministically ordered)."""
-        return {
-            "schema": RUN_METRICS_SCHEMA,
-            "meta": dict(meta or {}),
-            "counters": {k: _json_safe(v) for k, v in sorted(self.counters.items())},
-            "gauges": {k: _json_safe(v) for k, v in sorted(self.gauges.items())},
-            "timers": {
-                k: {"count": c, "total_wall_s": t}
-                for k, (c, t) in sorted(self.timers.items())
-            },
-            "records": {k: _json_safe(v) for k, v in sorted(self.records.items())},
-            "spans": [
-                {
-                    "name": sp.name,
-                    "category": sp.category,
-                    "start_s": sp.start_s,
-                    "duration_s": sp.duration_s,
-                    "depth": sp.depth,
-                    "meta": dict(sp.meta),
-                }
-                for sp in self.spans
-            ],
-            "sections": self.sections(),
-        }
+        with self._lock:
+            return {
+                "schema": RUN_METRICS_SCHEMA,
+                "meta": dict(meta or {}),
+                "counters": {k: _json_safe(v) for k, v in sorted(self.counters.items())},
+                "gauges": {k: _json_safe(v) for k, v in sorted(self.gauges.items())},
+                "timers": {
+                    k: {"count": c, "total_wall_s": t}
+                    for k, (c, t) in sorted(self.timers.items())
+                },
+                "records": {k: _json_safe(v) for k, v in sorted(self.records.items())},
+                "spans": [
+                    {
+                        "name": sp.name,
+                        "category": sp.category,
+                        "start_s": sp.start_s,
+                        "duration_s": sp.duration_s,
+                        "depth": sp.depth,
+                        "meta": dict(sp.meta),
+                    }
+                    for sp in self.spans
+                ],
+                "sections": self.sections(),
+            }
 
 
 def validate_run_metrics(doc: dict) -> list[str]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from repro.common.errors import ScheduleError
-from repro.faults import FaultInjector, FaultSpec, FaultyDurations, RetryPolicy
+from repro.faults import FaultInjector, FaultyDurations, RetryPolicy
 from repro.faults.resilient import execute_resilient
 from repro.graph import NNGraph
 from repro.gpusim import RunResult
@@ -91,12 +91,10 @@ class DynamicPoocH:
             directory path) — chosen plans then persist across streams
             *and* across processes, so a restarted training run skips the
             searches entirely (each reused plan re-verified by simulation).
-        faults: optional :class:`~repro.faults.FaultInjector` (or a
-            :class:`~repro.faults.FaultSpec` / CLI spec string built with
-            ``fault_seed``) — iterations then execute resiliently under the
-            injected faults, and a drift-triggered re-plan re-profiles under
-            the faulted ground truth.
-        fault_seed: seed for an injector built from a spec/string.
+        faults: optional :class:`~repro.faults.FaultInjector` —
+            iterations then execute resiliently under the injected faults,
+            and a drift-triggered re-plan re-profiles under the faulted
+            ground truth.
         replan_tolerance: relative deviation of measured iteration time from
             the predicted makespan that triggers one re-profile + re-plan per
             size (``None`` disables drift tracking).
@@ -113,8 +111,7 @@ class DynamicPoocH:
         config: PoochConfig | None = None,
         strategy: str = "exact",
         plan_cache: PlanCache | str | pathlib.Path | None = None,
-        faults: FaultInjector | FaultSpec | str | None = None,
-        fault_seed: int = 0,
+        faults: FaultInjector | None = None,
         replan_tolerance: float | None = 0.25,
         retry: RetryPolicy | None = None,
         cost_model: CostModel | None = None,
@@ -128,8 +125,7 @@ class DynamicPoocH:
         #: size is profiled, verified and executed (simulate-before-running
         #: is void unless they agree)
         self._pooch = PoocH(machine, config, cost_model=cost_model,
-                            plan_cache=plan_cache, faults=faults,
-                            fault_seed=fault_seed)
+                            plan_cache=plan_cache, faults=faults)
         self.machine = machine
         self.build_graph = build_graph
         self.config = self._pooch.config

@@ -6,7 +6,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.faults import FaultInjector, FaultSpec, RetryPolicy, RobustResult
+from repro.faults import FaultInjector, RetryPolicy, RobustResult
 from repro.graph import NNGraph
 from repro.gpusim import RunResult
 from repro.hw import CostModel, MachineSpec
@@ -218,12 +218,11 @@ class PoocH:
             re-verifying it by simulation against the current profile — and
             stores a freshly searched plan for the next run.  A search
             never reads the cache, so it returns what it would without one.
-        faults: a :class:`~repro.faults.FaultInjector` (or a
-            :class:`~repro.faults.FaultSpec` / CLI spec string built with
-            ``fault_seed``).  ``profile_noise`` then perturbs the measured
+        faults: a :class:`~repro.faults.FaultInjector`, which carries its
+            spec and seed.  ``profile_noise`` then perturbs the measured
             profile before classification, and
-        :meth:`PoochResult.execute_resilient` runs under the same injector.
-        fault_seed: seed for an injector built from a spec/string.
+            :meth:`PoochResult.execute_resilient` runs under the same
+            injector.
         progress: optional ``callback(event, info)`` invoked at pipeline
             phase boundaries (``profile:start``, ``profile:done``,
             ``search:start``, ``search:done``, ``cache:hit``,
@@ -240,8 +239,7 @@ class PoocH:
         cost_model: CostModel | None = None,
         profile_iterations: int = 1,
         plan_cache: PlanCache | str | pathlib.Path | None = None,
-        faults: FaultInjector | FaultSpec | str | None = None,
-        fault_seed: int = 0,
+        faults: FaultInjector | None = None,
         progress: Callable[[str, dict[str, Any]], None] | None = None,
     ) -> None:
         self.machine = machine
@@ -252,7 +250,9 @@ class PoocH:
             plan_cache = PlanCache(plan_cache)
         self.plan_cache = plan_cache
         if faults is not None and not isinstance(faults, FaultInjector):
-            faults = FaultInjector(faults, seed=fault_seed)
+            raise TypeError(f"faults must be a FaultInjector, got "
+                            f"{type(faults).__name__} (build one with "
+                            f"FaultInjector(spec, seed=...))")
         self.faults = faults
         self.progress = progress
 

@@ -129,9 +129,10 @@ class TestArgValidation:
         "--workers=2", "--no-prune", "--no-incremental",
         "--no-incremental-step2", "--no-vectorize",
     ])
-    @pytest.mark.parametrize("command", ["optimize", "run"])
+    @pytest.mark.parametrize("command", ["optimize", "run", "robustness"])
     def test_search_speed_flags_removed(self, command, flag, capsys):
-        # the search runs one configuration: speed knobs are not options
+        # the search and the fault sweep run one configuration: speed knobs
+        # are not options
         with pytest.raises(SystemExit) as e:
             main([command, "mlp", flag])
         assert e.value.code == 2
@@ -314,6 +315,22 @@ class TestRobustnessCommand:
         assert "p95" in out and "p99" in out
         # a pure duration-noise spec runs every seed in lockstep
         assert "4/0" in out
+
+    def test_metrics_count_every_serial_row(self, tmp_path, capsys):
+        # the serial rows run in this process, so each row's resilience
+        # counters land in the command's registry
+        import json
+
+        out = tmp_path / "m.json"
+        assert main(["robustness", "poster_example", "--fault-seeds", "8",
+                     "--metrics", str(out)]) == 0
+        counters = json.loads(out.read_text())["counters"]
+        rows = 3 * 8  # the default ladder's three stall rungs x 8 seeds
+        assert counters["faults.rows_fallback"] == rows
+        failed = counters.get("resilience.chain_exhausted", 0)
+        assert counters["resilience.executions"] == rows - failed
+        assert counters["resilience.plan_attempts"] >= rows - failed
+        assert counters["faults.draws_vectorized"] > 0
 
     def test_negative_fault_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

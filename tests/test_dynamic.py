@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ScheduleError
+from repro.faults import FaultInjector
 from repro.models import linear_chain
 from repro.pooch import PoochConfig
 from repro.pooch.dynamic import DynamicPoocH
@@ -154,7 +155,8 @@ class TestPlanCache:
 
     def test_drift_replan_bypasses_the_cache(self, machine, tmp_path):
         d = DynamicPoocH(machine, build, CFG, plan_cache=tmp_path,
-                         faults="bandwidth_factor=0.33", fault_seed=5,
+                         faults=FaultInjector("bandwidth_factor=0.33",
+                                              seed=5),
                          replan_tolerance=0.1)
         cache = d.plan_cache
         calls = []
@@ -192,7 +194,7 @@ class TestFaultsAndReplan:
     """Resilient execution + drift-triggered re-planning (ISSUE 2)."""
 
     def _scripted(self, fail_transfers):
-        from repro.faults import FaultInjector, FaultSpec
+        from repro.faults import FaultSpec
 
         class Scripted(FaultInjector):
             def transfer_failures(self, tid, cap, epoch=0):
@@ -243,8 +245,10 @@ class TestFaultsAndReplan:
     def test_drift_replans_exactly_once(self, machine):
         # the link delivers a third of the bandwidth the profile assumed:
         # every iteration measures far above prediction
-        d = DynamicPoocH(machine, build, CFG, faults="bandwidth_factor=0.33",
-                         fault_seed=5, replan_tolerance=0.1)
+        d = DynamicPoocH(machine, build, CFG,
+                         faults=FaultInjector("bandwidth_factor=0.33",
+                                              seed=5),
+                         replan_tolerance=0.1)
         d.run_stream([16, 16, 16])
         assert d.stats.replans == 1  # once, not once per iteration
         assert d.stats.profilings == 2  # initial + drift re-profile
@@ -266,7 +270,8 @@ class TestFaultsAndReplan:
         spec = "duration_noise=0.1,stall_prob=0.1"
 
         def once():
-            d = DynamicPoocH(machine, build, CFG, faults=spec, fault_seed=9)
+            d = DynamicPoocH(machine, build, CFG,
+                             faults=FaultInjector(spec, seed=9))
             d.run_stream([16, 32, 16])
             return (tuple(d.stats.iteration_times), d.stats.transfer_retries,
                     d.stats.replans, d.stats.fallbacks)

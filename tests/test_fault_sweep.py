@@ -421,19 +421,6 @@ class TestSweepFallbackMatrix:
             assert o.oom
             assert o.plan_used == "recompute-all"
 
-    def test_workers_fan_out_is_identity(self):
-        graph = small_cnn()
-        machine = tiny_machine(mem_mib=160)
-        cls = Classification.all_swap(graph)
-        spec = FaultSpec(stall_prob=0.2)
-        seeds = range(FAULT_SEED, FAULT_SEED + 3)
-        one = fault_seed_sweep(graph, cls, machine, spec, seeds, workers=1)
-        two = fault_seed_sweep(graph, cls, machine, spec, seeds, workers=2)
-        for a, b in zip(one, two):
-            assert (a.seed, a.makespan, a.plan_used, a.transfer_retries,
-                    a.attempts) == (b.seed, b.makespan, b.plan_used,
-                                    b.transfer_retries, b.attempts)
-
 
 class TestSweepMetrics:
     def test_row_split_counters(self):

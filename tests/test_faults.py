@@ -341,12 +341,17 @@ class TestPipelineFaults:
         machine = tiny_machine(mem_mib=224)
         g = poster_example()
         clean = PoocH(machine).optimize(g)
-        noisy = PoocH(machine, faults="profile_noise=0.2",
-                      fault_seed=3).optimize(g)
+        noisy = PoocH(machine, faults=FaultInjector("profile_noise=0.2",
+                                                    seed=3)).optimize(g)
         assert noisy.profile.fwd != clean.profile.fwd  # classifier misled...
         # ...but ground truth is unchanged: both plans run on the same machine
         assert clean.execute().makespan > 0
         assert noisy.execute_resilient().makespan > 0
+
+    def test_spec_without_injector_rejected(self):
+        # the seed lives on the injector: a bare spec has none to carry
+        with pytest.raises(TypeError, match="FaultInjector"):
+            PoocH(X86_V100, faults="profile_noise=0.2")
 
     def test_inert_faults_do_not_change_the_plan(self):
         machine = tiny_machine(mem_mib=224)

@@ -70,6 +70,32 @@ class TestRegistry:
         assert r.timers["outer"][0] == 1
         assert r.timers["inner"][0] == 1
 
+    def test_span_depth_is_per_thread(self):
+        # two threads interleave their spans on one registry, as two
+        # planning-server workers do: each nests as if it ran alone
+        import threading
+
+        r = MetricsRegistry()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def work():
+            with r.span("outer"):
+                barrier.wait()  # both outers open
+                with r.span("inner"):
+                    barrier.wait()  # both inners open
+                    r.count("t.hits")
+                barrier.wait()
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted((s.name, s.depth) for s in r.spans) == [
+            ("inner", 1), ("inner", 1), ("outer", 0), ("outer", 0)]
+        assert r.counters["t.hits"] == 2
+        assert r.timers["outer"][0] == r.timers["inner"][0] == 2
+
     def test_span_meta_carried(self):
         r = MetricsRegistry()
         with r.span("phase", category="search", graph="g"):
@@ -207,10 +233,12 @@ class TestPlanPreservation:
     """The acceptance criterion: telemetry must not perturb planning."""
 
     def _optimize(self, graph, machine, config, faults=None):
+        from repro.faults import FaultInjector
         from repro.pooch import PoocH
 
-        return PoocH(machine, config, faults=faults,
-                     fault_seed=FAULT_SEED).optimize(graph)
+        if faults is not None:
+            faults = FaultInjector(faults, seed=FAULT_SEED)
+        return PoocH(machine, config, faults=faults).optimize(graph)
 
     def test_plans_bit_identical_with_telemetry(self, cnn,
                                                 slow_link_machine,
@@ -280,14 +308,16 @@ class TestDeterminism:
         import contextlib
 
         from repro.common.errors import ReproError
+        from repro.faults import FaultInjector
         from repro.pooch import PoocH
 
         reg = MetricsRegistry()
         with use_registry(reg):
             result = PoocH(
                 machine, config,
-                faults="profile_noise=0.05,stall_prob=0.2,oom_prob=0.05",
-                fault_seed=FAULT_SEED,
+                faults=FaultInjector(
+                    "profile_noise=0.05,stall_prob=0.2,oom_prob=0.05",
+                    seed=FAULT_SEED),
             ).optimize(graph)
             # a fault ladder this steep may exhaust the fallback chain; the
             # telemetry must be identical either way

@@ -85,7 +85,8 @@ def test_noisy_profile_classification_invariants(seed, noise):
     flip maps whose (first-round) r(X) ratio is below 1."""
     graph = poster_example()
     result = PoocH(
-        _MACHINE, faults=FaultSpec(profile_noise=noise), fault_seed=seed
+        _MACHINE, faults=FaultInjector(FaultSpec(profile_noise=noise),
+                                       seed=seed)
     ).optimize(graph)
     expected = set(Classification.all_swap(graph).classes)
     assert set(result.classification.classes) == expected
@@ -104,8 +105,8 @@ def test_faulted_run_bit_reproducible(seed):
     spec = "duration_noise=0.1,profile_noise=0.05,stall_prob=0.1"
 
     def once():
-        result = PoocH(_MACHINE, faults=spec, fault_seed=seed).optimize(
-            small_cnn(batch=64))
+        result = PoocH(_MACHINE, faults=FaultInjector(spec, seed=seed)
+                       ).optimize(small_cnn(batch=64))
         robust = result.execute_resilient()
         return (
             result.classification.key(),
