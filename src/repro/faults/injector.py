@@ -30,8 +30,8 @@ from repro.gpusim.engine import StreamName, TaskKind
 from repro.gpusim.vecengine import VectorUnsupported
 from repro.obs import metrics
 
-#: hard floor on any multiplicative noise factor — matches the cost model's
-#: jitter clamp so a noisy duration can never go zero or negative
+#: hard floor on any multiplicative noise factor, so a noisy duration can
+#: never go zero or negative
 _MIN_FACTOR = 0.05
 
 
@@ -124,7 +124,7 @@ class FaultInjector:
 
     def perturb_profile(self, profile, graph=None, machine=None, options=None):
         """A copy of ``profile`` with noisy durations — what the classifier
-        sees when the few profiled iterations were not representative.
+        sees when the profiled iteration was not representative.
 
         When ``graph`` and ``machine`` are given, the profile's all-swap
         baseline timeline is replayed from the perturbed durations (the
@@ -151,7 +151,6 @@ class FaultInjector:
             swap_in=jig(profile.swap_in, "swap_in"),
             update_time=profile.update_time * self.profile_factor("update", -1),
             map_bytes=dict(profile.map_bytes),
-            iterations=profile.iterations,
         )
         if graph is not None and machine is not None:
             opts = options or ScheduleOptions()
@@ -568,14 +567,11 @@ class DurationTable:
         self._digests = [zlib.crc32(repr(("dur", w, l)).encode())
                          for w, l in self.keys]
 
-    def rows(self, spec: FaultSpec, seeds,
-             clean: np.ndarray | None = None) -> np.ndarray:
-        """The ``(K, n)`` table for ``seeds``; ``clean`` overrides the clean
-        durations (same task order) for a provider that re-draws them.
-        Counts its keyed draws as ``faults.draws_vectorized`` (of which
-        ``faults.draws_replayed`` went through a per-draw generator) or,
-        when the fast path's checks fail, ``faults.draws_fallback``."""
-        clean = self.clean if clean is None else clean
+    def rows(self, spec: FaultSpec, seeds) -> np.ndarray:
+        """The ``(K, n)`` table for ``seeds``.  Counts its keyed draws as
+        ``faults.draws_vectorized`` (of which ``faults.draws_replayed`` went
+        through a per-draw generator) or, when the fast path's checks fail,
+        ``faults.draws_fallback``."""
         seeds = [fault_seed(s) for s in seeds]
         stddev = spec.duration_noise
         if stddev <= 0.0:
@@ -592,7 +588,7 @@ class DurationTable:
                     fac[r] = [inj.duration_factor(w, l) for w, l in self.keys]
                 metrics.count("faults.draws_fallback", fac.size)
 
-        mat = clean * fac[:, self.col_of]
+        mat = self.clean * fac[:, self.col_of]
         slow = 1.0 / spec.bandwidth_factor  # FaultInjector.transfer_slowdown
         if slow != 1.0:
             mat[:, self.transfer] *= slow

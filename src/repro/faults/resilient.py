@@ -34,8 +34,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.errors import (
     FaultError,
     OutOfMemoryError,
@@ -69,8 +67,9 @@ class RetryPolicy:
         max_plan_attempts: executions of the *same* plan before moving on —
             re-runs absorb transient (spurious) allocation failures.
 
-    Construction raises :class:`FaultError` for a negative retry budget,
-    ``max_plan_attempts < 1``, or a negative or non-finite backoff.
+    Construction raises :class:`FaultError`, naming the field and value,
+    for a ``bool`` or non-numeric field, a non-integral or negative retry
+    budget, ``max_plan_attempts < 1``, or a negative or non-finite backoff.
     """
 
     max_transfer_retries: int = 3
@@ -82,12 +81,14 @@ class RetryPolicy:
         for name, least in (("max_transfer_retries", 0),
                             ("max_plan_attempts", 1)):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < least:
+            if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
+                    or v < least):
                 raise FaultError(
                     f"{name} must be an integer >= {least}, got {v!r}")
         for name in ("backoff_base", "backoff_cap"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
+                    or not (math.isfinite(v) and v >= 0)):
                 raise FaultError(f"{name} must be finite and >= 0, got {v!r}")
 
     def backoff(self, attempt: int) -> float:
@@ -235,8 +236,6 @@ class _ChainEntry:
         self._builder: ScheduleBuilder | None = builder
         self._template: Schedule | None = None
         self.table: DurationTable | None = None
-        #: whether no run has used the draft's clean durations yet
-        self.fresh = True
 
     def template(self) -> Schedule:
         if self._template is None:
@@ -278,10 +277,6 @@ class PlanChain:
         if self.base is None:
             self.base = CostModelDurations(graph,
                                            cost_model or CostModel(machine))
-        #: a jittered cost model draws fresh durations on every call, so
-        #: each run after an entry's first re-draws them as a rebuild would
-        self._redraws = getattr(getattr(self.base, "cost_model", None),
-                                "jitter", 0.0) > 0.0
         self.plans = fallback_chain(graph, classification)
         self._entries: list[_ChainEntry | None] = [None] * len(self.plans)
 
@@ -313,26 +308,17 @@ class PlanChain:
 
     def draft(self):
         """Chain entry 0's clean draft ``(tasks, queues, buffers)``, for
-        the lockstep sweep; like a run, it uses up the draft's durations."""
-        entry = self.entry(0)
-        entry.fresh = False
-        return entry.draft
+        the lockstep sweep."""
+        return self.entry(0).draft
 
     def schedule(self, pos: int, faults: FaultInjector | None) -> Schedule:
         """A runnable copy of entry ``pos`` priced under ``faults``."""
         entry = self.entry(pos)
         template = entry.template()
-        clean = None
-        if self._redraws and not entry.fresh:
-            tasks, _, _ = ScheduleBuilder(
-                self.graph, self.plans[pos][1], self.base, self.options,
-                validate=False).build_raw()
-            clean = np.array([t.duration for t in tasks.values()])
-        entry.fresh = False
         if faults is not None:
-            durations = entry.table.rows(faults.spec, [faults.seed], clean)[0]
+            durations = entry.table.rows(faults.spec, [faults.seed])[0]
         else:
-            durations = entry.table.clean if clean is None else clean
+            durations = entry.table.clean
         return Schedule(
             tasks={tid: _priced(t, d) for (tid, t), d
                    in zip(template.tasks.items(), durations.tolist())},

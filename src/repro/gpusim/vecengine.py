@@ -1198,12 +1198,3 @@ def _seed(base: np.ndarray, layers, sel: np.ndarray, dtype) -> np.ndarray:
             out[rows] += value * sel[cols]
     return out
 
-
-def simulate_draft(tasks, queues, buffers, device_capacity: int,
-                   host_capacity: int | None = None,
-                   record_times: bool = False) -> VecOutcome:
-    """Compile one draft and run it alone (no flip family) — the
-    differential-test entry point."""
-    tables = VectorTables(tasks, queues, buffers, device_capacity,
-                          host_capacity)
-    return VectorEngine(tables).run_batch(record_times=record_times)[0]

@@ -10,15 +10,13 @@ near the paper's 316 img/s on the x86 machine spec (see
 ``benchmarks/test_bench_fig17_resnet50_x86.py`` and EXPERIMENTS.md); they are
 ordinary constructor arguments, so studies can re-calibrate freely.
 
-An optional multiplicative jitter models run-to-run variance of real
-hardware; it is drawn from a dedicated ``numpy`` generator so simulations
-stay reproducible under a seed.  With ``jitter=0`` (default) the whole
-simulator is deterministic.
+The model is deterministic: the same op always costs the same time.
+Run-to-run variance of real hardware is the fault layer's job
+(``FaultSpec.duration_noise`` and ``profile_noise``), keyed per task so
+every noisy run is reproducible under a seed.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.graph.ops import Op, OpKind
 from repro.hw.machine import MachineSpec
@@ -56,10 +54,6 @@ class CostModel:
             (protocol + pinned-buffer overheads).
         launch_overhead: per-kernel launch + framework dispatch time.
         flop_efficiency: overrides for per-kind FLOP efficiencies.
-        jitter: if > 0, every duration is multiplied by
-            ``max(0.05, 1 + jitter·N(0,1))`` — models hardware variance for
-            exercising the profiling-averaging path.
-        seed: RNG seed for the jitter stream.
     """
 
     def __init__(
@@ -70,8 +64,6 @@ class CostModel:
         link_efficiency: float = 0.82,
         launch_overhead: float = 8e-6,
         flop_efficiency: dict[OpKind, float] | None = None,
-        jitter: float = 0.0,
-        seed: int = 0,
     ) -> None:
         self.machine = machine
         self.mem_efficiency = mem_efficiency
@@ -80,16 +72,8 @@ class CostModel:
         self.flop_efficiency = dict(_DEFAULT_FLOP_EFFICIENCY)
         if flop_efficiency:
             self.flop_efficiency.update(flop_efficiency)
-        self.jitter = jitter
-        self._rng = np.random.default_rng(seed)
 
     # -- internals -----------------------------------------------------------
-
-    def _jittered(self, t: float) -> float:
-        if self.jitter <= 0.0 or t <= 0.0:
-            return t
-        factor = max(0.05, 1.0 + self.jitter * float(self._rng.standard_normal()))
-        return t * factor
 
     def _roofline(self, flops: float, bytes_: float, kind: OpKind,
                   kernels: int) -> float:
@@ -106,9 +90,7 @@ class CostModel:
         kernels = _FWD_KERNELS.get(op.kind, 1)
         if op.fused_activation:
             kernels += 1
-        return self._jittered(
-            self._roofline(op.fwd_flops, op.fwd_bytes, op.kind, kernels)
-        )
+        return self._roofline(op.fwd_flops, op.fwd_bytes, op.kind, kernels)
 
     def bwd_time(self, op: Op) -> float:
         """Duration of one backward execution of ``op``."""
@@ -117,19 +99,17 @@ class CostModel:
         kernels = _BWD_KERNELS.get(op.kind, 1)
         if op.fused_activation:
             kernels += 1
-        return self._jittered(
-            self._roofline(op.bwd_flops, op.bwd_bytes, op.kind, kernels)
-        )
+        return self._roofline(op.bwd_flops, op.bwd_bytes, op.kind, kernels)
 
     def swap_out_time(self, nbytes: int) -> float:
         """Device→host transfer duration for ``nbytes``."""
         bw = self.machine.d2h_bandwidth * self.link_efficiency
-        return self._jittered(self.machine.copy_latency + nbytes / bw)
+        return self.machine.copy_latency + nbytes / bw
 
     def swap_in_time(self, nbytes: int) -> float:
         """Host→device transfer duration for ``nbytes``."""
         bw = self.machine.h2d_bandwidth * self.link_efficiency
-        return self._jittered(self.machine.copy_latency + nbytes / bw)
+        return self.machine.copy_latency + nbytes / bw
 
     def update_time(self, param_bytes: int) -> float:
         """Optimizer update step: a bandwidth-bound sweep over parameters and
@@ -137,4 +117,4 @@ class CostModel:
         if param_bytes == 0:
             return 0.0
         bw = self.machine.gpu_mem_bandwidth * self.mem_efficiency
-        return self._jittered(3.0 * param_bytes / bw + self.launch_overhead)
+        return 3.0 * param_bytes / bw + self.launch_overhead

@@ -48,6 +48,17 @@ class PoochConfig:
                 kind = "positive" if low else "non-negative"
                 raise ValueError(f"{name} must be a {kind} integer, "
                                  f"got {value!r}")
+        if not isinstance(self.policy, SwapInPolicy):
+            raise TypeError(f"policy must be a SwapInPolicy, "
+                            f"got {self.policy!r}")
+        gap = self.forward_refetch_gap
+        if gap is not None:
+            if not isinstance(gap, int) or isinstance(gap, bool):
+                raise TypeError(f"forward_refetch_gap must be None or an "
+                                f"integer, got {gap!r}")
+            if gap < 0:
+                raise ValueError(f"forward_refetch_gap must be None or a "
+                                 f"non-negative integer, got {gap!r}")
 
     @property
     def options(self) -> ScheduleOptions:

@@ -204,14 +204,11 @@ class PoocH:
         machine: execution environment to optimize for.
         config: search knobs (see :class:`PoochConfig`).
         cost_model: ground-truth cost model used for the profiling
-            iterations and, on a multi-device machine, for the stagger
-            stage's run of the chosen plan; defaults to a deterministic
-            model of ``machine`` (pass one with ``jitter > 0`` to exercise
-            noisy profiling).  :meth:`PoochResult.execute` returns the
-            stage's run when called with this same cost model (``None``
-            when none was given).
-        profile_iterations: how many iterations the profiling phase averages
-            (the paper runs "several"; 1 suffices when deterministic).
+            iteration and, on a multi-device machine, for the stagger
+            stage's run of the chosen plan; defaults to the model of
+            ``machine``.  :meth:`PoochResult.execute` returns the stage's
+            run when called with this same cost model (``None`` when none
+            was given).
         plan_cache: a :class:`~repro.runtime.plan_io.PlanCache` (or a
             directory path for one).  ``optimize`` then reuses a cached plan
             when one exists for this (graph, machine, config) — after
@@ -237,7 +234,6 @@ class PoocH:
         machine: MachineSpec,
         config: PoochConfig | None = None,
         cost_model: CostModel | None = None,
-        profile_iterations: int = 1,
         plan_cache: PlanCache | str | pathlib.Path | None = None,
         faults: FaultInjector | None = None,
         progress: Callable[[str, dict[str, Any]], None] | None = None,
@@ -245,7 +241,6 @@ class PoocH:
         self.machine = machine
         self.config = config or PoochConfig()
         self.cost_model = cost_model
-        self.profile_iterations = profile_iterations
         if plan_cache is not None and not isinstance(plan_cache, PlanCache):
             plan_cache = PlanCache(plan_cache)
         self.plan_cache = plan_cache
@@ -275,13 +270,11 @@ class PoocH:
         classifier plans from what it *measured*."""
         if profile is None:
             self._emit("profile:start", graph=graph.name,
-                       machine=self.machine.name,
-                       iterations=self.profile_iterations)
+                       machine=self.machine.name)
             profile = run_profiling(
                 graph,
                 self.machine,
                 cost_model=self.cost_model,
-                iterations=self.profile_iterations,
                 options=self.config.options,
             )
             self._emit("profile:done", graph=graph.name)

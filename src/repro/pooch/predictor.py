@@ -6,9 +6,9 @@ event engine using the *profiled* durations.  The paper motivates this with
 the observation that execution time cannot be expressed as a simple linear
 formula because of pipelining and data dependencies — so PoocH predicts by
 simulation instead.  Because our ground truth is itself the same engine (with
-cost-model durations), a jitter-free profile makes predictions exact; the
-extensive tests rely on that property, and the jitter knob restores the
-realistic predicted≈measured gap.
+cost-model durations), an unperturbed profile makes predictions exact; the
+extensive tests rely on that property, and the fault layer's
+``profile_noise`` restores the realistic predicted≈measured gap.
 
 Predictions are memoized on the classification key — the classifier's
 searches re-visit many identical candidates.  The search's candidates run
@@ -54,39 +54,6 @@ from repro.runtime.schedule import (
 # not called here; stays bound because benchmarks/e2e/trace.py hooks
 # this name in this namespace
 from repro.runtime.schedule import build_schedule  # noqa: F401
-
-
-def _buffers_equal(a, b) -> bool:
-    """Engine-visible equality of two buffer drafts (identity, placement,
-    and the writers|readers union that drives the free countdown).  Test
-    validator: ``tests/test_search_pruning.py`` uses it to assert delta
-    drafts equal freshly built ones."""
-    return (
-        a.bid == b.bid and a.nbytes == b.nbytes and a.host == b.host
-        and a.alloc_by == b.alloc_by and a.writers == b.writers
-        and a.readers == b.readers
-    )
-
-
-def _tasks_equal(a, b, allocs_a, allocs_b) -> bool:
-    """Engine-visible equality of two task drafts at the same queue position
-    (kind/layer/io are ignored: the replay engine never reads them).  Test
-    validator, like :func:`_buffers_equal`."""
-    if (
-        a.duration != b.duration
-        or a.scratch_bytes != b.scratch_bytes
-        or a.memory_gated != b.memory_gated
-        or a.headroom != b.headroom
-        or a.alloc_on_ready != b.alloc_on_ready
-        or a.deps != b.deps
-        or a.start_deps != b.start_deps
-        or len(allocs_a) != len(allocs_b)
-    ):
-        return False
-    for x, y in zip(allocs_a, allocs_b):
-        if not _buffers_equal(x, y):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

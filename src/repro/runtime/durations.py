@@ -46,13 +46,7 @@ class DurationProvider(Protocol):
 
 
 class CostModelDurations:
-    """Durations derived analytically from a :class:`~repro.hw.CostModel`.
-
-    With ``cost_model.jitter == 0`` values are deterministic but still
-    re-computed per call when jitter is enabled — each simulated iteration
-    then sees fresh hardware noise, which is what the profiling-averaging
-    tests rely on.
-    """
+    """Durations derived analytically from a :class:`~repro.hw.CostModel`."""
 
     def __init__(self, graph: NNGraph, cost_model: CostModel) -> None:
         self.graph = graph

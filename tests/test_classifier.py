@@ -1,5 +1,7 @@
 """The two-step classification search (§4.4)."""
 
+import re
+
 import pytest
 
 from repro.common.errors import OutOfMemoryError
@@ -146,14 +148,22 @@ class TestConfig:
         ("max_exact_li", False, TypeError),
         ("capacity_margin", -5, ValueError),
         ("capacity_margin", "1", TypeError),
+        # a string policy used to fail later, in signature() or options
+        ("policy", "eager", TypeError),
+        # True planned like 1 under another cache signature; -3 like 0
+        ("forward_refetch_gap", True, TypeError),
+        ("forward_refetch_gap", 1.5, TypeError),
+        ("forward_refetch_gap", -3, ValueError),
     ])
     def test_bad_values_rejected_by_name(self, field, value, error):
-        with pytest.raises(error, match=field):
+        with pytest.raises(error, match=f"{field}.*got {re.escape(repr(value))}"):
             PoochConfig(**{field: value})
 
     def test_zero_margin_and_exact_width_accepted(self):
-        cfg = PoochConfig(max_exact_li=0, capacity_margin=0)
+        cfg = PoochConfig(max_exact_li=0, capacity_margin=0,
+                          forward_refetch_gap=0)
         assert cfg.max_exact_li == 0
+        assert cfg.options.forward_refetch_gap == 0
 
 
 class TestConfigPredictorAgreement:

@@ -15,6 +15,7 @@ from repro.runtime import (
     run_profiling,
 )
 from repro.runtime import profiler as profiler_mod
+from repro.runtime.durations import CostModelDurations
 from repro.runtime.schedule import ScheduleOptions, build_schedule
 from tests.conftest import tiny_machine
 from tests.test_search_pruning import _ZOO
@@ -106,19 +107,6 @@ class TestProfiler:
         gt = execute(poster, Classification.all_swap(poster), x86)
         assert prof.baseline.makespan == pytest.approx(gt.makespan, rel=1e-12)
 
-    def test_averaging_with_jitter_converges(self, poster, x86):
-        noisy = CostModel(x86, jitter=0.10, seed=3)
-        clean = run_profiling(poster, x86)
-        averaged = run_profiling(poster, x86, cost_model=noisy, iterations=25)
-        # averaged profile should sit near the deterministic one
-        for i in clean.fwd:
-            if clean.fwd[i] > 0:
-                assert averaged.fwd[i] == pytest.approx(clean.fwd[i], rel=0.25)
-
-    def test_iterations_must_be_positive(self, poster, x86):
-        with pytest.raises(ScheduleError):
-            run_profiling(poster, x86, iterations=0)
-
     def test_profile_durations_raise_for_unknown_layer(self, poster, x86):
         prof = run_profiling(poster, x86)
         dur = prof.durations()
@@ -148,9 +136,19 @@ class TestProfiler:
 _MACHINES = [tiny_machine(mem_mib=224, link_gbps=3.0),
              tiny_machine(mem_mib=160, link_gbps=2.0, name="tiny-slow")]
 
+#: every profiling case: zoo models x machines x swap-in policies x
+#: forward re-fetch gaps
+_CASES = pytest.mark.parametrize("name,batch,machine,policy,gap", [
+    pytest.param(name, batch, machine, policy, gap,
+                 id=f"{name}-{batch}-{machine.name}-{policy.value}-"
+                    f"{'refetch2' if gap else 'no-refetch'}")
+    for name, batch in _ZOO for machine in _MACHINES
+    for policy in SwapInPolicy for gap in (None, 2)
+])
+
 
 def _replayed_baseline(g, machine, prof, options):
-    """The all-swap schedule built from the averaged profile, run fresh."""
+    """The all-swap schedule built from the profile, run fresh."""
     schedule = build_schedule(g, Classification.all_swap(g),
                               prof.durations(), options)
     return Engine(schedule, device_capacity=machine.usable_gpu_memory,
@@ -183,15 +181,10 @@ def _count_profiling_work(monkeypatch) -> dict[str, int]:
 
 
 class TestBaselineIdentity:
-    """``profile.baseline`` is the all-swap plan run on the averaged
-    durations, whether ``run_profiling`` reuses its own iteration (every
-    average equals that iteration's duration) or replays the averages."""
+    """``profile.baseline`` is the profiling iteration's own all-swap run,
+    and equals a fresh replay of that schedule from the profile."""
 
-    @pytest.mark.parametrize("gap", [None, 2], ids=["no-refetch", "refetch2"])
-    @pytest.mark.parametrize("policy", list(SwapInPolicy),
-                             ids=lambda p: p.value)
-    @pytest.mark.parametrize("machine", _MACHINES, ids=lambda m: m.name)
-    @pytest.mark.parametrize("name,batch", _ZOO)
+    @_CASES
     def test_baseline_equals_fresh_replay(self, name, batch, machine, policy,
                                           gap):
         g = build_model(name, batch=batch)
@@ -200,26 +193,26 @@ class TestBaselineIdentity:
         _assert_same_run(prof.baseline,
                          _replayed_baseline(g, machine, prof, options))
 
-    def test_jittered_iterations_replay_the_averages(self, monkeypatch):
-        machine = _MACHINES[0]
-        g = build_model("resnet18", batch=4)
-        calls = _count_profiling_work(monkeypatch)
-        prof = run_profiling(g, machine, iterations=3,
-                             cost_model=CostModel(machine, jitter=0.1, seed=5))
-        # three profiling iterations, then the replay from the averages
-        assert calls == {"build_schedule": 4, "Engine.run": 4}
-        monkeypatch.undo()
-        _assert_same_run(prof.baseline, _replayed_baseline(
-            g, machine, prof, ScheduleOptions()))
-
+    @_CASES
     def test_deterministic_profiling_runs_the_schedule_once(
-        self, monkeypatch
+        self, monkeypatch, name, batch, machine, policy, gap
     ):
-        machine = _MACHINES[0]
-        g = build_model("resnet18", batch=4)
+        g = build_model(name, batch=batch)
+        options = ScheduleOptions(policy=policy, forward_refetch_gap=gap)
         calls = _count_profiling_work(monkeypatch)
-        prof = run_profiling(g, machine)
+        prof = run_profiling(g, machine, options=options)
         assert calls == {"build_schedule": 1, "Engine.run": 1}
         monkeypatch.undo()
-        _assert_same_run(prof.baseline, _replayed_baseline(
-            g, machine, prof, ScheduleOptions()))
+        # every profiled duration is its ground-truth task's, bit for bit
+        # (a re-fetched map's several swap-ins included)
+        truth = build_schedule(g, Classification.all_swap(g),
+                               CostModelDurations(g, CostModel(machine)),
+                               options)
+        tables = {TaskKind.FWD: prof.fwd, TaskKind.BWD: prof.bwd,
+                  TaskKind.SWAP_OUT: prof.swap_out,
+                  TaskKind.SWAP_IN: prof.swap_in}
+        for task in truth.tasks.values():
+            if task.kind is TaskKind.UPDATE:
+                assert prof.update_time == task.duration
+            else:
+                assert tables[task.kind][task.layer] == task.duration, task.tid

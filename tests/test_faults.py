@@ -1,5 +1,8 @@
 """Unit tests for the fault-injection & graceful-degradation subsystem."""
 
+import os
+
+import numpy as np
 import pytest
 
 from repro.common.errors import (
@@ -19,6 +22,7 @@ from repro.faults import (
     execute_resilient,
     fallback_chain,
 )
+from repro.faults.injector import _MIN_FACTOR, DurationTable
 from repro.hw import CostModel, X86_V100, degraded_machine
 from repro.models import poster_example, small_cnn
 from repro.pooch import PoocH
@@ -26,6 +30,9 @@ from repro.runtime import Classification, MapClass, execute
 from repro.runtime.durations import CostModelDurations
 from repro.runtime.schedule import ScheduleOptions, build_schedule
 from tests.conftest import tiny_machine
+
+#: CI pins a seed matrix through this env var; locally it defaults to 0
+FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 
 class ScriptedInjector(FaultInjector):
@@ -106,6 +113,21 @@ class TestInjectorDeterminism:
         assert inj.transfer_failures("T", 3) == 0
         assert not inj.spurious_oom("gpu", "b", 0)
         assert inj.host_capacity(1000) == 1000
+
+    def test_noise_factor_never_below_the_clamp(self):
+        # at 100% noise about one draw in six would go below 5% unclamped
+        spec = FaultSpec(duration_noise=1.0)
+        inj = FaultInjector(spec, seed=FAULT_SEED)
+        factors = [inj.duration_factor("fwd", layer) for layer in range(200)]
+        assert min(factors) == _MIN_FACTOR
+        g = small_cnn()
+        tasks = build_schedule(g, Classification.all_swap(g),
+                               CostModelDurations(g, CostModel(X86_V100)),
+                               ScheduleOptions()).tasks
+        table = DurationTable(tasks, list(tasks))
+        rows = table.rows(spec, range(FAULT_SEED, FAULT_SEED + 16))
+        assert np.all(rows >= table.clean * _MIN_FACTOR)
+        assert np.any(rows == table.clean * _MIN_FACTOR)
 
 
 class TestFaultyDurations:
@@ -190,6 +212,13 @@ class TestRetryPolicyValidation:
         ("backoff_base", float("inf")),
         ("backoff_cap", float("nan")),
         ("backoff_cap", -1e-3),
+        # bool is an Integral: True used to pass as a budget of one
+        ("max_transfer_retries", True),
+        ("max_plan_attempts", True),
+        ("backoff_base", True),
+        # non-numbers used to raise a bare TypeError from math.isfinite
+        ("backoff_base", "x"),
+        ("backoff_cap", None),
     ])
     def test_bad_field_names_field_and_value(self, field, value):
         with pytest.raises(FaultError, match=f"{field}.*got {value!r}"):

@@ -44,14 +44,6 @@ class TestOptimize:
         second = p.optimize(g, profile=first.profile)
         assert second.profile is first.profile
 
-    def test_profile_iterations_forwarded(self, machine):
-        from repro.hw import CostModel
-        p = PoocH(machine, PoochConfig(max_exact_li=3, step1_sim_budget=100),
-                  cost_model=CostModel(machine, jitter=0.05, seed=9),
-                  profile_iterations=5)
-        res = p.optimize(poster_example())
-        assert res.profile.iterations == 5
-
 
 class TestPlanPortability:
     def test_foreign_plan_runs_but_differs(self, machine):

@@ -1,13 +1,18 @@
 """Timeline predictor (profile-driven replay) and L_O/L_I extraction."""
 
+import os
+
 import pytest
 
 from repro.common.errors import OutOfMemoryError
-from repro.hw import CostModel
+from repro.faults import FaultInjector, FaultSpec
 from repro.models import linear_chain, poster_example
 from repro.pooch import TimelinePredictor, analyze_overlap
 from repro.runtime import Classification, MapClass, execute, run_profiling
 from tests.conftest import tiny_machine
+
+#: CI pins a seed matrix through this env var; locally it defaults to 0
+FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 
 @pytest.fixture
@@ -59,8 +64,8 @@ class TestPredictor:
 
     def test_noisy_profile_still_close(self, machine):
         g = poster_example()
-        noisy = CostModel(machine, jitter=0.05, seed=5)
-        prof = run_profiling(g, machine, cost_model=noisy, iterations=20)
+        injector = FaultInjector(FaultSpec(profile_noise=0.05), seed=FAULT_SEED)
+        prof = injector.perturb_profile(run_profiling(g, machine), g, machine)
         pred = TimelinePredictor(g, prof, machine)
         cls = Classification.all_swap(g)
         predicted = pred.predict(cls).time

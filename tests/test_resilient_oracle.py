@@ -222,25 +222,6 @@ class TestOracleIdentity:
             assert (outcome(execute_resilient, graph, cls, machine)
                     == outcome(oracle_resilient, graph, cls, machine))
 
-    def test_jittered_cost_model_redraws_like_a_rebuild(self):
-        # a jittered cost model draws fresh durations per call: each attempt
-        # of the chain must consume the RNG stream exactly as a rebuild does
-        graph = poster_example()
-        machine = tiny_machine(mem_mib=224)
-        cls = Classification.all_keep(graph)
-        mine = CostModel(machine, jitter=0.05, seed=FAULT_SEED)
-        theirs = CostModel(machine, jitter=0.05, seed=FAULT_SEED)
-        chain = PlanChain(graph, cls, machine, cost_model=mine)
-        for seed in range(FAULT_SEED, FAULT_SEED + 3):
-            spec = FaultSpec(oom_prob=0.03, duration_noise=0.05)
-            got = outcome(execute_resilient, graph, cls, machine,
-                          faults=FaultInjector(spec, seed=seed),
-                          cost_model=mine, chain=chain)
-            want = outcome(oracle_resilient, graph, cls, machine,
-                           faults=FaultInjector(spec, seed=seed),
-                           cost_model=theirs)
-            assert got == want
-
 
 class TestSweepAgainstOracle:
     def test_serial_rows_equal_the_per_seed_oracle(self):

@@ -28,11 +28,7 @@ from repro.gpusim.engine import _STREAM_ORDER
 from repro.models import build_model
 from repro.hw import X86_V100
 from repro.pooch import PoochClassifier, PoochConfig
-from repro.pooch.predictor import (
-    TimelinePredictor,
-    _buffers_equal,
-    _tasks_equal,
-)
+from repro.pooch.predictor import TimelinePredictor
 from repro.runtime.plan import Classification, MapClass
 from repro.runtime.profiler import run_profiling
 from repro.runtime.schedule import ScheduleBuilder, apply_recompute_delta
@@ -60,6 +56,32 @@ _ZOO = [
 
 def _graph(name: str, batch: int):
     return build_model(name, batch=batch)
+
+
+def _buffers_equal(a, b) -> bool:
+    """Engine-visible equality of two buffer drafts (identity, placement,
+    and the writers|readers union that drives the free countdown)."""
+    return (
+        a.bid == b.bid and a.nbytes == b.nbytes and a.host == b.host
+        and a.alloc_by == b.alloc_by and a.writers == b.writers
+        and a.readers == b.readers
+    )
+
+
+def _tasks_equal(a, b, allocs_a, allocs_b) -> bool:
+    """Engine-visible equality of two task drafts at the same queue position
+    (kind/layer/io are ignored: the replay engine never reads them)."""
+    return (
+        a.duration == b.duration
+        and a.scratch_bytes == b.scratch_bytes
+        and a.memory_gated == b.memory_gated
+        and a.headroom == b.headroom
+        and a.alloc_on_ready == b.alloc_on_ready
+        and a.deps == b.deps
+        and a.start_deps == b.start_deps
+        and len(allocs_a) == len(allocs_b)
+        and all(_buffers_equal(x, y) for x, y in zip(allocs_a, allocs_b))
+    )
 
 
 def _alloc_lists(buffers):

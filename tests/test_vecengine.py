@@ -45,7 +45,6 @@ from repro.gpusim.vecengine import (
     VectorEngine,
     VectorTables,
     VectorUnsupported,
-    simulate_draft,
 )
 from repro.hw import CostModel, POWER9_V100, X86_V100, scaled_machine
 from repro.models import linear_chain, poster_example, small_cnn
@@ -81,6 +80,15 @@ def _raw_draft(graph, cls, machine, durations=None, *, gap=None, margin=0):
     capacity = machine.usable_gpu_memory - margin
     return (tasks, queues, buffers, capacity, machine.cpu_mem_capacity,
             durations, options)
+
+
+def simulate_draft(tasks, queues, buffers, device_capacity: int,
+                   host_capacity: int | None = None,
+                   record_times: bool = False):
+    """Compile one draft and run it alone (no flip family)."""
+    tables = VectorTables(tasks, queues, buffers, device_capacity,
+                          host_capacity)
+    return VectorEngine(tables).run_batch(record_times=record_times)[0]
 
 
 def assert_matches_engine(graph, cls, machine, durations=None, **kw):
