@@ -10,7 +10,10 @@ Step 1 — keep vs swap (§4.4.2):
     simulated plan stays feasible and does not slow down (the paper's
     observation: un-hidden swap-outs cluster at the end of forward, so
     keeping from the back strictly removes them);
-  * every candidate is scored by the timeline predictor.
+  * every candidate is scored by the timeline predictor.  The walk runs on
+    integer keep masks (bit ``m`` keeps map ``m``), the key the
+    predictor's memo cache files "all-swap plus these keeps" under; only
+    the returned plan becomes a :class:`Classification`.
 
 Step 2 — swap vs recompute (§4.4.3):
   * for every map still ``swap``, compute
@@ -109,6 +112,10 @@ class SearchStats:
     #: ``sims_vectorized``
     vector_sweeps: int = 0
     vector_candidates: int = 0
+    #: wall seconds step 1 spent in its lockstep sweeps
+    #: (``predict_keep_batch``): what ``search.step1`` spends outside them
+    #: is the walk's own bookkeeping
+    step1_sweep_s: float = 0.0
     #: step 2's variant-family sweeps: wall seconds drafting and compiling
     #: them and running them, rows swept, and the tasks the rows' patches
     #: add, replace or drop against the current plan's draft
@@ -141,13 +148,22 @@ R_ROUNDS_LIMIT = 32
 class _VectorLeafStager:
     """Speculative chunk-major evaluation of step-1 leaves on the lockstep
     vector engine, staged per leaf as ``(base, events)``: the leaf-base
-    outcome plus one outcome (or None) per scan position.
+    outcome and the outcomes of the leaf's scan trials, keyed by each
+    trial's keep mask in decision order.
+
+    Step 1 runs on keep masks: a candidate is "all-swap plus the maps whose
+    bits are set" (bit ``m`` is map ``m``), the key the predictor's memo
+    cache files it under (:meth:`Classification.key
+    <repro.runtime.plan.Classification.key>`).  A trial's mask identifies
+    it across the whole tree: leaves keep disjoint subsets of ``L_I``, and
+    within a leaf two decision paths first differ in a map one of them
+    kept.
 
     The serial search walks leaves one at a time, each an inherently
     sequential greedy scan (every accept changes the next trial).  The
-    stager breaks that chain by evaluating ahead, then *replaying* through
-    ``consume_leaf`` so accounting, budget truncation and the chosen plan
-    are exactly serial, with outcomes from lockstep sweeps:
+    stager breaks that chain by evaluating ahead; the search's one walk
+    then consumes the staged events, so accounting, budget truncation and
+    the chosen plan are exactly serial, with outcomes from lockstep sweeps:
 
     * leaves are staged in windows sized to the remaining simulation
       budget (everything past the budget's reach is never swept);
@@ -176,11 +192,11 @@ class _VectorLeafStager:
     Decisions replayed here use the exact accept rule of the search on
     exact outcomes, so staged events equal what serial evaluation would
     have produced wherever the search consults them; everything else is
-    discarded without ever touching the predictor cache.  A ``None`` event
-    (byte-skip, non-OOM engine error, or vectorization lost mid-run) makes
-    ``consume_leaf`` fall back to the serial predictor for that position.
-    The vote tallies only steer *speculation* — which trials are staged —
-    never a decision, so they cannot affect the chosen plan.
+    discarded without ever touching the predictor cache.  A trial with no
+    event (a non-OOM engine error, or vectorization lost mid-run) is
+    predicted serially by the search.  The vote tallies only steer
+    *speculation* — which trials are staged — never a decision, so they
+    cannot affect the chosen plan.
     """
 
     #: a sweep's break-even size.  One event round of a sweep costs about
@@ -192,17 +208,31 @@ class _VectorLeafStager:
     def __init__(self, predictor, leaves, scan, map_bytes, keep_budget,
                  budget_remaining) -> None:
         self.predictor = predictor
+        #: ``(keep mask, kept bytes)`` per leaf
         self.leaves = leaves
-        self.scan = scan
-        self.map_bytes = map_bytes
         self.keep_budget = keep_budget
         self.budget_remaining = budget_remaining
-        self._fi = predictor.vector_flip_index()
+        n = len(scan)
+        #: per scan position: the map's bit and its bytes
+        self._bits = [1 << m for m in scan]
+        self._sizes = [map_bytes[m] for m in scan]
+        #: base-4 digits ordering a branch's decision path as its prefix
+        #: tuple would (reject 1, accept 2, undecided 0; the first position
+        #: is the most significant), so equally probable branches of one
+        #: leaf leave the heap in path order
+        self._rej = [1 << 2 * (n - 1 - j) for j in range(n)]
+        self._acc = [2 << 2 * (n - 1 - j) for j in range(n)]
+        fi = predictor.vector_flip_index()
+        self._live = fi is not None
+        if self._live:
+            #: keep-matrix column j is map ``self._cols[j]``
+            self._cols = np.array(sorted(fi, key=fi.__getitem__))
+            self._nbytes = int(self._cols.max()) // 8 + 1
         self._staged: dict[int, tuple] = {}
-        #: votes[j, prev, accepted]: decisions leaves made at scan position
+        #: votes[j][prev][accepted]: decisions leaves made at scan position
         #: j, split by the same leaf's previous trial decision (a leaf's
         #: first trial counts as following an accept)
-        self._votes = np.zeros((len(scan), 2, 2), np.int64)
+        self._votes = [[[0, 0], [0, 0]] for _ in range(n)]
         #: leaves below this index were staged (or skipped past) already
         self._next = 0
 
@@ -210,7 +240,7 @@ class _VectorLeafStager:
         """Staged ``(base, events)`` for leaf ``idx``, staging the
         window that contains it on demand; None when vectorization is
         unavailable (caller falls back to pure serial evaluation)."""
-        if self._fi is None:
+        if not self._live:
             return None
         pre = self._staged.pop(idx, None)
         if pre is not None:
@@ -219,7 +249,7 @@ class _VectorLeafStager:
             return None       # visits each leaf once) — serve serially
         # size the window to what the simulation budget can still absorb:
         # one base plus one trial per scan position per leaf
-        per_leaf = 1 + len(self.scan)
+        per_leaf = 1 + len(self._bits)
         want = max(8, -(-self.budget_remaining() // per_leaf))
         hi = min(len(self.leaves), idx + want)
         self._stage(list(range(idx, hi)))
@@ -228,123 +258,116 @@ class _VectorLeafStager:
 
     # -- window staging ---------------------------------------------------------
 
-    def _rows_for(self, keep_sets) -> np.ndarray:
-        fi = self._fi
-        rows = np.zeros((len(keep_sets), len(fi)), bool)
-        for r, ks in enumerate(keep_sets):
-            for m in ks:
-                rows[r, fi[m]] = True
-        return rows
+    def _sweep(self, masks: list[int]):
+        """Sweep keep masks as one lockstep batch: the bool keep matrix
+        comes from the masks' bytes in one conversion.  None (and
+        vectorization off for good) when the predictor cannot sweep."""
+        nb = self._nbytes
+        raw = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in masks),
+                            np.uint8).reshape(len(masks), nb)
+        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        outs = self.predictor.predict_keep_batch(
+            bits[:, self._cols].astype(bool))
+        if outs is None:
+            self._live = False
+        return outs
 
     def _stage(self, indices: list[int]) -> None:
-        rows = self._rows_for([self.leaves[li] for li in indices])
-        outs = self.predictor.predict_keep_batch(rows)
+        outs = self._sweep([self.leaves[li][0] for li in indices])
         if outs is None:
-            self._fi = None
             return
-        # live leaves, each with the walk state (prefix, keep row, best
-        # time, kept bytes) at its greedy frontier
+        # live leaves, each with the walk state (scan position, keep mask,
+        # best time, kept bytes, previous decision) at its greedy frontier
         live: dict[int, tuple] = {}
-        for r, li in enumerate(indices):
-            base = outs[r]
-            self._staged[li] = (base, [None] * len(self.scan))
+        for li, base in zip(indices, outs):
+            self._staged[li] = (base, {})
             if base is not None and base.feasible:
-                kb = sum(self.map_bytes[m] for m in self.leaves[li])
-                live[li] = ((), rows[r], base.time, kb, True)
+                keep, kb = self.leaves[li]
+                live[li] = (0, keep, base.time, kb, True)
         while live:
-            entries, cand = self._gen(live)
-            stage: dict[tuple[int, tuple], PredictedOutcome | None] = {}
-            if cand:
-                outs = self.predictor.predict_keep_batch(np.stack(cand))
+            trials = self._gen(live)
+            stage: dict[int, PredictedOutcome | None] = {}
+            if trials:
+                outs = self._sweep(trials)
                 if outs is None:
-                    self._fi = None
                     return
-                stage = dict(zip(entries, outs))
-            for li, st in sorted(live.items()):
-                done, nst = self._walk(li, st, stage)
-                if done:
+                stage = dict(zip(trials, outs))
+            for li, st in list(live.items()):
+                nst = self._walk(li, st, stage)
+                if nst is None:
                     del live[li]
                 else:
                     live[li] = nst
 
-    def _gen(self, live: dict[int, tuple]):
+    def _gen(self, live: dict[int, tuple]) -> list[int]:
         """Grow every live leaf's speculation tree best-first (see the
-        class docstring) and return the trials to sweep, as ``(leaf,
-        prefix)`` keys — ``prefix`` is the decision path the trial rests
-        on — and their keep rows.
+        class docstring) and return the keep masks of the trials to sweep.
 
         Growth stops at the first trial whose probability ``p`` no longer
         beats ``E / (ROWS + N)``: with N rows staged whose probabilities
         sum to E (expected consumed rows), a sweep's cost is proportional
         to ``ROWS + N``, so adding a row raises the expected yield per unit
         of cost exactly when ``p`` exceeds the current ratio."""
-        fi, scan, votes = self._fi, self.scan, self._votes
+        bits, sizes, votes = self._bits, self._sizes, self._votes
+        rej_digit, acc_digit = self._rej, self._acc
+        budget, n, rows = self.keep_budget, len(bits), self.ROWS
         # a leaf mostly repeats its previous decision (keeps accumulate
         # until memory runs out): the share of repeats seen so far is the
         # prior of every position, which that position's own votes refine
-        repeats = int(votes[:, 0, 0].sum() + votes[:, 1, 1].sum())
-        repeat = (repeats + 1) / (int(votes.sum()) + 2)
-        heap = [(-1.0, li, prefix, cur, kb, prev)
-                for li, (prefix, cur, _t, kb, prev) in sorted(live.items())]
+        repeats = sum(v[0][0] + v[1][1] for v in votes)
+        total = sum(v[0][0] + v[0][1] + v[1][0] + v[1][1] for v in votes)
+        repeat = (repeats + 1) / (total + 2)
+        # (-p, leaf, path digits, position, keep mask, kept bytes, prev)
+        heap = [(-1.0, li, 0, j, cur, kb, prev)
+                for li, (j, cur, _t, kb, prev) in sorted(live.items())]
         heapq.heapify(heap)
-        entries: list[tuple[int, tuple]] = []
-        cand: list[np.ndarray] = []
+        trials: list[int] = []
         expected = 0.0
         while heap:
-            negp, li, prefix, cur, kb, prev = heapq.heappop(heap)
+            negp, li, path, j, cur, kb, prev = heapq.heappop(heap)
             p = -negp
-            if p < 1.0 and p * (self.ROWS + len(cand)) <= expected:
+            if p < 1.0 and p * (rows + len(trials)) <= expected:
                 break
-            j = len(prefix)
-            while j < len(scan) and (kb + self.map_bytes[scan[j]]
-                                     > self.keep_budget):
-                prefix += (False,)  # byte-skipped: decided without a trial
+            while j < n and kb + sizes[j] > budget:
+                path |= rej_digit[j]  # byte-skipped: decided without a trial
                 j += 1
-            if j == len(scan):
+            if j == n:
                 continue
-            m = scan[j]
-            row = cur.copy()
-            row[fi[m]] = True
-            entries.append((li, prefix))
-            cand.append(row)
+            trial = cur | bits[j]
+            trials.append(trial)
             expected += p
-            rej, acc = votes[j, int(prev)]
+            rej, acc = votes[j][prev]
             q = (acc + (repeat if prev else 1.0 - repeat)) / (acc + rej + 1)
-            heapq.heappush(heap, (-p * q, li, prefix + (True,), row,
-                                  kb + self.map_bytes[m], True))
-            heapq.heappush(heap, (-p * (1.0 - q), li, prefix + (False,),
-                                  cur, kb, False))
-        return entries, cand
+            heapq.heappush(heap, (-p * q, li, path | acc_digit[j], j + 1,
+                                  trial, kb + sizes[j], True))
+            heapq.heappush(heap, (-p * (1.0 - q), li, path | rej_digit[j],
+                                  j + 1, cur, kb, False))
+        return trials
 
     def _walk(self, li, st, stage):
         """Replay the greedy scan for one leaf against the swept outcomes,
-        casting its accept/reject votes as it decides.  Returns
-        ``(True, None)`` when the scan is finished, else ``(False, state)``
-        stalled at the first position whose outcome was not swept under
-        the leaf's actual decision path, to regrow from next round."""
-        prefix, cur, t, kb, prev = st
-        _, events = self._staged[li]
-        fi = self._fi
-        for j in range(len(prefix), len(self.scan)):
-            m = self.scan[j]
-            if kb + self.map_bytes[m] > self.keep_budget:
-                prefix = prefix + (False,)
+        recording its events and casting its accept/reject votes as it
+        decides.  Returns None when the scan is finished, else the walk
+        state stalled at the first trial not swept, to regrow from next
+        round."""
+        j, cur, t, kb, prev = st
+        events = self._staged[li][1]
+        bits, sizes, votes = self._bits, self._sizes, self._votes
+        for j in range(j, len(bits)):
+            if kb + sizes[j] > self.keep_budget:
                 continue
-            if (li, prefix) not in stage:
-                return False, (prefix, cur, t, kb, prev)
-            out = stage[(li, prefix)]
-            events[j] = out
+            trial = cur | bits[j]
+            if trial not in stage:
+                return j, cur, t, kb, prev
+            out = events[trial] = stage[trial]
             accept = (out is not None and out.feasible
                       and out.time <= t + TIME_EPSILON)
-            self._votes[j, int(prev), int(accept)] += 1
+            votes[j][prev][accept] += 1
             if accept:
-                cur = cur.copy()
-                cur[fi[m]] = True
-                t = out.time
-                kb += self.map_bytes[m]
-            prefix = prefix + (accept,)
+                cur, t = trial, out.time
+                kb += sizes[j]
             prev = accept
-        return True, None
+        return None
 
 
 class _FlipTree:
@@ -398,9 +421,9 @@ class _FlipTree:
     MAX_ROWS = 256
 
     def __init__(self) -> None:
-        #: outcomes of speculative probes, keyed by classification, that no
-        #: round has read yet
-        self.staged: dict[tuple, PredictedOutcome] = {}
+        #: outcomes of speculative probes, keyed by classification key,
+        #: that no round has read yet
+        self.staged: dict[tuple[int, int], PredictedOutcome] = {}
         #: hits[r]: accepted flips that had rank r among the maps of the
         #: tree's r-order not yet flipped since the tree was grown
         self._hits: list[int] = []
@@ -428,11 +451,11 @@ class _FlipTree:
         for each, its node's path.  Staged outcomes the new tree still
         reaches are kept (not swept again); the rest are dropped."""
         self._order, self._path = list(order), []
-        kept: dict[tuple, PredictedOutcome] = {}
+        kept: dict[tuple[int, int], PredictedOutcome] = {}
         spec: list[Classification] = []
         paths: list[tuple[int, ...]] = []
         seen_plans: set[frozenset] = set()
-        seen_rows: set[tuple] = set()
+        seen_rows: set[tuple[int, int]] = set()
         expected = staged = float(certain)
         heap = [(-1.0, 0, (), current)]
         tie = itertools.count(1)
@@ -446,7 +469,7 @@ class _FlipTree:
                 if frozenset(path) in seen_plans:
                     continue
                 seen_plans.add(frozenset(path))
-                # one flip of the parent's plan: keys derive by splicing
+                # one flip of the parent's plan: keys derive by bit ops
                 plan = plan.with_class(path[-1], MapClass.RECOMPUTE)
                 rows = 0
                 for y in order:
@@ -518,8 +541,9 @@ class PoochClassifier:
         start = time.perf_counter()
         pred = self.predictor
         at_start = (pred.vector_sweeps, pred.vector_candidates,
-                    pred.variant_compile_s, pred.variant_sweep_s,
-                    pred.variant_rows, pred.variant_patched_tasks)
+                    pred.keep_sweep_s, pred.variant_compile_s,
+                    pred.variant_sweep_s, pred.variant_rows,
+                    pred.variant_patched_tasks)
         try:
             with metrics.span("search.step1", category="search",
                               graph=self.graph.name):
@@ -534,12 +558,14 @@ class PoochClassifier:
         finally:
             s = self.stats
             s.wall_time_s = time.perf_counter() - start
-            (s.vector_sweeps, s.vector_candidates, s.step2_compile_s,
-             s.step2_sweep_s, s.step2_rows, s.step2_patched_tasks) = (
+            (s.vector_sweeps, s.vector_candidates, s.step1_sweep_s,
+             s.step2_compile_s, s.step2_sweep_s, s.step2_rows,
+             s.step2_patched_tasks) = (
                 now - then for now, then in zip(
                     (pred.vector_sweeps, pred.vector_candidates,
-                     pred.variant_compile_s, pred.variant_sweep_s,
-                     pred.variant_rows, pred.variant_patched_tasks),
+                     pred.keep_sweep_s, pred.variant_compile_s,
+                     pred.variant_sweep_s, pred.variant_rows,
+                     pred.variant_patched_tasks),
                     at_start))
             self.stats.sims_fallback = (
                 self.stats.sims_step1 + self.stats.sims_step2
@@ -579,9 +605,12 @@ class PoochClassifier:
         registry.count("search.step2_sweeps", s.step2_sweeps)
         registry.count("search.step2_staged_rows", s.step2_staged_rows)
         registry.count("search.step2_staged_hits", s.step2_staged_hits)
-        # why step 2 took its time: drafting + compiling its variant
-        # families vs sweeping them (timers, shown in the search section)
-        for name, seconds in (("step2_compile", s.step2_compile_s),
+        # why the search took its time: step 1's sweeps (the rest of
+        # search.step1 is its walk), step 2's drafting + compiling of its
+        # variant families vs sweeping them (timers, shown in the search
+        # section)
+        for name, seconds in (("step1_sweep", s.step1_sweep_s),
+                              ("step2_compile", s.step2_compile_s),
                               ("step2_sweep", s.step2_sweep_s)):
             registry.add_time(f"search.{name}", seconds)
             registry.gauge(f"search.{name}_wall_s", seconds)
@@ -641,102 +670,112 @@ class PoochClassifier:
                        - 2 * round_size(self.graph.total_param_bytes))
         map_bytes = {m: round_size(self.graph[m].out_spec.nbytes) for m in candidates}
 
-        best_cls = all_swap
-        best_time = base_outcome.time
-        sims_at_start = self.predictor.simulations
+        pred = self.predictor
+        best_keep, best_time = 0, base_outcome.time
+        sims_at_start = pred.simulations
 
         def budget_left() -> bool:
-            used = self.predictor.simulations - sims_at_start
+            used = pred.simulations - sims_at_start
             if used >= cfg.step1_sim_budget:
                 self.stats.budget_exhausted = True
                 return False
             return True
 
-        def consume_leaf(
-            keeps: tuple[int, ...],
-            pre: tuple[PredictedOutcome, list[PredictedOutcome | None]] | None,
-        ) -> bool:
-            """Evaluate one leaf: the exact L_I subset ``keeps``, then the
-            greedy scan.  With ``pre`` (staged sweep outcomes) the
-            evaluation *replays* — each outcome is absorbed into the shared
-            predictor cache right before the lookup the serial search would
-            make, so state, accounting and budget truncation are identical.
+        def keeping(keep: int) -> Classification:
+            return all_swap.with_classes(
+                {m: MapClass.KEEP for m in candidates if keep >> m & 1})
+
+        def outcome(keep: int, swept: PredictedOutcome | None
+                    ) -> PredictedOutcome:
+            """The outcome of all-swap plus the maps of ``keep`` kept: a
+            swept outcome the cache lacks is absorbed under the mask and
+            counted as vectorized; anything else — no event, an outcome
+            cached before the search, a predictor that cannot sweep — is
+            a ``predict`` of the classification."""
+            if swept is not None and pred.absorb((keep, 0), swept):
+                self.stats.sims_vectorized += 1
+                return swept
+            return pred.predict(keeping(keep))
+
+        scan_items = [(1 << m, map_bytes[m]) for m in scan]
+
+        def consume_leaf(keep: int, kept_bytes: int,
+                         staged: tuple | None) -> bool:
+            """Walk one leaf — the exact L_I subset ``keep``, then the
+            greedy scan — in the order the serial search would, reading
+            each candidate through :func:`outcome` with its staged event
+            (``staged`` is the stager's ``(base, events)``), so the cache,
+            accounting and budget truncation are the serial search's.
             Returns False when the simulation budget ran out mid-leaf."""
-            nonlocal best_cls, best_time
-            cls = all_swap.with_classes({m: MapClass.KEEP for m in keeps})
-            if pre is not None:
-                self._absorb(cls.key(), pre[0])
-            outcome = self.predictor.predict(cls)
-            if not outcome.feasible:
+            nonlocal best_keep, best_time
+            base, events = staged or (None, {})
+            out = outcome(keep, base)
+            if not out.feasible:
                 return True  # keeping this L_I subset over-commits memory
-            cur_cls, cur_time = cls, outcome.time
+            cur, cur_time = keep, out.time
             if cur_time < best_time:
-                best_cls, best_time = cur_cls, cur_time
-            kept_bytes = sum(map_bytes[m] for m in keeps)
-            for idx, m in enumerate(scan):
+                best_keep, best_time = cur, cur_time
+            for bit, size in scan_items:
                 if not budget_left():
                     return False
-                if kept_bytes + map_bytes[m] > keep_budget:
+                if kept_bytes + size > keep_budget:
                     continue
-                trial = cur_cls.with_class(m, MapClass.KEEP)
-                if pre is not None:
-                    self._absorb(trial.key(), pre[1][idx])
-                out = self.predictor.predict(trial)
+                trial = cur | bit
+                out = outcome(trial, events.get(trial))
                 if out.feasible and out.time <= cur_time + TIME_EPSILON:
-                    cur_cls, cur_time = trial, out.time
-                    kept_bytes += map_bytes[m]
+                    cur, cur_time = trial, out.time
+                    kept_bytes += size
                     if cur_time < best_time:
-                        best_cls, best_time = cur_cls, cur_time
+                        best_keep, best_time = cur, cur_time
             return True
 
         # The exact tree's leaves in DFS order, KEEP branch first
         # (high-overhead maps are kept in the best plans, so good leaves are
-        # found early under a simulation budget).  Enumeration depends only
-        # on the byte prune, never on simulation results.
-        def enumerate_leaves(idx: int, keeps: tuple[int, ...],
-                             kept_bytes: int):
+        # found early under a simulation budget), as (keep mask, kept
+        # bytes).  Enumeration depends only on the byte prune, never on
+        # simulation results.
+        def enumerate_leaves(idx: int, keep: int, kept_bytes: int):
             if idx == len(exact_li):
-                yield keeps
+                yield keep, kept_bytes
                 return
             m = exact_li[idx]
             if kept_bytes + map_bytes[m] <= keep_budget:
-                yield from enumerate_leaves(idx + 1, keeps + (m,),
+                yield from enumerate_leaves(idx + 1, keep | 1 << m,
                                             kept_bytes + map_bytes[m])
-            yield from enumerate_leaves(idx + 1, keeps, kept_bytes)
+            yield from enumerate_leaves(idx + 1, keep, kept_bytes)
 
         # Leaves keep distinct L_I subsets and scan trials never equal a
         # leaf base, so every leaf whose base is not cached before the walk
         # costs at least one new simulation.  Only the cached outcomes — the
-        # all-swap base ``()``, which is the last leaf, and any plan checked
+        # all-swap base (mask 0), which is the last leaf, and any plan checked
         # on this predictor before the search (a plan-cache hit that failed
         # re-verification, a DynamicPoocH donor plan) — let the walk pass a
         # leaf for free, so it never gets past leaf
         # ``step1_sim_budget + cached - 1`` and the leaves beyond are never
         # listed (the tree has up to 2**max_exact_li leaves).
-        reach = cfg.step1_sim_budget + self.predictor.outcomes_cached
-        leaves = list(itertools.islice(enumerate_leaves(0, (), 0), reach))
+        reach = cfg.step1_sim_budget + pred.outcomes_cached
+        leaves = list(itertools.islice(enumerate_leaves(0, 0, 0), reach))
         self.stats.leaves_total = len(leaves)
 
-        # speculative lockstep sweeps stage per-leaf outcome streams; the
-        # loop below remains the *definitive* serial walk (same leaf order,
-        # budget truncation and accounting), it just replays staged
-        # outcomes instead of running the event engine candidate by candidate
+        # speculative lockstep sweeps stage per-leaf events; the loop below
+        # remains the *definitive* serial walk (same leaf order, budget
+        # truncation and accounting), it just reads staged outcomes instead
+        # of running the event engine candidate by candidate
         stager = _VectorLeafStager(
-            self.predictor, leaves, scan, map_bytes, keep_budget,
-            lambda: (cfg.step1_sim_budget
-                     - (self.predictor.simulations - sims_at_start)),
+            pred, leaves, scan, map_bytes, keep_budget,
+            lambda: cfg.step1_sim_budget - (pred.simulations - sims_at_start),
         )
-        for idx, keeps in enumerate(leaves):
+        for idx, (keep, kept_bytes) in enumerate(leaves):
             if not budget_left():
                 break
-            pre = stager.get(idx)
+            staged = stager.get(idx)
             self.stats.leaves_evaluated += 1
-            if not consume_leaf(keeps, pre):
+            if not consume_leaf(keep, kept_bytes, staged):
                 break
 
-        self.stats.sims_step1 = self.predictor.simulations - sims_at_start
+        self.stats.sims_step1 = pred.simulations - sims_at_start
         self.stats.time_after_step1 = best_time
-        return best_cls
+        return keeping(best_keep)
 
     # -- step 2 ----------------------------------------------------------------------
 
@@ -825,7 +864,8 @@ class PoochClassifier:
             if out is not None:
                 tree.staged[cls.key()] = out
 
-    def _absorb(self, key: tuple, out: PredictedOutcome | None) -> None:
+    def _absorb(self, key: tuple[int, int],
+                out: PredictedOutcome | None) -> None:
         """Install a swept outcome the search is about to read, counting it
         as vectorized; None (nothing swept) leaves the lookup to the serial
         predictor."""

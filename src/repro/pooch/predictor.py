@@ -10,9 +10,13 @@ cost-model durations), an unperturbed profile makes predictions exact; the
 extensive tests rely on that property, and the fault layer's
 ``profile_noise`` restores the realistic predicted≈measured gap.
 
-Predictions are memoized on the classification key — the classifier's
-searches re-visit many identical candidates.  The search's candidates run
-in batched lockstep sweeps (:mod:`repro.gpusim.vecengine`); a lone
+Predictions are memoized on the classification key, the bit masks
+``(keep, recompute)`` of :meth:`Classification.key
+<repro.runtime.plan.Classification.key>`: one key space for step 1's
+keep-mask candidates (which never become classifications), step 2's
+probes, plan-cache re-verification, donor plans and fallback chains.
+The search's candidates run in batched lockstep sweeps
+(:mod:`repro.gpusim.vecengine`); a lone
 :meth:`TimelinePredictor.predict` miss replays its draft through
 :meth:`Engine.replay_draft <repro.gpusim.engine.Engine.replay_draft>`, the
 draft entry point of the one event loop (no validation, no timeline
@@ -87,7 +91,8 @@ class TimelinePredictor:
         #: fragmentation ablation benchmark)
         self.capacity = machine.usable_gpu_memory - self.config.capacity_margin
         self._durations = profile.durations()
-        self._cache: dict[tuple, PredictedOutcome] = {}
+        #: the memo cache, keyed on ``(keep mask, recompute mask)``
+        self._cache: dict[tuple[int, int], PredictedOutcome] = {}
         #: simulations actually executed (cache misses) — the classifier's
         #: search-cost metric.  Outcomes absorbed from lockstep sweeps via
         #: :meth:`absorb` count too: the simulation ran, just batched, so
@@ -103,7 +108,7 @@ class TimelinePredictor:
         self._base: tuple | None = None
         #: liveness profile of the last plan :meth:`provably_infeasible`
         #: was asked about, keyed by that plan's classification key
-        self._profile: tuple[tuple, LivenessProfile] | None = None
+        self._profile: tuple[tuple[int, int], LivenessProfile] | None = None
         #: (keeps, recomputes, draft) of the last plan
         #: :meth:`provably_infeasible` was asked about — step 2's current
         #: plan, whose probes are patches of this draft
@@ -113,6 +118,8 @@ class TimelinePredictor:
         #: the classifier's ``SearchStats.sims_vectorized``)
         self.vector_sweeps = 0
         self.vector_candidates = 0
+        #: wall seconds inside :meth:`predict_keep_batch` (step 1's sweeps)
+        self.keep_sweep_s = 0.0
         self._vec_engine: VectorEngine | None = None
         self._flip_index: dict[int, int] | None = None
         #: variant-family work (step 2's sweeps): wall seconds compiling
@@ -174,7 +181,7 @@ class TimelinePredictor:
             return 0.0
         return abs(measured - predicted) / predicted
 
-    def absorb(self, key: tuple, outcome: PredictedOutcome) -> bool:
+    def absorb(self, key: tuple[int, int], outcome: PredictedOutcome) -> bool:
         """Install an outcome computed elsewhere (a vectorized sweep) under
         ``key``, with the same miss accounting as a local simulation.
         Returns True when the outcome was new (and was therefore counted as
@@ -249,7 +256,10 @@ class TimelinePredictor:
         engine = self._ensure_vec()
         if engine is None:
             return None
-        return self._sweep(engine, keep)
+        start = time.perf_counter()
+        outs = self._sweep(engine, keep)
+        self.keep_sweep_s += time.perf_counter() - start
+        return outs
 
     def predict_variant_batch(
         self, classifications: list[Classification],

@@ -3,7 +3,6 @@ scheduling policies — the decision variables of the whole paper."""
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass
 
@@ -95,17 +94,26 @@ class Classification:
     def maps_of(self, cls: MapClass) -> list[int]:
         return sorted(i for i, c in self.classes.items() if c is cls)
 
-    def key(self) -> tuple[tuple[int, str], ...]:
-        """Hashable identity, for memoising timeline simulations.
+    def key(self) -> tuple[int, int]:
+        """Hashable identity, for memoising timeline simulations: the bit
+        masks ``(keep, recompute)`` over map indices (bit ``i`` is map
+        ``i``; every other classified map swaps).  Two classifications of
+        one graph are equal exactly when their keys are, and step 1 keys
+        its candidates on ``(keep mask, 0)`` without building a
+        classification at all.
 
         Computed lazily and cached on the instance — safe because the
-        class is treated as immutable everywhere (``with_class`` copies).
-        The search computes keys for every trial of a 100-position scan,
-        so :meth:`with_class` also derives the child's key from a cached
-        parent key with a single-element splice instead of a re-sort."""
+        class is treated as immutable everywhere (``with_class`` copies,
+        deriving the child's key from a cached parent key)."""
         k = getattr(self, "_key", None)
         if k is None:
-            k = tuple(sorted((i, c.value) for i, c in self.classes.items()))
+            keep = recompute = 0
+            for i, c in self.classes.items():
+                if c is MapClass.KEEP:
+                    keep |= 1 << i
+                elif c is MapClass.RECOMPUTE:
+                    recompute |= 1 << i
+            k = (keep, recompute)
             object.__setattr__(self, "_key", k)
         return k
 
@@ -120,9 +128,13 @@ class Classification:
         out = Classification(new)
         k = getattr(self, "_key", None)
         if k is not None:
-            p = bisect.bisect_left(k, (i,))
-            object.__setattr__(out, "_key",
-                               k[:p] + ((i, cls.value),) + k[p + 1:])
+            bit = 1 << i
+            keep, recompute = k[0] & ~bit, k[1] & ~bit
+            if cls is MapClass.KEEP:
+                keep |= bit
+            elif cls is MapClass.RECOMPUTE:
+                recompute |= bit
+            object.__setattr__(out, "_key", (keep, recompute))
         return out
 
     def with_classes(self, updates: dict[int, MapClass]) -> "Classification":

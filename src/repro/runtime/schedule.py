@@ -72,6 +72,21 @@ class ScheduleOptions:
     policy: SwapInPolicy = SwapInPolicy.EAGER
     forward_refetch_gap: int | None = None
 
+    def __post_init__(self) -> None:
+        # options arrive from configs, CLI flags and HTTP bodies: reject a
+        # bad value here, naming it, instead of deep inside a build
+        if not isinstance(self.policy, SwapInPolicy):
+            raise TypeError(f"policy must be a SwapInPolicy, "
+                            f"got {self.policy!r}")
+        gap = self.forward_refetch_gap
+        if gap is not None:
+            if not isinstance(gap, int) or isinstance(gap, bool):
+                raise TypeError(f"forward_refetch_gap must be None or an "
+                                f"integer, got {gap!r}")
+            if gap < 0:
+                raise ValueError(f"forward_refetch_gap must be None or a "
+                                 f"non-negative integer, got {gap!r}")
+
 
 @dataclass(slots=True)
 class _BufferDraft:

@@ -1,5 +1,7 @@
 """Ground-truth executor and the profiling phase."""
 
+import re
+
 import pytest
 
 from repro.common.errors import OutOfMemoryError, ScheduleError
@@ -78,6 +80,43 @@ class TestExecute:
     def test_update_task_present(self, poster, x86):
         r = execute(poster, Classification.all_keep(poster), x86)
         assert len(r.records_by_kind(TaskKind.UPDATE)) == 1
+
+
+_BAD_OPTIONS = [
+    # a string policy used to fail late, with an AttributeError in finalize
+    ("policy", "eager", TypeError),
+    # True planned like 1 and -3 like 0
+    ("forward_refetch_gap", True, TypeError),
+    ("forward_refetch_gap", -3, ValueError),
+    ("forward_refetch_gap", 1.5, TypeError),
+]
+
+
+class TestScheduleOptionsValidation:
+    """ScheduleOptions rejects a bad policy or re-fetch gap at construction,
+    naming the value, whichever entry point it is headed for."""
+
+    @pytest.mark.parametrize("field,value,error", _BAD_OPTIONS)
+    def test_bad_field_named(self, field, value, error):
+        with pytest.raises(error, match=f"{field}.*got {re.escape(repr(value))}"):
+            ScheduleOptions(**{field: value})
+
+    @pytest.mark.parametrize("field,value,error", _BAD_OPTIONS)
+    def test_bad_field_never_reaches_profiling(self, poster, x86, field,
+                                               value, error, monkeypatch):
+        runs = []
+        monkeypatch.setattr(profiler_mod, "build_schedule",
+                            lambda *a, **k: runs.append(a))
+        with pytest.raises(error, match=f"{field}.*got {re.escape(repr(value))}"):
+            run_profiling(poster, x86,
+                          options=ScheduleOptions(**{field: value}))
+        assert not runs
+
+    def test_good_values_accepted(self):
+        for gap in (None, 0, 3):
+            opts = ScheduleOptions(policy=SwapInPolicy.NAIVE,
+                                   forward_refetch_gap=gap)
+            assert opts.forward_refetch_gap == gap
 
 
 class TestProfiler:
