@@ -69,6 +69,7 @@ caller falls back to the event loop (:meth:`Engine.replay_draft
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,22 @@ import numpy as np
 from repro.common.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.common.units import format_bytes
 from repro.gpusim.allocator import round_size
-from repro.gpusim.engine import _N_STREAMS, _STREAM_ORDER
+from repro.gpusim.engine import (
+    _N_STREAMS,
+    _STREAM_ORDER,
+    StreamName,
+    TaskKind,
+)
 from repro.obs import metrics
 
 #: countdown value of the sentinel task row and buffer column — never
 #: reaches zero (int32 tables; int16 ones use the second value)
 _NEVER = 1 << 30
 _NEVER16 = (1 << 15) - 1
+
+#: the streams whose runs a draft patch replaces, as ``_STREAM_ORDER`` indices
+_COMPUTE = _STREAM_ORDER.index(StreamName.COMPUTE)
+_H2D = _STREAM_ORDER.index(StreamName.H2D)
 
 
 class VectorUnsupported(SimulationError):
@@ -318,11 +328,17 @@ class VectorTables:
 @dataclass(frozen=True, eq=False, repr=False)
 class DraftPatch:
     """One variant of a base draft, as the edits that turn the base into
-    it: task and buffer drafts added or replaced, ids dropped, and the
-    variant's complete stream queues (the base's own lists where a stream
-    is unchanged).  Built by
+    it: task and buffer drafts added or replaced, ids dropped, and queue
+    edits — never a complete queue.  A queue edit either lifts a base
+    task out of its queue (``unqueued``: a dropped ``SO``/``SI``, or a
+    recompute or swap-in task moved to another root) or replaces one
+    root's *run* of a base queue: the recompute tasks queued right before
+    the backward task ``B{r}`` on the compute stream, ``B{r}`` included
+    (``segments[r]``), or root r's swap-ins on the H2D stream
+    (``groups[r]``; see :class:`QueueLayout`).  Built by
     :func:`repro.runtime.schedule.apply_recompute_delta`; the base is
-    never mutated, so any number of patches share it."""
+    never mutated, so any number of patches share it, and a patch's size
+    is what its flips touch, never the draft's."""
 
     #: the ``(tasks, queues, buffers)`` draft the edits apply to
     base: tuple
@@ -330,12 +346,24 @@ class DraftPatch:
     buffers: dict
     dropped_tasks: frozenset
     dropped_buffers: frozenset
-    queues: dict
+    #: base queue ids that leave their place in the base queue
+    unqueued: frozenset
+    #: root → the compute tasks replacing its run, ``B{root}`` last
+    segments: dict
+    #: root → the swap-ins replacing its H2D group, in queue order
+    groups: dict
+    #: for a :meth:`compose`\ d patch: the two patches it composes, so
+    #: that the rows composed from one prefix can share its compiled form
+    prefix: DraftPatch | None = None
+    last: DraftPatch | None = None
 
     @functools.cached_property
     def draft(self) -> tuple:
-        """The patched ``(tasks, queues, buffers)`` draft itself."""
-        base_tasks, _queues, base_buffers = self.base
+        """The patched ``(tasks, queues, buffers)`` draft itself, its
+        queues materialized as complete lists (the base's own lists where
+        a stream is unchanged) — the serial path's and the liveness
+        profile's form."""
+        base_tasks, base_queues, base_buffers = self.base
         tasks = dict(base_tasks)
         for tid in self.dropped_tasks:
             del tasks[tid]
@@ -344,7 +372,21 @@ class DraftPatch:
         for bid in self.dropped_buffers:
             del buffers[bid]
         buffers.update(self.buffers)
-        return tasks, self.queues, buffers
+        queues = dict(base_queues)
+        cuts = queue_layout(base_tasks, base_queues).cuts(self)
+        for stream, edits in zip(_STREAM_ORDER, cuts):
+            if not edits:
+                continue
+            edits.sort()
+            q = base_queues[stream]
+            queues[stream] = out = []
+            prev = 0
+            for start, stop, ids in edits:
+                out += q[prev:start]
+                out += ids
+                prev = stop
+            out += q[prev:]
+        return tasks, queues, buffers
 
     def compose(self, later: DraftPatch) -> DraftPatch:
         """``later`` — a patch of the draft this patch describes — as a
@@ -353,7 +395,9 @@ class DraftPatch:
         The edits overlay: ``later``'s task and buffer drafts replace this
         patch's, ids ``later`` drops leave (and are recorded as dropped
         only when the base has them), ids dropped here stay dropped unless
-        ``later`` adds them back, and ``later``'s queues are complete.  The
+        ``later`` adds them back.  ``later``'s runs replace this patch's
+        runs of the same root; this patch's other runs lose the ids
+        ``later`` lifts, and base ids either patch lifts stay lifted.  The
         cost is the two patches' sizes, never the draft's: step 2 drafts a
         plan several flips ahead once, then each speculative row as one
         more flip of it, composed back onto current's draft."""
@@ -364,6 +408,15 @@ class DraftPatch:
         buffers = {**self.buffers, **later.buffers}
         for bid in later.dropped_buffers:
             buffers.pop(bid, None)
+        lifted = later.unqueued
+
+        def runs(mine: dict, theirs: dict) -> dict:
+            out = {r: ids if lifted.isdisjoint(ids)
+                   else tuple(t for t in ids if t not in lifted)
+                   for r, ids in mine.items() if r not in theirs}
+            out.update(theirs)
+            return out
+
         return DraftPatch(
             base=self.base, tasks=tasks, buffers=buffers,
             dropped_tasks=frozenset(
@@ -372,8 +425,97 @@ class DraftPatch:
             dropped_buffers=frozenset(
                 bid for bid in self.dropped_buffers | later.dropped_buffers
                 if bid in base_buffers and bid not in buffers),
-            queues=later.queues,
+            unqueued=self.unqueued.union(
+                t for t in lifted if t in base_tasks),
+            segments=runs(self.segments, later.segments),
+            groups=runs(self.groups, later.groups),
+            prefix=self, last=later,
         )
+
+
+class QueueLayout:
+    """Where a :class:`DraftPatch`'s queue edits land in its base draft:
+    each queued id's stream and position, and the span of each root's
+    *run* — on the compute stream the recompute tasks the builder queues
+    right before the backward task ``B{r}``, then ``B{r}`` itself; on the
+    H2D stream the swap-ins root r resolved, which the first-need order
+    keeps together, group by group in root order.  A run's members are
+    the ids whose ``root`` (``B{r}``'s ``layer``) is r.  Built in one
+    pass over the base queues (see :func:`queue_layout`); :meth:`cuts`
+    then costs the patch's size."""
+
+    def __init__(self, tasks, queues) -> None:
+        #: id → (stream index in ``_STREAM_ORDER``, position)
+        self.pos: dict[str, tuple[int, int]] = {}
+        #: id → the root of the run it sits in
+        self.run_of: dict[str, int] = {}
+        #: root → (start, stop) of its compute run, and of its H2D group
+        self.segment: dict[int, tuple[int, int]] = {}
+        self.group: dict[int, tuple[int, int]] = {}
+        recompute, bwd, swap_in = (TaskKind.RECOMPUTE, TaskKind.BWD,
+                                   TaskKind.SWAP_IN)
+        pos, run_of = self.pos, self.run_of
+        for s, stream in enumerate(_STREAM_ORDER):
+            q = queues.get(stream, ())
+            pos.update(zip(q, zip(itertools.repeat(s), range(len(q)))))
+            if s != _COMPUTE and s != _H2D:
+                continue  # no runs
+            first: dict[int, int] = {}
+            for p, tid in enumerate(q):
+                t = tasks[tid]
+                kind = t.kind
+                if kind is recompute:
+                    first.setdefault(t.root, p)
+                    run_of[tid] = t.root
+                elif kind is bwd:
+                    r = run_of[tid] = t.layer
+                    self.segment[r] = (first.get(r, p), p + 1)
+                elif kind is swap_in:
+                    r = run_of[tid] = t.root
+                    self.group[r] = (first.setdefault(r, p), p + 1)
+
+    def cuts(self, patch: DraftPatch) -> list[list[tuple]]:
+        """The patch's queue edits per stream (``_STREAM_ORDER``), each an
+        unordered list of ``(start, stop, ids)``: ``ids`` replace
+        ``queue[start:stop]``.  A replaced run is one edit; a lifted id
+        outside the replaced runs is an empty replacement of its position.
+        No two edits of a stream overlap."""
+        out: list[list[tuple]] = [[] for _ in _STREAM_ORDER]
+        segments, groups = patch.segments, patch.groups
+        compute, h2d = out[_COMPUTE], out[_H2D]
+        for r, ids in segments.items():
+            compute.append((*self.segment[r], ids))
+        for r, ids in groups.items():
+            h2d.append((*self.group[r], ids))
+        for tid in patch.unqueued:
+            s, p = self.pos[tid]
+            if not self.replaced(tid, s, patch):
+                out[s].append((p, p + 1, ()))
+        return out
+
+    def replaced(self, tid: str, s: int, patch: DraftPatch) -> bool:
+        """Whether a replaced run of ``patch`` covers base id ``tid`` (on
+        stream index ``s``)."""
+        return self.run_of.get(tid, -1) in (
+            patch.segments if s == _COMPUTE else patch.groups)
+
+
+#: base queues → their :class:`QueueLayout`, by identity (see
+#: :func:`queue_layout`)
+_LAYOUTS: dict[int, tuple[dict, QueueLayout]] = {}
+
+
+def queue_layout(tasks, queues) -> QueueLayout:
+    """The :class:`QueueLayout` of the draft ``(tasks, queues, ...)``,
+    memoized on the identity of its (never mutated) queue dict: a step-2
+    family's tables and the drafts of its patches share one pass.  Holds
+    the few most recent bases."""
+    hit = _LAYOUTS.get(id(queues))
+    if hit is None or hit[0] is not queues:
+        if len(_LAYOUTS) >= 8:
+            _LAYOUTS.clear()
+        hit = _LAYOUTS[id(queues)] = (queues, QueueLayout(tasks, queues))
+    return hit[1]
 
 
 class VariantTables:
@@ -395,15 +537,21 @@ class VariantTables:
     tasks are compiled once, and a row adds slots only for what its patch
     touches — replaced or added tasks, and tasks whose free edges or
     allocations the patched buffers change — told apart by content, so
-    equal variants built by different rows share a slot.  What then
-    varies per row is seeded per row: the stream queues (recompute chains
-    inserted on the compute stream, the ``SO``/``SI`` pair removed, the
-    re-sorted H2D queue), the buffer free counts and the task total.  A
-    row therefore costs its patch plus its queue seed, never a walk over
-    every task and buffer.  Slot in-degrees are the same in every row: a
-    dependency names a task id, and each row runs exactly one slot of that
-    id, whose completion counts down every slot that names it.  A raised
-    EAGER swap-in headroom is simply a different slot.
+    equal variants built by different rows share a slot.  A composed row
+    (:meth:`DraftPatch.compose`) starts from its prefix's compiled state,
+    built once for all the rows composed from that prefix, and adds what
+    its last patch changes.  What then varies per row is seeded per row:
+    the stream queues, the buffer free counts and the task total.  The
+    base queues map to slots once per family; a row's queues are pieces
+    of those slot arrays with its patch's queue edits (recompute runs
+    replaced on the compute stream, ``SO``/``SI`` pairs lifted, re-sorted
+    H2D groups) and its re-slotted tasks spliced in, and one numpy gather
+    lays out every row (:class:`_RowQueues`).  A row therefore costs what
+    its patch touches, never a walk over a queue or over every task and
+    buffer.  Slot in-degrees are the same in every row: a dependency
+    names a task id, and each row runs exactly one slot of that id, whose
+    completion counts down every slot that names it.  A raised EAGER
+    swap-in headroom is simply a different slot.
 
     The family runs through the same :meth:`VectorEngine.run_batch` kernel
     as a keep-flip family (with ``keep=None``; one outcome per patch)."""
@@ -415,7 +563,7 @@ class VariantTables:
     def __init__(self, base, patches, device_capacity: int,
                  host_capacity: int | None = None) -> None:
         _init_pools(self, device_capacity, host_capacity)
-        ref_tasks, _ref_queues, ref_bufs = base
+        ref_tasks, ref_queues, ref_bufs = base
         ref_free = {bid: b.writers | b.readers for bid, b in ref_bufs.items()}
         ref_edges: dict[str, set[str]] = {}
         ref_allocs: dict[str, set[str]] = {}
@@ -446,6 +594,10 @@ class VariantTables:
                     t.alloc_on_ready, frozenset(t.deps),
                     frozenset(t.start_deps))
 
+        def frees(bid, b) -> set[str]:
+            buffer(bid, b)
+            return b.writers | b.readers
+
         # the base's tasks are slots 0..n-1; a base slot's signature is
         # registered only once some row varies its task id
         slots: list = [(tid, t, ref_allocs.get(tid, empty),
@@ -473,28 +625,31 @@ class VariantTables:
                 s = table[tid] = set(ref_table.get(tid, empty))
             return s
 
-        row_q: list[list[np.ndarray]] = [[] for _ in _STREAM_ORDER]
-        free_fix: list[tuple[str, int, int]] = []
-        totals: list[int] = []
-        for k, patch in enumerate(patches):
-            if (patch.base[0] is not ref_tasks
-                    or patch.base[2] is not ref_bufs):
-                raise VectorUnsupported(
-                    f"row {k} is patched from another base draft")
-            # the row's free edges and allocations, as edits to the base's
+        def own_slot(patch, edges, allocs, tid) -> int:
+            return slot(tid, patch.tasks.get(tid) or ref_tasks[tid],
+                        allocs[tid] if tid in allocs
+                        else ref_allocs.get(tid, empty),
+                        edges[tid] if tid in edges
+                        else ref_edges.get(tid, empty))
+
+        # a row's state: its tasks' free edges and allocations where they
+        # differ from the base's (task id → frozenset), its buffers' free
+        # counts and its own slots — what its patch adds, replaces or
+        # re-edges
+        def fresh(patch) -> tuple[dict, dict, dict, dict]:
             edges: dict[str, set[str]] = {}
             allocs: dict[str, set[str]] = {}
+            free: dict[str, int] = {}
             for bid, b in patch.buffers.items():
-                buffer(bid, b)
-                new = b.writers | b.readers
-                free_fix.append((bid, k, len(new)))
+                new = frees(bid, b)
+                free[bid] = len(new)
                 rb = ref_bufs.get(bid)
                 old = empty if rb is None else ref_free[bid]
                 for tid in new - old:
                     edit(edges, ref_edges, tid).add(bid)
                 for tid in old - new:
                     edit(edges, ref_edges, tid).discard(bid)
-                if rb is None and b.alloc_by is not None:
+                if rb is None:
                     edit(allocs, ref_allocs, b.alloc_by).add(bid)
             for bid in patch.dropped_buffers:
                 rb = ref_bufs[bid]
@@ -502,29 +657,123 @@ class VariantTables:
                     raise VectorUnsupported(
                         f"preallocated buffer {bid!r} differs across the "
                         "family")
-                free_fix.append((bid, k, _NEVER))
+                free[bid] = _NEVER
                 for tid in ref_free[bid]:
                     edit(edges, ref_edges, tid).discard(bid)
                 edit(allocs, ref_allocs, rb.alloc_by).discard(bid)
-            lookup = dict(ref_slot)
-            for tid in patch.tasks.keys() | edges.keys() | allocs.keys():
-                if tid in patch.dropped_tasks:
-                    continue
-                t = patch.tasks.get(tid) or ref_tasks[tid]
-                lookup[tid] = slot(
-                    tid, t,
-                    frozenset(allocs[tid]) if tid in allocs
-                    else ref_allocs.get(tid, empty),
-                    frozenset(edges[tid]) if tid in edges
-                    else ref_edges.get(tid, empty))
-            total = 0
-            for s, stream in enumerate(_STREAM_ORDER):
-                q = patch.queues.get(stream, ())
-                row_q[s].append(np.fromiter(map(lookup.__getitem__, q),
-                                            np.int32, len(q)))
-                total += len(q)
-            totals.append(total)
-        K = len(totals)
+            edges = {tid: frozenset(e) for tid, e in edges.items()}
+            allocs = {tid: frozenset(a) for tid, a in allocs.items()}
+            own = {tid: own_slot(patch, edges, allocs, tid)
+                   for tid in patch.tasks.keys() | edges.keys() | allocs.keys()
+                   if tid not in patch.dropped_tasks}
+            return edges, allocs, free, own
+
+        # a composed row's state: its prefix's, shared by every row composed
+        # from that prefix, plus what its last patch changes
+        def extend(prior: tuple, patch) -> tuple[dict, dict, dict, dict]:
+            prefix, last = patch.prefix, patch.last
+            edges, allocs, free, own = map(dict, prior)
+            touched = set(last.tasks)
+            for bid in itertools.chain(last.buffers, last.dropped_buffers):
+                rb = ref_bufs.get(bid)
+                pb = prefix.buffers.get(bid)
+                was = pb is not None or (
+                    rb is not None and bid not in prefix.dropped_buffers)
+                old = (frees(bid, pb) if pb is not None
+                       else ref_free[bid] if was else empty)
+                b = patch.buffers.get(bid)
+                if b is not None:
+                    new = frees(bid, b)
+                    free[bid] = len(new)
+                elif rb is not None:
+                    if rb.alloc_by is None:
+                        raise VectorUnsupported(
+                            f"preallocated buffer {bid!r} differs across "
+                            "the family")
+                    new = empty
+                    free[bid] = _NEVER
+                else:
+                    new = empty
+                    free.pop(bid, None)
+                one = frozenset((bid,))
+                for tid in old ^ new:
+                    e = edges[tid] if tid in edges else ref_edges.get(tid,
+                                                                      empty)
+                    edges[tid] = e | one if tid in new else e - one
+                touched |= old ^ new
+                if was is not (b is not None):
+                    by = (b or pb or rb).alloc_by
+                    a = allocs[by] if by in allocs else ref_allocs.get(by,
+                                                                       empty)
+                    allocs[by] = a - one if b is None else a | one
+                    touched.add(by)
+            for tid in last.dropped_tasks:
+                own.pop(tid, None)
+            for tid in touched:
+                if tid in patch.tasks or (tid in ref_tasks
+                                          and tid not in patch.dropped_tasks):
+                    own[tid] = own_slot(patch, edges, allocs, tid)
+                else:
+                    own.pop(tid, None)
+            return edges, allocs, free, own
+
+        #: id → (prefix, its state) of the prefixes composed rows share
+        states: dict[int, tuple] = {}
+
+        def state(patch) -> tuple[dict, dict, dict, dict]:
+            # up the prefix chain to a state at hand, then down, memoizing
+            # each prefix's (a loop: a recursive closure would be a
+            # reference cycle holding the memo until a full collection)
+            pending = []
+            while True:
+                prefix = patch.prefix
+                if prefix is None:
+                    st = fresh(patch)
+                    break
+                hit = states.get(id(prefix))
+                if hit is not None and hit[0] is prefix:
+                    st = extend(hit[1], patch)
+                    break
+                pending.append(patch)
+                patch = prefix
+            for patch in reversed(pending):
+                states[id(patch.prefix)] = (patch.prefix, st)
+                st = extend(st, patch)
+            return st
+
+        # the base queues as slots, once per family: each row's queues are
+        # edits of them, and only its patch's own ids resolve to slots
+        layout = queue_layout(ref_tasks, ref_queues)
+        seeds = [_RowQueues(np.fromiter(
+            map(ref_slot.__getitem__, ref_queues.get(stream, ())), np.int32))
+            for stream in _STREAM_ORDER]
+        pos = layout.pos
+        free_fix: list[tuple[str, int, int]] = []
+        K = 0
+        for k, patch in enumerate(patches):
+            if (patch.base[0] is not ref_tasks
+                    or patch.base[2] is not ref_bufs):
+                raise VectorUnsupported(
+                    f"row {k} is patched from another base draft")
+            _edges, _allocs, free, own = state(patch)
+            free_fix += [(bid, k, count) for bid, count in free.items()]
+            # its queues: the patch's edits, in slots, and a base id left
+            # in place at another slot as a one-entry replacement
+            cuts = layout.cuts(patch)
+            for edits in cuts:
+                for j, (start, stop, ids) in enumerate(edits):
+                    if ids:
+                        edits[j] = (start, stop, [
+                            own[t] if t in own else ref_slot[t] for t in ids])
+            for tid, i in own.items():
+                at = pos.get(tid)
+                if (at is not None and i != ref_slot[tid]
+                        and tid not in patch.unqueued
+                        and not layout.replaced(tid, at[0], patch)):
+                    cuts[at[0]].append((at[1], at[1] + 1, (i,)))
+            for seed, edits in zip(seeds, cuts):
+                seed.add_row(edits)
+            K = k + 1
         if not K:
             raise VectorUnsupported("the variant family is empty")
 
@@ -541,17 +790,14 @@ class VariantTables:
 
         # dependencies: a slot's in-degree is its dep count in every row;
         # completing any slot of task id d counts down every slot naming d
-        by_tid: dict[str, list[int]] = {}
-        for i, tid in enumerate(self.tids):
-            by_tid.setdefault(tid, []).append(i)
-        cons_lists: list[list[int]] = [[] for _ in range(n)]
-        self.indeg_base = np.zeros(n + 1, np.int32)
+        naming: dict[str, list[int]] = {}
         for i, (_tid, t, _a, _e) in enumerate(slots):
-            self.indeg_base[i] = len(t.deps)
             for d in t.deps:
-                for j in by_tid[d]:
-                    cons_lists[j].append(i)
-        self.consumers_pad = _pad(cons_lists, n)
+                naming.setdefault(d, []).append(i)
+        self.indeg_base = np.zeros(n + 1, np.int32)
+        self.indeg_base[:n] = [len(t.deps) for _tid, t, _a, _e in slots]
+        self.consumers_pad = _pad([naming.get(tid, []) for tid in self.tids],
+                                  n)
         self.frees_pad = _pad([[bindex[b] for b in e]
                                for _tid, _t, _a, e in slots], nb)
 
@@ -559,11 +805,10 @@ class VariantTables:
         # tails, free counts buffer-major (nbuf + 1, K)
         self.queues = []
         self.row_queues = []
-        for rows in row_q:
-            width = max(len(q) for q in rows)
-            part = np.full((width + 1, K), n, np.int32)
-            for k, q in enumerate(rows):
-                part[:len(q), k] = q
+        totals = np.zeros(K, np.int64)
+        for seed in seeds:
+            part, lengths = seed.table(n)
+            totals += lengths
             self.row_queues.append(part)
             on = np.zeros(n + 1, bool)
             on[part] = True
@@ -572,9 +817,73 @@ class VariantTables:
         for bid, fs in ref_free.items():
             base_free[bindex[bid]] = len(fs)
         self.row_free = np.repeat(base_free[:, None], K, axis=1)
-        for bid, k, count in free_fix:
-            self.row_free[bindex[bid], k] = count
-        self.row_total = np.array(totals, np.int64)
+        if free_fix:
+            bids_k, rows_k, counts = zip(*free_fix)
+            self.row_free[[bindex[b] for b in bids_k], rows_k] = counts
+        self.row_total = totals
+
+
+class _RowQueues:
+    """One stream's queues of a variant family's rows, each kept as pieces
+    of the base queue's slot array and of inserted slots — a row's Python
+    cost is its edits, never the queue — and laid out for all rows by one
+    gather (:meth:`table`)."""
+
+    def __init__(self, base: np.ndarray) -> None:
+        self.base = base
+        #: every row's pieces, row after row: where each starts in
+        #: ``base`` followed by ``slots``, and its length
+        self.starts: list[int] = []
+        self.lengths: list[int] = []
+        #: the slots rows insert, concatenated
+        self.slots: list[int] = []
+        #: each row's end in the piece lists, and its queue length
+        self.row_end: list[int] = []
+        self.row_len: list[int] = []
+
+    def add_row(self, edits: list[tuple]) -> None:
+        """Append a row: the base queue with ``edits`` — non-overlapping
+        ``(start, stop, slots)`` replacements of ``base[start:stop]`` —
+        applied."""
+        starts, lengths, slots = self.starts, self.lengths, self.slots
+        size = self.base.size
+        total = size
+        prev = 0
+        edits.sort()
+        for start, stop, ids in edits:
+            if start > prev:
+                starts.append(prev)
+                lengths.append(start - prev)
+            if ids:
+                starts.append(size + len(slots))
+                lengths.append(len(ids))
+                slots += ids
+            total += len(ids) - (stop - start)
+            prev = stop
+        if prev < size:
+            starts.append(prev)
+            lengths.append(size - prev)
+        self.row_end.append(len(starts))
+        self.row_len.append(total)
+
+    def table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (width + 1, K) queue table, sentinel-padded with ``n``, and
+        each row's queue length: every row's pieces, then a sentinel
+        piece filling it to width + 1, gathered in one take."""
+        lengths = np.array(self.row_len, np.intp)
+        width = int(lengths.max())
+        src = np.concatenate([self.base, np.array(self.slots, np.int32),
+                              np.full(width + 1, n, np.int32)])
+        ends = np.array(self.row_end, np.intp)
+        starts = np.insert(np.array(self.starts, np.intp), ends,
+                           src.size - width - 1)
+        pieces = np.insert(np.array(self.lengths, np.intp), ends,
+                           width + 1 - lengths)
+        shift = starts - np.cumsum(pieces) + pieces
+        flat = src[np.repeat(shift, pieces) + np.arange(
+            lengths.size * (width + 1))]
+        return (np.ascontiguousarray(flat.reshape(-1, width + 1).T),
+                lengths)
 
 
 def _init_pools(tables, device_capacity: int, host_capacity) -> None:
@@ -591,10 +900,9 @@ def _init_buffers(tables, buffers) -> None:
     tables.bids = [b.bid for b in buffers]
     tables.nbuf = nb = len(buffers)
     tables.buf_size = np.zeros(nb + 1, np.int64)
+    tables.buf_size[:nb] = [round_size(b.nbytes) for b in buffers]
     tables.buf_host = np.zeros(nb + 1, bool)
-    for i, b in enumerate(buffers):
-        tables.buf_size[i] = round_size(b.nbytes)
-        tables.buf_host[i] = b.host
+    tables.buf_host[:nb] = [b.host for b in buffers]
 
 
 def _init_tasks(tables, tasks: list, allocs: list[list[int]]) -> None:
@@ -621,22 +929,21 @@ def _init_tasks(tables, tasks: list, allocs: list[list[int]]) -> None:
     tables.headroom = np.zeros(n + 1, np.int64)
     tables.headroom[:n] = [t.headroom for t in tasks]
 
-    need_dev = np.zeros(n + 1, np.int64)
-    need_host = np.zeros(n + 1, np.int64)
+    # (task, buffer) allocation pairs, summed per task
+    task_of, bis = _flat(allocs)
+    host = tables.buf_host[bis]
+    hosts = np.bincount(task_of[host], minlength=n + 1)
+    if hosts.max(initial=0) > 1:
+        raise VectorUnsupported(
+            f"task {tasks[int(np.argmax(hosts > 1))].tid!r} allocates "
+            "several host buffers")
     host_buf_of = np.full(n + 1, -1, np.int64)
-    n_dev_bufs = np.zeros(n + 1, np.int64)
-    for i, bis in enumerate(allocs):
-        for bi in bis:
-            if tables.buf_host[bi]:
-                if host_buf_of[i] >= 0:
-                    raise VectorUnsupported(
-                        f"task {tasks[i].tid!r} allocates several host "
-                        "buffers")
-                host_buf_of[i] = bi
-                need_host[i] += tables.buf_size[bi]
-            else:
-                need_dev[i] += tables.buf_size[bi]
-                n_dev_bufs[i] += 1
+    host_buf_of[task_of[host]] = bis[host]
+    need_host = np.zeros(n + 1, np.int64)
+    need_host[task_of[host]] = tables.buf_size[bis[host]]
+    need_dev = np.zeros(n + 1, np.int64)
+    np.add.at(need_dev, task_of[~host], tables.buf_size[bis[~host]])
+    n_dev_bufs = np.bincount(task_of[~host], minlength=n + 1)
     if np.any((need_host[:n] > 0)
               & ((need_dev[:n] > 0) | (tables.scratch_r > 0))):
         raise VectorUnsupported(
@@ -682,13 +989,25 @@ def _init_prealloc(tables, buffers) -> None:
     tables.prealloc_host = host_use
 
 
+def _flat(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged int lists as two flat arrays: each entry's list index and
+    the entry itself."""
+    lengths = np.fromiter(map(len, lists), np.intp, len(lists))
+    values = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                         int(lengths.sum()))
+    return np.repeat(np.arange(len(lists)), lengths), values
+
+
 def _pad(lists: list[list[int]], fill: int) -> np.ndarray:
     """Ragged int lists as one (len, max width) int32 table padded with
     ``fill`` (at least one column)."""
-    width = max((len(x) for x in lists), default=0)
-    out = np.full((len(lists), max(width, 1)), fill, np.int32)
-    for i, x in enumerate(lists):
-        out[i, :len(x)] = x
+    rows, values = _flat(lists)
+    counts = np.bincount(rows, minlength=len(lists))
+    out = np.full((len(lists), max(int(counts.max(initial=0)), 1)), fill,
+                  np.int32)
+    # each entry's column: its rank within its list
+    firsts = np.cumsum(counts) - counts
+    out[rows, np.arange(rows.size) - firsts[rows]] = values
     return out
 
 

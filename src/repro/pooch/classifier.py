@@ -406,12 +406,15 @@ class _FlipTree:
 
     #: a step-2 sweep's fixed cost, in rows.  Timed per phase over
     #: ResNet-50/512 x86's step 2 (budget 600, shared 2-vCPU x86 host,
-    #: runs at several values of this constant): a sweep costs 40–46 ms
-    #: fixed (``run_batch`` plus building its tables) and a row 0.6–0.7
-    #: ms (about 0.2 ms each drafting, tables and sweep, 0.1 ms
-    #: classifying and growing the tree), so 60–85 rows.  75 and 85 grow
-    #: the same trees there, and gave the fastest step 2 among 40, 60,
-    #: 75, 85, 100, 150 and 300 (three runs each).
+    #: a linear fit of each phase over the 9 sweeps' row counts): a sweep
+    #: costs 33–42 ms fixed (``run_batch`` 30–36 ms, building its tables
+    #: 3–6 ms) and a row about 0.4 ms (drafting 0.11 ms, tables
+    #: 0.09–0.11 ms, sweep 0.07–0.08 ms, classifying and growing the
+    #: tree 0.1 ms as timed before rows cost O(patch)), so 80–110 rows.
+    #: 75 gave the fastest step 2 among 40, 60, 75, 85, 100, 150 and 300
+    #: when a row cost 0.6–0.7 ms; at 100 the trees there carry 37 more
+    #: rows for one more staged hit in the same 9 sweeps, within the
+    #: host's run-to-run spread, so it stays.
     ROWS = 75
     #: most rows one sweep carries.  A family's memory grows with its
     #: rows (each row's patch, queue seeds and free counts), and the

@@ -47,7 +47,7 @@ from repro.gpusim.vecengine import (
 )
 from repro.hw import MachineSpec
 from repro.pooch.config import PoochConfig
-from repro.runtime.plan import Classification, MapClass, SwapInPolicy
+from repro.runtime.plan import Classification, SwapInPolicy
 from repro.runtime.profiler import Profile
 from repro.runtime.schedule import (
     LivenessProfile,
@@ -109,10 +109,10 @@ class TimelinePredictor:
         #: liveness profile of the last plan :meth:`provably_infeasible`
         #: was asked about, keyed by that plan's classification key
         self._profile: tuple[tuple[int, int], LivenessProfile] | None = None
-        #: (keeps, recomputes, draft) of the last plan
+        #: (keep mask, recompute mask, draft) of the last plan
         #: :meth:`provably_infeasible` was asked about — step 2's current
         #: plan, whose probes are patches of this draft
-        self._plan: tuple[frozenset, frozenset, tuple] | None = None
+        self._plan: tuple[int, int, tuple] | None = None
         #: lockstep sweeps run and candidate rows swept (includes rows the
         #: caller speculated on and discarded; absorbed-sim accounting is
         #: the classifier's ``SearchStats.sims_vectorized``)
@@ -379,67 +379,66 @@ class TimelinePredictor:
 
     def _delta_split(
         self, classification: Classification
-    ) -> tuple[frozenset, frozenset] | None:
-        """(keeps, recomputes) of a candidate the delta paths can draft —
-        forward re-fetch off, and recomputes only under EAGER — else None
-        (a full build)."""
+    ) -> tuple[int, int] | None:
+        """The ``(keep, recompute)`` bit masks of a candidate the delta
+        paths can draft — forward re-fetch off, and recomputes only under
+        EAGER — else None (a full build).  Every map a mask leaves out
+        swaps, so the masks are the classification's key."""
         if self.options.forward_refetch_gap is not None:
             return None
-        keeps: list[int] = []
-        recs: list[int] = []
-        for m, cls in classification.classes.items():
-            if cls is MapClass.KEEP:
-                keeps.append(m)
-            elif cls is MapClass.RECOMPUTE:
-                recs.append(m)
-            elif cls is not MapClass.SWAP:
-                return None
-        if recs and self.options.policy is not SwapInPolicy.EAGER:
+        keep, rec = classification.key()
+        if rec and self.options.policy is not SwapInPolicy.EAGER:
             return None
-        return frozenset(keeps), frozenset(recs)
+        return keep, rec
 
-    def _patch(self, keeps: frozenset, recs: frozenset) -> DraftPatch:
-        """The draft of ``all-swap + keeps + recs`` as a patch: of the
-        memoized plan draft when that plan reaches it by swap→keep and
-        swap→recompute flips, else of the all-swap base draft."""
+    def _patch(self, keep: int, rec: int) -> DraftPatch:
+        """The draft of ``all-swap + keep + rec`` (bit masks) as a patch:
+        of the memoized plan draft when that plan reaches it by swap→keep
+        and swap→recompute flips, else of the all-swap base draft."""
         plan = self._plan
-        if plan is not None and plan[0] <= keeps and plan[1] <= recs:
-            base = plan[2]
+        if plan is not None and not (plan[0] & ~keep or plan[1] & ~rec):
+            base, base_key = plan[2], plan[:2]
         else:
             self._ensure_base()
-            base = self._base
+            base, base_key = self._base, (0, 0)
         return apply_recompute_delta(
-            *base, self.graph, self._durations, self.options, keeps, recs)
+            *base, self.graph, self._durations, self.options, keep, rec,
+            base_key)
 
-    def _ahead_patch(self, path: tuple[int, ...], keeps: frozenset,
-                     recs: frozenset, ahead: dict) -> DraftPatch:
-        """The draft of ``all-swap + keeps + recs`` as a patch of the plan
+    def _ahead_patch(self, path: tuple[int, ...], keep: int, rec: int,
+                     ahead: dict) -> DraftPatch:
+        """The draft of ``all-swap + keep + rec`` as a patch of the plan
         draft, built as one flip of the plan "plan + ``path`` recomputed"
         (see :meth:`predict_variant_batch`).  ``ahead`` memoizes, per
-        path, that plan's patch of the plan draft and its own draft; a
-        path's plan is one flip of its parent path's.  A plan draft that
-        does not reach the candidate falls back to :meth:`_patch`."""
+        path, that plan's patch of the plan draft, its own draft and its
+        recompute mask; a path's plan is one flip of its parent path's.
+        A plan draft that does not reach the candidate falls back to
+        :meth:`_patch`."""
         plan = self._plan
-        if plan is None or not (plan[0] <= keeps
-                                and plan[1] | set(path) <= recs):
-            return self._patch(keeps, recs)
+        if plan is None or plan[0] & ~keep or plan[1] & ~rec or any(
+                not rec >> m & 1 for m in path):
+            return self._patch(keep, rec)
 
-        def node(p: tuple[int, ...]) -> tuple:
-            hit = ahead.get(p)
-            if hit is None:
-                if not p:
-                    return None, plan[2]
-                parent, draft = node(p[:-1])
-                one = apply_recompute_delta(
-                    *draft, self.graph, self._durations, self.options,
-                    plan[0], plan[1] | set(p))
-                hit = ahead[p] = (one if parent is None
-                                  else parent.compose(one), one.draft)
-            return hit
-
-        parent, draft = node(path)
+        # the deepest plan on the path drafted so far, then the rest of the
+        # path, each plan one flip of its parent's
+        depth = len(path)
+        while depth and path[:depth] not in ahead:
+            depth -= 1
+        parent, draft, node_rec = (ahead[path[:depth]] if depth
+                                   else (None, plan[2], plan[1]))
+        for depth in range(depth, len(path)):
+            parent_rec, node_rec = node_rec, node_rec | 1 << path[depth]
+            one = apply_recompute_delta(
+                *draft, self.graph, self._durations, self.options, plan[0],
+                node_rec, (plan[0], parent_rec))
+            # drafted as a patch of the plan draft, whose queue layout the
+            # family's tables and every node share
+            parent = one if parent is None else parent.compose(one)
+            draft = parent.draft
+            ahead[path[:depth + 1]] = (parent, draft, node_rec)
         one = apply_recompute_delta(*draft, self.graph, self._durations,
-                                    self.options, keeps, recs)
+                                    self.options, keep, rec,
+                                    (plan[0], node_rec))
         return one if parent is None else parent.compose(one)
 
     def _plan_draft(self, classification: Classification) -> tuple:

@@ -681,8 +681,9 @@ def _copy_task(t: _TaskDraft) -> _TaskDraft:
 class _DraftEdit:
     """Edits accumulating against one base draft, which is never mutated:
     task and buffer drafts are copied on first write, dropped ids are
-    recorded, and the three queues are replaced list by list.  Reads see
-    the edited draft."""
+    recorded, and queue edits are kept as lifted ids and replaced runs
+    (see :class:`~repro.gpusim.vecengine.DraftPatch`).  Reads see the
+    edited draft."""
 
     def __init__(self, base_tasks, base_queues, base_buffers) -> None:
         self.base = (base_tasks, base_queues, base_buffers)
@@ -692,9 +693,11 @@ class _DraftEdit:
         self.buffers: dict[str, _BufferDraft] = {}
         self.dropped_tasks: set[str] = set()
         self.dropped_buffers: set[str] = set()
-        self.compute: list[str] = base_queues.get(StreamName.COMPUTE, [])
-        self.h2d: list[str] = base_queues.get(StreamName.H2D, [])
-        self.d2h: list[str] = base_queues.get(StreamName.D2H, [])
+        self.unqueued: set[str] = set()
+        self.segments: dict[int, tuple[str, ...]] = {}
+        self.groups: dict[int, tuple[str, ...]] = {}
+        #: id → (runs, root) of the replaced run it was last placed in
+        self._placed: dict[str, tuple[dict, int]] = {}
 
     def task(self, tid: str) -> _TaskDraft | None:
         t = self.tasks.get(tid)
@@ -734,19 +737,36 @@ class _DraftEdit:
         if bid in self._base_buffers:
             self.dropped_buffers.add(bid)
 
+    def place(self, runs: dict, r: int, ids: tuple[str, ...]) -> None:
+        """Replace root r's run in ``runs`` (``segments`` or ``groups``)."""
+        runs[r] = ids
+        for tid in ids:
+            self._placed[tid] = (runs, r)
+
+    def unqueue(self, tids) -> None:
+        """Lift ``tids`` out of their queue places: from a run replaced
+        earlier, or from the base queue."""
+        placed, base = self._placed, self._base_tasks
+        for tid in tids:
+            at = placed.pop(tid, None)
+            if at is not None:
+                runs, r = at
+                runs[r] = tuple(t for t in runs[r] if t != tid)
+            if tid in base:
+                self.unqueued.add(tid)
+
     def patch(self) -> DraftPatch:
         return DraftPatch(
             base=self.base, tasks=self.tasks, buffers=self.buffers,
             dropped_tasks=frozenset(self.dropped_tasks),
             dropped_buffers=frozenset(self.dropped_buffers),
-            queues={StreamName.COMPUTE: self.compute,
-                    StreamName.H2D: self.h2d, StreamName.D2H: self.d2h},
+            unqueued=frozenset(self.unqueued), segments=self.segments,
+            groups=self.groups,
         )
 
 
-def _flip_keep(edit: _DraftEdit, m: int) -> set[str]:
-    """Swap→keep flip of ``m`` (see :func:`apply_recompute_delta`); returns
-    the removed transfer tasks, which the caller drops from the queues.
+def _flip_keep(edit: _DraftEdit, m: int) -> None:
+    """Swap→keep flip of ``m`` (see :func:`apply_recompute_delta`).
 
     A keep↔swap flip is local under the builder's semantics (with forward
     re-fetch disabled):
@@ -769,9 +789,11 @@ def _flip_keep(edit: _DraftEdit, m: int) -> set[str]:
     fb = edit.own_buffer(fwd_bid)
     fb.readers.discard(so)
     if edit.task(si) is None:
-        return {so}  # no backward consumer: nothing reads the kept instance
+        edit.unqueue({so})
+        return  # no backward consumer: nothing reads the kept instance
     readers = edit.buffer(back_bid).readers
     edit.drop_task(si)
+    edit.unqueue({so, si})
     edit.drop_buffer(back_bid)
     for rid in readers:
         rt = edit.own_task(rid)
@@ -780,7 +802,6 @@ def _flip_keep(edit: _DraftEdit, m: int) -> set[str]:
         rt.reads.discard(back_bid)
         rt.reads.add(fwd_bid)
         fb.readers.add(rid)
-    return {so, si}
 
 
 def keep_flip_specs(
@@ -837,6 +858,7 @@ def apply_recompute_delta(
     options: ScheduleOptions | None,
     keeps,
     recomputes,
+    base_key: tuple[int, int] | None = None,
 ) -> DraftPatch:
     """Patch turning a base draft into the draft of ``all-swap + keeps +
     {m: RECOMPUTE for m in recomputes}`` — the step-2 search hot path,
@@ -848,8 +870,12 @@ def apply_recompute_delta(
     swap→keep and swap→recompute flips: the all-swap draft (every keep and
     recompute is then a flip; with no recomputes the patch is the keep-only
     draft the step-1 search replays), or the current plan's own draft,
-    which already carries its recomputes.  Maps of ``keeps``/``recomputes``
-    still swapped in the base are the flips; the base must be built without
+    which already carries its recomputes.  ``keeps`` and ``recomputes``
+    are collections of map ids or bit masks (bit m = map m, the form of
+    :meth:`Classification.key() <repro.runtime.plan.Classification.key>`).
+    Their maps still swapped in the base are the flips: read off the masks
+    when ``base_key`` gives the base's own ``(keep, recompute)`` masks,
+    else found by the base's swap-out tasks.  The base must be built without
     forward re-fetch (``forward_refetch_gap`` must be ``None`` — re-fetch
     segments splice extra forward swap-ins whose interaction with
     recompute chains is not local).  Flips apply one at a time, keeps
@@ -875,8 +901,14 @@ def apply_recompute_delta(
     * the H2D queue, which the builder sorts by first need: its swap-ins
       group by root in root order, so only this root's group is re-sorted
       (moved swap-ins leave their old groups);
+    * the D2H queue, which loses X's ``SO``;
     * every swap-in's EAGER auto-headroom, but only when a new ``R`` task
       out-allocates the current one.
+
+    The patch records the queue changes as edits — ids lifted out of their
+    queue and root r's replaced runs (see
+    :class:`~repro.gpusim.vecengine.DraftPatch`) — so its cost is what the
+    flips touch, never the length of the base's queues.
 
     Recompute flips need the EAGER swap-in policy: NAIVE/SUPERNEURONS start
     triggers reference compute positions that a spliced chain shifts all
@@ -895,63 +927,64 @@ def apply_recompute_delta(
         raise ScheduleError(
             "apply_recompute_delta requires forward_refetch_gap=None"
         )
-    rec_set = set(recomputes)
-    keep_set = set(keeps)
-    if rec_set & keep_set:
+    keep, rec = _mask(keeps), _mask(recomputes)
+    if keep & rec:
         raise ScheduleError(
-            f"maps {sorted(rec_set & keep_set)} are both kept and recomputed"
+            f"maps {list(_bits(keep & rec))} are both kept and recomputed"
         )
-    edit = _DraftEdit(base_tasks, base_queues, base_buffers)
     # the flips are the target's kept and recomputed maps the base still
-    # swaps; its D2H queue holds one swap-out per swapped map, in map order
-    swapped = [base_tasks[so].layer for so in edit.d2h]
-    flips = [m for m in swapped if m in rec_set]
-    if flips and opt.policy is not SwapInPolicy.EAGER:
+    # swaps
+    if base_key is None:
+        swapped = _mask(m for m in _bits(keep | rec)
+                        if f"SO{m}" in base_tasks)
+    else:
+        swapped = (keep | rec) & ~(base_key[0] | base_key[1])
+    if rec & swapped and opt.policy is not SwapInPolicy.EAGER:
         raise ScheduleError(
             "apply_recompute_delta flips maps to recompute only under the "
             f"EAGER swap-in policy, not {opt.policy.name}"
         )
-    removed: set[str] = set()
-    for m in swapped:
-        if m in keep_set:
-            removed |= _flip_keep(edit, m)
-    if removed:
-        edit.h2d = [t for t in edit.h2d if t not in removed]
-        edit.d2h = [t for t in edit.d2h if t not in removed]
-    for m in flips:
-        _flip_recompute(edit, m, graph, durations, opt, keep_set, rec_set)
+    edit = _DraftEdit(base_tasks, base_queues, base_buffers)
+    for m in _bits(keep & swapped):
+        _flip_keep(edit, m)
+    for m in _bits(rec & swapped):
+        _flip_recompute(edit, m, graph, durations, opt, keep, rec)
     return edit.patch()
+
+
+def _mask(maps) -> int:
+    """Map ids as a bit mask (bit m = map m); a mask passes through."""
+    if isinstance(maps, int):
+        return maps
+    out = 0
+    for m in maps:
+        out |= 1 << m
+    return out
+
+
+def _bits(mask: int):
+    """The map ids of a bit mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
                     durations: DurationProvider, opt: ScheduleOptions,
-                    keep_set: set[int], rec_set: set[int]) -> None:
-    """Swap→recompute flip of ``x`` (see :func:`apply_recompute_delta`)."""
+                    keep: int, rec: int) -> None:
+    """Swap→recompute flip of ``x`` (see :func:`apply_recompute_delta`):
+    masks ``keep`` and ``rec`` are the target's kept and recomputed maps."""
     so, si = f"SO{x}", f"SI{x}"
     edit.drop_task(so)
     edit.drop_buffer(f"fm{x}@host")
     edit.own_buffer(f"fm{x}@f").readers.discard(so)
-    edit.d2h = list(edit.d2h)
-    edit.d2h.remove(so)
     x_si = edit.task(si)
     if x_si is None:
+        edit.unqueue({so})
         return  # no backward consumer: nothing to recompute
     r = x_si.root
     b_tid = f"B{r}"
-
-    # where root r's compute segment and H2D group sit before the flip
-    compute = edit.compute
-    seg_end = compute.index(b_tid)
-    seg_start = seg_end
-    while (seg_start > 0 and edit.task(compute[seg_start - 1]).kind
-           is TaskKind.RECOMPUTE):
-        seg_start -= 1
-    h2d = edit.h2d
-    lo = hi = h2d.index(si)
-    while lo > 0 and edit.task(h2d[lo - 1]).root == r:
-        lo -= 1
-    while hi + 1 < len(h2d) and edit.task(h2d[hi + 1]).root == r:
-        hi += 1
 
     x_readers = edit.buffer(f"fm{x}@b").readers
     edit.drop_task(si)
@@ -999,9 +1032,9 @@ def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
                 group.append(tid)
                 si_readers[tid] = []
             return f"fm{m}@b", tid
-        if m in keep_set:
+        if keep >> m & 1:
             return f"fm{m}@f", f"F{m}"
-        if m not in rec_set and not graph[m].op.recomputable:
+        if not rec >> m & 1 and not graph[m].op.recomputable:
             return f"fm{m}@f", f"F{m}"  # retain the forward instance
         tid = f"R{m}"
         t = edit.task(tid)
@@ -1043,6 +1076,10 @@ def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
     for m in needed:
         resolve(m, b_tid, None)
     segment.append(b_tid)
+    # the two resolvers call each other through their closure cells: a
+    # reference cycle that would keep this flip's edit alive until a full
+    # collection
+    del resolve, resolve_map
 
     # every task that needed x now reads the recomputed instance
     x_inst = edit.buffers[f"fm{x}@r"]
@@ -1054,21 +1091,19 @@ def _flip_recompute(edit: _DraftEdit, x: int, graph: NNGraph,
         rt.reads.add(f"fm{x}@r")
         x_inst.readers.add(rid)
 
-    # -- splice the rebuilt segment and H2D group ----------------------------
-    tail = compute[seg_end + 1:]
-    if moved:
-        tail = [t for t in tail if t not in moved]
-    edit.compute = compute[:seg_start] + segment + tail
+    # -- the rebuilt segment and H2D group replace root r's runs -------------
+    # (moved tasks leave their old places, X's swap-pair its queues)
+    moved |= {so, si}
+    edit.unqueue(moved)
+    edit.place(edit.segments, r, tuple(segment))
     at = {tid: n for n, tid in enumerate(segment)}
     group.sort(key=lambda tid: min(at[rid] for rid in si_readers[tid]))
-    tail = h2d[hi + 1:]
-    if moved:
-        tail = [t for t in tail if t not in moved]
-    h2d = edit.h2d = h2d[:lo] + group + tail
+    edit.place(edit.groups, r, tuple(group))
 
     if opt.policy is SwapInPolicy.EAGER and new_alloc > x_si.headroom:
-        for tid in h2d:
-            if edit.task(tid).kind is TaskKind.SWAP_IN:
+        for tid in edit.base[1].get(StreamName.H2D, ()):
+            t = edit.task(tid)
+            if t is not None and t.kind is TaskKind.SWAP_IN:
                 edit.own_task(tid).headroom = new_alloc
 
 

@@ -11,7 +11,8 @@ loop does, never what it returns.
   EAGER swap-in policy (recompute flips under any other policy raise) —
   patched from a keep-only patch of the all-swap base, and as step 2
   drafts its probes: one- and two-flip patches of a current plan's own
-  draft, which must leave that draft untouched;
+  draft, and random flip paths drafted flip by flip and composed back
+  onto it (``DraftPatch.compose``), which must leave that draft untouched;
 * step 2 run from the same step-1 plan returns the identical plan,
   predicted time, peak memory and r(X) table with its machinery on (the
   search) and off (the oracle's from-scratch step 2), on both machines;
@@ -148,12 +149,15 @@ def _split(cls):
             set(cls.maps_of(MapClass.RECOMPUTE)))
 
 
-def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4):
+def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4,
+                       n_paths=2):
     """Every sampled one-flip (swap→recompute, swap→keep) and two-flip
     (recompute+recompute, keep+recompute) patch of ``current``'s own EAGER
-    draft equals the fresh build of its classification, and the base
-    draft is left untouched.  Returns which local effects the patches
-    exercised."""
+    draft equals the fresh build of its classification; so does every
+    prefix of ``n_paths`` random flip paths, drafted flip by flip, each
+    flip a patch of the draft before it, and composed back onto
+    ``current``'s draft (``DraftPatch.compose``); and the base draft is
+    left untouched.  Returns which local effects the patches exercised."""
     opts = ScheduleOptions(policy=SwapInPolicy.EAGER)
 
     def builder(cls):
@@ -205,6 +209,22 @@ def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4):
             tid.startswith("R") and tid in base[0]
             and t.root != base[0][tid].root
             for tid, t in patch.tasks.items())
+    for _ in range(n_paths if len(swapped) > 1 else 0):
+        trial, draft, composed = current, base, None
+        for m in rng.sample(swapped, rng.randint(2, min(4, len(swapped)))):
+            trial = trial.with_class(
+                m, MapClass.RECOMPUTE if g[m].op.recomputable
+                and rng.random() < 0.75 else MapClass.KEEP)
+            one = apply_recompute_delta(*draft, g, durs, opts,
+                                        *_split(trial))
+            draft = one.draft
+            composed = one if composed is None else composed.compose(one)
+            assert all(a is b for a, b in zip(composed.base, base))
+            sig = _draft_signature(draft)
+            assert sig == _draft_signature(builder(trial).build_raw()), (
+                current.key(), trial.key())
+            assert _draft_signature(composed.draft) == sig, (
+                current.key(), trial.key())
     assert _draft_signature(base) == before, "patching mutated the base"
     return seen
 
@@ -591,15 +611,16 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
             real_step2 = clf._step2_swap_vs_recompute
 
             def counting_patch(tasks, queues, buffers, graph, durations,
-                               options, keeps, recomputes):
+                               options, keeps, recomputes, *base_key):
+                # the predictor passes (keep, recompute) bit masks
                 if pred._base is not None and tasks is pred._base[0]:
                     calls[0] += 1  # the keep set drafted from all-swap
-                    base_recomputes.append(len(recomputes))
+                    base_recomputes.append(recomputes.bit_count())
                 else:
-                    patched.append(sum(f"SO{m}" in tasks for m
-                                       in set(keeps) | set(recomputes)))
+                    patched.append(sum(f"SO{m}" in tasks for m in range(len(g))
+                                       if (keeps | recomputes) >> m & 1))
                 return real_patch(tasks, queues, buffers, graph, durations,
-                                  options, keeps, recomputes)
+                                  options, keeps, recomputes, *base_key)
 
             def step2(*args, **kwargs):
                 calls[0] = 0  # count step 2's drafts only

@@ -39,7 +39,7 @@ import pytest
 from repro.common.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.faults import FaultInjector, FaultSpec, FaultyDurations
 from repro.gpusim import Engine
-from repro.gpusim.engine import Schedule, StreamName, TaskKind
+from repro.gpusim.engine import _STREAM_ORDER, Schedule, StreamName, TaskKind
 from repro.gpusim.vecengine import (
     VariantTables,
     VectorEngine,
@@ -524,6 +524,22 @@ def _assert_same_run(out, draft, capacity, host_cap) -> bool:
     return True
 
 
+def _assert_seeded_queues(tables, patches):
+    """Each row's compiled queues — its column of ``row_queues``, read
+    through ``tables.tids`` up to the sentinel — are its patch's draft
+    queues, stream for stream, and its task total is their length."""
+    for k, patch in enumerate(patches):
+        queues = patch.draft[1]
+        total = 0
+        for s, stream in enumerate(_STREAM_ORDER):
+            col = tables.row_queues[s][:, k].tolist()
+            got = [tables.tids[i] for i in col[:col.index(tables.n)]]
+            assert got == list(queues.get(stream, ())), (k, stream)
+            assert all(i == tables.n for i in col[len(got):])
+            total += len(got)
+        assert tables.row_total[k] == total, k
+
+
 class TestVariantFamily:
     """Step 2's variant family: each row "current with X recomputed (or
     kept)" — or, speculatively, a later round's probe, one flip of a plan
@@ -572,8 +588,9 @@ class TestVariantFamily:
         host_cap = machine.cpu_mem_capacity
 
         def sweep(rows):
-            return VectorEngine(VariantTables(base, rows, capacity, host_cap)
-                                ).run_batch(record_times=True)
+            tables = VariantTables(base, rows, capacity, host_cap)
+            _assert_seeded_queues(tables, rows)
+            return VectorEngine(tables).run_batch(record_times=True)
 
         outs = sweep(patches)
         assert len(outs) == len(probes)
