@@ -352,10 +352,6 @@ class DraftPatch:
     segments: dict
     #: root → the swap-ins replacing its H2D group, in queue order
     groups: dict
-    #: for a :meth:`compose`\ d patch: the two patches it composes, so
-    #: that the rows composed from one prefix can share its compiled form
-    prefix: DraftPatch | None = None
-    last: DraftPatch | None = None
 
     @functools.cached_property
     def draft(self) -> tuple:
@@ -373,19 +369,23 @@ class DraftPatch:
             del buffers[bid]
         buffers.update(self.buffers)
         queues = dict(base_queues)
-        cuts = queue_layout(base_tasks, base_queues).cuts(self)
-        for stream, edits in zip(_STREAM_ORDER, cuts):
-            if not edits:
+        lifted = self.unqueued
+        for s, stream in enumerate(_STREAM_ORDER):
+            runs = (self.segments if s == _COMPUTE
+                    else self.groups if s == _H2D else {})
+            q = base_queues.get(stream, [])
+            if not runs and lifted.isdisjoint(q):
                 continue
-            edits.sort()
-            q = base_queues[stream]
+            # replaced runs in place, then lifted ids out of the rest
+            spans = sorted((*_run_span(base_tasks, q, s, r), ids)
+                           for r, ids in runs.items())
             queues[stream] = out = []
             prev = 0
-            for start, stop, ids in edits:
-                out += q[prev:start]
+            for start, stop, ids in spans:
+                out += [t for t in q[prev:start] if t not in lifted]
                 out += ids
                 prev = stop
-            out += q[prev:]
+            out += [t for t in q[prev:] if t not in lifted]
         return tasks, queues, buffers
 
     def compose(self, later: DraftPatch) -> DraftPatch:
@@ -429,7 +429,6 @@ class DraftPatch:
                 t for t in lifted if t in base_tasks),
             segments=runs(self.segments, later.segments),
             groups=runs(self.groups, later.groups),
-            prefix=self, last=later,
         )
 
 
@@ -441,8 +440,8 @@ class QueueLayout:
     H2D stream the swap-ins root r resolved, which the first-need order
     keeps together, group by group in root order.  A run's members are
     the ids whose ``root`` (``B{r}``'s ``layer``) is r.  Built in one
-    pass over the base queues (see :func:`queue_layout`); :meth:`cuts`
-    then costs the patch's size."""
+    pass over the base queues, once per variant family; :meth:`cuts` then
+    costs the patch's size."""
 
     def __init__(self, tasks, queues) -> None:
         #: id → (stream index in ``_STREAM_ORDER``, position)
@@ -500,22 +499,22 @@ class QueueLayout:
             patch.segments if s == _COMPUTE else patch.groups)
 
 
-#: base queues → their :class:`QueueLayout`, by identity (see
-#: :func:`queue_layout`)
-_LAYOUTS: dict[int, tuple[dict, QueueLayout]] = {}
-
-
-def queue_layout(tasks, queues) -> QueueLayout:
-    """The :class:`QueueLayout` of the draft ``(tasks, queues, ...)``,
-    memoized on the identity of its (never mutated) queue dict: a step-2
-    family's tables and the drafts of its patches share one pass.  Holds
-    the few most recent bases."""
-    hit = _LAYOUTS.get(id(queues))
-    if hit is None or hit[0] is not queues:
-        if len(_LAYOUTS) >= 8:
-            _LAYOUTS.clear()
-        hit = _LAYOUTS[id(queues)] = (queues, QueueLayout(tasks, queues))
-    return hit[1]
+def _run_span(tasks, q: list, s: int, r: int) -> tuple[int, int]:
+    """``(start, stop)`` of root r's run (see :class:`QueueLayout`) in
+    queue ``q`` of stream index ``s`` of the draft whose tasks are
+    ``tasks``: on the compute stream ``B{r}`` and the recompute tasks of
+    root r right before it, on the H2D stream the swap-ins of root r."""
+    if s == _COMPUTE:
+        stop = q.index(f"B{r}") + 1
+        start = stop - 1
+        while start:
+            t = tasks[q[start - 1]]
+            if t.kind is not TaskKind.RECOMPUTE or t.root != r:
+                break
+            start -= 1
+        return start, stop
+    at = [p for p, tid in enumerate(q) if tasks[tid].root == r]
+    return at[0], at[-1] + 1
 
 
 class VariantTables:
@@ -537,11 +536,10 @@ class VariantTables:
     tasks are compiled once, and a row adds slots only for what its patch
     touches — replaced or added tasks, and tasks whose free edges or
     allocations the patched buffers change — told apart by content, so
-    equal variants built by different rows share a slot.  A composed row
-    (:meth:`DraftPatch.compose`) starts from its prefix's compiled state,
-    built once for all the rows composed from that prefix, and adds what
-    its last patch changes.  What then varies per row is seeded per row:
-    the stream queues, the buffer free counts and the task total.  The
+    equal variants built by different rows share a slot; a composed row
+    (:meth:`DraftPatch.compose`) compiles like any other, its patch the
+    size of its flips.  What then varies per row is seeded per row: the
+    stream queues, the buffer free counts and the task total.  The
     base queues map to slots once per family; a row's queues are pieces
     of those slot arrays with its patch's queue edits (recompute runs
     replaced on the compute stream, ``SO``/``SI`` pairs lifted, re-sorted
@@ -632,11 +630,11 @@ class VariantTables:
                         edges[tid] if tid in edges
                         else ref_edges.get(tid, empty))
 
-        # a row's state: its tasks' free edges and allocations where they
-        # differ from the base's (task id → frozenset), its buffers' free
-        # counts and its own slots — what its patch adds, replaces or
-        # re-edges
-        def fresh(patch) -> tuple[dict, dict, dict, dict]:
+        # a row's state: its buffers' free counts and its own slots, those
+        # of the tasks its patch adds or replaces and of the tasks whose
+        # free edges or allocations (task id → frozenset) its buffers
+        # change
+        def state(patch) -> tuple[dict, dict]:
             edges: dict[str, set[str]] = {}
             allocs: dict[str, set[str]] = {}
             free: dict[str, int] = {}
@@ -666,84 +664,11 @@ class VariantTables:
             own = {tid: own_slot(patch, edges, allocs, tid)
                    for tid in patch.tasks.keys() | edges.keys() | allocs.keys()
                    if tid not in patch.dropped_tasks}
-            return edges, allocs, free, own
-
-        # a composed row's state: its prefix's, shared by every row composed
-        # from that prefix, plus what its last patch changes
-        def extend(prior: tuple, patch) -> tuple[dict, dict, dict, dict]:
-            prefix, last = patch.prefix, patch.last
-            edges, allocs, free, own = map(dict, prior)
-            touched = set(last.tasks)
-            for bid in itertools.chain(last.buffers, last.dropped_buffers):
-                rb = ref_bufs.get(bid)
-                pb = prefix.buffers.get(bid)
-                was = pb is not None or (
-                    rb is not None and bid not in prefix.dropped_buffers)
-                old = (frees(bid, pb) if pb is not None
-                       else ref_free[bid] if was else empty)
-                b = patch.buffers.get(bid)
-                if b is not None:
-                    new = frees(bid, b)
-                    free[bid] = len(new)
-                elif rb is not None:
-                    if rb.alloc_by is None:
-                        raise VectorUnsupported(
-                            f"preallocated buffer {bid!r} differs across "
-                            "the family")
-                    new = empty
-                    free[bid] = _NEVER
-                else:
-                    new = empty
-                    free.pop(bid, None)
-                one = frozenset((bid,))
-                for tid in old ^ new:
-                    e = edges[tid] if tid in edges else ref_edges.get(tid,
-                                                                      empty)
-                    edges[tid] = e | one if tid in new else e - one
-                touched |= old ^ new
-                if was is not (b is not None):
-                    by = (b or pb or rb).alloc_by
-                    a = allocs[by] if by in allocs else ref_allocs.get(by,
-                                                                       empty)
-                    allocs[by] = a - one if b is None else a | one
-                    touched.add(by)
-            for tid in last.dropped_tasks:
-                own.pop(tid, None)
-            for tid in touched:
-                if tid in patch.tasks or (tid in ref_tasks
-                                          and tid not in patch.dropped_tasks):
-                    own[tid] = own_slot(patch, edges, allocs, tid)
-                else:
-                    own.pop(tid, None)
-            return edges, allocs, free, own
-
-        #: id → (prefix, its state) of the prefixes composed rows share
-        states: dict[int, tuple] = {}
-
-        def state(patch) -> tuple[dict, dict, dict, dict]:
-            # up the prefix chain to a state at hand, then down, memoizing
-            # each prefix's (a loop: a recursive closure would be a
-            # reference cycle holding the memo until a full collection)
-            pending = []
-            while True:
-                prefix = patch.prefix
-                if prefix is None:
-                    st = fresh(patch)
-                    break
-                hit = states.get(id(prefix))
-                if hit is not None and hit[0] is prefix:
-                    st = extend(hit[1], patch)
-                    break
-                pending.append(patch)
-                patch = prefix
-            for patch in reversed(pending):
-                states[id(patch.prefix)] = (patch.prefix, st)
-                st = extend(st, patch)
-            return st
+            return free, own
 
         # the base queues as slots, once per family: each row's queues are
         # edits of them, and only its patch's own ids resolve to slots
-        layout = queue_layout(ref_tasks, ref_queues)
+        layout = QueueLayout(ref_tasks, ref_queues)
         seeds = [_RowQueues(np.fromiter(
             map(ref_slot.__getitem__, ref_queues.get(stream, ())), np.int32))
             for stream in _STREAM_ORDER]
@@ -755,7 +680,7 @@ class VariantTables:
                     or patch.base[2] is not ref_bufs):
                 raise VectorUnsupported(
                     f"row {k} is patched from another base draft")
-            _edges, _allocs, free, own = state(patch)
+            free, own = state(patch)
             free_fix += [(bid, k, count) for bid, count in free.items()]
             # its queues: the patch's edits, in slots, and a base id left
             # in place at another slot as a one-entry replacement
@@ -900,9 +825,10 @@ def _init_buffers(tables, buffers) -> None:
     tables.bids = [b.bid for b in buffers]
     tables.nbuf = nb = len(buffers)
     tables.buf_size = np.zeros(nb + 1, np.int64)
-    tables.buf_size[:nb] = [round_size(b.nbytes) for b in buffers]
     tables.buf_host = np.zeros(nb + 1, bool)
-    tables.buf_host[:nb] = [b.host for b in buffers]
+    for i, b in enumerate(buffers):
+        tables.buf_size[i] = round_size(b.nbytes)
+        tables.buf_host[i] = b.host
 
 
 def _init_tasks(tables, tasks: list, allocs: list[list[int]]) -> None:
@@ -929,21 +855,22 @@ def _init_tasks(tables, tasks: list, allocs: list[list[int]]) -> None:
     tables.headroom = np.zeros(n + 1, np.int64)
     tables.headroom[:n] = [t.headroom for t in tasks]
 
-    # (task, buffer) allocation pairs, summed per task
-    task_of, bis = _flat(allocs)
-    host = tables.buf_host[bis]
-    hosts = np.bincount(task_of[host], minlength=n + 1)
-    if hosts.max(initial=0) > 1:
-        raise VectorUnsupported(
-            f"task {tasks[int(np.argmax(hosts > 1))].tid!r} allocates "
-            "several host buffers")
-    host_buf_of = np.full(n + 1, -1, np.int64)
-    host_buf_of[task_of[host]] = bis[host]
-    need_host = np.zeros(n + 1, np.int64)
-    need_host[task_of[host]] = tables.buf_size[bis[host]]
     need_dev = np.zeros(n + 1, np.int64)
-    np.add.at(need_dev, task_of[~host], tables.buf_size[bis[~host]])
-    n_dev_bufs = np.bincount(task_of[~host], minlength=n + 1)
+    need_host = np.zeros(n + 1, np.int64)
+    host_buf_of = np.full(n + 1, -1, np.int64)
+    n_dev_bufs = np.zeros(n + 1, np.int64)
+    for i, bis in enumerate(allocs):
+        for bi in bis:
+            if tables.buf_host[bi]:
+                if host_buf_of[i] >= 0:
+                    raise VectorUnsupported(
+                        f"task {tasks[i].tid!r} allocates several host "
+                        "buffers")
+                host_buf_of[i] = bi
+                need_host[i] += tables.buf_size[bi]
+            else:
+                need_dev[i] += tables.buf_size[bi]
+                n_dev_bufs[i] += 1
     if np.any((need_host[:n] > 0)
               & ((need_dev[:n] > 0) | (tables.scratch_r > 0))):
         raise VectorUnsupported(
@@ -989,20 +916,13 @@ def _init_prealloc(tables, buffers) -> None:
     tables.prealloc_host = host_use
 
 
-def _flat(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged int lists as two flat arrays: each entry's list index and
-    the entry itself."""
-    lengths = np.fromiter(map(len, lists), np.intp, len(lists))
-    values = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                         int(lengths.sum()))
-    return np.repeat(np.arange(len(lists)), lengths), values
-
-
 def _pad(lists: list[list[int]], fill: int) -> np.ndarray:
     """Ragged int lists as one (len, max width) int32 table padded with
     ``fill`` (at least one column)."""
-    rows, values = _flat(lists)
-    counts = np.bincount(rows, minlength=len(lists))
+    counts = np.fromiter(map(len, lists), np.intp, len(lists))
+    values = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                         int(counts.sum()))
+    rows = np.repeat(np.arange(len(lists)), counts)
     out = np.full((len(lists), max(int(counts.max(initial=0)), 1)), fill,
                   np.int32)
     # each entry's column: its rank within its list

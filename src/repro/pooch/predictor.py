@@ -431,8 +431,7 @@ class TimelinePredictor:
             one = apply_recompute_delta(
                 *draft, self.graph, self._durations, self.options, plan[0],
                 node_rec, (plan[0], parent_rec))
-            # drafted as a patch of the plan draft, whose queue layout the
-            # family's tables and every node share
+            # drafted as a patch of the plan draft, the family's base
             parent = one if parent is None else parent.compose(one)
             draft = parent.draft
             ahead[path[:depth + 1]] = (parent, draft, node_rec)

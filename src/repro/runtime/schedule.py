@@ -856,30 +856,29 @@ def apply_recompute_delta(
     graph: NNGraph,
     durations: DurationProvider,
     options: ScheduleOptions | None,
-    keeps,
-    recomputes,
-    base_key: tuple[int, int] | None = None,
+    keep: int,
+    rec: int,
+    base_key: tuple[int, int],
 ) -> DraftPatch:
-    """Patch turning a base draft into the draft of ``all-swap + keeps +
-    {m: RECOMPUTE for m in recomputes}`` — the step-2 search hot path,
-    where every r(X) probe is the current plan plus one flip, and a
-    speculative probe of a later round is one flip of that round's
-    predicted plan, itself drafted as one flip of the plan before it.
+    """Patch turning a base draft into the draft of ``all-swap + keep +
+    rec recomputed`` — the step-2 search hot path, where every r(X) probe
+    is the current plan plus one flip, and a speculative probe of a later
+    round is one flip of that round's predicted plan, itself drafted as
+    one flip of the plan before it.
 
     The base may be the draft of any plan that reaches the target by
     swap→keep and swap→recompute flips: the all-swap draft (every keep and
     recompute is then a flip; with no recomputes the patch is the keep-only
     draft the step-1 search replays), or the current plan's own draft,
-    which already carries its recomputes.  ``keeps`` and ``recomputes``
-    are collections of map ids or bit masks (bit m = map m, the form of
-    :meth:`Classification.key() <repro.runtime.plan.Classification.key>`).
-    Their maps still swapped in the base are the flips: read off the masks
-    when ``base_key`` gives the base's own ``(keep, recompute)`` masks,
-    else found by the base's swap-out tasks.  The base must be built without
-    forward re-fetch (``forward_refetch_gap`` must be ``None`` — re-fetch
-    segments splice extra forward swap-ins whose interaction with
-    recompute chains is not local).  Flips apply one at a time, keeps
-    first, each exact against the plan before it.
+    which already carries its recomputes.  Plans are given as bit masks
+    (bit m = map m), the ``(keep, recompute)`` pair of
+    :meth:`Classification.key() <repro.runtime.plan.Classification.key>`:
+    ``keep``/``rec`` the target's, ``base_key`` the base's own.  The
+    target's maps the base still swaps are the flips.  The base must be
+    built without forward re-fetch (``forward_refetch_gap`` must be
+    ``None`` — re-fetch segments splice extra forward swap-ins whose
+    interaction with recompute chains is not local).  Flips apply one at
+    a time, keeps first, each exact against the plan before it.
 
     A swap→keep flip removes the map's ``SO``/``SI`` pair and rewires the
     readers of ``fm{m}@b`` onto ``fm{m}@f`` (see :func:`_flip_keep`; that
@@ -927,18 +926,13 @@ def apply_recompute_delta(
         raise ScheduleError(
             "apply_recompute_delta requires forward_refetch_gap=None"
         )
-    keep, rec = _mask(keeps), _mask(recomputes)
     if keep & rec:
         raise ScheduleError(
             f"maps {list(_bits(keep & rec))} are both kept and recomputed"
         )
     # the flips are the target's kept and recomputed maps the base still
     # swaps
-    if base_key is None:
-        swapped = _mask(m for m in _bits(keep | rec)
-                        if f"SO{m}" in base_tasks)
-    else:
-        swapped = (keep | rec) & ~(base_key[0] | base_key[1])
+    swapped = (keep | rec) & ~(base_key[0] | base_key[1])
     if rec & swapped and opt.policy is not SwapInPolicy.EAGER:
         raise ScheduleError(
             "apply_recompute_delta flips maps to recompute only under the "
@@ -950,16 +944,6 @@ def apply_recompute_delta(
     for m in _bits(rec & swapped):
         _flip_recompute(edit, m, graph, durations, opt, keep, rec)
     return edit.patch()
-
-
-def _mask(maps) -> int:
-    """Map ids as a bit mask (bit m = map m); a mask passes through."""
-    if isinstance(maps, int):
-        return maps
-    out = 0
-    for m in maps:
-        out |= 1 << m
-    return out
 
 
 def _bits(mask: int):

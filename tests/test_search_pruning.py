@@ -133,7 +133,7 @@ def test_delta_draft_equals_fresh_build(name, batch):
         fresh = ScheduleBuilder(g, cls, durs, pred.options,
                                 validate=False).build_raw()
         delta = apply_recompute_delta(*base, g, durs, pred.options,
-                                      keeps, ()).draft
+                                      *cls.key(), (0, 0)).draft
         _assert_drafts_equal(delta, fresh)
 
 
@@ -147,7 +147,9 @@ def test_delta_draft_leaves_base_unmodified():
     ref = ScheduleBuilder(g, Classification.all_swap(g), durs,
                           pred.options, validate=False).build_raw()
     maps = g.classifiable_maps()
-    apply_recompute_delta(*base, g, durs, pred.options, set(maps[::2]), ())
+    kept = Classification.all_swap(g).with_classes(
+        {m: MapClass.KEEP for m in maps[::2]})
+    apply_recompute_delta(*base, g, durs, pred.options, *kept.key(), (0, 0))
     _assert_drafts_equal(base, ref)
 
 

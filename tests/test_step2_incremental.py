@@ -119,9 +119,11 @@ def test_recompute_delta_equals_fresh_build(name, batch, policy):
         )
         fresh = ScheduleBuilder(g, cls, durs, opts,
                                 validate=False).build_raw()
-        kd = apply_recompute_delta(*base, g, durs, opts, keeps, ()).draft
-        delta = apply_recompute_delta(kd[0], kd[1], kd[2], g, durs, opts,
-                                      keeps, recs).draft
+        keep, rec = cls.key()
+        kd = apply_recompute_delta(*base, g, durs, opts, keep, 0,
+                                   (0, 0)).draft
+        delta = apply_recompute_delta(*kd, g, durs, opts, keep, rec,
+                                      (keep, 0)).draft
         _assert_drafts_equal(delta, fresh)
 
 
@@ -142,11 +144,6 @@ def _draft_signature(draft):
                frozenset(b.readers))
          for bid, b in buffers.items()},
     )
-
-
-def _split(cls):
-    return (set(cls.maps_of(MapClass.KEEP)),
-            set(cls.maps_of(MapClass.RECOMPUTE)))
 
 
 def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4,
@@ -184,7 +181,8 @@ def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4,
     base_h = max((t.headroom for t in base[0].values()
                   if t.kind is TaskKind.SWAP_IN), default=0)
     for trial in trials:
-        patch = apply_recompute_delta(*base, g, durs, opts, *_split(trial))
+        patch = apply_recompute_delta(*base, g, durs, opts, *trial.key(),
+                                      current.key())
         fresh = builder(trial)
         want = fresh.build_raw()
         assert _draft_signature(patch.draft) == _draft_signature(want), (
@@ -212,11 +210,11 @@ def check_plan_patches(g, durs, current, rng, n_one=6, n_two=4,
     for _ in range(n_paths if len(swapped) > 1 else 0):
         trial, draft, composed = current, base, None
         for m in rng.sample(swapped, rng.randint(2, min(4, len(swapped)))):
-            trial = trial.with_class(
+            prev, trial = trial, trial.with_class(
                 m, MapClass.RECOMPUTE if g[m].op.recomputable
                 and rng.random() < 0.75 else MapClass.KEEP)
-            one = apply_recompute_delta(*draft, g, durs, opts,
-                                        *_split(trial))
+            one = apply_recompute_delta(*draft, g, durs, opts, *trial.key(),
+                                        prev.key())
             draft = one.draft
             composed = one if composed is None else composed.compose(one)
             assert all(a is b for a, b in zip(composed.base, base))
@@ -270,11 +268,16 @@ def test_recompute_delta_leaves_base_unmodified():
     base = ScheduleBuilder(g, Classification.all_swap(g), durs, opts,
                            validate=False).build_raw()
     keeps = set(g.classifiable_maps()[::3])
-    kd = apply_recompute_delta(*base, g, durs, opts, keeps, ()).draft
-    ref = apply_recompute_delta(*base, g, durs, opts, keeps, ()).draft
-    recs = {m for m in g.classifiable_maps()
-            if g[m].op.recomputable and m not in keeps}
-    apply_recompute_delta(kd[0], kd[1], kd[2], g, durs, opts, keeps, recs)
+    kept = Classification.all_swap(g).with_classes(
+        {m: MapClass.KEEP for m in keeps})
+    target = kept.with_classes(
+        {m: MapClass.RECOMPUTE for m in g.classifiable_maps()
+         if g[m].op.recomputable and m not in keeps})
+    kd = apply_recompute_delta(*base, g, durs, opts, *kept.key(),
+                               (0, 0)).draft
+    ref = apply_recompute_delta(*base, g, durs, opts, *kept.key(),
+                                (0, 0)).draft
+    apply_recompute_delta(*kd, g, durs, opts, *target.key(), kept.key())
     _assert_drafts_equal(kd, ref)
 
 
@@ -291,10 +294,9 @@ def test_recompute_delta_refuses_non_eager_policies(policy):
     base = ScheduleBuilder(g, Classification.all_swap(g), durs, opts,
                            validate=False).build_raw()
     before = _draft_signature(base)
-    recs = {min(m for m in g.classifiable_maps() if g[m].op.recomputable)}
+    rec = 1 << min(m for m in g.classifiable_maps() if g[m].op.recomputable)
     with pytest.raises(ScheduleError, match=policy.name):
-        apply_recompute_delta(base[0], base[1], base[2], g, durs, opts,
-                              set(), recs)
+        apply_recompute_delta(*base, g, durs, opts, 0, rec, (0, 0))
     assert _draft_signature(base) == before
 
 
@@ -320,8 +322,8 @@ def test_recompute_delta_repairs_eager_headroom():
             {m: MapClass.RECOMPUTE for m in recs})
         fresh = ScheduleBuilder(g, cls, durs, opts,
                                 validate=False).build_raw()
-        delta = apply_recompute_delta(base[0], base[1], base[2], g, durs,
-                                      opts, set(), recs).draft
+        delta = apply_recompute_delta(*base, g, durs, opts, *cls.key(),
+                                      (0, 0)).draft
         want = {t.tid: t.headroom for t in fresh[0].values()
                 if t.kind is TaskKind.SWAP_IN}
         got = {t.tid: t.headroom for t in delta[0].values()
@@ -337,14 +339,14 @@ def test_recompute_delta_rejects_bad_inputs():
     durs = prof.durations()
     base = ScheduleBuilder(g, Classification.all_swap(g), durs,
                            ScheduleOptions(), validate=False).build_raw()
-    recable = [m for m in g.classifiable_maps() if g[m].op.recomputable]
+    bit = 1 << min(m for m in g.classifiable_maps() if g[m].op.recomputable)
     with pytest.raises(ScheduleError, match="kept and recomputed"):
-        apply_recompute_delta(base[0], base[1], base[2], g, durs,
-                              ScheduleOptions(), {recable[0]}, {recable[0]})
+        apply_recompute_delta(*base, g, durs, ScheduleOptions(), bit, bit,
+                              (0, 0))
     with pytest.raises(ScheduleError, match="forward_refetch_gap"):
-        apply_recompute_delta(base[0], base[1], base[2], g, durs,
-                              ScheduleOptions(forward_refetch_gap=2),
-                              set(), {recable[0]})
+        apply_recompute_delta(*base, g, durs,
+                              ScheduleOptions(forward_refetch_gap=2), 0, bit,
+                              (0, 0))
 
 
 def test_step2_round_stats_populated():
@@ -611,7 +613,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
             real_step2 = clf._step2_swap_vs_recompute
 
             def counting_patch(tasks, queues, buffers, graph, durations,
-                               options, keeps, recomputes, *base_key):
+                               options, keeps, recomputes, base_key):
                 # the predictor passes (keep, recompute) bit masks
                 if pred._base is not None and tasks is pred._base[0]:
                     calls[0] += 1  # the keep set drafted from all-swap
@@ -620,7 +622,7 @@ def test_step2_drafts_the_keep_set_once(monkeypatch):
                     patched.append(sum(f"SO{m}" in tasks for m in range(len(g))
                                        if (keeps | recomputes) >> m & 1))
                 return real_patch(tasks, queues, buffers, graph, durations,
-                                  options, keeps, recomputes, *base_key)
+                                  options, keeps, recomputes, base_key)
 
             def step2(*args, **kwargs):
                 calls[0] = 0  # count step 2's drafts only

@@ -767,10 +767,9 @@ class TestVariantFamily:
         base = ScheduleBuilder(graph, current, durations, self.OPTIONS,
                                validate=False).build_raw()
         for cls, draft in zip(probes, drafts):
-            keeps = cls.maps_of(MapClass.KEEP)
-            recs = cls.maps_of(MapClass.RECOMPUTE)
             direct = apply_recompute_delta(*base, graph, durations,
-                                           self.OPTIONS, keeps, recs)
+                                           self.OPTIONS, *cls.key(),
+                                           current.key())
             _assert_drafts_equal(draft, direct.draft)
 
     def test_variant_family_refuses_keep_matrix(self):
@@ -781,7 +780,7 @@ class TestVariantFamily:
             graph, Classification.all_swap(graph), durations, self.OPTIONS,
             validate=False).build_raw()
         same = apply_recompute_delta(*draft, graph, durations, self.OPTIONS,
-                                     (), ())
+                                     0, 0, (0, 0))
         engine = VectorEngine(VariantTables(draft, [same], 1 << 30))
         with pytest.raises(SimulationError, match="keep matrix"):
             engine.run_batch(np.zeros((1, 0), bool))
