@@ -10,10 +10,10 @@ sweep per event round — over either of two compiled families:
   removes its ``SO``/``SI`` transfer pair and rewires the backward readers
   of the swapped-in instance onto the surviving forward instance, as
   :func:`repro.runtime.schedule.apply_recompute_delta` drafts a kept map).
-  The base draft compiles once into numpy tables (durations, padded
-  dependency lists, rounded memory needs, per-task free lists, stream
-  queues) where every flip-dependent task, dependency edge and free edge
-  carries a *condition* — "active iff map m is kept" / "active iff map m
+  The base draft compiles once into numpy tables (durations, each task's
+  effect list, rounded memory needs, stream queues) where every
+  flip-dependent task, dependency edge and free edge carries a
+  *condition* — "active iff map m is kept" / "active iff map m
   is swapped" — and a (K, maps) keep matrix instantiates the rows;
 * :class:`VariantTables`, a *variant family*: a step-2 round's probes,
   each a :class:`DraftPatch` of the current plan's draft ("current with X
@@ -35,17 +35,25 @@ State layout.  Per-stream state (finish time, in-flight task, queue head)
 is stream-major, (3, K): lane ``s*K + k`` is row k's stream s, and one
 stream's lanes are contiguous, so the next event time is two
 ``np.minimum`` calls and the scan screens all three streams' openness and
-readiness in one pass.  The per-row countdown tables are task-major
-(n + 1, K) in-degrees and buffer-major (nbuf + 1, K) free counts, int16
-where that is provably exact (else int32): lockstep rows sit at similar
-tasks, so a round's gathers and scatters hit a few nearby table rows.
-Pool counters are released with ``np.bincount`` (byte sums stay below
-2**53, so float64 weights are exact).  A stopped row carries NaN finish
-times, which no comparison selects.
+readiness in one pass.  The per-row countdowns are one stacked
+(n + 1 + nbuf + 1, K) table, task-major in-degrees first, then
+buffer-major free counts, int16 where that is provably exact (else
+int32): lockstep rows sit at similar tasks, so a round's gathers and
+scatters hit a few nearby table rows.  Each task (or variant slot) owns
+one ragged (CSR) *effect list* of real entries only — its consumers'
+in-degree rows, then its free-count rows, then a keep-flip family's pair
+rows — so a completion touches exactly its edges: one index expansion
+and one ``np.subtract.at`` per round, and a zero test on the buffer
+entries alone.  A keep-flip family also compiles out every dependency on
+a task queued earlier on the dependent's own stream, which FIFO issue
+already implies.  Pool counters are released with ``np.bincount`` (byte
+sums stay below 2**53, so float64 weights are exact).  A stopped row
+carries NaN finish times, which no comparison selects.
 
 Cost model.  A sweep costs about rounds × (per-round call overhead + K ×
-per-row work), and rounds ≈ tasks (one per distinct event instant).  See
-``docs/architecture.md`` for measured figures.
+per-row work), and rounds ≈ tasks (one per distinct event instant): about
+50–60 µs per round plus 0.13–0.17 µs per row per round on a shared
+2-vCPU x86 host.  See ``docs/architecture.md`` for measured figures.
 
 Because all engine arithmetic is the same left-fold of IEEE ``+``/``min``
 over the same operands, results are bit-identical to the event loop
@@ -201,8 +209,25 @@ class VectorTables:
         # chain SI → SO → producer, so counting it never delays an issue).
         # The per-candidate part is therefore just the *initial in-degree*,
         # which the batch derives from sparse per-flip updates.
+        #
+        # A dep queued earlier on the task's own stream is compiled out: a
+        # stream issues one task at a time and only an idle lane is
+        # scanned, so by the time the task heads its lane that dep has
+        # completed — and a stall diagnosis, which reads only stream heads
+        # with nothing in flight, sees the same in-degrees.  A dep queued
+        # later, or on another stream, stays.
+        where = {tid: (s, p)
+                 for s, stream in enumerate(_STREAM_ORDER)
+                 for p, tid in enumerate(queues.get(stream, ()))}
+
+        def real(tid: str, dep: str) -> bool:
+            at = where.get(tid)
+            d = where.get(dep)
+            return at is None or d is None or d[0] != at[0] or d[1] > at[1]
+
         dep_slots: list[list[int]] = [
-            [index[d] for d in tasks[tid].deps] for tid in tids
+            [index[d] for d in tasks[tid].deps if real(tid, d)]
+            for tid in tids
         ]
         # -- free edges: (buffer, eff_cond, paired_alt); a buffer is freed
         # when every edge that fires in the candidate has fired.  Most
@@ -212,7 +237,6 @@ class VectorTables:
         # reader's pin: backward instance while swapped, forward instance
         # while kept.  It is stored as a *pair* (primary = swapped value,
         # alternate = kept value) and resolved at completion time.
-        free_slots: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         edges: dict[tuple[int, int], tuple[int, int]] = {}
         for bid, b in buffers.items():
             bi = bindex[bid]
@@ -236,13 +260,11 @@ class VectorTables:
                 # kept: reader waits on the forward producer and pins the
                 # forward instance; swapped: it waits on the swap-in and
                 # pins the swapped-in instance
-                dep_slots[ri].append(fwd_pi)
+                if real(rid, f.fwd_producer):
+                    dep_slots[ri].append(fwd_pi)
                 edges[(ri, back_bi)] = (-(s + 1), fwd_bi)
             edges[(si_i, back_bi)] = (-(s + 1), -1)
             edges[(si_i, bindex[f.host_buffer])] = (-(s + 1), -1)
-
-        for (ti, bi), (cond, alt) in edges.items():
-            free_slots[ti].append((bi, cond, alt))
 
         nf = len(self.flips)
         self.n_flips = nf
@@ -262,35 +284,33 @@ class VectorTables:
         self.indeg_base = indeg_base
         self.indeg_swap = indeg_swap
 
-        # consumer lists: who to count down when a task completes (one
-        # entry per dep slot, so duplicate edges stay balanced)
+        # effect lists: the in-degrees a completion counts down (one entry
+        # per dep slot, so duplicate edges stay balanced), its free edges,
+        # and its pair slots, each a swapped-side free edge that shifts to
+        # its kept-side buffer in rows keeping its map (pair conds are
+        # always negative)
         cons_lists: list[list[int]] = [[] for _ in range(n)]
         for i, slots in enumerate(dep_slots):
             for d in slots:
                 cons_lists[d].append(i)
-        cmax = max((len(c) for c in cons_lists), default=0)
-        consumers_pad = np.full((n, max(cmax, 1)), n, np.int32)
-        for i, cons in enumerate(cons_lists):
-            consumers_pad[i, : len(cons)] = cons
-        self.consumers_pad = consumers_pad
-
-        fmax = max((len(s) for s in free_slots), default=0)
-        frees_pad = np.full((n, max(fmax, 1)), nb, np.int32)
-        pair_alt = np.full((n, max(fmax, 1)), nb, np.int32)
-        pair_flip = np.zeros((n, max(fmax, 1)), np.int32)
-        for i, slots in enumerate(free_slots):
-            for j, (b, c, alt) in enumerate(slots):
-                frees_pad[i, j] = b
-                if alt >= 0:
-                    pair_alt[i, j] = alt
-                    pair_flip[i, j] = -c  # pair conds are always negative
-        self.frees_pad = frees_pad
-        self.pair_alt = pair_alt
-        self.pair_flip = pair_flip
-        #: which tasks carry any pair slot (the completion loop skips the
-        #: pair fix-up when none does)
-        self.pair_task = (pair_flip != 0).any(axis=1)
-        self.has_pairs = bool(self.pair_task.any())
+        frees: list[list[int]] = [[] for _ in range(n)]
+        pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for (ti, bi), (cond, alt) in edges.items():
+            if alt < 0:
+                frees[ti].append(n + 1 + bi)
+            else:  # (row, kept-side shift, keep column)
+                pairs[ti].append((n + 1 + bi, alt - bi, -cond - 1))
+        self.has_pairs = any(pairs)
+        _init_effects(self, [cons_lists, frees] + (
+            [[[row for row, _s, _c in p] for p in pairs]]
+            if self.has_pairs else []))
+        if self.has_pairs:
+            # aligned with ``effects``; zero outside the pair part
+            flat = [e for p in pairs for e in p]
+            self.pair_shift = np.zeros(self.effects.size, np.intp)
+            self.pair_col = np.zeros(self.effects.size, np.intp)
+            self.pair_shift[-len(flat):] = [s for _r, s, _c in flat]
+            self.pair_col[-len(flat):] = [c for _r, _s, c in flat]
 
         # free-countdown initialisation: unconditional edge count per
         # buffer, plus sparse per-flip corrections.  An
@@ -377,13 +397,12 @@ class DraftPatch:
             if not runs and lifted.isdisjoint(q):
                 continue
             # replaced runs in place, then lifted ids out of the rest
-            spans = sorted((*_run_span(base_tasks, q, s, r), ids)
-                           for r, ids in runs.items())
             queues[stream] = out = []
             prev = 0
-            for start, stop, ids in spans:
+            for start, stop, r in (_run_spans(base_tasks, q, s, runs)
+                                   if runs else ()):
                 out += [t for t in q[prev:start] if t not in lifted]
-                out += ids
+                out += runs[r]
                 prev = stop
             out += [t for t in q[prev:] if t not in lifted]
         return tasks, queues, buffers
@@ -499,22 +518,36 @@ class QueueLayout:
             patch.segments if s == _COMPUTE else patch.groups)
 
 
-def _run_span(tasks, q: list, s: int, r: int) -> tuple[int, int]:
-    """``(start, stop)`` of root r's run (see :class:`QueueLayout`) in
-    queue ``q`` of stream index ``s`` of the draft whose tasks are
-    ``tasks``: on the compute stream ``B{r}`` and the recompute tasks of
-    root r right before it, on the H2D stream the swap-ins of root r."""
+def _run_spans(tasks, q: list, s: int, roots) -> list[tuple[int, int, int]]:
+    """``(start, stop, root)`` of each of ``roots``' runs (see
+    :class:`QueueLayout`) in queue ``q`` of stream index ``s`` of the draft
+    whose tasks are ``tasks``, in queue order, found in one pass: on the
+    compute stream ``B{r}`` and the recompute tasks of root r right before
+    it, on the H2D stream the swap-ins of root r."""
     if s == _COMPUTE:
-        stop = q.index(f"B{r}") + 1
-        start = stop - 1
-        while start:
-            t = tasks[q[start - 1]]
-            if t.kind is not TaskKind.RECOMPUTE or t.root != r:
-                break
-            start -= 1
-        return start, stop
-    at = [p for p, tid in enumerate(q) if tasks[tid].root == r]
-    return at[0], at[-1] + 1
+        at = dict(zip(q, range(len(q))))
+        spans = []
+        for r in roots:
+            stop = at[f"B{r}"] + 1
+            start = stop - 1
+            while start:
+                t = tasks[q[start - 1]]
+                if t.kind is not TaskKind.RECOMPUTE or t.root != r:
+                    break
+                start -= 1
+            spans.append((start, stop, r))
+        spans.sort()
+        return spans
+    spans: dict[int, list[int]] = {}
+    for p, tid in enumerate(q):
+        r = tasks[tid].root
+        if r in roots:
+            span = spans.get(r)
+            if span is None:
+                spans[r] = [p, p + 1]
+            else:
+                span[1] = p + 1
+    return sorted((*spans[r], r) for r in roots)
 
 
 class VariantTables:
@@ -549,7 +582,9 @@ class VariantTables:
     buffer.  Slot in-degrees are the same in every row: a dependency
     names a task id, and each row runs exactly one slot of that id, whose
     completion counts down every slot that names it.  A raised EAGER
-    swap-in headroom is simply a different slot.
+    swap-in headroom is simply a different slot.  Unlike a keep-flip
+    family, it compiles every dependency edge: its rows re-order runs, so
+    an edge one row's queue order implies may be real in another's.
 
     The family runs through the same :meth:`VectorEngine.run_batch` kernel
     as a keep-flip family (with ``keep=None``; one outcome per patch)."""
@@ -721,10 +756,9 @@ class VariantTables:
                 naming.setdefault(d, []).append(i)
         self.indeg_base = np.zeros(n + 1, np.int32)
         self.indeg_base[:n] = [len(t.deps) for _tid, t, _a, _e in slots]
-        self.consumers_pad = _pad([naming.get(tid, []) for tid in self.tids],
-                                  n)
-        self.frees_pad = _pad([[bindex[b] for b in e]
-                               for _tid, _t, _a, e in slots], nb)
+        _init_effects(self, (
+            [naming.get(tid, ()) for tid in self.tids],
+            [[n + 1 + bindex[b] for b in e] for _tid, _t, _a, e in slots]))
 
         # per-row seeds: queues position-major (width + 1, K) with sentinel
         # tails, free counts buffer-major (nbuf + 1, K)
@@ -916,19 +950,22 @@ def _init_prealloc(tables, buffers) -> None:
     tables.prealloc_host = host_use
 
 
-def _pad(lists: list[list[int]], fill: int) -> np.ndarray:
-    """Ragged int lists as one (len, max width) int32 table padded with
-    ``fill`` (at least one column)."""
+def _init_effects(tables, parts) -> None:
+    """Each task's ragged (CSR) effect list over the stacked countdown
+    table — rows 0..n the in-degrees, n + 1.. the buffer free counts —
+    given as H parts of one list per task: consumers' in-degree rows
+    first, then free rows (then a keep-flip family's pair rows).  Part
+    after part, task after task, they are one flat ``effects`` array, and
+    ``effect_span`` is (2H, n): each part's list lengths, then where each
+    list ends, so one take reads a completing task's spans in every
+    part."""
+    lists = [lst for part in parts for lst in part]
     counts = np.fromiter(map(len, lists), np.intp, len(lists))
-    values = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                         int(counts.sum()))
-    rows = np.repeat(np.arange(len(lists)), counts)
-    out = np.full((len(lists), max(int(counts.max(initial=0)), 1)), fill,
-                  np.int32)
-    # each entry's column: its rank within its list
-    firsts = np.cumsum(counts) - counts
-    out[rows, np.arange(rows.size) - firsts[rows]] = values
-    return out
+    ends = np.cumsum(counts)
+    tables.effects = np.fromiter(itertools.chain.from_iterable(lists),
+                                 np.intp, int(ends[-1]) if ends.size else 0)
+    tables.effect_span = np.concatenate((counts, ends)).reshape(
+        2 * len(parts), tables.n)
 
 
 class VectorEngine:
@@ -950,10 +987,11 @@ class VectorEngine:
         self._limit_bare = cap - need
         self._scratch = t.scratch_r.astype(np.float64)
         self._has_scratch = bool(t.scratch_r.any())
-        self._release_dev = np.where(t.buf_host, 0, t.buf_size).astype(
-            np.float64)
-        self._release_host = np.where(t.buf_host, t.buf_size, 0).astype(
-            np.float64)
+        # bytes a free-count row releases, indexed by stacked-table row
+        self._release_dev = np.zeros(n + 1 + t.nbuf + 1)
+        self._release_dev[n + 1:] = np.where(t.buf_host, 0, t.buf_size)
+        self._release_host = np.zeros(n + 1 + t.nbuf + 1)
+        self._release_host[n + 1:] = np.where(t.buf_host, t.buf_size, 0)
         self._has_host_bufs = bool(t.buf_host.any())
         # per-stream work switches: which streams need the device gate, add
         # device memory or allocate host memory at all
@@ -964,28 +1002,23 @@ class VectorEngine:
         self._host_check = (t.prealloc_host + int(t.need_host.sum())
                             > t.host_capacity)
         # per-row tables in the narrowest exact dtype: a sweep's memory is
-        # mostly its (task|buffer, K) countdowns and (queue, K) heads.  The
-        # sentinel countdowns absorb at most one padded slot per completed
-        # task and slot column, so they stay positive in int16 below that
-        # bound, and real counts never exceed n.
-        narrow = n * max(t.consumers_pad.shape[1], t.frees_pad.shape[1])
-        self._count_dtype = np.int16 if narrow < _NEVER16 else np.int32
-        self._never = _NEVER16 if narrow < _NEVER16 else _NEVER
+        # mostly its (task + buffer, K) countdowns and (queue, K) heads.  A
+        # countdown never exceeds the effect entries that count it down,
+        # and nothing counts down the sentinel rows.
+        narrow = t.effects.size < _NEVER16
+        self._count_dtype = np.int16 if narrow else np.int32
+        self._never = _NEVER16 if narrow else _NEVER
         self._queue_dtype = np.int16 if n < _NEVER16 else np.int32
         if t.row_queues is not None:
             return  # a variant family seeds its rows itself
-        # pair slots: the keep-matrix column each slot reads and the buffer
-        # shift it applies when that map is kept (0 on plain slots)
-        on = t.pair_flip > 0
-        self._pair_col = np.maximum(t.pair_flip, 1) - 1
-        self._pair_shift = np.where(on, t.pair_alt - t.frees_pad, 0)
         # per-row seeds: each flip touches a few in-degree and free-count
         # entries, so the (K, maps) keep matrix expands through sparse
         # layers rather than dense matmuls (see _seed)
         nf = t.n_flips
         self._indeg_layers = _sparse_layers(
-            np.zeros((nf, n + 1)), t.indeg_swap)
-        self._count_layers = _sparse_layers(t.count_keep, t.count_swap)
+            np.zeros((nf, n + 1)), t.indeg_swap, self._count_dtype)
+        self._count_layers = _sparse_layers(t.count_keep, t.count_swap,
+                                            self._count_dtype)
         #: tasks a flip removes when its map is kept (the SO/SI pair)
         cond = t.task_cond[t.task_cond < 0]
         self._removed = np.bincount(-cond - 1, minlength=nf)
@@ -1145,26 +1178,37 @@ class VectorEngine:
             base += size
         pos0 = pos.copy()
 
-        # per-row countdown seeds, laid out task-major (n + 1, K) and
-        # buffer-major (nbuf + 1, K): lockstep rows sit at similar tasks, so
-        # a round's gathers and scatters land on a few nearby rows of the
-        # table instead of K scattered ones.  Both sentinel rows hold the
-        # never-zero count: the in-degree one blocks sentinel (exhausted)
-        # queue heads and absorbs padded consumer slots, the free-count one
-        # absorbs padded free slots.
+        # per-row countdowns, one stacked (n + 1 + nbuf + 1, K) table:
+        # task-major in-degrees, then buffer-major free counts.  Lockstep
+        # rows sit at similar tasks, so a round's gathers and scatters land
+        # on a few nearby rows of the table instead of K scattered ones.
+        # Both halves are seeded in place.  Both sentinel rows hold the
+        # never-zero count; the in-degree one blocks sentinel (exhausted)
+        # queue heads.
         dtype, never = self._count_dtype, self._never
+        cd = np.empty((n + 1 + t.nbuf + 1, K), dtype)
         if variants:
-            fc = np.minimum(t.row_free, never).astype(dtype)
-            ind = np.repeat(t.indeg_base.astype(dtype)[:, None], K, axis=1)
+            cd[:n + 1] = t.indeg_base[:, None]
+            np.minimum(t.row_free, never, out=cd[n + 1:], casting="unsafe")
         else:
             sel = np.concatenate((keep.T, ~keep.T))
-            fc = _seed(t.free_base, self._count_layers, sel, dtype)
-            ind = _seed(t.indeg_base, self._indeg_layers, sel, dtype)
+            _seed(cd[:n + 1], t.indeg_base, self._indeg_layers, sel, never)
+            _seed(cd[n + 1:], t.free_base, self._count_layers, sel, never)
             del sel
-        fc[-1] = never
-        ind[n] = never
-        fc_flat = fc.reshape(-1)
-        ind_flat = ind.reshape(-1)
+        cd[n] = never
+        cd[-1] = never
+        cd_flat = cd.reshape(-1)
+        # a completion's effect entries, pre-scaled to flat table indices
+        # (entry * K + row); pair entries shift by their kept-side buffer
+        # in rows that keep their map, read from the flat transposed keep
+        # matrix at (map * K + row)
+        spans = t.effect_span
+        parts = spans.shape[0] // 2
+        effects = t.effects * K
+        if t.has_pairs:
+            pair_shift = t.pair_shift * K
+            pair_col = t.pair_col * K
+            keep_t = np.ascontiguousarray(keep.T).reshape(-1)
 
         # mutable lockstep state.  Per-stream state is stream-major (S, K),
         # so each stream's lane is contiguous; lane s*K + k is row k's
@@ -1208,16 +1252,9 @@ class VectorEngine:
         scratch = self._scratch if self._has_scratch else None
         release_dev = self._release_dev
         release_host = self._release_host if self._has_host_bufs else None
-        consumers_pad = t.consumers_pad
-        frees_pad = t.frees_pad
         has_pairs = t.has_pairs
-        if has_pairs:
-            pair_col = self._pair_col
-            pair_shift = self._pair_shift
-        nf = max(t.n_flips, 1)
-        keep_flat = np.ascontiguousarray(keep).reshape(-1)
         inf = np.inf
-        # index arithmetic on the int32 task/buffer tables must not wrap
+        # index arithmetic on the int16 queue heads must not wrap
         Ki = np.intp(K)
         one = dtype(1)  # a typed scalar keeps ufunc.at on its fast loop
 
@@ -1232,7 +1269,7 @@ class VectorEngine:
             lane = (fin_flat == inf).nonzero()[0]
             head = qcat.take(pos_flat.take(lane))
             row = lane_row.take(lane)
-            ok = ind_flat.take(head * Ki + row) == 0
+            ok = cd_flat.take(head * Ki + row) == 0
             if not ok.all():
                 lane = lane[ok]
                 head = head[ok]
@@ -1332,7 +1369,7 @@ class VectorEngine:
                 for k in idle_rows[~finished].tolist():
                     errors[k] = self._diagnose_stall(
                         float(now[k]), qcat[pos[:, k]],
-                        ind_flat[k::K], int(dev_use[k]))
+                        cd_flat[k::K], int(dev_use[k]))
                     makespan[k] = inf
                 fin[:, idle_rows] = np.nan
                 stopped += idle_rows.size
@@ -1354,23 +1391,31 @@ class VectorEngine:
                             out=dev_use, casting="unsafe")
             if ends is not None:
                 ends[kk, ii] = now.take(kk)
-            # dependency countdown: each completion counts down its
-            # consumers' in-degrees (padding slots hit the sentinel row)
-            cons = consumers_pad.take(ii, axis=0)
-            np.subtract.at(ind_flat, cons * Ki + kk[:, None], one)
-            # buffer free countdowns; a buffer is released when the last
-            # active edge fires.  Pair slots shift to the kept-side buffer
-            # in rows that keep their map (plain slots shift by 0); padding
-            # slots count down the _NEVER sentinel row, and several
-            # same-instant completions hitting zero together are collapsed
-            # into one release by a sort-dedupe.
-            fb = frees_pad.take(ii, axis=0)
+            # countdowns: every completing task's effect entries — its
+            # consumers' in-degrees, then its free edges, part after part
+            # — gathered from their CSR spans in one index expansion, its
+            # row added to each entry, then counted down in one scatter
+            c_end = spans.take(ii, axis=1)
+            count = c_end[:parts].ravel()
+            cum = count.cumsum()
+            at = (c_end[parts:].ravel() - cum).repeat(count)
+            at += np.arange(at.size)
+            eff = effects.take(at)
+            rows = np.concatenate((kk,) * parts).repeat(count)
+            eff += rows
+            m = ii.size
             if has_pairs:
-                fb += pair_shift.take(ii, axis=0) * keep_flat.take(
-                    kk[:, None] * nf + pair_col.take(ii, axis=0))
-            bf = fb * Ki + kk[:, None]
-            np.subtract.at(fc_flat, bf, one)
-            zf = bf[fc_flat.take(bf) == 0]
+                p0 = int(cum[2 * m - 1])
+                if p0 < eff.size:
+                    at = at[p0:]
+                    eff[p0:] += pair_shift.take(at) * keep_t.take(
+                        pair_col.take(at) + rows[p0:])
+            np.subtract.at(cd_flat, eff, one)
+            # a buffer is released when the last active free edge fires;
+            # several same-instant completions hitting zero together are
+            # collapsed into one release by a sort-dedupe
+            zf = eff[int(cum[m - 1]):]
+            zf = zf[cd_flat.take(zf) == 0]
             if zf.size:
                 if zf.size > 1:
                     zf.sort()
@@ -1402,14 +1447,15 @@ class VectorEngine:
         return out
 
 
-def _sparse_layers(on_keep: np.ndarray, on_swap: np.ndarray):
+def _sparse_layers(on_keep: np.ndarray, on_swap: np.ndarray, dtype):
     """Compile two (flips, rows) count matrices into layers of sparse
     updates for :func:`_seed`.  A term adds ``value`` to a table row in
     every candidate where its flip is kept (``on_keep``) or swapped
     (``on_swap``); a layer holds at most one term per row, so it applies as
-    one fancy-indexed add."""
+    one fancy-indexed add.  Values are in the table's ``dtype``, so no
+    update builds a wider temporary."""
     f, r = np.nonzero(np.concatenate((on_keep, on_swap)))
-    value = np.concatenate((on_keep, on_swap))[f, r].astype(np.int32)
+    value = np.concatenate((on_keep, on_swap))[f, r].astype(dtype)
     order = np.argsort(r, kind="stable")
     f, r, value = f[order], r[order], value[order]
     # occurrence number of each term within its row
@@ -1423,17 +1469,18 @@ def _sparse_layers(on_keep: np.ndarray, on_swap: np.ndarray):
     return layers
 
 
-def _seed(base: np.ndarray, layers, sel: np.ndarray, dtype) -> np.ndarray:
-    """(rows, K) ``dtype`` table: ``base`` plus every sparse term whose
-    selector row of ``sel`` (keep.T stacked over ~keep.T) is set (the
-    caller overwrites the sentinel row, which may not fit ``dtype``)."""
-    out = np.empty((base.size, sel.shape[1]), dtype)
-    out[:] = np.minimum(base, _NEVER16 if dtype == np.int16 else _NEVER
-                        ).astype(dtype)[:, None]
+def _seed(out: np.ndarray, base: np.ndarray, layers, sel: np.ndarray,
+          never: int) -> None:
+    """Seed the (rows, K) countdown view ``out`` in place: ``base`` (capped
+    at ``never``) plus every sparse term whose selector row of ``sel``
+    (keep.T stacked over ~keep.T) is set.  A layer applies in blocks of
+    about 1 MiB of selector rows, so its temporaries stay small."""
+    out[:] = np.minimum(base, never).astype(out.dtype)[:, None]
+    step = max(1, (1 << 20) // max(sel.shape[1], 1))
     for rows, cols, value in layers:
-        if value is None:
-            out[rows] += sel[cols]
-        else:
-            out[rows] += value * sel[cols]
-    return out
-
+        for lo in range(0, rows.size, step):
+            at = rows[lo:lo + step]
+            if value is None:
+                out[at] += sel[cols[lo:lo + step]]
+            else:
+                out[at] += value[lo:lo + step] * sel[cols[lo:lo + step]]

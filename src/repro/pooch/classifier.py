@@ -200,9 +200,11 @@ class _VectorLeafStager:
     """
 
     #: a sweep's break-even size.  One event round of a sweep costs about
-    #: 80 us plus 0.2 us per row (docs/architecture.md), so a row costs
-    #: 1/400 of a round's fixed cost: below 400 rows speculation is nearly
-    #: free, far above it every row must be likely to be consumed.
+    #: 50–60 us plus 0.12–0.18 us per row (docs/architecture.md; step-1
+    #: sweeps replayed at K = 1..8,192 on ResNet-50/256 and at b512's own
+    #: sizes, shared 2-vCPU x86 host), so a row costs 1/300–1/500 of a
+    #: round's fixed cost: below 400 rows speculation is nearly free, far
+    #: above it every row must be likely to be consumed.
     ROWS = 400
 
     def __init__(self, predictor, leaves, scan, map_bytes, keep_budget,
@@ -404,17 +406,16 @@ class _FlipTree:
     parent's (:meth:`TimelinePredictor.predict_variant_batch`), so a row's
     drafting cost does not grow with its depth."""
 
-    #: a step-2 sweep's fixed cost, in rows.  Timed per phase over
-    #: ResNet-50/512 x86's step 2 (budget 600, shared 2-vCPU x86 host,
-    #: a linear fit of each phase over the 9 sweeps' row counts): a sweep
-    #: costs 33–42 ms fixed (``run_batch`` 30–36 ms, building its tables
-    #: 3–6 ms) and a row about 0.4 ms (drafting 0.11 ms, tables
-    #: 0.09–0.11 ms, sweep 0.07–0.08 ms, classifying and growing the
-    #: tree 0.1 ms as timed before rows cost O(patch)), so 80–110 rows.
-    #: 75 gave the fastest step 2 among 40, 60, 75, 85, 100, 150 and 300
-    #: when a row cost 0.6–0.7 ms; at 100 the trees there carry 37 more
-    #: rows for one more staged hit in the same 9 sweeps, within the
-    #: host's run-to-run spread, so it stays.
+    #: a step-2 sweep's fixed cost, in rows.  Timed over ResNet-50/512
+    #: x86's step 2 (budget 600, shared 2-vCPU x86 host, a linear fit of
+    #: each phase over the 9 sweeps' row counts): a sweep costs 19–28 ms
+    #: fixed (``run_batch`` 17–24 ms, building its tables 2–4 ms) and a
+    #: row about 0.35 ms (``run_batch`` 0.05–0.07 ms, tables 0.07–0.09 ms,
+    #: drafting 0.11 ms and classifying and growing the tree 0.1 ms as
+    #: timed before), so 55–80 rows.  75 gave the fastest step 2 among 40,
+    #: 60, 75, 85, 100, 150 and 300 when a row cost 0.6–0.7 ms; at 100 the
+    #: trees there carry 37 more rows for one more staged hit in the same
+    #: 9 sweeps, within the host's run-to-run spread, so it stays.
     ROWS = 75
     #: most rows one sweep carries.  A family's memory grows with its
     #: rows (each row's patch, queue seeds and free counts), and the

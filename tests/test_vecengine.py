@@ -20,6 +20,9 @@ infeasible plans (the stall diagnosis).  This harness checks that against
   buffer at once — keep-flip and duration-matrix batches must still match
   the event engine task for task, also when some rows overflow the host
   pool mid-batch;
+* FIFO elision: a keep-flip family compiles out exactly the dependencies
+  on tasks queued earlier on the dependent's own stream — a dependency on
+  a later task of its stream must still deadlock like the event loop;
 * the fallback matrix: draft families the lockstep formulation cannot
   express must refuse at compile time (``VectorUnsupported``), never
   silently diverge.
@@ -30,6 +33,7 @@ End-to-end plan identity of the search against its oracle is covered in
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -39,7 +43,14 @@ import pytest
 from repro.common.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.faults import FaultInjector, FaultSpec, FaultyDurations
 from repro.gpusim import Engine
-from repro.gpusim.engine import _STREAM_ORDER, Schedule, StreamName, TaskKind
+from repro.gpusim.allocator import MemoryPool
+from repro.gpusim.engine import (
+    _STREAM_ORDER,
+    EventLoop,
+    Schedule,
+    StreamName,
+    TaskKind,
+)
 from repro.gpusim.vecengine import (
     VariantTables,
     VectorEngine,
@@ -793,6 +804,88 @@ class TestVariantFamily:
             validate=False).build_raw()
         with pytest.raises(VectorUnsupported, match="family is empty"):
             VariantTables(draft, [], 1 << 30)
+
+
+class TestFifoElision:
+    """``VectorTables`` compiles out a dependency on a task queued earlier
+    on the dependent's own stream — FIFO issue implies it — and no other:
+    not one on a task queued later on that stream, which the event loop
+    diagnoses as a dependency deadlock, nor one across streams."""
+
+    def _draft(self):
+        graph = poster_example()
+        tasks, queues, buffers, capacity, host_cap, _d, _o = _raw_draft(
+            graph, Classification.all_swap(graph), tiny_machine(mem_mib=224))
+        return dict(tasks), queues, buffers, capacity, host_cap
+
+    @pytest.mark.parametrize("on, dep_on, later, feasible", [
+        (StreamName.COMPUTE, StreamName.COMPUTE, True, False),
+        (StreamName.H2D, StreamName.H2D, True, False),
+        (StreamName.COMPUTE, StreamName.COMPUTE, False, True),
+        (StreamName.H2D, StreamName.H2D, False, True),
+        (StreamName.COMPUTE, StreamName.H2D, True, None),
+    ], ids=["compute-later", "h2d-later", "compute-earlier", "h2d-earlier",
+            "compute-on-h2d"])
+    def test_hand_edited_dependency(self, on, dep_on, later, feasible):
+        tasks, queues, buffers, capacity, host_cap = self._draft()
+        q, dq = queues[on], queues[dep_on]
+        # the task at a third of its queue gains a dep on the first or last
+        # task of ``dep_on`` that is not already one
+        tid = q[len(q) // 3]
+        pick = reversed(dq) if later else dq
+        dep = next(d for d in pick if d != tid and d not in tasks[tid].deps)
+        tasks[tid] = dataclasses.replace(tasks[tid],
+                                         deps=tasks[tid].deps | {dep})
+        tables = VectorTables(tasks, queues, buffers, capacity, host_cap)
+        (out,) = VectorEngine(tables).run_batch(record_times=True)
+        ran = _assert_same_run(out, (tasks, queues, buffers), capacity,
+                               host_cap)
+        if feasible is not None:
+            assert ran is feasible
+        if feasible is False:
+            assert isinstance(out.error, ScheduleError)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+    def test_compiled_consumers_are_dependents_minus_fifo(self, name):
+        """White box: on the zoo's all-swap keep-flip families, each task's
+        compiled consumers are the event loop's dependents of it minus
+        exactly those queued after it on its own stream."""
+        graph = MODEL_ZOO[name](batch=2)
+        machine = _QUARTER_MACHINES[0]
+        tasks, queues, buffers, capacity, host_cap, _d, _o = _raw_draft(
+            graph, Classification.all_swap(graph), machine)
+        flips = keep_flip_specs(tasks, buffers,
+                                sorted(graph.classifiable_maps()))
+        tables = VectorTables(tasks, queues, buffers, capacity, host_cap,
+                              flips)
+        loop = EventLoop(tasks, queues, buffers,
+                         MemoryPool(capacity, "gpu", track=False),
+                         MemoryPool(host_cap, "host", track=False))
+        where = {tid: (stream, p) for stream, q in queues.items()
+                 for p, tid in enumerate(q)}
+
+        def implied(tid, dep) -> bool:
+            (s, p), (ds, dp) = where[tid], where[dep]
+            return s == ds and dp < p
+
+        tids = tables.tids
+        want = [sorted(j for j in loop._dependents[i]
+                       if not implied(tids[j], tids[i]))
+                for i in range(tables.n)]
+        # a kept map's rewired readers also wait on its forward producer
+        for f in flips:
+            for rid in f.rewired_readers:
+                if not implied(rid, f.fwd_producer):
+                    want[tables.index[f.fwd_producer]].append(
+                        tables.index[rid])
+        count, end = tables.effect_span[0], tables.effect_span[
+            tables.effect_span.shape[0] // 2]
+        elided = 0
+        for i in range(tables.n):
+            got = tables.effects[end[i] - count[i]:end[i]].tolist()
+            assert sorted(got) == sorted(want[i]), tids[i]
+            elided += len(loop._dependents[i]) - len(got)
+        assert elided > 0
 
 
 class TestFallbackMatrix:
